@@ -604,59 +604,13 @@ fn e10_multi_client(report: &mut Report) {
     );
 }
 
-fn e11_actor_scale(report: &mut Report) {
-    banner(
-        "E11",
-        "actor engine vs thread scheduler: 1k-100k sessions per DSP",
-    );
-    println!(
-        "{:>9} {:>8} {:>16} {:>12} {:>9} {:>9}",
-        "sessions", "engine", "events/s", "dispatches", "p99 (ms)", "wall (s)"
-    );
-    // Both engines really run (completion is asserted); throughput and p99
-    // are folded from the dispatch/batch counters on the simulated clock, so
-    // the keys are machine independent and CI-gateable.
-    for sessions in [1_000usize, 10_000, 100_000] {
-        let outcome = workloads::actor_scale(workloads::ActorScaleConfig::new(sessions));
-        for (engine, run) in [("thread", &outcome.thread), ("actor", &outcome.actor)] {
-            println!(
-                "{:>9} {:>8} {:>16.0} {:>12} {:>9.2} {:>9.2}",
-                sessions,
-                engine,
-                run.events_per_s(),
-                run.dispatches,
-                run.p99.as_secs_f64() * 1e3,
-                run.wall.as_secs_f64(),
-            );
-            let prefix = format!("e11.sessions_{sessions}.{engine}");
-            report.put(format!("{prefix}.events_per_s"), run.events_per_s().round());
-            report.put(
-                format!("{prefix}.p99_ms"),
-                (run.p99.as_secs_f64() * 1e3 * 100.0).round() / 100.0,
-            );
-        }
-        let speedup = outcome.speedup();
-        println!("  actor vs thread @{sessions} sessions: {speedup:.1}x");
-        report.put(
-            format!("e11.sessions_{sessions}.speedup_actor_v_thread"),
-            (speedup * 10.0).round() / 10.0,
-        );
-    }
-}
-
-/// Runs the telemetry pass behind `--obs`: an E10 hot-document slice (shard
-/// serving, thread scheduler and card-session telemetry come off the
-/// service's own bundle) plus a standalone E11 slice (actor-engine telemetry
-/// on a dedicated bundle), merged into one snapshot. Returns the JSON report:
-/// the metric snapshot and the E10 service's flight-recorder dump.
+/// Runs the telemetry pass behind `--obs`: an E10 hot-document slice whose
+/// shard serving, scheduler and card-session telemetry come off the
+/// service's own bundle. Returns the JSON report: the metric snapshot and the
+/// service's flight-recorder dump.
 fn obs_report() -> String {
-    let (_, e10_snapshot, flight) =
+    let (_, snapshot, flight) =
         workloads::hot_document_observed(workloads::HotDocumentConfig::new(64, 16, 4));
-    let e11_obs = sdds_dsp::DspObs::new(1);
-    let _ =
-        workloads::actor_scale_observed(workloads::ActorScaleConfig::new(1_000), Some(&e11_obs));
-    let mut snapshot = e10_snapshot;
-    snapshot.merge(&e11_obs.snapshot());
     format!(
         "{{\n\"schema\": \"sdds-obs-report-v1\",\n\"snapshot\": {},\n\"flight_recorder\": {}}}\n",
         snapshot.to_json(),
@@ -712,7 +666,6 @@ fn main() {
         e8_query_mix(&mut report);
         e9_streaming_vs_dom(&mut report);
         e10_multi_client(&mut report);
-        e11_actor_scale(&mut report);
         println!(
             "\nharness completed in {:.1} s",
             start.elapsed().as_secs_f64()

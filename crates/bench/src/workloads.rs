@@ -334,297 +334,6 @@ pub fn multi_client(config: MultiClientConfig) -> MultiClientOutcome {
     )
 }
 
-// ---------------------------------------------------------------------------
-// E11 — actor-engine scaling workload
-// ---------------------------------------------------------------------------
-
-/// Configuration of one E11 actor-scale run: `sessions` simulated card
-/// sessions, each waiting for `batches` APDU batches that arrive rarely
-/// relative to the scheduler's polling.
-#[derive(Debug, Clone, Copy)]
-pub struct ActorScaleConfig {
-    /// Concurrent simulated card sessions.
-    pub sessions: usize,
-    /// Worker threads (same count for both engines).
-    pub workers: usize,
-    /// Thread-engine polls per actually-ready batch: the round-robin FIFO
-    /// visits a waiting session `poll_interval` times before its next batch
-    /// is there (the O(sessions)-per-lap waste the actor engine removes).
-    pub poll_interval: usize,
-    /// APDU batches each session processes before completing.
-    pub batches: usize,
-    /// Simulated cost of one scheduler visit / engine dispatch (queue hop,
-    /// readiness check).
-    pub step_cost: std::time::Duration,
-    /// Simulated cost of processing one APDU batch (the useful work; charged
-    /// identically on both engines).
-    pub batch_cost: std::time::Duration,
-}
-
-impl ActorScaleConfig {
-    /// The E11 defaults: 4 workers, 16 polls per ready batch, 2 batches per
-    /// session, 500 ns per visit, 2 µs per batch.
-    pub fn new(sessions: usize) -> Self {
-        ActorScaleConfig {
-            sessions,
-            workers: 4,
-            poll_interval: 16,
-            batches: 2,
-            step_cost: std::time::Duration::from_nanos(500),
-            batch_cost: std::time::Duration::from_micros(2),
-        }
-    }
-}
-
-/// A simulated card session mid-pull: its card channel yields one APDU batch
-/// every `poll_interval` scheduler visits (thread engine), or exactly when an
-/// event is delivered (actor engine). The same type implements both stepping
-/// contracts so E11 compares engines, not session models.
-#[derive(Debug)]
-pub struct SimCardSession {
-    poll_interval: usize,
-    batches_left: usize,
-    visits: usize,
-}
-
-impl SimCardSession {
-    fn new(config: &ActorScaleConfig) -> Self {
-        SimCardSession {
-            poll_interval: config.poll_interval.max(1),
-            batches_left: config.batches.max(1),
-            visits: 0,
-        }
-    }
-
-    /// Scheduler visits / engine dispatches this session consumed.
-    pub fn visits(&self) -> usize {
-        self.visits
-    }
-
-    fn process_batch(&mut self) -> bool {
-        self.batches_left -= 1;
-        self.batches_left == 0
-    }
-}
-
-impl sdds_dsp::Schedulable for SimCardSession {
-    /// Thread-engine contract: every FIFO visit costs a step, but only every
-    /// `poll_interval`-th visit finds a batch ready.
-    fn step(&mut self, _quantum: usize) -> Result<sdds_dsp::StepOutcome, String> {
-        self.visits += 1;
-        if self.visits.is_multiple_of(self.poll_interval) && self.process_batch() {
-            Ok(sdds_dsp::StepOutcome::Complete)
-        } else {
-            Ok(sdds_dsp::StepOutcome::Pending)
-        }
-    }
-}
-
-impl sdds_dsp::ActorSession for SimCardSession {
-    type Event = ();
-
-    /// Actor-engine contract: a dispatch happens only when a batch arrived,
-    /// so every visit does useful work.
-    fn on_event(&mut self, (): ()) -> Result<sdds_dsp::ActorStatus, String> {
-        self.visits += 1;
-        if self.process_batch() {
-            Ok(sdds_dsp::ActorStatus::Complete)
-        } else {
-            Ok(sdds_dsp::ActorStatus::Parked)
-        }
-    }
-
-    fn on_step(&mut self) -> Result<sdds_dsp::ActorStatus, String> {
-        Err("E11 sessions are event-driven; an event-less dispatch is an engine bug".into())
-    }
-}
-
-/// One engine's side of an E11 run, on the simulated clock.
-#[derive(Debug, Clone, Copy)]
-pub struct EngineRun {
-    /// Scheduler visits / engine dispatches across sessions.
-    pub dispatches: usize,
-    /// APDU batches processed across sessions (identical for both engines —
-    /// the useful work).
-    pub batches: usize,
-    /// Simulated makespan: all dispatch and batch costs, spread over the
-    /// workers.
-    pub makespan: std::time::Duration,
-    /// Simulated p99 session-completion latency (see [`actor_scale`]).
-    pub p99: std::time::Duration,
-    /// Wall-clock time of the run (informational; not gated).
-    pub wall: std::time::Duration,
-}
-
-impl EngineRun {
-    /// Aggregate simulated throughput: processed batches per second. The
-    /// numerator is the same for both engines, so the thread/actor ratio is
-    /// exactly the dispatch-overhead ratio.
-    pub fn events_per_s(&self) -> f64 {
-        let makespan = self.makespan.as_secs_f64();
-        if makespan > 0.0 {
-            self.batches as f64 / makespan
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Deterministic outcome of one E11 run: the same sessions on both engines.
-#[derive(Debug, Clone, Copy)]
-pub struct ActorScaleOutcome {
-    /// The configuration the run used.
-    pub config: ActorScaleConfig,
-    /// The thread-engine (round-robin FIFO) side.
-    pub thread: EngineRun,
-    /// The actor-engine (readiness-driven) side.
-    pub actor: EngineRun,
-}
-
-impl ActorScaleOutcome {
-    /// Aggregate-throughput advantage of the actor engine.
-    pub fn speedup(&self) -> f64 {
-        let thread = self.thread.events_per_s();
-        if thread > 0.0 {
-            self.actor.events_per_s() / thread
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Folds one engine's dispatch/batch counters into simulated-clock metrics.
-///
-/// Makespan is `(dispatches × step_cost + batches × batch_cost) / workers`:
-/// both engines pay the same per-batch work, the thread engine additionally
-/// pays `poll_interval` visits per batch. The p99 is the session-completion
-/// latency under the canonical single-queue round-robin order — session `i`
-/// of `K` retires at work position `position(i)` out of `total`, so its
-/// latency is that fraction of the makespan. Everything is counters times
-/// model rates: machine-independent, CI-gateable.
-fn engine_run(
-    config: &ActorScaleConfig,
-    dispatches: usize,
-    batches: usize,
-    wall: std::time::Duration,
-    position: impl Fn(usize) -> usize,
-    total: usize,
-) -> EngineRun {
-    let work = config.step_cost * dispatches as u32 + config.batch_cost * batches as u32;
-    let makespan = work / config.workers.max(1) as u32;
-    let sessions = config.sessions.max(1);
-    let p99_rank = ((sessions - 1) as f64 * 0.99).round() as usize;
-    let p99 = makespan.mul_f64(position(p99_rank) as f64 / total.max(1) as f64);
-    EngineRun {
-        dispatches,
-        batches,
-        makespan,
-        p99,
-        wall,
-    }
-}
-
-/// Runs the E11 scaling workload: the same `sessions` simulated card
-/// sessions once on the thread scheduler ([`sdds_dsp::SessionScheduler`],
-/// FIFO round-robin) and once on the actor engine
-/// ([`sdds_dsp::ActorEngine`], per-session mailboxes, events delivered
-/// round-robin by a driver). Both runs really execute — completion and
-/// dispatch counts are asserted — and the reported throughput/latency is
-/// computed from the counters on the simulated clock, so the gated `e11.*`
-/// keys are machine independent.
-pub fn actor_scale(config: ActorScaleConfig) -> ActorScaleOutcome {
-    actor_scale_observed(config, None)
-}
-
-/// Like [`actor_scale`], optionally wiring both engines' telemetry into a
-/// [`sdds_dsp::DspObs`] bundle (E11 runs standalone, so the harness hands it
-/// a dedicated bundle rather than a service's). The outcome is byte-identical
-/// with or without `obs` — telemetry is parallel tallies only.
-pub fn actor_scale_observed(
-    config: ActorScaleConfig,
-    obs: Option<&sdds_dsp::DspObs>,
-) -> ActorScaleOutcome {
-    let sessions = config.sessions.max(1);
-    let polls = config.poll_interval.max(1);
-    let batches = config.batches.max(1);
-
-    // Thread engine: every session rides the FIFO until its batches arrive.
-    let start = std::time::Instant::now();
-    let mut scheduler = sdds_dsp::SessionScheduler::new(config.workers, 1);
-    if let Some(obs) = obs {
-        scheduler = scheduler.with_obs(obs);
-    }
-    let report = scheduler.run(
-        (0..sessions)
-            .map(|_| SimCardSession::new(&config))
-            .collect(),
-    );
-    let thread_wall = start.elapsed();
-    assert!(
-        report.failures().is_empty(),
-        "E11 thread sessions failed: {:?}",
-        report.failures()
-    );
-    let thread_dispatches = report.steps_total;
-    assert_eq!(thread_dispatches, sessions * polls * batches);
-    // Session i's last step is step (polls·batches − 1)·K + i + 1 of the
-    // round-robin total: all sessions march in lockstep and retire on the
-    // final lap.
-    let thread = engine_run(
-        &config,
-        thread_dispatches,
-        sessions * batches,
-        thread_wall,
-        |i| (polls * batches - 1) * sessions + i + 1,
-        thread_dispatches,
-    );
-
-    // Actor engine: a driver delivers each session's batches round-robin;
-    // parked sessions cost nothing between arrivals.
-    let start = std::time::Instant::now();
-    let mut engine = sdds_dsp::ActorEngine::new(config.workers);
-    if let Some(obs) = obs {
-        engine = engine.with_obs(obs.actors());
-    }
-    let actor_report = engine.run(
-        (0..sessions)
-            .map(|_| SimCardSession::new(&config))
-            .collect::<Vec<_>>(),
-        |handle| {
-            for _ in 0..batches {
-                for id in 0..sessions {
-                    // lint: infallible — sessions retire only after their
-                    // last batch, and this loop sends exactly that many.
-                    handle.send(id, ()).expect("session retired early");
-                }
-            }
-        },
-    );
-    let actor_wall = start.elapsed();
-    assert!(
-        actor_report.all_complete(),
-        "E11 actor sessions failed: {:?}",
-        actor_report.failures()
-    );
-    assert_eq!(actor_report.events_total, sessions * batches);
-    // Session i's last batch is delivery (batches − 1)·K + i + 1 of the
-    // driver's round-robin total.
-    let actor = engine_run(
-        &config,
-        actor_report.dispatches_total,
-        actor_report.events_total,
-        actor_wall,
-        |i| (batches - 1) * sessions + i + 1,
-        sessions * batches,
-    );
-
-    ActorScaleOutcome {
-        config,
-        thread,
-        actor,
-    }
-}
-
 /// Configuration of one E10 **hot-document** run: every client pulls the
 /// same single document.
 #[derive(Debug, Clone, Copy)]

@@ -228,7 +228,7 @@ fn check_schedule(workers: usize, sessions: Vec<CountedSession>) {
 }
 
 /// One worker against the submitting thread: every interleaving of the
-/// dequeue / requeue / retire / exit protocol is explored exhaustively, and
+/// take / requeue / retire / exit protocol is explored exhaustively, and
 /// no schedule may lose or double-step a session.
 #[test]
 fn scheduler_never_loses_or_double_steps() {
@@ -240,21 +240,13 @@ fn scheduler_never_loses_or_double_steps() {
     assert_explored(&report, "scheduler_fifo_requeue");
 }
 
-/// Two workers contending for the queue. The worker loop crosses a
-/// scheduling point per queue-lock, condvar and `in_flight` operation, and
-/// every wake/recheck/re-wait cycle branches again, so this space does not
-/// exhaust within any practical budget (the price of a loom-lite without
-/// DPOR). It runs as a bounded soak instead: the whole branch budget is
-/// spent, every explored schedule must uphold the invariant, and the CI
-/// soak widens it via SDDS_CHECK_BRANCHES.
-#[test]
-fn scheduler_worker_race_soak() {
-    let report = model()
-        .check("scheduler_worker_race_soak", || {
-            check_schedule(2, vec![CountedSession::new(2)]);
-        })
-        .expect("no explored interleaving may lose or double-step a session");
-    // Bounded, not exhaustive — assert the search really dug in.
+/// Asserts a bounded soak really dug in: every worker crosses a scheduling
+/// point per queue lock it takes (its own queue and each peer's on every
+/// take) and per retirement, so multi-worker spaces do not exhaust within
+/// any practical budget (the price of a loom-lite without DPOR). They run as bounded soaks instead: the whole branch budget is
+/// spent, every explored schedule must uphold the invariant, and the CI soak
+/// widens it via SDDS_CHECK_BRANCHES.
+fn assert_soaked(report: &sdds_check::Report) {
     #[cfg(sdds_check)]
     assert!(
         report.executions > 100,
@@ -262,6 +254,34 @@ fn scheduler_worker_race_soak() {
     );
     #[cfg(not(sdds_check))]
     assert!(report.executions >= 1, "model must run: {report:?}");
+}
+
+/// Two workers, two sessions: each worker starts on its own queue, and a
+/// worker that retires its session steals the other's while its owner
+/// requeues it. No schedule may lose a session or step it twice at once.
+#[test]
+fn scheduler_worker_race_soak() {
+    let report = model()
+        .check("scheduler_worker_race_soak", || {
+            check_schedule(2, vec![CountedSession::new(1), CountedSession::new(2)]);
+        })
+        .expect("no explored interleaving may lose or double-step a session");
+    assert_soaked(&report);
+}
+
+/// An idle worker's exit strands nothing: two workers, one session. The
+/// worker that does not hold the session finds nothing and exits while the
+/// other keeps requeueing it (or steals the requeued session and leaves the
+/// first worker to exit); in every explored schedule the session still
+/// retires with its full step count.
+#[test]
+fn scheduler_idle_worker_exit_strands_no_session() {
+    let report = model()
+        .check("scheduler_idle_worker_exit_strands_no_session", || {
+            check_schedule(2, vec![CountedSession::new(3)]);
+        })
+        .expect("no explored interleaving may strand a session");
+    assert_soaked(&report);
 }
 
 // ---------------------------------------------------------------------------

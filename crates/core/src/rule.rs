@@ -300,8 +300,10 @@ impl RuleSet {
         let version = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
         let count = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) as usize; // lint: infallible — see above
         let mut pos = 12usize;
+        // The count is untrusted: reserve no more rules than the remaining
+        // bytes can hold (id, sign and two empty strings: 9 bytes each).
         // alloc: startup — the rule wire codec runs at provisioning, never per event.
-        let mut rules = Vec::with_capacity(count);
+        let mut rules = Vec::with_capacity(count.min((bytes.len() - pos) / 9));
         for _ in 0..count {
             if pos + 5 > bytes.len() {
                 return Err(bad("truncated rule header"));
@@ -351,6 +353,16 @@ impl RuleSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn decode_bounds_the_untrusted_rule_count_by_the_input() {
+        // A bare 12-byte header claiming u32::MAX rules: a typed error, not
+        // a reservation sized by the claimed count.
+        let mut blob = 7u64.to_le_bytes().to_vec();
+        blob.extend_from_slice(&u32::MAX.to_le_bytes());
+        let err = RuleSet::decode(&blob).unwrap_err();
+        assert!(matches!(err, CoreError::BadDocument { .. }), "{err:?}");
+    }
 
     #[test]
     fn sign_symbols() {

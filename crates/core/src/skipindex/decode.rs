@@ -209,8 +209,11 @@ impl TokenReader {
                     return Ok(ReadResult::NeedData);
                 };
                 pos += used;
+                // The count is untrusted: reserve no more attributes than the
+                // window's remaining bytes can hold (two varints each).
+                let fit = (self.window.len() - pos) as u64 / 2;
                 // alloc: amortized — attribute list sized to this one element.
-                let mut attrs = Vec::with_capacity(attr_count as usize);
+                let mut attrs = Vec::with_capacity(attr_count.min(fit) as usize);
                 for _ in 0..attr_count {
                     let Some((name_id, used)) = read_varint(&self.window, pos) else {
                         return Ok(ReadResult::NeedData);
@@ -220,7 +223,7 @@ impl TokenReader {
                         return Ok(ReadResult::NeedData);
                     };
                     pos += used;
-                    let Some(value) = self.window.get(pos..pos + value_len as usize) else {
+                    let Some(value) = window_slice(&self.window, pos, value_len) else {
                         return Ok(ReadResult::NeedData);
                     };
                     let value = String::from_utf8_lossy(value).into_owned();
@@ -244,7 +247,7 @@ impl TokenReader {
                     return Ok(ReadResult::NeedData);
                 };
                 pos += used;
-                let Some(text) = self.window.get(pos..pos + len as usize) else {
+                let Some(text) = window_slice(&self.window, pos, len) else {
                     return Ok(ReadResult::NeedData);
                 };
                 let text = String::from_utf8_lossy(text).into_owned();
@@ -326,6 +329,12 @@ impl TokenReader {
     }
 }
 
+/// The `len` bytes of `window` from `pos`, if the window holds them all.
+/// `len` is read from untrusted bytes, so `pos + len` must not overflow.
+fn window_slice(window: &[u8], pos: usize, len: u64) -> Option<&[u8]> {
+    window.get(pos..)?.get(..usize::try_from(len).ok()?)
+}
+
 /// Convenience helper: decodes a full in-memory plaintext (dictionary +
 /// tokens) into events, honouring no skip. Used by tests and by the DOM
 /// baseline, which by definition reads everything.
@@ -359,6 +368,7 @@ pub fn decode_all(plaintext: &[u8], recursive_bitmaps: bool) -> Result<Vec<Event
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::skipindex::compress::write_varint;
     use crate::skipindex::encode::{DocumentEncoder, EncoderConfig};
     use sdds_xml::generator::{self, GeneratorConfig, HospitalProfile};
     use sdds_xml::Document;
@@ -543,5 +553,23 @@ mod tests {
         plaintext[dict_len] = 0x7F; // clobber the first token marker
         let err = decode_all(&plaintext, true).unwrap_err();
         assert!(matches!(err, CoreError::BadDocument { .. }));
+    }
+
+    #[test]
+    fn huge_untrusted_lengths_are_typed_errors() {
+        // An OPEN token claiming u64::MAX attributes, then a TEXT token
+        // claiming u64::MAX bytes: each length must be bounded by the input,
+        // never used to reserve memory or index past the end.
+        let dict = TagDict::from_names(["a"]);
+        for marker in [token::OPEN, token::TEXT] {
+            let mut plaintext = dict.encode();
+            plaintext.push(marker);
+            if marker == token::OPEN {
+                write_varint(&mut plaintext, 0);
+            }
+            write_varint(&mut plaintext, u64::MAX);
+            let err = decode_all(&plaintext, true).unwrap_err();
+            assert!(matches!(err, CoreError::BadDocument { .. }), "{err:?}");
+        }
     }
 }

@@ -21,28 +21,21 @@
 //!   [`service::FanOutDisseminator`] (one ciphertext per item shared across
 //!   M subscriber mailboxes), and the [`service::ServiceModel`] capacity math (see the
 //!   module docs for the architecture diagram and the knob → paper-experiment
-//!   mapping),
-//! * [`actors`] — the readiness-driven actor engine of experiment E11: one
-//!   bounded mailbox per session, a work-stealing executor over N workers,
-//!   and park/unpark stepping so the serving loop does O(changed work) per
-//!   step instead of O(sessions). Selected per scheduler via
-//!   [`service::SchedulerEngine`].
+//!   mapping).
 
 #![forbid(unsafe_code)]
 
-pub mod actors;
 pub mod dissemination;
 pub mod obs;
 pub mod server;
 pub mod service;
 pub mod store;
 
-pub use actors::{ActorEngine, ActorReport, ActorSession, ActorStatus, FinishedActor};
 pub use dissemination::StreamItem;
-pub use obs::{ActorObs, DspObs, ErrorObs, SchedulerObs, ServeObs, SessionObs, ShardObs};
+pub use obs::{DspObs, ErrorObs, SchedulerObs, ServeObs, SessionObs, ShardObs};
 pub use server::{AtomicServerStats, DspServer, ServerStats};
 pub use service::{
-    DspService, FanOutDisseminator, HotPolicy, Schedulable, ScheduleReport, SchedulerEngine,
-    ServiceModel, SessionScheduler, ShardedStore, StepOutcome,
+    DspService, FanOutDisseminator, HotPolicy, Schedulable, ScheduleReport, ServiceModel,
+    SessionScheduler, ShardedStore, StepOutcome,
 };
 pub use store::{DocumentRecord, DspStore};

@@ -2,7 +2,7 @@
 //! feeding per-layer handle structs.
 //!
 //! [`DspObs`] owns the registry; the layer structs ([`ServeObs`],
-//! [`SchedulerObs`], [`ActorObs`], [`SessionObs`]) are cheap bundles of
+//! [`SchedulerObs`], [`SessionObs`]) are cheap bundles of
 //! `Arc`-backed handles the hot paths clone out of it. Components that run
 //! without a service (a bare [`crate::ShardedStore`], a scheduler in a unit
 //! test) fall back to *detached* handles — same cells, no registry — so
@@ -29,8 +29,8 @@ const RECORDER_LANES: usize = 8;
 /// Spans each lane retains (overwrite-oldest beyond this).
 const RECORDER_CAPACITY: usize = 256;
 
-/// Labelled error counters — one per typed failure the serving and actor
-/// layers can produce. Clones share cells.
+/// Labelled error counters — one per typed failure the serving layer can
+/// produce. Clones share cells.
 #[derive(Debug, Clone, Default)]
 pub struct ErrorObs {
     /// `StaleRevision` rejections (republish under a pinned reader).
@@ -39,8 +39,6 @@ pub struct ErrorObs {
     pub not_found: Counter,
     /// `NoRulesForSubject` (unprovisioned subject).
     pub no_rules: Counter,
-    /// Sends into a retired actor mailbox.
-    pub mailbox_closed: Counter,
 }
 
 impl ErrorObs {
@@ -50,8 +48,6 @@ impl ErrorObs {
                 .counter_with(families::ERRORS, Some(families::ERROR_STALE_REVISION)),
             not_found: registry.counter_with(families::ERRORS, Some(families::ERROR_NOT_FOUND)),
             no_rules: registry.counter_with(families::ERRORS, Some(families::ERROR_NO_RULES)),
-            mailbox_closed: registry
-                .counter_with(families::ERRORS, Some(families::ERROR_MAILBOX_CLOSED)),
         }
     }
 }
@@ -152,13 +148,15 @@ impl ServeObs {
     }
 }
 
-/// Thread-engine scheduler telemetry. Clones share cells.
+/// Session-scheduler telemetry. Clones share cells.
 #[derive(Debug, Clone)]
 pub struct SchedulerObs {
-    /// Current and high-water run-queue depth.
+    /// Current and high-water run-queue depth, summed over the workers.
     pub queue_depth: Gauge,
     /// Session quanta executed.
     pub steps: Counter,
+    /// Sessions a worker took from the front of a peer's run queue.
+    pub steals: Counter,
     /// Wall-clock latency of one session step, nanoseconds.
     pub step_latency: Histogram,
     /// Flight recorder the step spans land in (lane = worker index).
@@ -172,6 +170,7 @@ impl SchedulerObs {
         SchedulerObs {
             queue_depth: registry.gauge(families::SCHED_QUEUE_DEPTH),
             steps: registry.counter(families::SCHED_STEPS),
+            steals: registry.counter(families::SCHED_STEALS),
             step_latency: registry.histogram(families::SCHED_STEP_LATENCY),
             recorder,
             live: true,
@@ -183,67 +182,8 @@ impl SchedulerObs {
         SchedulerObs {
             queue_depth: Gauge::new(),
             steps: Counter::new(),
-            step_latency: Histogram::new(),
-            recorder: FlightRecorder::new(RECORDER_LANES, RECORDER_CAPACITY),
-            live: false,
-        }
-    }
-}
-
-/// Actor-engine telemetry: the park/unpark protocol made visible. Clones
-/// share cells.
-#[derive(Debug, Clone)]
-pub struct ActorObs {
-    /// Dispatches (mailbox claims that ran a session).
-    pub dispatches: Counter,
-    /// Dispatches claimed from another worker's run queue.
-    pub steals: Counter,
-    /// Actors parked after a dispatch drained their mailbox.
-    pub parks: Counter,
-    /// Sends that found the actor parked and rescheduled it.
-    pub unparks: Counter,
-    /// Condvar broadcasts waking the worker pool.
-    pub wakes: Counter,
-    /// Times a sender blocked on a full mailbox (backpressure).
-    pub mailbox_stalls: Counter,
-    /// Sends rejected by a retired mailbox.
-    pub mailbox_closed: Counter,
-    /// Wall-clock latency of one dispatch, nanoseconds.
-    pub dispatch_latency: Histogram,
-    /// Flight recorder the dispatch spans land in (lane = worker index).
-    pub recorder: FlightRecorder,
-    /// False for detached bundles: the dispatch path skips telemetry
-    /// entirely.
-    pub live: bool,
-}
-
-impl ActorObs {
-    fn registered(registry: &Registry, recorder: FlightRecorder, errors: &ErrorObs) -> Self {
-        ActorObs {
-            dispatches: registry.counter(families::ACTOR_DISPATCHES),
-            steals: registry.counter(families::ACTOR_STEALS),
-            parks: registry.counter(families::ACTOR_PARKS),
-            unparks: registry.counter(families::ACTOR_UNPARKS),
-            wakes: registry.counter(families::ACTOR_WAKES),
-            mailbox_stalls: registry.counter(families::ACTOR_MAILBOX_STALLS),
-            mailbox_closed: errors.mailbox_closed.clone(),
-            dispatch_latency: registry.histogram(families::ACTOR_DISPATCH_LATENCY),
-            recorder,
-            live: true,
-        }
-    }
-
-    /// Detached handles (no registry) for stand-alone engines.
-    pub fn detached() -> Self {
-        ActorObs {
-            dispatches: Counter::new(),
             steals: Counter::new(),
-            parks: Counter::new(),
-            unparks: Counter::new(),
-            wakes: Counter::new(),
-            mailbox_stalls: Counter::new(),
-            mailbox_closed: Counter::new(),
-            dispatch_latency: Histogram::new(),
+            step_latency: Histogram::new(),
             recorder: FlightRecorder::new(RECORDER_LANES, RECORDER_CAPACITY),
             live: false,
         }
@@ -301,7 +241,6 @@ pub struct DspObs {
     recorder: FlightRecorder,
     serve: ServeObs,
     scheduler: SchedulerObs,
-    actors: ActorObs,
     session: SessionObs,
     errors: ErrorObs,
 }
@@ -314,14 +253,12 @@ impl DspObs {
         let errors = ErrorObs::registered(&registry);
         let serve = ServeObs::registered(&registry, recorder.clone(), errors.clone(), shards);
         let scheduler = SchedulerObs::registered(&registry, recorder.clone());
-        let actors = ActorObs::registered(&registry, recorder.clone(), &errors);
         let session = SessionObs::registered(&registry);
         DspObs {
             registry,
             recorder,
             serve,
             scheduler,
-            actors,
             session,
             errors,
         }
@@ -342,14 +279,9 @@ impl DspObs {
         self.serve.clone()
     }
 
-    /// Thread-scheduler handles.
+    /// Session-scheduler handles.
     pub fn scheduler(&self) -> SchedulerObs {
         self.scheduler.clone()
-    }
-
-    /// Actor-engine handles.
-    pub fn actors(&self) -> ActorObs {
-        self.actors.clone()
     }
 
     /// Card-session handles.

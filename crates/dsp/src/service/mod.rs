@@ -17,9 +17,9 @@
 //!                               └──────────────────▲─────────────────────┘
 //!                                fetch_header/chunk│/rules   (&self, Sync)
 //!                    ┌─────── SessionScheduler ────┴──────┐
-//!                    │ run queue: K CardSessions, FIFO    │
-//!                    │ W workers step `quantum` requests  │
-//!                    │ per turn, requeue ⇒ round-robin    │
+//!                    │ W workers, one FIFO each; K cards  │
+//!                    │ stepped `quantum` requests a turn, │
+//!                    │ requeued at the tail, idle steal   │
 //!                    └──▲──────────▲──────────▲───────────┘
 //!                  APDUs│     APDUs│     APDUs│  (BatchedChannel coalesces
 //!                  ┌────┴───┐ ┌────┴───┐ ┌────┴───┐  each quantum's pushes)
@@ -69,9 +69,7 @@ pub mod scheduler;
 pub mod shard;
 
 pub use fanout::{FanOutDisseminator, SubscriberId};
-pub use scheduler::{
-    FinishedSession, Schedulable, ScheduleReport, SchedulerEngine, SessionScheduler, StepOutcome,
-};
+pub use scheduler::{FinishedSession, Schedulable, ScheduleReport, SessionScheduler, StepOutcome};
 pub use shard::{HotPolicy, ShardedStore};
 
 use std::time::Duration;
@@ -160,23 +158,22 @@ impl DspService {
         }
     }
 
-    /// The service's telemetry bundle — scheduler, actor-engine and card
-    /// session instrumentation clone their handles from here, so one
+    /// The service's telemetry bundle — scheduler and card session
+    /// instrumentation clone their handles from here, so one
     /// [`DspService::obs_snapshot`] covers every layer of a run.
     pub fn obs(&self) -> &Arc<DspObs> {
         &self.obs
     }
 
     /// A point-in-time snapshot of every metric the service's registry
-    /// holds: per-shard serving counters, latency histograms, scheduler /
-    /// actor-engine counters, card-session traffic and the labelled error
-    /// tallies.
+    /// holds: per-shard serving counters, latency histograms, scheduler
+    /// counters, card-session traffic and the labelled error tallies.
     pub fn obs_snapshot(&self) -> ObsSnapshot {
         self.obs.snapshot()
     }
 
-    /// Dumps the service's flight recorder (recent serve / step / dispatch
-    /// spans) as JSON — the on-demand post-mortem artifact.
+    /// Dumps the service's flight recorder (recent serve / step spans) as
+    /// JSON — the on-demand post-mortem artifact.
     pub fn flight_recorder_json(&self) -> String {
         self.obs.recorder().dump_json()
     }

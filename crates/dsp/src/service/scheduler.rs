@@ -4,26 +4,25 @@
 //! exchanges and chunk requests per document. Serving K clients one after the
 //! other would give the first card exclusive use of the DSP and make the last
 //! card wait K full sessions. The [`SessionScheduler`] advances every session
-//! a *quantum* of chunk requests at a time instead, using one of two
-//! execution engines ([`SchedulerEngine`]):
+//! a *quantum* of chunk requests at a time instead:
 //!
-//! * **[`SchedulerEngine::Threads`]** (the default) — workers pop the session
-//!   at the head of a shared FIFO run queue, step it once, and — if it is not
-//!   done — requeue it at the tail. The FIFO requeue is what makes the
-//!   schedule a fair round-robin per card: between two steps of one session,
-//!   every other runnable session gets exactly one step. Every live session
-//!   rides the queue every lap, so a lap costs O(sessions) even when most
-//!   sessions are waiting — fine at hundreds of sessions, the bottleneck at
-//!   tens of thousands.
-//! * **[`SchedulerEngine::Actors`]** — the same sessions run on the
-//!   [`crate::actors::ActorEngine`]: per-session bounded mailboxes, a
-//!   work-stealing worker pool, and readiness-driven parking, preserving the
-//!   per-worker FIFO fairness while doing O(changed work) per step. The E11
-//!   experiment (`benches/e11_actor_scale.rs`) measures the crossover.
+//! * every worker owns a FIFO run queue holding the sessions themselves;
+//!   the batch is dealt round-robin over the workers' queues at start;
+//! * a worker steps the session at the front of its own queue once and —
+//!   if it is still pending — requeues it at the tail of that same queue,
+//!   so between two steps of one session every other session of the queue
+//!   gets exactly one step (a fair round-robin per card);
+//! * a worker whose queue is empty steals the session at the front of a
+//!   peer's queue, so no worker idles while another has a backlog; it also
+//!   takes a peer's front that trails its own front by more than one step
+//!   (`MAX_LAG`), so a descheduled worker cannot hold its sessions back
+//!   while the others lap theirs;
+//! * a worker that finds nothing to take exits (`Run::work` explains why
+//!   that strands no session and idles no backlog); the run ends when every
+//!   worker has exited.
 //!
-//! Both engines produce the same [`ScheduleReport`] and, for deterministic
-//! workloads, byte-identical per-session results (`tests/actor_equivalence.
-//! rs` pins this property).
+//! With a single worker the schedule is an exact round-robin in submission
+//! order; with more it is round-robin per worker, rebalanced by stealing.
 //!
 //! The scheduler is deliberately generic: anything implementing
 //! [`Schedulable`] can be multiplexed. The terminal proxy implements it for
@@ -33,11 +32,10 @@
 use std::collections::VecDeque;
 
 use sdds_sync::sync::atomic::{AtomicUsize, Ordering};
-use sdds_sync::sync::{Condvar, Mutex, MutexExt};
+use sdds_sync::sync::{Mutex, MutexExt};
 use sdds_sync::thread;
 
-use crate::actors::{ActorEngine, ActorSession, ActorStatus};
-use crate::obs::{ActorObs, DspObs, SchedulerObs};
+use crate::obs::{DspObs, SchedulerObs};
 
 /// What a step of a session reports back to the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,63 +106,139 @@ impl<S> ScheduleReport<S> {
     }
 }
 
-/// Which execution engine a [`SessionScheduler`] runs its sessions on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerEngine {
-    /// Shared blocking FIFO, one step per pop, requeue at the tail
-    /// (round-robin; O(sessions) per lap). The default.
-    #[default]
-    Threads,
-    /// Per-session mailboxes on the work-stealing
-    /// [`crate::actors::ActorEngine`] (readiness-driven; O(changed work)).
-    Actors,
-}
-
 /// A work-conserving round-robin scheduler over a fixed worker pool.
 #[derive(Debug, Clone)]
 pub struct SessionScheduler {
     workers: usize,
     quantum: usize,
-    engine: SchedulerEngine,
-    /// Thread-engine telemetry (queue depth, steps, step latency); detached
-    /// until [`SessionScheduler::with_obs`] wires it.
+    /// Run-queue depth, steps, steals and step latency; detached until
+    /// [`SessionScheduler::with_obs`] wires it.
     obs: SchedulerObs,
-    /// Actor-engine telemetry, forwarded to the [`ActorEngine`] when the
-    /// actor engine is selected.
-    actor_obs: ActorObs,
 }
 
-/// Adapter running a [`Schedulable`] on the actor engine: each dispatch
-/// grants one quantum-bounded step, and the session stays `Ready` (self-
-/// driving) until it completes — the actor-engine equivalent of the FIFO
-/// requeue.
-struct StepActor<S> {
-    session: S,
-    quantum: usize,
-    steps: usize,
-}
+/// Steps a peer's front session may trail the front of a worker's own
+/// queue before that worker takes it. Taking a trailing front keeps the
+/// round-robin fair across workers when one of them is descheduled (its
+/// queue would otherwise wait for it while the others lap theirs), yet
+/// leaves every session on its worker while the workers keep pace.
+const MAX_LAG: usize = 1;
 
-impl<S: Schedulable> ActorSession for StepActor<S> {
-    type Event = ();
-
-    fn on_event(&mut self, (): ()) -> Result<ActorStatus, String> {
-        self.on_step()
-    }
-
-    fn on_step(&mut self) -> Result<ActorStatus, String> {
-        self.steps += 1;
-        match self.session.step(self.quantum)? {
-            StepOutcome::Pending => Ok(ActorStatus::Ready),
-            StepOutcome::Complete => Ok(ActorStatus::Complete),
-        }
-    }
-}
-
-/// A session riding the run queue.
+/// A session riding a run queue.
 struct Job<S> {
     index: usize,
     session: S,
     steps: usize,
+}
+
+/// The state the workers of one [`SessionScheduler::run`] share.
+struct Run<'a, S> {
+    /// One FIFO per worker; only its owner pushes to it, any worker may pop
+    /// its front.
+    queues: Vec<Mutex<VecDeque<Job<S>>>>,
+    /// Sessions waiting in a queue, for the depth gauge (kept only when the
+    /// telemetry is live).
+    queued: AtomicUsize,
+    finished: Mutex<Vec<FinishedSession<S>>>,
+    quantum: usize,
+    obs: &'a SchedulerObs,
+}
+
+impl<S: Schedulable> Run<'_, S> {
+    /// Worker `me`'s drive loop: steps sessions until it finds none to
+    /// take, then exits.
+    ///
+    /// Exiting on the first miss strands nothing: only a queue's owner
+    /// pushes to it, and a worker that requeues a session looks for work
+    /// again right after, so the last worker to exit leaves every queue
+    /// empty. Nor does it idle a backlog: a worker that finds every queue
+    /// empty leaves its peers only the sessions they were stepping when it
+    /// looked, each requeued and retaken by its stepper until it retires.
+    /// Nothing sleeps, so no wakeup can be lost.
+    fn work(&self, me: usize) {
+        while let Some(job) = self.take(me) {
+            self.step(me, job);
+        }
+    }
+
+    /// The next session for worker `me`: the front of its own queue, or
+    /// the front of a peer's (a steal) when its own queue is empty or the
+    /// peer's front trails its own by more than [`MAX_LAG`] steps.
+    fn take(&self, me: usize) -> Option<Job<S>> {
+        let workers = self.queues.len();
+        loop {
+            let mine = self.queues[me].lock_np().front().map(|job| job.steps);
+            let stolen = (1..workers).find_map(|offset| {
+                let mut peer = self.queues[(me + offset) % workers].lock_np();
+                let front = peer.front()?.steps;
+                if mine.is_some_and(|mine| front + MAX_LAG >= mine) {
+                    return None;
+                }
+                peer.pop_front()
+            });
+            if stolen.is_some() && self.obs.live {
+                self.obs.steals.inc();
+            }
+            let job = match stolen {
+                Some(job) => job,
+                None => match self.queues[me].lock_np().pop_front() {
+                    Some(job) => job,
+                    // A peer took our front since we looked: look again.
+                    None if mine.is_some() => continue,
+                    None => return None,
+                },
+            };
+            if self.obs.live {
+                let depth = self.queued.fetch_sub(1, Ordering::Relaxed) - 1;
+                self.obs.queue_depth.set(depth as u64);
+            }
+            return Some(job);
+        }
+    }
+
+    /// Grants `job` one step on worker `me`, then requeues it at the tail of
+    /// `me`'s queue or retires it.
+    fn step(&self, me: usize, mut job: Job<S>) {
+        job.steps += 1;
+        let started = if self.obs.live {
+            self.obs.recorder.now_nanos()
+        } else {
+            0
+        };
+        let outcome = job.session.step(self.quantum);
+        if self.obs.live {
+            let duration = self.obs.recorder.now_nanos().saturating_sub(started);
+            self.obs.steps.inc();
+            self.obs.step_latency.record(duration);
+            self.obs
+                .recorder
+                .record(me, "sched.step", started, duration);
+        }
+        match outcome {
+            Ok(StepOutcome::Pending) => {
+                // Counted before the push, so the pop that takes it back
+                // off never drives the count below zero.
+                if self.obs.live {
+                    let depth = self.queued.fetch_add(1, Ordering::Relaxed) + 1;
+                    self.obs.queue_depth.set(depth as u64);
+                }
+                self.queues[me].lock_np().push_back(job);
+            }
+            Ok(StepOutcome::Complete) | Err(_) => self.retire(job, outcome.err()),
+        }
+    }
+
+    /// Records `job` as finished, ranked by retirement.
+    fn retire(&self, job: Job<S>, error: Option<String>) {
+        let mut done = self.finished.lock_np();
+        let completion_order = done.len();
+        done.push(FinishedSession {
+            index: job.index,
+            session: job.session,
+            steps: job.steps,
+            completion_order,
+            error,
+        });
+    }
 }
 
 impl SessionScheduler {
@@ -174,38 +248,16 @@ impl SessionScheduler {
         SessionScheduler {
             workers: workers.max(1),
             quantum: quantum.max(1),
-            engine: SchedulerEngine::default(),
             obs: SchedulerObs::detached(),
-            actor_obs: ActorObs::detached(),
         }
     }
 
-    /// Wires the scheduler's telemetry (run-queue depth, step counters and
-    /// latency, and — on the actor engine — the park/steal protocol) into
-    /// `obs`'s cells so a service-wide snapshot covers the scheduling layer.
+    /// Wires the scheduler's telemetry (run-queue depth, steps, steals and
+    /// step latency) into `obs`'s cells so a service-wide snapshot covers the
+    /// scheduling layer.
     pub fn with_obs(mut self, obs: &DspObs) -> Self {
         self.obs = obs.scheduler();
-        self.actor_obs = obs.actors();
         self
-    }
-
-    /// Selects the execution engine (defaults to
-    /// [`SchedulerEngine::Threads`]).
-    ///
-    /// ```
-    /// use sdds_dsp::service::{SchedulerEngine, SessionScheduler};
-    ///
-    /// let scheduler = SessionScheduler::new(4, 8).engine(SchedulerEngine::Actors);
-    /// assert_eq!(scheduler.engine_kind(), SchedulerEngine::Actors);
-    /// ```
-    pub fn engine(mut self, engine: SchedulerEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The selected execution engine.
-    pub fn engine_kind(&self) -> SchedulerEngine {
-        self.engine
     }
 
     /// Worker count.
@@ -218,177 +270,46 @@ impl SessionScheduler {
         self.quantum
     }
 
-    /// Runs every session to retirement and returns them with their
-    /// scheduling telemetry, on the engine selected by
-    /// [`SessionScheduler::engine`]. On the thread engine, sessions are
-    /// started in submission order and requeued FIFO, so with a single worker
-    /// the schedule is an exact round-robin; with more workers it is
-    /// round-robin up to the worker-count reordering window. The actor engine
-    /// preserves the same local-FIFO fairness per worker.
+    /// Runs every session to retirement and returns them, in retirement
+    /// order, with their scheduling telemetry. Session `i` starts on worker
+    /// `i % workers`; see the module docs for the schedule.
     pub fn run<S: Schedulable>(&self, sessions: Vec<S>) -> ScheduleReport<S> {
-        match self.engine {
-            SchedulerEngine::Threads => self.run_threads(sessions),
-            SchedulerEngine::Actors => self.run_actors(sessions),
-        }
-    }
-
-    /// The actor path: wrap each session in a self-driving [`StepActor`]
-    /// (one quantum-bounded step per dispatch), seed them all ready, and
-    /// translate the [`crate::actors::ActorReport`] back into a
-    /// [`ScheduleReport`] sorted by retirement rank.
-    fn run_actors<S: Schedulable>(&self, sessions: Vec<S>) -> ScheduleReport<S> {
-        let actors: Vec<StepActor<S>> = sessions
-            .into_iter()
-            .map(|session| StepActor {
+        let count = sessions.len();
+        // alloc: startup — the run queues are built once per run.
+        let mut queues: Vec<VecDeque<_>> = (0..self.workers).map(|_| VecDeque::new()).collect();
+        for (index, session) in sessions.into_iter().enumerate() {
+            queues[index % self.workers].push_back(Job {
+                index,
                 session,
-                quantum: self.quantum,
                 steps: 0,
-            })
-            .collect();
-        let report = ActorEngine::new(self.workers)
-            .with_obs(self.actor_obs.clone())
-            .run_ready(actors);
-        let steps_total = report.dispatches_total;
-        let mut finished: Vec<FinishedSession<S>> = report
-            .actors
-            .into_iter()
-            .map(|actor| FinishedSession {
-                index: actor.index,
-                session: actor.actor.session,
-                steps: actor.actor.steps,
-                completion_order: actor.completion_order.unwrap_or(usize::MAX),
-                error: actor.error,
-            })
-            .collect();
-        finished.sort_by_key(|f| f.completion_order);
-        for (rank, f) in finished.iter_mut().enumerate() {
-            f.completion_order = rank;
+            });
         }
+        if self.obs.live {
+            self.obs.queue_depth.set(count as u64);
+        }
+        let run = Run {
+            // alloc: startup — the run queues are built once per run.
+            queues: queues.into_iter().map(Mutex::new).collect(),
+            queued: AtomicUsize::new(count),
+            // alloc: startup — one slot per session, filled as they retire.
+            finished: Mutex::new(Vec::with_capacity(count)),
+            quantum: self.quantum,
+            obs: &self.obs,
+        };
+        thread::scope(|scope| {
+            for me in 0..self.workers {
+                let run = &run;
+                scope.spawn(move || run.work(me));
+            }
+        });
+        let finished = run
+            .finished
+            .into_inner()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let steps_total = finished.iter().map(|f| f.steps).sum();
         ScheduleReport {
             finished,
             steps_total,
-        }
-    }
-
-    /// The thread path: a shared blocking FIFO run queue.
-    fn run_threads<S: Schedulable>(&self, sessions: Vec<S>) -> ScheduleReport<S> {
-        let queue: Mutex<VecDeque<Job<S>>> = Mutex::new(
-            sessions
-                .into_iter()
-                .enumerate()
-                .map(|(index, session)| Job {
-                    index,
-                    session,
-                    steps: 0,
-                })
-                .collect(),
-        );
-        if self.obs.live {
-            self.obs.queue_depth.set(queue.lock_np().len() as u64);
-        }
-        let runnable = Condvar::new();
-        let in_flight = AtomicUsize::new(0);
-        let finished: Mutex<Vec<FinishedSession<S>>> = Mutex::new(Vec::new());
-        let steps_total = AtomicUsize::new(0);
-
-        thread::scope(|scope| {
-            for worker in 0..self.workers {
-                let queue = &queue;
-                let runnable = &runnable;
-                let in_flight = &in_flight;
-                let finished = &finished;
-                let steps_total = &steps_total;
-                let obs = &self.obs;
-                scope.spawn(move || loop {
-                    let job = {
-                        let mut q = queue.lock_np();
-                        loop {
-                            if let Some(job) = q.pop_front() {
-                                // ordering: in_flight must be visibly raised
-                                // before the queue lock drops — the exit check
-                                // below reads it under the same lock.
-                                in_flight.fetch_add(1, Ordering::SeqCst);
-                                if obs.live {
-                                    obs.queue_depth.set(q.len() as u64);
-                                }
-                                break Some(job);
-                            }
-                            // A stepping worker requeues *before* decrementing
-                            // in_flight, so while the queue lock is held,
-                            // "empty queue and nothing in flight" really means
-                            // the run is over — checked under the lock so a
-                            // concurrent requeue cannot slip between the two
-                            // reads and retire this worker while work remains.
-                            // ordering: pairs with the fetch_add/fetch_sub
-                            // around a step; both run under/against the queue
-                            // lock, so SeqCst keeps the exit check exact.
-                            if in_flight.load(Ordering::SeqCst) == 0 {
-                                break None;
-                            }
-                            // Otherwise sleep until a requeue or a retirement
-                            // signals (no busy spin while a straggler runs).
-                            q = runnable
-                                .wait(q)
-                                .unwrap_or_else(|poisoned| poisoned.into_inner());
-                        }
-                    };
-                    let Some(mut job) = job else {
-                        // Wake any other idle worker so it can re-check the
-                        // termination condition and exit too.
-                        runnable.notify_all();
-                        break;
-                    };
-                    job.steps += 1;
-                    steps_total.fetch_add(1, Ordering::Relaxed);
-                    let started = if obs.live {
-                        obs.recorder.now_nanos()
-                    } else {
-                        0
-                    };
-                    let outcome = job.session.step(self.quantum);
-                    if obs.live {
-                        let duration = obs.recorder.now_nanos().saturating_sub(started);
-                        obs.steps.inc();
-                        obs.step_latency.record(duration);
-                        obs.recorder.record(worker, "sched.step", started, duration);
-                    }
-                    match outcome {
-                        Ok(StepOutcome::Pending) => {
-                            let mut q = queue.lock_np();
-                            q.push_back(job);
-                            if obs.live {
-                                obs.queue_depth.set(q.len() as u64);
-                            }
-                        }
-                        Ok(StepOutcome::Complete) | Err(_) => {
-                            let mut done = finished.lock_np();
-                            let completion_order = done.len();
-                            done.push(FinishedSession {
-                                index: job.index,
-                                session: job.session,
-                                steps: job.steps,
-                                completion_order,
-                                error: outcome.err(),
-                            });
-                        }
-                    }
-                    // ordering: requeue/retire above happens-before this
-                    // decrement; a worker that sees 0 under the queue lock
-                    // must also see the requeued job (or its retirement).
-                    in_flight.fetch_sub(1, Ordering::SeqCst);
-                    // Either a session was requeued (runnable work) or one
-                    // retired (the termination condition may now hold): both
-                    // are events the sleepers must see.
-                    runnable.notify_all();
-                });
-            }
-        });
-
-        ScheduleReport {
-            finished: finished
-                .into_inner()
-                .unwrap_or_else(|poisoned| poisoned.into_inner()),
-            steps_total: steps_total.into_inner(),
         }
     }
 }
@@ -497,34 +418,91 @@ mod tests {
     }
 
     #[test]
-    fn actor_engine_matches_the_thread_engine_on_equal_work() {
-        let sessions = || {
-            (0..12)
-                .map(|i| Counter {
-                    remaining: 40 + 10 * (i % 3),
-                    fail_at: if i == 5 { Some(20) } else { None },
-                })
-                .collect::<Vec<_>>()
-        };
-        let threads = SessionScheduler::new(2, 10).run(sessions());
-        let actors = SessionScheduler::new(2, 10)
-            .engine(SchedulerEngine::Actors)
-            .run(sessions());
-        assert_eq!(actors.finished.len(), threads.finished.len());
-        assert_eq!(actors.steps_total, threads.steps_total);
-        assert_eq!(actors.failures(), threads.failures());
-        // Same per-session step counts, compared in index order.
-        let per_index = |report: &ScheduleReport<Counter>| {
-            let mut steps: Vec<(usize, usize)> =
-                report.finished.iter().map(|f| (f.index, f.steps)).collect();
-            steps.sort_unstable();
-            steps
-        };
-        assert_eq!(per_index(&actors), per_index(&threads));
-        // Retirement ranks are dense on both engines.
-        let mut ranks: Vec<usize> = actors.finished.iter().map(|f| f.completion_order).collect();
+    fn idle_workers_retire_every_session_and_exit() {
+        // More workers than sessions: two workers never own a session, and
+        // every worker must still see the run end once both retire.
+        let scheduler = SessionScheduler::new(4, 5);
+        let sessions = vec![
+            Counter {
+                remaining: 40,
+                fail_at: None,
+            },
+            Counter {
+                remaining: 40,
+                fail_at: Some(20),
+            },
+        ];
+        let report = scheduler.run(sessions);
+        assert_eq!(report.finished.len(), 2);
+        assert_eq!(report.failures(), vec![(1, "boom")]);
+        assert!(report.finished.iter().any(|f| f.index == 0 && f.is_ok()));
+        let mut ranks: Vec<usize> = report.finished.iter().map(|f| f.completion_order).collect();
         ranks.sort_unstable();
-        assert_eq!(ranks, (0..12).collect::<Vec<_>>());
+        assert_eq!(ranks, vec![0, 1]);
+    }
+
+    #[test]
+    fn a_stalled_worker_does_not_hold_its_queue_back() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::{mpsc, Arc};
+
+        enum Session {
+            /// Blocks in its first step until the short session is done.
+            Stall(mpsc::Receiver<()>),
+            /// Two steps of work, then marks itself done and releases the
+            /// stall.
+            Short(Counter, Arc<AtomicBool>, mpsc::Sender<()>),
+            /// Forty steps of work; records whether the short session was
+            /// done by the time it finished.
+            Long(Counter, Arc<AtomicBool>, bool),
+        }
+        impl Schedulable for Session {
+            fn step(&mut self, quantum: usize) -> Result<StepOutcome, String> {
+                match self {
+                    Session::Stall(release) => {
+                        release.recv().map_err(|e| e.to_string())?;
+                        Ok(StepOutcome::Complete)
+                    }
+                    Session::Short(counter, done, release) => {
+                        let outcome = counter.step(quantum)?;
+                        if outcome == StepOutcome::Complete {
+                            done.store(true, Ordering::SeqCst);
+                            release.send(()).map_err(|e| e.to_string())?;
+                        }
+                        Ok(outcome)
+                    }
+                    Session::Long(counter, done, saw_done) => {
+                        let outcome = counter.step(quantum)?;
+                        *saw_done = done.load(Ordering::SeqCst);
+                        Ok(outcome)
+                    }
+                }
+            }
+        }
+        let work = |remaining| Counter {
+            remaining,
+            fail_at: None,
+        };
+        // Worker 0 holds the stall and then the short session; worker 1
+        // holds the two long ones. Whichever worker takes the stall is stuck
+        // in it until the short session is done, so the other worker must
+        // take the short one off the stuck worker's queue before it laps its
+        // own long sessions to completion.
+        let done = Arc::new(AtomicBool::new(false));
+        let (release, stall) = mpsc::channel();
+        let sessions = vec![
+            Session::Stall(stall),
+            Session::Long(work(200), Arc::clone(&done), false),
+            Session::Short(work(10), Arc::clone(&done), release),
+            Session::Long(work(200), Arc::clone(&done), false),
+        ];
+        let report = SessionScheduler::new(2, 5).run(sessions);
+        assert!(report.failures().is_empty(), "{:?}", report.failures());
+        for finished in &report.finished {
+            if let Session::Long(_, _, saw_done) = finished.session {
+                assert!(saw_done, "long session {} finished first", finished.index);
+            }
+        }
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! property into a statically checked invariant:
 //!
 //! 1. `crates/lint/hotpath.toml` names the **hot roots** (serve entry
-//!    points, the rule-engine step path, actor dispatch, stream `next`) and
-//!    an **allocation vocabulary** (cloning methods, owning constructors,
-//!    allocating macros).
+//!    points, the rule-engine step path, the session scheduler, stream
+//!    `next`) and an **allocation vocabulary** (cloning methods, owning
+//!    constructors, allocating macros).
 //! 2. Reachability runs from the roots over the call graph built by
 //!    [`crate::calls`] (conservative: a method call reaches every workspace
 //!    method of that name).
@@ -63,47 +63,12 @@ pub struct HotConfig {
 }
 
 impl HotConfig {
-    /// Parses the same hand-rolled TOML subset as `trust.toml`: `[section]`
-    /// headers, `key = ["a", "b"]` string arrays (single- or multi-line),
-    /// `#` comments.
+    /// Parses `hotpath.toml` (the TOML subset of [`crate::config`]).
     pub fn parse(text: &str) -> Result<HotConfig, String> {
         let mut config = HotConfig::default();
-        let mut section = String::new();
-        let mut pending: Option<(String, String, usize)> = None;
-        for (idx, raw) in text.lines().enumerate() {
-            let lineno = idx + 1;
-            let line = strip_toml_comment(raw).trim().to_owned();
-            if let Some((key, mut acc, at)) = pending.take() {
-                let done = line.contains(']');
-                acc.push(' ');
-                acc.push_str(&line);
-                if done {
-                    config.assign(&section, &key, &acc, at)?;
-                } else {
-                    pending = Some((key, acc, at));
-                }
-                continue;
-            }
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(name) = line.strip_prefix('[').and_then(|r| r.strip_suffix(']')) {
-                section = name.trim().to_owned();
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| format!("hotpath.toml:{lineno}: expected `key = [..]`"))?;
-            let (key, value) = (key.trim().to_owned(), value.trim().to_owned());
-            if value.starts_with('[') && !value.contains(']') {
-                pending = Some((key, value, lineno));
-            } else {
-                config.assign(&section, &key, &value, lineno)?;
-            }
-        }
-        if let Some((key, _, at)) = pending {
-            return Err(format!("hotpath.toml:{at}: unterminated array for `{key}`"));
-        }
+        crate::config::for_each_array(text, "hotpath.toml", |section, key, items, line| {
+            config.assign(section, key, items, line)
+        })?;
         for (field, values) in [
             ("roots", &config.roots),
             ("vocabulary methods", &config.methods),
@@ -116,9 +81,13 @@ impl HotConfig {
         Ok(config)
     }
 
-    fn assign(&mut self, section: &str, key: &str, value: &str, line: usize) -> Result<(), String> {
-        let items = parse_string_array(value)
-            .ok_or_else(|| format!("hotpath.toml:{line}: `{key}` must be a [\"…\"] array"))?;
+    fn assign(
+        &mut self,
+        section: &str,
+        key: &str,
+        items: Vec<String>,
+        line: usize,
+    ) -> Result<(), String> {
         match (section, key) {
             ("roots", "hot") => self.roots = items,
             ("vocabulary", "methods") => self.methods = items,
@@ -134,33 +103,6 @@ impl HotConfig {
         }
         Ok(())
     }
-}
-
-fn strip_toml_comment(line: &str) -> &str {
-    let bytes = line.as_bytes();
-    let mut in_str = false;
-    for (i, &b) in bytes.iter().enumerate() {
-        match b {
-            b'"' => in_str = !in_str,
-            b'#' if !in_str => return &line[..i],
-            _ => {}
-        }
-    }
-    line
-}
-
-fn parse_string_array(value: &str) -> Option<Vec<String>> {
-    let inner = value.trim().strip_prefix('[')?.trim().strip_suffix(']')?;
-    let mut out = Vec::new();
-    for part in inner.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        let unquoted = part.strip_prefix('"')?.strip_suffix('"')?;
-        out.push(unquoted.to_owned());
-    }
-    Some(out)
 }
 
 /// True when `reason` is a well-formed justification: a `—`/`-` separator

@@ -25,27 +25,14 @@ pub const SERVE_LATENCY: &str = "dsp.serve.latency_ns";
 /// Typed failures, labelled `error=<kind>` (see the `error_*` constants).
 pub const ERRORS: &str = "dsp.errors";
 
-/// Thread-engine run queue depth (current + high-water mark).
+/// Scheduler run-queue depth over all workers (current + high-water mark).
 pub const SCHED_QUEUE_DEPTH: &str = "sched.queue_depth";
-/// Session quanta executed by the thread engine.
+/// Session quanta executed by the scheduler.
 pub const SCHED_STEPS: &str = "sched.steps";
+/// Sessions a worker took from the front of a peer's run queue.
+pub const SCHED_STEALS: &str = "sched.steals";
 /// Wall-clock latency of one session step under the scheduler, nanoseconds.
 pub const SCHED_STEP_LATENCY: &str = "sched.step_latency_ns";
-
-/// Actor dispatches (mailbox claims that ran a session).
-pub const ACTOR_DISPATCHES: &str = "actors.dispatches";
-/// Dispatches a worker claimed from another worker's run queue.
-pub const ACTOR_STEALS: &str = "actors.steals";
-/// Actors parked after a dispatch drained their mailbox.
-pub const ACTOR_PARKS: &str = "actors.parks";
-/// Sends that found the actor parked and rescheduled it.
-pub const ACTOR_UNPARKS: &str = "actors.unparks";
-/// Condvar broadcasts that woke the worker pool.
-pub const ACTOR_WAKES: &str = "actors.wakes";
-/// Times a sender blocked on a full mailbox (backpressure stalls).
-pub const ACTOR_MAILBOX_STALLS: &str = "actors.mailbox_stalls";
-/// Wall-clock latency of one actor dispatch, in nanoseconds.
-pub const ACTOR_DISPATCH_LATENCY: &str = "actors.dispatch_latency_ns";
 
 /// APDU round-trips between terminal and card (after batching).
 pub const SESSION_APDUS: &str = "session.apdu_round_trips";
@@ -60,5 +47,3 @@ pub const ERROR_STALE_REVISION: &str = "error=stale_revision";
 pub const ERROR_NOT_FOUND: &str = "error=not_found";
 /// `ERRORS` label for a subject with no rule blob on the document.
 pub const ERROR_NO_RULES: &str = "error=no_rules_for_subject";
-/// `ERRORS` label for a send into a retired actor mailbox.
-pub const ERROR_MAILBOX_CLOSED: &str = "error=mailbox_closed";

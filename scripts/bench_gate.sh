@@ -1,14 +1,13 @@
 #!/usr/bin/env bash
 # Bench-regression gate for the SDDS workspace.
 #
-# Runs the E1–E11 harness in JSON mode and compares the gated metrics against
+# Runs the E1–E10 harness in JSON mode and compares the gated metrics against
 # the committed BENCH_baseline.json:
 #
 #   * throughput metrics (E1 events/s per rule count, E9 SOE events/s and
 #     zero-copy serve events/s, E10
 #     aggregate simulated events/s, shard-scaling ratio and hot-document
-#     replication gain, E11 per-engine events/s and actor-vs-thread speedup)
-#     must not drop more than TOLERANCE_PCT below the baseline,
+#     replication gain) must not drop more than TOLERANCE_PCT below the baseline,
 #   * peak-RAM metrics (E1 and E9 peak secure RAM) must not rise more than
 #     TOLERANCE_PCT above the baseline.
 #
@@ -20,7 +19,7 @@
 # only comparable on similar hardware — on foreign hardware (e.g. shared
 # GitHub-hosted runners) set SDDS_BENCH_GATE=ram to gate only the
 # deterministic, machine-independent keys: the peak-RAM metrics AND the
-# E10/E11 keys (both run on the simulated cost-model clock — counters times
+# E10 keys (they run on the simulated cost-model clock — counters times
 # model rates — so they are identical on any hardware). Regenerate the
 # baseline with
 # `harness --json BENCH_baseline.json`, or widen the tolerance via
@@ -48,12 +47,12 @@ metric() { # metric <file> <key> -> value (empty if absent)
     { grep -F "\"$2\":" "$1" || true; } | head -1 | sed 's/.*: *//; s/,$//'
 }
 
-gated_keys() { # the E1/E9/E10/E11 throughput and peak-RAM keys in the baseline
-    grep -oE '"(e1\.rules_[0-9]+\.(events_per_s|peak_ram_bytes)|e9\.n[0-9]+\.(soe_events_per_s|soe_peak_ram_bytes)|e9\.zero_copy\.serve_events_per_s|e10\.clients_[0-9]+\.(shards_[0-9]+\.events_per_s|scaling_16v1)|e10\.hot\.clients_[0-9]+\.(replicas_[0-9]+\.events_per_s|replication_gain)|e11\.sessions_[0-9]+\.((thread|actor)\.events_per_s|speedup_actor_v_thread))"' \
+gated_keys() { # the E1/E9/E10 throughput and peak-RAM keys in the baseline
+    grep -oE '"(e1\.rules_[0-9]+\.(events_per_s|peak_ram_bytes)|e9\.n[0-9]+\.(soe_events_per_s|soe_peak_ram_bytes)|e9\.zero_copy\.serve_events_per_s|e10\.clients_[0-9]+\.(shards_[0-9]+\.events_per_s|scaling_16v1)|e10\.hot\.clients_[0-9]+\.(replicas_[0-9]+\.events_per_s|replication_gain))"' \
         "$BASELINE" | tr -d '"' |
         # "ram" keeps only the machine-independent keys: peak RAM and the
-        # simulated-clock E10/E11 metrics.
-        if [[ "$GATE_MODE" == "ram" ]]; then grep -E 'peak_ram_bytes|^e1[01]\.'; else cat; fi
+        # simulated-clock E10 metrics.
+        if [[ "$GATE_MODE" == "ram" ]]; then grep -E 'peak_ram_bytes|^e10\.'; else cat; fi
 }
 
 # Per-key best value observed across harness attempts (throughput: max,
@@ -69,7 +68,7 @@ update_best() { # update_best <current.json>
             BEST[$key]="$cur"
         else
             case "$key" in
-            *events_per_s | *scaling_16v1 | *replication_gain | *speedup_actor_v_thread)
+            *events_per_s | *scaling_16v1 | *replication_gain)
                 if awk -v c="$cur" -v b="${BEST[$key]}" 'BEGIN { exit !(c > b) }'; then
                     BEST[$key]="$cur"
                 fi
@@ -97,7 +96,7 @@ check_best() {
             continue
         fi
         case "$key" in
-        *events_per_s | *scaling_16v1 | *replication_gain | *speedup_actor_v_thread)
+        *events_per_s | *scaling_16v1 | *replication_gain)
             # Higher is better: fail when current < base * (1 - tol).
             if awk -v c="$cur" -v b="$base" -v t="$TOLERANCE_PCT" \
                 'BEGIN { exit !(c < b * (1 - t / 100)) }'; then

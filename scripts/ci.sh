@@ -55,11 +55,11 @@ cargo bench --no-run
 echo "==> cargo build --release --examples"
 cargo build --release --examples
 
-echo "==> obs snapshot (harness --obs --obs-only: E10/E11 telemetry report)"
-# The telemetry pass re-runs the E10 hot-document and E11 actor workloads
-# with observability wired in and dumps the merged ObsSnapshot + flight
-# recorder. The report must be valid JSON and carry one family from each
-# instrumented layer (serve, scheduler, actors, session, errors).
+echo "==> obs snapshot (harness --obs --obs-only: E10 telemetry report)"
+# The telemetry pass re-runs the E10 hot-document workload with
+# observability wired in and dumps the ObsSnapshot + flight recorder. The
+# report must be valid JSON and carry families from each instrumented layer
+# (serve, scheduler steps and steals, session) plus the flight recorder.
 obs_report="$(mktemp -t sdds-obs-XXXXXX.json)"
 trap 'rm -f "$obs_report"' EXIT
 target/release/harness --obs "$obs_report" --obs-only
@@ -67,16 +67,16 @@ if command -v python3 >/dev/null 2>&1; then
     python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$obs_report"
 fi
 for family in dsp.serve.requests dsp.serve.latency_ns sched.steps \
-    actors.dispatches session.apdu_round_trips sdds-obs-flight-v1; do
+    sched.steals session.apdu_round_trips sdds-obs-flight-v1; do
     grep -qF "$family" "$obs_report" ||
         { echo "obs report is missing \`$family\`" >&2; exit 1; }
 done
 
 echo "==> scripts/bench_gate.sh"
-# Gates the E1/E9 hardware-measured keys plus the simulated-clock E10/E11
-# keys (aggregate events/s, scaling and replication ratios, actor-vs-thread
-# speedup). On foreign hardware, SDDS_BENCH_GATE=ram narrows the gate to the
-# machine-independent set — peak RAM and every E10/E11 key.
+# Gates the E1/E9 hardware-measured keys plus the simulated-clock E10 keys
+# (aggregate events/s, scaling and replication ratios). On foreign hardware,
+# SDDS_BENCH_GATE=ram narrows the gate to the machine-independent set — peak
+# RAM and every E10 key.
 scripts/bench_gate.sh
 
 echo "CI checks passed."

@@ -193,10 +193,9 @@ impl Publisher {
     }
 
     /// A point-in-time telemetry snapshot of the shared service: serving
-    /// counters and latency histograms per shard, scheduler/actor-engine
-    /// activity, card-session traffic and the labelled error tallies.
-    /// Render it with [`ObsSnapshot::to_json`] or
-    /// [`ObsSnapshot::to_prometheus`].
+    /// counters and latency histograms per shard, scheduler activity,
+    /// card-session traffic and the labelled error tallies. Render it with
+    /// [`ObsSnapshot::to_json`] or [`ObsSnapshot::to_prometheus`].
     pub fn obs_snapshot(&self) -> ObsSnapshot {
         self.service.obs_snapshot()
     }
