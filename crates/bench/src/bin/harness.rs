@@ -20,6 +20,7 @@ use sdds_core::conflict::AccessPolicy;
 use sdds_core::evaluator::{EvaluatorConfig, StreamingEvaluator};
 use sdds_core::rule::{RuleSet, Sign, Subject};
 use sdds_core::secdoc::SecureDocumentBuilder;
+use sdds_core::session::ProtectedRules;
 use sdds_core::skipindex::encode::{DocumentEncoder, EncoderConfig};
 use sdds_xml::generator::{self, Corpus, GeneratorConfig};
 use sdds_xml::stats::DocStats;
@@ -28,6 +29,15 @@ fn banner(id: &str, title: &str) {
     println!("\n==================================================================");
     println!("{id} — {title}");
     println!("==================================================================");
+}
+
+/// Runs `f` once; returns its result and the wall time it took, in ms.
+/// Printed next to the model figures so every section also shows what its
+/// workload costs on this machine (one run, not a gated metric).
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed().as_secs_f64() * 1e3)
 }
 
 /// Flat metric collector backing the `--json` report. Keys are dotted,
@@ -103,21 +113,30 @@ fn e2_skip_index(report: &mut Report) {
         "skip index: transferred/decrypted volume, with vs. without",
     );
     println!(
-        "{:>10} {:>10} {:>12} {:>12} {:>10} {:>12} {:>12}",
-        "elements", "subject", "plain (B)", "no-index (B)", "index (B)", "saving", "egate (s)"
+        "{:>10} {:>10} {:>12} {:>12} {:>10} {:>12} {:>12} {:>18}",
+        "elements",
+        "subject",
+        "plain (B)",
+        "no-index (B)",
+        "index (B)",
+        "saving",
+        "egate (s)",
+        "wall idx/no (ms)"
     );
     for elements in [1_000usize, 4_000, 12_000] {
         let doc = workloads::hospital(elements);
         let secure = workloads::secure(&doc, 128, 32);
         for subject in ["doctor", "secretary"] {
-            let with =
-                workloads::run_secure(&secure, &workloads::medical_rules(), subject, None, true);
-            let without =
-                workloads::run_secure(&secure, &workloads::medical_rules(), subject, None, false);
+            let (with, with_ms) = timed(|| {
+                workloads::run_secure(&secure, &workloads::medical_rules(), subject, None, true)
+            });
+            let (without, without_ms) = timed(|| {
+                workloads::run_secure(&secure, &workloads::medical_rules(), subject, None, false)
+            });
             let saving = 1.0
                 - with.ledger.bytes_decrypted as f64 / without.ledger.bytes_decrypted.max(1) as f64;
             println!(
-                "{:>10} {:>10} {:>12} {:>12} {:>10} {:>11.0}% {:>12.1}",
+                "{:>10} {:>10} {:>12} {:>12} {:>10} {:>11.0}% {:>12.1} {:>18}",
                 elements,
                 subject,
                 secure.header.plaintext_len,
@@ -125,6 +144,7 @@ fn e2_skip_index(report: &mut Report) {
                 with.ledger.bytes_decrypted,
                 saving * 100.0,
                 workloads::egate_seconds(&with),
+                format!("{with_ms:.1}/{without_ms:.1}"),
             );
             let prefix = format!("e2.n{elements}.{subject}");
             report.put(
@@ -146,26 +166,27 @@ fn e3_index_overhead(report: &mut Report) {
         "skip index compactness (overhead vs. recursive compression)",
     );
     println!(
-        "{:>10} {:>12} {:>12} {:>12} {:>12} {:>10}",
-        "corpus", "tokens (B)", "summaries", "index (B)", "overhead", "recursive"
+        "{:>10} {:>12} {:>12} {:>12} {:>12} {:>10} {:>12}",
+        "corpus", "tokens (B)", "summaries", "index (B)", "overhead", "recursive", "encode (ms)"
     );
     for corpus in Corpus::all() {
         let doc = corpus.generate(4_000, &GeneratorConfig::default());
         for recursive in [true, false] {
-            let enc = DocumentEncoder::new(EncoderConfig {
+            let encoder = DocumentEncoder::new(EncoderConfig {
                 min_index_bytes: 32,
                 recursive_bitmaps: recursive,
                 ..EncoderConfig::default()
-            })
-            .encode(&doc);
+            });
+            let (enc, encode_ms) = timed(|| encoder.encode(&doc));
             println!(
-                "{:>10} {:>12} {:>12} {:>12} {:>11.2}% {:>10}",
+                "{:>10} {:>12} {:>12} {:>12} {:>11.2}% {:>10} {:>12.2}",
                 corpus.name(),
                 enc.stats.token_bytes,
                 enc.stats.summaries,
                 enc.stats.index_bytes,
                 enc.index_overhead() * 100.0,
-                recursive
+                recursive,
+                encode_ms
             );
             let mode = if recursive { "recursive" } else { "flat" };
             report.put(
@@ -182,8 +203,8 @@ fn e4_ram_budget(report: &mut Report) {
         "secure working memory vs. document depth and rule count (1 KiB budget)",
     );
     println!(
-        "{:>8} {:>8} {:>16} {:>14}",
-        "depth", "#rules", "peak RAM (B)", "fits e-gate?"
+        "{:>8} {:>8} {:>16} {:>14} {:>10}",
+        "depth", "#rules", "peak RAM (B)", "fits e-gate?", "wall (ms)"
     );
     let budget = CardProfile::egate().ram_bytes;
     for depth in [4usize, 8, 16, 32, 64] {
@@ -192,14 +213,16 @@ fn e4_ram_budget(report: &mut Report) {
             let rules = workloads::rule_pool(n_rules);
             let config = EvaluatorConfig::new(rules, "subject");
             let events = doc.to_events();
-            let (_, stats) = StreamingEvaluator::evaluate_all(&config, &events).unwrap();
+            let ((_, stats), wall_ms) =
+                timed(|| StreamingEvaluator::evaluate_all(&config, &events).unwrap());
             let peak = stats.peak_ram_bytes();
             println!(
-                "{:>8} {:>8} {:>16} {:>14}",
+                "{:>8} {:>8} {:>16} {:>14} {:>10.3}",
                 depth,
                 n_rules,
                 peak,
-                if peak <= budget { "yes" } else { "NO" }
+                if peak <= budget { "yes" } else { "NO" },
+                wall_ms
             );
             report.put(
                 format!("e4.depth_{depth}.rules_{n_rules}.peak_ram_bytes"),
@@ -220,12 +243,13 @@ fn e5_latency_breakdown(report: &mut Report) {
             Corpus::Hospital => workloads::medical_rules(),
             _ => RuleSet::parse("+, secretary, //name\n+, secretary, //title").unwrap(),
         };
-        let stats = workloads::run_secure(&secure, &rules, "secretary", None, true);
+        let (stats, wall_ms) =
+            timed(|| workloads::run_secure(&secure, &rules, "secretary", None, true));
         let breakdown = stats.ledger.breakdown(&CostModel::egate());
         println!("{:>10}: {}", corpus.name(), breakdown.summary_ms());
         let modern = stats.ledger.breakdown(&CostModel::modern_secure_element());
         println!(
-            "{:>10}  (modern secure element: total {:.1} ms)",
+            "{:>10}  (modern secure element: total {:.1} ms; wall here {wall_ms:.1} ms)",
             "",
             modern.total().as_secs_f64() * 1e3
         );
@@ -249,9 +273,9 @@ fn e6_dissemination(report: &mut Report) {
         rules,
         CardProfile::modern_secure_element(),
     );
-    let dissem = app.consume_in_process("child", policy).unwrap();
+    let (dissem, wall_ms) = timed(|| app.consume_in_process("child", policy).unwrap());
     println!(
-        "items: {} delivered / {} blocked; worst per-item latency {:.1} ms; total {:.2} s; skipped {} B",
+        "items: {} delivered / {} blocked; worst per-item latency {:.1} ms; total {:.2} s; skipped {} B; wall {wall_ms:.1} ms",
         dissem.items_delivered,
         dissem.items_blocked,
         dissem.max_item_latency.as_secs_f64() * 1e3,
@@ -280,8 +304,12 @@ fn e7_dynamic_rules(report: &mut Report) {
     let doc = workloads::hospital(2_000);
     let policy = AccessPolicy::paper();
     println!(
-        "{:>28} {:>18} {:>14} {:>12}",
-        "policy change", "re-encrypted (B)", "keys redistrib.", "SOE cost (B)"
+        "{:>28} {:>18} {:>14} {:>12} {:>22}",
+        "policy change",
+        "re-encrypted (B)",
+        "keys redistrib.",
+        "SOE cost (B)",
+        "wall static/SOE (ms)"
     );
     type RuleChange<'a> = (&'a str, Box<dyn Fn(&mut RuleSet)>);
     let changes: Vec<RuleChange> = vec![
@@ -309,12 +337,17 @@ fn e7_dynamic_rules(report: &mut Report) {
     let mut scheme = StaticEncryptionScheme::build(&doc, &rules, &policy);
     for (i, (label, change)) in changes.into_iter().enumerate() {
         change(&mut rules);
-        let cost = scheme.apply_rule_change(&doc, &rules, &policy);
+        let (cost, static_ms) = timed(|| scheme.apply_rule_change(&doc, &rules, &policy));
         // The SOE approach only ships a new protected rule set to the subject.
         let soe_cost = rules.encode().len() + 64;
+        let (_, soe_ms) = timed(|| ProtectedRules::seal(&rules, &workloads::bench_key()));
         println!(
-            "{:>28} {:>18} {:>14} {:>12}",
-            label, cost.bytes_reencrypted, cost.keys_redistributed, soe_cost
+            "{:>28} {:>18} {:>14} {:>12} {:>22}",
+            label,
+            cost.bytes_reencrypted,
+            cost.keys_redistributed,
+            soe_cost,
+            format!("{static_ms:.2}/{soe_ms:.3}")
         );
         report.put(
             format!("e7.change_{i}.bytes_reencrypted"),
@@ -357,8 +390,8 @@ fn e8_query_mix(report: &mut Report) {
     let doc = workloads::hospital(4_000);
     let secure = workloads::secure(&doc, 128, 32);
     println!(
-        "{:>34} {:>12} {:>12} {:>12}",
-        "query (subject = doctor)", "fetched (B)", "skipped (B)", "egate (s)"
+        "{:>34} {:>12} {:>12} {:>12} {:>10}",
+        "query (subject = doctor)", "fetched (B)", "skipped (B)", "egate (s)", "wall (ms)"
     );
     for (i, query) in [
         "//patient",
@@ -369,19 +402,22 @@ fn e8_query_mix(report: &mut Report) {
     .into_iter()
     .enumerate()
     {
-        let stats = workloads::run_secure(
-            &secure,
-            &workloads::medical_rules(),
-            "doctor",
-            Some(query),
-            true,
-        );
+        let (stats, wall_ms) = timed(|| {
+            workloads::run_secure(
+                &secure,
+                &workloads::medical_rules(),
+                "doctor",
+                Some(query),
+                true,
+            )
+        });
         println!(
-            "{:>34} {:>12} {:>12} {:>12.1}",
+            "{:>34} {:>12} {:>12} {:>12.1} {:>10.1}",
             query,
             stats.ledger.bytes_decrypted,
             stats.ledger.bytes_skipped,
-            workloads::egate_seconds(&stats)
+            workloads::egate_seconds(&stats),
+            wall_ms
         );
         report.put(
             format!("e8.query_{i}.decrypted_bytes"),
@@ -396,8 +432,13 @@ fn e9_streaming_vs_dom(report: &mut Report) {
         "streaming SOE engine vs. DOM materialisation baseline",
     );
     println!(
-        "{:>10} {:>18} {:>18} {:>16} {:>16}",
-        "elements", "SOE peak RAM (B)", "DOM footprint (B)", "SOE decrypt (B)", "DOM decrypt (B)"
+        "{:>10} {:>18} {:>18} {:>16} {:>16} {:>20}",
+        "elements",
+        "SOE peak RAM (B)",
+        "DOM footprint (B)",
+        "SOE decrypt (B)",
+        "DOM decrypt (B)",
+        "wall SOE/DOM (ms)"
     );
     for elements in [500usize, 2_000, 8_000] {
         let doc = workloads::hospital(elements);
@@ -418,22 +459,25 @@ fn e9_streaming_vs_dom(report: &mut Report) {
             soe_elapsed = soe_elapsed.min(start.elapsed().as_secs_f64());
         }
         let soe = soe.expect("E1_REPS >= 1");
-        let dom = DomBaseline::run(
-            &secure,
-            &workloads::bench_key(),
-            &rules,
-            &Subject::new("secretary"),
-            None,
-            &AccessPolicy::paper(),
-        )
-        .unwrap();
+        let (dom, dom_ms) = timed(|| {
+            DomBaseline::run(
+                &secure,
+                &workloads::bench_key(),
+                &rules,
+                &Subject::new("secretary"),
+                None,
+                &AccessPolicy::paper(),
+            )
+            .unwrap()
+        });
         println!(
-            "{:>10} {:>18} {:>18} {:>16} {:>16}",
+            "{:>10} {:>18} {:>18} {:>16} {:>16} {:>20}",
             elements,
             soe.evaluator.map(|e| e.peak_ram_bytes()).unwrap_or(0),
             dom.materialized_bytes,
             soe.ledger.bytes_decrypted,
-            dom.ledger.bytes_decrypted
+            dom.ledger.bytes_decrypted,
+            format!("{:.1}/{dom_ms:.1}", soe_elapsed * 1e3)
         );
         let prefix = format!("e9.n{elements}");
         report.put(
@@ -479,7 +523,7 @@ fn e9_zero_copy_serve(report: &mut Report) {
         for event in 0..E9_SERVE_EVENTS {
             let index = (event as u32) % chunk_count;
             let (chunk, proof) = store
-                .fetch_chunk_pinned("bench-doc", index, revision)
+                .fetch_chunk("bench-doc", index, Some(revision), 0)
                 .expect("stored chunk serves");
             std::hint::black_box((chunk.len(), proof.leaf_index));
         }
@@ -566,20 +610,21 @@ fn e10_multi_client(report: &mut Report) {
     // Replication (`Publisher::builder().replicate(n)`) is the lever.
     println!("\n  hot document: 256 clients, one folder, 16 shards");
     println!(
-        "{:>10} {:>14} {:>12} {:>10} {:>10}",
-        "replicas", "events/s", "makespan", "p50 (ms)", "p99 (ms)"
+        "{:>10} {:>14} {:>12} {:>10} {:>10} {:>10}",
+        "replicas", "events/s", "makespan", "p50 (ms)", "p99 (ms)", "wall (s)"
     );
     let mut hot_rates: Vec<(usize, f64)> = Vec::new();
     for replicas in [1usize, 16] {
         let outcome = workloads::hot_document(workloads::HotDocumentConfig::new(256, 16, replicas));
         let events_per_s = outcome.events_per_s();
         println!(
-            "{:>10} {:>14.0} {:>10.1}ms {:>10.2} {:>10.2}",
+            "{:>10} {:>14.0} {:>10.1}ms {:>10.2} {:>10.2} {:>10.2}",
             replicas,
             events_per_s,
             outcome.makespan().as_secs_f64() * 1e3,
             outcome.latency_percentile(0.50).as_secs_f64() * 1e3,
             outcome.latency_percentile(0.99).as_secs_f64() * 1e3,
+            outcome.wall.as_secs_f64(),
         );
         let prefix = format!("e10.hot.clients_256.replicas_{replicas}");
         report.put(format!("{prefix}.events_per_s"), events_per_s.round());

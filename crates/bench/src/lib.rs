@@ -1,8 +1,8 @@
 //! Shared workload definitions for the SDDS benchmark harness.
 //!
-//! Every experiment of `EXPERIMENTS.md` (E1–E9) builds its inputs through this
-//! module so that the Criterion benches (`benches/e*.rs`) and the table
-//! printer (`src/bin/harness.rs`) measure exactly the same configurations.
+//! Every experiment (E1–E10) builds its inputs through this module, so the
+//! table printer (`src/bin/harness.rs`, one `fn eN_*` section per experiment)
+//! and the integration tests measure exactly the same configurations.
 
 #![forbid(unsafe_code)]
 

@@ -3,14 +3,14 @@
 use sdds_card::CostModel;
 use sdds_core::conflict::AccessPolicy;
 use sdds_core::engine::{evaluate_secure_document, EngineConfig, SessionStats};
-use sdds_core::evaluator::{EvaluatorConfig, StreamingEvaluator};
+use sdds_core::evaluator::EvaluatorConfig;
 use sdds_core::query::Query;
 use sdds_core::rule::{RuleSet, Sign};
 use sdds_core::secdoc::{SecureDocument, SecureDocumentBuilder};
 use sdds_core::skipindex::encode::EncoderConfig;
 use sdds_crypto::SecretKey;
 use sdds_xml::generator::{self, Corpus, GeneratorConfig};
-use sdds_xml::{Document, Event};
+use sdds_xml::Document;
 
 /// The community key used by every benchmark document.
 pub fn bench_key() -> SecretKey {
@@ -77,16 +77,6 @@ pub fn rule_pool(n: usize) -> RuleSet {
             .expect("pool rule parses");
     }
     rules
-}
-
-/// Evaluates a plaintext event stream for one subject (no crypto): the E1/E9
-/// kernel.
-pub fn evaluate_plain(events: &[Event], rules: &RuleSet, subject: &str) -> usize {
-    let config = EvaluatorConfig::new(rules.clone(), subject);
-    // lint: infallible — bench inputs are static and valid by construction;
-    // a panic here is a harness bug, not a recoverable condition.
-    let (out, _) = StreamingEvaluator::evaluate_all(&config, events).expect("evaluation succeeds");
-    out.len()
 }
 
 /// Runs the full secure pipeline for one subject and returns its statistics.

@@ -18,9 +18,9 @@ use sdds_check::Model;
 use sdds_core::error::CoreError;
 use sdds_core::secdoc::{SecureDocument, SecureDocumentBuilder};
 use sdds_crypto::SecretKey;
-use sdds_dsp::server::AtomicServerStats;
 use sdds_dsp::service::scheduler::{Schedulable, SessionScheduler, StepOutcome};
 use sdds_dsp::service::shard::ShardedStore;
+use sdds_dsp::ShardObs;
 use sdds_xml::generator::{self, GeneratorConfig, HospitalProfile};
 
 /// A small secure document; `salt` varies the content so that republished
@@ -87,8 +87,8 @@ fn replication_invalidates_before_publish() {
                 });
                 // Reader: header and chunk must agree, whichever replica —
                 // old, invalidated, or new — ends up serving the request.
-                let (header, revision) = store.fetch_header_pinned("doc").expect("doc is stored");
-                match store.fetch_chunk_pinned("doc", 0, revision) {
+                let (header, revision) = store.fetch_header("doc", None, 0).expect("doc is stored");
+                match store.fetch_chunk("doc", 0, Some(revision), 0) {
                     Ok((chunk, proof)) => {
                         proof
                             .verify(&chunk, &header.merkle_root)
@@ -116,8 +116,9 @@ fn replication_invalidates_before_publish() {
 // Invariant 2: stats counters lose nothing and never run ahead.
 // ---------------------------------------------------------------------------
 
-/// Concurrent `record_*` calls never lose a count: once both threads join,
-/// the totals are exact. A *concurrent* snapshot may be torn mid-record
+/// Concurrent `count_*` calls on a detached `ShardObs` (one shard's serving
+/// counters) never lose a count: once both threads join, the totals are
+/// exact. A *concurrent* snapshot may be torn mid-record
 /// (the checker demonstrates schedules where it reads `requests` before the
 /// bump and `chunks_served` after — which is exactly why `reset_stats`
 /// takes the shard write lock in production), so mid-record it may only
@@ -126,19 +127,19 @@ fn replication_invalidates_before_publish() {
 fn stats_never_lose_or_invent_counts() {
     let report = model()
         .check("stats_no_lost_counts", || {
-            let stats = AtomicServerStats::default();
+            let stats = ShardObs::default();
             thread::scope(|scope| {
                 scope.spawn(|| {
-                    stats.record_chunk(10);
+                    stats.count_chunk(10);
                 });
                 // Concurrent observer: possibly torn, never over-counted.
-                let snap = stats.snapshot();
+                let snap = stats.stats();
                 assert!(snap.requests <= 2, "requests over-counted: {snap:?}");
                 assert!(snap.chunks_served <= 1, "chunks over-counted: {snap:?}");
                 assert!(snap.bytes_served <= 15, "bytes over-counted: {snap:?}");
-                stats.record_header(5);
+                stats.count_header(5);
             });
-            let done = stats.snapshot();
+            let done = stats.stats();
             assert_eq!(done.requests, 2, "a record was lost: {done:?}");
             assert_eq!(done.bytes_served, 15, "served bytes were lost: {done:?}");
             assert_eq!(done.chunks_served, 1, "the chunk count was lost: {done:?}");
@@ -147,21 +148,21 @@ fn stats_never_lose_or_invent_counts() {
     assert_explored(&report, "stats_no_lost_counts");
 }
 
-/// A concurrent `reset` may erase any prefix of an in-flight record, but it
+/// A concurrent `reset_stats` may erase any prefix of an in-flight record, but it
 /// never duplicates one: every counter ends at or below its recorded total,
 /// and the order invariant keeps holding.
 #[test]
 fn stats_reset_race_never_duplicates() {
     let report = model()
         .check("stats_reset_race", || {
-            let stats = AtomicServerStats::default();
+            let stats = ShardObs::default();
             thread::scope(|scope| {
                 scope.spawn(|| {
-                    stats.record_chunk(10);
+                    stats.count_chunk(10);
                 });
-                stats.reset();
+                stats.reset_stats();
             });
-            let done = stats.snapshot();
+            let done = stats.stats();
             assert!(done.requests <= 1, "requests duplicated: {done:?}");
             assert!(done.bytes_served <= 10, "bytes duplicated: {done:?}");
             assert!(done.chunks_served <= 1, "chunks duplicated: {done:?}");
@@ -303,11 +304,11 @@ fn pinned_fetches_are_never_torn() {
             thread::scope(|scope| {
                 // Pin first: the interesting schedules are the ones where
                 // the republish lands inside the pinned session.
-                let (header, revision) = store.fetch_header_pinned("doc").expect("doc is stored");
+                let (header, revision) = store.fetch_header("doc", None, 0).expect("doc is stored");
                 scope.spawn(|| {
                     store.put_document_with(v1.clone(), false);
                 });
-                match store.fetch_chunk_pinned("doc", 0, revision) {
+                match store.fetch_chunk("doc", 0, Some(revision), 0) {
                     Ok((chunk, proof)) => {
                         // Served under the pinned revision: must verify
                         // against the pinned header, not the new one.

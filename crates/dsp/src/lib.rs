@@ -7,15 +7,15 @@
 //! verifies everything). This crate provides:
 //!
 //! * [`store`] — the encrypted document / protected rule store with versioning,
-//! * [`server`] — the pull-mode request API used by terminal proxies, with
-//!   byte accounting of everything served,
 //! * [`dissemination`] — the broadcast unit of experiment E6: already
 //!   encrypted [`StreamItem`]s (produced by the trusted, proxy-side
 //!   `sdds_proxy::DisseminationChannel`, which keeps the key and the
 //!   cleartext stream out of this crate) are broadcast to subscribers over
 //!   unsecured channels, and each subscriber's SOE filters what its user may
 //!   see,
-//! * [`service`] — the concurrent multi-client layer of experiment E10: the
+//! * [`service`] — the pull-mode front-end terminal proxies call
+//!   ([`DspService`], with byte accounting of everything served) and the
+//!   concurrent multi-client layer of experiment E10: the
 //!   FNV-sharded store ([`service::ShardedStore`]), the fair round-robin
 //!   [`service::SessionScheduler`] multiplexing many card sessions, the
 //!   [`service::FanOutDisseminator`] (one ciphertext per item shared across
@@ -27,13 +27,11 @@
 
 pub mod dissemination;
 pub mod obs;
-pub mod server;
 pub mod service;
 pub mod store;
 
 pub use dissemination::StreamItem;
-pub use obs::{DspObs, ErrorObs, SchedulerObs, ServeObs, SessionObs, ShardObs};
-pub use server::{AtomicServerStats, DspServer, ServerStats};
+pub use obs::{DspObs, ErrorObs, SchedulerObs, ServeObs, ServerStats, SessionObs, ShardObs};
 pub use service::{
     DspService, FanOutDisseminator, HotPolicy, Schedulable, ScheduleReport, ServiceModel,
     SessionScheduler, ShardedStore, StepOutcome,

@@ -12,7 +12,9 @@
 //! telemetry work entirely: a detached component pays nothing, and — just as
 //! important — adds no scheduling points to the `sdds-check` model-checked
 //! scenarios, which all build components stand-alone. Registered bundles
-//! (everything a [`crate::DspService`] hands out) are live.
+//! (everything a [`crate::DspService`] hands out) are live. The one
+//! exception is serving accounting: the [`ShardObs`] byte counters are the
+//! only storage of [`ServerStats`], so they count on every bundle.
 //!
 //! Metric family names live in [`sdds_obs::families`]; the `doc-sync` lint
 //! rule keeps ARCHITECTURE.md's metric table synchronized with that module.
@@ -20,8 +22,6 @@
 use sdds_core::CoreError;
 use sdds_obs::{families, Counter, FlightRecorder, Gauge, Histogram, ObsSnapshot, Registry};
 use sdds_sync::sync::Arc;
-
-use crate::server::AtomicServerStats;
 
 /// Flight-recorder lanes: enough for the worker counts the schedulers use;
 /// callers key lanes by worker or shard index (wrapped into range).
@@ -52,16 +52,112 @@ impl ErrorObs {
     }
 }
 
-/// Per-shard serving handles: the byte-accounting counters (shared with the
-/// shard's [`AtomicServerStats`]) plus routing and staleness tallies.
+/// Serving statistics of one shard, or of a whole store merged over its
+/// shards: a plain-value snapshot of the [`ShardObs`] serving counters.
+///
+/// Every served payload bumps exactly one class of counters on the shard
+/// that served it, so `bytes_served` counts headers, chunks + proofs and rule
+/// blobs each exactly once, and summing per-shard snapshots cannot double- or
+/// under-count any class of payload.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServerStats {
+    /// Requests served.
+    pub requests: usize,
+    /// Payload bytes served (headers, chunks, proofs, rule blobs).
+    pub bytes_served: usize,
+    /// Chunk requests served.
+    pub chunks_served: usize,
+    /// Rule-blob requests served.
+    pub rule_blobs_served: usize,
+    /// Bytes of protected rule blobs served (a subset of `bytes_served`).
+    pub rule_bytes_served: usize,
+}
+
+/// Per-shard serving handles: the byte-accounting counters (`dsp.serve.*`,
+/// labelled per shard) plus routing and staleness tallies.
+///
+/// The five accounting counters are the only storage of serving statistics
+/// and the only state a DSP read mutates, which is what lets every fetch run
+/// under a shard's **read** lock. They count on every bundle, detached ones
+/// included: the capacity model reads them off stand-alone stores too.
+/// Relaxed ordering is enough — the counters are independent monotonic
+/// tallies, never used to synchronise other memory, and
+/// [`ShardObs::stats`] is read either under the shard's write lock (reset)
+/// or after the traffic of interest quiesced (reporting). Clones share cells.
 #[derive(Debug, Clone, Default)]
 pub struct ShardObs {
-    /// The shard's serving counters (`dsp.serve.*`, labelled per shard).
-    pub stats: AtomicServerStats,
+    /// Requests served.
+    pub requests: Counter,
+    /// Payload bytes served (headers, chunks, proofs, rule blobs).
+    pub bytes_served: Counter,
+    /// Chunk requests served.
+    pub chunks_served: Counter,
+    /// Rule-blob requests served.
+    pub rule_blobs_served: Counter,
+    /// Bytes of protected rule blobs served (a subset of `bytes_served`).
+    pub rule_bytes_served: Counter,
     /// Requests this shard answered from a replica clone.
     pub replica_routes: Counter,
     /// Stale-revision rejections raised while this shard served.
     pub stale_revisions: Counter,
+}
+
+impl ShardObs {
+    fn registered(registry: &Registry, label: &str) -> Self {
+        let counter = |family| registry.counter_with(family, Some(label));
+        ShardObs {
+            requests: counter(families::SERVE_REQUESTS),
+            bytes_served: counter(families::SERVE_BYTES),
+            chunks_served: counter(families::SERVE_CHUNKS),
+            rule_blobs_served: counter(families::SERVE_RULE_BLOBS),
+            rule_bytes_served: counter(families::SERVE_RULE_BYTES),
+            replica_routes: counter(families::SERVE_REPLICA_ROUTES),
+            stale_revisions: counter(families::SERVE_STALE),
+        }
+    }
+
+    /// Counts one served document header of `bytes` payload.
+    pub fn count_header(&self, bytes: usize) {
+        self.requests.inc();
+        self.bytes_served.add(bytes as u64);
+    }
+
+    /// Counts one served chunk (ciphertext + proof) of `bytes` payload.
+    pub fn count_chunk(&self, bytes: usize) {
+        self.requests.inc();
+        self.bytes_served.add(bytes as u64);
+        self.chunks_served.inc();
+    }
+
+    /// Counts one served protected rule blob of `bytes` payload.
+    pub fn count_rules(&self, bytes: usize) {
+        self.requests.inc();
+        self.bytes_served.add(bytes as u64);
+        self.rule_blobs_served.inc();
+        self.rule_bytes_served.add(bytes as u64);
+    }
+
+    /// A plain-value snapshot of the serving counters.
+    pub fn stats(&self) -> ServerStats {
+        ServerStats {
+            requests: self.requests.get() as usize,
+            bytes_served: self.bytes_served.get() as usize,
+            chunks_served: self.chunks_served.get() as usize,
+            rule_blobs_served: self.rule_blobs_served.get() as usize,
+            rule_bytes_served: self.rule_bytes_served.get() as usize,
+        }
+    }
+
+    /// Zeroes the serving counters (call under the owning shard's write lock
+    /// so no concurrent serve is torn across the reset). Routing and
+    /// staleness tallies are kept.
+    pub fn reset_stats(&self) {
+        self.requests.reset();
+        self.bytes_served.reset();
+        self.chunks_served.reset();
+        self.rule_blobs_served.reset();
+        self.rule_bytes_served.reset();
+    }
 }
 
 /// Serving-path telemetry of a [`crate::ShardedStore`]. Clones share cells.
@@ -89,15 +185,7 @@ impl ServeObs {
     ) -> Self {
         ServeObs {
             shards: (0..shards.max(1))
-                .map(|index| {
-                    let label = format!("shard={index}");
-                    ShardObs {
-                        stats: AtomicServerStats::registered(registry, &label),
-                        replica_routes: registry
-                            .counter_with(families::SERVE_REPLICA_ROUTES, Some(&label)),
-                        stale_revisions: registry.counter_with(families::SERVE_STALE, Some(&label)),
-                    }
-                })
+                .map(|index| ShardObs::registered(registry, &format!("shard={index}")))
                 .collect(),
             latency: registry.histogram(families::SERVE_LATENCY),
             errors,
@@ -298,11 +386,6 @@ impl DspObs {
     pub fn snapshot(&self) -> ObsSnapshot {
         self.registry.snapshot()
     }
-
-    /// Zeroes every registered metric (between experiment runs).
-    pub fn reset(&self) {
-        self.registry.reset();
-    }
 }
 
 /// A shareable default bundle: `Arc<DspObs>` with one shard's worth of
@@ -310,4 +393,31 @@ impl DspObs {
 /// them.
 pub fn detached() -> Arc<DspObs> {
     Arc::new(DspObs::new(1))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn shard_obs_counts_every_payload_class_once() {
+        let obs = ShardObs::default();
+        obs.count_header(10);
+        obs.count_chunk(100);
+        obs.count_rules(30);
+        assert_eq!(
+            obs.stats(),
+            ServerStats {
+                requests: 3,
+                bytes_served: 10 + 100 + 30,
+                chunks_served: 1,
+                rule_blobs_served: 1,
+                rule_bytes_served: 30,
+            }
+        );
+        obs.replica_routes.inc();
+        obs.reset_stats();
+        assert_eq!(obs.stats(), ServerStats::default());
+        assert_eq!(obs.replica_routes.get(), 1, "routing tallies survive");
+    }
 }

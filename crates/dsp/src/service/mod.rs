@@ -1,6 +1,6 @@
 //! The concurrent multi-client DSP service layer (experiment E10).
 //!
-//! The single-tenant [`crate::DspServer`] serves exactly one proxy at a time:
+//! A single-tenant [`crate::DspStore`] serves exactly one proxy at a time:
 //! every request serializes on one store behind `&mut self`. This module turns
 //! the DSP into a service that sustains many simultaneous card sessions — the
 //! "heavy traffic" regime of the paper's architecture (§2), where one
@@ -12,8 +12,8 @@
 //!                               │  ┌shard 0┐ ┌shard 1┐      ┌shard N-1┐  │
 //!                               │  │RwLock │ │RwLock │ ...  │ RwLock  │  │
 //!                               │  │store  │ │store  │      │ store   │  │
-//!                               │  │stats  │ │stats  │      │ stats   │  │
 //!                               │  └───────┘ └───────┘      └─────────┘  │
+//!                               │  dsp.serve.* counters, one set a shard │
 //!                               └──────────────────▲─────────────────────┘
 //!                                fetch_header/chunk│/rules   (&self, Sync)
 //!                    ┌─────── SessionScheduler ────┴──────┐
@@ -36,7 +36,8 @@
 //!   throughput at 1 vs 16 shards); it has no analogue in the paper, which
 //!   measured a single card, but is what "millions of users" requires of the
 //!   DSP side of Figure 1. Serving takes the shard's **read** lock (the
-//!   counters are atomics), so same-shard readers do not serialize either.
+//!   per-shard `dsp.serve.*` counters are atomics), so same-shard readers do
+//!   not serialize either.
 //! * **hot-document replication** — the E10 hot-document scenario (256
 //!   clients, one document): a pinned ([`DspService::pin_replicas`], or the
 //!   facade's `Publisher::builder().replicate(n)`) or threshold-hot
@@ -83,8 +84,7 @@ use sdds_core::session::ProtectedRules;
 use sdds_core::CoreError;
 use sdds_crypto::merkle::MerkleProof;
 
-use crate::obs::DspObs;
-use crate::server::ServerStats;
+use crate::obs::{DspObs, ServerStats};
 
 /// Service-time model of one DSP shard (the DSP-side analogue of the card's
 /// `CostModel`): converts serving counters into simulated serial time.
@@ -115,22 +115,35 @@ impl ServiceModel {
     }
 
     /// Simulated serial time one shard needs to serve `stats` worth of
-    /// traffic.
+    /// traffic (saturating at [`Duration::MAX`]).
     pub fn service_time(&self, stats: &ServerStats) -> Duration {
         let wire = if self.serve_bytes_per_second.is_finite() && self.serve_bytes_per_second > 0.0 {
             Duration::from_secs_f64(stats.bytes_served as f64 / self.serve_bytes_per_second)
         } else {
             Duration::ZERO
         };
-        wire + self.per_request_overhead * stats.requests as u32
+        // Exact integer nanoseconds for any request count: a `u32` multiplier
+        // would wrap at 2^32 requests and drop the overhead term.
+        let overhead = self
+            .per_request_overhead
+            .as_nanos()
+            .saturating_mul(stats.requests as u128);
+        let overhead = u64::try_from(overhead / 1_000_000_000).map_or(Duration::MAX, |secs| {
+            Duration::new(secs, (overhead % 1_000_000_000) as u32)
+        });
+        wire.saturating_add(overhead)
     }
 }
 
-/// The concurrent DSP front-end: a sharded store plus its capacity model.
+/// The DSP front-end: a sharded store plus its capacity model.
 ///
-/// Unlike [`crate::DspServer`], every serving method takes `&self` — the
-/// service is `Sync` and meant to sit behind an `Arc`, shared by every
-/// session the scheduler multiplexes.
+/// Every serving method takes `&self` — the service is `Sync` and meant to
+/// sit behind an `Arc`, shared by every session the scheduler multiplexes.
+/// A one-shard service is the single-tenant layout. The `fetch_*` methods
+/// are one-line calls into the store's three fetch primitives
+/// ([`ShardedStore::fetch_header`], [`ShardedStore::fetch_chunk`],
+/// [`ShardedStore::fetch_rules`]), fixing their `pinned` and `salt`
+/// arguments.
 #[derive(Debug)]
 pub struct DspService {
     store: ShardedStore,
@@ -240,44 +253,29 @@ impl DspService {
         self.store.replica_shards(doc_id)
     }
 
-    /// Fetches a document header.
-    pub fn fetch_header(&self, doc_id: &str) -> Result<DocumentHeader, CoreError> {
-        self.store.fetch_header(doc_id)
-    }
-
     /// Fetches a document header together with the upload revision to pin a
-    /// session to (see [`ShardedStore::fetch_header_pinned`]).
+    /// session to (see [`ShardedStore::fetch_header`]).
     pub fn fetch_header_pinned(&self, doc_id: &str) -> Result<(DocumentHeader, u64), CoreError> {
-        self.store.fetch_header_pinned(doc_id)
+        self.store.fetch_header(doc_id, None, 0)
     }
 
     /// Hands out the next session route salt. Every card session draws one
     /// at connect time and carries it through its `fetch_*_salted` calls, so
     /// identical requests from different sessions spread over a hot
     /// document's replicas instead of all queueing on the same copy (the
-    /// PR 5 hot-document scenario: 256 sessions, one document, every header
-    /// request previously hitting the home shard).
+    /// hot-document scenario: 256 sessions, one document, every header
+    /// request otherwise hitting the home shard).
     pub fn next_session_salt(&self) -> u64 {
         self.session_tickets.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Pinned header fetch routed with a per-session `salt` (see
-    /// [`ShardedStore::fetch_header_pinned_salted`]).
+    /// Header fetch routed with a per-session `salt`.
     pub fn fetch_header_pinned_salted(
         &self,
         doc_id: &str,
         salt: u64,
     ) -> Result<(DocumentHeader, u64), CoreError> {
-        self.store.fetch_header_pinned_salted(doc_id, salt)
-    }
-
-    /// Fetches one encrypted chunk and its Merkle proof.
-    pub fn fetch_chunk(
-        &self,
-        doc_id: &str,
-        index: u32,
-    ) -> Result<(Arc<[u8]>, MerkleProof), CoreError> {
-        self.store.fetch_chunk(doc_id, index)
+        self.store.fetch_header(doc_id, None, salt)
     }
 
     /// Fetches one encrypted chunk at a pinned revision, failing with
@@ -288,11 +286,10 @@ impl DspService {
         index: u32,
         revision: u64,
     ) -> Result<(Arc<[u8]>, MerkleProof), CoreError> {
-        self.store.fetch_chunk_pinned(doc_id, index, revision)
+        self.store.fetch_chunk(doc_id, index, Some(revision), 0)
     }
 
-    /// Pinned chunk fetch routed with a per-session `salt` (see
-    /// [`ShardedStore::fetch_chunk_pinned_salted`]).
+    /// Pinned chunk fetch routed with a per-session `salt`.
     pub fn fetch_chunk_pinned_salted(
         &self,
         doc_id: &str,
@@ -300,13 +297,12 @@ impl DspService {
         revision: u64,
         salt: u64,
     ) -> Result<(Arc<[u8]>, MerkleProof), CoreError> {
-        self.store
-            .fetch_chunk_pinned_salted(doc_id, index, revision, salt)
+        self.store.fetch_chunk(doc_id, index, Some(revision), salt)
     }
 
     /// Fetches the protected rule blob of `subject` for `doc_id`.
     pub fn fetch_rules(&self, doc_id: &str, subject: &str) -> Result<Arc<[u8]>, CoreError> {
-        self.store.fetch_rules(doc_id, subject)
+        self.store.fetch_rules(doc_id, subject, None, 0)
     }
 
     /// Fetches the protected rule blob of `subject` at a pinned revision,
@@ -318,11 +314,10 @@ impl DspService {
         subject: &str,
         revision: u64,
     ) -> Result<Arc<[u8]>, CoreError> {
-        self.store.fetch_rules_pinned(doc_id, subject, revision)
+        self.store.fetch_rules(doc_id, subject, Some(revision), 0)
     }
 
-    /// Pinned rules fetch routed with a per-session `salt` (see
-    /// [`ShardedStore::fetch_rules_pinned_salted`]).
+    /// Pinned rules fetch routed with a per-session `salt`.
     pub fn fetch_rules_pinned_salted(
         &self,
         doc_id: &str,
@@ -331,7 +326,7 @@ impl DspService {
         salt: u64,
     ) -> Result<Arc<[u8]>, CoreError> {
         self.store
-            .fetch_rules_pinned_salted(doc_id, subject, revision, salt)
+            .fetch_rules(doc_id, subject, Some(revision), salt)
     }
 
     /// Upload revision of a stored document (`None` if unknown).
@@ -381,6 +376,7 @@ impl DspService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdds_core::rule::RuleSet;
     use sdds_core::secdoc::SecureDocumentBuilder;
     use sdds_crypto::SecretKey;
     use sdds_xml::generator::{self, GeneratorConfig, HospitalProfile};
@@ -399,14 +395,37 @@ mod tests {
     #[test]
     fn service_time_charges_requests_and_bytes() {
         let model = ServiceModel::lan();
-        let mut stats = ServerStats::default();
-        stats.record_chunk(50_000_000); // 1 s of wire at 50 MB/s
+        let stats = ServerStats {
+            requests: 1,
+            bytes_served: 50_000_000, // 1 s of wire at 50 MB/s
+            chunks_served: 1,
+            ..ServerStats::default()
+        };
         let t = model.service_time(&stats);
         assert!((t.as_secs_f64() - 1.0001).abs() < 1e-6);
         assert_eq!(
             ServiceModel::infinite().service_time(&stats),
             Duration::ZERO
         );
+    }
+
+    #[test]
+    fn service_time_overhead_does_not_wrap_at_2_pow_32_requests() {
+        let requests = 1usize << 32;
+        let stats = ServerStats {
+            requests,
+            ..ServerStats::default()
+        };
+        // 2^32 × 100 µs, exactly.
+        assert_eq!(
+            ServiceModel::lan().service_time(&stats),
+            Duration::from_micros(100 * requests as u64)
+        );
+        let saturated = ServiceModel {
+            per_request_overhead: Duration::MAX,
+            serve_bytes_per_second: 1.0,
+        };
+        assert_eq!(saturated.service_time(&stats), Duration::MAX);
     }
 
     #[test]
@@ -417,8 +436,9 @@ mod tests {
             service.put_document(document(&format!("doc-{i}")));
         }
         for i in 0..32 {
-            service.fetch_header(&format!("doc-{i}")).unwrap();
-            service.fetch_chunk(&format!("doc-{i}"), 0).unwrap();
+            let id = format!("doc-{i}");
+            let (_, revision) = service.fetch_header_pinned(&id).unwrap();
+            service.fetch_chunk_pinned(&id, 0, revision).unwrap();
         }
         let busiest = service.busiest_shard_time();
         let serial = service.single_shard_time();
@@ -434,6 +454,78 @@ mod tests {
         assert!(!service.store().is_empty());
     }
 
+    /// A one-shard service holding a 3-patient folder and the doctor's rules.
+    fn single_tenant() -> DspService {
+        let service = DspService::new(1);
+        let doc = generator::hospital(
+            &HospitalProfile {
+                patients: 3,
+                ..HospitalProfile::default()
+            },
+            &GeneratorConfig::default(),
+        );
+        service.put_document(
+            SecureDocumentBuilder::new("folder", SecretKey::derive(b"s", "doc")).build(&doc),
+        );
+        let rules = RuleSet::parse("+, doctor, //patient").unwrap();
+        let sealed = ProtectedRules::seal(&rules, &SecretKey::derive(b"s", "rules"));
+        service.put_rules("folder", "doctor", &sealed).unwrap();
+        service
+    }
+
+    #[test]
+    fn single_tenant_service_is_one_shard() {
+        let s = single_tenant();
+        assert_eq!(s.shard_count(), 1);
+        assert_eq!(s.revision("folder"), Some(0));
+        assert!(s.contains("folder"));
+        assert!(!s.contains("nope"));
+        assert!(s.store().stored_bytes() > 0);
+    }
+
+    #[test]
+    fn serves_headers_chunks_and_rules_with_accounting() {
+        let s = single_tenant();
+        let (header, revision) = s.fetch_header_pinned("folder").unwrap();
+        assert_eq!(header.doc_id, "folder");
+        let (chunk, proof) = s.fetch_chunk_pinned("folder", 0, revision).unwrap();
+        proof.verify(&chunk, &header.merkle_root).unwrap();
+        let rules = s.fetch_rules("folder", "doctor").unwrap();
+        assert!(!rules.is_empty());
+        let stats = s.stats();
+        assert_eq!(stats.requests, 3);
+        assert_eq!(stats.chunks_served, 1);
+        assert!(stats.bytes_served > chunk.len());
+        s.reset_stats();
+        assert_eq!(s.stats().requests, 0);
+    }
+
+    #[test]
+    fn rule_blob_bytes_are_counted_exactly_once() {
+        let s = single_tenant();
+        let blob = s.fetch_rules("folder", "doctor").unwrap();
+        let stats = s.stats();
+        assert_eq!(stats.rule_blobs_served, 1);
+        assert_eq!(stats.rule_bytes_served, blob.len());
+        // Rule bytes are a subset of bytes_served, not an addition to it.
+        assert_eq!(stats.bytes_served, blob.len());
+        let (chunk, proof) = s.fetch_chunk_pinned("folder", 0, 0).unwrap();
+        assert_eq!(
+            s.stats().bytes_served,
+            blob.len() + chunk.len() + proof.encode().len()
+        );
+        assert_eq!(s.stats().rule_bytes_served, blob.len());
+    }
+
+    #[test]
+    fn unknown_objects_are_reported() {
+        let s = single_tenant();
+        assert!(s.fetch_header_pinned("nope").is_err());
+        assert!(s.fetch_chunk_pinned("folder", 9999, 0).is_err());
+        assert!(s.fetch_rules("folder", "stranger").is_err());
+        assert!(s.contains("folder"));
+    }
+
     #[test]
     fn service_is_shareable_across_threads() {
         use std::sync::Arc;
@@ -447,8 +539,8 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..8 {
                         let id = format!("doc-{}", (i + t) % 8);
-                        let header = service.fetch_header(&id).unwrap();
-                        let (chunk, proof) = service.fetch_chunk(&id, 0).unwrap();
+                        let (header, revision) = service.fetch_header_pinned(&id).unwrap();
+                        let (chunk, proof) = service.fetch_chunk_pinned(&id, 0, revision).unwrap();
                         proof.verify(&chunk, &header.merkle_root).unwrap();
                     }
                 });

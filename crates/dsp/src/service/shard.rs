@@ -5,13 +5,12 @@
 //! request of every client serializes on the same structure, which is exactly
 //! the bottleneck the E10 experiment measures. [`ShardedStore`] splits the
 //! document space over `N` shards keyed by the FNV-1a hash of the document id;
-//! each shard holds its own [`DspStore`] and its own [`AtomicServerStats`]
-//! behind its own `RwLock`, so requests for documents on different shards
-//! proceed concurrently.
+//! each shard holds its own [`DspStore`] behind its own `RwLock`, so requests
+//! for documents on different shards proceed concurrently.
 //!
 //! **Serving takes the shard's *read* lock.** The only state a serve mutates
-//! is its shard's statistics, and those are relaxed atomics
-//! ([`AtomicServerStats`]) — so same-shard readers proceed concurrently too,
+//! is its shard's serving counters, and those are relaxed atomics (the
+//! shard's [`ShardObs`] cells) — so same-shard readers proceed concurrently too,
 //! and only the write paths (`put_document`, rule-blob sync, replication,
 //! `reset_stats`) take the write lock. The DSP is a read-mostly content
 //! server: millions of card-holders pull, publishers rarely push.
@@ -28,14 +27,13 @@
 //! re-replicates pinned documents afterwards, so a replica can never serve a
 //! revision its home shard has abandoned; a reader that raced the
 //! invalidation falls back to the home shard. On top of that, every fetch can
-//! carry a **pinned revision** (`fetch_*_pinned`): a mismatch — e.g. a
+//! carry a **pinned revision** (its `pinned` argument): a mismatch — e.g. a
 //! republish in the middle of a card session — returns the typed
 //! [`CoreError::StaleRevision`] instead of letting chunks of the new upload
 //! fail Merkle verification against the old header.
 //!
-//! Global statistics are obtained by merging the per-shard counters on read
-//! ([`ShardedStore::stats`]), using the same [`ServerStats::merge`] the
-//! single-tenant server tests pin.
+//! Global statistics are the per-shard counters summed on read
+//! ([`ShardedStore::stats`]).
 
 use sdds_sync::sync::atomic::{AtomicUsize, Ordering};
 use sdds_sync::sync::{Arc, RwLock, RwLockExt};
@@ -48,15 +46,13 @@ use sdds_core::CoreError;
 use sdds_crypto::merkle::MerkleProof;
 use sdds_xml::symbols::Fnv1a;
 
-use crate::obs::ServeObs;
-use crate::server::{AtomicServerStats, ServerStats};
+use crate::obs::{ServeObs, ServerStats, ShardObs};
 use crate::store::{DocumentRecord, DspStore};
 
 // ---------------------------------------------------------------------------
 // The one serving path of the workspace: every header, chunk and rule blob —
-// whether requested through the sharded service or through the single-tenant
-// `DspServer` wrapper, from a home shard or a replica — is served and
-// accounted by these helpers.
+// from a home shard or a replica — is served and accounted by these helpers,
+// on the serving shard's counters.
 // ---------------------------------------------------------------------------
 
 /// Rejects a serve whose session pinned a revision the record no longer has.
@@ -72,17 +68,17 @@ fn check_revision(record: &DocumentRecord, pinned: Option<u64>) -> Result<(), Co
     }
 }
 
-/// Serves a document header out of `record`, accounting it on `stats`.
+/// Serves a document header out of `record`, accounting it on `obs`.
 fn serve_header(
     record: &DocumentRecord,
-    stats: &AtomicServerStats,
+    obs: &ShardObs,
     pinned: Option<u64>,
 ) -> Result<DocumentHeader, CoreError> {
     check_revision(record, pinned)?;
     // alloc: startup — one header fetch per card session (the SOE caches it);
     // chunk serves, the per-event path, share ciphertext without copying.
     let header = record.document.header.clone();
-    stats.record_header(header.encoded_len());
+    obs.count_header(header.encoded_len());
     Ok(header)
 }
 
@@ -93,7 +89,7 @@ fn serve_header(
 /// Merkle sibling path, regardless of the chunk size.
 fn serve_chunk(
     record: &DocumentRecord,
-    stats: &AtomicServerStats,
+    obs: &ShardObs,
     index: u32,
     pinned: Option<u64>,
 ) -> Result<(Arc<[u8]>, MerkleProof), CoreError> {
@@ -108,7 +104,7 @@ fn serve_chunk(
             message: format!("chunk {index} out of range for `{doc_id}`"),
         })?;
     let proof = record.document.proof(index as usize)?;
-    stats.record_chunk(chunk.len() + proof.encoded_len());
+    obs.count_chunk(chunk.len() + proof.encoded_len());
     Ok((chunk, proof))
 }
 
@@ -116,7 +112,7 @@ fn serve_chunk(
 /// `Arc`-shared with the store, so a serve never copies it.
 fn serve_rules(
     record: &DocumentRecord,
-    stats: &AtomicServerStats,
+    obs: &ShardObs,
     subject: &str,
     pinned: Option<u64>,
 ) -> Result<Arc<[u8]>, CoreError> {
@@ -130,7 +126,7 @@ fn serve_rules(
             // alloc: cold — unknown-subject error path.
             subject: subject.to_owned(),
         })?;
-    stats.record_rules(blob.len());
+    obs.count_rules(blob.len());
     Ok(Arc::clone(blob))
 }
 
@@ -172,14 +168,14 @@ struct ReplicaEntry {
     serves: AtomicUsize,
 }
 
-/// One shard: a plain store, read-only clones of hot documents homed on
-/// *other* shards, and the serving counters. Clones of one document share
-/// one heap allocation (`Arc`) until a rule-blob sync diverges them.
+/// One shard: a plain store and read-only clones of hot documents homed on
+/// *other* shards (its serving counters live in the store's [`ServeObs`]).
+/// Clones of one document share one heap allocation (`Arc`) until a
+/// rule-blob sync diverges them.
 #[derive(Debug, Default)]
 struct Shard {
     store: DspStore,
     replicas: HashMap<String, Arc<DocumentRecord>>,
-    stats: AtomicServerStats,
 }
 
 /// A document store sharded by FNV of the document id, with optional
@@ -196,11 +192,9 @@ pub struct ShardedStore {
     /// no replication shares no routing state between shards at all.
     replicated: AtomicUsize,
     hot: Option<HotPolicy>,
-    /// Serving telemetry: latency spans, routing and error counters. The
-    /// payload accounting itself stays in each shard's
-    /// [`AtomicServerStats`]; `obs` only adds parallel tallies, so the
-    /// deterministic per-shard byte counts the capacity model reads are
-    /// untouched by instrumentation.
+    /// Serving telemetry: the per-shard byte accounting the capacity model
+    /// reads (counted on detached bundles too), plus latency spans, routing
+    /// and error counters, which only live bundles record.
     obs: ServeObs,
 }
 
@@ -222,14 +216,10 @@ impl ShardedStore {
     }
 
     /// Attaches registry-backed serving telemetry (see
-    /// [`crate::obs::DspObs`]): each shard's [`AtomicServerStats`] is
-    /// swapped for the registered cells of `obs`, so the registry snapshot
-    /// reports the same counters [`ShardedStore::stats`] merges. Call at
-    /// construction time, before any document is served.
+    /// [`crate::obs::DspObs`]), so the registry snapshot reports the same
+    /// counters [`ShardedStore::stats`] sums. Call at construction time,
+    /// before any document is served.
     pub fn with_obs(self, obs: ServeObs) -> Self {
-        for (index, shard) in self.shards.iter().enumerate() {
-            shard.write_np().stats = obs.shard(index).stats.clone();
-        }
         ShardedStore { obs, ..self }
     }
 
@@ -297,7 +287,7 @@ impl ShardedStore {
         &self,
         doc_id: &str,
         salt: u64,
-        serve: impl Fn(&DocumentRecord, &AtomicServerStats) -> Result<T, CoreError>,
+        serve: impl Fn(&DocumentRecord, &ShardObs) -> Result<T, CoreError>,
     ) -> Result<T, CoreError> {
         let started = if self.obs.live {
             self.obs.recorder.now_nanos()
@@ -320,12 +310,12 @@ impl ShardedStore {
         doc_id: &str,
         home: usize,
         routed: usize,
-        serve: impl Fn(&DocumentRecord, &AtomicServerStats) -> Result<T, CoreError>,
+        serve: impl Fn(&DocumentRecord, &ShardObs) -> Result<T, CoreError>,
     ) -> (Result<T, CoreError>, usize) {
         if routed != home {
             let shard = self.shards[routed].read_np();
             if let Some(record) = shard.replicas.get(doc_id) {
-                let served = serve(record.as_ref(), &shard.stats);
+                let served = serve(record.as_ref(), self.obs.shard(routed));
                 drop(shard);
                 if self.obs.live {
                     self.obs.shard(routed).replica_routes.inc();
@@ -344,7 +334,7 @@ impl ShardedStore {
                 home,
             );
         };
-        let served = serve(record, &shard.stats);
+        let served = serve(record, self.obs.shard(home));
         drop(shard);
         self.note_serve(doc_id);
         (served, home)
@@ -544,136 +534,98 @@ impl ShardedStore {
         Ok(())
     }
 
-    /// Fetches a document header (counted on the serving shard).
-    pub fn fetch_header(&self, doc_id: &str) -> Result<DocumentHeader, CoreError> {
-        self.serve(doc_id, 0, |record, stats| serve_header(record, stats, None))
-    }
-
     /// Fetches a document header together with the upload revision it
-    /// belongs to, for a session to pin: subsequent `fetch_*_pinned` calls
-    /// carrying this revision fail with [`CoreError::StaleRevision`] if the
+    /// belongs to, for a session to pin: later fetches carrying that
+    /// revision as `pinned` fail with [`CoreError::StaleRevision`] if the
     /// document is republished mid-session.
-    pub fn fetch_header_pinned(&self, doc_id: &str) -> Result<(DocumentHeader, u64), CoreError> {
-        self.fetch_header_pinned_salted(doc_id, 0)
-    }
-
-    /// Like [`ShardedStore::fetch_header_pinned`], but routed with a caller
-    /// `salt` — sessions carry distinct salts
-    /// (`crate::DspService::next_session_salt`) so *identical* header
-    /// requests from different sessions spread over a hot document's
-    /// replicas instead of all queueing on the home copy.
-    pub fn fetch_header_pinned_salted(
+    ///
+    /// `salt` picks the copy of a replicated document. Sessions carry
+    /// distinct salts (`crate::DspService::next_session_salt`), so identical
+    /// header requests from different sessions spread over a hot document's
+    /// replicas instead of all queueing on one copy; `0` always routes to the
+    /// same copy.
+    pub fn fetch_header(
         &self,
         doc_id: &str,
+        pinned: Option<u64>,
         salt: u64,
     ) -> Result<(DocumentHeader, u64), CoreError> {
-        self.serve(doc_id, salt, |record, stats| {
-            serve_header(record, stats, None).map(|header| (header, record.revision))
+        self.serve(doc_id, salt, |record, obs| {
+            serve_header(record, obs, pinned).map(|header| (header, record.revision))
         })
     }
 
-    /// Fetches one encrypted chunk and its Merkle proof.
+    /// Fetches one encrypted chunk and its Merkle proof, failing with
+    /// [`CoreError::StaleRevision`] when `pinned` is set and the serving
+    /// record no longer has that revision.
     ///
-    /// Replicated documents route chunk `i` to copy `(i + 1) % copies` — the
-    /// `+ 1` keeps the first chunk off the home copy, which already serves
-    /// every header request.
+    /// Replicated documents route chunk `i` to copy `(salt + i + 1) %
+    /// copies` — the `+ 1` keeps the first chunk of an unsalted session off
+    /// the home copy, which already serves its header.
     pub fn fetch_chunk(
         &self,
         doc_id: &str,
         index: u32,
-    ) -> Result<(Arc<[u8]>, MerkleProof), CoreError> {
-        self.serve(doc_id, u64::from(index) + 1, |record, stats| {
-            serve_chunk(record, stats, index, None)
-        })
-    }
-
-    /// Like [`ShardedStore::fetch_chunk`], but fails with
-    /// [`CoreError::StaleRevision`] unless the serving record still has the
-    /// session's pinned `revision`.
-    pub fn fetch_chunk_pinned(
-        &self,
-        doc_id: &str,
-        index: u32,
-        revision: u64,
-    ) -> Result<(Arc<[u8]>, MerkleProof), CoreError> {
-        self.fetch_chunk_pinned_salted(doc_id, index, revision, 0)
-    }
-
-    /// Like [`ShardedStore::fetch_chunk_pinned`], with a per-session routing
-    /// `salt` added to the chunk-index spread (see
-    /// [`ShardedStore::fetch_header_pinned_salted`]).
-    pub fn fetch_chunk_pinned_salted(
-        &self,
-        doc_id: &str,
-        index: u32,
-        revision: u64,
+        pinned: Option<u64>,
         salt: u64,
     ) -> Result<(Arc<[u8]>, MerkleProof), CoreError> {
         self.serve(
             doc_id,
             salt.wrapping_add(u64::from(index) + 1),
-            |record, stats| serve_chunk(record, stats, index, Some(revision)),
+            |record, obs| serve_chunk(record, obs, index, pinned),
         )
     }
 
-    /// Fetches the protected rule blob of `subject` for `doc_id`.
-    pub fn fetch_rules(&self, doc_id: &str, subject: &str) -> Result<Arc<[u8]>, CoreError> {
-        self.serve(doc_id, fnv1a(subject.as_bytes()), |record, stats| {
-            serve_rules(record, stats, subject, None)
-        })
-    }
-
-    /// Like [`ShardedStore::fetch_rules`], but fails with
-    /// [`CoreError::StaleRevision`] unless the serving record still has the
-    /// session's pinned `revision`.
-    pub fn fetch_rules_pinned(
+    /// Fetches the protected rule blob of `subject` for `doc_id`, failing
+    /// with [`CoreError::StaleRevision`] when `pinned` is set and the serving
+    /// record no longer has that revision. Replicated documents route by
+    /// `salt` plus the subject hash.
+    pub fn fetch_rules(
         &self,
         doc_id: &str,
         subject: &str,
-        revision: u64,
-    ) -> Result<Arc<[u8]>, CoreError> {
-        self.fetch_rules_pinned_salted(doc_id, subject, revision, 0)
-    }
-
-    /// Like [`ShardedStore::fetch_rules_pinned`], with a per-session routing
-    /// `salt` added to the subject-hash spread (see
-    /// [`ShardedStore::fetch_header_pinned_salted`]).
-    pub fn fetch_rules_pinned_salted(
-        &self,
-        doc_id: &str,
-        subject: &str,
-        revision: u64,
+        pinned: Option<u64>,
         salt: u64,
     ) -> Result<Arc<[u8]>, CoreError> {
         self.serve(
             doc_id,
             salt.wrapping_add(fnv1a(subject.as_bytes())),
-            |record, stats| serve_rules(record, stats, subject, Some(revision)),
+            |record, obs| serve_rules(record, obs, subject, pinned),
         )
     }
 
-    /// Merged statistics of every shard.
+    /// Merged statistics of every shard: the per-shard counters summed.
     pub fn stats(&self) -> ServerStats {
-        let mut merged = ServerStats::default();
-        for shard in &self.shards {
-            merged.merge(&shard.read_np().stats.snapshot());
-        }
-        merged
+        self.shard_snapshots()
+            .fold(ServerStats::default(), |total, shard| ServerStats {
+                requests: total.requests + shard.requests,
+                bytes_served: total.bytes_served + shard.bytes_served,
+                chunks_served: total.chunks_served + shard.chunks_served,
+                rule_blobs_served: total.rule_blobs_served + shard.rule_blobs_served,
+                rule_bytes_served: total.rule_bytes_served + shard.rule_bytes_served,
+            })
     }
 
     /// Per-shard statistics, indexed by shard (the capacity model reads the
     /// busiest shard off this).
     pub fn shard_stats(&self) -> Vec<ServerStats> {
-        self.shards
-            .iter()
-            .map(|s| s.read_np().stats.snapshot())
-            .collect()
+        self.shard_snapshots().collect()
     }
 
-    /// Resets the statistics of every shard.
+    /// Each shard's serving counters, read under the shard's read lock.
+    fn shard_snapshots(&self) -> impl Iterator<Item = ServerStats> + '_ {
+        self.shards.iter().enumerate().map(|(index, shard)| {
+            let _shard = shard.read_np();
+            self.obs.shard(index).stats()
+        })
+    }
+
+    /// Resets the statistics of every shard, each under its shard's write
+    /// lock so no in-flight serve is torn across the reset.
     pub fn reset_stats(&self) {
-        for shard in &self.shards {
-            shard.write_np().stats.reset();
+        for (index, shard) in self.shards.iter().enumerate() {
+            let _shard = shard.write_np();
+            self.obs.shard(index).reset_stats();
         }
     }
 
@@ -765,11 +717,11 @@ mod tests {
             .collect();
         assert!(occupied.iter().any(|&s| s != occupied[0]));
 
-        let header = store.fetch_header("doc-3").unwrap();
-        let (chunk, proof) = store.fetch_chunk("doc-3", 0).unwrap();
+        let (header, _) = store.fetch_header("doc-3", None, 0).unwrap();
+        let (chunk, proof) = store.fetch_chunk("doc-3", 0, None, 0).unwrap();
         proof.verify(&chunk, &header.merkle_root).unwrap();
-        assert!(store.fetch_header("doc-99").is_err());
-        assert!(store.fetch_chunk("doc-3", 9999).is_err());
+        assert!(store.fetch_header("doc-99", None, 0).is_err());
+        assert!(store.fetch_chunk("doc-3", 9999, None, 0).is_err());
     }
 
     #[test]
@@ -777,11 +729,11 @@ mod tests {
         let store = ShardedStore::new(2);
         store.put_document(document("here"));
         assert!(matches!(
-            store.fetch_header("gone"),
+            store.fetch_header("gone", None, 0),
             Err(CoreError::NotFound { doc_id }) if doc_id == "gone"
         ));
         assert!(matches!(
-            store.fetch_rules("here", "stranger"),
+            store.fetch_rules("here", "stranger", None, 0),
             Err(CoreError::NoRulesForSubject { doc_id, subject })
                 if doc_id == "here" && subject == "stranger"
         ));
@@ -791,14 +743,14 @@ mod tests {
     fn pinned_fetches_reject_a_republished_revision() {
         let store = ShardedStore::new(2);
         store.put_document(document("doc"));
-        let (header, revision) = store.fetch_header_pinned("doc").unwrap();
+        let (header, revision) = store.fetch_header("doc", None, 0).unwrap();
         assert_eq!(revision, 0);
-        let (chunk, proof) = store.fetch_chunk_pinned("doc", 0, revision).unwrap();
+        let (chunk, proof) = store.fetch_chunk("doc", 0, Some(revision), 0).unwrap();
         proof.verify(&chunk, &header.merkle_root).unwrap();
 
         store.put_document(document("doc"));
         assert!(matches!(
-            store.fetch_chunk_pinned("doc", 0, revision),
+            store.fetch_chunk("doc", 0, Some(revision), 0),
             Err(CoreError::StaleRevision {
                 pinned: 0,
                 current: 1,
@@ -806,9 +758,9 @@ mod tests {
             })
         ));
         // A fresh pin serves the new revision.
-        let (_, revision) = store.fetch_header_pinned("doc").unwrap();
+        let (_, revision) = store.fetch_header("doc", None, 0).unwrap();
         assert_eq!(revision, 1);
-        assert!(store.fetch_chunk_pinned("doc", 0, revision).is_ok());
+        assert!(store.fetch_chunk("doc", 0, Some(revision), 0).is_ok());
     }
 
     #[test]
@@ -822,10 +774,10 @@ mod tests {
             .unwrap();
 
         for i in 0..8 {
-            store.fetch_header(&format!("doc-{i}")).unwrap();
-            store.fetch_chunk(&format!("doc-{i}"), 0).unwrap();
+            store.fetch_header(&format!("doc-{i}"), None, 0).unwrap();
+            store.fetch_chunk(&format!("doc-{i}"), 0, None, 0).unwrap();
         }
-        let blob = store.fetch_rules("doc-0", "doctor").unwrap();
+        let blob = store.fetch_rules("doc-0", "doctor", None, 0).unwrap();
 
         let merged = store.stats();
         assert_eq!(merged.requests, 17);
@@ -854,7 +806,7 @@ mod tests {
         assert_eq!(store.shard_count(), 1);
         store.put_document(document("only"));
         assert_eq!(store.shard_of("only"), 0);
-        assert!(store.fetch_header("only").is_ok());
+        assert!(store.fetch_header("only", None, 0).is_ok());
     }
 
     #[test]
@@ -867,9 +819,9 @@ mod tests {
         assert_eq!(serving.len(), 4);
         assert_eq!(serving[0], store.shard_of("hot"));
 
-        let header = store.fetch_header("hot").unwrap();
+        let (header, _) = store.fetch_header("hot", None, 0).unwrap();
         for index in 0..header.chunk_count {
-            let (chunk, proof) = store.fetch_chunk("hot", index).unwrap();
+            let (chunk, proof) = store.fetch_chunk("hot", index, None, 0).unwrap();
             proof.verify(&chunk, &header.merkle_root).unwrap();
         }
         // More than one shard accounted traffic for the single document.
@@ -882,9 +834,9 @@ mod tests {
         // The spread is deterministic: chunk index picks the copy.
         let first_round = store.shard_stats();
         store.reset_stats();
-        store.fetch_header("hot").unwrap();
+        store.fetch_header("hot", None, 0).unwrap();
         for index in 0..header.chunk_count {
-            store.fetch_chunk("hot", index).unwrap();
+            store.fetch_chunk("hot", index, None, 0).unwrap();
         }
         assert_eq!(store.shard_stats(), first_round);
 
@@ -908,7 +860,7 @@ mod tests {
 
         // Unsalted: every identical header fetch queues on the same copy.
         for _ in 0..16 {
-            store.fetch_header_pinned("hot").unwrap();
+            store.fetch_header("hot", None, 0).unwrap();
         }
         let unsalted = store
             .shard_stats()
@@ -920,7 +872,7 @@ mod tests {
         // Salted per session: the same request spreads over every copy.
         store.reset_stats();
         for salt in 0..16u64 {
-            store.fetch_header_pinned_salted("hot", salt).unwrap();
+            store.fetch_header("hot", None, salt).unwrap();
         }
         let stats = store.shard_stats();
         let active: Vec<usize> = serving.iter().map(|&shard| stats[shard].requests).collect();
@@ -945,12 +897,12 @@ mod tests {
         // ...and every copy serves it: a pinned fetch at the new revision
         // succeeds whichever copy the route picks.
         for index in 0..4 {
-            assert!(store.fetch_chunk_pinned("hot", index, 1).is_ok());
+            assert!(store.fetch_chunk("hot", index, Some(1), 0).is_ok());
         }
         // The old pin is stale on every copy.
         for index in 0..4 {
             assert!(matches!(
-                store.fetch_chunk_pinned("hot", index, 0),
+                store.fetch_chunk("hot", index, Some(0), 0),
                 Err(CoreError::StaleRevision { .. })
             ));
         }
@@ -971,7 +923,7 @@ mod tests {
         }
         for subject in &subjects {
             assert_eq!(
-                store.fetch_rules("hot", subject).unwrap()[..],
+                store.fetch_rules("hot", subject, None, 0).unwrap()[..],
                 sealed.encode()[..],
                 "routed rule fetch for `{subject}` must see the synced blob"
             );
@@ -1000,10 +952,10 @@ mod tests {
         );
         store.put_document(document("warm"));
         for _ in 0..4 {
-            store.fetch_header("warm").unwrap();
+            store.fetch_header("warm", None, 0).unwrap();
         }
         assert_eq!(store.replica_shards("warm").len(), 1, "below threshold");
-        store.fetch_header("warm").unwrap();
+        store.fetch_header("warm", None, 0).unwrap();
         assert_eq!(
             store.replica_shards("warm").len(),
             3,
@@ -1021,7 +973,7 @@ mod tests {
             replicas: 2,
         });
         store.put_document(document("eager"));
-        store.fetch_header("eager").unwrap();
+        store.fetch_header("eager", None, 0).unwrap();
         assert_eq!(store.replica_shards("eager").len(), 2);
     }
 
@@ -1035,7 +987,7 @@ mod tests {
         store.pin_replicas("pinned", 6).unwrap();
         // Serving far past the threshold must leave the wider pin in place.
         for _ in 0..10 {
-            store.fetch_header("pinned").unwrap();
+            store.fetch_header("pinned", None, 0).unwrap();
         }
         assert_eq!(store.replica_shards("pinned").len(), 6);
     }

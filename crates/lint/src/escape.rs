@@ -34,7 +34,7 @@ use std::path::Path;
 
 use crate::calls::{CallGraph, CallKind, FnNode};
 use crate::taint::SourceFile;
-use crate::{blank_noncode_keep_markers, Rule, Violation};
+use crate::{blank_noncode_keep_markers, missing_from_book, Rule, Violation};
 
 /// Where the hot-path configuration lives, as reported in violations about
 /// the configuration itself (unmatched root patterns).
@@ -413,20 +413,13 @@ pub fn analyze(config: &HotConfig, files: &[SourceFile]) -> Vec<Violation> {
 /// `hotpath.toml` must appear verbatim in the architecture book's hot-root
 /// table, so the book's hot-path chapter cannot fall behind the config.
 pub fn check_hotpath_sync(book_path: &Path, book: &str, config: &HotConfig) -> Vec<Violation> {
-    config
-        .roots
-        .iter()
-        .filter(|pattern| !book.contains(pattern.as_str()))
-        .map(|pattern| Violation {
-            file: book_path.to_path_buf(),
-            line: 1,
-            rule: Rule::DocSync,
-            message: format!(
-                "hotpath.toml names hot root `{pattern}` but ARCHITECTURE.md's \
-                 hot-root table does not mention it; add a row"
-            ),
-        })
-        .collect()
+    let names = config.roots.iter().map(String::as_str);
+    missing_from_book(book_path, book, names, |pattern| {
+        format!(
+            "hotpath.toml names hot root `{pattern}` but ARCHITECTURE.md's \
+             hot-root table does not mention it; add a row"
+        )
+    })
 }
 
 #[cfg(test)]

@@ -24,7 +24,8 @@
 //!   outside `sdds-obs`: register a `Counter`/`Gauge`/`Histogram` so the
 //!   metric shows up in `ObsSnapshot`; `// lint: atomic` (with a reason) is
 //!   the escape hatch for atomics that are not metrics.
-//! - **doc-sync** — every experiment bench (`crates/bench/benches/e*.rs`)
+//! - **doc-sync** — every experiment section of the bench harness
+//!   (`fn eN_*(report: &mut Report)` in `crates/bench/src/bin/harness.rs`)
 //!   must be named in the ARCHITECTURE.md experiment table, and every metric
 //!   family declared in `crates/obs/src/families.rs` must appear in the
 //!   book's metric table, so the book cannot silently fall behind the code.
@@ -167,7 +168,8 @@ impl Rule {
             }
             Rule::DocSync => {
                 "ARCHITECTURE.md must stay in sync with the code: every experiment \
-                 bench (crates/bench/benches/e*.rs), every metric family declared in \
+                 section of the bench harness (`fn eN_*(report: &mut Report)` in \
+                 crates/bench/src/bin/harness.rs), every metric family declared in \
                  crates/obs/src/families.rs, and every type named in lint/trust.toml's \
                  sensitivity tiers must appear in the book's tables."
             }
@@ -765,26 +767,56 @@ pub fn scan_file(path: &Path, contents: &str, rules: FileRules) -> Vec<Violation
     out
 }
 
-/// Checks the doc-sync contract: every experiment bench file name in
-/// `bench_files` (e.g. `e10_multi_client.rs`) must appear — stem or full file
-/// name — in the text of the architecture book, whose experiment table is
-/// the map from paper experiments to benches and gated baseline keys.
-/// `book_path` is the path reported in violations (ARCHITECTURE.md).
-pub fn check_doc_sync(book_path: &Path, book: &str, bench_files: &[String]) -> Vec<Violation> {
-    bench_files
-        .iter()
-        .filter(|file| {
-            let stem = file.strip_suffix(".rs").unwrap_or(file);
-            !book.contains(stem)
-        })
-        .map(|file| Violation {
+/// The check every doc-sync arm shares: each of `names` that the text of
+/// `book` does not contain becomes one [`Rule::DocSync`] violation, reported
+/// on line 1 of `book_path` (ARCHITECTURE.md) with `describe(name)` as its
+/// message.
+pub fn missing_from_book<'a>(
+    book_path: &Path,
+    book: &str,
+    names: impl IntoIterator<Item = &'a str>,
+    describe: impl Fn(&str) -> String,
+) -> Vec<Violation> {
+    names
+        .into_iter()
+        .filter(|name| !book.contains(name))
+        .map(|name| Violation {
             file: book_path.to_path_buf(),
             line: 1,
             rule: Rule::DocSync,
-            message: format!(
-                "experiment bench `{file}` is not mentioned in the architecture \
-                 book's experiment table; add a row for it"
-            ),
+            message: describe(name),
+        })
+        .collect()
+}
+
+/// Checks the doc-sync contract: every experiment section in `benches`
+/// (e.g. `e10_multi_client`, see [`harness_sections`]) must appear in the
+/// text of the architecture book, whose experiment table is the map from
+/// paper experiments to harness sections and gated baseline keys.
+pub fn check_doc_sync(book_path: &Path, book: &str, benches: &[String]) -> Vec<Violation> {
+    let names = benches.iter().map(String::as_str);
+    missing_from_book(book_path, book, names, |bench| {
+        format!(
+            "experiment bench `{bench}` is not mentioned in the architecture \
+             book's experiment table; add a row for it"
+        )
+    })
+}
+
+/// Extracts the experiment section names from the raw text of the bench
+/// harness (`crates/bench/src/bin/harness.rs`): every
+/// `fn eN_<name>(report: &mut Report)` definition contributes `eN_<name>`.
+pub fn harness_sections(harness_src: &str) -> Vec<String> {
+    harness_src
+        .lines()
+        .filter_map(|line| {
+            let name = line
+                .trim_start()
+                .strip_prefix("fn ")?
+                .strip_suffix("(report: &mut Report) {")?;
+            name.strip_prefix('e')?
+                .starts_with(|c: char| c.is_ascii_digit())
+                .then(|| name.to_owned())
         })
         .collect()
 }
@@ -814,19 +846,13 @@ pub fn metric_families(families_src: &str) -> Vec<String> {
 /// the architecture book's metric table. `book_path` is the path reported in
 /// violations (ARCHITECTURE.md).
 pub fn check_metric_sync(book_path: &Path, book: &str, families: &[String]) -> Vec<Violation> {
-    families
-        .iter()
-        .filter(|family| !book.contains(family.as_str()))
-        .map(|family| Violation {
-            file: book_path.to_path_buf(),
-            line: 1,
-            rule: Rule::DocSync,
-            message: format!(
-                "metric family `{family}` is registered in sdds-obs but missing \
-                 from the architecture book's metric table; add a row for it"
-            ),
-        })
-        .collect()
+    let names = families.iter().map(String::as_str);
+    missing_from_book(book_path, book, names, |family| {
+        format!(
+            "metric family `{family}` is registered in sdds-obs but missing \
+             from the architecture book's metric table; add a row for it"
+        )
+    })
 }
 
 #[cfg(test)]
@@ -1092,6 +1118,19 @@ mod tests {
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, Rule::DocSync);
         assert!(v[0].message.contains("e12_future_work.rs"));
+    }
+
+    #[test]
+    fn harness_sections_are_the_experiment_fns() {
+        let src = "fn banner(id: &str, title: &str) {\n\
+                   fn e1_rules_scaling(report: &mut Report) {\n\
+                   fn e9_zero_copy_serve(report: &mut Report) {\n\
+                   fn obs_report() -> String {\n\
+                   fn eval_helper(report: &mut Report) {\n";
+        assert_eq!(
+            harness_sections(src),
+            vec!["e1_rules_scaling", "e9_zero_copy_serve"]
+        );
     }
 
     #[test]

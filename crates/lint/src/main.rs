@@ -18,8 +18,8 @@ use std::process::ExitCode;
 use sdds_lint::escape::{self, check_hotpath_sync, HotConfig};
 use sdds_lint::taint::{analyze, check_trust_sync, SourceFile, TrustConfig};
 use sdds_lint::{
-    check_doc_sync, check_metric_sync, metric_families, scan_file, violations_to_json, FileRules,
-    Rule, Violation,
+    check_doc_sync, check_metric_sync, harness_sections, metric_families, scan_file,
+    violations_to_json, FileRules, Rule, Violation,
 };
 
 /// First-party crate directories, relative to the workspace root. Vendored
@@ -138,8 +138,9 @@ fn run() -> Result<Vec<Violation>, String> {
     Ok(violations)
 }
 
-/// The doc-sync rule: every `crates/bench/benches/e*.rs` experiment bench
-/// must be named in ARCHITECTURE.md's experiment table, every metric family
+/// The doc-sync rule: every experiment section of the bench harness
+/// (`fn eN_*(report: &mut Report)`) must be named in ARCHITECTURE.md's
+/// experiment table, every metric family
 /// declared in `crates/obs/src/families.rs` must appear in the book's metric
 /// table, every type tiered in `trust.toml` must appear in the book's
 /// trust-boundary table, and every hot root in `hotpath.toml` must appear in
@@ -149,20 +150,13 @@ fn doc_sync(
     config: &TrustConfig,
     hot_config: &HotConfig,
 ) -> Result<Vec<Violation>, String> {
-    let benches_dir = root.join("crates/bench/benches");
-    let mut files = Vec::new();
-    rust_sources(&benches_dir, &mut files)
-        .map_err(|e| format!("walking {}: {e}", benches_dir.display()))?;
-    let bench_files: Vec<String> = files
-        .iter()
-        .filter_map(|p| p.file_name().and_then(|n| n.to_str()))
-        .filter(|n| n.starts_with('e') && n[1..].starts_with(|c: char| c.is_ascii_digit()))
-        .map(str::to_owned)
-        .collect();
+    let harness_path = root.join("crates/bench/src/bin/harness.rs");
+    let harness_src = std::fs::read_to_string(&harness_path)
+        .map_err(|e| format!("reading {}: {e}", harness_path.display()))?;
     let book_path = Path::new("ARCHITECTURE.md");
     let book = std::fs::read_to_string(root.join(book_path))
         .map_err(|e| format!("reading {}: {e}", book_path.display()))?;
-    let mut violations = check_doc_sync(book_path, &book, &bench_files);
+    let mut violations = check_doc_sync(book_path, &book, &harness_sections(&harness_src));
 
     let families_path = root.join("crates/obs/src/families.rs");
     let families_src = std::fs::read_to_string(&families_path)

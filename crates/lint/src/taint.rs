@@ -31,7 +31,7 @@ use std::path::Path;
 
 use crate::graph::{type_idents, Provenance, Tier, TierInfo, TypeGraph};
 use crate::items::{parse_items, Item, ItemKind};
-use crate::{Rule, Violation};
+use crate::{missing_from_book, Rule, Violation};
 
 /// The declarative half of the analyzer: tier assignments, scope prefixes,
 /// and annotation vocabulary, loaded from `crates/lint/trust.toml`.
@@ -673,21 +673,14 @@ pub fn analyze(config: &TrustConfig, files: &[SourceFile]) -> Vec<Violation> {
 /// `trust.toml` tier must appear in the architecture book's trust-boundary
 /// table, so the book's tier→type table cannot fall behind the config.
 pub fn check_trust_sync(book_path: &Path, book: &str, config: &TrustConfig) -> Vec<Violation> {
-    config
-        .tiers
-        .iter()
-        .filter(|(name, _)| !book.contains(name.as_str()))
-        .map(|(name, tier)| Violation {
-            file: book_path.to_path_buf(),
-            line: 1,
-            rule: Rule::DocSync,
-            message: format!(
-                "trust.toml assigns `{name}` to the {} tier but ARCHITECTURE.md's \
-                 trust-boundary table does not mention it; add a row",
-                tier.name()
-            ),
-        })
-        .collect()
+    let names = config.tiers.keys().map(String::as_str);
+    missing_from_book(book_path, book, names, |name| {
+        format!(
+            "trust.toml assigns `{name}` to the {} tier but ARCHITECTURE.md's \
+             trust-boundary table does not mention it; add a row",
+            config.tiers.get(name).map_or("", |tier| tier.name())
+        )
+    })
 }
 
 #[cfg(test)]

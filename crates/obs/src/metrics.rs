@@ -188,7 +188,6 @@ impl Histogram {
                 .buckets
                 .iter()
                 .map(|b| b.load(Ordering::Relaxed))
-                // alloc: cold — snapshots run on a stats scrape, not per served event.
                 .collect(),
             count: self.cells.count.load(Ordering::Relaxed),
             sum: self.cells.sum.load(Ordering::Relaxed),
@@ -373,9 +372,7 @@ impl Registry {
         let mut snap = ObsSnapshot::default();
         for entry in entries.iter() {
             let key = MetricKey {
-                // alloc: cold — snapshots run on a stats scrape, not per served event.
                 family: entry.family.to_owned(),
-                // alloc: cold — snapshots run on a stats scrape, not per served event.
                 label: entry.label.clone(),
             };
             match &entry.metric {

@@ -135,7 +135,7 @@ impl DisseminationApp {
         Ok(report)
     }
 
-    /// Lighter-weight variant used by the benches: evaluates the stream with
+    /// Lighter-weight variant used by the bench harness: evaluates the stream with
     /// the in-process engine (no APDU framing).
     pub fn consume_in_process(
         &self,

@@ -8,8 +8,9 @@
 //! `dsp.errors{error=stale_revision}` counter and in the per-shard
 //! `dsp.serve.stale_revisions` family.
 
+use sdds::dsp::ServerStats;
 use sdds::obs::families;
-use sdds::{Client, Publisher, RuleSet, SddsError};
+use sdds::{Client, ObsSnapshot, Publisher, RuleSet, SddsError};
 use sdds_xml::generator::{self, GeneratorConfig, HospitalProfile};
 
 fn publisher() -> Publisher {
@@ -111,5 +112,82 @@ fn missing_document_counts_not_found() {
     assert!(
         snapshot.counter_with(families::ERRORS, families::ERROR_NOT_FOUND) > 0,
         "NotFound must increment the labelled error counter: {snapshot:?}"
+    );
+}
+
+/// The `dsp.serve.*` byte-accounting counters of `snapshot`, each summed
+/// over its `shard=` labels, as a [`ServerStats`].
+fn serve_counters(snapshot: &ObsSnapshot) -> ServerStats {
+    let sum = |family: &str| {
+        snapshot
+            .counters
+            .iter()
+            .filter(|(key, _)| {
+                key.family == family
+                    && key
+                        .label
+                        .as_deref()
+                        .is_some_and(|label| label.starts_with("shard="))
+            })
+            .map(|(_, value)| *value as usize)
+            .sum()
+    };
+    ServerStats {
+        requests: sum(families::SERVE_REQUESTS),
+        bytes_served: sum(families::SERVE_BYTES),
+        chunks_served: sum(families::SERVE_CHUNKS),
+        rule_blobs_served: sum(families::SERVE_RULE_BLOBS),
+        rule_bytes_served: sum(families::SERVE_RULE_BYTES),
+    }
+}
+
+/// `DspService::stats()` and the registry snapshot read the same cells, so
+/// after any mix of traffic — pinned and salted fetches, replica routes, a
+/// stale-revision rejection — and after a reset, they agree exactly.
+#[test]
+fn service_stats_equal_the_serve_counters_in_the_snapshot() {
+    let publisher = Publisher::builder(b"hospital-2005")
+        .rules(RuleSet::parse("+, doctor, //patient\n-, doctor, //patient/ssn").unwrap())
+        .chunk_size(128)
+        .shards(4)
+        .replicate(4)
+        .build()
+        .unwrap();
+    publisher.publish("folders", &hospital(4)).unwrap();
+    let client = Client::builder("doctor").provision(&publisher).unwrap();
+    let service = client.service();
+
+    // Header, rules and chunk fetches: a pinned in-process view, a salted
+    // card session, and one direct rule fetch.
+    client.authorized_view("folders").unwrap();
+    client.connect("folders").unwrap().run().unwrap();
+    service.fetch_rules("folders", "doctor").unwrap();
+    // A mid-stream republish: one StaleRevision rejection.
+    let mut stream = client.open_stream("folders").unwrap();
+    stream.next().expect("document is non-empty").unwrap();
+    publisher.publish("folders", &hospital(5)).unwrap();
+    assert!(matches!(
+        stream.collect_view(),
+        Err(SddsError::StaleRevision { .. })
+    ));
+
+    let snapshot = service.obs_snapshot();
+    assert!(
+        snapshot.counter(families::SERVE_REPLICA_ROUTES) > 0,
+        "the pinned replicas must have served: {snapshot:?}"
+    );
+    assert_eq!(
+        snapshot.counter_with(families::ERRORS, families::ERROR_STALE_REVISION),
+        1
+    );
+    let stats = service.stats();
+    assert!(stats.chunks_served > 0 && stats.rule_blobs_served > 0);
+    assert_eq!(stats, serve_counters(&snapshot));
+
+    service.reset_stats();
+    assert_eq!(service.stats(), ServerStats::default());
+    assert_eq!(
+        serve_counters(&service.obs_snapshot()),
+        ServerStats::default()
     );
 }
