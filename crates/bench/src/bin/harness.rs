@@ -366,8 +366,9 @@ fn e7_dynamic_rules(report: &mut Report) {
     let events = doc.to_events();
     let config = EvaluatorConfig::new(workloads::medical_rules(), "doctor");
     let mut evaluator = StreamingEvaluator::new(&config).unwrap();
+    let mut view = Vec::new();
     for ev in &events[..events.len() / 2] {
-        evaluator.push(ev);
+        evaluator.push(ev.clone(), &mut view);
     }
     let grant = sdds_core::rule::AccessRule::permit(999, "doctor", "//patient/weight")
         .expect("static rule parses");

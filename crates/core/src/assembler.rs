@@ -152,7 +152,7 @@ impl ViewAssembler {
     }
 
     /// Feeds one engine output; any newly renderable events become available
-    /// through [`ViewAssembler::take_ready`].
+    /// through [`ViewAssembler::append_ready`].
     pub fn push(&mut self, output: EngineOutput) {
         match output {
             EngineOutput::Resolved {
@@ -177,9 +177,10 @@ impl ViewAssembler {
         self.stats.peak_ram_bytes = self.stats.peak_ram_bytes.max(self.ram_bytes());
     }
 
-    /// Takes the events rendered so far.
-    pub fn take_ready(&mut self) -> Vec<Event> {
-        std::mem::take(&mut self.ready)
+    /// Moves the events rendered so far onto the end of `out`; the internal
+    /// buffer keeps its capacity for the next event.
+    pub fn append_ready(&mut self, out: &mut Vec<Event>) {
+        out.append(&mut self.ready);
     }
 
     /// Finishes the stream; fails if a decision is still blocked (which means
@@ -392,7 +393,9 @@ mod tests {
         let mut assembler =
             ViewAssembler::new(policy, query.is_some()).with_pending_high_water(pending_high_water);
         for event in Parser::parse_all(doc).unwrap() {
-            for out in engine.process(&event) {
+            let mut outputs = Vec::new();
+            engine.process(event, &mut outputs);
+            for out in outputs {
                 assembler.push(out);
             }
         }
@@ -622,7 +625,9 @@ mod tests {
         let mut assembler = ViewAssembler::new(AccessPolicy::paper(), false);
         // Open <r><b><d> but never close: the d decision stays pending.
         for event in [Event::open("r"), Event::open("b"), Event::open("d")] {
-            for out in engine.process(&event) {
+            let mut outputs = Vec::new();
+            engine.process(event, &mut outputs);
+            for out in outputs {
                 assembler.push(out);
             }
         }
@@ -641,7 +646,9 @@ mod tests {
         let mut engine = RuleEngine::new(compiled, None);
         let mut assembler = ViewAssembler::new(AccessPolicy::paper(), false);
         for event in [Event::open("a"), Event::open("b")] {
-            for out in engine.process(&event) {
+            let mut outputs = Vec::new();
+            engine.process(event, &mut outputs);
+            for out in outputs {
                 assembler.push(out);
             }
         }
@@ -649,6 +656,9 @@ mod tests {
         assert_eq!(decision, Decision::Permit);
         assert!(in_scope);
         assert!(assembler.ram_bytes() > 0);
-        let _ = assembler.take_ready();
+        // The permitted `b` brings its denied parent along as scaffolding.
+        let mut ready = Vec::new();
+        assembler.append_ready(&mut ready);
+        assert_eq!(ready, vec![Event::open("a"), Event::open("b")]);
     }
 }

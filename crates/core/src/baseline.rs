@@ -27,7 +27,7 @@ use crate::conflict::{resolve, AccessPolicy, Decision, DirectRule};
 use crate::error::CoreError;
 use crate::query::Query;
 use crate::rule::{RuleSet, Subject};
-use crate::secdoc::{decrypt_chunk, SecureDocument};
+use crate::secdoc::{decrypt_chunk, document_cipher, SecureDocument};
 use crate::skipindex::decode::decode_all;
 use sdds_card::CostLedger;
 
@@ -207,6 +207,7 @@ impl DomBaseline {
     ) -> Result<DomBaselineReport, CoreError> {
         document.header.verify(key)?;
         let mut ledger = CostLedger::new();
+        let cipher = document_cipher(key);
         let mut plaintext = Vec::with_capacity(document.header.plaintext_len as usize);
         for index in 0..document.chunk_count() {
             // lint: infallible — `index` ranges over `chunk_count()`.
@@ -217,7 +218,7 @@ impl DomBaseline {
                 .channel
                 .record_exchange(chunk.len() + proof.encode().len(), 0);
             ledger.record_hash(chunk.len());
-            let clear = decrypt_chunk(key, &document.header, index as u32, chunk);
+            let clear = decrypt_chunk(&cipher, &document.header, index as u32, chunk);
             ledger.record_decrypt(clear.len());
             plaintext.extend(clear);
         }

@@ -18,7 +18,7 @@
 use sdds_card::apdu::{ins, Apdu, ApduResponse, StatusWord};
 use sdds_card::{Applet, CardError, CostLedger, SmartCard};
 use sdds_crypto::merkle::MerkleProof;
-use sdds_crypto::{KeyId, SecretKey};
+use sdds_crypto::{Aes128, KeyId, SecretKey};
 use sdds_xml::{writer, Event, TagDict};
 use sdds_xpath::tagset::PathSignature;
 
@@ -27,7 +27,7 @@ use crate::error::CoreError;
 use crate::evaluator::{EvaluatorConfig, EvaluatorStats, StreamingEvaluator};
 use crate::query::Query;
 use crate::rule::{RuleSet, Sign, Subject};
-use crate::secdoc::{decrypt_chunk, DocumentHeader, SecureDocument};
+use crate::secdoc::{decrypt_chunk, document_cipher, DocumentHeader, SecureDocument};
 use crate::session::{KeyProvisioning, ProtectedRules};
 use crate::skipindex::decode::{ReadResult, TokenEvent, TokenReader};
 use crate::skipindex::encode::SubtreeSummary;
@@ -97,7 +97,9 @@ pub struct SessionStats {
 /// The incremental SOE session.
 pub struct SecureEvaluationSession {
     header: DocumentHeader,
-    key: SecretKey,
+    /// The document's chunk cipher, scheduled once at open; the raw key is
+    /// not kept past the header check.
+    cipher: Aes128,
     config: EngineConfig,
     evaluator: Option<StreamingEvaluator>,
     reader: Option<TokenReader>,
@@ -107,6 +109,8 @@ pub struct SecureEvaluationSession {
     /// dictionary becomes available.
     rule_signatures: Vec<(Sign, PathSignature)>,
     query_signature: Option<PathSignature>,
+    /// Authorized events not yet taken by the driver — the session's one
+    /// output channel.
     output: Vec<Event>,
     stats: SessionStats,
     next_chunk: u32,
@@ -125,8 +129,8 @@ impl std::fmt::Debug for SecureEvaluationSession {
 }
 
 impl SecureEvaluationSession {
-    /// Opens a session: verifies the document header under `key` and prepares
-    /// the evaluator.
+    /// Opens a session: verifies the document header under `key`, expands
+    /// the chunk cipher and prepares the evaluator.
     pub fn open(
         header: DocumentHeader,
         key: SecretKey,
@@ -136,7 +140,7 @@ impl SecureEvaluationSession {
         let evaluator = StreamingEvaluator::new(&config.evaluator)?;
         Ok(SecureEvaluationSession {
             header,
-            key,
+            cipher: document_cipher(&key),
             config,
             evaluator: Some(evaluator),
             reader: None,
@@ -175,7 +179,8 @@ impl SecureEvaluationSession {
         self.done
     }
 
-    /// Takes the authorized events produced so far.
+    /// Takes the authorized events produced so far (every driver drains the
+    /// session through this after each [`SecureEvaluationSession::supply_chunk`]).
     pub fn take_output(&mut self) -> Vec<Event> {
         std::mem::take(&mut self.output)
     }
@@ -234,13 +239,14 @@ impl SecureEvaluationSession {
     }
 
     /// Supplies one encrypted chunk (with its Merkle proof). Returns the
-    /// authorized events that became available.
+    /// number of authorized events now waiting in
+    /// [`SecureEvaluationSession::take_output`].
     pub fn supply_chunk(
         &mut self,
         index: u32,
         ciphertext: &[u8],
         proof: &MerkleProof,
-    ) -> Result<Vec<Event>, CoreError> {
+    ) -> Result<usize, CoreError> {
         if self.done {
             return Err(CoreError::BadState {
                 message: "session already finished".into(),
@@ -263,13 +269,15 @@ impl SecureEvaluationSession {
         }
 
         // 1. Integrity: the proof must bind this ciphertext, at this position,
-        //    to the authenticated Merkle root.
-        if proof.leaf_index != index as usize {
+        //    to the authenticated Merkle root. The position must also lie
+        //    inside the authenticated chunk count (the tree promotes an odd
+        //    last node by hashing it with itself).
+        if proof.leaf_index != index as usize || index >= self.header.chunk_count {
             return Err(sdds_crypto::CryptoError::BadProof {
                 // alloc: cold — mismatched proof error path.
                 message: format!(
-                    "proof is for chunk {} but chunk {index} was supplied",
-                    proof.leaf_index
+                    "proof is for chunk {} but chunk {index} of {} was supplied",
+                    proof.leaf_index, self.header.chunk_count
                 ),
             }
             .into());
@@ -278,7 +286,7 @@ impl SecureEvaluationSession {
         self.stats.ledger.record_hash(ciphertext.len());
 
         // 2. Decrypt.
-        let plaintext = decrypt_chunk(&self.key, &self.header, index, ciphertext);
+        let plaintext = decrypt_chunk(&self.cipher, &self.header, index, ciphertext);
         self.stats.ledger.record_decrypt(plaintext.len());
         self.stats.chunks_fetched += 1;
         self.last_supplied_chunk = Some(index);
@@ -293,7 +301,7 @@ impl SecureEvaluationSession {
             if (self.dict_buf.len() as u64) < self.header.tokens_start {
                 self.next_chunk += 1;
                 self.check_ram()?;
-                return Ok(Vec::new());
+                return Ok(self.output.len());
             }
             let dict_bytes = &self.dict_buf[..self.header.tokens_start as usize];
             let (dict, _) = TagDict::decode(dict_bytes).ok_or_else(|| CoreError::BadDocument {
@@ -313,9 +321,9 @@ impl SecureEvaluationSession {
         }
 
         // 4. Pump the reader.
-        let produced = self.pump()?;
+        self.pump()?;
         self.check_ram()?;
-        Ok(produced)
+        Ok(self.output.len())
     }
 
     /// Builds, for every installed rule and for the query, the tag-set
@@ -334,8 +342,10 @@ impl SecureEvaluationSession {
             .map(|q| PathSignature::build(&q.path, dict));
     }
 
-    fn pump(&mut self) -> Result<Vec<Event>, CoreError> {
-        let mut produced = Vec::new();
+    /// Runs the reader until it needs the next chunk or the document ends,
+    /// moving every decoded event through the evaluator and appending the
+    /// authorized ones to `self.output`.
+    fn pump(&mut self) -> Result<(), CoreError> {
         loop {
             let result = self
                 .reader
@@ -350,7 +360,7 @@ impl SecureEvaluationSession {
                         message: "event received after the evaluator finished".into(),
                     })?;
                     self.stats.ledger.record_events(1);
-                    produced.extend(evaluator.push(&event));
+                    evaluator.push(event, &mut self.output);
                     self.stats.peak_ram_bytes = self.stats.peak_ram_bytes.max(self.current_ram());
                 }
                 ReadResult::Token(TokenEvent::Summary(summary)) => {
@@ -385,15 +395,14 @@ impl SecureEvaluationSession {
                     let evaluator = self.evaluator.take().ok_or_else(|| CoreError::BadState {
                         message: "evaluator already finished".into(),
                     })?;
-                    let (rest, stats) = evaluator.finish()?;
-                    produced.extend(rest);
+                    let (mut rest, stats) = evaluator.finish()?;
+                    self.output.append(&mut rest);
                     self.stats.evaluator = Some(stats);
                     break;
                 }
             }
         }
-        self.output.extend(produced.iter().cloned());
-        Ok(produced)
+        Ok(())
     }
 
     /// Skip decision for a summarised subtree (§2.3: "detect rules and queries
@@ -467,7 +476,8 @@ pub fn run_local(
                     .to_vec();
                 let proof = document.proof(index as usize)?;
                 let wire = chunk.len() + proof.encode().len();
-                let produced = session.supply_chunk(index, &chunk, &proof)?;
+                session.supply_chunk(index, &chunk, &proof)?;
+                let produced = session.take_output();
                 let produced_len: usize = produced.iter().map(Event::serialized_len).sum();
                 session
                     .stats
@@ -489,8 +499,10 @@ pub fn evaluate_secure_document(
     config: EngineConfig,
 ) -> Result<(Vec<Event>, SessionStats), CoreError> {
     let mut session = SecureEvaluationSession::open(document.header.clone(), key.clone(), config)?;
-    run_local(document, &mut session)?;
-    session.finish()
+    let mut events = run_local(document, &mut session)?;
+    let (mut rest, stats) = session.finish()?;
+    events.append(&mut rest);
+    Ok((events, stats))
 }
 
 // ---------------------------------------------------------------------------
@@ -731,7 +743,8 @@ impl AccessControlApplet {
         // earlier when no session is open.
         let session = self.session.as_mut().expect("session checked above");
         match session.supply_chunk(index, ciphertext, &proof) {
-            Ok(events) => {
+            Ok(_) => {
+                let events = session.take_output();
                 // Mirror the session ledger into the card ledger so that card
                 // level reports include on-card crypto work.
                 card.ledger().record_decrypt(ciphertext.len());
@@ -972,6 +985,53 @@ mod tests {
     }
 
     #[test]
+    fn relabelled_or_reordered_chunks_fail_integrity_not_decoding() {
+        // At every position the session asks for, serve the next chunk
+        // instead: with its own proof relabelled to the requested index (and
+        // with the side flags rewritten to match), or with the requested
+        // chunk's proof. Each must stop at the integrity step — never reach
+        // decryption and fail as `BadDocument`.
+        let doc = hospital_doc(6);
+        let secure = SecureDocumentBuilder::new("folder", key())
+            .chunk_size(128)
+            .build(&doc);
+        let mut session =
+            SecureEvaluationSession::open(secure.header.clone(), key(), config_for("doctor"))
+                .unwrap();
+        let mut probed = 0;
+        while let SessionRequest::NeedChunk(index) = session.next_request() {
+            let i = index as usize;
+            if i + 1 < secure.chunk_count() {
+                let next = secure.chunk(i + 1).unwrap();
+                let mut relabelled = secure.proof(i + 1).unwrap();
+                relabelled.leaf_index = i;
+                let mut reflagged = relabelled.clone();
+                for (level, (_, right)) in reflagged.siblings.iter_mut().enumerate() {
+                    *right = (i >> level) & 1 == 0;
+                }
+                for proof in [relabelled, reflagged, secure.proof(i).unwrap()] {
+                    let result = session.supply_chunk(index, next, &proof);
+                    assert!(
+                        matches!(result, Err(CoreError::Crypto(_))),
+                        "chunk {} served as {index}: {result:?}",
+                        i + 1
+                    );
+                }
+                probed += 1;
+            }
+            session
+                .supply_chunk(index, secure.chunk(i).unwrap(), &secure.proof(i).unwrap())
+                .unwrap();
+        }
+        assert!(probed > 10, "only {probed} positions probed");
+        // The rejected attempts left no trace: the view is the genuine one.
+        let (events, _) = session.finish().unwrap();
+        let (expected, _) =
+            evaluate_secure_document(&secure, &key(), config_for("doctor")).unwrap();
+        assert_eq!(writer::to_string(&events), writer::to_string(&expected));
+    }
+
+    #[test]
     fn out_of_order_chunks_are_rejected() {
         let doc = hospital_doc(3);
         let secure = SecureDocumentBuilder::new("folder", key()).build(&doc);
@@ -1092,6 +1152,13 @@ mod tests {
                         )
                         .unwrap();
                 }
+                // The applet serialised what the chunk released; the
+                // session keeps no second copy of it.
+                let session = runtime.applet().session.as_ref().unwrap();
+                assert!(
+                    session.output.is_empty(),
+                    "undelivered events after chunk {index}"
+                );
             }
             let mut text = Vec::new();
             loop {
@@ -1136,6 +1203,30 @@ mod tests {
             // Channel accounting happened at the APDU layer.
             assert!(runtime.card().ledger_ref().channel.apdu_exchanges > 10);
             assert!(runtime.card().ledger_ref().channel.bytes_to_card > 1000);
+        }
+
+        #[test]
+        fn applet_session_holds_no_delivered_events() {
+            // The doctor sees most of the folder, so nearly every PUSH_CHUNK
+            // releases events; `run_document` checks after each one that
+            // the session's output channel was drained into the APDU text.
+            let server = TrustedServer::new(b"community", medical_rules());
+            let subject = Subject::new("doctor");
+            let doc = hospital_doc(4);
+            let secure = SecureDocumentBuilder::new("folder", server.document_key()).build(&doc);
+            let applet = AccessControlApplet::new("doctor", server.transport_key_for(&subject));
+            let mut runtime = CardRuntime::new(CardProfile::unconstrained(), applet);
+            provision(&mut runtime, &server, &subject);
+            let view = run_document(&mut runtime, &secure);
+            let expected = authorized_view_oracle(
+                &doc,
+                &medical_rules(),
+                &subject,
+                None,
+                &AccessPolicy::paper(),
+            );
+            assert_eq!(view, writer::to_string(&expected));
+            assert!(secure.chunk_count() > 2);
         }
 
         #[test]

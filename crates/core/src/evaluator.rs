@@ -14,7 +14,7 @@ use crate::conflict::{AccessPolicy, Decision};
 use crate::error::CoreError;
 use crate::query::Query;
 use crate::rule::{RuleSet, Subject};
-use crate::runtime::{EngineRule, EngineStats, RuleEngine};
+use crate::runtime::{EngineOutput, EngineRule, EngineStats, RuleEngine};
 
 /// Configuration of a streaming evaluation session.
 #[derive(Debug, Clone)]
@@ -122,6 +122,9 @@ impl EvaluatorStats {
 pub struct StreamingEvaluator {
     engine: RuleEngine,
     assembler: ViewAssembler,
+    /// Engine outputs of the current event, handed to the assembler in
+    /// order; reused across events.
+    engine_out: Vec<EngineOutput>,
     subject: Subject,
     events_in: usize,
     events_out: usize,
@@ -143,6 +146,7 @@ impl StreamingEvaluator {
             engine: RuleEngine::new(compiled, query),
             assembler: ViewAssembler::new(config.policy, has_query)
                 .with_pending_high_water(config.pending_high_water),
+            engine_out: Vec::new(),
             // alloc: startup — evaluator construction at session open.
             subject: config.subject.clone(),
             events_in: 0,
@@ -178,15 +182,17 @@ impl StreamingEvaluator {
         self.engine.remove_rule(id)
     }
 
-    /// Feeds one event and returns the authorized events that became ready.
-    pub fn push(&mut self, event: &Event) -> Vec<Event> {
+    /// Feeds one event and moves the authorized events that became ready
+    /// onto the end of `out`.
+    pub fn push(&mut self, event: Event, out: &mut Vec<Event>) {
         self.events_in += 1;
-        for output in self.engine.process(event) {
+        self.engine.process(event, &mut self.engine_out);
+        for output in self.engine_out.drain(..) {
             self.assembler.push(output);
         }
-        let ready = self.assembler.take_ready();
-        self.events_out += ready.len();
-        ready
+        let before = out.len();
+        self.assembler.append_ready(out);
+        self.events_out += out.len() - before;
     }
 
     /// Effective decision and query scope of the innermost open element when
@@ -243,10 +249,10 @@ impl StreamingEvaluator {
         let mut evaluator = StreamingEvaluator::new(config)?;
         let mut out = Vec::new();
         for event in events {
-            out.extend(evaluator.push(event));
+            evaluator.push(event.clone(), &mut out);
         }
-        let (rest, stats) = evaluator.finish()?;
-        out.extend(rest);
+        let (mut rest, stats) = evaluator.finish()?;
+        out.append(&mut rest);
         Ok((out, stats))
     }
 }
@@ -373,14 +379,14 @@ mod tests {
         let mut eval = StreamingEvaluator::new(&config).unwrap();
         let events = Parser::parse_all(&doc()).unwrap();
         let mut produced_early = false;
-        let mut total = 0usize;
+        let mut out = Vec::new();
         for (i, ev) in events.iter().enumerate() {
-            let out = eval.push(ev);
-            total += out.len();
+            eval.push(ev.clone(), &mut out);
             if i < events.len() / 2 && !out.is_empty() {
                 produced_early = true;
             }
         }
+        let mut total = out.len();
         assert!(
             produced_early,
             "output should stream before the end of input"

@@ -563,26 +563,34 @@ impl RuleEngine {
         }
     }
 
-    /// Processes one event and returns the engine outputs it triggers.
-    pub fn process(&mut self, event: &Event) -> Vec<EngineOutput> {
+    /// Processes one event, appending the engine outputs it triggers to
+    /// `outputs`: the instance resolutions it causes, then the event itself,
+    /// moved into [`EngineOutput::Annotated`].
+    pub fn process(&mut self, event: Event, outputs: &mut Vec<EngineOutput>) {
         self.stats.events += 1;
-        let mut outputs = Vec::new();
-        match event {
-            Event::Open { name, attrs } => self.process_open(name, attrs, event, &mut outputs),
-            Event::Text(text) => self.process_text(text, event, &mut outputs),
-            Event::Close(_) => self.process_close(event, &mut outputs),
-        }
+        let annotation = match &event {
+            Event::Open { name, attrs } => Some(self.process_open(name, attrs, outputs)),
+            Event::Text(text) => {
+                self.process_text(text, outputs);
+                None
+            }
+            Event::Close(_) => {
+                self.process_close(outputs);
+                None
+            }
+        };
+        outputs.push(EngineOutput::Annotated { event, annotation });
         self.stats.peak_ram_bytes = self.stats.peak_ram_bytes.max(self.ram_bytes());
-        outputs
     }
 
+    /// Steps the automata on an `open` event and returns the node's
+    /// annotation.
     fn process_open(
         &mut self,
         name: &str,
         attrs: &[Attribute],
-        event: &Event,
         outputs: &mut Vec<EngineOutput>,
-    ) {
+    ) -> NodeAnnotation {
         let depth = self.frames.len(); // depth of the element being opened
         let sym = self.table.symbols().lookup(name);
 
@@ -679,14 +687,10 @@ impl RuleEngine {
             &mut self.wild_bucket,
             &mut self.bucket_entries,
         );
-        outputs.push(EngineOutput::Annotated {
-            // alloc: amortized — the hand-off to the assembler owns its event; one copy per node.
-            event: event.clone(),
-            annotation: Some(annotation),
-        });
+        annotation
     }
 
-    fn process_text(&mut self, text: &str, event: &Event, outputs: &mut Vec<EngineOutput>) {
+    fn process_text(&mut self, text: &str, outputs: &mut Vec<EngineOutput>) {
         // Feed the watchers of the element directly containing this text.
         let depth = self.frames.len() - 1;
         let mut resolved_now: Vec<(InstanceId, bool)> = Vec::new();
@@ -713,14 +717,9 @@ impl RuleEngine {
                 value,
             );
         }
-        outputs.push(EngineOutput::Annotated {
-            // alloc: amortized — the hand-off to the assembler owns its event; one copy per node.
-            event: event.clone(),
-            annotation: None,
-        });
     }
 
-    fn process_close(&mut self, event: &Event, outputs: &mut Vec<EngineOutput>) {
+    fn process_close(&mut self, outputs: &mut Vec<EngineOutput>) {
         let depth = (self.frames.len() - 1) as u32;
         // lint: infallible — the tokenizer only emits balanced events, so
         // every close has a matching open frame.
@@ -768,11 +767,6 @@ impl RuleEngine {
                 false,
             );
         }
-        outputs.push(EngineOutput::Annotated {
-            // alloc: amortized — the hand-off to the assembler owns its event; one copy per node.
-            event: event.clone(),
-            annotation: None,
-        });
     }
 }
 
@@ -1043,8 +1037,11 @@ mod tests {
     }
 
     fn run(engine: &mut RuleEngine, doc: &str) -> Vec<EngineOutput> {
-        let events = Parser::parse_all(doc).unwrap();
-        events.iter().flat_map(|e| engine.process(e)).collect()
+        let mut out = Vec::new();
+        for event in Parser::parse_all(doc).unwrap() {
+            engine.process(event, &mut out);
+        }
+        out
     }
 
     /// Collects, for each element (in document order), the rules that matched
@@ -1223,15 +1220,15 @@ mod tests {
     fn active_positions_reflect_partial_matches() {
         let mut e = engine_for(&[("/a/b/c", Sign::Permit)], None);
         let events = Parser::parse_all("<a><b><c/></b></a>").unwrap();
-        e.process(&events[0]); // <a>
+        e.process(events[0].clone(), &mut Vec::new()); // <a>
         assert_eq!(e.active_positions(), vec![vec![0, 1]]);
-        e.process(&events[1]); // <b>
+        e.process(events[1].clone(), &mut Vec::new()); // <b>
         assert_eq!(e.active_positions(), vec![vec![0, 1, 2]]);
-        e.process(&events[2]); // <c>
-        e.process(&events[3]); // </c>
-        e.process(&events[4]); // </b>
+        e.process(events[2].clone(), &mut Vec::new()); // <c>
+        e.process(events[3].clone(), &mut Vec::new()); // </c>
+        e.process(events[4].clone(), &mut Vec::new()); // </b>
         assert_eq!(e.active_positions(), vec![vec![0, 1]]);
-        e.process(&events[5]); // </a>
+        e.process(events[5].clone(), &mut Vec::new()); // </a>
         assert_eq!(e.active_positions(), vec![vec![0]]);
         assert_eq!(e.depth(), 0);
     }
@@ -1276,12 +1273,12 @@ mod tests {
         let events = Parser::parse_all(&deep).unwrap();
         let mut max_seen = 0usize;
         for ev in &events[..10] {
-            e.process(ev);
+            e.process(ev.clone(), &mut Vec::new());
             max_seen = max_seen.max(e.ram_bytes());
         }
         let at_peak = e.ram_bytes();
         for ev in &events[10..] {
-            e.process(ev);
+            e.process(ev.clone(), &mut Vec::new());
         }
         assert!(e.ram_bytes() < at_peak);
         assert!(e.stats().peak_ram_bytes >= max_seen);
@@ -1336,9 +1333,9 @@ mod tests {
         let mut e = engine_for(&[("//a", Sign::Permit)], None);
         let events = Parser::parse_all("<r><b/><b/></r>").unwrap();
         let mut out = Vec::new();
-        out.extend(e.process(&events[0])); // <r>
-        out.extend(e.process(&events[1])); // <b/> — not matched yet
-        out.extend(e.process(&events[2]));
+        e.process(events[0].clone(), &mut out); // <r>
+        e.process(events[1].clone(), &mut out); // <b/> — not matched yet
+        e.process(events[2].clone(), &mut out);
         e.add_rule(EngineRule {
             id: RuleId(7),
             sign: Sign::Deny,
@@ -1354,7 +1351,7 @@ mod tests {
             })
             .is_err());
         for ev in &events[3..] {
-            out.extend(e.process(ev));
+            e.process(ev.clone(), &mut out);
         }
         let matches = unconditional_matches(&out);
         assert_eq!(
@@ -1375,13 +1372,13 @@ mod tests {
         let mut out = Vec::new();
         // Process through the first <y/> (events: <r>, <x>, <y>, </y>).
         for ev in &events[..4] {
-            out.extend(e.process(ev));
+            e.process(ev.clone(), &mut out);
         }
         // Remove //x/y while <x> is still open; rule 1 (//y) keeps matching.
         assert!(e.remove_rule(RuleId(0)));
         assert!(!e.remove_rule(RuleId(0)), "already removed");
         for ev in &events[4..] {
-            out.extend(e.process(ev));
+            e.process(ev.clone(), &mut out);
         }
         let matches = unconditional_matches(&out);
         assert_eq!(
@@ -1402,8 +1399,8 @@ mod tests {
         let mut e = engine_for(&[("//a//c", Sign::Permit)], None);
         let events = Parser::parse_all("<a><b><c/></b></a>").unwrap();
         let mut out = Vec::new();
-        out.extend(e.process(&events[0])); // <a>
-        out.extend(e.process(&events[1])); // <b>
+        e.process(events[0].clone(), &mut out); // <a>
+        e.process(events[1].clone(), &mut out); // <b>
         e.add_rule(EngineRule {
             id: RuleId(9),
             sign: Sign::Deny,
@@ -1411,7 +1408,7 @@ mod tests {
         })
         .unwrap();
         for ev in &events[2..] {
-            out.extend(e.process(ev));
+            e.process(ev.clone(), &mut out);
         }
         let matches = unconditional_matches(&out);
         assert_eq!(matches[2], ("c".into(), vec![0]));

@@ -227,20 +227,27 @@ impl SecureDocument {
     }
 }
 
-/// Decrypts one chunk given the document key and header (used by the SOE after
-/// integrity verification).
+/// Expands the chunk cipher of a document: the `doc-enc` subkey of the
+/// document key, scheduled once per session (or per build) and then reused
+/// for every chunk.
+// taint: source — derives the document's encryption schedule from its key.
+pub fn document_cipher(key: &SecretKey) -> Aes128 {
+    Aes128::new(key.subkey("doc-enc").as_bytes())
+}
+
+/// Decrypts one chunk under the document's chunk cipher (see
+/// [`document_cipher`]) and header (used by the SOE after integrity
+/// verification).
 // taint: source — re-introduces cleartext from a verified ciphertext chunk;
 // callable only on the card side, which holds the document key.
 pub fn decrypt_chunk(
-    key: &SecretKey,
+    cipher: &Aes128,
     header: &DocumentHeader,
     index: u32,
     ciphertext: &[u8],
 ) -> Vec<u8> {
-    let enc_key = key.subkey("doc-enc");
-    let cipher = Aes128::new(enc_key.as_bytes());
     let iv = chunk_iv(&header.nonce, u64::from(index));
-    ctr_apply(&cipher, &iv, ciphertext)
+    ctr_apply(cipher, &iv, ciphertext)
 }
 
 /// Builder for [`SecureDocument`].
@@ -291,8 +298,7 @@ impl SecureDocumentBuilder {
         let plaintext = encoded.plaintext();
         let tokens_start = encoded.dict.encoded_len() as u64;
 
-        let enc_key = self.key.subkey("doc-enc");
-        let cipher = Aes128::new(enc_key.as_bytes());
+        let cipher = document_cipher(&self.key);
         let mut chunks = Vec::with_capacity(plaintext.len().div_ceil(self.chunk_size).max(1));
         if plaintext.is_empty() {
             chunks.push(Arc::from(&[][..]));
@@ -356,6 +362,7 @@ mod tests {
         secure.header.verify(&key()).unwrap();
 
         // Decrypt every chunk, verify its proof, reassemble the plaintext.
+        let cipher = document_cipher(&key());
         let mut plaintext = Vec::new();
         for i in 0..secure.chunk_count() {
             let chunk = secure.chunk(i).unwrap();
@@ -364,7 +371,7 @@ mod tests {
                 .unwrap()
                 .verify(chunk, &secure.header.merkle_root)
                 .unwrap();
-            plaintext.extend(decrypt_chunk(&key(), &secure.header, i as u32, chunk));
+            plaintext.extend(decrypt_chunk(&cipher, &secure.header, i as u32, chunk));
         }
         assert_eq!(plaintext.len() as u64, secure.header.plaintext_len);
         let events = decode_all(&plaintext, secure.header.recursive_bitmaps).unwrap();

@@ -20,7 +20,11 @@
 //!
 //! **Security note.** These implementations favour clarity and portability and
 //! are not hardened against side channels; they are a faithful functional
-//! substitute for the card's crypto hardware within a research prototype.
+//! substitute for the card's crypto hardware within a research prototype. In
+//! particular, AES indexes its T-tables (and S-boxes) with key- and
+//! data-dependent bytes, so its memory access pattern — and timing through
+//! the cache — depends on secrets, exactly as the byte-oriented S-box
+//! version before it did. No constant-time or cache-timing claim is made.
 
 #![forbid(unsafe_code)]
 

@@ -31,6 +31,14 @@ pub struct MerkleProof {
     pub siblings: Vec<([u8; DIGEST_SIZE], bool)>,
 }
 
+/// A [`CryptoError::BadProof`] about leaf `leaf_index`.
+fn bad_proof(leaf_index: usize, problem: std::fmt::Arguments<'_>) -> CryptoError {
+    CryptoError::BadProof {
+        // alloc: cold — out-of-range leaf or misplaced proof error path.
+        message: format!("leaf index {leaf_index}: {problem}"),
+    }
+}
+
 fn hash_leaf(data: &[u8]) -> [u8; DIGEST_SIZE] {
     // Domain separation between leaves and internal nodes prevents
     // second-preimage attacks where an internal node is presented as a leaf.
@@ -103,10 +111,10 @@ impl MerkleTree {
     /// Builds the inclusion proof for leaf `index`.
     pub fn proof(&self, index: usize) -> Result<MerkleProof, CryptoError> {
         if index >= self.leaf_count() {
-            return Err(CryptoError::BadProof {
-                // alloc: cold — out-of-range leaf error path.
-                message: format!("leaf index {index} out of range (0..{})", self.leaf_count()),
-            });
+            return Err(bad_proof(
+                index,
+                format_args!("out of range (0..{})", self.leaf_count()),
+            ));
         }
         let mut siblings = Vec::new();
         let mut idx = index;
@@ -135,14 +143,37 @@ impl MerkleTree {
 
 impl MerkleProof {
     /// Verifies that `chunk` is the leaf this proof commits to, under `root`.
+    ///
+    /// The side of each sibling is derived from `leaf_index` (bit `level`
+    /// set: the current node is a right child), so a proof only verifies at
+    /// the position it was built for. A proof whose side flags disagree with
+    /// its index, or whose index does not fit in `2^depth` leaves, is
+    /// rejected as [`CryptoError::BadProof`]. An odd last node is promoted by
+    /// hashing it with itself, so the caller must still check `leaf_index`
+    /// against the authenticated leaf count.
     pub fn verify(&self, chunk: &[u8], root: &[u8; DIGEST_SIZE]) -> Result<(), CryptoError> {
         let mut digest = hash_leaf(chunk);
+        // `index` is the position of `digest` within its level.
+        let mut index = self.leaf_index;
         for (sibling, sibling_is_right) in &self.siblings {
+            if *sibling_is_right != index.is_multiple_of(2) {
+                return Err(bad_proof(
+                    self.leaf_index,
+                    format_args!("sibling side disagrees with the position"),
+                ));
+            }
             digest = if *sibling_is_right {
                 hash_node(&digest, sibling)
             } else {
                 hash_node(sibling, &digest)
             };
+            index /= 2;
+        }
+        if index != 0 {
+            return Err(bad_proof(
+                self.leaf_index,
+                format_args!("does not fit a proof of depth {}", self.siblings.len()),
+            ));
         }
         if &digest == root {
             Ok(())
@@ -276,6 +307,62 @@ mod tests {
         let tree = MerkleTree::build(&data);
         let proof = tree.proof(2).unwrap();
         assert!(proof.verify(&data[5], &tree.root()).is_err());
+    }
+
+    #[test]
+    fn relabelled_proof_is_bound_to_its_position() {
+        // Leaf 5's proof relabelled as leaf 4 must not vouch for chunk 5 at
+        // position 4: its side flags now contradict the index.
+        let data = chunks(8);
+        let tree = MerkleTree::build(&data);
+        let mut proof = tree.proof(5).unwrap();
+        proof.leaf_index = 4;
+        assert!(matches!(
+            proof.verify(&data[5], &tree.root()),
+            Err(CryptoError::BadProof { .. })
+        ));
+        // Flipping the flags to match the new index breaks the hash chain.
+        for (level, (_, right)) in proof.siblings.iter_mut().enumerate() {
+            *right = (4usize >> level) & 1 == 0;
+        }
+        assert!(matches!(
+            proof.verify(&data[5], &tree.root()),
+            Err(CryptoError::IntegrityFailure { .. })
+        ));
+        // Reordered proofs in a non-power-of-two tree fail the same way.
+        let data = chunks(7);
+        let tree = MerkleTree::build(&data);
+        for i in 0..data.len() {
+            for (j, chunk) in data.iter().enumerate().filter(|&(j, _)| j != i) {
+                let mut proof = tree.proof(j).unwrap();
+                proof.leaf_index = i;
+                assert!(proof.verify(chunk, &tree.root()).is_err(), "{j} as {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn leaf_index_must_fit_the_proof_depth() {
+        let data = chunks(4);
+        let tree = MerkleTree::build(&data);
+        let mut proof = tree.proof(1).unwrap();
+        // Depth 2 holds leaves 0..4; index 5 agrees with leaf 1's flags at
+        // both levels but lies outside the tree.
+        proof.leaf_index = 5;
+        assert!(matches!(
+            proof.verify(&data[1], &tree.root()),
+            Err(CryptoError::BadProof { .. })
+        ));
+        // A huge decoded index with an empty proof is rejected, not shifted
+        // out of range.
+        let empty = MerkleProof {
+            leaf_index: usize::MAX,
+            siblings: Vec::new(),
+        };
+        assert!(matches!(
+            empty.verify(b"x", &[0; DIGEST_SIZE]),
+            Err(CryptoError::BadProof { .. })
+        ));
     }
 
     #[test]

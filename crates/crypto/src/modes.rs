@@ -8,21 +8,31 @@
 use crate::aes::{Aes128, BLOCK_SIZE};
 use crate::error::CryptoError;
 
+/// XORs `mask` into `dst`: one 128-bit operation for a whole block, byte by
+/// byte only for the short tail of a CTR stream.
+fn xor_block(dst: &mut [u8], mask: &[u8; BLOCK_SIZE]) {
+    match <&mut [u8; BLOCK_SIZE]>::try_from(&mut *dst) {
+        Ok(block) => {
+            *block = (u128::from_ne_bytes(*block) ^ u128::from_ne_bytes(*mask)).to_ne_bytes();
+        }
+        Err(_) => {
+            for (d, m) in dst.iter_mut().zip(mask) {
+                *d ^= m;
+            }
+        }
+    }
+}
+
 /// Encrypts `plaintext` with AES-128-CBC and PKCS#7 padding.
 // taint: sink — cleartext enters, PKCS#7-padded CBC ciphertext leaves.
 pub fn cbc_encrypt(cipher: &Aes128, iv: &[u8; BLOCK_SIZE], plaintext: &[u8]) -> Vec<u8> {
-    let padded = pkcs7_pad(plaintext);
-    let mut out = Vec::with_capacity(padded.len());
+    let mut out = pkcs7_pad(plaintext);
     let mut prev = *iv;
-    for chunk in padded.chunks(BLOCK_SIZE) {
-        let mut block = [0u8; BLOCK_SIZE];
-        block.copy_from_slice(chunk);
-        for (b, p) in block.iter_mut().zip(prev.iter()) {
-            *b ^= *p;
-        }
-        cipher.encrypt_block(&mut block);
-        out.extend_from_slice(&block);
-        prev = block;
+    for chunk in out.chunks_exact_mut(BLOCK_SIZE) {
+        xor_block(chunk, &prev);
+        prev.copy_from_slice(chunk);
+        cipher.encrypt_block(&mut prev);
+        chunk.copy_from_slice(&prev);
     }
     out
 }
@@ -40,17 +50,15 @@ pub fn cbc_decrypt(
         });
     }
     // alloc: startup — CBC runs for key unwrap at provisioning only.
-    let mut out = Vec::with_capacity(ciphertext.len());
+    let mut out = ciphertext.to_vec();
     let mut prev = *iv;
-    for chunk in ciphertext.chunks(BLOCK_SIZE) {
+    for chunk in out.chunks_exact_mut(BLOCK_SIZE) {
         let mut block = [0u8; BLOCK_SIZE];
         block.copy_from_slice(chunk);
         let saved = block;
         cipher.decrypt_block(&mut block);
-        for (b, p) in block.iter_mut().zip(prev.iter()) {
-            *b ^= *p;
-        }
-        out.extend_from_slice(&block);
+        xor_block(&mut block, &prev);
+        chunk.copy_from_slice(&block);
         prev = saved;
     }
     pkcs7_unpad(&mut out)?;
@@ -62,17 +70,15 @@ pub fn cbc_decrypt(
 /// last 8 bytes (big-endian) and is incremented per block.
 pub fn ctr_apply(cipher: &Aes128, nonce: &[u8; BLOCK_SIZE], data: &[u8]) -> Vec<u8> {
     // alloc: amortized — one chunk-sized buffer per decrypted chunk; the SOE working set stays one chunk.
-    let mut out = Vec::with_capacity(data.len());
+    let mut out = data.to_vec();
     let mut counter_block = *nonce;
     // lint: infallible — an 8-byte slice of a `[u8; BLOCK_SIZE]` block.
     let mut counter = u64::from_be_bytes(counter_block[8..16].try_into().expect("8 bytes"));
-    for chunk in data.chunks(BLOCK_SIZE) {
+    for chunk in out.chunks_mut(BLOCK_SIZE) {
         counter_block[8..16].copy_from_slice(&counter.to_be_bytes());
         let mut keystream = counter_block;
         cipher.encrypt_block(&mut keystream);
-        for (i, &b) in chunk.iter().enumerate() {
-            out.push(b ^ keystream[i]);
-        }
+        xor_block(chunk, &keystream);
         counter = counter.wrapping_add(1);
     }
     out
@@ -119,6 +125,63 @@ mod tests {
 
     fn cipher() -> Aes128 {
         Aes128::new(&[0x42; 16])
+    }
+
+    fn hex(text: &str) -> Vec<u8> {
+        (0..text.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&text[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// NIST SP 800-38A: the AES-128 key and the four plaintext blocks shared
+    /// by the F.2 (CBC) and F.5 (CTR) examples.
+    fn sp800_38a() -> (Aes128, Vec<u8>) {
+        let key: [u8; 16] = hex("2b7e151628aed2a6abf7158809cf4f3c").try_into().unwrap();
+        let plain = hex(concat!(
+            "6bc1bee22e409f96e93d7e117393172a",
+            "ae2d8a571e03ac9c9eb76fac45af8e51",
+            "30c81c46a35ce411e5fbc1191a0a52ef",
+            "f69f2445df4f9b17ad2b417be66c3710",
+        ));
+        (Aes128::new(&key), plain)
+    }
+
+    #[test]
+    fn sp800_38a_f21_cbc_aes128_encrypt() {
+        let (c, plain) = sp800_38a();
+        let iv: [u8; 16] = hex("000102030405060708090a0b0c0d0e0f").try_into().unwrap();
+        let ct = cbc_encrypt(&c, &iv, &plain);
+        // The vector has no padding; PKCS#7 appends one full block after it.
+        assert_eq!(ct.len(), 80);
+        assert_eq!(
+            ct[..64],
+            hex(concat!(
+                "7649abac8119b246cee98e9b12e9197d",
+                "5086cb9b507219ee95db113a917678b2",
+                "73bed6b8e3c1743b7116e69e22229516",
+                "3ff1caa1681fac09120eca307586e1a7",
+            ))[..]
+        );
+        assert_eq!(cbc_decrypt(&c, &iv, &ct).unwrap(), plain);
+    }
+
+    #[test]
+    fn sp800_38a_f51_f52_ctr_aes128() {
+        let (c, plain) = sp800_38a();
+        let counter: [u8; 16] = hex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff").try_into().unwrap();
+        let expected = hex(concat!(
+            "874d6191b620e3261bef6864990db6ce",
+            "9806f66b7970fdff8617187bb9fffdff",
+            "5ae4df3edbd5d35e5b4f09020db03eab",
+            "1e031dda2fbe03d1792170a0f3009cee",
+        ));
+        // F.5.1 encrypt; the counter step carries within the low 64 bits.
+        assert_eq!(ctr_apply(&c, &counter, &plain), expected);
+        // F.5.2 decrypt.
+        assert_eq!(ctr_apply(&c, &counter, &expected), plain);
+        // A stream that ends mid-block uses a keystream prefix.
+        assert_eq!(ctr_apply(&c, &counter, &plain[..37]), expected[..37]);
     }
 
     #[test]

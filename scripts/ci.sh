@@ -37,6 +37,12 @@ fi
 echo "==> cargo test -q (SDDS_PROP_CASES=256)"
 SDDS_PROP_CASES=256 cargo test -q
 
+echo "==> cargo test -q --release -p sdds-crypto -p sdds-core"
+# The cipher, Merkle and SOE arithmetic also run optimised: release builds
+# wrap integer overflow silently where debug builds panic, so the
+# known-answer and differential tests must pass in both profiles.
+cargo test -q --release -p sdds-crypto -p sdds-core
+
 echo "==> model check (--cfg sdds_check, SDDS_CHECK_BRANCHES=${SDDS_CHECK_BRANCHES:-60000})"
 # The instrumented build swaps sdds-sync onto the sdds-check shims, so the
 # invariant models explore real service interleavings. A separate target dir

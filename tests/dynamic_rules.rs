@@ -41,14 +41,14 @@ fn view_with_change_at(k: usize, churn: impl Fn(&mut StreamingEvaluator)) -> Str
     let config = EvaluatorConfig::new(rules, "user");
     let mut evaluator = StreamingEvaluator::new(&config).unwrap();
     let mut out = Vec::new();
-    for (i, ev) in events().iter().enumerate() {
+    for (i, ev) in events().into_iter().enumerate() {
         if i == k {
             churn(&mut evaluator);
         }
-        out.extend(evaluator.push(ev));
+        evaluator.push(ev, &mut out);
     }
-    let (rest, _) = evaluator.finish().unwrap();
-    out.extend(rest);
+    let (mut rest, _) = evaluator.finish().unwrap();
+    out.append(&mut rest);
     writer::to_string(&out)
 }
 
