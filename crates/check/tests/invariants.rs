@@ -16,15 +16,19 @@
 use sdds_check::shim::thread;
 use sdds_check::Model;
 use sdds_core::error::CoreError;
-use sdds_core::secdoc::{SecureDocument, SecureDocumentBuilder};
+use sdds_core::secdoc::{integrity_key, verify_chunk, SecureDocument, SecureDocumentBuilder};
 use sdds_crypto::SecretKey;
 use sdds_dsp::service::scheduler::{Schedulable, SessionScheduler, StepOutcome};
 use sdds_dsp::service::shard::ShardedStore;
 use sdds_dsp::ShardObs;
 use sdds_xml::generator::{self, GeneratorConfig, HospitalProfile};
 
+fn key() -> SecretKey {
+    SecretKey::derive(b"model", "k")
+}
+
 /// A small secure document; `salt` varies the content so that republished
-/// revisions carry different Merkle roots.
+/// revisions carry different nonces, hence different chunk tags.
 fn document(id: &str, salt: usize) -> SecureDocument {
     let doc = generator::hospital(
         &HospitalProfile {
@@ -33,7 +37,7 @@ fn document(id: &str, salt: usize) -> SecureDocument {
         },
         &GeneratorConfig::default(),
     );
-    SecureDocumentBuilder::new(id, SecretKey::derive(b"model", "k")).build(&doc)
+    SecureDocumentBuilder::new(id, key()).build(&doc)
 }
 
 fn model() -> Model {
@@ -75,6 +79,7 @@ fn assert_explored(report: &sdds_check::Report, name: &str) {
 fn replication_invalidates_before_publish() {
     let v0 = document("doc", 0);
     let v1 = document("doc", 1);
+    let integrity = integrity_key(&key());
     let report = model()
         .check("replication_invalidate_before_publish", || {
             let store = ShardedStore::new(2);
@@ -89,9 +94,8 @@ fn replication_invalidates_before_publish() {
                 // old, invalidated, or new — ends up serving the request.
                 let (header, revision) = store.fetch_header("doc", None, 0).expect("doc is stored");
                 match store.fetch_chunk("doc", 0, Some(revision), 0) {
-                    Ok((chunk, proof)) => {
-                        proof
-                            .verify(&chunk, &header.merkle_root)
+                    Ok((chunk, tag)) => {
+                        verify_chunk(&integrity, &header, 0, &chunk, &tag)
                             .expect("served chunk must match the header it was pinned with");
                     }
                     Err(CoreError::StaleRevision {
@@ -297,6 +301,7 @@ fn scheduler_idle_worker_exit_strands_no_session() {
 fn pinned_fetches_are_never_torn() {
     let v0 = document("doc", 0);
     let v1 = document("doc", 1);
+    let integrity = integrity_key(&key());
     let report = model()
         .check("revision_pinning", || {
             let store = ShardedStore::new(1);
@@ -309,11 +314,10 @@ fn pinned_fetches_are_never_torn() {
                     store.put_document_with(v1.clone(), false);
                 });
                 match store.fetch_chunk("doc", 0, Some(revision), 0) {
-                    Ok((chunk, proof)) => {
+                    Ok((chunk, tag)) => {
                         // Served under the pinned revision: must verify
                         // against the pinned header, not the new one.
-                        proof
-                            .verify(&chunk, &header.merkle_root)
+                        verify_chunk(&integrity, &header, 0, &chunk, &tag)
                             .expect("pinned chunk must verify against the pinned header");
                     }
                     Err(CoreError::StaleRevision {

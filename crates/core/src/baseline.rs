@@ -27,7 +27,7 @@ use crate::conflict::{resolve, AccessPolicy, Decision, DirectRule};
 use crate::error::CoreError;
 use crate::query::Query;
 use crate::rule::{RuleSet, Subject};
-use crate::secdoc::{decrypt_chunk, document_cipher, SecureDocument};
+use crate::secdoc::{decrypt_chunk, document_cipher, integrity_key, verify_chunk, SecureDocument};
 use crate::skipindex::decode::decode_all;
 use sdds_card::CostLedger;
 
@@ -208,17 +208,17 @@ impl DomBaseline {
         document.header.verify(key)?;
         let mut ledger = CostLedger::new();
         let cipher = document_cipher(key);
+        let integrity = integrity_key(key);
         let mut plaintext = Vec::with_capacity(document.header.plaintext_len as usize);
         for index in 0..document.chunk_count() {
             // lint: infallible — `index` ranges over `chunk_count()`.
-            let chunk = document.chunk(index).expect("index in range");
-            let proof = document.proof(index)?;
-            proof.verify(chunk, &document.header.merkle_root)?;
+            let (chunk, tag) = document.sealed_chunk(index).expect("index in range");
+            verify_chunk(&integrity, &document.header, index as u32, &chunk, &tag)?;
             ledger
                 .channel
-                .record_exchange(chunk.len() + proof.encode().len(), 0);
+                .record_exchange(chunk.len() + tag.encoded_len(), 0);
             ledger.record_hash(chunk.len());
-            let clear = decrypt_chunk(&cipher, &document.header, index as u32, chunk);
+            let clear = decrypt_chunk(&cipher, &document.header, index as u32, &chunk);
             ledger.record_decrypt(clear.len());
             plaintext.extend(clear);
         }

@@ -17,8 +17,7 @@
 
 use sdds_card::apdu::{ins, Apdu, ApduResponse, StatusWord};
 use sdds_card::{Applet, CardError, CostLedger, SmartCard};
-use sdds_crypto::merkle::MerkleProof;
-use sdds_crypto::{Aes128, KeyId, SecretKey};
+use sdds_crypto::{Aes128, HmacKey, KeyId, SecretKey};
 use sdds_xml::{writer, Event, TagDict};
 use sdds_xpath::tagset::PathSignature;
 
@@ -27,7 +26,10 @@ use crate::error::CoreError;
 use crate::evaluator::{EvaluatorConfig, EvaluatorStats, StreamingEvaluator};
 use crate::query::Query;
 use crate::rule::{RuleSet, Sign, Subject};
-use crate::secdoc::{decrypt_chunk, document_cipher, DocumentHeader, SecureDocument};
+use crate::secdoc::{
+    decrypt_chunk, document_cipher, integrity_key, verify_chunk, ChunkTag, DocumentHeader,
+    SecureDocument, TAG_LEN,
+};
 use crate::session::{KeyProvisioning, ProtectedRules};
 use crate::skipindex::decode::{ReadResult, TokenEvent, TokenReader};
 use crate::skipindex::encode::SubtreeSummary;
@@ -71,7 +73,7 @@ impl EngineConfig {
 /// What the session needs next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionRequest {
-    /// The ciphertext of this chunk (with its Merkle proof).
+    /// The ciphertext of this chunk (with its tag).
     NeedChunk(u32),
     /// The document is fully processed.
     Done,
@@ -100,6 +102,9 @@ pub struct SecureEvaluationSession {
     /// The document's chunk cipher, scheduled once at open; the raw key is
     /// not kept past the header check.
     cipher: Aes128,
+    /// The document's chunk-tag key (HMAC midstates), scheduled once at
+    /// open next to the cipher.
+    integrity: HmacKey,
     config: EngineConfig,
     evaluator: Option<StreamingEvaluator>,
     reader: Option<TokenReader>,
@@ -129,8 +134,8 @@ impl std::fmt::Debug for SecureEvaluationSession {
 }
 
 impl SecureEvaluationSession {
-    /// Opens a session: verifies the document header under `key`, expands
-    /// the chunk cipher and prepares the evaluator.
+    /// Opens a session: verifies the document header under `key`, schedules
+    /// the chunk cipher and the chunk-tag key, and prepares the evaluator.
     pub fn open(
         header: DocumentHeader,
         key: SecretKey,
@@ -141,6 +146,7 @@ impl SecureEvaluationSession {
         Ok(SecureEvaluationSession {
             header,
             cipher: document_cipher(&key),
+            integrity: integrity_key(&key),
             config,
             evaluator: Some(evaluator),
             reader: None,
@@ -238,14 +244,14 @@ impl SecureEvaluationSession {
         Ok(())
     }
 
-    /// Supplies one encrypted chunk (with its Merkle proof). Returns the
-    /// number of authorized events now waiting in
+    /// Supplies one encrypted chunk with its tag. Returns the number of
+    /// authorized events now waiting in
     /// [`SecureEvaluationSession::take_output`].
     pub fn supply_chunk(
         &mut self,
         index: u32,
         ciphertext: &[u8],
-        proof: &MerkleProof,
+        tag: &ChunkTag,
     ) -> Result<usize, CoreError> {
         if self.done {
             return Err(CoreError::BadState {
@@ -268,21 +274,9 @@ impl SecureEvaluationSession {
             });
         }
 
-        // 1. Integrity: the proof must bind this ciphertext, at this position,
-        //    to the authenticated Merkle root. The position must also lie
-        //    inside the authenticated chunk count (the tree promotes an odd
-        //    last node by hashing it with itself).
-        if proof.leaf_index != index as usize || index >= self.header.chunk_count {
-            return Err(sdds_crypto::CryptoError::BadProof {
-                // alloc: cold — mismatched proof error path.
-                message: format!(
-                    "proof is for chunk {} but chunk {index} of {} was supplied",
-                    proof.leaf_index, self.header.chunk_count
-                ),
-            }
-            .into());
-        }
-        proof.verify(ciphertext, &self.header.merkle_root)?;
+        // 1. Integrity: the tag must bind this ciphertext to this document
+        //    build, this position and the authenticated chunk count.
+        verify_chunk(&self.integrity, &self.header, index, ciphertext, tag)?;
         self.stats.ledger.record_hash(ciphertext.len());
 
         // 2. Decrypt.
@@ -457,7 +451,7 @@ impl SecureEvaluationSession {
 }
 
 /// Drives a session against an in-memory [`SecureDocument`], accounting the
-/// transfer of each served chunk + proof on the session ledger. This is the
+/// transfer of each served chunk + tag on the session ledger. This is the
 /// path used by unit tests and by the benches that do not need the APDU layer.
 pub fn run_local(
     document: &SecureDocument,
@@ -468,15 +462,13 @@ pub fn run_local(
         match session.next_request() {
             SessionRequest::Done => break,
             SessionRequest::NeedChunk(index) => {
-                let chunk = document
-                    .chunk(index as usize)
-                    .ok_or_else(|| CoreError::BadDocument {
+                let (chunk, tag) = document.sealed_chunk(index as usize).ok_or_else(|| {
+                    CoreError::BadDocument {
                         message: format!("chunk {index} out of range"),
-                    })?
-                    .to_vec();
-                let proof = document.proof(index as usize)?;
-                let wire = chunk.len() + proof.encode().len();
-                session.supply_chunk(index, &chunk, &proof)?;
+                    }
+                })?;
+                let wire = chunk.len() + tag.encoded_len();
+                session.supply_chunk(index, &chunk, &tag)?;
                 let produced = session.take_output();
                 let produced_len: usize = produced.iter().map(Event::serialized_len).sum();
                 session
@@ -514,6 +506,9 @@ pub fn evaluate_secure_document(
 pub const DEFAULT_DOC_KEY_ID: u32 = 1;
 /// Identifier of the rule-protection key in the card key ring.
 pub const RULES_KEY_ID: u32 = 2;
+/// Bytes before the ciphertext in a `PUSH_CHUNK` payload: the chunk index
+/// (4, little-endian) and the chunk's tag.
+pub const PUSH_CHUNK_PREFIX: usize = 4 + TAG_LEN;
 
 /// The on-card access-control applet (Figure 3: "Access rights evaluator",
 /// "Integrity control", "Decryption", "Keys" inside the smart card).
@@ -715,34 +710,31 @@ impl AccessControlApplet {
     }
 
     fn handle_push_chunk(&mut self, card: &mut SmartCard, command: &Apdu) -> ApduResponse {
-        if self.session.is_none() {
+        let Some(session) = self.session.as_mut() else {
             return ApduResponse::error(StatusWord::CONDITIONS_NOT_SATISFIED);
+        };
+        // Payload layout: chunk index (4), tag (32), ciphertext — at most one
+        // chunk of the open document, so the reassembly buffer stays bounded
+        // whatever the terminal sends.
+        let limit = PUSH_CHUNK_PREFIX + session.header().chunk_size as usize;
+        if self.chunk_buf.len() + command.data.len() > limit {
+            self.chunk_buf.clear();
+            return ApduResponse::error(StatusWord::WRONG_LENGTH);
         }
         self.chunk_buf.extend_from_slice(&command.data);
         if command.p1 == 1 {
             return ApduResponse::ok_empty();
         }
         let payload = std::mem::take(&mut self.chunk_buf);
-        // Payload layout: chunk index (4), proof length (2), proof, ciphertext.
-        if payload.len() < 6 {
+        if payload.len() < PUSH_CHUNK_PREFIX {
             return ApduResponse::error(StatusWord::WRONG_LENGTH);
         }
-        // lint: infallible — `payload.len() >= 6` is checked above, so both
-        // fixed-width slices convert exactly.
+        // lint: infallible — `payload.len() >= PUSH_CHUNK_PREFIX` is checked
+        // above, so both fixed-width slices convert exactly.
         let index = u32::from_le_bytes(payload[..4].try_into().expect("4 bytes"));
-        let proof_len = u16::from_le_bytes(payload[4..6].try_into().expect("2 bytes")) as usize; // lint: infallible — see above
-        let Some(proof_bytes) = payload.get(6..6 + proof_len) else {
-            return ApduResponse::error(StatusWord::WRONG_LENGTH);
-        };
-        let proof = match MerkleProof::decode(proof_bytes) {
-            Ok(p) => p,
-            Err(_) => return ApduResponse::error(StatusWord::WRONG_LENGTH),
-        };
-        let ciphertext = &payload[6 + proof_len..];
-        // lint: infallible — the handler returns `CONDITIONS_NOT_SATISFIED`
-        // earlier when no session is open.
-        let session = self.session.as_mut().expect("session checked above");
-        match session.supply_chunk(index, ciphertext, &proof) {
+        let tag = ChunkTag::from_bytes(payload[4..PUSH_CHUNK_PREFIX].try_into().expect("tag")); // lint: infallible — see above
+        let ciphertext = &payload[PUSH_CHUNK_PREFIX..];
+        match session.supply_chunk(index, ciphertext, &tag) {
             Ok(_) => {
                 let events = session.take_output();
                 // Mirror the session ledger into the card ledger so that card
@@ -819,6 +811,7 @@ mod tests {
     use crate::conflict::AccessPolicy;
     use crate::secdoc::SecureDocumentBuilder;
     use crate::skipindex::encode::EncoderConfig;
+    use sdds_crypto::CryptoError;
     use sdds_xml::generator::{self, GeneratorConfig, HospitalProfile};
     use sdds_xml::{writer, Document};
 
@@ -960,37 +953,83 @@ mod tests {
         );
     }
 
+    /// A folder whose text depends on `revision` at equal length, so its
+    /// revisions share their geometry and differ in content and nonce.
+    fn folder_revision(revision: u8) -> Document {
+        let mut xml = String::from("<folder>");
+        for i in 0..12 {
+            xml.push_str(&format!(
+                "<patient><name>patient {i:02}</name><ssn>{revision}-{i:04}</ssn>\
+                 <report>report {i:02} of revision {revision}</report></patient>"
+            ));
+        }
+        xml.push_str("</folder>");
+        Document::parse(&xml).unwrap()
+    }
+
+    fn is_integrity_failure<T: std::fmt::Debug>(result: &Result<T, CoreError>) -> bool {
+        matches!(
+            result,
+            Err(CoreError::Crypto(CryptoError::IntegrityFailure { .. }))
+        )
+    }
+
+    /// Opens a doctor session on `secure` and supplies genuine chunks until
+    /// the session asks for a chunk `stop` accepts; returns that index.
+    fn session_at(
+        secure: &SecureDocument,
+        stop: impl Fn(u32) -> bool,
+    ) -> (SecureEvaluationSession, u32) {
+        let mut session =
+            SecureEvaluationSession::open(secure.header.clone(), key(), config_for("doctor"))
+                .unwrap();
+        loop {
+            let SessionRequest::NeedChunk(index) = session.next_request() else {
+                panic!("the session ended before the probed chunk");
+            };
+            if stop(index) {
+                return (session, index);
+            }
+            let (chunk, tag) = secure.sealed_chunk(index as usize).unwrap();
+            session.supply_chunk(index, &chunk, &tag).unwrap();
+        }
+    }
+
     #[test]
     fn tampered_chunk_is_rejected_during_the_session() {
         let doc = hospital_doc(3);
         let secure = SecureDocumentBuilder::new("folder", key()).build(&doc);
-        let mut session =
-            SecureEvaluationSession::open(secure.header.clone(), key(), config_for("doctor"))
-                .unwrap();
-        let SessionRequest::NeedChunk(index) = session.next_request() else {
-            panic!("expected a chunk request");
-        };
-        let mut chunk = secure.chunk(index as usize).unwrap().to_vec();
-        chunk[0] ^= 0xA5;
-        let proof = secure.proof(index as usize).unwrap();
-        assert!(matches!(
-            session.supply_chunk(index, &chunk, &proof),
-            Err(CoreError::Crypto(_))
+        let (mut session, index) = session_at(&secure, |_| true);
+        let (chunk, tag) = secure.sealed_chunk(index as usize).unwrap();
+        // A bit flip in the ciphertext.
+        let mut flipped = chunk.to_vec();
+        flipped[0] ^= 0x01;
+        assert!(is_integrity_failure(
+            &session.supply_chunk(index, &flipped, &tag)
         ));
-        // Supplying a proof for the wrong position is also rejected.
-        let other_proof = secure.proof((index + 1) as usize).unwrap();
-        assert!(session
-            .supply_chunk(index, secure.chunk(index as usize).unwrap(), &other_proof)
-            .is_err());
+        // A bit flip in the tag.
+        let mut bytes = *tag.as_bytes();
+        bytes[31] ^= 0x80;
+        assert!(is_integrity_failure(&session.supply_chunk(
+            index,
+            &chunk,
+            &ChunkTag::from_bytes(bytes)
+        )));
+        // The tag of another position does not vouch for this one.
+        let (_, other_tag) = secure.sealed_chunk((index + 1) as usize).unwrap();
+        assert!(is_integrity_failure(
+            &session.supply_chunk(index, &chunk, &other_tag)
+        ));
+        // The rejections left the session usable.
+        session.supply_chunk(index, &chunk, &tag).unwrap();
     }
 
     #[test]
     fn relabelled_or_reordered_chunks_fail_integrity_not_decoding() {
         // At every position the session asks for, serve the next chunk
-        // instead: with its own proof relabelled to the requested index (and
-        // with the side flags rewritten to match), or with the requested
-        // chunk's proof. Each must stop at the integrity step — never reach
-        // decryption and fail as `BadDocument`.
+        // instead: with its own tag, or with the requested chunk's tag.
+        // Each must stop at the integrity step — never reach decryption and
+        // fail as `BadDocument`.
         let doc = hospital_doc(6);
         let secure = SecureDocumentBuilder::new("folder", key())
             .chunk_size(128)
@@ -1001,27 +1040,19 @@ mod tests {
         let mut probed = 0;
         while let SessionRequest::NeedChunk(index) = session.next_request() {
             let i = index as usize;
-            if i + 1 < secure.chunk_count() {
-                let next = secure.chunk(i + 1).unwrap();
-                let mut relabelled = secure.proof(i + 1).unwrap();
-                relabelled.leaf_index = i;
-                let mut reflagged = relabelled.clone();
-                for (level, (_, right)) in reflagged.siblings.iter_mut().enumerate() {
-                    *right = (i >> level) & 1 == 0;
-                }
-                for proof in [relabelled, reflagged, secure.proof(i).unwrap()] {
-                    let result = session.supply_chunk(index, next, &proof);
+            let (chunk, tag) = secure.sealed_chunk(i).unwrap();
+            if let Some((next, next_tag)) = secure.sealed_chunk(i + 1) {
+                for tag in [next_tag, tag] {
+                    let result = session.supply_chunk(index, &next, &tag);
                     assert!(
-                        matches!(result, Err(CoreError::Crypto(_))),
+                        is_integrity_failure(&result),
                         "chunk {} served as {index}: {result:?}",
                         i + 1
                     );
                 }
                 probed += 1;
             }
-            session
-                .supply_chunk(index, secure.chunk(i).unwrap(), &secure.proof(i).unwrap())
-                .unwrap();
+            session.supply_chunk(index, &chunk, &tag).unwrap();
         }
         assert!(probed > 10, "only {probed} positions probed");
         // The rejected attempts left no trace: the view is the genuine one.
@@ -1032,17 +1063,61 @@ mod tests {
     }
 
     #[test]
+    fn chunks_spliced_from_another_document_or_revision_fail_integrity() {
+        // The same content under another id, and the previous revision of
+        // the same id: one publisher key, one geometry, so only the tag's
+        // binding to the document and its nonce can tell the chunks apart.
+        let current = SecureDocumentBuilder::new("folder", key())
+            .chunk_size(128)
+            .build(&folder_revision(2));
+        let other = SecureDocumentBuilder::new("annex", key())
+            .chunk_size(128)
+            .build(&folder_revision(2));
+        let previous = SecureDocumentBuilder::new("folder", key())
+            .chunk_size(128)
+            .build(&folder_revision(1));
+        assert_eq!(previous.header.chunk_count, current.header.chunk_count);
+        assert!(current.chunk_count() > 4);
+        for source in [&other, &previous] {
+            let (mut session, index) = session_at(&current, |i| i >= 2);
+            let (chunk, tag) = source.sealed_chunk(index as usize).unwrap();
+            assert!(is_integrity_failure(
+                &session.supply_chunk(index, &chunk, &tag)
+            ));
+        }
+    }
+
+    #[test]
+    fn a_truncated_last_chunk_fails_integrity() {
+        let secure = SecureDocumentBuilder::new("folder", key())
+            .chunk_size(128)
+            .build(&folder_revision(0));
+        let last = secure.header.chunk_count - 1;
+        let (mut session, index) = session_at(&secure, |i| i == last);
+        let (chunk, tag) = secure.sealed_chunk(index as usize).unwrap();
+        assert!(is_integrity_failure(&session.supply_chunk(
+            index,
+            &chunk[..chunk.len() - 1],
+            &tag
+        )));
+        assert!(is_integrity_failure(&session.supply_chunk(
+            index,
+            &[],
+            &tag
+        )));
+        session.supply_chunk(index, &chunk, &tag).unwrap();
+        assert!(session.is_done());
+    }
+
+    #[test]
     fn out_of_order_chunks_are_rejected() {
         let doc = hospital_doc(3);
         let secure = SecureDocumentBuilder::new("folder", key()).build(&doc);
         let mut session =
             SecureEvaluationSession::open(secure.header.clone(), key(), config_for("doctor"))
                 .unwrap();
-        let wrong_index = 1u32;
-        let proof = secure.proof(wrong_index as usize).unwrap();
-        assert!(session
-            .supply_chunk(wrong_index, secure.chunk(1).unwrap(), &proof)
-            .is_err());
+        let (chunk, tag) = secure.sealed_chunk(1).unwrap();
+        assert!(session.supply_chunk(1, &chunk, &tag).is_err());
     }
 
     #[test]
@@ -1120,6 +1195,65 @@ mod tests {
             }
         }
 
+        /// Pushes one chunk in `PUSH_CHUNK` framing; returns the status of
+        /// the last fragment.
+        fn push_chunk(
+            runtime: &mut CardRuntime<AccessControlApplet>,
+            index: u32,
+            chunk: &[u8],
+            tag: &ChunkTag,
+        ) -> StatusWord {
+            let mut payload = index.to_le_bytes().to_vec();
+            payload.extend_from_slice(tag.as_bytes());
+            payload.extend_from_slice(chunk);
+            let fragments = fragment_payload(&payload);
+            let mut status = StatusWord::OK;
+            for (i, frag) in fragments.iter().enumerate() {
+                let more = u8::from(i + 1 < fragments.len());
+                status = runtime
+                    .exchange(&Apdu::new(ins::PUSH_CHUNK, more, 0, frag.to_vec()).unwrap())
+                    .status;
+            }
+            status
+        }
+
+        /// Provisions a doctor card and opens a session on `secure`.
+        fn doctor_card(
+            server: &TrustedServer,
+            secure: &SecureDocument,
+        ) -> CardRuntime<AccessControlApplet> {
+            let subject = Subject::new("doctor");
+            let applet = AccessControlApplet::new("doctor", server.transport_key_for(&subject));
+            let mut runtime = CardRuntime::new(CardProfile::unconstrained(), applet);
+            provision(&mut runtime, server, &subject);
+            runtime
+                .exchange_expect_ok(
+                    &Apdu::new(ins::OPEN_SESSION, 0, 0, secure.header.encode()).unwrap(),
+                )
+                .unwrap();
+            runtime
+        }
+
+        /// Pushes genuine chunks until the card asks for one `stop` accepts.
+        fn card_at(
+            runtime: &mut CardRuntime<AccessControlApplet>,
+            secure: &SecureDocument,
+            stop: impl Fn(u32) -> bool,
+        ) -> u32 {
+            loop {
+                let next = runtime
+                    .exchange_expect_ok(&Apdu::simple(ins::NEXT_REQUEST, 0, 0))
+                    .unwrap();
+                let index = u32::from_le_bytes(next[..4].try_into().unwrap());
+                assert_ne!(index, u32::MAX, "the session ended before the probed chunk");
+                if stop(index) {
+                    return index;
+                }
+                let (chunk, tag) = secure.sealed_chunk(index as usize).unwrap();
+                assert_eq!(push_chunk(runtime, index, &chunk, &tag), StatusWord::OK);
+            }
+        }
+
         fn run_document(
             runtime: &mut CardRuntime<AccessControlApplet>,
             secure: &SecureDocument,
@@ -1137,21 +1271,8 @@ mod tests {
                 if index == u32::MAX {
                     break;
                 }
-                let mut payload = Vec::new();
-                payload.extend_from_slice(&index.to_le_bytes());
-                let proof = secure.proof(index as usize).unwrap().encode();
-                payload.extend_from_slice(&(proof.len() as u16).to_le_bytes());
-                payload.extend_from_slice(&proof);
-                payload.extend_from_slice(secure.chunk(index as usize).unwrap());
-                let fragments = fragment_payload(&payload);
-                for (i, frag) in fragments.iter().enumerate() {
-                    let more = u8::from(i + 1 < fragments.len());
-                    runtime
-                        .exchange_expect_ok(
-                            &Apdu::new(ins::PUSH_CHUNK, more, 0, frag.to_vec()).unwrap(),
-                        )
-                        .unwrap();
-                }
+                let (chunk, tag) = secure.sealed_chunk(index as usize).unwrap();
+                assert_eq!(push_chunk(runtime, index, &chunk, &tag), StatusWord::OK);
                 // The applet serialised what the chunk released; the
                 // session keeps no second copy of it.
                 let session = runtime.applet().session.as_ref().unwrap();
@@ -1271,6 +1392,65 @@ mod tests {
                     runtime.exchange(&Apdu::new(ins::PUT_RULES, more, 0, frag.to_vec()).unwrap());
             }
             assert_eq!(last.status, StatusWord::SECURITY_NOT_SATISFIED);
+        }
+
+        #[test]
+        fn spliced_or_truncated_pushes_fail_the_integrity_check() {
+            let server = TrustedServer::new(b"community", medical_rules());
+            let build = |id: &str, revision: u8| {
+                SecureDocumentBuilder::new(id, server.document_key())
+                    .chunk_size(128)
+                    .build(&folder_revision(revision))
+            };
+            let current = build("folder", 2);
+            let last = current.header.chunk_count - 1;
+            for source in [build("annex", 2), build("folder", 1)] {
+                let mut runtime = doctor_card(&server, &current);
+                let index = card_at(&mut runtime, &current, |i| i >= 2);
+                let (chunk, tag) = source.sealed_chunk(index as usize).unwrap();
+                assert_eq!(
+                    push_chunk(&mut runtime, index, &chunk, &tag),
+                    StatusWord::SECURITY_NOT_SATISFIED
+                );
+            }
+            let mut runtime = doctor_card(&server, &current);
+            let index = card_at(&mut runtime, &current, |i| i == last);
+            let (chunk, tag) = current.sealed_chunk(index as usize).unwrap();
+            assert_eq!(
+                push_chunk(&mut runtime, index, &chunk[..chunk.len() - 1], &tag),
+                StatusWord::SECURITY_NOT_SATISFIED
+            );
+            assert_eq!(
+                push_chunk(&mut runtime, index, &chunk, &tag),
+                StatusWord::OK
+            );
+        }
+
+        #[test]
+        fn push_chunk_reassembly_is_bounded_by_one_chunk() {
+            let server = TrustedServer::new(b"community", medical_rules());
+            let secure = SecureDocumentBuilder::new("folder", server.document_key())
+                .chunk_size(128)
+                .build(&folder_revision(0));
+            let mut runtime = doctor_card(&server, &secure);
+            let limit = PUSH_CHUNK_PREFIX + 128;
+            let fragment =
+                |more: u8, len: usize| Apdu::new(ins::PUSH_CHUNK, more, 0, vec![0u8; len]).unwrap();
+            // Fragments up to index + tag + one chunk are accepted...
+            let first = runtime.exchange(&fragment(1, 100));
+            assert_eq!(first.status, StatusWord::OK);
+            let second = runtime.exchange(&fragment(1, limit - 100));
+            assert_eq!(second.status, StatusWord::OK);
+            // ...and the first byte beyond is refused, not buffered.
+            let over = runtime.exchange(&fragment(1, 1));
+            assert_eq!(over.status, StatusWord::WRONG_LENGTH);
+            assert!(runtime.applet().chunk_buf.is_empty());
+            // A payload too short to hold the index and the tag is refused.
+            let short = runtime.exchange(&fragment(0, PUSH_CHUNK_PREFIX - 1));
+            assert_eq!(short.status, StatusWord::WRONG_LENGTH);
+            // The session still takes the genuine chunk afterwards.
+            let (chunk, tag) = secure.sealed_chunk(0).unwrap();
+            assert_eq!(push_chunk(&mut runtime, 0, &chunk, &tag), StatusWord::OK);
         }
     }
 }

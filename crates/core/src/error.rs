@@ -47,7 +47,7 @@ pub enum CoreError {
     },
     /// A session pinned a document revision that has since been replaced:
     /// the typed staleness signal that replaces a torn read (chunks of the
-    /// new upload verified against the old header's Merkle root).
+    /// new upload checked against the old header).
     StaleRevision {
         /// Document whose revision moved.
         doc_id: String,

@@ -29,7 +29,7 @@
 //!   document (tag-dictionary bit arrays + subtree sizes, recursively
 //!   compressed) that lets the SOE *skip* forbidden or irrelevant subtrees,
 //! * [`secdoc`] — the secure document format: compact binary tokens, chunked
-//!   encryption, Merkle integrity, embedded skip index,
+//!   encryption, per-chunk integrity tags, embedded skip index,
 //! * [`engine`] — the SOE engine proper: fetch → integrity-check → decrypt →
 //!   parse → evaluate, under the card's RAM budget and cost ledger, exposed as
 //!   an APDU [`sdds_card::Applet`],

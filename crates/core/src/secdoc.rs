@@ -6,20 +6,29 @@
 //! of the skip-index encoder for that purpose:
 //!
 //! * the plaintext (tag dictionary + token stream) is split into fixed-size
-//!   **chunks**, each encrypted independently under AES-128-CTR with a
-//!   deterministic per-chunk nonce — so the SOE can decrypt any chunk in
+//!   **chunks**, each encrypted independently under AES-128-CTR from the
+//!   counter block `nonce ‖ index ‖ 0` — so the SOE can decrypt any chunk in
 //!   isolation, which is what makes skipping possible,
-//! * a **Merkle tree** over the ciphertext chunks provides tamper detection of
-//!   any consumed subset of chunks; its root is authenticated by an HMAC under
-//!   a key derived from the document key,
-//! * a small plaintext **header** carries the identifiers, geometry and the
-//!   authenticated root; the header itself is covered by the HMAC.
+//! * the document **nonce** is synthetic: a keyed PRF of the id, the chunk
+//!   size and the whole plaintext. Two builds share a keystream only when
+//!   they encrypt the same bytes the same way, and then their ciphertexts
+//!   are identical, so no keystream ever covers two different plaintexts,
+//! * every ciphertext chunk carries a 32-byte **tag** ([`ChunkTag`]), an HMAC
+//!   under the `doc-int` subkey binding the chunk to its document, nonce,
+//!   chunk count and position — so the SOE detects tampering with any
+//!   subset of chunks it consumes, chunk by chunk,
+//! * a small plaintext **header** (format version 2) carries the
+//!   identifiers and the geometry; the header itself is covered by an HMAC
+//!   under the `doc-mac` subkey.
+//!
+//! Only this module computes or inspects a tag; the DSP, the transports and
+//! the drivers carry it along as an opaque `Copy` value.
 
 use std::sync::Arc;
 
-use sdds_crypto::hmac::{hmac_sha256, verify_mac};
-use sdds_crypto::merkle::{MerkleProof, MerkleTree};
+use sdds_crypto::hmac::{hmac_sha256, verify_mac, HmacKey};
 use sdds_crypto::modes::{chunk_iv, ctr_apply};
+use sdds_crypto::siphash::siphash24;
 use sdds_crypto::{Aes128, CryptoError, SecretKey};
 use sdds_xml::Document;
 
@@ -27,15 +36,22 @@ use crate::error::CoreError;
 use crate::skipindex::encode::{DocumentEncoder, EncodeStats, EncoderConfig};
 
 /// Default plaintext chunk size, chosen so that one ciphertext chunk plus its
-/// Merkle proof fits comfortably in the e-gate's 1 KiB of applet RAM.
+/// 36-byte `PUSH_CHUNK` framing (index and tag) fits comfortably in the
+/// e-gate's 1 KiB of applet RAM.
 pub const DEFAULT_CHUNK_SIZE: usize = 512;
+
+/// Size of a [`ChunkTag`] in bytes.
+pub const TAG_LEN: usize = 32;
+
+/// Version byte of the header encoding (2: the chunks carry the tags).
+const FORMAT_VERSION: u8 = 2;
 
 /// Plaintext header of a secure document.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DocumentHeader {
     /// Document identifier (unique at the DSP).
     pub doc_id: String,
-    /// Nonce from which per-chunk IVs are derived.
+    /// Nonce from which per-chunk counter blocks are derived.
     pub nonce: [u8; 8],
     /// Plaintext chunk size in bytes (the last chunk may be shorter).
     pub chunk_size: u32,
@@ -47,8 +63,6 @@ pub struct DocumentHeader {
     pub tokens_start: u64,
     /// Whether nested summaries use recursive bitmap compression.
     pub recursive_bitmaps: bool,
-    /// Merkle root over the ciphertext chunks.
-    pub merkle_root: [u8; 32],
     /// HMAC over all the fields above, keyed by the document MAC key.
     pub mac: [u8; 32],
 }
@@ -65,7 +79,6 @@ impl DocumentHeader {
         buf.extend_from_slice(&self.plaintext_len.to_le_bytes());
         buf.extend_from_slice(&self.tokens_start.to_le_bytes());
         buf.push(u8::from(self.recursive_bitmaps));
-        buf.extend_from_slice(&self.merkle_root);
         buf
     }
 
@@ -90,15 +103,15 @@ impl DocumentHeader {
     pub fn encoded_len(&self) -> usize {
         // magic + version + id length prefix + id + nonce + chunk_size +
         // chunk_count + plaintext_len + tokens_start + recursive_bitmaps +
-        // merkle_root + mac.
-        4 + 1 + 2 + self.doc_id.len() + 8 + 4 + 4 + 8 + 8 + 1 + 32 + 32
+        // mac.
+        4 + 1 + 2 + self.doc_id.len() + 8 + 4 + 4 + 8 + 8 + 1 + 32
     }
 
     /// Serialises the header.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(b"SDDS");
-        out.push(1); // format version
+        out.push(FORMAT_VERSION);
         out.extend_from_slice(&(self.doc_id.len() as u16).to_le_bytes());
         out.extend_from_slice(self.doc_id.as_bytes());
         out.extend_from_slice(&self.nonce);
@@ -107,7 +120,6 @@ impl DocumentHeader {
         out.extend_from_slice(&self.plaintext_len.to_le_bytes());
         out.extend_from_slice(&self.tokens_start.to_le_bytes());
         out.push(u8::from(self.recursive_bitmaps));
-        out.extend_from_slice(&self.merkle_root);
         out.extend_from_slice(&self.mac);
         out
     }
@@ -121,7 +133,7 @@ impl DocumentHeader {
         if bytes.len() < 7 || &bytes[..4] != b"SDDS" {
             return Err(bad("bad magic"));
         }
-        if bytes[4] != 1 {
+        if bytes[4] != FORMAT_VERSION {
             return Err(bad("unsupported version"));
         }
         let id_len = u16::from_le_bytes([bytes[5], bytes[6]]) as usize;
@@ -150,7 +162,6 @@ impl DocumentHeader {
         let plaintext_len = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8 bytes")); // lint: infallible — see above
         let tokens_start = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8 bytes")); // lint: infallible — see above
         let recursive_bitmaps = take(&mut pos, 1)?[0] != 0;
-        let merkle_root: [u8; 32] = take(&mut pos, 32)?.try_into().expect("32 bytes"); // lint: infallible — see above
         let mac: [u8; 32] = take(&mut pos, 32)?.try_into().expect("32 bytes"); // lint: infallible — see above
         Ok(DocumentHeader {
             doc_id,
@@ -160,8 +171,79 @@ impl DocumentHeader {
             plaintext_len,
             tokens_start,
             recursive_bitmaps,
-            merkle_root,
             mac,
+        })
+    }
+}
+
+/// The integrity tag of one ciphertext chunk:
+/// `HMAC-SHA256(k_int, len(doc_id) ‖ doc_id ‖ nonce ‖ chunk_count ‖ index ‖
+/// ciphertext)`, with `k_int` the document's `doc-int` subkey.
+///
+/// The nonce binds the tag to one build of the document, the index to one
+/// position and the chunk count to one length, so a chunk replayed from
+/// another document or revision, moved, or cut short fails
+/// [`verify_chunk`]. Outside this module a tag is opaque: stored next to
+/// its chunk at the DSP and framed after the chunk index on the wire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChunkTag([u8; TAG_LEN]);
+
+impl ChunkTag {
+    /// Wraps tag bytes read off the wire.
+    pub fn from_bytes(bytes: [u8; TAG_LEN]) -> Self {
+        ChunkTag(bytes)
+    }
+
+    /// The tag bytes as framed on the wire.
+    pub fn as_bytes(&self) -> &[u8; TAG_LEN] {
+        &self.0
+    }
+
+    /// Serialised size — the wire ledgers count it without building it.
+    pub fn encoded_len(&self) -> usize {
+        TAG_LEN
+    }
+
+    /// Serialises the tag.
+    pub fn encode(&self) -> Vec<u8> {
+        self.0.to_vec()
+    }
+}
+
+/// Computes the tag of chunk `index` (see [`ChunkTag`]).
+fn chunk_tag(
+    integrity: &HmacKey,
+    header: &DocumentHeader,
+    index: u32,
+    ciphertext: &[u8],
+) -> ChunkTag {
+    let mut mac = integrity.start();
+    mac.update(&(header.doc_id.len() as u32).to_le_bytes());
+    mac.update(header.doc_id.as_bytes());
+    mac.update(&header.nonce);
+    mac.update(&header.chunk_count.to_le_bytes());
+    mac.update(&index.to_le_bytes());
+    mac.update(ciphertext);
+    ChunkTag(integrity.finish(mac))
+}
+
+/// Checks that `tag` vouches for `ciphertext` as chunk `index` of the
+/// document `header` describes, under the integrity key of
+/// [`integrity_key`]. The comparison is constant-time.
+pub fn verify_chunk(
+    integrity: &HmacKey,
+    header: &DocumentHeader,
+    index: u32,
+    ciphertext: &[u8],
+    tag: &ChunkTag,
+) -> Result<(), CryptoError> {
+    let expected = chunk_tag(integrity, header, index, ciphertext);
+    if verify_mac(&expected.0, &tag.0) {
+        Ok(())
+    } else {
+        Err(CryptoError::IntegrityFailure {
+            // alloc: cold — integrity-failure error path.
+            context: format!("tag of chunk {index} of `{}`", header.doc_id),
         })
     }
 }
@@ -175,9 +257,8 @@ pub struct SecureDocument {
     /// serve it by bumping a refcount instead of copying ciphertext per
     /// request (the chunks are immutable once built).
     pub chunks: Vec<Arc<[u8]>>,
-    /// Merkle tree over the encrypted chunks (kept by the publisher / DSP to
-    /// serve proofs).
-    merkle: MerkleTree,
+    /// The tag of each chunk, index for index.
+    tags: Vec<ChunkTag>,
     /// Encoding statistics (index overhead etc.).
     pub encode_stats: EncodeStats,
 }
@@ -193,25 +274,15 @@ impl SecureDocument {
         self.chunks.get(index).map(|c| &c[..])
     }
 
-    /// Shared handle to the ciphertext of chunk `index` — the zero-copy
-    /// serving form: the DSP hands the same allocation to every requester.
-    pub fn chunk_shared(&self, index: usize) -> Option<Arc<[u8]>> {
-        self.chunks.get(index).map(Arc::clone)
-    }
-
-    /// Merkle proof of chunk `index`.
-    pub fn proof(&self, index: usize) -> Result<MerkleProof, CoreError> {
-        Ok(self.merkle.proof(index)?)
+    /// Chunk `index` as it is served: a shared handle to its ciphertext —
+    /// the DSP hands the same allocation to every requester — and its tag.
+    pub fn sealed_chunk(&self, index: usize) -> Option<(Arc<[u8]>, ChunkTag)> {
+        Some((Arc::clone(self.chunks.get(index)?), *self.tags.get(index)?))
     }
 
     /// Total ciphertext size (what the DSP stores for the document body).
     pub fn ciphertext_len(&self) -> usize {
         self.chunks.iter().map(|c| c.len()).sum()
-    }
-
-    /// Serialised size of one chunk's Merkle proof.
-    pub fn proof_len(&self) -> usize {
-        self.merkle.proof_len()
     }
 
     /// Plaintext byte range covered by chunk `index`.
@@ -235,6 +306,14 @@ pub fn document_cipher(key: &SecretKey) -> Aes128 {
     Aes128::new(key.subkey("doc-enc").as_bytes())
 }
 
+/// Schedules the chunk-tag key of a document: the `doc-int` subkey of the
+/// document key as HMAC midstates, once per session (or per build), next to
+/// [`document_cipher`].
+// taint: source — derives the document's integrity key from its key.
+pub fn integrity_key(key: &SecretKey) -> HmacKey {
+    HmacKey::new(key.subkey("doc-int").as_bytes())
+}
+
 /// Decrypts one chunk under the document's chunk cipher (see
 /// [`document_cipher`]) and header (used by the SOE after integrity
 /// verification).
@@ -246,8 +325,7 @@ pub fn decrypt_chunk(
     index: u32,
     ciphertext: &[u8],
 ) -> Vec<u8> {
-    let iv = chunk_iv(&header.nonce, u64::from(index));
-    ctr_apply(cipher, &iv, ciphertext)
+    ctr_apply(cipher, &chunk_iv(&header.nonce, index), ciphertext)
 }
 
 /// Builder for [`SecureDocument`].
@@ -257,25 +335,16 @@ pub struct SecureDocumentBuilder {
     key: SecretKey,
     chunk_size: usize,
     encoder: EncoderConfig,
-    nonce: [u8; 8],
 }
 
 impl SecureDocumentBuilder {
     /// Creates a builder for document `doc_id` encrypted under `key`.
     pub fn new(doc_id: impl Into<String>, key: SecretKey) -> Self {
-        let doc_id = doc_id.into();
-        // The nonce only needs to be unique per (key, document); deriving it
-        // from the document id keeps the whole pipeline deterministic, which
-        // the experiments rely on for reproducibility.
-        let digest = sdds_crypto::merkle::digest(doc_id.as_bytes());
-        let mut nonce = [0u8; 8];
-        nonce.copy_from_slice(&digest[..8]);
         SecureDocumentBuilder {
-            doc_id,
+            doc_id: doc_id.into(),
             key,
             chunk_size: DEFAULT_CHUNK_SIZE,
             encoder: EncoderConfig::default(),
-            nonce,
         }
     }
 
@@ -292,11 +361,28 @@ impl SecureDocumentBuilder {
         self
     }
 
-    /// Encodes, chunks and encrypts `doc`.
+    /// The nonce of a build: SipHash-2-4 of the plaintext, under a PRF key
+    /// that an HMAC (keyed by the `doc-nonce` subkey) derives from the id
+    /// and the chunk size. It is fresh for every new content, so no two
+    /// different plaintexts are ever encrypted under one keystream, and it
+    /// needs no entropy source: the same content under the same key
+    /// rebuilds byte for byte.
+    fn synthetic_nonce(&self, plaintext: &[u8]) -> [u8; 8] {
+        let seed_key = HmacKey::new(self.key.subkey("doc-nonce").as_bytes());
+        let mut seed = seed_key.start();
+        seed.update(&(self.doc_id.len() as u32).to_le_bytes());
+        seed.update(self.doc_id.as_bytes());
+        seed.update(&(self.chunk_size as u32).to_le_bytes());
+        let mut prf_key = [0u8; 16];
+        prf_key.copy_from_slice(&seed_key.finish(seed)[..16]);
+        siphash24(&prf_key, plaintext).to_le_bytes()
+    }
+
+    /// Encodes, chunks, encrypts and tags `doc`.
     pub fn build(&self, doc: &Document) -> SecureDocument {
         let encoded = DocumentEncoder::new(self.encoder).encode(doc);
         let plaintext = encoded.plaintext();
-        let tokens_start = encoded.dict.encoded_len() as u64;
+        let nonce = self.synthetic_nonce(&plaintext);
 
         let cipher = document_cipher(&self.key);
         let mut chunks = Vec::with_capacity(plaintext.len().div_ceil(self.chunk_size).max(1));
@@ -304,30 +390,33 @@ impl SecureDocumentBuilder {
             chunks.push(Arc::from(&[][..]));
         } else {
             for (index, chunk) in plaintext.chunks(self.chunk_size).enumerate() {
-                let iv = chunk_iv(&self.nonce, index as u64);
-                chunks.push(ctr_apply(&cipher, &iv, chunk).into());
+                chunks.push(ctr_apply(&cipher, &chunk_iv(&nonce, index as u32), chunk).into());
             }
         }
-        let merkle = MerkleTree::build(&chunks);
 
         let mut header = DocumentHeader {
             doc_id: self.doc_id.clone(),
-            nonce: self.nonce,
+            nonce,
             chunk_size: self.chunk_size as u32,
             chunk_count: chunks.len() as u32,
             plaintext_len: plaintext.len() as u64,
-            tokens_start,
+            tokens_start: encoded.dict.encoded_len() as u64,
             recursive_bitmaps: self.encoder.recursive_bitmaps,
-            merkle_root: merkle.root(),
             mac: [0u8; 32],
         };
         let mac_key = self.key.subkey("doc-mac");
         header.mac = hmac_sha256(mac_key.as_bytes(), &header.mac_input());
+        let integrity = integrity_key(&self.key);
+        let tags = chunks
+            .iter()
+            .enumerate()
+            .map(|(index, chunk)| chunk_tag(&integrity, &header, index as u32, chunk))
+            .collect();
 
         SecureDocument {
             header,
             chunks,
-            merkle,
+            tags,
             encode_stats: encoded.stats,
         }
     }
@@ -361,17 +450,14 @@ mod tests {
         assert_eq!(secure.chunk_count() as u32, secure.header.chunk_count);
         secure.header.verify(&key()).unwrap();
 
-        // Decrypt every chunk, verify its proof, reassemble the plaintext.
+        // Verify every chunk's tag, decrypt it, reassemble the plaintext.
         let cipher = document_cipher(&key());
+        let integrity = integrity_key(&key());
         let mut plaintext = Vec::new();
         for i in 0..secure.chunk_count() {
-            let chunk = secure.chunk(i).unwrap();
-            secure
-                .proof(i)
-                .unwrap()
-                .verify(chunk, &secure.header.merkle_root)
-                .unwrap();
-            plaintext.extend(decrypt_chunk(&cipher, &secure.header, i as u32, chunk));
+            let (chunk, tag) = secure.sealed_chunk(i).unwrap();
+            verify_chunk(&integrity, &secure.header, i as u32, &chunk, &tag).unwrap();
+            plaintext.extend(decrypt_chunk(&cipher, &secure.header, i as u32, &chunk));
         }
         assert_eq!(plaintext.len() as u64, secure.header.plaintext_len);
         let events = decode_all(&plaintext, secure.header.recursive_bitmaps).unwrap();
@@ -382,11 +468,16 @@ mod tests {
     fn header_encode_decode_roundtrip() {
         let secure = SecureDocumentBuilder::new("doc-1", key()).build(&sample_doc());
         let bytes = secure.header.encode();
+        assert_eq!(bytes.len(), secure.header.encoded_len());
         let back = DocumentHeader::decode(&bytes).unwrap();
         assert_eq!(back, secure.header);
         back.verify(&key()).unwrap();
         assert!(DocumentHeader::decode(&bytes[..10]).is_err());
         assert!(DocumentHeader::decode(b"XXXX123").is_err());
+        // Version 1 headers (which carried a hash-tree root) are refused.
+        let mut old = bytes.clone();
+        old[4] = 1;
+        assert!(DocumentHeader::decode(&old).is_err());
     }
 
     #[test]
@@ -394,29 +485,33 @@ mod tests {
         let secure = SecureDocumentBuilder::new("doc-1", key()).build(&sample_doc());
         let other = SecretKey::derive(b"other", "k");
         assert!(secure.header.verify(&other).is_err());
+        let (chunk, tag) = secure.sealed_chunk(0).unwrap();
+        assert!(verify_chunk(&integrity_key(&other), &secure.header, 0, &chunk, &tag).is_err());
     }
 
     #[test]
     fn tampered_header_or_chunk_is_detected() {
         let secure = SecureDocumentBuilder::new("doc-1", key()).build(&sample_doc());
+        let integrity = integrity_key(&key());
         // Tampered header field.
         let mut header = secure.header.clone();
         header.chunk_size += 1;
         assert!(header.verify(&key()).is_err());
-        // Tampered chunk fails its Merkle proof.
-        let mut chunk = secure.chunk(1).unwrap().to_vec();
-        chunk[0] ^= 0xFF;
-        assert!(secure
-            .proof(1)
-            .unwrap()
-            .verify(&chunk, &secure.header.merkle_root)
-            .is_err());
-        // Swapping two chunks is detected too.
-        assert!(secure
-            .proof(0)
-            .unwrap()
-            .verify(secure.chunk(1).unwrap(), &secure.header.merkle_root)
-            .is_err());
+        // Tampered chunk fails its tag.
+        let (chunk, tag) = secure.sealed_chunk(1).unwrap();
+        let mut flipped = chunk.to_vec();
+        flipped[0] ^= 0xFF;
+        assert!(verify_chunk(&integrity, &secure.header, 1, &flipped, &tag).is_err());
+        // A chunk moved to another position fails too, with or without
+        // the tag of that position.
+        assert!(verify_chunk(&integrity, &secure.header, 0, &chunk, &tag).is_err());
+        let (_, tag0) = secure.sealed_chunk(0).unwrap();
+        assert!(verify_chunk(&integrity, &secure.header, 0, &chunk, &tag0).is_err());
+        // Tags bind the chunk count: a header claiming fewer chunks does
+        // not vouch for the genuine tags.
+        let mut shorter = secure.header.clone();
+        shorter.chunk_count -= 1;
+        assert!(verify_chunk(&integrity, &shorter, 1, &chunk, &tag).is_err());
     }
 
     #[test]
@@ -436,7 +531,10 @@ mod tests {
         assert!(le <= secure.header.plaintext_len);
         assert!(ls < le);
         assert!(secure.ciphertext_len() as u64 >= secure.header.plaintext_len);
-        assert!(secure.proof_len() > 0);
+        let (_, tag) = secure.sealed_chunk(last).unwrap();
+        assert_eq!(tag.encoded_len(), TAG_LEN);
+        assert_eq!(tag.encode(), tag.as_bytes());
+        assert!(secure.sealed_chunk(last + 1).is_none());
     }
 
     #[test]
@@ -445,10 +543,32 @@ mod tests {
         let a = SecureDocumentBuilder::new("doc-1", key()).build(&doc);
         let b = SecureDocumentBuilder::new("doc-1", SecretKey::derive(b"other", "k")).build(&doc);
         assert_ne!(a.chunk(0).unwrap(), b.chunk(0).unwrap());
-        // Same key and id are deterministic (reproducible experiments).
-        let c = SecureDocumentBuilder::new("doc-1", key()).build(&doc);
-        assert_eq!(a.chunk(0).unwrap(), c.chunk(0).unwrap());
-        assert_eq!(a.header, c.header);
+        // Same key and id, new content: a fresh nonce, so different
+        // ciphertext of the same sizes where the plaintexts agree. (Equal
+        // content rebuilds byte for byte: one keystream, one plaintext.)
+        let mut edited = sample_doc();
+        let root = edited.root().unwrap();
+        edited.add_text(root, "revised");
+        let c = SecureDocumentBuilder::new("doc-1", key()).build(&edited);
+        assert_ne!(a.header.nonce, c.header.nonce);
+        assert_ne!(a.chunk(0).unwrap(), c.chunk(0).unwrap());
+        assert_eq!(a.chunk(0).unwrap().len(), c.chunk(0).unwrap().len());
+    }
+
+    #[test]
+    fn the_nonce_is_bound_to_content_id_and_geometry() {
+        let doc = sample_doc();
+        let builder = SecureDocumentBuilder::new("doc-1", key());
+        let a = builder.build(&doc);
+        // The same content under the same key rebuilds byte for byte...
+        let again = builder.build(&doc);
+        assert_eq!(a.header, again.header);
+        assert_eq!(a.chunks, again.chunks);
+        // ...and another id or chunk size draws another nonce.
+        let renamed = SecureDocumentBuilder::new("doc-2", key()).build(&doc);
+        let recut = builder.clone().chunk_size(256).build(&doc);
+        assert_ne!(a.header.nonce, renamed.header.nonce);
+        assert_ne!(a.header.nonce, recut.header.nonce);
     }
 
     #[test]

@@ -15,7 +15,7 @@ pub enum CryptoError {
     /// Padding found at decryption time is invalid — almost always the sign of
     /// a tampered or mis-keyed ciphertext.
     BadPadding,
-    /// An integrity check (HMAC or Merkle) failed: the data was tampered with.
+    /// An integrity check (an HMAC) failed: the data was tampered with.
     IntegrityFailure {
         /// Human readable context (which object failed).
         context: String,
@@ -24,11 +24,6 @@ pub enum CryptoError {
     UnknownKey {
         /// Identifier of the missing key.
         key_id: u32,
-    },
-    /// A Merkle proof or chunk index is inconsistent with the tree shape.
-    BadProof {
-        /// Human readable description.
-        message: String,
     },
 }
 
@@ -43,7 +38,6 @@ impl fmt::Display for CryptoError {
                 write!(f, "integrity check failed: {context}")
             }
             CryptoError::UnknownKey { key_id } => write!(f, "unknown key id {key_id}"),
-            CryptoError::BadProof { message } => write!(f, "invalid integrity proof: {message}"),
         }
     }
 }
@@ -68,10 +62,5 @@ mod tests {
         assert!(CryptoError::UnknownKey { key_id: 9 }
             .to_string()
             .contains('9'));
-        assert!(CryptoError::BadProof {
-            message: "bad index".into()
-        }
-        .to_string()
-        .contains("bad index"));
     }
 }

@@ -1,30 +1,74 @@
-//! HMAC-SHA256 (RFC 2104) and a small HKDF-style key-derivation helper.
+//! HMAC-SHA256 (RFC 2104), its once-scheduled key, and a small HKDF-style
+//! key-derivation helper.
 
 use crate::sha256::{Sha256, BLOCK_SIZE, DIGEST_SIZE};
 
+/// An HMAC-SHA256 key scheduled once: the SHA-256 midstates after the
+/// padded key block has been absorbed on the inner (`ipad`) and the outer
+/// (`opad`) side. Every MAC under the key then starts from a copy of them,
+/// so the two key-block compressions are paid once per key, not per message.
+#[derive(Clone)]
+pub struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+// taint: redacted — prints a fixed placeholder, never the key midstates.
+impl std::fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("HmacKey(<redacted>)")
+    }
+}
+
+impl HmacKey {
+    /// Schedules `key` (hashed first when longer than one block, RFC 2104).
+    pub fn new(key: &[u8]) -> Self {
+        let mut key_block = [0u8; BLOCK_SIZE];
+        if key.len() > BLOCK_SIZE {
+            key_block[..DIGEST_SIZE].copy_from_slice(&crate::sha256::sha256(key));
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        let mut ipad = [0x36u8; BLOCK_SIZE];
+        let mut opad = [0x5cu8; BLOCK_SIZE];
+        for i in 0..BLOCK_SIZE {
+            ipad[i] ^= key_block[i];
+            opad[i] ^= key_block[i];
+        }
+        let mut inner = Sha256::new();
+        inner.update(&ipad);
+        let mut outer = Sha256::new();
+        outer.update(&opad);
+        HmacKey { inner, outer }
+    }
+
+    /// Starts a MAC: a copy of the inner midstate, ready to absorb the
+    /// message in parts.
+    pub fn start(&self) -> Sha256 {
+        self.inner
+    }
+
+    /// Completes a MAC started with [`HmacKey::start`].
+    // taint: sink — the key midstates stay inside; only the MAC, a one-way
+    // image of key and message, leaves.
+    pub fn finish(&self, inner: Sha256) -> [u8; DIGEST_SIZE] {
+        let mut outer = self.outer;
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+
+    /// `HMAC-SHA256(key, message)` in one call.
+    // taint: sink — as `finish`: only the MAC leaves.
+    pub fn mac(&self, message: &[u8]) -> [u8; DIGEST_SIZE] {
+        let mut inner = self.start();
+        inner.update(message);
+        self.finish(inner)
+    }
+}
+
 /// Computes `HMAC-SHA256(key, message)`.
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_SIZE] {
-    let mut key_block = [0u8; BLOCK_SIZE];
-    if key.len() > BLOCK_SIZE {
-        let digest = crate::sha256::sha256(key);
-        key_block[..DIGEST_SIZE].copy_from_slice(&digest);
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-    let mut ipad = [0x36u8; BLOCK_SIZE];
-    let mut opad = [0x5cu8; BLOCK_SIZE];
-    for i in 0..BLOCK_SIZE {
-        ipad[i] ^= key_block[i];
-        opad[i] ^= key_block[i];
-    }
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    HmacKey::new(key).mac(message)
 }
 
 /// Constant-time comparison of two MACs.
@@ -98,6 +142,19 @@ mod tests {
             to_hex(&mac),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
+    }
+
+    #[test]
+    fn scheduled_key_matches_the_one_shot_mac_in_parts() {
+        let key = HmacKey::new(b"Jefe");
+        let message = b"what do ya want for nothing?";
+        assert_eq!(key.mac(message), hmac_sha256(b"Jefe", message));
+        // The midstates are reusable, and a message may arrive in parts.
+        let mut inner = key.start();
+        inner.update(&message[..7]);
+        inner.update(&message[7..]);
+        assert_eq!(key.finish(inner), key.mac(message));
+        assert_eq!(format!("{key:?}"), "HmacKey(<redacted>)");
     }
 
     #[test]

@@ -11,10 +11,12 @@
 //! * [`modes`] — CBC and CTR modes over AES, with per-chunk IVs so that the
 //!   skip index can jump over encrypted regions without breaking decryption,
 //! * [`sha256`] — SHA-256 (FIPS 180-4),
-//! * [`hmac`] — HMAC-SHA256 (RFC 2104),
-//! * [`merkle`] — a Merkle tree over document chunks, supporting verification
-//!   of any subset of chunks (needed because the SOE *skips* chunks and must
-//!   still detect tampering of the ones it consumes),
+//! * [`hmac`] — HMAC-SHA256 (RFC 2104) with a once-scheduled key
+//!   ([`HmacKey`]): the SOE checks a per-chunk tag on every chunk it
+//!   consumes, so it detects tampering with whichever subset of chunks the
+//!   skip index makes it read,
+//! * [`siphash`] — SipHash-2-4, the keyed PRF that derives a document's
+//!   nonce from its plaintext at build time,
 //! * [`keys`] — key material, a deterministic key-derivation helper and the
 //!   key ring stored in the SOE's secure stable memory.
 //!
@@ -32,11 +34,11 @@ pub mod aes;
 pub mod error;
 pub mod hmac;
 pub mod keys;
-pub mod merkle;
 pub mod modes;
 pub mod sha256;
+pub mod siphash;
 
 pub use aes::Aes128;
 pub use error::CryptoError;
+pub use hmac::HmacKey;
 pub use keys::{KeyId, KeyRing, SecretKey};
-pub use merkle::MerkleTree;

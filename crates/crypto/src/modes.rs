@@ -67,15 +67,17 @@ pub fn cbc_decrypt(
 
 /// Encrypts or decrypts `data` with AES-128-CTR (the operation is symmetric).
 /// The 16-byte `nonce` is the initial counter block; the counter occupies the
-/// last 8 bytes (big-endian) and is incremented per block.
+/// last 4 bytes (big-endian) and is incremented per block, wrapping inside
+/// those 4 bytes, so it never carries into the bytes before them (see
+/// [`chunk_iv`]).
 pub fn ctr_apply(cipher: &Aes128, nonce: &[u8; BLOCK_SIZE], data: &[u8]) -> Vec<u8> {
     // alloc: amortized — one chunk-sized buffer per decrypted chunk; the SOE working set stays one chunk.
     let mut out = data.to_vec();
     let mut counter_block = *nonce;
-    // lint: infallible — an 8-byte slice of a `[u8; BLOCK_SIZE]` block.
-    let mut counter = u64::from_be_bytes(counter_block[8..16].try_into().expect("8 bytes"));
+    // lint: infallible — a 4-byte slice of a `[u8; BLOCK_SIZE]` block.
+    let mut counter = u32::from_be_bytes(counter_block[12..16].try_into().expect("4 bytes"));
     for chunk in out.chunks_mut(BLOCK_SIZE) {
-        counter_block[8..16].copy_from_slice(&counter.to_be_bytes());
+        counter_block[12..16].copy_from_slice(&counter.to_be_bytes());
         let mut keystream = counter_block;
         cipher.encrypt_block(&mut keystream);
         xor_block(chunk, &keystream);
@@ -108,14 +110,18 @@ pub fn pkcs7_unpad(data: &mut Vec<u8>) -> Result<(), CryptoError> {
     Ok(())
 }
 
-/// Derives a deterministic per-chunk IV/nonce from a document nonce and a chunk
-/// index. Deterministic IVs keep the secure-document format self-describing
-/// (the SOE can decrypt any chunk knowing only the document key, the document
-/// nonce and the chunk index found in the skip index).
-pub fn chunk_iv(document_nonce: &[u8; 8], chunk_index: u64) -> [u8; BLOCK_SIZE] {
+/// The initial CTR counter block of chunk `chunk_index`:
+/// `document_nonce(8) ‖ chunk_index(4, BE) ‖ block(4, BE) = 0`.
+///
+/// [`ctr_apply`] counts blocks in the low 4 bytes only, and a chunk has far
+/// fewer than 2^32 blocks, so the counter blocks of two chunks of one
+/// document never meet; those of two documents differ in the nonce. The SOE
+/// can decrypt any chunk knowing only the document key, the document nonce
+/// and the chunk index found in the skip index.
+pub fn chunk_iv(document_nonce: &[u8; 8], chunk_index: u32) -> [u8; BLOCK_SIZE] {
     let mut iv = [0u8; BLOCK_SIZE];
     iv[..8].copy_from_slice(document_nonce);
-    iv[8..].copy_from_slice(&chunk_index.to_be_bytes());
+    iv[8..12].copy_from_slice(&chunk_index.to_be_bytes());
     iv
 }
 
@@ -176,7 +182,7 @@ mod tests {
             "5ae4df3edbd5d35e5b4f09020db03eab",
             "1e031dda2fbe03d1792170a0f3009cee",
         ));
-        // F.5.1 encrypt; the counter step carries within the low 64 bits.
+        // F.5.1 encrypt; the counter step carries within the low 32 bits.
         assert_eq!(ctr_apply(&c, &counter, &plain), expected);
         // F.5.2 decrypt.
         assert_eq!(ctr_apply(&c, &counter, &expected), plain);
@@ -281,5 +287,26 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_eq!(a[..8], [7; 8]);
+        assert_eq!(b[8..], [0, 0, 0, 1, 0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn adjacent_chunks_share_no_keystream_block() {
+        // Chunk i's counter runs in the low 4 bytes, under its own index,
+        // so however long chunk 0 is it never reaches chunk 1's blocks.
+        let c = cipher();
+        let zeros = vec![0u8; 64 * BLOCK_SIZE];
+        let nonce = [3u8; 8];
+        let first = ctr_apply(&c, &chunk_iv(&nonce, 0), &zeros);
+        let second = ctr_apply(&c, &chunk_iv(&nonce, 1), &zeros);
+        for a in first.chunks(BLOCK_SIZE) {
+            assert!(second.chunks(BLOCK_SIZE).all(|b| a != b));
+        }
+        // The block counter wraps inside its 4 bytes instead of carrying
+        // into the chunk index.
+        let mut last = chunk_iv(&nonce, 0);
+        last[12..].copy_from_slice(&u32::MAX.to_be_bytes());
+        let wrapped = ctr_apply(&c, &last, &zeros[..2 * BLOCK_SIZE]);
+        assert_eq!(wrapped[BLOCK_SIZE..], first[..BLOCK_SIZE]);
     }
 }

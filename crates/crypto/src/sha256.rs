@@ -20,8 +20,9 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
-/// Incremental SHA-256 hasher.
-#[derive(Clone)]
+/// Incremental SHA-256 hasher. Its whole state is plain data, so a
+/// midstate is saved and resumed by copying it (see `hmac::HmacKey`).
+#[derive(Clone, Copy)]
 pub struct Sha256 {
     state: [u32; 8],
     buffer: [u8; BLOCK_SIZE],

@@ -2,7 +2,7 @@
 //!
 //! "The data are kept encrypted at the server" (§1); the DSP "hosts encrypted
 //! XML documents shared by users as well as encrypted access rules" (§3). The
-//! DSP is **untrusted**: it only ever sees ciphertext, Merkle proofs and
+//! DSP is **untrusted**: it only ever sees ciphertext, chunk tags and
 //! protected rule blobs, and it cannot alter them without detection (the SOE
 //! verifies everything). This crate provides:
 //!

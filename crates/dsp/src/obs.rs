@@ -56,14 +56,14 @@ impl ErrorObs {
 /// shards: a plain-value snapshot of the [`ShardObs`] serving counters.
 ///
 /// Every served payload bumps exactly one class of counters on the shard
-/// that served it, so `bytes_served` counts headers, chunks + proofs and rule
+/// that served it, so `bytes_served` counts headers, chunks + tags and rule
 /// blobs each exactly once, and summing per-shard snapshots cannot double- or
 /// under-count any class of payload.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Requests served.
     pub requests: usize,
-    /// Payload bytes served (headers, chunks, proofs, rule blobs).
+    /// Payload bytes served (headers, chunks, tags, rule blobs).
     pub bytes_served: usize,
     /// Chunk requests served.
     pub chunks_served: usize,
@@ -88,7 +88,7 @@ pub struct ServerStats {
 pub struct ShardObs {
     /// Requests served.
     pub requests: Counter,
-    /// Payload bytes served (headers, chunks, proofs, rule blobs).
+    /// Payload bytes served (headers, chunks, tags, rule blobs).
     pub bytes_served: Counter,
     /// Chunk requests served.
     pub chunks_served: Counter,
@@ -122,7 +122,7 @@ impl ShardObs {
         self.bytes_served.add(bytes as u64);
     }
 
-    /// Counts one served chunk (ciphertext + proof) of `bytes` payload.
+    /// Counts one served chunk (ciphertext + tag) of `bytes` payload.
     pub fn count_chunk(&self, bytes: usize) {
         self.requests.inc();
         self.bytes_served.add(bytes as u64);

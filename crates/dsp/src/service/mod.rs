@@ -79,10 +79,9 @@ use sdds_obs::ObsSnapshot;
 use sdds_sync::sync::atomic::{AtomicU64, Ordering};
 use sdds_sync::sync::Arc;
 
-use sdds_core::secdoc::{DocumentHeader, SecureDocument};
+use sdds_core::secdoc::{ChunkTag, DocumentHeader, SecureDocument};
 use sdds_core::session::ProtectedRules;
 use sdds_core::CoreError;
-use sdds_crypto::merkle::MerkleProof;
 
 use crate::obs::{DspObs, ServerStats};
 
@@ -285,7 +284,7 @@ impl DspService {
         doc_id: &str,
         index: u32,
         revision: u64,
-    ) -> Result<(Arc<[u8]>, MerkleProof), CoreError> {
+    ) -> Result<(Arc<[u8]>, ChunkTag), CoreError> {
         self.store.fetch_chunk(doc_id, index, Some(revision), 0)
     }
 
@@ -296,7 +295,7 @@ impl DspService {
         index: u32,
         revision: u64,
         salt: u64,
-    ) -> Result<(Arc<[u8]>, MerkleProof), CoreError> {
+    ) -> Result<(Arc<[u8]>, ChunkTag), CoreError> {
         self.store.fetch_chunk(doc_id, index, Some(revision), salt)
     }
 
@@ -377,9 +376,16 @@ impl DspService {
 mod tests {
     use super::*;
     use sdds_core::rule::RuleSet;
-    use sdds_core::secdoc::SecureDocumentBuilder;
+    use sdds_core::secdoc::{integrity_key, verify_chunk, SecureDocumentBuilder};
     use sdds_crypto::SecretKey;
     use sdds_xml::generator::{self, GeneratorConfig, HospitalProfile};
+
+    /// Whether `tag` vouches for `chunk` as chunk `index` of the document
+    /// `header` describes, under the key every test document is built with.
+    fn tag_verifies(header: &DocumentHeader, index: u32, chunk: &[u8], tag: &ChunkTag) -> bool {
+        let integrity = integrity_key(&SecretKey::derive(b"s", "k"));
+        verify_chunk(&integrity, header, index, chunk, tag).is_ok()
+    }
 
     fn document(id: &str) -> SecureDocument {
         let doc = generator::hospital(
@@ -465,7 +471,7 @@ mod tests {
             &GeneratorConfig::default(),
         );
         service.put_document(
-            SecureDocumentBuilder::new("folder", SecretKey::derive(b"s", "doc")).build(&doc),
+            SecureDocumentBuilder::new("folder", SecretKey::derive(b"s", "k")).build(&doc),
         );
         let rules = RuleSet::parse("+, doctor, //patient").unwrap();
         let sealed = ProtectedRules::seal(&rules, &SecretKey::derive(b"s", "rules"));
@@ -488,8 +494,8 @@ mod tests {
         let s = single_tenant();
         let (header, revision) = s.fetch_header_pinned("folder").unwrap();
         assert_eq!(header.doc_id, "folder");
-        let (chunk, proof) = s.fetch_chunk_pinned("folder", 0, revision).unwrap();
-        proof.verify(&chunk, &header.merkle_root).unwrap();
+        let (chunk, tag) = s.fetch_chunk_pinned("folder", 0, revision).unwrap();
+        assert!(tag_verifies(&header, 0, &chunk, &tag));
         let rules = s.fetch_rules("folder", "doctor").unwrap();
         assert!(!rules.is_empty());
         let stats = s.stats();
@@ -509,10 +515,10 @@ mod tests {
         assert_eq!(stats.rule_bytes_served, blob.len());
         // Rule bytes are a subset of bytes_served, not an addition to it.
         assert_eq!(stats.bytes_served, blob.len());
-        let (chunk, proof) = s.fetch_chunk_pinned("folder", 0, 0).unwrap();
+        let (chunk, tag) = s.fetch_chunk_pinned("folder", 0, 0).unwrap();
         assert_eq!(
             s.stats().bytes_served,
-            blob.len() + chunk.len() + proof.encode().len()
+            blob.len() + chunk.len() + tag.encode().len()
         );
         assert_eq!(s.stats().rule_bytes_served, blob.len());
     }
@@ -540,8 +546,8 @@ mod tests {
                     for i in 0..8 {
                         let id = format!("doc-{}", (i + t) % 8);
                         let (header, revision) = service.fetch_header_pinned(&id).unwrap();
-                        let (chunk, proof) = service.fetch_chunk_pinned(&id, 0, revision).unwrap();
-                        proof.verify(&chunk, &header.merkle_root).unwrap();
+                        let (chunk, tag) = service.fetch_chunk_pinned(&id, 0, revision).unwrap();
+                        assert!(tag_verifies(&header, 0, &chunk, &tag));
                     }
                 });
             }

@@ -30,7 +30,7 @@
 //! carry a **pinned revision** (its `pinned` argument): a mismatch — e.g. a
 //! republish in the middle of a card session — returns the typed
 //! [`CoreError::StaleRevision`] instead of letting chunks of the new upload
-//! fail Merkle verification against the old header.
+//! fail their tag check against the old header.
 //!
 //! Global statistics are the per-shard counters summed on read
 //! ([`ShardedStore::stats`]).
@@ -40,10 +40,9 @@ use sdds_sync::sync::{Arc, RwLock, RwLockExt};
 use std::collections::HashMap;
 use std::hash::Hasher;
 
-use sdds_core::secdoc::{DocumentHeader, SecureDocument};
+use sdds_core::secdoc::{ChunkTag, DocumentHeader, SecureDocument};
 use sdds_core::session::ProtectedRules;
 use sdds_core::CoreError;
-use sdds_crypto::merkle::MerkleProof;
 use sdds_xml::symbols::Fnv1a;
 
 use crate::obs::{ServeObs, ServerStats, ShardObs};
@@ -82,30 +81,29 @@ fn serve_header(
     Ok(header)
 }
 
-/// Serves one encrypted chunk and its Merkle proof out of `record`.
+/// Serves one encrypted chunk and its tag out of `record`.
 ///
-/// The ciphertext is shared, not copied: the returned [`Arc`] aliases the
-/// stored chunk, so the per-event cost is a refcount bump plus the (small)
-/// Merkle sibling path, regardless of the chunk size.
+/// Nothing is copied or built: the returned [`Arc`] aliases the stored
+/// chunk and the tag is a 32-byte `Copy`, so the per-event cost is a
+/// refcount bump regardless of the chunk size.
 fn serve_chunk(
     record: &DocumentRecord,
     obs: &ShardObs,
     index: u32,
     pinned: Option<u64>,
-) -> Result<(Arc<[u8]>, MerkleProof), CoreError> {
+) -> Result<(Arc<[u8]>, ChunkTag), CoreError> {
     check_revision(record, pinned)?;
     let doc_id = &record.document.header.doc_id;
-    let chunk = record
+    let (chunk, tag) = record
         .document
-        .chunk_shared(index as usize)
+        .sealed_chunk(index as usize)
         .ok_or_else(|| CoreError::BadState {
             // alloc: cold — out-of-range error path, never taken by a
             // well-formed session.
             message: format!("chunk {index} out of range for `{doc_id}`"),
         })?;
-    let proof = record.document.proof(index as usize)?;
-    obs.count_chunk(chunk.len() + proof.encoded_len());
-    Ok((chunk, proof))
+    obs.count_chunk(chunk.len() + tag.encoded_len());
+    Ok((chunk, tag))
 }
 
 /// Serves the protected rule blob of `subject` out of `record`. The blob is
@@ -555,7 +553,7 @@ impl ShardedStore {
         })
     }
 
-    /// Fetches one encrypted chunk and its Merkle proof, failing with
+    /// Fetches one encrypted chunk and its tag, failing with
     /// [`CoreError::StaleRevision`] when `pinned` is set and the serving
     /// record no longer has that revision.
     ///
@@ -568,7 +566,7 @@ impl ShardedStore {
         index: u32,
         pinned: Option<u64>,
         salt: u64,
-    ) -> Result<(Arc<[u8]>, MerkleProof), CoreError> {
+    ) -> Result<(Arc<[u8]>, ChunkTag), CoreError> {
         self.serve(
             doc_id,
             salt.wrapping_add(u64::from(index) + 1),
@@ -678,9 +676,16 @@ impl ShardedStore {
 mod tests {
     use super::*;
     use sdds_core::rule::RuleSet;
-    use sdds_core::secdoc::SecureDocumentBuilder;
+    use sdds_core::secdoc::{integrity_key, verify_chunk, SecureDocumentBuilder};
     use sdds_crypto::SecretKey;
     use sdds_xml::generator::{self, GeneratorConfig, HospitalProfile};
+
+    /// Whether `tag` vouches for `chunk` as chunk `index` of the document
+    /// `header` describes, under the key every test document is built with.
+    fn tag_verifies(header: &DocumentHeader, index: u32, chunk: &[u8], tag: &ChunkTag) -> bool {
+        let integrity = integrity_key(&SecretKey::derive(b"s", "k"));
+        verify_chunk(&integrity, header, index, chunk, tag).is_ok()
+    }
 
     fn document(id: &str) -> SecureDocument {
         let doc = generator::hospital(
@@ -718,8 +723,8 @@ mod tests {
         assert!(occupied.iter().any(|&s| s != occupied[0]));
 
         let (header, _) = store.fetch_header("doc-3", None, 0).unwrap();
-        let (chunk, proof) = store.fetch_chunk("doc-3", 0, None, 0).unwrap();
-        proof.verify(&chunk, &header.merkle_root).unwrap();
+        let (chunk, tag) = store.fetch_chunk("doc-3", 0, None, 0).unwrap();
+        assert!(tag_verifies(&header, 0, &chunk, &tag));
         assert!(store.fetch_header("doc-99", None, 0).is_err());
         assert!(store.fetch_chunk("doc-3", 9999, None, 0).is_err());
     }
@@ -745,8 +750,8 @@ mod tests {
         store.put_document(document("doc"));
         let (header, revision) = store.fetch_header("doc", None, 0).unwrap();
         assert_eq!(revision, 0);
-        let (chunk, proof) = store.fetch_chunk("doc", 0, Some(revision), 0).unwrap();
-        proof.verify(&chunk, &header.merkle_root).unwrap();
+        let (chunk, tag) = store.fetch_chunk("doc", 0, Some(revision), 0).unwrap();
+        assert!(tag_verifies(&header, 0, &chunk, &tag));
 
         store.put_document(document("doc"));
         assert!(matches!(
@@ -821,8 +826,8 @@ mod tests {
 
         let (header, _) = store.fetch_header("hot", None, 0).unwrap();
         for index in 0..header.chunk_count {
-            let (chunk, proof) = store.fetch_chunk("hot", index, None, 0).unwrap();
-            proof.verify(&chunk, &header.merkle_root).unwrap();
+            let (chunk, tag) = store.fetch_chunk("hot", index, None, 0).unwrap();
+            assert!(tag_verifies(&header, index, &chunk, &tag));
         }
         // More than one shard accounted traffic for the single document.
         let active = store

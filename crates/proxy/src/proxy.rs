@@ -14,9 +14,9 @@
 
 use sdds_card::apdu::{fragment_payload, ins, Apdu};
 use sdds_card::{CardProfile, CardRuntime, CostLedger, CostModel, LatencyBreakdown};
-use sdds_core::engine::{AccessControlApplet, SessionStats};
+use sdds_core::engine::{AccessControlApplet, SessionStats, PUSH_CHUNK_PREFIX};
 use sdds_core::rule::Subject;
-use sdds_core::secdoc::SecureDocument;
+use sdds_core::secdoc::{ChunkTag, SecureDocument};
 use sdds_core::session::{KeyProvisioning, TrustedServer};
 use sdds_core::CoreError;
 use sdds_crypto::SecretKey;
@@ -185,11 +185,10 @@ impl Terminal {
             if index == u32::MAX {
                 break;
             }
-            let chunk = document
-                .chunk(index as usize)
+            let (chunk, tag) = document
+                .sealed_chunk(index as usize)
                 .ok_or_else(|| ProxyError::Protocol(format!("chunk {index} out of range")))?;
-            let proof = document.proof(index as usize)?.encode();
-            self.push_chunk(index, chunk, &proof)?;
+            self.push_chunk(index, &chunk, &tag)?;
         }
         let view = self.collect_output()?;
         self.runtime
@@ -197,20 +196,19 @@ impl Terminal {
         Ok(view)
     }
 
-    /// Pushes one chunk (with its proof) to the card; returns the payload
-    /// size shipped, which the batched-channel accounting of the shared
-    /// session queues per logical request.
+    /// Pushes one chunk with its tag to the card; returns the payload size
+    /// shipped, which the batched-channel accounting of the shared session
+    /// queues per logical request.
     pub(crate) fn push_chunk(
         &mut self,
         index: u32,
         chunk: &[u8],
-        proof: &[u8],
+        tag: &ChunkTag,
     ) -> Result<usize, ProxyError> {
-        // alloc: amortized — one framing buffer per served chunk (index + proof + ciphertext), handed to the APDU layer.
-        let mut payload = Vec::with_capacity(6 + proof.len() + chunk.len());
+        // alloc: amortized — one framing buffer per served chunk (index + tag + ciphertext), handed to the APDU layer.
+        let mut payload = Vec::with_capacity(PUSH_CHUNK_PREFIX + chunk.len());
         payload.extend_from_slice(&index.to_le_bytes());
-        payload.extend_from_slice(&(proof.len() as u16).to_le_bytes());
-        payload.extend_from_slice(proof);
+        payload.extend_from_slice(tag.as_bytes());
         payload.extend_from_slice(chunk);
         let fragments = fragment_payload(&payload);
         for (i, frag) in fragments.iter().enumerate() {

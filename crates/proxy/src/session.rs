@@ -27,8 +27,7 @@ use std::time::Duration;
 
 use sdds_card::apdu::{ins, Apdu};
 use sdds_card::{BatchedChannel, CostModel};
-use sdds_core::secdoc::DocumentHeader;
-use sdds_crypto::merkle::MerkleProof;
+use sdds_core::secdoc::{ChunkTag, DocumentHeader};
 use sdds_dsp::service::{Schedulable, StepOutcome};
 use sdds_dsp::{DspService, SessionObs};
 
@@ -54,7 +53,7 @@ enum SessionPhase {
 /// middle of the pull surfaces as the typed
 /// `CoreError::StaleRevision` (through [`CardSession::run`] /
 /// [`CardSession::failure`]) instead of chunks of the new upload failing
-/// Merkle verification against the old header.
+/// their tag check against the old header.
 pub struct CardSession {
     terminal: Terminal,
     service: Arc<DspService>,
@@ -190,7 +189,7 @@ impl CardSession {
     fn start(&mut self) -> Result<(), ProxyError> {
         // The header fetch pins the upload revision for the whole session:
         // every later request carries it, so a mid-pull republish becomes a
-        // typed `StaleRevision`, never a Merkle mismatch.
+        // typed `StaleRevision`, never a tag mismatch.
         let pinned = self
             .service
             .fetch_header_pinned_salted(&self.doc_id, self.route_salt)?;
@@ -235,10 +234,8 @@ impl CardSession {
                 self.route_salt,
             )?;
             let chunk: Arc<[u8]> = served.0;
-            let proof: MerkleProof = served.1;
-            // alloc: amortized — the sibling path is ~33 bytes per tree level
-            // (a handful of levels per document); the chunk itself is shared.
-            let pushed = self.terminal.push_chunk(index, &chunk, &proof.encode())?;
+            let tag: ChunkTag = served.1;
+            let pushed = self.terminal.push_chunk(index, &chunk, &tag)?;
             // The whole request rides the step's batch: the 5-byte
             // NEXT_REQUEST command and chunk payload out, the 4-byte index
             // answer and a status word back.

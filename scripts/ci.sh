@@ -38,7 +38,7 @@ echo "==> cargo test -q (SDDS_PROP_CASES=256)"
 SDDS_PROP_CASES=256 cargo test -q
 
 echo "==> cargo test -q --release -p sdds-crypto -p sdds-core"
-# The cipher, Merkle and SOE arithmetic also run optimised: release builds
+# The cipher, MAC and SOE arithmetic also run optimised: release builds
 # wrap integer overflow silently where debug builds panic, so the
 # known-answer and differential tests must pass in both profiles.
 cargo test -q --release -p sdds-crypto -p sdds-core

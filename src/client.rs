@@ -509,7 +509,7 @@ impl Client {
         let rules_key = self.rules_key.unwrap_key(&self.transport_key)?;
         // The header fetch pins the upload revision; every later fetch of
         // this stream carries it, so a mid-stream republish is a typed
-        // `SddsError::StaleRevision`, never a Merkle mismatch.
+        // `SddsError::StaleRevision`, never a tag mismatch.
         let (header, revision) = self.service.fetch_header_pinned(doc_id)?;
         let blob = self
             .service

@@ -50,7 +50,7 @@ pub enum SddsError {
     /// The document was republished while a session held a pinned revision:
     /// re-open the session to read the new upload. This is a staleness
     /// signal, **not** a security event — without pinning it would surface
-    /// as an inscrutable Merkle verification failure.
+    /// as an inscrutable chunk-tag verification failure.
     StaleRevision {
         /// Document whose revision moved.
         doc_id: String,

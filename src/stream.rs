@@ -14,7 +14,7 @@ use sdds_sync::sync::Arc;
 use std::collections::VecDeque;
 
 use sdds_core::engine::{SecureEvaluationSession, SessionRequest, SessionStats};
-use sdds_crypto::merkle::MerkleProof;
+use sdds_core::secdoc::ChunkTag;
 use sdds_dsp::{DspService, SessionObs};
 use sdds_xml::{writer, Event};
 
@@ -26,7 +26,7 @@ use crate::error::SddsError;
 /// The stream **pins the upload revision** it saw at open: every chunk fetch
 /// carries it, so a republish between two `next()` calls yields the typed
 /// [`SddsError::StaleRevision`] — never a chunk of the new upload failing
-/// Merkle verification against the old header.
+/// its tag check against the old header.
 ///
 /// Yields `Result<Event, SddsError>`; after the first error the stream is
 /// poisoned and yields nothing further. Once exhausted, the session
@@ -129,12 +129,11 @@ impl ViewStream {
                     .service
                     .fetch_chunk_pinned(&self.doc_id, index, self.revision)?;
                 let chunk: Arc<[u8]> = served.0;
-                let proof: MerkleProof = served.1;
-                session.supply_chunk(index, &chunk, &proof)?;
+                let tag: ChunkTag = served.1;
+                session.supply_chunk(index, &chunk, &tag)?;
                 let produced = session.take_output();
-                // Account the transfer like the terminal-side channel would —
-                // by size only, without serialising the proof.
-                let wire = chunk.len() + proof.encoded_len();
+                // Account the transfer like the terminal-side channel would.
+                let wire = chunk.len() + tag.encoded_len();
                 let produced_len: usize = produced.iter().map(Event::serialized_len).sum();
                 session.record_exchange(wire, produced_len);
                 self.obs.record_exchange(wire, produced_len);

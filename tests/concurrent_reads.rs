@@ -4,7 +4,7 @@
 //! **byte-identical to the oracle view of some published revision** — no
 //! torn interleaving mixing two revisions — and every pull that fails must
 //! fail with the typed `StaleRevision` (a republish raced the session),
-//! never with a crypto/Merkle error.
+//! never with a crypto error.
 //!
 //! Honours `SDDS_PROP_CASES` (default 64, CI raises it): the case budget is
 //! the number of completed reads demanded across the reader threads.

@@ -142,8 +142,9 @@ fn dom_baseline_agrees_with_the_card_but_fetches_everything() {
     let card_view = researcher.authorized_view("folders").unwrap();
     let card_chunks = publisher.stats().chunks_served;
 
-    // The DOM baseline runs on the same encrypted bytes (the builder is
-    // deterministic for a given key, id and chunk size).
+    // The DOM baseline runs on the same encrypted bytes: the document nonce
+    // is a keyed PRF of the id, the chunk size and the plaintext, so
+    // rebuilding the same content under the same key reproduces every byte.
     let secure = SecureDocumentBuilder::new("folders", publisher.server().document_key())
         .chunk_size(128)
         .build(&doc);

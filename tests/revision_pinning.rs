@@ -1,8 +1,8 @@
 //! Regression tests for the torn-read-on-republish bug: a session that
 //! pinned revision `r` at open must fail with the **typed**
 //! `SddsError::StaleRevision` when the document is republished under it —
-//! never with a Merkle/crypto verification error (the pre-pinning symptom:
-//! chunks of the new upload verified against the old header's root), and
+//! never with a crypto verification error (the pre-pinning symptom:
+//! chunks of the new upload checked against the old header), and
 //! never with silently mixed content.
 
 use sdds::{Client, Publisher, RuleSet, SddsError};
@@ -49,7 +49,7 @@ fn view_stream_republish_between_next_calls_is_a_typed_stale_revision() {
     publisher.publish("folders", &hospital(5)).unwrap();
 
     // The next fetch must surface the typed staleness signal — explicitly
-    // not a crypto/Merkle error, which is what this bug used to look like.
+    // not a crypto error, which is what this bug used to look like.
     let outcome = stream.find_map(Result::err);
     match outcome {
         Some(SddsError::StaleRevision {

@@ -105,18 +105,15 @@ fn tampering_anywhere_is_detected_before_any_output_is_produced() {
     header.plaintext_len += 1;
     assert!(SecureEvaluationSession::open(header, key(), config()).is_err());
 
-    // Chunk substitution: serve chunk 1 in place of chunk 0 with chunk 0's proof.
+    // Chunk substitution: serve chunk 1 in place of chunk 0 with chunk 0's tag.
     let mut session =
         SecureEvaluationSession::open(secure.header.clone(), key(), config()).unwrap();
     let SessionRequest::NeedChunk(first) = session.next_request() else {
         panic!("expected a chunk request")
     };
+    let (_, tag) = secure.sealed_chunk(first as usize).unwrap();
     let err = session
-        .supply_chunk(
-            first,
-            secure.chunk((first + 1) as usize).unwrap(),
-            &secure.proof(first as usize).unwrap(),
-        )
+        .supply_chunk(first, secure.chunk((first + 1) as usize).unwrap(), &tag)
         .unwrap_err();
     assert!(matches!(err, CoreError::Crypto(_)));
     assert!(session.take_output().is_empty());
