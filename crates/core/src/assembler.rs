@@ -19,6 +19,7 @@
 //!   accounting.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use sdds_xml::{Attribute, Event};
 
@@ -30,7 +31,8 @@ use crate::runtime::{EngineOutput, InstanceId, NodeAnnotation};
 /// One element currently open in the rendered view.
 #[derive(Debug, Clone)]
 struct RenderFrame {
-    name: String,
+    /// Shared with the element's `Open` event and its scaffolding copy.
+    name: Arc<str>,
     decision: Decision,
     in_scope: bool,
     delivered: bool,
@@ -307,8 +309,7 @@ impl ViewAssembler {
             self.stats.nodes_delivered += 1;
             self.emit_scaffolding();
             self.ready.push(Event::Open {
-                // alloc: amortized — one owned tag name per delivered element; the frame keeps the original for the closing tag.
-                name: name.clone(),
+                name: Arc::clone(&name),
                 attrs,
             });
         } else {
@@ -345,9 +346,7 @@ impl ViewAssembler {
                 continue;
             }
             self.ready.push(Event::Open {
-                // alloc: amortized — each ancestor is emitted at most once;
-                // the frame keeps its own copy for the closing tag.
-                name: self.stack[i].name.clone(),
+                name: Arc::clone(&self.stack[i].name),
                 attrs: Vec::<Attribute>::new(),
             });
             self.stack[i].emitted = true;

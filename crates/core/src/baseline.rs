@@ -19,6 +19,7 @@
 //!   (experiment E7), which is precisely the rigidity the SOE approach removes.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 use sdds_crypto::SecretKey;
 use sdds_xml::{Document, Event, NodeData, NodeId};
@@ -162,8 +163,9 @@ fn emit_view(
                 return;
             }
             let is_delivered = delivered.get(&node).copied().unwrap_or(false);
+            let name: Arc<str> = Arc::from(name.as_str());
             events.push(Event::Open {
-                name: name.clone(),
+                name: Arc::clone(&name),
                 attrs: if is_delivered {
                     attrs.clone()
                 } else {
@@ -173,7 +175,7 @@ fn emit_view(
             for child in doc.children(node) {
                 emit_view(doc, *child, delivered, needed, events);
             }
-            events.push(Event::Close(name.clone()));
+            events.push(Event::Close(name));
         }
     }
 }
@@ -218,7 +220,8 @@ impl DomBaseline {
                 .channel
                 .record_exchange(chunk.len() + tag.encoded_len(), 0);
             ledger.record_hash(chunk.len());
-            let clear = decrypt_chunk(&cipher, &document.header, index as u32, &chunk);
+            let mut clear = chunk.to_vec();
+            decrypt_chunk(&cipher, &document.header, index as u32, &mut clear);
             ledger.record_decrypt(clear.len());
             plaintext.extend(clear);
         }

@@ -187,8 +187,15 @@ impl SecureEvaluationSession {
 
     /// Takes the authorized events produced so far (every driver drains the
     /// session through this after each [`SecureEvaluationSession::supply_chunk`]).
+    /// The session keeps an empty buffer of the same capacity, so the next
+    /// chunk's events do not regrow it.
     pub fn take_output(&mut self) -> Vec<Event> {
-        std::mem::take(&mut self.output)
+        if self.output.is_empty() {
+            return Vec::new();
+        }
+        let capacity = self.output.capacity();
+        // alloc: amortized — one buffer per chunk, sized to the largest chunk's output so far.
+        std::mem::replace(&mut self.output, Vec::with_capacity(capacity))
     }
 
     /// Accounts one chunk transfer on the session ledger (`wire_bytes` served
@@ -275,23 +282,28 @@ impl SecureEvaluationSession {
         }
 
         // 1. Integrity: the tag must bind this ciphertext to this document
-        //    build, this position and the authenticated chunk count.
+        //    build, this position and the authenticated chunk count. Nothing
+        //    of a chunk enters the session before its tag checks.
         verify_chunk(&self.integrity, &self.header, index, ciphertext, tag)?;
         self.stats.ledger.record_hash(ciphertext.len());
-
-        // 2. Decrypt.
-        let plaintext = decrypt_chunk(&self.cipher, &self.header, index, ciphertext);
-        self.stats.ledger.record_decrypt(plaintext.len());
+        self.stats.ledger.record_decrypt(ciphertext.len());
         self.stats.chunks_fetched += 1;
         self.last_supplied_chunk = Some(index);
         let chunk_start = u64::from(index) * u64::from(self.header.chunk_size);
 
-        // 3. Feed the reader (building it first if the dictionary is still
-        //    incomplete).
+        // 2. Decrypt in place where the plaintext is read: the reader's window,
+        //    or the dictionary buffer while the dictionary is incomplete.
+        let (cipher, header) = (&self.cipher, &self.header);
+        let decrypt = |window: &mut [u8]| {
+            window.copy_from_slice(ciphertext);
+            decrypt_chunk(cipher, header, index, window);
+        };
         if let Some(reader) = self.reader.as_mut() {
-            reader.supply(chunk_start, &plaintext)?;
+            reader.supply_with(chunk_start, ciphertext.len(), decrypt)?;
         } else {
-            self.dict_buf.extend_from_slice(&plaintext);
+            let at = self.dict_buf.len();
+            self.dict_buf.resize(at + ciphertext.len(), 0);
+            decrypt(&mut self.dict_buf[at..]);
             if (self.dict_buf.len() as u64) < self.header.tokens_start {
                 self.next_chunk += 1;
                 self.check_ram()?;
@@ -308,13 +320,15 @@ impl SecureEvaluationSession {
                 self.header.plaintext_len,
                 self.header.recursive_bitmaps,
             );
-            let rest = self.dict_buf.split_off(self.header.tokens_start as usize);
-            reader.supply(self.header.tokens_start, &rest)?;
+            reader.supply(
+                self.header.tokens_start,
+                &self.dict_buf[self.header.tokens_start as usize..],
+            )?;
             self.dict_buf.clear();
             self.reader = Some(reader);
         }
 
-        // 4. Pump the reader.
+        // 3. Pump the reader.
         self.pump()?;
         self.check_ram()?;
         Ok(self.output.len())
@@ -361,7 +375,7 @@ impl SecureEvaluationSession {
                     if self.config.use_skip_index && self.can_skip(&summary) {
                         // lint: infallible — same guard as the `pump` entry.
                         let reader = self.reader.as_mut().expect("reader present");
-                        reader.skip(summary.content_len);
+                        reader.skip(summary.content_len)?;
                         self.stats.ledger.record_skip(summary.content_len as usize);
                         self.stats.skipped_subtrees += 1;
                     }
@@ -998,8 +1012,16 @@ mod tests {
     #[test]
     fn tampered_chunk_is_rejected_during_the_session() {
         let doc = hospital_doc(3);
-        let secure = SecureDocumentBuilder::new("folder", key()).build(&doc);
-        let (mut session, index) = session_at(&secure, |_| true);
+        let secure = SecureDocumentBuilder::new("folder", key())
+            .chunk_size(128)
+            .build(&doc);
+        // Past the dictionary, so a chunk's plaintext would go to the reader.
+        let (mut session, index) = session_at(&secure, |i| i == 2);
+        let window = |session: &SecureEvaluationSession| {
+            let reader = session.reader.as_ref().expect("dictionary complete");
+            (reader.needed_offset(), reader.window_bytes())
+        };
+        let before = window(&session);
         let (chunk, tag) = secure.sealed_chunk(index as usize).unwrap();
         // A bit flip in the ciphertext.
         let mut flipped = chunk.to_vec();
@@ -1020,8 +1042,22 @@ mod tests {
         assert!(is_integrity_failure(
             &session.supply_chunk(index, &chunk, &other_tag)
         ));
-        // The rejections left the session usable.
+        // No byte of a rejected chunk entered the window, and the session
+        // still ends in the oracle view.
+        assert_eq!(window(&session), before);
         session.supply_chunk(index, &chunk, &tag).unwrap();
+        let mut events = session.take_output();
+        events.extend(run_local(&secure, &mut session).unwrap());
+        let (rest, _) = session.finish().unwrap();
+        events.extend(rest);
+        let expected = authorized_view_oracle(
+            &doc,
+            &medical_rules(),
+            &Subject::new("doctor"),
+            None,
+            &AccessPolicy::paper(),
+        );
+        assert_eq!(writer::to_string(&events), writer::to_string(&expected));
     }
 
     #[test]

@@ -940,7 +940,7 @@ impl OpenScope<'_> {
 /// must exist and, when a condition is given, satisfy it. Shared by the
 /// immediate edge checks and the final step of attribute predicate paths.
 fn attr_holds(attrs: &[Attribute], name: &str, condition: Option<&ValueCondition>) -> bool {
-    match attrs.iter().find(|a| a.name == name) {
+    match attrs.iter().find(|a| *a.name == *name) {
         Some(attr) => condition.map(|c| c.holds(&attr.value)).unwrap_or(true),
         None => false,
     }
@@ -1060,7 +1060,7 @@ mod tests {
                     .filter(|d| d.matches.is_unconditional())
                     .map(|d| d.rule.0)
                     .collect();
-                out.push((name.clone(), rules));
+                out.push((name.to_string(), rules));
             }
         }
         out
@@ -1147,7 +1147,7 @@ mod tests {
                 EngineOutput::Annotated {
                     event: Event::Open { name, .. },
                     annotation: Some(ann),
-                } if name == "d" => Some(ann.clone()),
+                } if &**name == "d" => Some(ann.clone()),
                 _ => None,
             })
             .unwrap();
@@ -1204,7 +1204,7 @@ mod tests {
                 annotation: Some(ann),
             } = o
             {
-                if name == "c" {
+                if &**name == "c" {
                     assert!(ann.query.as_ref().unwrap().is_unconditional());
                     saw_query = true;
                 } else {
@@ -1305,7 +1305,7 @@ mod tests {
                 EngineOutput::Annotated {
                     event: Event::Open { name, .. },
                     annotation: Some(ann),
-                } if name == "name" => Some(ann.clone()),
+                } if &**name == "name" => Some(ann.clone()),
                 _ => None,
             })
             .unwrap();

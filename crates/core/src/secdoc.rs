@@ -314,18 +314,14 @@ pub fn integrity_key(key: &SecretKey) -> HmacKey {
     HmacKey::new(key.subkey("doc-int").as_bytes())
 }
 
-/// Decrypts one chunk under the document's chunk cipher (see
+/// Decrypts one chunk in place under the document's chunk cipher (see
 /// [`document_cipher`]) and header (used by the SOE after integrity
-/// verification).
+/// verification): `chunk` holds the ciphertext on entry and the plaintext
+/// on return.
 // taint: source — re-introduces cleartext from a verified ciphertext chunk;
 // callable only on the card side, which holds the document key.
-pub fn decrypt_chunk(
-    cipher: &Aes128,
-    header: &DocumentHeader,
-    index: u32,
-    ciphertext: &[u8],
-) -> Vec<u8> {
-    ctr_apply(cipher, &chunk_iv(&header.nonce, index), ciphertext)
+pub fn decrypt_chunk(cipher: &Aes128, header: &DocumentHeader, index: u32, chunk: &mut [u8]) {
+    ctr_apply(cipher, &chunk_iv(&header.nonce, index), chunk);
 }
 
 /// Builder for [`SecureDocument`].
@@ -390,7 +386,9 @@ impl SecureDocumentBuilder {
             chunks.push(Arc::from(&[][..]));
         } else {
             for (index, chunk) in plaintext.chunks(self.chunk_size).enumerate() {
-                chunks.push(ctr_apply(&cipher, &chunk_iv(&nonce, index as u32), chunk).into());
+                let mut chunk = chunk.to_vec();
+                ctr_apply(&cipher, &chunk_iv(&nonce, index as u32), &mut chunk);
+                chunks.push(chunk.into());
             }
         }
 
@@ -457,7 +455,9 @@ mod tests {
         for i in 0..secure.chunk_count() {
             let (chunk, tag) = secure.sealed_chunk(i).unwrap();
             verify_chunk(&integrity, &secure.header, i as u32, &chunk, &tag).unwrap();
-            plaintext.extend(decrypt_chunk(&cipher, &secure.header, i as u32, &chunk));
+            let mut clear = chunk.to_vec();
+            decrypt_chunk(&cipher, &secure.header, i as u32, &mut clear);
+            plaintext.extend(clear);
         }
         assert_eq!(plaintext.len() as u64, secure.header.plaintext_len);
         let events = decode_all(&plaintext, secure.header.recursive_bitmaps).unwrap();

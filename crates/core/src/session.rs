@@ -15,7 +15,7 @@
 //! * [`TrustedServer`] — the issuer side: holds the master secrets, produces
 //!   protected rule sets and wrapped keys for a community of cards.
 
-use sdds_crypto::hmac::{hmac_sha256, verify_mac};
+use sdds_crypto::hmac::{hmac_sha256, verify_mac, HmacKey};
 use sdds_crypto::modes::{cbc_decrypt, cbc_encrypt};
 use sdds_crypto::{Aes128, CryptoError, SecretKey};
 
@@ -36,14 +36,18 @@ pub struct ProtectedRules {
     pub mac: [u8; 32],
 }
 
+/// Domain label of the synthetic rule-blob IV, which is computed under the
+/// same `rules-mac` key as the blob's MAC.
+const RULES_IV_LABEL: &[u8] = b"sdds rules-iv";
+
 impl ProtectedRules {
-    fn mac_input(version: u64, iv: &[u8; 16], ciphertext: &[u8]) -> Vec<u8> {
-        // alloc: startup — rule blobs seal/open at provisioning, once per session.
-        let mut buf = Vec::with_capacity(8 + 16 + ciphertext.len());
-        buf.extend_from_slice(&version.to_le_bytes());
-        buf.extend_from_slice(iv);
-        buf.extend_from_slice(ciphertext);
-        buf
+    /// The blob's MAC: HMAC over version, IV and ciphertext.
+    fn mac(mac_key: &HmacKey, version: u64, iv: &[u8; 16], ciphertext: &[u8]) -> [u8; 32] {
+        let mut inner = mac_key.start();
+        inner.update(&version.to_le_bytes());
+        inner.update(iv);
+        inner.update(ciphertext);
+        mac_key.finish(inner)
     }
 
     /// Seals `rules` under `key` (the rule-protection key of the community).
@@ -52,18 +56,20 @@ impl ProtectedRules {
     pub fn seal(rules: &RuleSet, key: &SecretKey) -> Self {
         let payload = rules.encode();
         let enc_key = key.subkey("rules-enc");
-        let mac_key = key.subkey("rules-mac");
-        // A deterministic IV derived from the version keeps the pipeline
-        // reproducible; versions never repeat for a given community key.
-        let iv_material = hmac_sha256(mac_key.as_bytes(), &rules.version().to_le_bytes());
+        let mac_key = HmacKey::new(key.subkey("rules-mac").as_bytes());
+        // A synthetic IV: a PRF of version and payload. Every subject's subset
+        // of one policy version is sealed under one key, so an IV of the
+        // version alone would repeat across subjects; this one repeats only
+        // for the same payload, and keeps sealing deterministic.
+        let mut iv_input = mac_key.start();
+        iv_input.update(RULES_IV_LABEL);
+        iv_input.update(&rules.version().to_le_bytes());
+        iv_input.update(&payload);
         let mut iv = [0u8; 16];
-        iv.copy_from_slice(&iv_material[..16]);
+        iv.copy_from_slice(&mac_key.finish(iv_input)[..16]);
         let cipher = Aes128::new(enc_key.as_bytes());
         let ciphertext = cbc_encrypt(&cipher, &iv, &payload);
-        let mac = hmac_sha256(
-            mac_key.as_bytes(),
-            &Self::mac_input(rules.version(), &iv, &ciphertext),
-        );
+        let mac = Self::mac(&mac_key, rules.version(), &iv, &ciphertext);
         ProtectedRules {
             version: rules.version(),
             ciphertext,
@@ -90,11 +96,8 @@ impl ProtectedRules {
                 });
             }
         }
-        let mac_key = key.subkey("rules-mac");
-        let expected = hmac_sha256(
-            mac_key.as_bytes(),
-            &Self::mac_input(self.version, &self.iv, &self.ciphertext),
-        );
+        let mac_key = HmacKey::new(key.subkey("rules-mac").as_bytes());
+        let expected = Self::mac(&mac_key, self.version, &self.iv, &self.ciphertext);
         if !verify_mac(&expected, &self.mac) {
             return Err(CryptoError::IntegrityFailure {
                 context: "protected rule set".into(),
@@ -385,6 +388,17 @@ mod tests {
         assert!(sealed_old.open(&key, Some(5)).is_err());
         // Same version is accepted (idempotent refresh).
         assert!(sealed_new.open(&key, Some(5)).is_ok());
+    }
+
+    #[test]
+    fn rule_blob_ivs_differ_across_subjects_and_repeat_on_reseal() {
+        let server = TrustedServer::new(b"community", rules());
+        let doctor = server.protected_rules_for(&Subject::new("doctor"));
+        let nurse = server.protected_rules_for(&Subject::new("nurse"));
+        assert_eq!(doctor.version, nurse.version);
+        assert_ne!(doctor.iv, nurse.iv, "one key, one version, two payloads");
+        let again = server.protected_rules_for(&Subject::new("doctor"));
+        assert_eq!(again.encode(), doctor.encode());
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! then never requested, transferred, nor decrypted, which is precisely the
 //! benefit measured in experiment E2.
 
+use std::sync::Arc;
+
 use sdds_xml::{Attribute, Event, TagDict, TagId};
 
 use super::compress::{read_varint, TagReference};
@@ -46,19 +48,28 @@ pub enum SkipDecision {
 }
 
 /// Incremental reader of the binary token stream.
+///
+/// The window holds decrypted bytes from `window_start` on; `cursor` marks
+/// the next byte to decode. Decoding a token or skipping a subtree only moves
+/// the cursor: the consumed bytes are dropped once per [`TokenReader::supply`]
+/// (or [`TokenReader::supply_with`]), never per token.
 #[derive(Debug)]
 pub struct TokenReader {
     dict: TagDict,
+    /// Reference of bitmaps with no enclosing summary: the whole dictionary.
+    full_reference: TagReference,
     recursive_bitmaps: bool,
     stream_len: u64,
-    /// Absolute offset of `window[0]`.
+    /// Absolute offset of `window[0]`; never past `cursor`.
     window_start: u64,
     window: Vec<u8>,
-    /// Absolute offset of the next byte to decode.
+    /// Absolute offset of the next byte to decode; never past the window end.
     cursor: u64,
     depth: usize,
-    open_names: Vec<String>,
-    /// Reference tag sets of enclosing summaries: `(depth, reference)`.
+    /// Names of the open elements, shared with the events that opened them.
+    open_names: Vec<Arc<str>>,
+    /// Reference tag sets of enclosing summaries: `(depth, reference)`. Only
+    /// recursive bitmaps push here; the others are all against the dictionary.
     ref_stack: Vec<(usize, TagReference)>,
     /// Set when the last decoded token was an OPEN, in which case a SUMMARY
     /// may follow and would describe that element.
@@ -71,6 +82,7 @@ impl TokenReader {
     /// already parsed by the caller).
     pub fn new(dict: TagDict, start_offset: u64, stream_len: u64, recursive_bitmaps: bool) -> Self {
         TokenReader {
+            full_reference: TagReference::full(dict.len()),
             dict,
             recursive_bitmaps,
             stream_len,
@@ -99,9 +111,9 @@ impl TokenReader {
         self.depth
     }
 
-    /// Bytes currently buffered in the reader window (charged to secure RAM).
+    /// Bytes supplied but not yet decoded or skipped (charged to secure RAM).
     pub fn window_bytes(&self) -> usize {
-        self.window.len()
+        self.window.len() - self.rel()
     }
 
     /// True once every byte of the stream has been consumed or skipped.
@@ -113,76 +125,89 @@ impl TokenReader {
     /// has already consumed are ignored; a gap after the current window is an
     /// error.
     pub fn supply(&mut self, offset: u64, bytes: &[u8]) -> Result<(), CoreError> {
-        let end = offset + bytes.len() as u64;
-        if self.window.is_empty() {
-            if end <= self.cursor {
-                return Ok(()); // entirely stale (e.g. a chunk that was skipped over)
-            }
-            if offset > self.cursor {
-                return Err(CoreError::BadState {
-                    // alloc: cold — plaintext-gap error path.
-                    message: format!(
-                        "plaintext gap: reader needs offset {} but received {offset}",
-                        self.cursor
-                    ),
-                });
-            }
-            let prefix = (self.cursor - offset) as usize;
-            self.window_start = self.cursor;
-            self.window.extend_from_slice(&bytes[prefix..]);
+        self.supply_with(offset, bytes.len(), |tail| tail.copy_from_slice(bytes))
+    }
+
+    /// Supplies the `len` bytes starting at absolute `offset` by letting `fill`
+    /// write them straight into the window's tail, e.g. copy a chunk's
+    /// ciphertext there and decrypt it in place. `fill` is not called when
+    /// every byte is already supplied or consumed; otherwise the rules of
+    /// [`TokenReader::supply`] apply.
+    pub fn supply_with(
+        &mut self,
+        offset: u64,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]),
+    ) -> Result<(), CoreError> {
+        let window_end = self.needed_offset();
+        if offset + len as u64 <= window_end {
+            return Ok(()); // entirely stale (e.g. a chunk that was skipped over)
+        }
+        if offset > window_end {
+            return Err(CoreError::BadState {
+                // alloc: cold — plaintext-gap error path.
+                message: format!(
+                    "plaintext gap: reader needs offset {window_end} but received {offset}"
+                ),
+            });
+        }
+        // Drop the consumed bytes: the one compaction per supply.
+        self.window.drain(..self.rel());
+        self.window_start = self.cursor;
+        let at = self.window.len();
+        self.window.resize(at + len, 0);
+        fill(&mut self.window[at..]);
+        // Bytes of the piece before `window_end` are already known: behind the
+        // cursor they wait for the next compaction, in the window they go now.
+        let known = (window_end - offset) as usize;
+        if at == 0 {
+            self.window_start = offset;
         } else {
-            let window_end = self.window_start + self.window.len() as u64;
-            if end <= window_end {
-                return Ok(());
-            }
-            if offset > window_end {
-                return Err(CoreError::BadState {
-                    // alloc: cold — plaintext-gap error path.
-                    message: format!(
-                        "plaintext gap: window ends at {window_end} but received offset {offset}"
-                    ),
-                });
-            }
-            let prefix = (window_end - offset) as usize;
-            self.window.extend_from_slice(&bytes[prefix..]);
+            self.window.drain(at..at + known);
         }
         Ok(())
     }
 
     /// Skips `content_len` bytes of subtree content (the caller obtained the
-    /// length from the corresponding [`SubtreeSummary`]).
-    pub fn skip(&mut self, content_len: u64) {
-        self.cursor += content_len;
-        let window_end = self.window_start + self.window.len() as u64;
-        if self.cursor >= window_end {
+    /// length from the corresponding [`SubtreeSummary`]). The length is
+    /// untrusted: one that runs past the end of the stream is an error.
+    pub fn skip(&mut self, content_len: u64) -> Result<(), CoreError> {
+        self.cursor = self
+            .cursor
+            .checked_add(content_len)
+            .filter(|&end| end <= self.stream_len)
+            .ok_or_else(|| CoreError::BadDocument {
+                // alloc: cold — corrupt-summary error path.
+                message: format!(
+                    "summary skips {content_len} bytes from offset {}, past the end of the stream",
+                    self.cursor
+                ),
+            })?;
+        if self.cursor >= self.needed_offset() {
             self.window.clear();
-            self.window_start = self.cursor;
-        } else {
-            let keep_from = (self.cursor - self.window_start) as usize;
-            self.window.drain(..keep_from);
             self.window_start = self.cursor;
         }
         // A skip consumes the content of the element that was just opened; the
         // next token is its CLOSE.
         self.last_open_depth = None;
+        Ok(())
     }
 
     fn rel(&self) -> usize {
         (self.cursor - self.window_start) as usize
     }
 
-    fn current_reference(&self) -> TagReference {
+    fn current_reference(&self) -> &TagReference {
         self.ref_stack
             .last()
-            // alloc: amortized — the recursive tag reference is a small bitmap, cloned per summary probe.
-            .map(|(_, r)| r.clone())
-            .unwrap_or_else(|| TagReference::full(self.dict.len()))
+            .map_or(&self.full_reference, |(_, r)| r)
     }
 
-    fn tag_name(&self, id: u64) -> Result<String, CoreError> {
-        self.dict
-            .name(TagId(id as u16))
-            .map(str::to_owned)
+    fn tag_name(&self, id: u64) -> Result<Arc<str>, CoreError> {
+        u16::try_from(id)
+            .ok()
+            .and_then(|id| self.dict.name(TagId(id)))
+            .map(Arc::clone)
             .ok_or_else(|| CoreError::BadDocument {
                 // alloc: cold — unknown-tag error path.
                 message: format!("unknown tag id {id}"),
@@ -233,8 +258,7 @@ impl TokenReader {
                 let name = self.tag_name(tag)?;
                 self.consume(pos - start);
                 self.depth += 1;
-                // alloc: amortized — the reader tracks one open tag name per element for well-formedness.
-                self.open_names.push(name.clone());
+                self.open_names.push(Arc::clone(&name));
                 self.last_open_depth = Some(self.depth);
                 Ok(ReadResult::Token(TokenEvent::Event(Event::Open {
                     name,
@@ -290,21 +314,18 @@ impl TokenReader {
                     return Ok(ReadResult::NeedData);
                 };
                 pos += used;
-                let Some(bitmap) = self.window.get(pos..pos + bitmap_len as usize) else {
+                let Some(bitmap) = window_slice(&self.window, pos, bitmap_len) else {
                     return Ok(ReadResult::NeedData);
                 };
-                let reference = self.current_reference();
-                let tags = reference.decode_subset(bitmap);
+                let tags = self.current_reference().decode_subset(bitmap);
                 pos += bitmap_len as usize;
                 self.consume(pos - start);
                 // Nested summaries are encoded against this subtree's tag set
                 // (recursive compression) or the full dictionary.
-                let nested_ref = if self.recursive_bitmaps {
-                    TagReference::from_set(&tags)
-                } else {
-                    TagReference::full(self.dict.len())
-                };
-                self.ref_stack.push((open_depth, nested_ref));
+                if self.recursive_bitmaps {
+                    self.ref_stack
+                        .push((open_depth, TagReference::from_set(&tags)));
+                }
                 self.last_open_depth = None;
                 Ok(ReadResult::Token(TokenEvent::Summary(SubtreeSummary {
                     content_len,
@@ -323,9 +344,6 @@ impl TokenReader {
 
     fn consume(&mut self, bytes: usize) {
         self.cursor += bytes as u64;
-        let keep_from = (self.cursor - self.window_start) as usize;
-        self.window.drain(..keep_from);
-        self.window_start = self.cursor;
     }
 }
 
@@ -396,8 +414,38 @@ mod tests {
         }
     }
 
+    /// `events` without the content of `skipped` elements.
+    fn without_content_of(events: &[Event], skipped: &str) -> Vec<Event> {
+        let mut kept = Vec::new();
+        // Depth inside a skipped element; 0 outside any.
+        let mut inside = 0usize;
+        for event in events {
+            match event {
+                Event::Open { .. } if inside > 0 => inside += 1,
+                Event::Close(_) if inside > 1 => inside -= 1,
+                Event::Close(_) if inside == 1 => {
+                    inside = 0;
+                    kept.push(event.clone());
+                }
+                _ if inside > 0 => {}
+                Event::Open { name, .. } => {
+                    if &**name == skipped {
+                        inside = 1;
+                    }
+                    kept.push(event.clone());
+                }
+                _ => kept.push(event.clone()),
+            }
+        }
+        kept
+    }
+
     #[test]
     fn incremental_supply_in_small_pieces() {
+        // Pieces are supplied like chunks: the aligned piece holding the
+        // offset the reader needs. Skipping every patient makes pieces start
+        // behind the cursor (a stale prefix) and skips run past the window's
+        // end; small pieces split tokens across supplies.
         let doc = generator::hospital(
             &HospitalProfile {
                 patients: 3,
@@ -405,37 +453,57 @@ mod tests {
             },
             &GeneratorConfig::default(),
         );
-        let enc = DocumentEncoder::new(EncoderConfig::default()).encode(&doc);
+        let enc = DocumentEncoder::new(EncoderConfig {
+            min_index_bytes: 16,
+            ..EncoderConfig::default()
+        })
+        .encode(&doc);
         let plaintext = enc.plaintext();
-        let (dict, dict_len) = TagDict::decode(&plaintext).unwrap();
-        let mut reader = TokenReader::new(dict, dict_len as u64, plaintext.len() as u64, true);
-
-        let mut events = Vec::new();
-        let mut supplied = dict_len;
-        loop {
-            match reader.next_token().unwrap() {
-                ReadResult::Token(TokenEvent::Event(e)) => events.push(e),
-                ReadResult::Token(TokenEvent::Summary(s)) => {
-                    // Text-only subtrees legitimately have an empty tag set.
-                    assert!(s.content_len > 0);
+        let expected = without_content_of(&decode_all(&plaintext, true).unwrap(), "patient");
+        for piece in [1usize, 2, 7, 255, 256, 4096] {
+            let (dict, dict_len) = TagDict::decode(&plaintext).unwrap();
+            let mut reader = TokenReader::new(dict, dict_len as u64, plaintext.len() as u64, true);
+            let mut events: Vec<Event> = Vec::new();
+            let mut skips = 0;
+            let mut peak_window = 0;
+            loop {
+                match reader.next_token().unwrap() {
+                    ReadResult::Token(TokenEvent::Event(e)) => events.push(e),
+                    ReadResult::Token(TokenEvent::Summary(s)) => {
+                        if matches!(events.last(), Some(Event::Open { name, .. }) if &**name == "patient")
+                        {
+                            reader.skip(s.content_len).unwrap();
+                            skips += 1;
+                        }
+                    }
+                    ReadResult::NeedData => {
+                        let needed = reader.needed_offset() as usize;
+                        assert!(needed < plaintext.len(), "reader starved at end of stream");
+                        let start = needed / piece * piece;
+                        let end = (start + piece).min(plaintext.len());
+                        reader.supply(start as u64, &plaintext[start..end]).unwrap();
+                        peak_window = peak_window.max(reader.window_bytes());
+                    }
+                    ReadResult::End => break,
                 }
-                ReadResult::NeedData => {
-                    assert!(
-                        supplied < plaintext.len(),
-                        "reader starved at end of stream"
-                    );
-                    let next = (supplied + 33).min(plaintext.len());
-                    reader
-                        .supply(supplied as u64, &plaintext[supplied..next])
-                        .unwrap();
-                    supplied = next;
-                }
-                ReadResult::End => break,
             }
+            assert_eq!(skips, 3, "piece {piece}");
+            assert_eq!(events, expected, "piece {piece}");
+            assert_eq!(reader.depth(), 0);
+            // The window holds one piece and the start of one token (no
+            // token of this document is 64 bytes long).
+            assert!(peak_window < piece + 64, "piece {piece}: {peak_window}");
+            // Names are shared from the dictionary, across pieces too.
+            let patients: Vec<(&Arc<str>, &[Attribute])> = events
+                .iter()
+                .filter_map(|e| match e {
+                    Event::Open { name, attrs } if &**name == "patient" => Some((name, &attrs[..])),
+                    _ => None,
+                })
+                .collect();
+            assert!(Arc::ptr_eq(patients[0].0, patients[1].0));
+            assert!(Arc::ptr_eq(&patients[0].1[0].name, &patients[2].1[0].name));
         }
-        assert_eq!(events, doc.to_events());
-        // The window never holds the whole document.
-        assert!(reader.window_bytes() < plaintext.len());
     }
 
     #[test]
@@ -465,14 +533,14 @@ mod tests {
             match reader.next_token().unwrap() {
                 ReadResult::Token(TokenEvent::Event(e)) => {
                     if let Event::Open { name, .. } = &e {
-                        seen.push(name.clone());
+                        seen.push(name.to_string());
                     }
                 }
                 ReadResult::Token(TokenEvent::Summary(s)) => {
                     // Summaries for patient elements: skip them all.
                     if *seen.last().unwrap() == "patient" {
                         skipped_bytes += s.content_len;
-                        reader.skip(s.content_len);
+                        reader.skip(s.content_len).unwrap();
                     }
                 }
                 ReadResult::NeedData => panic!("whole stream was supplied"),
@@ -557,18 +625,55 @@ mod tests {
 
     #[test]
     fn huge_untrusted_lengths_are_typed_errors() {
-        // An OPEN token claiming u64::MAX attributes, then a TEXT token
-        // claiming u64::MAX bytes: each length must be bounded by the input,
-        // never used to reserve memory or index past the end.
+        // Each length or id below is read from untrusted bytes and must end
+        // in a typed error: never reserve memory, index past the end, wrap
+        // an offset or truncate an id.
         let dict = TagDict::from_names(["a"]);
-        for marker in [token::OPEN, token::TEXT] {
+        let stream = |tokens: &[&[u64]]| {
             let mut plaintext = dict.encode();
-            plaintext.push(marker);
-            if marker == token::OPEN {
-                write_varint(&mut plaintext, 0);
+            for token in tokens {
+                plaintext.push(token[0] as u8);
+                for &varint in &token[1..] {
+                    write_varint(&mut plaintext, varint);
+                }
             }
-            write_varint(&mut plaintext, u64::MAX);
+            plaintext
+        };
+        let open_a: &[u64] = &[token::OPEN.into(), 0, 0];
+        let cases = [
+            // An OPEN claiming u64::MAX attributes.
+            stream(&[&[token::OPEN.into(), 0, u64::MAX]]),
+            // A TEXT claiming u64::MAX bytes.
+            stream(&[open_a, &[token::TEXT.into(), u64::MAX]]),
+            // A SUMMARY claiming a u64::MAX-byte bitmap.
+            stream(&[open_a, &[token::SUMMARY.into(), 1, u64::MAX]]),
+            // Tag id 65 536, one past the u16 id space: not tag 0.
+            stream(&[&[token::OPEN.into(), 1 << 16, 0]]),
+        ];
+        for plaintext in cases {
             let err = decode_all(&plaintext, true).unwrap_err();
+            assert!(matches!(err, CoreError::BadDocument { .. }), "{err:?}");
+        }
+        // A SUMMARY whose content runs past the end of the stream, with and
+        // without overflowing the offset.
+        for content_len in [100, u64::MAX] {
+            let plaintext = stream(&[
+                open_a,
+                &[token::SUMMARY.into(), content_len, 1, 0],
+                &[token::CLOSE.into()],
+            ]);
+            let mut reader = TokenReader::new(
+                dict.clone(),
+                dict.encoded_len() as u64,
+                plaintext.len() as u64,
+                true,
+            );
+            reader.supply(0, &plaintext).unwrap();
+            assert!(matches!(reader.next_token(), Ok(ReadResult::Token(_))));
+            let Ok(ReadResult::Token(TokenEvent::Summary(summary))) = reader.next_token() else {
+                panic!("a summary follows the open");
+            };
+            let err = reader.skip(summary.content_len).unwrap_err();
             assert!(matches!(err, CoreError::BadDocument { .. }), "{err:?}");
         }
     }

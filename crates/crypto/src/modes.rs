@@ -65,25 +65,22 @@ pub fn cbc_decrypt(
     Ok(out)
 }
 
-/// Encrypts or decrypts `data` with AES-128-CTR (the operation is symmetric).
-/// The 16-byte `nonce` is the initial counter block; the counter occupies the
-/// last 4 bytes (big-endian) and is incremented per block, wrapping inside
-/// those 4 bytes, so it never carries into the bytes before them (see
-/// [`chunk_iv`]).
-pub fn ctr_apply(cipher: &Aes128, nonce: &[u8; BLOCK_SIZE], data: &[u8]) -> Vec<u8> {
-    // alloc: amortized — one chunk-sized buffer per decrypted chunk; the SOE working set stays one chunk.
-    let mut out = data.to_vec();
+/// Encrypts or decrypts `data` in place with AES-128-CTR (the operation is
+/// symmetric). The 16-byte `nonce` is the initial counter block; the counter
+/// occupies the last 4 bytes (big-endian) and is incremented per block,
+/// wrapping inside those 4 bytes, so it never carries into the bytes before
+/// them (see [`chunk_iv`]).
+pub fn ctr_apply(cipher: &Aes128, nonce: &[u8; BLOCK_SIZE], data: &mut [u8]) {
     let mut counter_block = *nonce;
     // lint: infallible — a 4-byte slice of a `[u8; BLOCK_SIZE]` block.
     let mut counter = u32::from_be_bytes(counter_block[12..16].try_into().expect("4 bytes"));
-    for chunk in out.chunks_mut(BLOCK_SIZE) {
+    for chunk in data.chunks_mut(BLOCK_SIZE) {
         counter_block[12..16].copy_from_slice(&counter.to_be_bytes());
         let mut keystream = counter_block;
         cipher.encrypt_block(&mut keystream);
         xor_block(chunk, &keystream);
         counter = counter.wrapping_add(1);
     }
-    out
 }
 
 /// Applies PKCS#7 padding to a full multiple of the block size. An empty input
@@ -131,6 +128,13 @@ mod tests {
 
     fn cipher() -> Aes128 {
         Aes128::new(&[0x42; 16])
+    }
+
+    /// CTR over a copy of `data`.
+    fn ctr(cipher: &Aes128, nonce: &[u8; BLOCK_SIZE], data: &[u8]) -> Vec<u8> {
+        let mut out = data.to_vec();
+        ctr_apply(cipher, nonce, &mut out);
+        out
     }
 
     fn hex(text: &str) -> Vec<u8> {
@@ -183,11 +187,11 @@ mod tests {
             "1e031dda2fbe03d1792170a0f3009cee",
         ));
         // F.5.1 encrypt; the counter step carries within the low 32 bits.
-        assert_eq!(ctr_apply(&c, &counter, &plain), expected);
+        assert_eq!(ctr(&c, &counter, &plain), expected);
         // F.5.2 decrypt.
-        assert_eq!(ctr_apply(&c, &counter, &expected), plain);
+        assert_eq!(ctr(&c, &counter, &expected), plain);
         // A stream that ends mid-block uses a keystream prefix.
-        assert_eq!(ctr_apply(&c, &counter, &plain[..37]), expected[..37]);
+        assert_eq!(ctr(&c, &counter, &plain[..37]), expected[..37]);
     }
 
     #[test]
@@ -245,10 +249,10 @@ mod tests {
         let c = cipher();
         let nonce = chunk_iv(&[1, 2, 3, 4, 5, 6, 7, 8], 3);
         let plain: Vec<u8> = (0..100).collect();
-        let ct = ctr_apply(&c, &nonce, &plain);
+        let ct = ctr(&c, &nonce, &plain);
         assert_eq!(ct.len(), plain.len());
         assert_ne!(ct, plain);
-        let back = ctr_apply(&c, &nonce, &ct);
+        let back = ctr(&c, &nonce, &ct);
         assert_eq!(back, plain);
     }
 
@@ -256,8 +260,8 @@ mod tests {
     fn ctr_different_chunks_use_different_keystreams() {
         let c = cipher();
         let plain = vec![0u8; 64];
-        let ct0 = ctr_apply(&c, &chunk_iv(&[0; 8], 0), &plain);
-        let ct1 = ctr_apply(&c, &chunk_iv(&[0; 8], 1), &plain);
+        let ct0 = ctr(&c, &chunk_iv(&[0; 8], 0), &plain);
+        let ct1 = ctr(&c, &chunk_iv(&[0; 8], 1), &plain);
         assert_ne!(ct0, ct1);
     }
 
@@ -297,8 +301,8 @@ mod tests {
         let c = cipher();
         let zeros = vec![0u8; 64 * BLOCK_SIZE];
         let nonce = [3u8; 8];
-        let first = ctr_apply(&c, &chunk_iv(&nonce, 0), &zeros);
-        let second = ctr_apply(&c, &chunk_iv(&nonce, 1), &zeros);
+        let first = ctr(&c, &chunk_iv(&nonce, 0), &zeros);
+        let second = ctr(&c, &chunk_iv(&nonce, 1), &zeros);
         for a in first.chunks(BLOCK_SIZE) {
             assert!(second.chunks(BLOCK_SIZE).all(|b| a != b));
         }
@@ -306,7 +310,7 @@ mod tests {
         // into the chunk index.
         let mut last = chunk_iv(&nonce, 0);
         last[12..].copy_from_slice(&u32::MAX.to_be_bytes());
-        let wrapped = ctr_apply(&c, &last, &zeros[..2 * BLOCK_SIZE]);
+        let wrapped = ctr(&c, &last, &zeros[..2 * BLOCK_SIZE]);
         assert_eq!(wrapped[BLOCK_SIZE..], first[..BLOCK_SIZE]);
     }
 }

@@ -7,19 +7,20 @@
 //! taken for their element.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// An attribute attached to an opening tag.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Attribute {
-    /// Attribute name.
-    pub name: String,
+    /// Attribute name, shared like an element name (see [`Event::Open`]).
+    pub name: Arc<str>,
     /// Attribute value (already entity-decoded).
     pub value: String,
 }
 
 impl Attribute {
     /// Creates a new attribute.
-    pub fn new(name: impl Into<String>, value: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, value: impl Into<String>) -> Self {
         Attribute {
             name: name.into(),
             value: value.into(),
@@ -32,8 +33,10 @@ impl Attribute {
 pub enum Event {
     /// An opening tag `<name a="v">`.
     Open {
-        /// Element name.
-        name: String,
+        /// Element name. Cloning an event bumps a refcount instead of copying
+        /// the name, and the SOE's token reader hands out one shared name per
+        /// tag of the document's dictionary.
+        name: Arc<str>,
         /// Attributes, in document order.
         attrs: Vec<Attribute>,
     },
@@ -41,7 +44,7 @@ pub enum Event {
     /// text nodes are not emitted by the parser.
     Text(String),
     /// A closing tag `</name>`.
-    Close(String),
+    Close(Arc<str>),
 }
 
 /// Discriminant of an [`Event`], convenient for statistics and assertions.
@@ -57,7 +60,7 @@ pub enum EventKind {
 
 impl Event {
     /// Creates an `Open` event without attributes.
-    pub fn open(name: impl Into<String>) -> Self {
+    pub fn open(name: impl Into<Arc<str>>) -> Self {
         Event::Open {
             name: name.into(),
             attrs: Vec::new(),
@@ -65,7 +68,7 @@ impl Event {
     }
 
     /// Creates an `Open` event with attributes.
-    pub fn open_with(name: impl Into<String>, attrs: Vec<Attribute>) -> Self {
+    pub fn open_with(name: impl Into<Arc<str>>, attrs: Vec<Attribute>) -> Self {
         Event::Open {
             name: name.into(),
             attrs,
@@ -78,7 +81,7 @@ impl Event {
     }
 
     /// Creates a `Close` event.
-    pub fn close(name: impl Into<String>) -> Self {
+    pub fn close(name: impl Into<Arc<str>>) -> Self {
         Event::Close(name.into())
     }
 
@@ -168,7 +171,7 @@ pub fn is_well_formed(events: &[Event]) -> bool {
                 stack.push(name);
             }
             Event::Close(name) => match stack.pop() {
-                Some(top) if top == name => {}
+                Some(top) if top == &**name => {}
                 _ => return false,
             },
             Event::Text(_) => {

@@ -637,7 +637,7 @@ mod tests {
         assert_eq!(items.len(), 50);
         for item in items {
             let attrs = doc.attributes(item);
-            assert!(attrs.iter().any(|a| a.name == "channel"));
+            assert!(attrs.iter().any(|a| &*a.name == "channel"));
             let kids: Vec<_> = doc
                 .element_children(item)
                 .filter_map(|c| doc.element_name(c).map(str::to_owned))

@@ -13,6 +13,7 @@
 
 use crate::error::XmlError;
 use crate::event::{Attribute, Event};
+use std::sync::Arc;
 
 /// A pull parser over a UTF-8 string.
 ///
@@ -27,7 +28,7 @@ pub struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
     /// Stack of currently open element names, used for well-formedness checks.
-    open: Vec<String>,
+    open: Vec<Arc<str>>,
     /// Set once the root element has been closed.
     root_closed: bool,
     /// Set once the root element has been opened.
@@ -36,7 +37,7 @@ pub struct Parser<'a> {
     keep_whitespace: bool,
     /// Close event synthesised for a self-closing tag (`<a/>`), emitted on the
     /// call following the corresponding `Open`.
-    pending_close: Option<String>,
+    pending_close: Option<Arc<str>>,
     finished: bool,
 }
 
@@ -112,7 +113,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn read_name(&mut self) -> Result<String, XmlError> {
+    fn read_name(&mut self) -> Result<Arc<str>, XmlError> {
         let start = self.pos;
         while let Some(b) = self.peek() {
             if is_name_byte(b, self.pos == start) {
@@ -125,7 +126,9 @@ impl<'a> Parser<'a> {
             return Err(XmlError::malformed("expected a name", self.pos));
         }
         // Input is known valid UTF-8 (comes from a &str) so this cannot fail.
-        Ok(String::from_utf8_lossy(&self.input[start..self.pos]).into_owned())
+        Ok(Arc::from(
+            String::from_utf8_lossy(&self.input[start..self.pos]).as_ref(),
+        ))
     }
 
     fn read_attributes(&mut self) -> Result<(Vec<Attribute>, bool), XmlError> {
@@ -181,11 +184,15 @@ impl<'a> Parser<'a> {
                 }
                 None => {
                     return Err(XmlError::UnexpectedEof {
-                        open_elements: self.open.clone(),
+                        open_elements: self.open_names(),
                     })
                 }
             }
         }
+    }
+
+    fn open_names(&self) -> Vec<String> {
+        self.open.iter().map(|n| n.to_string()).collect()
     }
 
     /// Produces the next event, or `None` at end of input.
@@ -198,7 +205,7 @@ impl<'a> Parser<'a> {
                 self.finished = true;
                 if !self.open.is_empty() {
                     return Some(Err(XmlError::UnexpectedEof {
-                        open_elements: self.open.clone(),
+                        open_elements: self.open_names(),
                     }));
                 }
                 if !self.root_seen {
@@ -284,8 +291,8 @@ impl<'a> Parser<'a> {
                         other => {
                             self.finished = true;
                             return Some(Err(XmlError::MismatchedClose {
-                                found: name,
-                                expected: other,
+                                found: name.to_string(),
+                                expected: other.map(|n| n.to_string()),
                                 offset: tag_offset,
                             }));
                         }
@@ -310,10 +317,10 @@ impl<'a> Parser<'a> {
                         if self_closing {
                             // Emit the open now; the matching close is synthesised
                             // on the next call by pushing a marker.
-                            self.pending_close = Some(name.clone());
+                            self.pending_close = Some(Arc::clone(&name));
                             return Some(Ok(Event::Open { name, attrs }));
                         }
-                        self.open.push(name.clone());
+                        self.open.push(Arc::clone(&name));
                         return Some(Ok(Event::Open { name, attrs }));
                     }
                     Err(e) => {

@@ -72,7 +72,7 @@ pub fn open_paths(events: &[Event]) -> Vec<SimplePath> {
     for ev in events {
         match ev {
             Event::Open { name, .. } => {
-                stack.push(name.clone());
+                stack.push(name.to_string());
                 out.push(SimplePath(stack.clone()));
             }
             Event::Close(_) => {
@@ -90,7 +90,7 @@ pub fn text_by_path(events: &[Event]) -> Vec<(SimplePath, String)> {
     let mut stack: Vec<String> = Vec::new();
     for ev in events {
         match ev {
-            Event::Open { name, .. } => stack.push(name.clone()),
+            Event::Open { name, .. } => stack.push(name.to_string()),
             Event::Close(_) => {
                 stack.pop();
             }

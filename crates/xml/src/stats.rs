@@ -45,7 +45,7 @@ impl DocStats {
                 Event::Open { name, attrs } => {
                     stats.elements += 1;
                     stats.attributes += attrs.len();
-                    *stats.tag_histogram.entry(name.clone()).or_insert(0) += 1;
+                    *stats.tag_histogram.entry(name.to_string()).or_insert(0) += 1;
                     if let Some(c) = child_counts.last_mut() {
                         *c += 1;
                     }

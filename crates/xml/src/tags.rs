@@ -8,6 +8,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A small integer identifying a tag name in a [`TagDict`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -23,10 +24,13 @@ impl TagId {
 /// A bijection between tag names and [`TagId`]s, built when a document is
 /// encoded and shipped (encrypted) with the document so that the SOE can map
 /// rule node-tests to bit positions.
+///
+/// Each name is stored once, as an `Arc<str>` shared by both directions of
+/// the map, so a decoder can hand out a name per event by refcount bump.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TagDict {
-    names: Vec<String>,
-    ids: HashMap<String, TagId>,
+    names: Vec<Arc<str>>,
+    ids: HashMap<Arc<str>, TagId>,
 }
 
 impl TagDict {
@@ -62,10 +66,9 @@ impl TagDict {
         // limit (see the doc comment above); the paper's corpora stay two
         // orders of magnitude below it.
         let id = TagId(u16::try_from(self.names.len()).expect("too many distinct tags"));
-        // alloc: amortized — the first occurrence of a tag allocates; repeats hit the index.
-        self.names.push(name.to_owned());
-        // alloc: amortized — the first occurrence of a tag allocates; repeats hit the index.
-        self.ids.insert(name.to_owned(), id);
+        let name: Arc<str> = Arc::from(name);
+        self.names.push(Arc::clone(&name));
+        self.ids.insert(name, id);
         id
     }
 
@@ -74,9 +77,9 @@ impl TagDict {
         self.ids.get(name).copied()
     }
 
-    /// Returns the name for `id`.
-    pub fn name(&self, id: TagId) -> Option<&str> {
-        self.names.get(id.index()).map(String::as_str)
+    /// Returns the name for `id`; clone the `Arc` to share it.
+    pub fn name(&self, id: TagId) -> Option<&Arc<str>> {
+        self.names.get(id.index())
     }
 
     /// Number of distinct tags.
@@ -94,7 +97,7 @@ impl TagDict {
         self.names
             .iter()
             .enumerate()
-            .map(|(i, n)| (TagId(i as u16), n.as_str()))
+            .map(|(i, n)| (TagId(i as u16), &**n))
     }
 
     /// Serialised size of the dictionary in bytes (length-prefixed names),
@@ -288,7 +291,7 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(d.intern("a"), a);
         assert_eq!(d.len(), 2);
-        assert_eq!(d.name(a), Some("a"));
+        assert_eq!(d.name(a).map(|n| &**n), Some("a"));
         assert_eq!(d.get("b"), Some(b));
         assert_eq!(d.get("zz"), None);
     }

@@ -7,6 +7,8 @@
 //! terminal, and the test oracles evaluate XPath and access rules on the tree
 //! to validate the streaming engine.
 
+use std::sync::Arc;
+
 use crate::error::XmlError;
 use crate::event::{Attribute, Event};
 use crate::parser::Parser;
@@ -72,7 +74,7 @@ impl Document {
                     let parent = stack.last().copied();
                     let id = doc.push_node(
                         NodeData::Element {
-                            name: name.clone(),
+                            name: name.to_string(),
                             attrs: attrs.clone(),
                         },
                         parent,
@@ -94,14 +96,14 @@ impl Document {
                 }
                 Event::Close(name) => {
                     let top = stack.pop().ok_or_else(|| XmlError::MismatchedClose {
-                        found: name.clone(),
+                        found: name.to_string(),
                         expected: None,
                         offset: i,
                     })?;
                     let top_name = doc.element_name(top).unwrap_or_default().to_owned();
-                    if &top_name != name {
+                    if top_name != **name {
                         return Err(XmlError::MismatchedClose {
-                            found: name.clone(),
+                            found: name.to_string(),
                             expected: Some(top_name),
                             offset: i,
                         });
@@ -349,14 +351,15 @@ impl Document {
     fn emit(&self, id: NodeId, out: &mut Vec<Event>) {
         match self.data(id) {
             NodeData::Element { name, attrs } => {
+                let name: Arc<str> = Arc::from(name.as_str());
                 out.push(Event::Open {
-                    name: name.clone(),
+                    name: Arc::clone(&name),
                     attrs: attrs.clone(),
                 });
                 for &c in self.children(id) {
                     self.emit(c, out);
                 }
-                out.push(Event::Close(name.clone()));
+                out.push(Event::Close(name));
             }
             NodeData::Text(t) => out.push(Event::Text(t.clone())),
         }

@@ -102,7 +102,7 @@ pub fn predicate_holds(doc: &Document, ctx: NodeId, predicate: &Predicate) -> bo
             let value = doc
                 .attributes(ctx)
                 .iter()
-                .find(|a| &a.name == attr)
+                .find(|a| *a.name == **attr)
                 .map(|a| a.value.clone());
             match (&predicate.condition, value) {
                 (None, v) => v.is_some(),
@@ -137,7 +137,7 @@ pub fn predicate_holds(doc: &Document, ctx: NodeId, predicate: &Predicate) -> bo
                 let value = doc
                     .attributes(n)
                     .iter()
-                    .find(|a| &a.name == attr)
+                    .find(|a| *a.name == **attr)
                     .map(|a| a.value.clone());
                 match (&predicate.condition, value) {
                     (None, v) => v.is_some(),

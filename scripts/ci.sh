@@ -23,10 +23,11 @@ cargo build --release
 echo "==> sdds-lint (concurrency + panic hygiene + taint + hot-path escapes)"
 # The taint pass statically proves no plaintext or key type reaches the DSP
 # or the obs export surface (see ARCHITECTURE.md, "Trust boundary"); the
-# hot-path pass proves the per-event serving path allocation-free, with
-# every remaining allocation carrying a justified `// alloc:` annotation
-# (ARCHITECTURE.md, "Hot path"). The machine-readable findings land next to
-# the human report so CI logs and tooling see the same thing.
+# hot-path pass reports every allocating construct of its vocabulary that a
+# call graph resolved by name reaches from the hot roots, unless a justified
+# `// alloc:` annotation marks it (ARCHITECTURE.md, "Hot path"). The
+# machine-readable findings land next to the human report so CI logs and
+# tooling see the same thing.
 mkdir -p target
 if ! cargo run -q -p sdds-lint -- --json target/sdds-lint.json; then
     echo "sdds-lint findings (also at target/sdds-lint.json):" >&2

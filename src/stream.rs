@@ -11,7 +11,6 @@
 //! bounded by what it keeps, not by the document.
 
 use sdds_sync::sync::Arc;
-use std::collections::VecDeque;
 
 use sdds_core::engine::{SecureEvaluationSession, SessionRequest, SessionStats};
 use sdds_core::secdoc::ChunkTag;
@@ -40,7 +39,9 @@ pub struct ViewStream {
     /// `None` once the stream ended — normally (stats recorded) or on error
     /// (the error was yielded, the stream is poisoned).
     session: Option<SecureEvaluationSession>,
-    buffer: VecDeque<Event>,
+    /// The events of the last served request, as the session handed them
+    /// over; yielded from the front.
+    buffer: std::vec::IntoIter<Event>,
     stats: Option<SessionStats>,
     /// Session telemetry cells shared with the service's registry (chunk
     /// round-trips, wire bytes, events yielded to the application).
@@ -70,7 +71,7 @@ impl ViewStream {
             doc_id,
             revision,
             session: Some(session),
-            buffer: VecDeque::new(),
+            buffer: Vec::new().into_iter(),
             stats: None,
             obs,
         }
@@ -120,7 +121,7 @@ impl ViewStream {
                     // `advance`.
                     .expect("session present");
                 let (rest, stats) = ended.finish()?;
-                self.buffer.extend(rest);
+                self.buffer = rest.into_iter();
                 self.stats = Some(stats);
                 Ok(true)
             }
@@ -137,7 +138,7 @@ impl ViewStream {
                 let produced_len: usize = produced.iter().map(Event::serialized_len).sum();
                 session.record_exchange(wire, produced_len);
                 self.obs.record_exchange(wire, produced_len);
-                self.buffer.extend(produced);
+                self.buffer = produced.into_iter();
                 Ok(false)
             }
         }
@@ -149,7 +150,9 @@ impl Iterator for ViewStream {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            if let Some(event) = self.buffer.pop_front() {
+            // Qualified: sdds-lint resolves a bare `.next()` by name, to the
+            // workspace's own `next` methods.
+            if let Some(event) = Iterator::next(&mut self.buffer) {
                 self.obs.event_delivered();
                 return Some(Ok(event));
             }

@@ -104,7 +104,7 @@ fn add_and_remove_at_stream_start_match_static_configurations() {
 fn surviving_rules_keep_pending_state_across_removal() {
     let boundary = events()
         .iter()
-        .position(|e| matches!(e, Event::Open { name, .. } if name == "report"))
+        .position(|e| matches!(e, Event::Open { name, .. } if &**name == "report"))
         .expect("a report element exists");
     // Remove the unconditional //acts//report denial right before the first
     // <report> opens. The first act's `[date = "2004"]` instance was spawned

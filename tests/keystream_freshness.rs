@@ -51,7 +51,8 @@ fn served_chunks(publisher: &Publisher, doc_id: &str) -> Vec<(Vec<u8>, Vec<u8>)>
         .map(|index| {
             let served = service.fetch_chunk_pinned(doc_id, index, revision).unwrap();
             let ciphertext = served.0.to_vec();
-            let plaintext = decrypt_chunk(&cipher, &header, index, &ciphertext);
+            let mut plaintext = ciphertext.clone();
+            decrypt_chunk(&cipher, &header, index, &mut plaintext);
             (ciphertext, plaintext)
         })
         .collect()
