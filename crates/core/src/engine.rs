@@ -17,7 +17,7 @@
 
 use sdds_card::apdu::{ins, Apdu, ApduResponse, StatusWord};
 use sdds_card::{Applet, CardError, CostLedger, SmartCard};
-use sdds_crypto::{Aes128, HmacKey, KeyId, SecretKey};
+use sdds_crypto::{Aes128, KeyId, PolyAesKey, SecretKey};
 use sdds_xml::{writer, Event, TagDict};
 use sdds_xpath::tagset::PathSignature;
 
@@ -102,9 +102,9 @@ pub struct SecureEvaluationSession {
     /// The document's chunk cipher, scheduled once at open; the raw key is
     /// not kept past the header check.
     cipher: Aes128,
-    /// The document's chunk-tag key (HMAC midstates), scheduled once at
-    /// open next to the cipher.
-    integrity: HmacKey,
+    /// The document's chunk-tag key (two Poly1305 lanes and their AES
+    /// keys), scheduled once at open next to the cipher.
+    integrity: PolyAesKey,
     config: EngineConfig,
     evaluator: Option<StreamingEvaluator>,
     reader: Option<TokenReader>,
@@ -1029,14 +1029,16 @@ mod tests {
         assert!(is_integrity_failure(
             &session.supply_chunk(index, &flipped, &tag)
         ));
-        // A bit flip in the tag.
-        let mut bytes = *tag.as_bytes();
-        bytes[31] ^= 0x80;
-        assert!(is_integrity_failure(&session.supply_chunk(
-            index,
-            &chunk,
-            &ChunkTag::from_bytes(bytes)
-        )));
+        // A bit flip in either 16-byte half (either lane) of the tag.
+        for byte in [0, TAG_LEN - 1] {
+            let mut bytes = *tag.as_bytes();
+            bytes[byte] ^= 0x80;
+            assert!(is_integrity_failure(&session.supply_chunk(
+                index,
+                &chunk,
+                &ChunkTag::from_bytes(bytes)
+            )));
+        }
         // The tag of another position does not vouch for this one.
         let (_, other_tag) = secure.sealed_chunk((index + 1) as usize).unwrap();
         assert!(is_integrity_failure(

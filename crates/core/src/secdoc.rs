@@ -13,11 +13,12 @@
 //!   size and the whole plaintext. Two builds share a keystream only when
 //!   they encrypt the same bytes the same way, and then their ciphertexts
 //!   are identical, so no keystream ever covers two different plaintexts,
-//! * every ciphertext chunk carries a 32-byte **tag** ([`ChunkTag`]), an HMAC
-//!   under the `doc-int` subkey binding the chunk to its document, nonce,
-//!   chunk count and position — so the SOE detects tampering with any
-//!   subset of chunks it consumes, chunk by chunk,
-//! * a small plaintext **header** (format version 2) carries the
+//! * every ciphertext chunk carries a 32-byte **tag** ([`ChunkTag`]), a
+//!   two-lane Poly1305-then-AES MAC under key parts drawn from the `doc-int`
+//!   subkey, binding the chunk to its document, nonce, chunk count and
+//!   position — so the SOE detects tampering with any subset of chunks it
+//!   consumes, chunk by chunk,
+//! * a small plaintext **header** (format version 3) carries the
 //!   identifiers and the geometry; the header itself is covered by an HMAC
 //!   under the `doc-mac` subkey.
 //!
@@ -29,7 +30,7 @@ use std::sync::Arc;
 use sdds_crypto::hmac::{hmac_sha256, verify_mac, HmacKey};
 use sdds_crypto::modes::{chunk_iv, ctr_apply};
 use sdds_crypto::siphash::siphash24;
-use sdds_crypto::{Aes128, CryptoError, SecretKey};
+use sdds_crypto::{Aes128, CryptoError, PolyAesKey, SecretKey};
 use sdds_xml::Document;
 
 use crate::error::CoreError;
@@ -43,8 +44,9 @@ pub const DEFAULT_CHUNK_SIZE: usize = 512;
 /// Size of a [`ChunkTag`] in bytes.
 pub const TAG_LEN: usize = 32;
 
-/// Version byte of the header encoding (2: the chunks carry the tags).
-const FORMAT_VERSION: u8 = 2;
+/// Version byte of the header encoding (3: the chunk tags are two-lane
+/// Poly1305-then-AES; 2 had HMAC-SHA256 tags, 1 a hash-tree root).
+const FORMAT_VERSION: u8 = 3;
 
 /// Plaintext header of a secure document.
 #[derive(Debug, Clone, PartialEq)]
@@ -177,8 +179,11 @@ impl DocumentHeader {
 }
 
 /// The integrity tag of one ciphertext chunk:
-/// `HMAC-SHA256(k_int, len(doc_id) ‖ doc_id ‖ nonce ‖ chunk_count ‖ index ‖
-/// ciphertext)`, with `k_int` the document's `doc-int` subkey.
+/// `AES_k1(P_r1(m)) ‖ AES_k2(P_r2(m))` over
+/// `m = len(doc_id) ‖ doc_id ‖ nonce ‖ chunk_count ‖ index ‖ ciphertext`,
+/// with `P_r` Poly1305's polynomial mod `2^130 − 5` reduced to 128 bits and
+/// `r1`, `r2`, `k1`, `k2` drawn from the document's `doc-int` subkey (see
+/// [`integrity_key`] and [`PolyAesKey`]).
 ///
 /// The nonce binds the tag to one build of the document, the index to one
 /// position and the chunk count to one length, so a chunk replayed from
@@ -212,7 +217,7 @@ impl ChunkTag {
 
 /// Computes the tag of chunk `index` (see [`ChunkTag`]).
 fn chunk_tag(
-    integrity: &HmacKey,
+    integrity: &PolyAesKey,
     header: &DocumentHeader,
     index: u32,
     ciphertext: &[u8],
@@ -231,7 +236,7 @@ fn chunk_tag(
 /// document `header` describes, under the integrity key of
 /// [`integrity_key`]. The comparison is constant-time.
 pub fn verify_chunk(
-    integrity: &HmacKey,
+    integrity: &PolyAesKey,
     header: &DocumentHeader,
     index: u32,
     ciphertext: &[u8],
@@ -306,12 +311,28 @@ pub fn document_cipher(key: &SecretKey) -> Aes128 {
     Aes128::new(key.subkey("doc-enc").as_bytes())
 }
 
-/// Schedules the chunk-tag key of a document: the `doc-int` subkey of the
-/// document key as HMAC midstates, once per session (or per build), next to
-/// [`document_cipher`].
+/// The four key parts of a document's chunk tags: AES under the `doc-int`
+/// subkey of the blocks `0`, `1`, `2` and `3`, which are the lanes'
+/// polynomial keys `r1`, `r2` and AES keys `k1`, `k2`. A session derives
+/// one subkey for them, however many parts there are.
+// taint: source — expands the document key into chunk-tag key material.
+fn tag_key_parts(key: &SecretKey) -> [[u8; 16]; 4] {
+    let aes = Aes128::new(key.subkey("doc-int").as_bytes());
+    std::array::from_fn(|part| {
+        let mut block = [0u8; 16];
+        block[0] = part as u8;
+        aes.encrypt_block(&mut block);
+        block
+    })
+}
+
+/// Schedules the chunk-tag key of a document from `tag_key_parts`: the
+/// two Poly1305 lanes and their AES keys, once per session (or per build),
+/// next to [`document_cipher`].
 // taint: source — derives the document's integrity key from its key.
-pub fn integrity_key(key: &SecretKey) -> HmacKey {
-    HmacKey::new(key.subkey("doc-int").as_bytes())
+pub fn integrity_key(key: &SecretKey) -> PolyAesKey {
+    let [r1, r2, k1, k2] = tag_key_parts(key);
+    PolyAesKey::new([&r1, &r2], [&k1, &k2])
 }
 
 /// Decrypts one chunk in place under the document's chunk cipher (see
@@ -474,10 +495,16 @@ mod tests {
         back.verify(&key()).unwrap();
         assert!(DocumentHeader::decode(&bytes[..10]).is_err());
         assert!(DocumentHeader::decode(b"XXXX123").is_err());
-        // Version 1 headers (which carried a hash-tree root) are refused.
-        let mut old = bytes.clone();
-        old[4] = 1;
-        assert!(DocumentHeader::decode(&old).is_err());
+        // Version 1 (a hash-tree root) and version 2 (HMAC chunk tags)
+        // headers are refused at decode, with a typed error.
+        for version in [1, 2] {
+            let mut old = bytes.clone();
+            old[4] = version;
+            assert!(matches!(
+                DocumentHeader::decode(&old),
+                Err(CoreError::BadDocument { message }) if message.contains("unsupported version")
+            ));
+        }
     }
 
     #[test]
@@ -512,6 +539,47 @@ mod tests {
         let mut shorter = secure.header.clone();
         shorter.chunk_count -= 1;
         assert!(verify_chunk(&integrity, &shorter, 1, &chunk, &tag).is_err());
+    }
+
+    #[test]
+    fn tag_halves_and_lanes_are_each_checked() {
+        let secure = SecureDocumentBuilder::new("doc-1", key()).build(&sample_doc());
+        let integrity = integrity_key(&key());
+        let (chunk, tag) = secure.sealed_chunk(1).unwrap();
+        let rejects = |bytes: [u8; TAG_LEN]| {
+            matches!(
+                verify_chunk(&integrity, &secure.header, 1, &chunk, &ChunkTag(bytes)),
+                Err(CryptoError::IntegrityFailure { .. })
+            )
+        };
+        // A bit flip anywhere in either lane's half fails.
+        for byte in 0..TAG_LEN {
+            let mut bytes = tag.0;
+            bytes[byte] ^= 1 << (byte % 8);
+            assert!(rejects(bytes), "flip in byte {byte}");
+        }
+        // The halves swapped, or a tag made with the lanes' keys swapped.
+        let mut swapped = tag.0;
+        swapped.rotate_left(TAG_LEN / 2);
+        assert!(rejects(swapped));
+        let [r1, r2, k1, k2] = tag_key_parts(&key());
+        let crossed = PolyAesKey::new([&r2, &r1], [&k2, &k1]);
+        assert!(rejects(chunk_tag(&crossed, &secure.header, 1, &chunk).0));
+    }
+
+    #[test]
+    fn tag_key_parts_are_distinct_from_each_other_and_the_cipher_key() {
+        let parts = tag_key_parts(&key());
+        for (i, a) in parts.iter().enumerate() {
+            for b in &parts[i + 1..] {
+                assert_ne!(a, b);
+            }
+            assert_ne!(a, key().subkey("doc-enc").as_bytes());
+            assert_ne!(a, key().subkey("doc-int").as_bytes());
+        }
+        // The parts are a function of the document key alone.
+        assert_eq!(parts, tag_key_parts(&key()));
+        assert_ne!(parts, tag_key_parts(&SecretKey::derive(b"other", "k")));
     }
 
     #[test]

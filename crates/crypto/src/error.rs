@@ -15,7 +15,7 @@ pub enum CryptoError {
     /// Padding found at decryption time is invalid — almost always the sign of
     /// a tampered or mis-keyed ciphertext.
     BadPadding,
-    /// An integrity check (an HMAC) failed: the data was tampered with.
+    /// An integrity check (a MAC) failed: the data was tampered with.
     IntegrityFailure {
         /// Human readable context (which object failed).
         context: String,

@@ -12,9 +12,12 @@
 //!   skip index can jump over encrypted regions without breaking decryption,
 //! * [`sha256`] — SHA-256 (FIPS 180-4),
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104) with a once-scheduled key
-//!   ([`HmacKey`]): the SOE checks a per-chunk tag on every chunk it
-//!   consumes, so it detects tampering with whichever subset of chunks the
-//!   skip index makes it read,
+//!   ([`HmacKey`]), for what is checked once per session: document headers,
+//!   rule blobs and key wraps,
+//! * [`poly1305`] — Poly1305 (RFC 8439) in two lanes sharing one pass over
+//!   the message, and the Poly1305-then-AES tag key ([`PolyAesKey`]): the
+//!   SOE checks a per-chunk tag on every chunk it consumes, so it detects
+//!   tampering with whichever subset of chunks the skip index makes it read,
 //! * [`siphash`] — SipHash-2-4, the keyed PRF that derives a document's
 //!   nonce from its plaintext at build time,
 //! * [`keys`] — key material, a deterministic key-derivation helper and the
@@ -26,7 +29,10 @@
 //! particular, AES indexes its T-tables (and S-boxes) with key- and
 //! data-dependent bytes, so its memory access pattern — and timing through
 //! the cache — depends on secrets, exactly as the byte-oriented S-box
-//! version before it did. No constant-time or cache-timing claim is made.
+//! version before it did. No constant-time or cache-timing claim is made
+//! for AES; Poly1305's arithmetic and final reduction have no secret-dependent
+//! branch or index, and MACs are compared with the constant-time
+//! [`hmac::verify_mac`].
 
 #![forbid(unsafe_code)]
 
@@ -35,6 +41,7 @@ pub mod error;
 pub mod hmac;
 pub mod keys;
 pub mod modes;
+pub mod poly1305;
 pub mod sha256;
 pub mod siphash;
 
@@ -42,3 +49,4 @@ pub use aes::Aes128;
 pub use error::CryptoError;
 pub use hmac::HmacKey;
 pub use keys::{KeyId, KeyRing, SecretKey};
+pub use poly1305::PolyAesKey;

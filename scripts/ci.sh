@@ -41,7 +41,9 @@ SDDS_PROP_CASES=256 cargo test -q
 echo "==> cargo test -q --release -p sdds-crypto -p sdds-core"
 # The cipher, MAC and SOE arithmetic also run optimised: release builds
 # wrap integer overflow silently where debug builds panic, so the
-# known-answer and differential tests must pass in both profiles.
+# known-answer and differential tests (AES, SHA-256, HMAC, and Poly1305's
+# limb arithmetic against a slow mod 2^130 - 5 reference) must pass in
+# both profiles.
 cargo test -q --release -p sdds-crypto -p sdds-core
 
 echo "==> model check (--cfg sdds_check, SDDS_CHECK_BRANCHES=${SDDS_CHECK_BRANCHES:-60000})"
