@@ -79,7 +79,7 @@ fn assert_explored(report: &sdds_check::Report, name: &str) {
 fn replication_invalidates_before_publish() {
     let v0 = document("doc", 0);
     let v1 = document("doc", 1);
-    let integrity = integrity_key(&key());
+    let integrity = integrity_key(&key().deriver());
     let report = model()
         .check("replication_invalidate_before_publish", || {
             let store = ShardedStore::new(2);
@@ -301,7 +301,7 @@ fn scheduler_idle_worker_exit_strands_no_session() {
 fn pinned_fetches_are_never_torn() {
     let v0 = document("doc", 0);
     let v1 = document("doc", 1);
-    let integrity = integrity_key(&key());
+    let integrity = integrity_key(&key().deriver());
     let report = model()
         .check("revision_pinning", || {
             let store = ShardedStore::new(1);

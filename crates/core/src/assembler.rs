@@ -16,7 +16,8 @@
 //!   node and everything after it are buffered; the buffer is drained — in
 //!   document order — as soon as the blocking instances resolve. The peak size
 //!   of that buffer is the price of pendency and is charged to the secure-RAM
-//!   accounting.
+//!   accounting. While nothing is pending, an event is rendered as it arrives
+//!   and never enters the buffer.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -46,6 +47,20 @@ struct QueuedEvent {
     annotation: Option<NodeAnnotation>,
 }
 
+impl QueuedEvent {
+    /// Secure-RAM charge of one buffered event.
+    fn ram_bytes(&self) -> usize {
+        self.event.serialized_len() + 16
+    }
+}
+
+impl RenderFrame {
+    /// Secure-RAM charge of one render-stack entry.
+    fn ram_bytes(&self) -> usize {
+        self.name.len() + 4
+    }
+}
+
 /// Counters exposed by the assembler.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AssemblerStats {
@@ -73,7 +88,11 @@ pub struct ViewAssembler {
     truths: Vec<Option<bool>>,
     queue: VecDeque<QueuedEvent>,
     stack: Vec<RenderFrame>,
-    ready: Vec<Event>,
+    /// Σ `QueuedEvent::ram_bytes` over `queue`, kept current at every push
+    /// and pop.
+    queued_ram: usize,
+    /// Σ `RenderFrame::ram_bytes` over `stack`, kept current the same way.
+    stack_ram: usize,
     stats: AssemblerStats,
     pending_high_water: Option<usize>,
 }
@@ -88,7 +107,8 @@ impl ViewAssembler {
             truths: Vec::new(),
             queue: VecDeque::new(),
             stack: Vec::new(),
-            ready: Vec::new(),
+            queued_ram: 0,
+            stack_ram: 0,
             stats: AssemblerStats::default(),
             pending_high_water: None,
         }
@@ -138,14 +158,17 @@ impl ViewAssembler {
         self.stack.last().map(|f| (f.decision, f.in_scope))
     }
 
-    /// Current secure-RAM footprint, in bytes.
+    /// Current secure-RAM footprint, in bytes, read from running counters.
     pub fn ram_bytes(&self) -> usize {
-        let queued: usize = self
-            .queue
-            .iter()
-            .map(|q| q.event.serialized_len() + 16)
-            .sum();
-        let stack: usize = self.stack.iter().map(|f| f.name.len() + 4).sum();
+        self.queued_ram + self.stack_ram + self.truths.len() / 8
+    }
+
+    /// The footprint recounted by walking the pending queue and the render
+    /// stack: the oracle the running counters are tested against.
+    #[cfg(test)]
+    pub(crate) fn recount_ram_bytes(&self) -> usize {
+        let queued: usize = self.queue.iter().map(QueuedEvent::ram_bytes).sum();
+        let stack: usize = self.stack.iter().map(RenderFrame::ram_bytes).sum();
         queued + stack + self.truths.len() / 8
     }
 
@@ -153,9 +176,10 @@ impl ViewAssembler {
         self.truths.get(id.0 as usize).copied().flatten()
     }
 
-    /// Feeds one engine output; any newly renderable events become available
-    /// through [`ViewAssembler::append_ready`].
-    pub fn push(&mut self, output: EngineOutput) {
+    /// Feeds one engine output and appends the events it makes renderable
+    /// to `out`. While nothing is pending, an annotated event is rendered in
+    /// one hop; it is buffered only behind (or as) a blocked decision.
+    pub fn push(&mut self, output: EngineOutput, out: &mut Vec<Event>) {
         match output {
             EngineOutput::Resolved {
                 instance,
@@ -168,28 +192,39 @@ impl ViewAssembler {
                 if self.truths[idx].is_none() {
                     self.truths[idx] = Some(satisfied);
                 }
+                self.drain(out);
+            }
+            EngineOutput::Annotated { event, annotation } if self.queue.is_empty() => {
+                // The event counts as pending while it is decided, exactly as
+                // if it had passed through the buffer.
+                self.stats.peak_pending_events = self.stats.peak_pending_events.max(1);
+                match &event {
+                    Event::Open { .. } => {
+                        let (decided, forced) = self.decide_pending(annotation.as_ref(), 1);
+                        self.stats.forced_resolutions += usize::from(forced);
+                        match decided {
+                            Some((decision, in_scope)) => {
+                                self.render_open(event, decision, in_scope, out);
+                            }
+                            None => self.enqueue(QueuedEvent { event, annotation }),
+                        }
+                    }
+                    Event::Text(_) => self.render_text(event, out),
+                    Event::Close(_) => self.render_close(out),
+                }
             }
             EngineOutput::Annotated { event, annotation } => {
-                self.queue.push_back(QueuedEvent { event, annotation });
-                self.stats.peak_pending_events =
-                    self.stats.peak_pending_events.max(self.queue.len());
+                self.enqueue(QueuedEvent { event, annotation });
+                self.drain(out);
             }
         }
-        self.drain();
         self.stats.peak_ram_bytes = self.stats.peak_ram_bytes.max(self.ram_bytes());
-    }
-
-    /// Moves the events rendered so far onto the end of `out`; the internal
-    /// buffer keeps its capacity for the next event.
-    pub fn append_ready(&mut self, out: &mut Vec<Event>) {
-        out.append(&mut self.ready);
     }
 
     /// Finishes the stream; fails if a decision is still blocked (which means
     /// the input stream was truncated, since every pending instance resolves
     /// at the latest when its context element closes).
-    pub fn finish(mut self) -> Result<(Vec<Event>, AssemblerStats), CoreError> {
-        self.drain();
+    pub fn finish(self) -> Result<AssemblerStats, CoreError> {
         if !self.queue.is_empty() {
             return Err(CoreError::BadState {
                 // alloc: cold — truncated-input error path at end of stream.
@@ -199,34 +234,56 @@ impl ViewAssembler {
                 ),
             });
         }
-        Ok((std::mem::take(&mut self.ready), self.stats))
+        Ok(self.stats)
+    }
+
+    fn enqueue(&mut self, queued: QueuedEvent) {
+        self.queued_ram += queued.ram_bytes();
+        self.queue.push_back(queued);
+        self.stats.peak_pending_events = self.stats.peak_pending_events.max(self.queue.len());
+    }
+
+    fn dequeue(&mut self) -> Option<QueuedEvent> {
+        let queued = self.queue.pop_front()?;
+        self.queued_ram -= queued.ram_bytes();
+        Some(queued)
+    }
+
+    /// Decides a node that heads `queued` buffered events (itself included):
+    /// `None` while it is blocked on a pending predicate. With a pending
+    /// high-water mark set, a blocked node is forced once the buffer exceeds
+    /// the mark, and the second field says so.
+    fn decide_pending(
+        &self,
+        annotation: Option<&NodeAnnotation>,
+        queued: usize,
+    ) -> (Option<(Decision, bool)>, bool) {
+        let decided = self.decide(annotation, false);
+        if decided.is_some() || self.pending_high_water.is_none_or(|mark| queued <= mark) {
+            return (decided, false);
+        }
+        let forced = self.decide(annotation, true);
+        debug_assert!(forced.is_some(), "forced decisions always resolve");
+        (forced, true)
     }
 
     /// Renders queued events in order until one blocks on an unresolved
-    /// decision or the queue empties. With a pending high-water mark set, a
-    /// blocked node is forced once the buffer exceeds the mark.
-    fn drain(&mut self) {
+    /// decision or the queue empties.
+    fn drain(&mut self, out: &mut Vec<Event>) {
         while let Some(front) = self.queue.front() {
             match &front.event {
                 Event::Open { .. } => {
-                    let mut decided = self.decide(front.annotation.as_ref(), false);
-                    if decided.is_none()
-                        && self
-                            .pending_high_water
-                            .is_some_and(|mark| self.queue.len() > mark)
-                    {
-                        self.stats.forced_resolutions += 1;
-                        decided = self.decide(front.annotation.as_ref(), true);
-                        debug_assert!(decided.is_some(), "forced decisions always resolve");
-                    }
+                    let (decided, forced) =
+                        self.decide_pending(front.annotation.as_ref(), self.queue.len());
+                    self.stats.forced_resolutions += usize::from(forced);
                     match decided {
                         Some((decision, in_scope)) => {
                             let QueuedEvent { event, .. } =
                                 // lint: infallible — the surrounding match is
                                 // on `self.queue.front()`, so the queue is
                                 // non-empty here.
-                                self.queue.pop_front().expect("front checked above");
-                            self.render_open(event, decision, in_scope);
+                                self.dequeue().expect("front checked above");
+                            self.render_open(event, decision, in_scope, out);
                         }
                         None => break, // blocked on a pending predicate
                     }
@@ -234,12 +291,12 @@ impl ViewAssembler {
                 Event::Text(_) => {
                     let QueuedEvent { event, .. } =
                         // lint: infallible — same `front()` match as above.
-                        self.queue.pop_front().expect("front checked above");
-                    self.render_text(event);
+                        self.dequeue().expect("front checked above");
+                    self.render_text(event, out);
                 }
                 Event::Close(_) => {
-                    self.queue.pop_front();
-                    self.render_close();
+                    self.dequeue();
+                    self.render_close(out);
                 }
             }
         }
@@ -299,57 +356,63 @@ impl ViewAssembler {
         Some((decision, in_scope))
     }
 
-    fn render_open(&mut self, event: Event, decision: Decision, in_scope: bool) {
+    fn render_open(
+        &mut self,
+        event: Event,
+        decision: Decision,
+        in_scope: bool,
+        out: &mut Vec<Event>,
+    ) {
         let Event::Open { name, attrs } = event else {
-            // lint: infallible — the only caller matched `Event::Open` first.
+            // lint: infallible — both callers matched `Event::Open` first.
             unreachable!("render_open called with a non-open event")
         };
         let delivered = decision.is_permit() && in_scope;
         if delivered {
             self.stats.nodes_delivered += 1;
-            self.emit_scaffolding();
-            self.ready.push(Event::Open {
+            self.emit_scaffolding(out);
+            out.push(Event::Open {
                 name: Arc::clone(&name),
                 attrs,
             });
         } else {
             self.stats.nodes_withheld += 1;
         }
-        self.stack.push(RenderFrame {
+        let frame = RenderFrame {
             name,
             decision,
             in_scope,
             delivered,
             emitted: delivered,
-        });
+        };
+        self.stack_ram += frame.ram_bytes();
+        self.stack.push(frame);
     }
 
-    fn render_text(&mut self, event: Event) {
+    fn render_text(&mut self, event: Event, out: &mut Vec<Event>) {
         if self.stack.last().is_some_and(|f| f.delivered) {
-            self.ready.push(event);
+            out.push(event);
         }
     }
 
-    fn render_close(&mut self) {
+    fn render_close(&mut self, out: &mut Vec<Event>) {
         if let Some(frame) = self.stack.pop() {
+            self.stack_ram -= frame.ram_bytes();
             if frame.emitted {
-                self.ready.push(Event::Close(frame.name));
+                out.push(Event::Close(frame.name));
             }
         }
     }
 
     /// Emits the opening tags of ancestors that are needed for well-formedness
     /// but were not authorized themselves. Scaffolding tags carry no attribute.
-    fn emit_scaffolding(&mut self) {
-        for i in 0..self.stack.len() {
-            if self.stack[i].emitted {
-                continue;
-            }
-            self.ready.push(Event::Open {
-                name: Arc::clone(&self.stack[i].name),
+    fn emit_scaffolding(&mut self, out: &mut Vec<Event>) {
+        for frame in self.stack.iter_mut().filter(|f| !f.emitted) {
+            out.push(Event::Open {
+                name: Arc::clone(&frame.name),
                 attrs: Vec::<Attribute>::new(),
             });
-            self.stack[i].emitted = true;
+            frame.emitted = true;
             self.stats.scaffolding_nodes += 1;
         }
     }
@@ -391,14 +454,15 @@ mod tests {
         let mut engine = RuleEngine::new(compiled, query.map(|q| compile_str(q).unwrap()));
         let mut assembler =
             ViewAssembler::new(policy, query.is_some()).with_pending_high_water(pending_high_water);
+        let mut events = Vec::new();
         for event in Parser::parse_all(doc).unwrap() {
             let mut outputs = Vec::new();
             engine.process(event, &mut outputs);
             for out in outputs {
-                assembler.push(out);
+                assembler.push(out, &mut events);
             }
         }
-        let (events, stats) = assembler.finish().unwrap();
+        let stats = assembler.finish().unwrap();
         (writer::to_string(&events), stats)
     }
 
@@ -623,11 +687,12 @@ mod tests {
         let mut engine = RuleEngine::new(compiled, None);
         let mut assembler = ViewAssembler::new(AccessPolicy::paper(), false);
         // Open <r><b><d> but never close: the d decision stays pending.
+        let mut ready = Vec::new();
         for event in [Event::open("r"), Event::open("b"), Event::open("d")] {
             let mut outputs = Vec::new();
             engine.process(event, &mut outputs);
             for out in outputs {
-                assembler.push(out);
+                assembler.push(out, &mut ready);
             }
         }
         assert!(!assembler.is_drained());
@@ -644,11 +709,12 @@ mod tests {
         }];
         let mut engine = RuleEngine::new(compiled, None);
         let mut assembler = ViewAssembler::new(AccessPolicy::paper(), false);
+        let mut ready = Vec::new();
         for event in [Event::open("a"), Event::open("b")] {
             let mut outputs = Vec::new();
             engine.process(event, &mut outputs);
             for out in outputs {
-                assembler.push(out);
+                assembler.push(out, &mut ready);
             }
         }
         let (decision, in_scope) = assembler.current_context().unwrap();
@@ -656,8 +722,6 @@ mod tests {
         assert!(in_scope);
         assert!(assembler.ram_bytes() > 0);
         // The permitted `b` brings its denied parent along as scaffolding.
-        let mut ready = Vec::new();
-        assembler.append_ready(&mut ready);
         assert_eq!(ready, vec![Event::open("a"), Event::open("b")]);
     }
 }

@@ -207,10 +207,11 @@ impl DomBaseline {
         query: Option<&Query>,
         policy: &AccessPolicy,
     ) -> Result<DomBaselineReport, CoreError> {
-        document.header.verify(key)?;
+        let keys = key.deriver();
+        document.header.verify(&keys)?;
         let mut ledger = CostLedger::new();
-        let cipher = document_cipher(key);
-        let integrity = integrity_key(key);
+        let cipher = document_cipher(&keys);
+        let integrity = integrity_key(&keys);
         let mut plaintext = Vec::with_capacity(document.header.plaintext_len as usize);
         for index in 0..document.chunk_count() {
             // lint: infallible — `index` ranges over `chunk_count()`.

@@ -141,12 +141,13 @@ impl SecureEvaluationSession {
         key: SecretKey,
         config: EngineConfig,
     ) -> Result<Self, CoreError> {
-        header.verify(&key)?;
+        let keys = key.deriver();
+        header.verify(&keys)?;
         let evaluator = StreamingEvaluator::new(&config.evaluator)?;
         Ok(SecureEvaluationSession {
             header,
-            cipher: document_cipher(&key),
-            integrity: integrity_key(&key),
+            cipher: document_cipher(&keys),
+            integrity: integrity_key(&keys),
             config,
             evaluator: Some(evaluator),
             reader: None,
@@ -185,17 +186,21 @@ impl SecureEvaluationSession {
         self.done
     }
 
-    /// Takes the authorized events produced so far (every driver drains the
-    /// session through this after each [`SecureEvaluationSession::supply_chunk`]).
-    /// The session keeps an empty buffer of the same capacity, so the next
-    /// chunk's events do not regrow it.
+    /// Takes the authorized events produced so far. A driver that drains
+    /// the session after every [`SecureEvaluationSession::supply_chunk`]
+    /// should prefer [`SecureEvaluationSession::swap_output`], which keeps
+    /// the buffers.
     pub fn take_output(&mut self) -> Vec<Event> {
-        if self.output.is_empty() {
-            return Vec::new();
-        }
-        let capacity = self.output.capacity();
-        // alloc: amortized — one buffer per chunk, sized to the largest chunk's output so far.
-        std::mem::replace(&mut self.output, Vec::with_capacity(capacity))
+        std::mem::take(&mut self.output)
+    }
+
+    /// Hands the authorized events produced so far over in `buffer`, and
+    /// keeps `buffer`'s old allocation (emptied) for the next chunk's
+    /// events: a driver that alternates one buffer with the session's never
+    /// regrows either.
+    pub fn swap_output(&mut self, buffer: &mut Vec<Event>) {
+        buffer.clear();
+        std::mem::swap(&mut self.output, buffer);
     }
 
     /// Accounts one chunk transfer on the session ledger (`wire_bytes` served
@@ -221,22 +226,45 @@ impl SecureEvaluationSession {
         Ok((output, self.stats))
     }
 
+    /// Current secure-RAM footprint: the reader window, the evaluator's
+    /// running counters and the dictionary buffer, each read in O(1).
     fn current_ram(&self) -> usize {
+        self.ram_with(
+            self.evaluator
+                .as_ref()
+                .map(StreamingEvaluator::ram_bytes)
+                .unwrap_or(0),
+        )
+    }
+
+    /// [`Self::current_ram`] with the evaluator's share recounted from
+    /// scratch: the oracle the running counters are tested against.
+    #[cfg(test)]
+    fn recount_ram(&self) -> usize {
+        self.ram_with(
+            self.evaluator
+                .as_ref()
+                .map(StreamingEvaluator::recount_ram_bytes)
+                .unwrap_or(0),
+        )
+    }
+
+    fn ram_with(&self, evaluator: usize) -> usize {
         let reader = self
             .reader
             .as_ref()
             .map(TokenReader::window_bytes)
             .unwrap_or(0);
-        let evaluator = self
-            .evaluator
-            .as_ref()
-            .map(StreamingEvaluator::ram_bytes)
-            .unwrap_or(0);
         reader + evaluator + self.dict_buf.len()
     }
 
-    fn check_ram(&mut self) -> Result<(), CoreError> {
+    /// Samples the footprint into the peak and enforces the budget on the
+    /// same sample, so a session that succeeds never peaked over its budget.
+    /// Runs after every event and at every chunk end.
+    fn sample_ram(&mut self) -> Result<(), CoreError> {
         let current = self.current_ram();
+        #[cfg(test)]
+        assert_eq!(current, self.recount_ram(), "running RAM counters drifted");
         self.stats.peak_ram_bytes = self.stats.peak_ram_bytes.max(current);
         if let Some(budget) = self.config.ram_budget {
             if current > budget {
@@ -306,7 +334,7 @@ impl SecureEvaluationSession {
             decrypt(&mut self.dict_buf[at..]);
             if (self.dict_buf.len() as u64) < self.header.tokens_start {
                 self.next_chunk += 1;
-                self.check_ram()?;
+                self.sample_ram()?;
                 return Ok(self.output.len());
             }
             let dict_bytes = &self.dict_buf[..self.header.tokens_start as usize];
@@ -330,7 +358,7 @@ impl SecureEvaluationSession {
 
         // 3. Pump the reader.
         self.pump()?;
-        self.check_ram()?;
+        self.sample_ram()?;
         Ok(self.output.len())
     }
 
@@ -369,7 +397,7 @@ impl SecureEvaluationSession {
                     })?;
                     self.stats.ledger.record_events(1);
                     evaluator.push(event, &mut self.output);
-                    self.stats.peak_ram_bytes = self.stats.peak_ram_bytes.max(self.current_ram());
+                    self.sample_ram()?;
                 }
                 ReadResult::Token(TokenEvent::Summary(summary)) => {
                     if self.config.use_skip_index && self.can_skip(&summary) {
@@ -403,9 +431,7 @@ impl SecureEvaluationSession {
                     let evaluator = self.evaluator.take().ok_or_else(|| CoreError::BadState {
                         message: "evaluator already finished".into(),
                     })?;
-                    let (mut rest, stats) = evaluator.finish()?;
-                    self.output.append(&mut rest);
-                    self.stats.evaluator = Some(stats);
+                    self.stats.evaluator = Some(evaluator.finish()?);
                     break;
                 }
             }
@@ -472,6 +498,7 @@ pub fn run_local(
     session: &mut SecureEvaluationSession,
 ) -> Result<Vec<Event>, CoreError> {
     let mut output = Vec::new();
+    let mut produced = Vec::new();
     loop {
         match session.next_request() {
             SessionRequest::Done => break,
@@ -483,14 +510,14 @@ pub fn run_local(
                 })?;
                 let wire = chunk.len() + tag.encoded_len();
                 session.supply_chunk(index, &chunk, &tag)?;
-                let produced = session.take_output();
+                session.swap_output(&mut produced);
                 let produced_len: usize = produced.iter().map(Event::serialized_len).sum();
                 session
                     .stats
                     .ledger
                     .channel
                     .record_exchange(wire, produced_len);
-                output.extend(produced);
+                output.append(&mut produced);
             }
         }
     }
@@ -543,6 +570,9 @@ pub struct AccessControlApplet {
     rules_buf: Vec<u8>,
     /// Reassembly buffer for fragmented `PUSH_CHUNK` payloads.
     chunk_buf: Vec<u8>,
+    /// The last `PUSH_CHUNK`'s authorized events, alternated with the
+    /// session's output buffer and emptied once serialised.
+    events: Vec<Event>,
     /// Serialised authorized output awaiting `GET_OUTPUT`.
     output_text: Vec<u8>,
     /// Cursor into `output_text`.
@@ -570,6 +600,7 @@ impl AccessControlApplet {
             session: None,
             rules_buf: Vec::new(),
             chunk_buf: Vec::new(),
+            events: Vec::new(),
             output_text: Vec::new(),
             output_pos: 0,
         }
@@ -750,15 +781,16 @@ impl AccessControlApplet {
         let ciphertext = &payload[PUSH_CHUNK_PREFIX..];
         match session.supply_chunk(index, ciphertext, &tag) {
             Ok(_) => {
-                let events = session.take_output();
+                session.swap_output(&mut self.events);
                 // Mirror the session ledger into the card ledger so that card
                 // level reports include on-card crypto work.
                 card.ledger().record_decrypt(ciphertext.len());
                 card.ledger().record_hash(ciphertext.len());
-                card.ledger().record_events(events.len());
-                if !events.is_empty() {
-                    let text = writer::to_string(&events);
+                card.ledger().record_events(self.events.len());
+                if !self.events.is_empty() {
+                    let text = writer::to_string(&self.events);
                     self.output_text.extend_from_slice(text.as_bytes());
+                    self.events.clear();
                 }
                 let available = (self.output_text.len() - self.output_pos) as u32;
                 // alloc: amortized — 4-byte response payload; the APDU response owns its data.
@@ -1170,6 +1202,35 @@ mod tests {
             result,
             Err(CoreError::Card(CardError::RamExceeded { .. }))
         ));
+    }
+
+    #[test]
+    fn ram_budget_is_enforced_where_the_peak_is_sampled() {
+        // A session that succeeds never peaked over its budget: one byte
+        // under the unconstrained peak fails, the peak itself passes.
+        let doc = hospital_doc(8);
+        for chunk_size in [64, 256] {
+            let secure = SecureDocumentBuilder::new("folder", key())
+                .chunk_size(chunk_size)
+                .build(&doc);
+            for subject in ["doctor", "secretary"] {
+                let ctx = format!("{subject}, chunks of {chunk_size} B");
+                let (_, free) =
+                    evaluate_secure_document(&secure, &key(), config_for(subject)).unwrap();
+                let peak = free.peak_ram_bytes;
+                let under = config_for(subject).with_ram_budget(peak - 1);
+                assert!(
+                    matches!(
+                        evaluate_secure_document(&secure, &key(), under),
+                        Err(CoreError::Card(CardError::RamExceeded { .. }))
+                    ),
+                    "{ctx}"
+                );
+                let at = config_for(subject).with_ram_budget(peak);
+                let (_, stats) = evaluate_secure_document(&secure, &key(), at).unwrap();
+                assert_eq!(stats.peak_ram_bytes, peak, "{ctx}");
+            }
+        }
     }
 
     #[test]

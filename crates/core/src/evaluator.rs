@@ -187,11 +187,10 @@ impl StreamingEvaluator {
     pub fn push(&mut self, event: Event, out: &mut Vec<Event>) {
         self.events_in += 1;
         self.engine.process(event, &mut self.engine_out);
-        for output in self.engine_out.drain(..) {
-            self.assembler.push(output);
-        }
         let before = out.len();
-        self.assembler.append_ready(out);
+        for output in self.engine_out.drain(..) {
+            self.assembler.push(output, out);
+        }
         self.events_out += out.len() - before;
     }
 
@@ -221,23 +220,24 @@ impl StreamingEvaluator {
         self.engine.ram_bytes() + self.assembler.ram_bytes()
     }
 
-    /// Finishes the stream, returning any remaining authorized events and the
-    /// session statistics.
-    pub fn finish(self) -> Result<(Vec<Event>, EvaluatorStats), CoreError> {
-        let engine_stats = self.engine.stats();
-        let events_in = self.events_in;
-        let mut events_out = self.events_out;
-        let (rest, assembler_stats) = self.assembler.finish()?;
-        events_out += rest.len();
-        Ok((
-            rest,
-            EvaluatorStats {
-                engine: engine_stats,
-                assembler: assembler_stats,
-                events_in,
-                events_out,
-            },
-        ))
+    /// The footprint recounted from scratch (the test oracle of
+    /// [`StreamingEvaluator::ram_bytes`]).
+    #[cfg(test)]
+    pub(crate) fn recount_ram_bytes(&self) -> usize {
+        self.engine.recount_ram_bytes() + self.assembler.recount_ram_bytes()
+    }
+
+    /// Finishes the stream and returns the session statistics. Every
+    /// authorized event has already been handed out by
+    /// [`StreamingEvaluator::push`]; this fails if a decision is still
+    /// blocked (truncated input).
+    pub fn finish(self) -> Result<EvaluatorStats, CoreError> {
+        Ok(EvaluatorStats {
+            engine: self.engine.stats(),
+            assembler: self.assembler.finish()?,
+            events_in: self.events_in,
+            events_out: self.events_out,
+        })
     }
 
     /// Convenience helper: evaluates a whole event stream and returns the
@@ -251,8 +251,7 @@ impl StreamingEvaluator {
         for event in events {
             evaluator.push(event.clone(), &mut out);
         }
-        let (mut rest, stats) = evaluator.finish()?;
-        out.append(&mut rest);
+        let stats = evaluator.finish()?;
         Ok((out, stats))
     }
 }
@@ -386,14 +385,12 @@ mod tests {
                 produced_early = true;
             }
         }
-        let mut total = out.len();
         assert!(
             produced_early,
             "output should stream before the end of input"
         );
-        let (rest, stats) = eval.finish().unwrap();
-        total += rest.len();
-        assert_eq!(total, stats.events_out);
+        let stats = eval.finish().unwrap();
+        assert_eq!(out.len(), stats.events_out);
     }
 
     #[test]
@@ -518,5 +515,178 @@ mod tests {
         let view = writer::to_string(&out);
         assert!(view.contains("ok"));
         assert!(!view.contains("blocked"));
+    }
+}
+
+/// Seeded property: the running secure-RAM counters of the rule engine, the
+/// view assembler and the SOE session equal a full recount after every event.
+///
+/// The recount walks the token stack, the pending queue and the render
+/// stack. The oracle is called directly (the session calls it on every sample
+/// in test builds), not through `debug_assert!`, so the property also holds
+/// in the optimised profile, where debug assertions are stripped. Runs
+/// `SDDS_PROP_CASES` cases (default 64); a failure names its case, which
+/// reproduces exactly.
+#[cfg(test)]
+mod ram_props {
+    use sdds_crypto::SecretKey;
+    use sdds_xml::generator::{self, GeneratorConfig, HospitalProfile};
+
+    use crate::assembler::ViewAssembler;
+    use crate::conflict::AccessPolicy;
+    use crate::engine::{evaluate_secure_document, EngineConfig};
+    use crate::evaluator::EvaluatorConfig;
+    use crate::query::Query;
+    use crate::rule::{AccessRule, RuleId, RuleSet, Subject};
+    use crate::runtime::{EngineRule, RuleEngine};
+    use crate::secdoc::SecureDocumentBuilder;
+
+    /// Cases per property: `SDDS_PROP_CASES` when set and parseable, else 64.
+    fn cases() -> u64 {
+        std::env::var("SDDS_PROP_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(64)
+    }
+
+    /// SplitMix64: a small deterministic generator for the case parameters.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    const SUBJECTS: [&str; 4] = ["doctor", "secretary", "researcher", "auditor"];
+
+    /// The medical policy of the benchmarks, plus predicates that make decisions
+    /// pend (evidence after the node), resolve through child text (watchers that
+    /// buffer text) and through the node's own text.
+    fn rules() -> RuleSet {
+        RuleSet::parse(
+            "+, doctor, //patient\n\
+             -, doctor, //patient/ssn\n\
+             +, secretary, //patient/name\n\
+             +, secretary, //patient/address\n\
+             +, researcher, //diagnosis\n\
+             +, auditor, //acts/act[@type = \"surgery\"]/report\n\
+             -, doctor, //patient[prescriptions/prescription]/address\n\
+             +, secretary, //patient[acts/act/@type = \"surgery\"]/ssn\n\
+             -, researcher, //diagnosis[item = \"x\"]\n\
+             +, auditor, //act[date]/physician\n\
+             -, auditor, //prescription[dosage = \"100 mg\"]/drug\n\
+             +, researcher, //dosage[. = \"250 mg\"]",
+        )
+        .unwrap()
+    }
+
+    /// Rules added mid-stream, one per subject (fresh ids, so they never clash).
+    fn extra_rule(subject: &str, id: u32) -> AccessRule {
+        let object = match id % 3 {
+            0 => "//patient[acts]/name",
+            1 => "//act/report",
+            _ => "//item[. = \"x\"]",
+        };
+        AccessRule::permit(id, subject, object).unwrap()
+    }
+
+    const QUERIES: [&str; 3] = ["//patient[acts/act]", "//acts/act", "//diagnosis"];
+
+    #[test]
+    fn running_ram_counters_equal_a_full_recount_after_every_event() {
+        let key = SecretKey::derive(b"ram-props", "documents");
+        for case in 0..cases() {
+            let mut rng = Rng(case.wrapping_mul(0x5DD5) ^ 0x2005);
+            let doc = generator::hospital(
+                &HospitalProfile {
+                    patients: 1 + rng.below(5) as usize,
+                    ..HospitalProfile::default()
+                },
+                &GeneratorConfig {
+                    seed: rng.next(),
+                    ..GeneratorConfig::default()
+                },
+            );
+            let subject = SUBJECTS[rng.below(4) as usize];
+            let query = (rng.below(3) == 0).then(|| QUERIES[rng.below(3) as usize]);
+            let high_water = (rng.below(3) == 0).then(|| 1 + rng.below(8) as usize);
+            let ctx = format!("case {case}: {subject}, query {query:?}, cap {high_water:?}");
+
+            // Engine and assembler, with a rule added and one removed mid-stream.
+            let policy = rules();
+            let compiled: Vec<EngineRule> = policy
+                .for_subject(&Subject::new(subject))
+                .map(|r| EngineRule::compile(r).unwrap())
+                .collect();
+            let removable: Vec<RuleId> = compiled.iter().map(|r| r.id).collect();
+            let mut engine = RuleEngine::new(
+                compiled,
+                query.map(|q| Query::parse(q).unwrap().compiled().clone()),
+            );
+            let mut assembler = ViewAssembler::new(AccessPolicy::paper(), query.is_some())
+                .with_pending_high_water(high_water);
+            let events = doc.to_events();
+            let add_at = rng.below(events.len() as u64) as usize;
+            let remove_at = rng.below(events.len() as u64) as usize;
+            let (mut outputs, mut view) = (Vec::new(), Vec::new());
+            for (i, event) in events.into_iter().enumerate() {
+                if i == add_at {
+                    let rule = extra_rule(subject, 100 + case as u32);
+                    engine
+                        .add_rule(EngineRule::compile(&rule).unwrap())
+                        .unwrap();
+                    assert_eq!(engine.ram_bytes(), engine.recount_ram_bytes(), "{ctx}: add");
+                }
+                if i == remove_at && !removable.is_empty() {
+                    engine.remove_rule(removable[rng.below(removable.len() as u64) as usize]);
+                    assert_eq!(
+                        engine.ram_bytes(),
+                        engine.recount_ram_bytes(),
+                        "{ctx}: remove"
+                    );
+                }
+                engine.process(event, &mut outputs);
+                assert_eq!(
+                    engine.ram_bytes(),
+                    engine.recount_ram_bytes(),
+                    "{ctx}: engine after event {i}"
+                );
+                for output in outputs.drain(..) {
+                    assembler.push(output, &mut view);
+                    assert_eq!(
+                        assembler.ram_bytes(),
+                        assembler.recount_ram_bytes(),
+                        "{ctx}: assembler after event {i}"
+                    );
+                }
+            }
+            assembler.finish().unwrap();
+
+            // The session compares its counters with the recount at every
+            // sample (after each event and at each chunk end).
+            let chunk_size = [64, 128, 256, 512][rng.below(4) as usize];
+            let secure = SecureDocumentBuilder::new("folder", key.clone())
+                .chunk_size(chunk_size)
+                .build(&doc);
+            let mut evaluator = EvaluatorConfig::new(policy, subject);
+            if let Some(q) = query {
+                evaluator = evaluator.with_query(Query::parse(q).unwrap());
+            }
+            if let Some(mark) = high_water {
+                evaluator = evaluator.with_pending_high_water(mark);
+            }
+            let (_, stats) = evaluate_secure_document(&secure, &key, EngineConfig::new(evaluator))
+                .unwrap_or_else(|e| panic!("{ctx}, chunks of {chunk_size} B: {e}"));
+            assert!(stats.peak_ram_bytes > 0, "{ctx}");
+        }
     }
 }

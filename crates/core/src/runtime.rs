@@ -232,6 +232,15 @@ struct Frame {
 }
 
 impl Frame {
+    /// Empties the frame for reuse, keeping the capacity of its vectors.
+    fn clear(&mut self) {
+        self.runs.clear();
+        self.pred_runs.clear();
+        self.watchers.clear();
+        self.owned_instances.clear();
+        self.touched.clear();
+    }
+
     fn ram_bytes(&self) -> usize {
         // With interned names the stack entry itself is a token id, not the
         // tag string: charge a small fixed bookkeeping cost per frame.
@@ -323,6 +332,11 @@ pub struct RuleEngine {
     unresolved_instances: usize,
     /// Live entries across all buckets (incremental, same reason).
     bucket_entries: usize,
+    /// Σ `Frame::ram_bytes` over the token stack, kept current as frames
+    /// open, watchers buffer text and frames close.
+    frames_ram: usize,
+    /// Closed frames, cleared and kept for the next opens.
+    spare_frames: Vec<Frame>,
     stats: EngineStats,
 }
 
@@ -346,6 +360,8 @@ impl RuleEngine {
             root_scratch: Vec::new(),
             unresolved_instances: 0,
             bucket_entries: 0,
+            frames_ram: Frame::default().ram_bytes(),
+            spare_frames: Vec::new(),
             stats: EngineStats::default(),
         }
     }
@@ -420,11 +436,20 @@ impl RuleEngine {
         self.unresolved_instances > 0
     }
 
-    /// Current secure-RAM footprint of the engine structures, in bytes. Only
-    /// the token stack is walked (bounded by document depth); the instance and
-    /// bucket contributions are tracked incrementally.
+    /// Current secure-RAM footprint of the engine structures, in bytes. Every
+    /// term is a running counter, so reading it costs nothing per event.
     pub fn ram_bytes(&self) -> usize {
-        let frames: usize = self.frames.iter().map(Frame::ram_bytes).sum();
+        self.ram_with_frames(self.frames_ram)
+    }
+
+    /// The footprint recounted from scratch by walking the token stack: the
+    /// oracle the running counter is tested against.
+    #[cfg(test)]
+    pub(crate) fn recount_ram_bytes(&self) -> usize {
+        self.ram_with_frames(self.frames.iter().map(Frame::ram_bytes).sum())
+    }
+
+    fn ram_with_frames(&self, frames: usize) -> usize {
         // An unresolved instance is one predicate-set entry referencing a
         // shared program (the program itself lives with the compiled rules in
         // program memory); resolved instances boil down to one bit.
@@ -561,6 +586,7 @@ impl RuleEngine {
                 &mut self.bucket_entries,
             );
         }
+        self.frames_ram = self.frames.iter().map(Frame::ram_bytes).sum();
     }
 
     /// Processes one event, appending the engine outputs it triggers to
@@ -607,7 +633,7 @@ impl RuleEngine {
         }
         scratch.extend_from_slice(&self.wild_bucket);
 
-        let mut new_frame = Frame::default();
+        let mut new_frame = self.spare_frames.pop().unwrap_or_default();
         let mut direct: Vec<(usize, MatchAlternatives)> = Vec::new();
         let mut query_match: Option<MatchAlternatives> = None;
         let mut memo: Vec<(PredId, InstanceId)> = Vec::new();
@@ -687,6 +713,7 @@ impl RuleEngine {
             &mut self.wild_bucket,
             &mut self.bucket_entries,
         );
+        self.frames_ram += frame.ram_bytes();
         annotation
     }
 
@@ -701,6 +728,7 @@ impl RuleEngine {
                     continue;
                 }
                 w.buffer.push_str(text);
+                self.frames_ram += text.len();
                 w.saw_text = true;
                 if w.condition.is_none() && !text.trim().is_empty() {
                     // Existence of direct text is enough.
@@ -723,7 +751,8 @@ impl RuleEngine {
         let depth = (self.frames.len() - 1) as u32;
         // lint: infallible — the tokenizer only emits balanced events, so
         // every close has a matching open frame.
-        let frame = self.frames.pop().expect("close without a matching open");
+        let mut frame = self.frames.pop().expect("close without a matching open");
+        self.frames_ram -= frame.ram_bytes();
         // Unregister the frame's bucket entries (always the bucket suffix:
         // registrations only ever target the innermost open element).
         for &b in &frame.touched {
@@ -767,6 +796,8 @@ impl RuleEngine {
                 false,
             );
         }
+        frame.clear();
+        self.spare_frames.push(frame);
     }
 }
 

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use sdds_crypto::hmac::{hmac_sha256, verify_mac, HmacKey};
 use sdds_crypto::modes::{chunk_iv, ctr_apply};
 use sdds_crypto::siphash::siphash24;
-use sdds_crypto::{Aes128, CryptoError, PolyAesKey, SecretKey};
+use sdds_crypto::{Aes128, CryptoError, KeyDeriver, PolyAesKey, SecretKey};
 use sdds_xml::Document;
 
 use crate::error::CoreError;
@@ -84,9 +84,10 @@ impl DocumentHeader {
         buf
     }
 
-    /// Verifies the header authenticity under the document key.
-    pub fn verify(&self, key: &SecretKey) -> Result<(), CoreError> {
-        let mac_key = key.subkey("doc-mac");
+    /// Verifies the header authenticity under the document key, scheduled
+    /// for derivation with [`SecretKey::deriver`].
+    pub fn verify(&self, keys: &KeyDeriver) -> Result<(), CoreError> {
+        let mac_key = keys.subkey("doc-mac");
         let expected = hmac_sha256(mac_key.as_bytes(), &self.mac_input());
         if verify_mac(&expected, &self.mac) {
             Ok(())
@@ -304,11 +305,12 @@ impl SecureDocument {
 }
 
 /// Expands the chunk cipher of a document: the `doc-enc` subkey of the
-/// document key, scheduled once per session (or per build) and then reused
-/// for every chunk.
+/// document key (scheduled for derivation with [`SecretKey::deriver`]),
+/// expanded once per session (or per build) and then reused for every
+/// chunk.
 // taint: source — derives the document's encryption schedule from its key.
-pub fn document_cipher(key: &SecretKey) -> Aes128 {
-    Aes128::new(key.subkey("doc-enc").as_bytes())
+pub fn document_cipher(keys: &KeyDeriver) -> Aes128 {
+    Aes128::new(keys.subkey("doc-enc").as_bytes())
 }
 
 /// The four key parts of a document's chunk tags: AES under the `doc-int`
@@ -316,8 +318,8 @@ pub fn document_cipher(key: &SecretKey) -> Aes128 {
 /// polynomial keys `r1`, `r2` and AES keys `k1`, `k2`. A session derives
 /// one subkey for them, however many parts there are.
 // taint: source — expands the document key into chunk-tag key material.
-fn tag_key_parts(key: &SecretKey) -> [[u8; 16]; 4] {
-    let aes = Aes128::new(key.subkey("doc-int").as_bytes());
+fn tag_key_parts(keys: &KeyDeriver) -> [[u8; 16]; 4] {
+    let aes = Aes128::new(keys.subkey("doc-int").as_bytes());
     std::array::from_fn(|part| {
         let mut block = [0u8; 16];
         block[0] = part as u8;
@@ -330,8 +332,8 @@ fn tag_key_parts(key: &SecretKey) -> [[u8; 16]; 4] {
 /// two Poly1305 lanes and their AES keys, once per session (or per build),
 /// next to [`document_cipher`].
 // taint: source — derives the document's integrity key from its key.
-pub fn integrity_key(key: &SecretKey) -> PolyAesKey {
-    let [r1, r2, k1, k2] = tag_key_parts(key);
+pub fn integrity_key(keys: &KeyDeriver) -> PolyAesKey {
+    let [r1, r2, k1, k2] = tag_key_parts(keys);
     PolyAesKey::new([&r1, &r2], [&k1, &k2])
 }
 
@@ -384,8 +386,8 @@ impl SecureDocumentBuilder {
     /// different plaintexts are ever encrypted under one keystream, and it
     /// needs no entropy source: the same content under the same key
     /// rebuilds byte for byte.
-    fn synthetic_nonce(&self, plaintext: &[u8]) -> [u8; 8] {
-        let seed_key = HmacKey::new(self.key.subkey("doc-nonce").as_bytes());
+    fn synthetic_nonce(&self, keys: &KeyDeriver, plaintext: &[u8]) -> [u8; 8] {
+        let seed_key = HmacKey::new(keys.subkey("doc-nonce").as_bytes());
         let mut seed = seed_key.start();
         seed.update(&(self.doc_id.len() as u32).to_le_bytes());
         seed.update(self.doc_id.as_bytes());
@@ -399,9 +401,10 @@ impl SecureDocumentBuilder {
     pub fn build(&self, doc: &Document) -> SecureDocument {
         let encoded = DocumentEncoder::new(self.encoder).encode(doc);
         let plaintext = encoded.plaintext();
-        let nonce = self.synthetic_nonce(&plaintext);
+        let keys = self.key.deriver();
+        let nonce = self.synthetic_nonce(&keys, &plaintext);
 
-        let cipher = document_cipher(&self.key);
+        let cipher = document_cipher(&keys);
         let mut chunks = Vec::with_capacity(plaintext.len().div_ceil(self.chunk_size).max(1));
         if plaintext.is_empty() {
             chunks.push(Arc::from(&[][..]));
@@ -423,9 +426,9 @@ impl SecureDocumentBuilder {
             recursive_bitmaps: self.encoder.recursive_bitmaps,
             mac: [0u8; 32],
         };
-        let mac_key = self.key.subkey("doc-mac");
+        let mac_key = keys.subkey("doc-mac");
         header.mac = hmac_sha256(mac_key.as_bytes(), &header.mac_input());
-        let integrity = integrity_key(&self.key);
+        let integrity = integrity_key(&keys);
         let tags = chunks
             .iter()
             .enumerate()
@@ -467,11 +470,11 @@ mod tests {
         let secure = SecureDocumentBuilder::new("folder-42", key()).build(&doc);
         assert!(secure.chunk_count() > 1);
         assert_eq!(secure.chunk_count() as u32, secure.header.chunk_count);
-        secure.header.verify(&key()).unwrap();
+        secure.header.verify(&key().deriver()).unwrap();
 
         // Verify every chunk's tag, decrypt it, reassemble the plaintext.
-        let cipher = document_cipher(&key());
-        let integrity = integrity_key(&key());
+        let cipher = document_cipher(&key().deriver());
+        let integrity = integrity_key(&key().deriver());
         let mut plaintext = Vec::new();
         for i in 0..secure.chunk_count() {
             let (chunk, tag) = secure.sealed_chunk(i).unwrap();
@@ -492,7 +495,7 @@ mod tests {
         assert_eq!(bytes.len(), secure.header.encoded_len());
         let back = DocumentHeader::decode(&bytes).unwrap();
         assert_eq!(back, secure.header);
-        back.verify(&key()).unwrap();
+        back.verify(&key().deriver()).unwrap();
         assert!(DocumentHeader::decode(&bytes[..10]).is_err());
         assert!(DocumentHeader::decode(b"XXXX123").is_err());
         // Version 1 (a hash-tree root) and version 2 (HMAC chunk tags)
@@ -511,19 +514,26 @@ mod tests {
     fn wrong_key_fails_header_verification() {
         let secure = SecureDocumentBuilder::new("doc-1", key()).build(&sample_doc());
         let other = SecretKey::derive(b"other", "k");
-        assert!(secure.header.verify(&other).is_err());
+        assert!(secure.header.verify(&other.deriver()).is_err());
         let (chunk, tag) = secure.sealed_chunk(0).unwrap();
-        assert!(verify_chunk(&integrity_key(&other), &secure.header, 0, &chunk, &tag).is_err());
+        assert!(verify_chunk(
+            &integrity_key(&other.deriver()),
+            &secure.header,
+            0,
+            &chunk,
+            &tag
+        )
+        .is_err());
     }
 
     #[test]
     fn tampered_header_or_chunk_is_detected() {
         let secure = SecureDocumentBuilder::new("doc-1", key()).build(&sample_doc());
-        let integrity = integrity_key(&key());
+        let integrity = integrity_key(&key().deriver());
         // Tampered header field.
         let mut header = secure.header.clone();
         header.chunk_size += 1;
-        assert!(header.verify(&key()).is_err());
+        assert!(header.verify(&key().deriver()).is_err());
         // Tampered chunk fails its tag.
         let (chunk, tag) = secure.sealed_chunk(1).unwrap();
         let mut flipped = chunk.to_vec();
@@ -544,7 +554,7 @@ mod tests {
     #[test]
     fn tag_halves_and_lanes_are_each_checked() {
         let secure = SecureDocumentBuilder::new("doc-1", key()).build(&sample_doc());
-        let integrity = integrity_key(&key());
+        let integrity = integrity_key(&key().deriver());
         let (chunk, tag) = secure.sealed_chunk(1).unwrap();
         let rejects = |bytes: [u8; TAG_LEN]| {
             matches!(
@@ -562,14 +572,14 @@ mod tests {
         let mut swapped = tag.0;
         swapped.rotate_left(TAG_LEN / 2);
         assert!(rejects(swapped));
-        let [r1, r2, k1, k2] = tag_key_parts(&key());
+        let [r1, r2, k1, k2] = tag_key_parts(&key().deriver());
         let crossed = PolyAesKey::new([&r2, &r1], [&k2, &k1]);
         assert!(rejects(chunk_tag(&crossed, &secure.header, 1, &chunk).0));
     }
 
     #[test]
     fn tag_key_parts_are_distinct_from_each_other_and_the_cipher_key() {
-        let parts = tag_key_parts(&key());
+        let parts = tag_key_parts(&key().deriver());
         for (i, a) in parts.iter().enumerate() {
             for b in &parts[i + 1..] {
                 assert_ne!(a, b);
@@ -578,8 +588,11 @@ mod tests {
             assert_ne!(a, key().subkey("doc-int").as_bytes());
         }
         // The parts are a function of the document key alone.
-        assert_eq!(parts, tag_key_parts(&key()));
-        assert_ne!(parts, tag_key_parts(&SecretKey::derive(b"other", "k")));
+        assert_eq!(parts, tag_key_parts(&key().deriver()));
+        assert_ne!(
+            parts,
+            tag_key_parts(&SecretKey::derive(b"other", "k").deriver())
+        );
     }
 
     #[test]

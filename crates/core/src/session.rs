@@ -55,8 +55,9 @@ impl ProtectedRules {
     // blob the DSP can store but not read.
     pub fn seal(rules: &RuleSet, key: &SecretKey) -> Self {
         let payload = rules.encode();
-        let enc_key = key.subkey("rules-enc");
-        let mac_key = HmacKey::new(key.subkey("rules-mac").as_bytes());
+        let keys = key.deriver();
+        let enc_key = keys.subkey("rules-enc");
+        let mac_key = HmacKey::new(keys.subkey("rules-mac").as_bytes());
         // A synthetic IV: a PRF of version and payload. Every subject's subset
         // of one policy version is sealed under one key, so an IV of the
         // version alone would repeat across subjects; this one repeats only
@@ -96,7 +97,8 @@ impl ProtectedRules {
                 });
             }
         }
-        let mac_key = HmacKey::new(key.subkey("rules-mac").as_bytes());
+        let keys = key.deriver();
+        let mac_key = HmacKey::new(keys.subkey("rules-mac").as_bytes());
         let expected = Self::mac(&mac_key, self.version, &self.iv, &self.ciphertext);
         if !verify_mac(&expected, &self.mac) {
             return Err(CryptoError::IntegrityFailure {
@@ -104,8 +106,8 @@ impl ProtectedRules {
             }
             .into());
         }
-        let enc_key = key.subkey("rules-enc");
-        let cipher = Aes128::new(enc_key.as_bytes());
+        let enc_key = keys.subkey("rules-enc");
+        let cipher = Aes128::new(enc_key.as_bytes()).decryptor();
         let payload = cbc_decrypt(&cipher, &self.iv, &self.ciphertext)?;
         let mut rules = RuleSet::decode(&payload)?;
         rules.set_version(self.version);
@@ -180,8 +182,9 @@ impl KeyProvisioning {
     // taint: sink — the document key crosses to the card only AES-wrapped
     // and MACed under the per-card transport key.
     pub fn wrap(key_id: u32, key: &SecretKey, transport_key: &SecretKey) -> Self {
-        let enc_key = transport_key.subkey("kw-enc");
-        let mac_key = transport_key.subkey("kw-mac");
+        let keys = transport_key.deriver();
+        let enc_key = keys.subkey("kw-enc");
+        let mac_key = keys.subkey("kw-mac");
         let iv_material = hmac_sha256(mac_key.as_bytes(), &key_id.to_le_bytes());
         let mut iv = [0u8; 16];
         iv.copy_from_slice(&iv_material[..16]);
@@ -240,7 +243,8 @@ impl KeyProvisioning {
     // taint: source — recovers the cleartext key inside the SOE after the
     // MAC check; the result never leaves the card.
     pub fn unwrap_key(&self, transport_key: &SecretKey) -> Result<SecretKey, CoreError> {
-        let mac_key = transport_key.subkey("kw-mac");
+        let keys = transport_key.deriver();
+        let mac_key = keys.subkey("kw-mac");
         let expected = hmac_sha256(
             mac_key.as_bytes(),
             &Self::mac_input(self.key_id, &self.iv, &self.wrapped),
@@ -251,8 +255,8 @@ impl KeyProvisioning {
             }
             .into());
         }
-        let enc_key = transport_key.subkey("kw-enc");
-        let cipher = Aes128::new(enc_key.as_bytes());
+        let enc_key = keys.subkey("kw-enc");
+        let cipher = Aes128::new(enc_key.as_bytes()).decryptor();
         let material = cbc_decrypt(&cipher, &self.iv, &self.wrapped)?;
         if material.len() != 16 {
             return Err(CoreError::BadDocument {

@@ -199,11 +199,20 @@ fn store(s: [u32; 4], block: &mut [u8; BLOCK_SIZE]) {
     }
 }
 
-/// An AES-128 cipher with an expanded key schedule.
+/// An AES-128 cipher with an expanded encryption key schedule. CTR mode,
+/// CBC encryption and the tag PRFs only ever encrypt; CBC decryption asks
+/// for the inverse schedule with [`Aes128::decryptor`].
 #[derive(Clone)]
 pub struct Aes128 {
     /// Encryption round keys, round 0 first.
     enc: [RoundKey; ROUNDS + 1],
+    tables: &'static Tables,
+}
+
+/// The decryption direction of an AES-128 key: the equivalent inverse
+/// cipher's round keys, built by [`Aes128::decryptor`].
+#[derive(Clone)]
+pub struct Aes128Dec {
     /// Equivalent-inverse-cipher round keys, in decryption order.
     dec: [RoundKey; ROUNDS + 1],
     tables: &'static Tables,
@@ -217,8 +226,15 @@ impl std::fmt::Debug for Aes128 {
     }
 }
 
+// taint: redacted — prints a fixed placeholder, never the round keys.
+impl std::fmt::Debug for Aes128Dec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Aes128Dec {{ <key schedule redacted> }}")
+    }
+}
+
 impl Aes128 {
-    /// Expands `key` into the round-key schedules of both directions.
+    /// Expands `key` into the encryption round keys.
     pub fn new(key: &[u8; KEY_SIZE]) -> Self {
         let tables = tables();
         let mut w = [0u32; 4 * (ROUNDS + 1)];
@@ -232,19 +248,24 @@ impl Aes128 {
             }
             w[i] = w[i - 4] ^ temp;
         }
-        let enc: [RoundKey; ROUNDS + 1] =
-            std::array::from_fn(|r| [w[4 * r], w[4 * r + 1], w[4 * r + 2], w[4 * r + 3]]);
+        let enc = std::array::from_fn(|r| [w[4 * r], w[4 * r + 1], w[4 * r + 2], w[4 * r + 3]]);
+        Aes128 { enc, tables }
+    }
+
+    /// Builds the decryption schedule of this key.
+    pub fn decryptor(&self) -> Aes128Dec {
+        let tables = self.tables;
         // Decryption walks the rounds backwards; the middle round keys get
         // `InvMixColumns` so each inverse round is a plain `td` round.
         let dec = std::array::from_fn(|r| {
-            let key = enc[ROUNDS - r];
+            let key = self.enc[ROUNDS - r];
             if r == 0 || r == ROUNDS {
                 key
             } else {
                 key.map(|word| tables.inv_mix_word(word))
             }
         });
-        Aes128 { enc, dec, tables }
+        Aes128Dec { dec, tables }
     }
 
     /// Encrypts one 16-byte block in place.
@@ -261,7 +282,9 @@ impl Aes128 {
         s = Tables::last_round(&t.sbox, s, &self.enc[ROUNDS], SHIFT);
         store(s, block);
     }
+}
 
+impl Aes128Dec {
     /// Decrypts one 16-byte block in place.
     // taint: source — restores the cleartext block inside the SOE.
     pub fn decrypt_block(&self, block: &mut [u8; BLOCK_SIZE]) {
@@ -414,7 +437,7 @@ mod tests {
         let cipher = Aes128::new(&key);
         cipher.encrypt_block(&mut block);
         assert_eq!(block, expected);
-        cipher.decrypt_block(&mut block);
+        cipher.decryptor().decrypt_block(&mut block);
         assert_eq!(
             block,
             [
@@ -460,7 +483,7 @@ mod tests {
             0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd,
             0xee, 0xff,
         ];
-        Aes128::new(&key).decrypt_block(&mut block);
+        Aes128::new(&key).decryptor().decrypt_block(&mut block);
         assert_eq!(block, expected);
     }
 
@@ -487,6 +510,7 @@ mod tests {
             let key = random_block();
             let plain = random_block();
             let cipher = Aes128::new(&key);
+            let decryptor = cipher.decryptor();
 
             let mut fast = plain;
             cipher.encrypt_block(&mut fast);
@@ -495,7 +519,7 @@ mod tests {
             assert_eq!(fast, slow, "encrypt diverged at case {case}");
 
             let mut fast_back = plain;
-            cipher.decrypt_block(&mut fast_back);
+            decryptor.decrypt_block(&mut fast_back);
             let mut slow_back = plain;
             reference::decrypt_block(&key, &mut slow_back);
             assert_eq!(fast_back, slow_back, "decrypt diverged at case {case}");
@@ -505,12 +529,13 @@ mod tests {
     #[test]
     fn encrypt_decrypt_roundtrip_many_blocks() {
         let cipher = Aes128::new(&[7u8; 16]);
+        let decryptor = cipher.decryptor();
         for i in 0..64u8 {
             let mut block = [i; 16];
             let original = block;
             cipher.encrypt_block(&mut block);
             assert_ne!(block, original);
-            cipher.decrypt_block(&mut block);
+            decryptor.decrypt_block(&mut block);
             assert_eq!(block, original);
         }
     }
@@ -529,9 +554,10 @@ mod tests {
     #[test]
     fn debug_does_not_leak_key_material() {
         let c = Aes128::new(&[0xAB; 16]);
-        let dbg = format!("{c:?}");
-        assert!(dbg.contains("redacted"));
-        assert!(!dbg.contains("171")); // 0xAB
+        for dbg in [format!("{c:?}"), format!("{:?}", c.decryptor())] {
+            assert!(dbg.contains("redacted"));
+            assert!(!dbg.contains("171")); // 0xAB
+        }
     }
 
     #[test]

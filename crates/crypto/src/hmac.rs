@@ -84,21 +84,21 @@ pub fn verify_mac(expected: &[u8], actual: &[u8]) -> bool {
 }
 
 /// Derives `len` bytes of key material from an input key and a context label,
-/// HKDF-expand style (`T(i) = HMAC(key, T(i-1) || label || i)`).
+/// HKDF-expand style (`T(i) = HMAC(key, T(i-1) || label || i)`). Sixteen-byte
+/// keys are derived by [`crate::keys::KeyDeriver`], whose output is the first
+/// block of this expansion; this general form is the reference it is tested
+/// against.
 // taint: source — stretches a secret into fresh key material; the output
 // bytes are exactly as secret as the input key.
 pub fn derive_key(key: &[u8], label: &str, len: usize) -> Vec<u8> {
-    // alloc: startup — keys derive at provisioning and session open, never per event.
     let mut out = Vec::with_capacity(len);
     let mut previous: Vec<u8> = Vec::new();
     let mut counter = 1u8;
     while out.len() < len {
-        // alloc: startup — keys derive at provisioning and session open, never per event.
         let mut msg = previous.clone();
         msg.extend_from_slice(label.as_bytes());
         msg.push(counter);
         let block = hmac_sha256(key, &msg);
-        // alloc: startup — keys derive at provisioning and session open, never per event.
         previous = block.to_vec();
         out.extend_from_slice(&block);
         counter = counter.wrapping_add(1);

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use crate::error::CryptoError;
-use crate::hmac::derive_key;
+use crate::hmac::HmacKey;
 
 /// Identifier of a key inside a [`KeyRing`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -39,10 +39,7 @@ impl SecretKey {
     /// label. Used by the simulated PKI to agree on community keys.
     // taint: source — turns a passphrase secret into usable key material.
     pub fn derive(master: &[u8], label: &str) -> Self {
-        let material = derive_key(master, label, 16);
-        let mut bytes = [0u8; 16];
-        bytes.copy_from_slice(&material);
-        SecretKey { bytes }
+        KeyDeriver::new(master).subkey(label)
     }
 
     /// Returns the raw bytes (only the crypto layer should need them).
@@ -53,8 +50,50 @@ impl SecretKey {
     }
 
     /// Derives a sub-key for a specific purpose (e.g. `"enc"` vs `"mac"`).
+    /// A site that derives several sub-keys of one key should schedule it
+    /// once with [`SecretKey::deriver`].
     pub fn subkey(&self, purpose: &str) -> SecretKey {
-        SecretKey::derive(&self.bytes, purpose)
+        self.deriver().subkey(purpose)
+    }
+
+    /// Schedules this key for sub-key derivation.
+    pub fn deriver(&self) -> KeyDeriver {
+        KeyDeriver::new(&self.bytes)
+    }
+}
+
+/// A master secret scheduled for key derivation: its HMAC pads are absorbed
+/// once, and each derived key then costs one HMAC of its label, computed
+/// into a fixed array. The output is the first 16 bytes of
+/// [`crate::hmac::derive_key`]'s expansion, `HMAC(master, label ‖ 0x01)`.
+#[derive(Clone)]
+pub struct KeyDeriver {
+    mac: HmacKey,
+}
+
+// taint: redacted — prints a fixed placeholder, never the key midstates.
+impl std::fmt::Debug for KeyDeriver {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("KeyDeriver(<redacted>)")
+    }
+}
+
+impl KeyDeriver {
+    /// Schedules `master` for derivation.
+    pub fn new(master: &[u8]) -> Self {
+        KeyDeriver {
+            mac: HmacKey::new(master),
+        }
+    }
+
+    /// The key derived for `label`.
+    pub fn subkey(&self, label: &str) -> SecretKey {
+        let mut inner = self.mac.start();
+        inner.update(label.as_bytes());
+        inner.update(&[1]);
+        let mut bytes = [0u8; 16];
+        bytes.copy_from_slice(&self.mac.finish(inner)[..16]);
+        SecretKey { bytes }
     }
 }
 
@@ -141,6 +180,51 @@ mod tests {
         assert_ne!(a, c);
         assert_ne!(a.subkey("enc"), a.subkey("mac"));
         assert_eq!(a.subkey("enc"), b.subkey("enc"));
+    }
+
+    #[test]
+    fn subkeys_match_the_pinned_derivation() {
+        // Known answers of the derivation as documents and rule blobs were
+        // first sealed with it (`derive_key(master, label, 16)`): a faster
+        // derivation must reproduce them byte for byte, or every stored
+        // document and rule blob becomes unreadable.
+        const LABELS: [&str; 5] = ["doc-mac", "doc-enc", "doc-int", "rules-mac", "rules-enc"];
+        let pinned: [(&[u8], [&str; 5]); 2] = [
+            (
+                b"community-secret",
+                [
+                    "ca30c0d8eab6e073e8903ca2becf577f",
+                    "fde9c380d578c306164307b83b256742",
+                    "461386f8fa4315172c266641db991c75",
+                    "9018c96533a0bd73e84cd9bcdf3fb3ae",
+                    "402aeb4f2ffbf7d152a7a5ba2342164c",
+                ],
+            ),
+            (
+                &[0x5A; 16],
+                [
+                    "49e361f499017d9ac0ac17405bd40d88",
+                    "251a83add1f420979428af9067478675",
+                    "b62659d283f141787301bb9cfe89e070",
+                    "1afb09a5ebc0b07381311721911fe5a9",
+                    "cd963998b2ded3a7494df6febc41a45b",
+                ],
+            ),
+        ];
+        for (secret, answers) in pinned {
+            let master = SecretKey::derive(secret, "documents");
+            let deriver = master.deriver();
+            for (label, answer) in LABELS.iter().zip(answers) {
+                let subkey = deriver.subkey(label);
+                assert_eq!(crate::sha256::to_hex(subkey.as_bytes()), answer, "{label}");
+                assert_eq!(master.subkey(label), subkey);
+                assert_eq!(
+                    crate::hmac::derive_key(master.as_bytes(), label, 16),
+                    subkey.as_bytes()
+                );
+            }
+            assert_eq!(format!("{deriver:?}"), "KeyDeriver(<redacted>)");
+        }
     }
 
     #[test]

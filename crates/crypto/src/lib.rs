@@ -20,8 +20,9 @@
 //!   tampering with whichever subset of chunks the skip index makes it read,
 //! * [`siphash`] — SipHash-2-4, the keyed PRF that derives a document's
 //!   nonce from its plaintext at build time,
-//! * [`keys`] — key material, a deterministic key-derivation helper and the
-//!   key ring stored in the SOE's secure stable memory.
+//! * [`keys`] — key material, its once-scheduled derivation
+//!   ([`KeyDeriver`]) and the key ring stored in the SOE's secure stable
+//!   memory.
 //!
 //! **Security note.** These implementations favour clarity and portability and
 //! are not hardened against side channels; they are a faithful functional
@@ -45,8 +46,8 @@ pub mod poly1305;
 pub mod sha256;
 pub mod siphash;
 
-pub use aes::Aes128;
+pub use aes::{Aes128, Aes128Dec};
 pub use error::CryptoError;
 pub use hmac::HmacKey;
-pub use keys::{KeyId, KeyRing, SecretKey};
+pub use keys::{KeyDeriver, KeyId, KeyRing, SecretKey};
 pub use poly1305::PolyAesKey;

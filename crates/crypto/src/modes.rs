@@ -5,7 +5,7 @@
 //! with its own IV (CBC) or counter base (CTR). PKCS#7 padding is used for
 //! CBC; CTR is length-preserving.
 
-use crate::aes::{Aes128, BLOCK_SIZE};
+use crate::aes::{Aes128, Aes128Dec, BLOCK_SIZE};
 use crate::error::CryptoError;
 
 /// XORs `mask` into `dst`: one 128-bit operation for a whole block, byte by
@@ -40,7 +40,7 @@ pub fn cbc_encrypt(cipher: &Aes128, iv: &[u8; BLOCK_SIZE], plaintext: &[u8]) -> 
 /// Decrypts an AES-128-CBC ciphertext and strips PKCS#7 padding.
 // taint: source — ciphertext in, cleartext out; SOE-side only.
 pub fn cbc_decrypt(
-    cipher: &Aes128,
+    cipher: &Aes128Dec,
     iv: &[u8; BLOCK_SIZE],
     ciphertext: &[u8],
 ) -> Result<Vec<u8>, CryptoError> {
@@ -173,7 +173,7 @@ mod tests {
                 "3ff1caa1681fac09120eca307586e1a7",
             ))[..]
         );
-        assert_eq!(cbc_decrypt(&c, &iv, &ct).unwrap(), plain);
+        assert_eq!(cbc_decrypt(&c.decryptor(), &iv, &ct).unwrap(), plain);
     }
 
     #[test]
@@ -203,7 +203,7 @@ mod tests {
             let ct = cbc_encrypt(&c, &iv, &plain);
             assert_eq!(ct.len() % BLOCK_SIZE, 0);
             assert!(ct.len() > plain.len().saturating_sub(1));
-            let back = cbc_decrypt(&c, &iv, &ct).unwrap();
+            let back = cbc_decrypt(&c.decryptor(), &iv, &ct).unwrap();
             assert_eq!(back, plain, "roundtrip failed for length {len}");
         }
     }
@@ -214,11 +214,11 @@ mod tests {
         let iv = [0u8; 16];
         let ct = cbc_encrypt(&c, &iv, b"hello world, this is a test");
         assert!(matches!(
-            cbc_decrypt(&c, &iv, &ct[..ct.len() - 1]),
+            cbc_decrypt(&c.decryptor(), &iv, &ct[..ct.len() - 1]),
             Err(CryptoError::BadCiphertextLength { .. })
         ));
         assert!(matches!(
-            cbc_decrypt(&c, &iv, &[]),
+            cbc_decrypt(&c.decryptor(), &iv, &[]),
             Err(CryptoError::BadCiphertextLength { .. })
         ));
     }
@@ -232,14 +232,14 @@ mod tests {
         let ct = cbc_encrypt(&c, &iv, &plain);
         // Wrong key: padding check almost certainly fails; if it does not, the
         // plaintext must still differ.
-        match cbc_decrypt(&other, &iv, &ct) {
+        match cbc_decrypt(&other.decryptor(), &iv, &ct) {
             Err(CryptoError::BadPadding) => {}
             Ok(garbled) => assert_ne!(garbled, plain),
             Err(e) => panic!("unexpected error {e}"),
         }
         // Wrong IV only garbles the first block.
         let wrong_iv = [2u8; 16];
-        if let Ok(garbled) = cbc_decrypt(&c, &wrong_iv, &ct) {
+        if let Ok(garbled) = cbc_decrypt(&c.decryptor(), &wrong_iv, &ct) {
             assert_ne!(garbled, plain);
         }
     }

@@ -383,7 +383,7 @@ mod tests {
     /// Whether `tag` vouches for `chunk` as chunk `index` of the document
     /// `header` describes, under the key every test document is built with.
     fn tag_verifies(header: &DocumentHeader, index: u32, chunk: &[u8], tag: &ChunkTag) -> bool {
-        let integrity = integrity_key(&SecretKey::derive(b"s", "k"));
+        let integrity = integrity_key(&SecretKey::derive(b"s", "k").deriver());
         verify_chunk(&integrity, header, index, chunk, tag).is_ok()
     }
 

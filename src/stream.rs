@@ -10,6 +10,8 @@
 //! irrelevant are never transferred, and the application's memory stays
 //! bounded by what it keeps, not by the document.
 
+use std::collections::VecDeque;
+
 use sdds_sync::sync::Arc;
 
 use sdds_core::engine::{SecureEvaluationSession, SessionRequest, SessionStats};
@@ -40,8 +42,9 @@ pub struct ViewStream {
     /// (the error was yielded, the stream is poisoned).
     session: Option<SecureEvaluationSession>,
     /// The events of the last served request, as the session handed them
-    /// over; yielded from the front.
-    buffer: std::vec::IntoIter<Event>,
+    /// over; yielded from the front. Once drained, its allocation goes back
+    /// to the session for the next chunk's events.
+    buffer: VecDeque<Event>,
     stats: Option<SessionStats>,
     /// Session telemetry cells shared with the service's registry (chunk
     /// round-trips, wire bytes, events yielded to the application).
@@ -71,7 +74,7 @@ impl ViewStream {
             doc_id,
             revision,
             session: Some(session),
-            buffer: Vec::new().into_iter(),
+            buffer: VecDeque::new(),
             stats: None,
             obs,
         }
@@ -121,7 +124,7 @@ impl ViewStream {
                     // `advance`.
                     .expect("session present");
                 let (rest, stats) = ended.finish()?;
-                self.buffer = rest.into_iter();
+                self.buffer = rest.into();
                 self.stats = Some(stats);
                 Ok(true)
             }
@@ -132,13 +135,16 @@ impl ViewStream {
                 let chunk: Arc<[u8]> = served.0;
                 let tag: ChunkTag = served.1;
                 session.supply_chunk(index, &chunk, &tag)?;
-                let produced = session.take_output();
+                // `buffer` is drained here; converting an empty deque to a
+                // `Vec` and back keeps its allocation without moving a byte.
+                let mut produced: Vec<Event> = std::mem::take(&mut self.buffer).into();
+                session.swap_output(&mut produced);
                 // Account the transfer like the terminal-side channel would.
                 let wire = chunk.len() + tag.encoded_len();
                 let produced_len: usize = produced.iter().map(Event::serialized_len).sum();
                 session.record_exchange(wire, produced_len);
                 self.obs.record_exchange(wire, produced_len);
-                self.buffer = produced.into_iter();
+                self.buffer = produced.into();
                 Ok(false)
             }
         }
@@ -150,9 +156,7 @@ impl Iterator for ViewStream {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            // Qualified: sdds-lint resolves a bare `.next()` by name, to the
-            // workspace's own `next` methods.
-            if let Some(event) = Iterator::next(&mut self.buffer) {
+            if let Some(event) = self.buffer.pop_front() {
                 self.obs.event_delivered();
                 return Some(Ok(event));
             }

@@ -47,8 +47,7 @@ fn view_with_change_at(k: usize, churn: impl Fn(&mut StreamingEvaluator)) -> Str
         }
         evaluator.push(ev, &mut out);
     }
-    let (mut rest, _) = evaluator.finish().unwrap();
-    out.append(&mut rest);
+    evaluator.finish().unwrap();
     writer::to_string(&out)
 }
 

@@ -46,7 +46,7 @@ fn publisher() -> Publisher {
 fn served_chunks(publisher: &Publisher, doc_id: &str) -> Vec<(Vec<u8>, Vec<u8>)> {
     let service: &DspService = publisher.service();
     let (header, revision) = service.fetch_header_pinned(doc_id).unwrap();
-    let cipher = document_cipher(&publisher.server().document_key());
+    let cipher = document_cipher(&publisher.server().document_key().deriver());
     (0..header.chunk_count)
         .map(|index| {
             let served = service.fetch_chunk_pinned(doc_id, index, revision).unwrap();
