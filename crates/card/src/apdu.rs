@@ -234,10 +234,8 @@ impl ApduResponse {
 /// 255-byte APDU window.
 pub fn fragment_payload(payload: &[u8]) -> Vec<&[u8]> {
     if payload.is_empty() {
-        // alloc: cold — zero-byte payload corner: a one-element list for the empty fragment.
         return vec![&[]];
     }
-    // alloc: amortized — a directory of borrowed slices, one small Vec per exchange; the payload bytes are not copied.
     payload.chunks(MAX_SHORT_APDU_DATA).collect()
 }
 

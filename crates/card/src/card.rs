@@ -181,7 +181,6 @@ impl<A: Applet> CardRuntime<A> {
         } else {
             Err(CardError::Refused {
                 status: response.status.0,
-                // alloc: cold — refused-instruction error path.
                 reason: format!(
                     "instruction 0x{:02X} refused by applet `{}`",
                     command.ins,

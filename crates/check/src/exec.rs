@@ -186,7 +186,7 @@ thread_local! {
 
 /// The calling OS thread's model context, if it is a model thread.
 pub(crate) fn current_ctx() -> Option<Ctx> {
-    // alloc: amortized — `Ctx` is a shared handle; the clone bumps refcounts only.
+    // `Ctx` is a shared handle; the clone bumps refcounts only.
     CURRENT.with(|c| c.borrow().clone())
 }
 
@@ -204,7 +204,6 @@ fn install_quiet_hook() {
     static HOOK: OnceLock<()> = OnceLock::new();
     HOOK.get_or_init(|| {
         let default = std::panic::take_hook();
-        // alloc: startup — the quiet panic hook installs once per process (`OnceLock`).
         std::panic::set_hook(Box::new(move |info| match current_ctx() {
             None => default(info),
             Some(ctx) => ctx.record_hook_panic(info),
@@ -214,13 +213,10 @@ fn install_quiet_hook() {
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
-        // alloc: cold — panic diagnostics, assembled only after a model thread failed.
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
-        // alloc: cold — panic diagnostics, assembled only after a model thread failed.
         s.clone()
     } else {
-        // alloc: cold — panic diagnostics, assembled only after a model thread failed.
         "non-string panic payload".to_owned()
     }
 }
@@ -339,7 +335,6 @@ impl Ctx {
         let woken: Vec<Tid> = match st.cv_queues.entry(cv).or_default() {
             queue if all => std::mem::take(queue),
             queue if queue.is_empty() => Vec::new(),
-            // alloc: amortized — wake list of at most one thread id; model-checker scheduler bookkeeping, never the production shim.
             queue => vec![queue.remove(0)],
         };
         for tid in woken {
@@ -465,7 +460,6 @@ impl Ctx {
             && st.cursor >= st.preset.len()
             && st.preemptions >= st.preemption_bound
         {
-            // alloc: amortized — one-element eligible list past the preemption bound; DFS scheduler bookkeeping, never the production shim.
             vec![self.tid]
         } else {
             runnable
@@ -513,7 +507,6 @@ fn deadlock_report(st: &ExecState) -> String {
     let mut cv_waiters = 0usize;
     for (tid, slot) in st.slots.iter().enumerate() {
         match slot {
-            // alloc: cold — deadlock diagnostics, rendered only when no thread is runnable.
             Status::Lock { lock, access } => blocked.push(format!(
                 "t{tid} blocked acquiring lock #{lock} ({})",
                 match access {
@@ -523,10 +516,8 @@ fn deadlock_report(st: &ExecState) -> String {
             )),
             Status::Condvar { cv } => {
                 cv_waiters += 1;
-                // alloc: cold — deadlock diagnostics, rendered only when no thread is runnable.
                 blocked.push(format!("t{tid} parked on condvar #{cv}"));
             }
-            // alloc: cold — deadlock diagnostics, rendered only when no thread is runnable.
             Status::Join { child } => blocked.push(format!("t{tid} joining t{child}")),
             Status::Runnable | Status::Done => {}
         }
@@ -537,7 +528,6 @@ fn deadlock_report(st: &ExecState) -> String {
     } else {
         "deadlock: no thread is runnable"
     };
-    // alloc: cold — deadlock diagnostics, rendered only when no thread is runnable.
     format!("{kind} — {}", blocked.join("; "))
 }
 
@@ -546,7 +536,6 @@ fn deadlock_report(st: &ExecState) -> String {
 pub(crate) fn run_thread<T>(ctx: Ctx, f: impl FnOnce() -> T) -> Option<T> {
     install_quiet_hook();
     let previous = current_ctx();
-    // alloc: startup — one context handle clone per spawned model thread.
     set_ctx(Some(ctx.clone()));
     {
         let st = ctx

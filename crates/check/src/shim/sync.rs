@@ -255,7 +255,8 @@ impl Condvar {
 
     /// Releases `guard`'s mutex and parks until notified, then re-acquires.
     pub fn wait<'a, T>(&self, mut guard: MutexGuard<'a, T>) -> LockResult<MutexGuard<'a, T>> {
-        // alloc: amortized — clones the `Option<Ctx>` scheduler handle (refcount bump); the production path takes the `None` branch.
+        // Clones the `Option<Ctx>` scheduler handle (a refcount bump); the
+        // production path takes the `None` branch.
         match guard.ctx.clone() {
             None => {
                 // lint: infallible — `inner` is `Some` until the guard drops.

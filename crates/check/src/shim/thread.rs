@@ -21,7 +21,6 @@ fn unpoison<T>(result: Result<T, std::sync::PoisonError<T>>) -> T {
 }
 
 fn panicked<T>() -> std::thread::Result<T> {
-    // alloc: cold — panic propagation path of a failed model thread.
     Err(Box::new("model thread panicked".to_owned()))
 }
 

@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use sdds_xml::{Attribute, Event};
 
-use crate::conflict::{resolve, AccessPolicy, Decision, DirectRule};
+use crate::conflict::{resolve_signs, AccessPolicy, Decision};
 use crate::error::CoreError;
 use crate::rule::Sign;
 use crate::runtime::{EngineOutput, InstanceId, NodeAnnotation};
@@ -227,7 +227,6 @@ impl ViewAssembler {
     pub fn finish(self) -> Result<AssemblerStats, CoreError> {
         if !self.queue.is_empty() {
             return Err(CoreError::BadState {
-                // alloc: cold — truncated-input error path at end of stream.
                 message: format!(
                     "{} events are still pending at end of stream (truncated input?)",
                     self.queue.len()
@@ -334,25 +333,24 @@ impl ViewAssembler {
             }
         };
 
-        // Rules applying directly to the node.
-        let annotated_direct = annotation.map(|a| a.direct.as_slice()).unwrap_or(&[]);
-        // alloc: amortized — scratch bounded by the rules annotated on this one node.
-        let mut direct = Vec::with_capacity(annotated_direct.len());
-        for m in annotated_direct {
+        // Rules applying directly to the node: only which signs apply
+        // matters to the decision.
+        let (mut has_deny, mut has_permit) = (false, false);
+        for m in annotation.map(|a| a.direct.as_slice()).unwrap_or(&[]) {
             let applies = match m.matches.evaluate(&truth) {
                 Some(applies) => applies,
                 None if force => m.sign == Sign::Deny,
                 None => return None,
             };
             if applies {
-                direct.push(DirectRule {
-                    rule: m.rule,
-                    sign: m.sign,
-                });
+                match m.sign {
+                    Sign::Deny => has_deny = true,
+                    Sign::Permit => has_permit = true,
+                }
             }
         }
         let inherited = self.stack.last().map(|f| f.decision);
-        let decision = resolve(&self.policy, &direct, inherited);
+        let decision = resolve_signs(&self.policy, has_deny, has_permit, inherited);
         Some((decision, in_scope))
     }
 

@@ -138,18 +138,15 @@ impl CompiledPath {
 fn compile_condition(condition: &Option<(Comparison, String)>) -> Option<ValueCondition> {
     condition.as_ref().map(|(op, literal)| ValueCondition {
         op: *op,
-        // alloc: startup — rules and queries compile once at provisioning, never per event.
         literal: literal.clone(),
     })
 }
 
 fn compile_rel_path(path: &Path, source: &Path) -> Result<Vec<RelStep>, CoreError> {
-    // alloc: startup — rules and queries compile once at provisioning, never per event.
     let mut steps = Vec::with_capacity(path.steps.len());
     for step in &path.steps {
         if !step.predicates.is_empty() {
             return Err(CoreError::UnsupportedRule {
-                // alloc: startup — rules and queries compile once at provisioning, never per event.
                 expression: source.to_string(),
                 reason: "predicates nested inside a predicate path are not supported by the \
                          streaming automata (the XP{[],*,//} fragment of the paper appends \
@@ -159,7 +156,6 @@ fn compile_rel_path(path: &Path, source: &Path) -> Result<Vec<RelStep>, CoreErro
         }
         steps.push(RelStep {
             axis: step.axis,
-            // alloc: startup — rules and queries compile once at provisioning, never per event.
             test: step.test.clone(),
         });
     }
@@ -169,7 +165,6 @@ fn compile_rel_path(path: &Path, source: &Path) -> Result<Vec<RelStep>, CoreErro
 fn compile_predicate(pred: &Predicate, source: &Path) -> Result<CompiledPredicate, CoreError> {
     Ok(match &pred.target {
         PredicateTarget::Attribute(name) => CompiledPredicate::Attribute {
-            // alloc: startup — rules and queries compile once at provisioning, never per event.
             name: name.clone(),
             condition: compile_condition(&pred.condition),
         },
@@ -183,7 +178,6 @@ fn compile_predicate(pred: &Predicate, source: &Path) -> Result<CompiledPredicat
         },
         PredicateTarget::PathAttribute(rel, attr) => CompiledPredicate::RelPath {
             steps: compile_rel_path(rel, source)?,
-            // alloc: startup — rules and queries compile once at provisioning, never per event.
             attribute: Some(attr.clone()),
             condition: compile_condition(&pred.condition),
         },
@@ -194,12 +188,10 @@ fn compile_predicate(pred: &Predicate, source: &Path) -> Result<CompiledPredicat
 pub fn compile(path: &Path) -> Result<CompiledPath, CoreError> {
     if path.is_empty() {
         return Err(CoreError::UnsupportedRule {
-            // alloc: startup — rules and queries compile once at provisioning, never per event.
             expression: path.to_string(),
             reason: "empty path".into(),
         });
     }
-    // alloc: startup — rules and queries compile once at provisioning, never per event.
     let mut steps = Vec::with_capacity(path.steps.len());
     for step in &path.steps {
         let mut immediate = Vec::new();
@@ -214,14 +206,12 @@ pub fn compile(path: &Path) -> Result<CompiledPath, CoreError> {
         }
         steps.push(CompiledStep {
             axis: step.axis,
-            // alloc: startup — rules and queries compile once at provisioning, never per event.
             test: step.test.clone(),
             immediate,
             deferred,
         });
     }
     Ok(CompiledPath {
-        // alloc: startup — rules and queries compile once at provisioning, never per event.
         source: path.clone(),
         steps,
     })

@@ -89,6 +89,18 @@ pub fn resolve(
 ) -> Decision {
     let has_deny = direct.iter().any(|d| d.sign == Sign::Deny);
     let has_permit = direct.iter().any(|d| d.sign == Sign::Permit);
+    resolve_signs(policy, has_deny, has_permit, inherited)
+}
+
+/// [`resolve`] on what it actually depends on: whether some prohibition and
+/// whether some permission applies directly to the node. Callers that fold
+/// their matches as they go need no slice of [`DirectRule`]s.
+pub fn resolve_signs(
+    policy: &AccessPolicy,
+    has_deny: bool,
+    has_permit: bool,
+    inherited: Option<Decision>,
+) -> Decision {
     match (has_deny, has_permit) {
         (true, true) => {
             // Conflict at equal specificity.
@@ -214,6 +226,38 @@ mod tests {
         // Nothing applies: the closed-world default applies.
         assert_eq!(resolve(&p, &[], None), Decision::Deny);
         assert_eq!(resolve(&AccessPolicy::open(), &[], None), Decision::Permit);
+    }
+
+    #[test]
+    fn sign_flags_resolve_like_the_matching_slice() {
+        let policies = [
+            AccessPolicy::paper(),
+            AccessPolicy {
+                denial_takes_precedence: false,
+                ..AccessPolicy::paper()
+            },
+            AccessPolicy::open(),
+        ];
+        for policy in &policies {
+            for inherited in [None, Some(Decision::Permit), Some(Decision::Deny)] {
+                for has_deny in [false, true] {
+                    for has_permit in [false, true] {
+                        let mut direct = Vec::new();
+                        if has_deny {
+                            direct.push(deny(1));
+                        }
+                        if has_permit {
+                            direct.push(permit(0));
+                        }
+                        assert_eq!(
+                            resolve_signs(policy, has_deny, has_permit, inherited),
+                            resolve(policy, &direct, inherited),
+                            "{policy:?} deny={has_deny} permit={has_permit} inherited={inherited:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -241,16 +241,13 @@ impl DispatchTable {
             .map(|p| match p {
                 CompiledPredicate::Attribute { name, condition } => AttrCheck {
                     name: self.symbols.intern(name),
-                    // alloc: startup — the dispatch table is built once at session open.
                     condition: condition.clone(),
                 },
                 // lint: infallible — the compiler splits predicates into
                 // immediate (attribute) and deferred before reaching here.
                 other => unreachable!("non-attribute immediate predicate {other:?}"),
             })
-            // alloc: startup — the dispatch table is built once at session open.
             .collect();
-        // alloc: startup — the dispatch table is built once at session open.
         let deferred: Vec<PredId> = step.deferred.iter().map(|p| self.pred_id(p)).collect();
         for &e in &self.nodes[node.index()].edges {
             let edge = &self.edges[e.index()];
@@ -285,7 +282,6 @@ impl DispatchTable {
             CompiledPredicate::SelfText { condition } => PredProgram {
                 steps: Vec::new(),
                 attribute: None,
-                // alloc: startup — the dispatch table is built once at session open.
                 condition: condition.clone(),
             },
             CompiledPredicate::RelPath {
@@ -302,10 +298,8 @@ impl DispatchTable {
                             NodeTest::Wildcard => None,
                         },
                     })
-                    // alloc: startup — the dispatch table is built once at session open.
                     .collect(),
                 attribute: attribute.as_ref().map(|a| self.symbols.intern(a)),
-                // alloc: startup — the dispatch table is built once at session open.
                 condition: condition.clone(),
             },
             CompiledPredicate::Attribute { .. } => {
@@ -316,7 +310,6 @@ impl DispatchTable {
         };
         let id = PredId(self.preds.len() as u32);
         self.preds.push(program);
-        // alloc: startup — the dispatch table is built once at session open.
         self.pred_index.insert(pred.clone(), id);
         id
     }

@@ -295,7 +295,6 @@ impl SecureEvaluationSession {
         }
         if index != self.next_chunk {
             return Err(CoreError::BadState {
-                // alloc: cold — out-of-order chunk error path.
                 message: format!(
                     "expected chunk {} but received chunk {index}",
                     self.next_chunk
@@ -304,7 +303,6 @@ impl SecureEvaluationSession {
         }
         if self.last_supplied_chunk == Some(index) {
             return Err(CoreError::BadState {
-                // alloc: cold — duplicate chunk error path.
                 message: format!("chunk {index} supplied twice"),
             });
         }
@@ -370,7 +368,6 @@ impl SecureEvaluationSession {
             .rules
             .for_subject(&config.subject)
             .map(|r| (r.sign, PathSignature::build(&r.object, dict)))
-            // alloc: startup — path signatures are built once per session, from the dictionary chunk.
             .collect();
         self.query_signature = config
             .query
@@ -662,7 +659,6 @@ impl AccessControlApplet {
             Err(_) => return ApduResponse::error(StatusWord::WRONG_LENGTH),
         };
         let rules_key = match card.keys_ref().get(KeyId(RULES_KEY_ID)) {
-            // alloc: startup — PUT_RULES provisioning, once per session.
             Ok(k) => k.clone(),
             Err(_) => return ApduResponse::error(StatusWord::NOT_FOUND),
         };
@@ -697,7 +693,6 @@ impl AccessControlApplet {
     }
 
     fn handle_open_session(&mut self, card: &mut SmartCard, command: &Apdu) -> ApduResponse {
-        // alloc: startup — session-open provisioning, once per session.
         let Some(rules) = self.rules.clone() else {
             return ApduResponse::error(StatusWord::CONDITIONS_NOT_SATISFIED);
         };
@@ -711,7 +706,6 @@ impl AccessControlApplet {
             u32::from(command.p1)
         };
         let key = match card.keys_ref().get(KeyId(key_id)) {
-            // alloc: startup — session-open provisioning, once per session.
             Ok(k) => k.clone(),
             Err(_) => return ApduResponse::error(StatusWord::NOT_FOUND),
         };
@@ -723,7 +717,6 @@ impl AccessControlApplet {
             evaluator_config = evaluator_config.with_policy(crate::conflict::AccessPolicy::open());
         }
         if let Some(query) = &self.query {
-            // alloc: startup — session-open provisioning, once per session.
             evaluator_config = evaluator_config.with_query(query.clone());
         }
         let mut config =
@@ -750,7 +743,6 @@ impl AccessControlApplet {
             SessionRequest::NeedChunk(i) => i,
             SessionRequest::Done => u32::MAX,
         };
-        // alloc: amortized — 4-byte response payload; the APDU response owns its data.
         ApduResponse::ok(value.to_le_bytes().to_vec())
     }
 
@@ -793,7 +785,6 @@ impl AccessControlApplet {
                     self.events.clear();
                 }
                 let available = (self.output_text.len() - self.output_pos) as u32;
-                // alloc: amortized — 4-byte response payload; the APDU response owns its data.
                 ApduResponse::ok(available.to_le_bytes().to_vec())
             }
             Err(e) => ApduResponse::error(Self::status_for(&e)),
@@ -803,7 +794,7 @@ impl AccessControlApplet {
     fn handle_get_output(&mut self) -> ApduResponse {
         let available = &self.output_text[self.output_pos..];
         let take = available.len().min(250);
-        // alloc: amortized — copies at most 250 output bytes into the APDU window, which owns its data.
+        // Copies at most 250 output bytes into the APDU window, which owns its data.
         let data = available[..take].to_vec();
         self.output_pos += take;
         ApduResponse::ok(data)
@@ -812,9 +803,7 @@ impl AccessControlApplet {
     fn handle_close_session(&mut self) -> ApduResponse {
         match self.session.take() {
             Some(session) => {
-                // alloc: startup — session teardown, once per session.
                 let stats = session.stats().clone();
-                // alloc: startup — session teardown, once per session.
                 let mut data = Vec::with_capacity(20);
                 data.extend_from_slice(&(stats.ledger.bytes_decrypted as u32).to_le_bytes());
                 data.extend_from_slice(&(stats.ledger.bytes_skipped as u32).to_le_bytes());

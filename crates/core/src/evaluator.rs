@@ -139,7 +139,6 @@ impl StreamingEvaluator {
         for rule in config.rules.for_subject(&config.subject) {
             compiled.push(EngineRule::compile(rule)?);
         }
-        // alloc: startup — evaluator construction at session open.
         let query = config.query.as_ref().map(|q| q.compiled().clone());
         let has_query = query.is_some();
         Ok(StreamingEvaluator {
@@ -147,7 +146,6 @@ impl StreamingEvaluator {
             assembler: ViewAssembler::new(config.policy, has_query)
                 .with_pending_high_water(config.pending_high_water),
             engine_out: Vec::new(),
-            // alloc: startup — evaluator construction at session open.
             subject: config.subject.clone(),
             events_in: 0,
             events_out: 0,

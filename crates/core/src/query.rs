@@ -39,7 +39,6 @@ impl Query {
 
     /// Textual form of the query.
     pub fn to_expression(&self) -> String {
-        // alloc: startup — the query expression is serialised once at provisioning.
         self.path.to_string()
     }
 

@@ -278,7 +278,6 @@ impl RuleSet {
             let subject = r.subject.name().as_bytes();
             out.extend_from_slice(&(subject.len() as u16).to_le_bytes());
             out.extend_from_slice(subject);
-            // alloc: startup — the rule wire codec runs at provisioning, never per event.
             let object = r.object.to_string();
             out.extend_from_slice(&(object.len() as u16).to_le_bytes());
             out.extend_from_slice(object.as_bytes());
@@ -289,7 +288,6 @@ impl RuleSet {
     /// Decodes a rule set produced by [`RuleSet::encode`].
     pub fn decode(bytes: &[u8]) -> Result<Self, CoreError> {
         let bad = |m: &str| CoreError::BadDocument {
-            // alloc: cold — malformed rule blob error path.
             message: format!("rule set: {m}"),
         };
         if bytes.len() < 12 {
@@ -302,7 +300,6 @@ impl RuleSet {
         let mut pos = 12usize;
         // The count is untrusted: reserve no more rules than the remaining
         // bytes can hold (id, sign and two empty strings: 9 bytes each).
-        // alloc: startup — the rule wire codec runs at provisioning, never per event.
         let mut rules = Vec::with_capacity(count.min((bytes.len() - pos) / 9));
         for _ in 0..count {
             if pos + 5 > bytes.len() {
@@ -314,7 +311,6 @@ impl RuleSet {
             let sign = match bytes[pos] {
                 b'+' => Sign::Permit,
                 b'-' => Sign::Deny,
-                // alloc: cold — malformed rule blob error path.
                 other => return Err(bad(&format!("bad sign byte {other}"))),
             };
             pos += 1;
@@ -331,7 +327,6 @@ impl RuleSet {
                     .get(*pos..*pos + len)
                     .ok_or_else(|| bad("truncated string"))?;
                 *pos += len;
-                // alloc: startup — the rule wire codec runs at provisioning, never per event.
                 String::from_utf8(s.to_vec()).map_err(|_| bad("non UTF-8 string"))
             };
             let subject = read_str(&mut pos)?;

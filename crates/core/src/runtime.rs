@@ -350,10 +350,8 @@ impl RuleEngine {
             query,
             table,
             // frames[0] is the virtual document node.
-            // alloc: startup — engine construction at session open.
             frames: vec![Frame::default()],
             instances: Vec::new(),
-            // alloc: startup — engine construction at session open.
             buckets: vec![Vec::new(); symbol_count],
             wild_bucket: Vec::new(),
             scratch: Vec::new(),
@@ -396,7 +394,6 @@ impl RuleEngine {
     /// skip-index logic uses these to ask whether a rule could still progress
     /// inside an upcoming subtree.
     pub fn active_positions(&self) -> Vec<Vec<usize>> {
-        // alloc: amortized — one position list per skip probe, bounded by the rule count.
         let mut positions = vec![vec![0usize]; self.rules.len()];
         for frame in &self.frames {
             for run in &frame.runs {
@@ -417,7 +414,6 @@ impl RuleEngine {
         if self.query.is_none() {
             return Vec::new();
         }
-        // alloc: amortized — one position list per skip probe, bounded by the rule count.
         let mut positions = vec![0usize];
         for frame in &self.frames {
             for run in &frame.runs {
@@ -689,7 +685,6 @@ impl RuleEngine {
 
         // Assemble the annotation and push + register the frame.
         let mut annotation = NodeAnnotation {
-            // alloc: amortized — annotation scratch bounded by the rules matching this node.
             direct: Vec::with_capacity(direct.len()),
             query: query_match,
         };
@@ -840,7 +835,6 @@ impl OpenScope<'_> {
         }) {
             return;
         }
-        // alloc: amortized — dependency list per fired edge, bounded by the edge's deferred predicates.
         let mut new_deps = deps.to_vec();
         for &pid in &edge.deferred {
             new_deps.push(self.instance_for(pid));
@@ -856,13 +850,11 @@ impl OpenScope<'_> {
                             &mut self.direct.last_mut().expect("just pushed").1
                         }
                     };
-                    // alloc: amortized — alternative sets share the per-edge dependency list, bounded by rule fan-out.
                     matches.add(new_deps.clone());
                 }
                 Target::Query => {
                     self.query_match
                         .get_or_insert_with(MatchAlternatives::default)
-                        // alloc: amortized — alternative sets share the per-edge dependency list, bounded by rule fan-out.
                         .add(new_deps.clone());
                 }
             }
@@ -893,7 +885,6 @@ impl OpenScope<'_> {
         if program.is_self_text() {
             self.new_frame.watchers.push(Watcher {
                 instance: id,
-                // alloc: amortized — a watcher captures its predicate condition once per instantiation.
                 condition: program.condition.clone(),
                 buffer: String::new(),
                 saw_text: false,
@@ -952,7 +943,6 @@ impl OpenScope<'_> {
                 // A value condition on the element's direct text: watch it.
                 self.new_frame.watchers.push(Watcher {
                     instance: pr.instance,
-                    // alloc: amortized — a watcher captures its predicate condition once per instantiation.
                     condition: program.condition.clone(),
                     buffer: String::new(),
                     saw_text: false,

@@ -71,7 +71,6 @@ pub struct DocumentHeader {
 
 impl DocumentHeader {
     fn mac_input(&self) -> Vec<u8> {
-        // alloc: startup — the header MAC is computed once per session open.
         let mut buf = Vec::with_capacity(64 + self.doc_id.len());
         buf.extend_from_slice(self.doc_id.as_bytes());
         buf.push(0);
@@ -93,7 +92,6 @@ impl DocumentHeader {
             Ok(())
         } else {
             Err(CryptoError::IntegrityFailure {
-                // alloc: cold — integrity-failure error path.
                 context: format!("header of document `{}`", self.doc_id),
             }
             .into())
@@ -130,7 +128,6 @@ impl DocumentHeader {
     /// Parses a header.
     pub fn decode(bytes: &[u8]) -> Result<Self, CoreError> {
         let bad = |m: &str| CoreError::BadDocument {
-            // alloc: cold — malformed header error path.
             message: format!("header: {m}"),
         };
         if bytes.len() < 7 || &bytes[..4] != b"SDDS" {
@@ -145,7 +142,6 @@ impl DocumentHeader {
             bytes
                 .get(pos..pos + id_len)
                 .ok_or_else(|| bad("truncated id"))?
-                // alloc: startup — the header decodes once per session open.
                 .to_vec(),
         )
         .map_err(|_| bad("non UTF-8 id"))?;
@@ -248,7 +244,6 @@ pub fn verify_chunk(
         Ok(())
     } else {
         Err(CryptoError::IntegrityFailure {
-            // alloc: cold — integrity-failure error path.
             context: format!("tag of chunk {index} of `{}`", header.doc_id),
         })
     }

@@ -89,7 +89,6 @@ impl ProtectedRules {
         if let Some(min) = minimum_version {
             if self.version < min {
                 return Err(CoreError::BadState {
-                    // alloc: cold — tampered rule blob error path.
                     message: format!(
                         "rule set version {} is older than the installed version {min} (rollback rejected)",
                         self.version
@@ -129,7 +128,6 @@ impl ProtectedRules {
     /// Parses a serialised protected rule set.
     pub fn decode(bytes: &[u8]) -> Result<Self, CoreError> {
         let bad = |m: &str| CoreError::BadDocument {
-            // alloc: cold — malformed rule blob error path.
             message: format!("protected rules: {m}"),
         };
         if bytes.len() < 8 + 16 + 32 + 4 {
@@ -144,7 +142,6 @@ impl ProtectedRules {
         let ciphertext = bytes
             .get(60..60 + len)
             .ok_or_else(|| bad("truncated body"))?
-            // alloc: startup — rule blobs decode at provisioning, once per session.
             .to_vec();
         Ok(ProtectedRules {
             version,
@@ -170,7 +167,6 @@ pub struct KeyProvisioning {
 
 impl KeyProvisioning {
     fn mac_input(key_id: u32, iv: &[u8; 16], wrapped: &[u8]) -> Vec<u8> {
-        // alloc: startup — key wrapping runs at provisioning, once per key.
         let mut buf = Vec::with_capacity(4 + 16 + wrapped.len());
         buf.extend_from_slice(&key_id.to_le_bytes());
         buf.extend_from_slice(iv);
@@ -214,7 +210,6 @@ impl KeyProvisioning {
     /// Parses a provisioning message.
     pub fn decode(bytes: &[u8]) -> Result<Self, CoreError> {
         let bad = |m: &str| CoreError::BadDocument {
-            // alloc: cold — malformed key blob error path.
             message: format!("key provisioning: {m}"),
         };
         if bytes.len() < 4 + 16 + 32 + 2 {
@@ -229,7 +224,6 @@ impl KeyProvisioning {
         let wrapped = bytes
             .get(54..54 + len)
             .ok_or_else(|| bad("truncated body"))?
-            // alloc: startup — key blobs decode at provisioning, once per key.
             .to_vec();
         Ok(KeyProvisioning {
             key_id,

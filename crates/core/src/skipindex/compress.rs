@@ -64,7 +64,6 @@ impl TagReference {
     /// Reference covering a whole dictionary of `dict_len` tags.
     pub fn full(dict_len: usize) -> Self {
         TagReference {
-            // alloc: amortized — bitmap expansion bounded by the dictionary size, per materialised reference.
             tags: (0..dict_len).map(|i| TagId(i as u16)).collect(),
         }
     }
@@ -72,7 +71,6 @@ impl TagReference {
     /// Reference covering exactly the members of `set`.
     pub fn from_set(set: &TagSet) -> Self {
         TagReference {
-            // alloc: amortized — bitmap expansion bounded by the dictionary size, per materialised reference.
             tags: set.iter().collect(),
         }
     }

@@ -145,7 +145,6 @@ impl TokenReader {
         }
         if offset > window_end {
             return Err(CoreError::BadState {
-                // alloc: cold — plaintext-gap error path.
                 message: format!(
                     "plaintext gap: reader needs offset {window_end} but received {offset}"
                 ),
@@ -177,7 +176,6 @@ impl TokenReader {
             .checked_add(content_len)
             .filter(|&end| end <= self.stream_len)
             .ok_or_else(|| CoreError::BadDocument {
-                // alloc: cold — corrupt-summary error path.
                 message: format!(
                     "summary skips {content_len} bytes from offset {}, past the end of the stream",
                     self.cursor
@@ -209,7 +207,6 @@ impl TokenReader {
             .and_then(|id| self.dict.name(TagId(id)))
             .map(Arc::clone)
             .ok_or_else(|| CoreError::BadDocument {
-                // alloc: cold — unknown-tag error path.
                 message: format!("unknown tag id {id}"),
             })
     }
@@ -237,7 +234,6 @@ impl TokenReader {
                 // The count is untrusted: reserve no more attributes than the
                 // window's remaining bytes can hold (two varints each).
                 let fit = (self.window.len() - pos) as u64 / 2;
-                // alloc: amortized — attribute list sized to this one element.
                 let mut attrs = Vec::with_capacity(attr_count.min(fit) as usize);
                 for _ in 0..attr_count {
                     let Some((name_id, used)) = read_varint(&self.window, pos) else {
@@ -333,7 +329,6 @@ impl TokenReader {
                 })))
             }
             other => Err(CoreError::BadDocument {
-                // alloc: cold — unknown-token error path.
                 message: format!(
                     "unknown token marker 0x{other:02X} at offset {}",
                     self.cursor

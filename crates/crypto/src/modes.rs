@@ -49,7 +49,7 @@ pub fn cbc_decrypt(
             len: ciphertext.len(),
         });
     }
-    // alloc: startup — CBC runs for key unwrap at provisioning only.
+    // CBC runs for key unwrap at provisioning only.
     let mut out = ciphertext.to_vec();
     let mut prev = *iv;
     for chunk in out.chunks_exact_mut(BLOCK_SIZE) {

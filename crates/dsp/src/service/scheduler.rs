@@ -275,7 +275,6 @@ impl SessionScheduler {
     /// `i % workers`; see the module docs for the schedule.
     pub fn run<S: Schedulable>(&self, sessions: Vec<S>) -> ScheduleReport<S> {
         let count = sessions.len();
-        // alloc: startup — the run queues are built once per run.
         let mut queues: Vec<VecDeque<_>> = (0..self.workers).map(|_| VecDeque::new()).collect();
         for (index, session) in sessions.into_iter().enumerate() {
             queues[index % self.workers].push_back(Job {
@@ -288,10 +287,8 @@ impl SessionScheduler {
             self.obs.queue_depth.set(count as u64);
         }
         let run = Run {
-            // alloc: startup — the run queues are built once per run.
             queues: queues.into_iter().map(Mutex::new).collect(),
             queued: AtomicUsize::new(count),
-            // alloc: startup — one slot per session, filled as they retire.
             finished: Mutex::new(Vec::with_capacity(count)),
             quantum: self.quantum,
             obs: &self.obs,

@@ -58,7 +58,6 @@ use crate::store::{DocumentRecord, DspStore};
 fn check_revision(record: &DocumentRecord, pinned: Option<u64>) -> Result<(), CoreError> {
     match pinned {
         Some(rev) if record.revision != rev => Err(CoreError::StaleRevision {
-            // alloc: cold — stale-revision error path.
             doc_id: record.document.header.doc_id.clone(),
             pinned: rev,
             current: record.revision,
@@ -74,8 +73,8 @@ fn serve_header(
     pinned: Option<u64>,
 ) -> Result<DocumentHeader, CoreError> {
     check_revision(record, pinned)?;
-    // alloc: startup — one header fetch per card session (the SOE caches it);
-    // chunk serves, the per-event path, share ciphertext without copying.
+    // One header fetch per card session (the SOE caches it); chunk serves, the
+    // per-event path, share ciphertext without copying.
     let header = record.document.header.clone();
     obs.count_header(header.encoded_len());
     Ok(header)
@@ -98,8 +97,7 @@ fn serve_chunk(
         .document
         .sealed_chunk(index as usize)
         .ok_or_else(|| CoreError::BadState {
-            // alloc: cold — out-of-range error path, never taken by a
-            // well-formed session.
+            // Never taken by a well-formed session.
             message: format!("chunk {index} out of range for `{doc_id}`"),
         })?;
     obs.count_chunk(chunk.len() + tag.encoded_len());
@@ -119,9 +117,7 @@ fn serve_rules(
         .rules
         .get(subject)
         .ok_or_else(|| CoreError::NoRulesForSubject {
-            // alloc: cold — unknown-subject error path.
             doc_id: record.document.header.doc_id.clone(),
-            // alloc: cold — unknown-subject error path.
             subject: subject.to_owned(),
         })?;
     obs.count_rules(blob.len());
@@ -326,7 +322,6 @@ impl ShardedStore {
         let Some(record) = shard.store.get(doc_id) else {
             return (
                 Err(CoreError::NotFound {
-                    // alloc: cold — unknown-document error path.
                     doc_id: doc_id.to_owned(),
                 }),
                 home,
@@ -356,9 +351,7 @@ impl ShardedStore {
                 None => {
                     drop(directory);
                     let mut directory = self.directory.write_np();
-                    // alloc: amortized — the directory entry is created once per document; later serves only bump an atomic.
                     let entry = directory.entry(doc_id.to_owned()).or_insert(ReplicaEntry {
-                        // alloc: amortized — the directory entry is created once per document; later serves only bump an atomic.
                         shards: vec![self.shard_of(doc_id)],
                         pinned: None,
                         serves: AtomicUsize::new(0),
@@ -408,25 +401,20 @@ impl ShardedStore {
         let record = {
             let shard = self.shards[home].read_np();
             match shard.store.get(doc_id) {
-                // alloc: cold — replication runs once, when a document crosses the hot threshold.
                 Some(record) => Arc::new(record.clone()),
                 None => return,
             }
         };
-        // alloc: cold — replication runs once, when a document crosses the hot threshold.
         let mut shards = vec![home];
         for offset in 1..copies {
             let target = (home + offset) % self.shards.len();
             self.shards[target]
                 .write_np()
                 .replicas
-                // alloc: cold — replication runs once, when a document crosses the hot threshold.
                 .insert(doc_id.to_owned(), Arc::clone(&record));
             shards.push(target);
         }
-        // alloc: cold — replication runs once, when a document crosses the hot threshold.
         let entry = directory.entry(doc_id.to_owned()).or_insert(ReplicaEntry {
-            // alloc: cold — replication runs once, when a document crosses the hot threshold.
             shards: vec![home],
             pinned: None,
             serves: AtomicUsize::new(0),

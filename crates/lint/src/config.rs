@@ -1,7 +1,7 @@
-//! The hand-rolled TOML subset both lint configs (`trust.toml`,
-//! `hotpath.toml`) are written in: `[section]` headers, `key = ["a", "b"]`
-//! string arrays (single- or multi-line) and `#` comments. Hand-rolled
-//! because the linter is dependency-free.
+//! The hand-rolled TOML subset the lint config (`trust.toml`) is written in:
+//! `[section]` headers, `key = ["a", "b"]` string arrays (single- or
+//! multi-line) and `#` comments. Hand-rolled because the linter is
+//! dependency-free.
 
 /// Parses `text` (named `file` in error messages) and hands every
 /// `[section] key = [..]` entry to `assign` as `(section, key, items, line)`,

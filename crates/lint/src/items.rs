@@ -46,35 +46,6 @@ pub struct Annotation {
     pub text: String,
 }
 
-/// The captured body of a fn item, for expression-level passes (the
-/// call-graph extractor in [`crate::calls`]). The text is the
-/// `blank_noncode`-blanked span from the opening `{` to past the matching
-/// `}`, so string/char contents can never fake a call site, and offsets
-/// within it map back to file lines via [`FnBody::line_at`].
-#[derive(Debug, Clone)]
-pub struct FnBody {
-    /// 1-based line of the opening `{`.
-    pub line: usize,
-    /// Blanked body text, including both braces.
-    pub text: String,
-}
-
-impl FnBody {
-    /// 1-based file line of byte `offset` within [`FnBody::text`].
-    pub fn line_at(&self, offset: usize) -> usize {
-        self.line
-            + self.text[..offset.min(self.text.len())]
-                .bytes()
-                .filter(|&b| b == b'\n')
-                .count()
-    }
-
-    /// 1-based file line of the closing `}` — the last line the fn spans.
-    pub fn end_line(&self) -> usize {
-        self.line_at(self.text.len())
-    }
-}
-
 /// One parsed item head.
 #[derive(Debug, Clone)]
 pub struct Item {
@@ -94,10 +65,6 @@ pub struct Item {
     pub signature: String,
     /// For structs/enums: `(line, type text)` per field or variant payload.
     pub field_types: Vec<(usize, String)>,
-    /// For braced structs: `(name, type text)` per named field — the
-    /// receiver-typing index the call-graph resolver uses to pin
-    /// `self.field.m(…)` receivers to their declared types.
-    pub fields: Vec<(String, String)>,
     /// Traits listed in `#[derive(…)]` attributes on the item.
     pub derives: Vec<String>,
     /// For fns/aliases inside an `impl` or `trait` block: the self type.
@@ -106,8 +73,6 @@ pub struct Item {
     pub impl_trait: Option<String>,
     /// Nearest `// taint: …` annotation, if any.
     pub annotation: Option<Annotation>,
-    /// For fns with a body: the blanked body span (see [`FnBody`]).
-    pub body: Option<FnBody>,
 }
 
 struct BlockCtx {
@@ -267,23 +232,6 @@ impl<'a> Parser<'a> {
             .collect()
     }
 
-    /// Extracts `(name, type text)` pairs from one braced struct body: the
-    /// last identifier before the top-level `:` is the field name (skipping
-    /// visibility modifiers and attributes).
-    fn named_fields(&self, base: usize, body: &str) -> Vec<(String, String)> {
-        self.split_commas(base, body)
-            .into_iter()
-            .filter_map(|(_, entry)| {
-                let colon = top_level_colon(&entry)?;
-                let name = entry[..colon]
-                    .rsplit(|c: char| !c.is_ascii_alphanumeric() && c != '_')
-                    .find(|s| !s.is_empty())?
-                    .to_owned();
-                Some((name, entry[colon + 1..].trim().to_owned()))
-            })
-            .collect()
-    }
-
     /// Extracts payload types from one enum variant's text.
     fn variant_payloads(&self, base: usize, variant: &str) -> Vec<(usize, String)> {
         if let Some(open) = variant.find('(') {
@@ -404,21 +352,11 @@ pub fn parse_items(raw: &str) -> Vec<Item> {
                 let (name, nend) = p.ident_at(p.scan_ident_start(wend));
                 let sig_end = p.scan_to(nend, b"{;", false);
                 let ctx = blocks.last();
-                // Capture the body span for the call-graph pass, then skip
-                // past it: items never hide inside fn bodies here, and the
-                // expression-level analysis happens downstream over the
-                // captured (blanked) text.
-                let (body, next) = if p.bytes.get(sig_end) == Some(&b'{') {
-                    let close = p.matching_brace(sig_end);
-                    (
-                        Some(FnBody {
-                            line: p.line_of(sig_end),
-                            text: p.code[sig_end..close].to_owned(),
-                        }),
-                        close,
-                    )
+                // Skip past the body: items never hide inside fn bodies here.
+                let next = if p.bytes.get(sig_end) == Some(&b'{') {
+                    p.matching_brace(sig_end)
                 } else {
-                    (None, sig_end + 1)
+                    sig_end + 1
                 };
                 items.push(Item {
                     kind: ItemKind::Fn,
@@ -428,12 +366,10 @@ pub fn parse_items(raw: &str) -> Vec<Item> {
                     in_test: p.in_test(at),
                     signature: p.code[at..sig_end].trim().to_owned(),
                     field_types: Vec::new(),
-                    fields: Vec::new(),
                     derives: std::mem::take(&mut pending_derives),
                     self_type: ctx.and_then(|c| c.self_type.clone()),
                     impl_trait: ctx.and_then(|c| c.impl_trait.clone()),
                     annotation: p.annotation_for(p.line_of(at)),
-                    body,
                 });
                 pending_pub = false;
                 i = next;
@@ -448,7 +384,6 @@ pub fn parse_items(raw: &str) -> Vec<Item> {
                     ItemKind::Struct
                 };
                 let mut field_types = Vec::new();
-                let mut fields = Vec::new();
                 let end = match p.bytes.get(head_end) {
                     Some(&b'(') => {
                         let close = p.scan_to(head_end + 1, b")", false);
@@ -467,7 +402,6 @@ pub fn parse_items(raw: &str) -> Vec<Item> {
                             }
                         } else {
                             field_types.extend(p.braced_fields(head_end + 1, body));
-                            fields = p.named_fields(head_end + 1, body);
                         }
                         close
                     }
@@ -481,12 +415,10 @@ pub fn parse_items(raw: &str) -> Vec<Item> {
                     in_test: p.in_test(at),
                     signature: p.code[at..head_end].trim().to_owned(),
                     field_types,
-                    fields,
                     derives: std::mem::take(&mut pending_derives),
                     self_type: None,
                     impl_trait: None,
                     annotation: p.annotation_for(p.line_of(at)),
-                    body: None,
                 });
                 pending_pub = false;
                 i = end;
@@ -534,12 +466,10 @@ pub fn parse_items(raw: &str) -> Vec<Item> {
                     in_test: p.in_test(at),
                     signature: p.code[at..open].trim().to_owned(),
                     field_types: Vec::new(),
-                    fields: Vec::new(),
                     derives: std::mem::take(&mut pending_derives),
                     self_type: Some(self_type.clone()),
                     impl_trait: impl_trait.clone(),
                     annotation: p.annotation_for(p.line_of(at)),
-                    body: None,
                 });
                 blocks.push(BlockCtx {
                     self_type: Some(self_type),
@@ -561,12 +491,10 @@ pub fn parse_items(raw: &str) -> Vec<Item> {
                     in_test: p.in_test(at),
                     signature: p.code[at..open].trim().to_owned(),
                     field_types: Vec::new(),
-                    fields: Vec::new(),
                     derives: std::mem::take(&mut pending_derives),
                     self_type: None,
                     impl_trait: None,
                     annotation: p.annotation_for(p.line_of(at)),
-                    body: None,
                 });
                 pending_pub = false;
                 if p.bytes.get(open) == Some(&b'{') {
@@ -591,12 +519,10 @@ pub fn parse_items(raw: &str) -> Vec<Item> {
                     in_test: p.in_test(at),
                     signature: p.code[at..end].trim().to_owned(),
                     field_types: Vec::new(),
-                    fields: Vec::new(),
                     derives: std::mem::take(&mut pending_derives),
                     self_type: None,
                     impl_trait: None,
                     annotation: p.annotation_for(p.line_of(at)),
-                    body: None,
                 });
                 pending_pub = false;
                 i = end + 1;
@@ -614,12 +540,10 @@ pub fn parse_items(raw: &str) -> Vec<Item> {
                     in_test: p.in_test(at),
                     signature: p.code[at..end].trim().to_owned(),
                     field_types: Vec::new(),
-                    fields: Vec::new(),
                     derives: std::mem::take(&mut pending_derives),
                     self_type: ctx.and_then(|c| c.self_type.clone()),
                     impl_trait: ctx.and_then(|c| c.impl_trait.clone()),
                     annotation: p.annotation_for(p.line_of(at)),
-                    body: None,
                 });
                 pending_pub = false;
                 i = end + 1;
@@ -647,12 +571,10 @@ pub fn parse_items(raw: &str) -> Vec<Item> {
                     in_test: p.in_test(at),
                     signature: p.code[at..end].trim().to_owned(),
                     field_types: Vec::new(),
-                    fields: Vec::new(),
                     derives: std::mem::take(&mut pending_derives),
                     self_type: blocks.last().and_then(|c| c.self_type.clone()),
                     impl_trait: blocks.last().and_then(|c| c.impl_trait.clone()),
                     annotation: p.annotation_for(p.line_of(at)),
-                    body: None,
                 });
                 pending_pub = false;
                 // Skip the initializer to the terminating `;` at depth 0.
@@ -877,26 +799,10 @@ mod tests {
         assert_eq!(blk.impl_trait, None);
     }
 
-    #[test]
-    fn fn_bodies_are_captured_with_line_mapping() {
-        let src = "fn first(x: u8)\n    -> u8 {\n    helper(x);\n    x\n}\nfn second() {}\n";
-        let items = parse_items(src);
-        let f = find(&items, ItemKind::Fn, "first");
-        let body = f.body.as_ref().expect("first has a body");
-        assert_eq!(body.line, 2, "opening brace line");
-        assert!(body.text.starts_with('{') && body.text.ends_with('}'));
-        let call = body.text.find("helper").expect("call in body");
-        assert_eq!(body.line_at(call), 3);
-        assert_eq!(body.end_line(), 5);
-        let g = find(&items, ItemKind::Fn, "second");
-        assert_eq!(g.line, 6);
-        assert_eq!(g.body.as_ref().map(|b| b.text.as_str()), Some("{}"));
-    }
-
-    /// The desync regression the body pass depends on: braces inside string
-    /// and char literals or `matches!`-style macro arms must not shift the
-    /// body span of the fn that contains them — every later item would then
-    /// be mis-attributed or swallowed.
+    /// The desync regression body skipping guards against: braces inside
+    /// string and char literals or `matches!`-style macro arms must not shift
+    /// where the body of the fn that contains them ends — every later item
+    /// would then be mis-attributed or swallowed.
     #[test]
     fn body_scanning_survives_literal_and_macro_braces() {
         let src = "fn tricky(c: char, s: &str) -> bool {\n\
@@ -912,13 +818,7 @@ mod tests {
         let items = parse_items(src);
         assert_eq!(items.len(), 2, "{items:?}");
         let tricky = find(&items, ItemKind::Fn, "tricky");
-        let body = tricky.body.as_ref().expect("body captured");
-        assert_eq!(body.end_line(), 7, "closing brace on its own line");
-        // Literal contents were blanked out of the captured body...
-        assert!(!body.text.contains("unbalanced"), "{}", body.text);
-        assert!(!body.text.contains("10FFFF"), "{}", body.text);
-        // ...but real body tokens survived.
-        assert!(body.text.contains("matches!"));
+        assert_eq!(tricky.line, 1);
         let after = find(&items, ItemKind::Fn, "after");
         assert!(after.is_pub);
         assert_eq!(after.line, 8, "{items:?}");

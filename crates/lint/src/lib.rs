@@ -26,9 +26,11 @@
 //!   the escape hatch for atomics that are not metrics.
 //! - **doc-sync** — every experiment section of the bench harness
 //!   (`fn eN_*(report: &mut Report)` in `crates/bench/src/bin/harness.rs`)
-//!   must be named in the ARCHITECTURE.md experiment table, and every metric
+//!   must be named in the ARCHITECTURE.md experiment table, every metric
 //!   family declared in `crates/obs/src/families.rs` must appear in the
-//!   book's metric table, so the book cannot silently fall behind the code.
+//!   book's metric table, and every type tiered in `trust.toml` must appear
+//!   in the book's trust-boundary table, so the book cannot silently fall
+//!   behind the code.
 //!
 //! On top of the token rules sits the item-level **trust-boundary analyzer**
 //! ([`items`], [`graph`], [`taint`]): it parses fn signatures, struct/enum
@@ -37,10 +39,11 @@
 //! `Secret` or `Plaintext` type can reach the untrusted DSP or the telemetry
 //! layer (rules **taint-dsp**, **taint-obs**, **taint-debug**,
 //! **taint-annotation**).
+//!
+//! Allocation discipline on the per-event path is not a lint rule: it is
+//! measured by the counting-allocator budget test `tests/alloc_budget.rs`.
 
-pub mod calls;
 pub mod config;
-pub mod escape;
 pub mod graph;
 pub mod items;
 pub mod taint;
@@ -78,12 +81,6 @@ pub enum Rule {
     /// A crypto boundary fn missing its `// taint: source|sink` annotation,
     /// or an annotation inconsistent with the signature it describes.
     TaintAnnotation,
-    /// An allocating/copying construct reachable from a hot root without a
-    /// justified `// alloc:` annotation.
-    HotAlloc,
-    /// A malformed or stale `// alloc:` justification, or a hot-root
-    /// pattern matching no workspace fn.
-    HotAnnotation,
 }
 
 impl Rule {
@@ -101,8 +98,6 @@ impl Rule {
             Rule::TaintObs => "taint-obs",
             Rule::TaintDebug => "taint-debug",
             Rule::TaintAnnotation => "taint-annotation",
-            Rule::HotAlloc => "hot-alloc",
-            Rule::HotAnnotation => "hot-annotation",
         }
     }
 
@@ -119,8 +114,6 @@ impl Rule {
         Rule::TaintObs,
         Rule::TaintDebug,
         Rule::TaintAnnotation,
-        Rule::HotAlloc,
-        Rule::HotAnnotation,
     ];
 
     /// Looks a rule up by its stable name (`lint --explain <rule>`).
@@ -201,24 +194,6 @@ impl Rule {
                  with the signature: a source produces sensitive data (so it must not \
                  be declared on a fn returning only ciphertext), a sink consumes it \
                  (so it must not return Secret/Plaintext)."
-            }
-            Rule::HotAlloc => {
-                "The paper's performance argument is streaming evaluation in \
-                 near-constant RAM: the per-event serving and rule-step paths must do \
-                 constant work per event. No allocating or copying construct (clone, \
-                 to_vec, to_owned, collect, format!, owning constructors) may be \
-                 reachable from a hot root named in lint/hotpath.toml; every finding \
-                 carries its root→…→fn call chain. Serve borrowed slices or share \
-                 via Arc, or justify with `// alloc: amortized|startup|cold — \
-                 <reason>`."
-            }
-            Rule::HotAnnotation => {
-                "`// alloc:` justifications are reviewed claims and must stay \
-                 honest: the keyword must be one of amortized/startup/cold with a \
-                 nonempty reason, the annotated fn must actually be reachable from a \
-                 hot root (otherwise the annotation is stale and must go), and every \
-                 hot-root pattern in lint/hotpath.toml must match a real workspace \
-                 fn."
             }
         }
     }
@@ -326,19 +301,6 @@ struct Source<'a> {
 /// offsets. Token-level rules then cannot be fooled by `"std::sync"` in a
 /// string or an `unwrap()` in a doc example.
 fn blank_noncode(src: &str) -> String {
-    blank_noncode_impl(src, false)
-}
-
-/// Like [`blank_noncode`], but keeps the `//` marker of each line comment in
-/// place (the comment text itself is still blanked). A `//` in the output is
-/// then a *real* line-comment start — a `//` inside a string literal stays
-/// blanked — which is what the `// alloc:` annotation scanner needs to tell
-/// the two apart even when the string spans lines.
-pub(crate) fn blank_noncode_keep_markers(src: &str) -> String {
-    blank_noncode_impl(src, true)
-}
-
-fn blank_noncode_impl(src: &str, keep_line_markers: bool) -> String {
     #[derive(PartialEq)]
     enum St {
         Code,
@@ -359,7 +321,7 @@ fn blank_noncode_impl(src: &str, keep_line_markers: bool) -> String {
             St::Code => match b {
                 b'/' if next == Some(b'/') => {
                     st = St::Line;
-                    out.extend_from_slice(if keep_line_markers { b"//" } else { b"  " });
+                    out.extend_from_slice(b"  ");
                     i += 2;
                     continue;
                 }

@@ -15,7 +15,6 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use sdds_lint::escape::{self, check_hotpath_sync, HotConfig};
 use sdds_lint::taint::{analyze, check_trust_sync, SourceFile, TrustConfig};
 use sdds_lint::{
     check_doc_sync, check_metric_sync, harness_sections, metric_families, scan_file,
@@ -122,13 +121,7 @@ fn run() -> Result<Vec<Violation>, String> {
     let config = TrustConfig::parse(&config_text)?;
     violations.extend(analyze(&config, &sources));
 
-    let hot_path = root.join(escape::CONFIG_PATH);
-    let hot_text = std::fs::read_to_string(&hot_path)
-        .map_err(|e| format!("reading {}: {e}", hot_path.display()))?;
-    let hot_config = HotConfig::parse(&hot_text)?;
-    violations.extend(escape::analyze(&hot_config, &sources));
-
-    violations.extend(doc_sync(&root, &config, &hot_config)?);
+    violations.extend(doc_sync(&root, &config)?);
     eprintln!(
         "sdds-lint: scanned {} files across {} crates, {} violation(s)",
         sources.len(),
@@ -142,14 +135,9 @@ fn run() -> Result<Vec<Violation>, String> {
 /// (`fn eN_*(report: &mut Report)`) must be named in ARCHITECTURE.md's
 /// experiment table, every metric family
 /// declared in `crates/obs/src/families.rs` must appear in the book's metric
-/// table, every type tiered in `trust.toml` must appear in the book's
-/// trust-boundary table, and every hot root in `hotpath.toml` must appear in
-/// the book's hot-root table.
-fn doc_sync(
-    root: &Path,
-    config: &TrustConfig,
-    hot_config: &HotConfig,
-) -> Result<Vec<Violation>, String> {
+/// table, and every type tiered in `trust.toml` must appear in the book's
+/// trust-boundary table.
+fn doc_sync(root: &Path, config: &TrustConfig) -> Result<Vec<Violation>, String> {
     let harness_path = root.join("crates/bench/src/bin/harness.rs");
     let harness_src = std::fs::read_to_string(&harness_path)
         .map_err(|e| format!("reading {}: {e}", harness_path.display()))?;
@@ -167,7 +155,6 @@ fn doc_sync(
         &metric_families(&families_src),
     ));
     violations.extend(check_trust_sync(book_path, &book, config));
-    violations.extend(check_hotpath_sync(book_path, &book, hot_config));
     Ok(violations)
 }
 

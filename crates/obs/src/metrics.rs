@@ -321,14 +321,13 @@ impl Registry {
             .iter()
             .find(|e| e.family == family && e.label.as_deref() == label)
         {
-            // alloc: amortized — metric handles are Arc-backed cells; the clone is a refcount bump.
+            // Metric handles are Arc-backed cells: the clone is a refcount bump.
             return found.metric.clone();
         }
         let metric = make();
         entries.push(Entry {
             family,
             label: label.map(str::to_owned),
-            // alloc: amortized — the label interns once per (family, label); later lookups hit the index.
             metric: metric.clone(),
         });
         metric

@@ -136,7 +136,6 @@ impl Terminal {
         for (i, frag) in fragments.iter().enumerate() {
             let more = u8::from(i + 1 < fragments.len());
             self.runtime
-                // alloc: startup — rules travel once per session, at provisioning.
                 .exchange_expect_ok(&Apdu::new(ins::PUT_RULES, more, 0, frag.to_vec())?)?;
         }
         Ok(())
@@ -205,7 +204,6 @@ impl Terminal {
         chunk: &[u8],
         tag: &ChunkTag,
     ) -> Result<usize, ProxyError> {
-        // alloc: amortized — one framing buffer per served chunk (index + tag + ciphertext), handed to the APDU layer.
         let mut payload = Vec::with_capacity(PUSH_CHUNK_PREFIX + chunk.len());
         payload.extend_from_slice(&index.to_le_bytes());
         payload.extend_from_slice(tag.as_bytes());
@@ -217,7 +215,7 @@ impl Terminal {
                 ins::PUSH_CHUNK,
                 more,
                 0,
-                // alloc: amortized — an APDU command owns its data: one copy of at most 255 bytes per fragment.
+                // An APDU command owns its data: one copy of at most 255 bytes per fragment.
                 frag.to_vec(),
             )?)?;
         }

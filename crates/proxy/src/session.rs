@@ -279,7 +279,6 @@ impl Schedulable for CardSession {
             return Ok(StepOutcome::Complete);
         }
         if self.phase == SessionPhase::Failed {
-            // alloc: cold — failed-session error path.
             return Err(self.error.clone().unwrap_or_else(|| "failed".into()));
         }
         let result = self.advance(quantum);
@@ -289,10 +288,8 @@ impl Schedulable for CardSession {
         match result {
             Ok(outcome) => Ok(outcome),
             Err(e) => {
-                // alloc: cold — failed-session error path.
                 let message = format!("session `{}`: {e}", self.doc_id);
                 self.phase = SessionPhase::Failed;
-                // alloc: cold — failed-session error path.
                 self.error = Some(message.clone());
                 self.failure = Some(e);
                 Err(message)
@@ -330,7 +327,6 @@ impl Terminal {
             ins::OPEN_SESSION,
             0,
             policy,
-            // alloc: startup — the header travels once per session, at open.
             header.to_vec(),
         )?)?;
         Ok(())

@@ -83,9 +83,7 @@ impl SymbolTable {
             return sym;
         }
         let sym = Symbol(self.names.len() as u32);
-        // alloc: amortized — the first occurrence of a name allocates; repeats hit the index.
         self.names.push(name.to_owned());
-        // alloc: amortized — the first occurrence of a name allocates; repeats hit the index.
         self.index.insert(name.to_owned(), sym);
         sym
     }

@@ -152,7 +152,6 @@ impl TagSet {
     /// Creates an empty set pre-sized for `n` distinct tags.
     pub fn with_capacity(n: usize) -> Self {
         TagSet {
-            // alloc: amortized — one bitmap per set, bounded by the dictionary size.
             bits: vec![0; n.div_ceil(64)],
         }
     }

@@ -8,7 +8,6 @@ use crate::event::Event;
 
 /// Escapes character data for element content.
 pub fn escape_text(text: &str) -> String {
-    // alloc: amortized — output buffer sized to the escaped text; the rendered view owns it.
     let mut out = String::with_capacity(text.len());
     for ch in text.chars() {
         match ch {
@@ -23,7 +22,6 @@ pub fn escape_text(text: &str) -> String {
 
 /// Escapes character data for attribute values (double-quoted).
 pub fn escape_attr(text: &str) -> String {
-    // alloc: amortized — output buffer sized to the escaped text; the rendered view owns it.
     let mut out = String::with_capacity(text.len());
     for ch in text.chars() {
         match ch {

@@ -48,7 +48,6 @@ fn is_name_char(c: char, first: bool) -> bool {
 pub fn tokenize(input: &str) -> Result<Vec<Spanned>, ParseError> {
     use crate::ast::Comparison;
     let mut out = Vec::new();
-    // alloc: startup — path expressions lex once at provisioning, never per event.
     let chars: Vec<char> = input.chars().collect();
     let mut i = 0usize;
     while i < chars.len() {
@@ -160,7 +159,6 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>, ParseError> {
                     return Err(ParseError::new("unterminated string literal", start, input));
                 }
                 out.push(Spanned {
-                    // alloc: startup — path expressions lex once at provisioning, never per event.
                     token: Token::Literal(chars[lit_start..i].iter().collect()),
                     offset: start,
                 });
@@ -175,7 +173,6 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>, ParseError> {
                         i += 1;
                     }
                     out.push(Spanned {
-                        // alloc: startup — path expressions lex once at provisioning, never per event.
                         token: Token::Literal(chars[num_start..i].iter().collect()),
                         offset: start,
                     });
@@ -192,7 +189,6 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>, ParseError> {
                     i += 1;
                 }
                 out.push(Spanned {
-                    // alloc: startup — path expressions lex once at provisioning, never per event.
                     token: Token::Literal(chars[start..i].iter().collect()),
                     offset: start,
                 });
@@ -202,14 +198,12 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>, ParseError> {
                     i += 1;
                 }
                 out.push(Spanned {
-                    // alloc: startup — path expressions lex once at provisioning, never per event.
                     token: Token::Name(chars[start..i].iter().collect()),
                     offset: start,
                 });
             }
             other => {
                 return Err(ParseError::new(
-                    // alloc: cold — lex error path.
                     format!("unexpected character `{other}`"),
                     start,
                     input,

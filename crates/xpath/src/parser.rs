@@ -131,10 +131,8 @@ fn parse_path(cur: &mut Cursor, absolute: bool) -> Result<Path, ParseError> {
 fn parse_step(cur: &mut Cursor, axis: Axis) -> Result<Step, ParseError> {
     let test = match cur.bump() {
         Some(Token::Star) => NodeTest::Wildcard,
-        // alloc: startup — path expressions parse once at provisioning, never per event.
         Some(Token::Name(n)) => NodeTest::Name(n.clone()),
         Some(other) => {
-            // alloc: cold — parse error path.
             let msg = format!("expected an element name or `*`, found {other:?}");
             return Err(ParseError::new(msg, cur.offset(), cur.source));
         }
@@ -161,7 +159,6 @@ fn parse_predicate(cur: &mut Cursor) -> Result<Predicate, ParseError> {
         Some(Token::At) => {
             cur.bump();
             match cur.bump() {
-                // alloc: startup — path expressions parse once at provisioning, never per event.
                 Some(Token::Name(n)) => PredicateTarget::Attribute(n.clone()),
                 _ => return Err(cur.error("expected an attribute name after `@`")),
             }
@@ -181,7 +178,6 @@ fn parse_predicate(cur: &mut Cursor) -> Result<Predicate, ParseError> {
                 cur.bump(); // '/'
                 cur.bump(); // '@'
                 match cur.bump() {
-                    // alloc: startup — path expressions parse once at provisioning, never per event.
                     Some(Token::Name(n)) => PredicateTarget::PathAttribute(rel, n.clone()),
                     _ => return Err(cur.error("expected an attribute name after `@`")),
                 }
@@ -194,9 +190,7 @@ fn parse_predicate(cur: &mut Cursor) -> Result<Predicate, ParseError> {
         let op = *op;
         cur.bump();
         match cur.bump() {
-            // alloc: startup — path expressions parse once at provisioning, never per event.
             Some(Token::Literal(lit)) => Some((op, lit.clone())),
-            // alloc: startup — path expressions parse once at provisioning, never per event.
             Some(Token::Name(word)) => Some((op, word.clone())),
             _ => return Err(cur.error("expected a literal after the comparison operator")),
         }

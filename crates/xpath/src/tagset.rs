@@ -26,7 +26,6 @@ pub fn required_names_from(path: &Path, from_step: usize) -> Vec<String> {
     let mut out = Vec::new();
     for step in path.steps.iter().skip(from_step) {
         if let NodeTest::Name(n) = &step.test {
-            // alloc: startup — path signatures are built once per session.
             out.push(n.clone());
         }
         for pred in &step.predicates {
@@ -57,7 +56,6 @@ pub fn names_to_tagset(names: &[String], dict: &TagDict) -> (TagSet, Vec<String>
             Some(id) => {
                 set.insert(id);
             }
-            // alloc: startup — path signatures are built once per session.
             None => missing.push(n.clone()),
         }
     }
@@ -81,9 +79,7 @@ impl PathSignature {
     /// Builds the signature of `path` against the document dictionary `dict`.
     pub fn build(path: &Path, dict: &TagDict) -> Self {
         let n = path.steps.len();
-        // alloc: startup — path signatures are built once per session.
         let mut per_step = Vec::with_capacity(n);
-        // alloc: startup — path signatures are built once per session.
         let mut impossible_from = Vec::with_capacity(n);
         for i in 0..n {
             let names = required_names_from(path, i);

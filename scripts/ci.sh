@@ -20,12 +20,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> sdds-lint (concurrency + panic hygiene + taint + hot-path escapes)"
+echo "==> sdds-lint (concurrency + panic hygiene + taint)"
 # The taint pass statically proves no plaintext or key type reaches the DSP
 # or the obs export surface (see ARCHITECTURE.md, "Trust boundary"); the
-# hot-path pass reports every allocating construct of its vocabulary that a
-# call graph resolved by name reaches from the hot roots, unless a justified
-# `// alloc:` annotation marks it (ARCHITECTURE.md, "Hot path"). The
+# token rules enforce the sdds-sync facade, ordering justifications, panic
+# and sleep hygiene, forbid(unsafe_code) and the book's doc-sync tables. The
 # machine-readable findings land next to the human report so CI logs and
 # tooling see the same thing.
 mkdir -p target
@@ -45,6 +44,11 @@ echo "==> cargo test -q --release -p sdds-crypto -p sdds-core"
 # limb arithmetic against a slow mod 2^130 - 5 reference) must pass in
 # both profiles.
 cargo test -q --release -p sdds-crypto -p sdds-core
+
+echo "==> cargo test -q --release --test alloc_budget"
+# The hot-path allocation budgets (ARCHITECTURE.md, "Hot path") must hold in
+# both profiles: the optimiser may elide allocations the debug build makes.
+cargo test -q --release --test alloc_budget
 
 echo "==> model check (--cfg sdds_check, SDDS_CHECK_BRANCHES=${SDDS_CHECK_BRANCHES:-60000})"
 # The instrumented build swaps sdds-sync onto the sdds-check shims, so the
