@@ -15,12 +15,12 @@
 
 use sdds_check::shim::thread;
 use sdds_check::Model;
-use sdds_core::error::CoreError;
 use sdds_core::secdoc::{integrity_key, verify_chunk, SecureDocument, SecureDocumentBuilder};
 use sdds_crypto::SecretKey;
 use sdds_dsp::service::scheduler::{Schedulable, SessionScheduler, StepOutcome};
 use sdds_dsp::service::shard::ShardedStore;
 use sdds_dsp::ShardObs;
+use sdds_wire::WireError;
 use sdds_xml::generator::{self, GeneratorConfig, HospitalProfile};
 
 fn key() -> SecretKey {
@@ -98,7 +98,7 @@ fn replication_invalidates_before_publish() {
                         verify_chunk(&integrity, &header, 0, &chunk, &tag)
                             .expect("served chunk must match the header it was pinned with");
                     }
-                    Err(CoreError::StaleRevision {
+                    Err(WireError::StaleRevision {
                         pinned, current, ..
                     }) => {
                         assert!(
@@ -320,7 +320,7 @@ fn pinned_fetches_are_never_torn() {
                         verify_chunk(&integrity, &header, 0, &chunk, &tag)
                             .expect("pinned chunk must verify against the pinned header");
                     }
-                    Err(CoreError::StaleRevision {
+                    Err(WireError::StaleRevision {
                         pinned, current, ..
                     }) => {
                         assert_eq!(pinned, revision);

@@ -28,7 +28,9 @@ use crate::conflict::{resolve, AccessPolicy, Decision, DirectRule};
 use crate::error::CoreError;
 use crate::query::Query;
 use crate::rule::{RuleSet, Subject};
-use crate::secdoc::{decrypt_chunk, document_cipher, integrity_key, verify_chunk, SecureDocument};
+use crate::secdoc::{
+    decrypt_chunk, document_cipher, integrity_key, verify_chunk, verify_header, SecureDocument,
+};
 use crate::skipindex::decode::decode_all;
 use sdds_card::CostLedger;
 
@@ -208,7 +210,7 @@ impl DomBaseline {
         policy: &AccessPolicy,
     ) -> Result<DomBaselineReport, CoreError> {
         let keys = key.deriver();
-        document.header.verify(&keys)?;
+        verify_header(&document.header, &keys)?;
         let mut ledger = CostLedger::new();
         let cipher = document_cipher(&keys);
         let integrity = integrity_key(&keys);

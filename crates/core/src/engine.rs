@@ -27,12 +27,13 @@ use crate::evaluator::{EvaluatorConfig, EvaluatorStats, StreamingEvaluator};
 use crate::query::Query;
 use crate::rule::{RuleSet, Sign, Subject};
 use crate::secdoc::{
-    decrypt_chunk, document_cipher, integrity_key, verify_chunk, ChunkTag, DocumentHeader,
-    SecureDocument, TAG_LEN,
+    decrypt_chunk, document_cipher, integrity_key, verify_chunk, verify_header, ChunkTag,
+    DocumentHeader, SecureDocument, TAG_LEN,
 };
 use crate::session::{KeyProvisioning, ProtectedRules};
 use crate::skipindex::decode::{ReadResult, TokenEvent, TokenReader};
 use crate::skipindex::encode::SubtreeSummary;
+use sdds_wire::WireError;
 
 /// Configuration of a secure evaluation session.
 #[derive(Debug, Clone)]
@@ -142,7 +143,7 @@ impl SecureEvaluationSession {
         config: EngineConfig,
     ) -> Result<Self, CoreError> {
         let keys = key.deriver();
-        header.verify(&keys)?;
+        verify_header(&header, &keys)?;
         let evaluator = StreamingEvaluator::new(&config.evaluator)?;
         Ok(SecureEvaluationSession {
             header,
@@ -619,11 +620,10 @@ impl AccessControlApplet {
             CoreError::Card(CardError::RamExceeded { .. })
             | CoreError::Card(CardError::EepromExceeded { .. }) => StatusWord::MEMORY_FAILURE,
             CoreError::Card(_) => StatusWord::CONDITIONS_NOT_SATISFIED,
-            CoreError::BadState { .. }
-            | CoreError::NotFound { .. }
-            | CoreError::NoRulesForSubject { .. }
-            | CoreError::StaleRevision { .. } => StatusWord::CONDITIONS_NOT_SATISFIED,
-            CoreError::BadDocument { .. } | CoreError::Xml(_) => StatusWord::WRONG_LENGTH,
+            CoreError::BadDocument { .. }
+            | CoreError::Xml(_)
+            | CoreError::Wire(WireError::BadHeader(_)) => StatusWord::WRONG_LENGTH,
+            CoreError::BadState { .. } | CoreError::Wire(_) => StatusWord::CONDITIONS_NOT_SATISFIED,
             CoreError::UnsupportedRule { .. } | CoreError::Parse(_) => StatusWord::NOT_FOUND,
         }
     }

@@ -32,30 +32,9 @@ pub enum CoreError {
         /// Description of the problem.
         message: String,
     },
-    /// The requested document is not stored at the DSP.
-    NotFound {
-        /// Identifier of the missing document.
-        doc_id: String,
-    },
-    /// The DSP stores the document but no protected rule blob for the
-    /// requesting subject.
-    NoRulesForSubject {
-        /// Document the rules were requested for.
-        doc_id: String,
-        /// Subject with no stored blob.
-        subject: String,
-    },
-    /// A session pinned a document revision that has since been replaced:
-    /// the typed staleness signal that replaces a torn read (chunks of the
-    /// new upload checked against the old header).
-    StaleRevision {
-        /// Document whose revision moved.
-        doc_id: String,
-        /// Revision the session pinned at open.
-        pinned: u64,
-        /// Revision currently stored at the DSP.
-        current: u64,
-    },
+    /// A wire-tier failure: an undecodable header, or a typed DSP serving
+    /// outcome (not stored, no rules for the subject, stale revision).
+    Wire(sdds_wire::WireError),
 }
 
 impl fmt::Display for CoreError {
@@ -70,21 +49,7 @@ impl fmt::Display for CoreError {
             CoreError::Card(e) => write!(f, "card error: {e}"),
             CoreError::Xml(e) => write!(f, "xml error: {e}"),
             CoreError::BadState { message } => write!(f, "bad state: {message}"),
-            CoreError::NotFound { doc_id } => {
-                write!(f, "document `{doc_id}` is not stored at this DSP")
-            }
-            CoreError::NoRulesForSubject { doc_id, subject } => {
-                write!(f, "no rules stored for subject `{subject}` on `{doc_id}`")
-            }
-            CoreError::StaleRevision {
-                doc_id,
-                pinned,
-                current,
-            } => write!(
-                f,
-                "document `{doc_id}` was republished mid-session: \
-                 pinned revision {pinned}, now {current}"
-            ),
+            CoreError::Wire(e) => write!(f, "{e}"),
         }
     }
 }
@@ -94,6 +59,12 @@ impl std::error::Error for CoreError {}
 impl From<sdds_crypto::CryptoError> for CoreError {
     fn from(e: sdds_crypto::CryptoError) -> Self {
         CoreError::Crypto(e)
+    }
+}
+
+impl From<sdds_wire::WireError> for CoreError {
+    fn from(e: sdds_wire::WireError) -> Self {
+        CoreError::Wire(e)
     }
 }
 
@@ -153,20 +124,24 @@ mod tests {
 
     #[test]
     fn storage_errors_are_typed_not_stringly() {
-        let e = CoreError::NotFound {
+        use sdds_wire::WireError;
+        let e: CoreError = WireError::NotFound {
             doc_id: "folder".into(),
-        };
+        }
+        .into();
         assert!(e.to_string().contains("`folder`"));
-        let e = CoreError::NoRulesForSubject {
+        let e: CoreError = WireError::NoRulesForSubject {
             doc_id: "folder".into(),
             subject: "stranger".into(),
-        };
+        }
+        .into();
         assert!(e.to_string().contains("`stranger`"));
-        let e = CoreError::StaleRevision {
+        let e: CoreError = WireError::StaleRevision {
             doc_id: "folder".into(),
             pinned: 3,
             current: 4,
-        };
+        }
+        .into();
         let text = e.to_string();
         assert!(text.contains("pinned revision 3") && text.contains("now 4"));
     }

@@ -15,6 +15,8 @@
 //! * [`TrustedServer`] — the issuer side: holds the master secrets, produces
 //!   protected rule sets and wrapped keys for a community of cards.
 
+use std::sync::Arc;
+
 use sdds_crypto::hmac::{hmac_sha256, verify_mac, HmacKey};
 use sdds_crypto::modes::{cbc_decrypt, cbc_encrypt};
 use sdds_crypto::{Aes128, CryptoError, SecretKey};
@@ -51,7 +53,7 @@ impl ProtectedRules {
     }
 
     /// Seals `rules` under `key` (the rule-protection key of the community).
-    // taint: sink — cleartext rules leave here only as an encrypted, MACed
+    // Cleartext rules leave here only as an encrypted, MACed
     // blob the DSP can store but not read.
     pub fn seal(rules: &RuleSet, key: &SecretKey) -> Self {
         let payload = rules.encode();
@@ -152,6 +154,15 @@ impl ProtectedRules {
     }
 }
 
+/// The stored form of a blob: the DSP keeps and serves rule blobs as opaque
+/// shared bytes, so `DspService::put_rules` takes anything that converts
+/// into them.
+impl From<&ProtectedRules> for Arc<[u8]> {
+    fn from(rules: &ProtectedRules) -> Self {
+        rules.encode().into()
+    }
+}
+
 /// A document key wrapped for a specific card.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyProvisioning {
@@ -175,7 +186,7 @@ impl KeyProvisioning {
     }
 
     /// Wraps `key` for a card holding `transport_key`.
-    // taint: sink — the document key crosses to the card only AES-wrapped
+    // The document key crosses to the card only AES-wrapped
     // and MACed under the per-card transport key.
     pub fn wrap(key_id: u32, key: &SecretKey, transport_key: &SecretKey) -> Self {
         let keys = transport_key.deriver();
@@ -234,7 +245,7 @@ impl KeyProvisioning {
     }
 
     /// Unwraps the key on the card side.
-    // taint: source — recovers the cleartext key inside the SOE after the
+    // Recovers the cleartext key inside the SOE after the
     // MAC check; the result never leaves the card.
     pub fn unwrap_key(&self, transport_key: &SecretKey) -> Result<SecretKey, CoreError> {
         let keys = transport_key.deriver();
@@ -264,7 +275,7 @@ impl KeyProvisioning {
 }
 
 /// The trusted rule issuer / key manager of a community.
-// taint: redacted — the derived impl delegates to SecretKey's redacting
+// lint: redacted — the derived impl delegates to SecretKey's redacting
 // Debug; the rule base is policy text, not key material.
 #[derive(Debug)]
 pub struct TrustedServer {

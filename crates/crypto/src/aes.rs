@@ -218,7 +218,6 @@ pub struct Aes128Dec {
     tables: &'static Tables,
 }
 
-// taint: redacted — prints a fixed placeholder, never the round keys.
 impl std::fmt::Debug for Aes128 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // Never print key material.
@@ -226,7 +225,6 @@ impl std::fmt::Debug for Aes128 {
     }
 }
 
-// taint: redacted — prints a fixed placeholder, never the round keys.
 impl std::fmt::Debug for Aes128Dec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("Aes128Dec {{ <key schedule redacted> }}")
@@ -269,7 +267,6 @@ impl Aes128 {
     }
 
     /// Encrypts one 16-byte block in place.
-    // taint: sink — a cleartext block goes in; only ciphertext remains.
     pub fn encrypt_block(&self, block: &mut [u8; BLOCK_SIZE]) {
         let t = self.tables;
         let mut s = load(block);
@@ -286,7 +283,7 @@ impl Aes128 {
 
 impl Aes128Dec {
     /// Decrypts one 16-byte block in place.
-    // taint: source — restores the cleartext block inside the SOE.
+    // Card side only: restores the cleartext block inside the SOE.
     pub fn decrypt_block(&self, block: &mut [u8; BLOCK_SIZE]) {
         let t = self.tables;
         let mut s = load(block);

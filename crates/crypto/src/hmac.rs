@@ -13,7 +13,6 @@ pub struct HmacKey {
     outer: Sha256,
 }
 
-// taint: redacted — prints a fixed placeholder, never the key midstates.
 impl std::fmt::Debug for HmacKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("HmacKey(<redacted>)")
@@ -49,7 +48,7 @@ impl HmacKey {
     }
 
     /// Completes a MAC started with [`HmacKey::start`].
-    // taint: sink — the key midstates stay inside; only the MAC, a one-way
+    // The key midstates stay inside; only the MAC, a one-way
     // image of key and message, leaves.
     pub fn finish(&self, inner: Sha256) -> [u8; DIGEST_SIZE] {
         let mut outer = self.outer;
@@ -58,7 +57,6 @@ impl HmacKey {
     }
 
     /// `HMAC-SHA256(key, message)` in one call.
-    // taint: sink — as `finish`: only the MAC leaves.
     pub fn mac(&self, message: &[u8]) -> [u8; DIGEST_SIZE] {
         let mut inner = self.start();
         inner.update(message);
@@ -88,7 +86,7 @@ pub fn verify_mac(expected: &[u8], actual: &[u8]) -> bool {
 /// keys are derived by [`crate::keys::KeyDeriver`], whose output is the first
 /// block of this expansion; this general form is the reference it is tested
 /// against.
-// taint: source — stretches a secret into fresh key material; the output
+// Stretches a secret into fresh key material; the output
 // bytes are exactly as secret as the input key.
 pub fn derive_key(key: &[u8], label: &str, len: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(len);

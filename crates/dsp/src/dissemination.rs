@@ -4,15 +4,14 @@
 //! publisher — which holds the channel key and sees the cleartext stream —
 //! lives on the trusted side, in `sdds_proxy::DisseminationChannel`; the DSP
 //! only ever forwards the already-encrypted [`StreamItem`]s it receives
-//! (see [`crate::service::FanOutDisseminator`]). The `sdds-lint` taint
-//! analyzer enforces that no plaintext or key type appears anywhere in this
-//! crate's signatures.
+//! (see [`crate::service::FanOutDisseminator`]). This crate depends on the
+//! ciphertext tier (`sdds-wire`) alone, so it cannot name a plaintext or key
+//! type.
 
-use sdds_core::secdoc::SecureDocument;
+use sdds_wire::SecureDocument;
 
-/// One published item of the stream.
-// taint: ciphertext — sequence number plus an encrypted SecureDocument; the
-// plaintext_len is a size, not content.
+/// One published item of the stream: a sequence number and an encrypted
+/// document. `plaintext_len` is a size, not content.
 #[derive(Debug, Clone)]
 pub struct StreamItem {
     /// Monotonic sequence number.

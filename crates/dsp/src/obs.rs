@@ -19,9 +19,9 @@
 //! Metric family names live in [`sdds_obs::families`]; the `doc-sync` lint
 //! rule keeps ARCHITECTURE.md's metric table synchronized with that module.
 
-use sdds_core::CoreError;
 use sdds_obs::{families, Counter, FlightRecorder, Gauge, Histogram, ObsSnapshot, Registry};
 use sdds_sync::sync::Arc;
+use sdds_wire::WireError;
 
 /// Flight-recorder lanes: enough for the worker counts the schedulers use;
 /// callers key lanes by worker or shard index (wrapped into range).
@@ -216,7 +216,7 @@ impl ServeObs {
     /// record on the serving shard's lane, and — on failure — the labelled
     /// error counters (stale revisions also count against the shard).
     /// No-op on a detached bundle.
-    pub fn finish_serve(&self, shard: usize, started_nanos: u64, error: Option<&CoreError>) {
+    pub fn finish_serve(&self, shard: usize, started_nanos: u64, error: Option<&WireError>) {
         if !self.live {
             return;
         }
@@ -225,12 +225,12 @@ impl ServeObs {
         self.recorder
             .record(shard, "dsp.serve", started_nanos, duration);
         match error {
-            Some(CoreError::StaleRevision { .. }) => {
+            Some(WireError::StaleRevision { .. }) => {
                 self.shard(shard).stale_revisions.inc();
                 self.errors.stale_revision.inc();
             }
-            Some(CoreError::NotFound { .. }) => self.errors.not_found.inc(),
-            Some(CoreError::NoRulesForSubject { .. }) => self.errors.no_rules.inc(),
+            Some(WireError::NotFound { .. }) => self.errors.not_found.inc(),
+            Some(WireError::NoRulesForSubject { .. }) => self.errors.no_rules.inc(),
             _ => {}
         }
     }

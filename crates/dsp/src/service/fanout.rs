@@ -14,7 +14,8 @@
 //! and hands the DSP an `Arc<StreamItem>` — [`FanOutDisseminator`] merely
 //! clones that [`Arc`] into every subscriber mailbox. It cannot re-encrypt,
 //! inspect or differentiate the stream because it never holds a key or a
-//! cleartext byte (the `sdds-lint` taint analyzer proves this statically).
+//! cleartext byte: this crate cannot even name one, since it depends on the
+//! ciphertext tier (`sdds-wire`) alone.
 //! The property test in `tests/fanout_properties.rs` pins the scaling claim:
 //! the fanned-out ciphertext is byte-identical to what M independent unicast
 //! channels would have produced, and the publisher's encryption count stays

@@ -46,7 +46,7 @@
 //! * **scheduler workers / quantum** — the terminal-side multiplexing of E5
 //!   run K-wide; the quantum bounds how long one card can monopolise the
 //!   service between turns of the others (fair round-robin per card).
-//! * **`sdds_card::BatchedChannel`** — the E5 latency breakdown's
+//! * **the card crate's `BatchedChannel`** — the E5 latency breakdown's
 //!   `per_apdu_latency`, charged once per coalesced batch instead of once per
 //!   chunk request.
 //! * **[`FanOutDisseminator`]** — E6 dissemination at M subscribers: the
@@ -56,7 +56,7 @@
 //!   test).
 //!
 //! Capacity is reported on the same *simulated* clock the rest of the
-//! workspace uses (cost models, not wall time — see `sdds_card::cost`): the
+//! workspace uses (cost models, not wall time — see the card crate's `cost`): the
 //! [`ServiceModel`] converts per-shard serving counters into the time one
 //! shard, serving serially, needs for its share of the traffic. Shards serve
 //! concurrently, so the service-side makespan of a run is the **busiest**
@@ -79,9 +79,7 @@ use sdds_obs::ObsSnapshot;
 use sdds_sync::sync::atomic::{AtomicU64, Ordering};
 use sdds_sync::sync::Arc;
 
-use sdds_core::secdoc::{ChunkTag, DocumentHeader, SecureDocument};
-use sdds_core::session::ProtectedRules;
-use sdds_core::CoreError;
+use sdds_wire::{ChunkTag, DocumentHeader, SecureDocument, WireError};
 
 use crate::obs::{DspObs, ServerStats};
 
@@ -230,19 +228,20 @@ impl DspService {
             .put_document_with(document, clear_rules_on_replace);
     }
 
-    /// Stores the protected rules of `subject` for `doc_id`.
+    /// Stores the protected rule blob of `subject` for `doc_id`: opaque
+    /// bytes to the DSP (`&ProtectedRules` converts into them).
     pub fn put_rules(
         &self,
         doc_id: &str,
         subject: &str,
-        rules: &ProtectedRules,
-    ) -> Result<(), CoreError> {
+        rules: impl Into<Arc<[u8]>>,
+    ) -> Result<(), WireError> {
         self.store.put_rules(doc_id, subject, rules)
     }
 
     /// Pins `doc_id` to `copies` serving shards (see
     /// [`ShardedStore::pin_replicas`]).
-    pub fn pin_replicas(&self, doc_id: &str, copies: usize) -> Result<(), CoreError> {
+    pub fn pin_replicas(&self, doc_id: &str, copies: usize) -> Result<(), WireError> {
         self.store.pin_replicas(doc_id, copies)
     }
 
@@ -254,7 +253,7 @@ impl DspService {
 
     /// Fetches a document header together with the upload revision to pin a
     /// session to (see [`ShardedStore::fetch_header`]).
-    pub fn fetch_header_pinned(&self, doc_id: &str) -> Result<(DocumentHeader, u64), CoreError> {
+    pub fn fetch_header_pinned(&self, doc_id: &str) -> Result<(DocumentHeader, u64), WireError> {
         self.store.fetch_header(doc_id, None, 0)
     }
 
@@ -273,18 +272,18 @@ impl DspService {
         &self,
         doc_id: &str,
         salt: u64,
-    ) -> Result<(DocumentHeader, u64), CoreError> {
+    ) -> Result<(DocumentHeader, u64), WireError> {
         self.store.fetch_header(doc_id, None, salt)
     }
 
     /// Fetches one encrypted chunk at a pinned revision, failing with
-    /// [`CoreError::StaleRevision`] after a mid-session republish.
+    /// [`WireError::StaleRevision`] after a mid-session republish.
     pub fn fetch_chunk_pinned(
         &self,
         doc_id: &str,
         index: u32,
         revision: u64,
-    ) -> Result<(Arc<[u8]>, ChunkTag), CoreError> {
+    ) -> Result<(Arc<[u8]>, ChunkTag), WireError> {
         self.store.fetch_chunk(doc_id, index, Some(revision), 0)
     }
 
@@ -295,24 +294,24 @@ impl DspService {
         index: u32,
         revision: u64,
         salt: u64,
-    ) -> Result<(Arc<[u8]>, ChunkTag), CoreError> {
+    ) -> Result<(Arc<[u8]>, ChunkTag), WireError> {
         self.store.fetch_chunk(doc_id, index, Some(revision), salt)
     }
 
     /// Fetches the protected rule blob of `subject` for `doc_id`.
-    pub fn fetch_rules(&self, doc_id: &str, subject: &str) -> Result<Arc<[u8]>, CoreError> {
+    pub fn fetch_rules(&self, doc_id: &str, subject: &str) -> Result<Arc<[u8]>, WireError> {
         self.store.fetch_rules(doc_id, subject, None, 0)
     }
 
     /// Fetches the protected rule blob of `subject` at a pinned revision,
-    /// failing with [`CoreError::StaleRevision`] after a mid-session
+    /// failing with [`WireError::StaleRevision`] after a mid-session
     /// republish.
     pub fn fetch_rules_pinned(
         &self,
         doc_id: &str,
         subject: &str,
         revision: u64,
-    ) -> Result<Arc<[u8]>, CoreError> {
+    ) -> Result<Arc<[u8]>, WireError> {
         self.store.fetch_rules(doc_id, subject, Some(revision), 0)
     }
 
@@ -323,7 +322,7 @@ impl DspService {
         subject: &str,
         revision: u64,
         salt: u64,
-    ) -> Result<Arc<[u8]>, CoreError> {
+    ) -> Result<Arc<[u8]>, WireError> {
         self.store
             .fetch_rules(doc_id, subject, Some(revision), salt)
     }
@@ -377,6 +376,7 @@ mod tests {
     use super::*;
     use sdds_core::rule::RuleSet;
     use sdds_core::secdoc::{integrity_key, verify_chunk, SecureDocumentBuilder};
+    use sdds_core::session::ProtectedRules;
     use sdds_crypto::SecretKey;
     use sdds_xml::generator::{self, GeneratorConfig, HospitalProfile};
 

@@ -29,7 +29,7 @@
 //! invalidation falls back to the home shard. On top of that, every fetch can
 //! carry a **pinned revision** (its `pinned` argument): a mismatch — e.g. a
 //! republish in the middle of a card session — returns the typed
-//! [`CoreError::StaleRevision`] instead of letting chunks of the new upload
+//! [`WireError::StaleRevision`] instead of letting chunks of the new upload
 //! fail their tag check against the old header.
 //!
 //! Global statistics are the per-shard counters summed on read
@@ -38,12 +38,8 @@
 use sdds_sync::sync::atomic::{AtomicUsize, Ordering};
 use sdds_sync::sync::{Arc, RwLock, RwLockExt};
 use std::collections::HashMap;
-use std::hash::Hasher;
 
-use sdds_core::secdoc::{ChunkTag, DocumentHeader, SecureDocument};
-use sdds_core::session::ProtectedRules;
-use sdds_core::CoreError;
-use sdds_xml::symbols::Fnv1a;
+use sdds_wire::{ChunkTag, DocumentHeader, SecureDocument, WireError};
 
 use crate::obs::{ServeObs, ServerStats, ShardObs};
 use crate::store::{DocumentRecord, DspStore};
@@ -55,9 +51,9 @@ use crate::store::{DocumentRecord, DspStore};
 // ---------------------------------------------------------------------------
 
 /// Rejects a serve whose session pinned a revision the record no longer has.
-fn check_revision(record: &DocumentRecord, pinned: Option<u64>) -> Result<(), CoreError> {
+fn check_revision(record: &DocumentRecord, pinned: Option<u64>) -> Result<(), WireError> {
     match pinned {
-        Some(rev) if record.revision != rev => Err(CoreError::StaleRevision {
+        Some(rev) if record.revision != rev => Err(WireError::StaleRevision {
             doc_id: record.document.header.doc_id.clone(),
             pinned: rev,
             current: record.revision,
@@ -71,7 +67,7 @@ fn serve_header(
     record: &DocumentRecord,
     obs: &ShardObs,
     pinned: Option<u64>,
-) -> Result<DocumentHeader, CoreError> {
+) -> Result<DocumentHeader, WireError> {
     check_revision(record, pinned)?;
     // One header fetch per card session (the SOE caches it); chunk serves, the
     // per-event path, share ciphertext without copying.
@@ -90,15 +86,15 @@ fn serve_chunk(
     obs: &ShardObs,
     index: u32,
     pinned: Option<u64>,
-) -> Result<(Arc<[u8]>, ChunkTag), CoreError> {
+) -> Result<(Arc<[u8]>, ChunkTag), WireError> {
     check_revision(record, pinned)?;
     let doc_id = &record.document.header.doc_id;
     let (chunk, tag) = record
         .document
         .sealed_chunk(index as usize)
-        .ok_or_else(|| CoreError::BadState {
-            // Never taken by a well-formed session.
-            message: format!("chunk {index} out of range for `{doc_id}`"),
+        .ok_or_else(|| WireError::ChunkOutOfRange {
+            doc_id: doc_id.clone(),
+            index,
         })?;
     obs.count_chunk(chunk.len() + tag.encoded_len());
     Ok((chunk, tag))
@@ -111,12 +107,12 @@ fn serve_rules(
     obs: &ShardObs,
     subject: &str,
     pinned: Option<u64>,
-) -> Result<Arc<[u8]>, CoreError> {
+) -> Result<Arc<[u8]>, WireError> {
     check_revision(record, pinned)?;
     let blob = record
         .rules
         .get(subject)
-        .ok_or_else(|| CoreError::NoRulesForSubject {
+        .ok_or_else(|| WireError::NoRulesForSubject {
             doc_id: record.document.header.doc_id.clone(),
             subject: subject.to_owned(),
         })?;
@@ -124,13 +120,18 @@ fn serve_rules(
     Ok(Arc::clone(blob))
 }
 
-/// FNV-1a over the document id (the workspace's [`Fnv1a`] hasher) — stable
-/// and good enough to spread ids of the form `folder-<n>` evenly over a
-/// handful of shards.
+/// FNV-1a over the document id — stable and good enough to spread ids of
+/// the form `folder-<n>` evenly over a handful of shards. It is the
+/// workspace's FNV-1a hasher of the XML crate, written out here so the DSP
+/// depends on no cleartext-side crate
+/// (`shard_placement_matches_the_workspace_fnv1a` pins the equality).
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hasher = Fnv1a::default();
-    hasher.write(bytes);
-    hasher.finish()
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
 }
 
 /// Replication policy for documents that become hot organically: once a
@@ -281,8 +282,8 @@ impl ShardedStore {
         &self,
         doc_id: &str,
         salt: u64,
-        serve: impl Fn(&DocumentRecord, &ShardObs) -> Result<T, CoreError>,
-    ) -> Result<T, CoreError> {
+        serve: impl Fn(&DocumentRecord, &ShardObs) -> Result<T, WireError>,
+    ) -> Result<T, WireError> {
         let started = if self.obs.live {
             self.obs.recorder.now_nanos()
         } else {
@@ -304,8 +305,8 @@ impl ShardedStore {
         doc_id: &str,
         home: usize,
         routed: usize,
-        serve: impl Fn(&DocumentRecord, &ShardObs) -> Result<T, CoreError>,
-    ) -> (Result<T, CoreError>, usize) {
+        serve: impl Fn(&DocumentRecord, &ShardObs) -> Result<T, WireError>,
+    ) -> (Result<T, WireError>, usize) {
         if routed != home {
             let shard = self.shards[routed].read_np();
             if let Some(record) = shard.replicas.get(doc_id) {
@@ -321,7 +322,7 @@ impl ShardedStore {
         let shard = self.shards[home].read_np();
         let Some(record) = shard.store.get(doc_id) else {
             return (
-                Err(CoreError::NotFound {
+                Err(WireError::NotFound {
                     doc_id: doc_id.to_owned(),
                 }),
                 home,
@@ -447,10 +448,10 @@ impl ShardedStore {
 
     /// Pins `doc_id` to `copies` serving shards (clamped to `[1,
     /// shard_count]`): replicates immediately and re-replicates after every
-    /// republish. Fails with [`CoreError::NotFound`] for unknown documents.
-    pub fn pin_replicas(&self, doc_id: &str, copies: usize) -> Result<(), CoreError> {
+    /// republish. Fails with [`WireError::NotFound`] for unknown documents.
+    pub fn pin_replicas(&self, doc_id: &str, copies: usize) -> Result<(), WireError> {
         if !self.contains(doc_id) {
-            return Err(CoreError::NotFound {
+            return Err(WireError::NotFound {
                 doc_id: doc_id.to_owned(),
             });
         }
@@ -492,20 +493,21 @@ impl ShardedStore {
         }
     }
 
-    /// Stores the protected rules of `subject` for `doc_id` — on the home
-    /// shard and on every replica, so a routed rule fetch cannot see a blob
-    /// older than the home shard's.
+    /// Stores the protected rule blob of `subject` for `doc_id` — on the
+    /// home shard and on every replica, so a routed rule fetch cannot see a
+    /// blob older than the home shard's. All copies share one allocation.
     pub fn put_rules(
         &self,
         doc_id: &str,
         subject: &str,
-        rules: &ProtectedRules,
-    ) -> Result<(), CoreError> {
+        rules: impl Into<Arc<[u8]>>,
+    ) -> Result<(), WireError> {
+        let rules: Arc<[u8]> = rules.into();
         let directory = self.directory.read_np();
         self.shards[self.shard_of(doc_id)]
             .write_np()
             .store
-            .put_rules(doc_id, subject, rules)?;
+            .put_rules(doc_id, subject, Arc::clone(&rules))?;
         if let Some(entry) = directory.get(doc_id) {
             for &shard in entry.shards.iter().skip(1) {
                 if let Some(record) = self.shards[shard].write_np().replicas.get_mut(doc_id) {
@@ -513,7 +515,7 @@ impl ShardedStore {
                     // `make_mut` copies-on-write for this shard only.
                     Arc::make_mut(record)
                         .rules
-                        .insert(subject.to_owned(), rules.encode().into());
+                        .insert(subject.to_owned(), Arc::clone(&rules));
                 }
             }
         }
@@ -522,7 +524,7 @@ impl ShardedStore {
 
     /// Fetches a document header together with the upload revision it
     /// belongs to, for a session to pin: later fetches carrying that
-    /// revision as `pinned` fail with [`CoreError::StaleRevision`] if the
+    /// revision as `pinned` fail with [`WireError::StaleRevision`] if the
     /// document is republished mid-session.
     ///
     /// `salt` picks the copy of a replicated document. Sessions carry
@@ -535,14 +537,14 @@ impl ShardedStore {
         doc_id: &str,
         pinned: Option<u64>,
         salt: u64,
-    ) -> Result<(DocumentHeader, u64), CoreError> {
+    ) -> Result<(DocumentHeader, u64), WireError> {
         self.serve(doc_id, salt, |record, obs| {
             serve_header(record, obs, pinned).map(|header| (header, record.revision))
         })
     }
 
     /// Fetches one encrypted chunk and its tag, failing with
-    /// [`CoreError::StaleRevision`] when `pinned` is set and the serving
+    /// [`WireError::StaleRevision`] when `pinned` is set and the serving
     /// record no longer has that revision.
     ///
     /// Replicated documents route chunk `i` to copy `(salt + i + 1) %
@@ -554,7 +556,7 @@ impl ShardedStore {
         index: u32,
         pinned: Option<u64>,
         salt: u64,
-    ) -> Result<(Arc<[u8]>, ChunkTag), CoreError> {
+    ) -> Result<(Arc<[u8]>, ChunkTag), WireError> {
         self.serve(
             doc_id,
             salt.wrapping_add(u64::from(index) + 1),
@@ -563,7 +565,7 @@ impl ShardedStore {
     }
 
     /// Fetches the protected rule blob of `subject` for `doc_id`, failing
-    /// with [`CoreError::StaleRevision`] when `pinned` is set and the serving
+    /// with [`WireError::StaleRevision`] when `pinned` is set and the serving
     /// record no longer has that revision. Replicated documents route by
     /// `salt` plus the subject hash.
     pub fn fetch_rules(
@@ -572,7 +574,7 @@ impl ShardedStore {
         subject: &str,
         pinned: Option<u64>,
         salt: u64,
-    ) -> Result<Arc<[u8]>, CoreError> {
+    ) -> Result<Arc<[u8]>, WireError> {
         self.serve(
             doc_id,
             salt.wrapping_add(fnv1a(subject.as_bytes())),
@@ -665,6 +667,7 @@ mod tests {
     use super::*;
     use sdds_core::rule::RuleSet;
     use sdds_core::secdoc::{integrity_key, verify_chunk, SecureDocumentBuilder};
+    use sdds_core::session::ProtectedRules;
     use sdds_crypto::SecretKey;
     use sdds_xml::generator::{self, GeneratorConfig, HospitalProfile};
 
@@ -691,6 +694,26 @@ mod tests {
             &RuleSet::parse(expr).unwrap(),
             &SecretKey::derive(b"s", "rules"),
         )
+    }
+
+    #[test]
+    fn shard_placement_matches_the_workspace_fnv1a() {
+        use std::hash::Hasher;
+        let store = ShardedStore::new(7);
+        for id in [
+            "",
+            "a",
+            "folder-0",
+            "folder-41",
+            "doc-3",
+            "hospital",
+            "é-folder",
+        ] {
+            let mut reference = sdds_xml::symbols::Fnv1a::default();
+            reference.write(id.as_bytes());
+            assert_eq!(fnv1a(id.as_bytes()), reference.finish(), "{id:?}");
+            assert_eq!(store.shard_of(id), (reference.finish() % 7) as usize);
+        }
     }
 
     #[test]
@@ -723,11 +746,11 @@ mod tests {
         store.put_document(document("here"));
         assert!(matches!(
             store.fetch_header("gone", None, 0),
-            Err(CoreError::NotFound { doc_id }) if doc_id == "gone"
+            Err(WireError::NotFound { doc_id }) if doc_id == "gone"
         ));
         assert!(matches!(
             store.fetch_rules("here", "stranger", None, 0),
-            Err(CoreError::NoRulesForSubject { doc_id, subject })
+            Err(WireError::NoRulesForSubject { doc_id, subject })
                 if doc_id == "here" && subject == "stranger"
         ));
     }
@@ -744,7 +767,7 @@ mod tests {
         store.put_document(document("doc"));
         assert!(matches!(
             store.fetch_chunk("doc", 0, Some(revision), 0),
-            Err(CoreError::StaleRevision {
+            Err(WireError::StaleRevision {
                 pinned: 0,
                 current: 1,
                 ..
@@ -839,7 +862,7 @@ mod tests {
 
         assert!(matches!(
             store.pin_replicas("gone", 4),
-            Err(CoreError::NotFound { .. })
+            Err(WireError::NotFound { .. })
         ));
     }
 
@@ -896,7 +919,7 @@ mod tests {
         for index in 0..4 {
             assert!(matches!(
                 store.fetch_chunk("hot", index, Some(0), 0),
-                Err(CoreError::StaleRevision { .. })
+                Err(WireError::StaleRevision { .. })
             ));
         }
     }

@@ -4,9 +4,7 @@ use std::collections::BTreeMap;
 
 use sdds_sync::sync::Arc;
 
-use sdds_core::secdoc::SecureDocument;
-use sdds_core::session::ProtectedRules;
-use sdds_core::CoreError;
+use sdds_wire::{SecureDocument, WireError};
 
 /// One stored document: its encrypted body plus the protected rule sets of the
 /// subjects allowed to ask for it (the DSP cannot read either).
@@ -72,22 +70,21 @@ impl DspStore {
         }
     }
 
-    /// Stores the protected rules of `subject` for `doc_id`.
+    /// Stores the protected rule blob of `subject` for `doc_id`. The blob
+    /// is opaque bytes here (`&ProtectedRules` converts into it).
     pub fn put_rules(
         &mut self,
         doc_id: &str,
         subject: &str,
-        rules: &ProtectedRules,
-    ) -> Result<(), CoreError> {
+        rules: impl Into<Arc<[u8]>>,
+    ) -> Result<(), WireError> {
         let record = self
             .documents
             .get_mut(doc_id)
-            .ok_or_else(|| CoreError::NotFound {
+            .ok_or_else(|| WireError::NotFound {
                 doc_id: doc_id.to_owned(),
             })?;
-        record
-            .rules
-            .insert(subject.to_owned(), rules.encode().into());
+        record.rules.insert(subject.to_owned(), rules.into());
         Ok(())
     }
 
@@ -125,6 +122,7 @@ mod tests {
     use super::*;
     use sdds_core::rule::RuleSet;
     use sdds_core::secdoc::SecureDocumentBuilder;
+    use sdds_core::session::ProtectedRules;
     use sdds_crypto::SecretKey;
     use sdds_xml::generator::{self, GeneratorConfig, HospitalProfile};
 

@@ -56,7 +56,8 @@ pub fn for_each_array(
     Ok(())
 }
 
-fn strip_toml_comment(line: &str) -> &str {
+/// `line` without its `#` comment (a `#` inside a string does not count).
+pub(crate) fn strip_toml_comment(line: &str) -> &str {
     let bytes = line.as_bytes();
     let mut in_str = false;
     for (i, &b) in bytes.iter().enumerate() {

@@ -28,26 +28,22 @@
 //!   (`fn eN_*(report: &mut Report)` in `crates/bench/src/bin/harness.rs`)
 //!   must be named in the ARCHITECTURE.md experiment table, every metric
 //!   family declared in `crates/obs/src/families.rs` must appear in the
-//!   book's metric table, and every type tiered in `trust.toml` must appear
-//!   in the book's trust-boundary table, so the book cannot silently fall
-//!   behind the code.
+//!   book's metric table, and every package and secret type named in
+//!   `trust.toml` must appear in the book's trust-boundary tables, so the
+//!   book cannot silently fall behind the code.
 //!
-//! On top of the token rules sits the item-level **trust-boundary analyzer**
-//! ([`items`], [`graph`], [`taint`]): it parses fn signatures, struct/enum
-//! fields, impl blocks, and `use` items, classifies types into sensitivity
-//! tiers from `trust.toml` plus `// taint:` annotations, and proves that no
-//! `Secret` or `Plaintext` type can reach the untrusted DSP or the telemetry
-//! layer (rules **taint-dsp**, **taint-obs**, **taint-debug**,
-//! **taint-annotation**).
+//! The trust boundary ([`trust`]) is mostly the compiler's: the untrusted
+//! DSP and telemetry crates depend on no crate that holds a key or
+//! cleartext type, which **crate-graph** checks over the workspace
+//! manifests. Two token rules cover what the compiler cannot see:
+//! **secret-label** (a secret type name on a metric-label call) and
+//! **secret-debug** (a derived `Debug` or any `Display` on a secret type).
 //!
 //! Allocation discipline on the per-event path is not a lint rule: it is
 //! measured by the counting-allocator budget test `tests/alloc_budget.rs`.
 
 pub mod config;
-pub mod graph;
-pub mod items;
-pub mod taint;
-
+pub mod trust;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -69,18 +65,12 @@ pub enum Rule {
     /// An experiment bench file or metric family missing from
     /// ARCHITECTURE.md.
     DocSync,
-    /// A `Secret`/`Plaintext` type reachable from an item inside the
-    /// untrusted DSP scope.
-    TaintDsp,
-    /// A `Secret`/`Plaintext` type reachable from telemetry code, or a
-    /// secret tier name on a metric-label call.
-    TaintObs,
-    /// A `Secret` type that derives/impls `Debug`/`Display` or leaks raw
-    /// bytes without a `// taint: redacted` justification.
-    TaintDebug,
-    /// A crypto boundary fn missing its `// taint: source|sink` annotation,
-    /// or an annotation inconsistent with the signature it describes.
-    TaintAnnotation,
+    /// An untrusted crate whose normal dependencies reach a trusted one.
+    CrateGraph,
+    /// A secret type name on a metric-label call.
+    SecretLabel,
+    /// A derived `Debug` or any `Display` on a secret type.
+    SecretDebug,
 }
 
 impl Rule {
@@ -94,10 +84,9 @@ impl Rule {
             Rule::ForbidUnsafe => "forbid-unsafe",
             Rule::AdhocAtomic => "adhoc-atomic",
             Rule::DocSync => "doc-sync",
-            Rule::TaintDsp => "taint-dsp",
-            Rule::TaintObs => "taint-obs",
-            Rule::TaintDebug => "taint-debug",
-            Rule::TaintAnnotation => "taint-annotation",
+            Rule::CrateGraph => "crate-graph",
+            Rule::SecretLabel => "secret-label",
+            Rule::SecretDebug => "secret-debug",
         }
     }
 
@@ -110,10 +99,9 @@ impl Rule {
         Rule::ForbidUnsafe,
         Rule::AdhocAtomic,
         Rule::DocSync,
-        Rule::TaintDsp,
-        Rule::TaintObs,
-        Rule::TaintDebug,
-        Rule::TaintAnnotation,
+        Rule::CrateGraph,
+        Rule::SecretLabel,
+        Rule::SecretDebug,
     ];
 
     /// Looks a rule up by its stable name (`lint --explain <rule>`).
@@ -163,37 +151,30 @@ impl Rule {
                 "ARCHITECTURE.md must stay in sync with the code: every experiment \
                  section of the bench harness (`fn eN_*(report: &mut Report)` in \
                  crates/bench/src/bin/harness.rs), every metric family declared in \
-                 crates/obs/src/families.rs, and every type named in lint/trust.toml's \
-                 sensitivity tiers must appear in the book's tables."
+                 crates/obs/src/families.rs, and every package and secret type named \
+                 in crates/lint/trust.toml must appear in the book's tables."
             }
-            Rule::TaintDsp => {
-                "The DSP is the paper's untrusted server: it stores and serves \
-                 encrypted chunks and must never see cleartext or key material. No \
-                 Secret- or Plaintext-tier type (explicit in trust.toml, or inheriting \
-                 the tier through a struct/enum field) may appear in any sdds-dsp item \
-                 signature, struct field, use item, or public re-export."
+            Rule::CrateGraph => {
+                "The DSP is the paper's untrusted server and telemetry is exported as \
+                 JSON: neither may see cleartext or key material. Both hold only \
+                 ciphertext-tier types because their crates (trust.toml [crate-graph] \
+                 untrusted) cannot name anything else: no chain of [dependencies] in \
+                 the workspace manifests may lead from them to a trusted crate \
+                 (sdds-crypto, sdds-core, sdds-xml, sdds-card). [dev-dependencies] \
+                 do not count, so tests may still build real documents."
             }
-            Rule::TaintObs => {
-                "Telemetry exports JSON from every layer, so the observability crate \
-                 is an exfiltration path: no Secret/Plaintext-tier type may appear in \
-                 sdds-obs item signatures, and no secret tier name may appear on a \
-                 metric-label call (counter_with/gauge_with/histogram_with) anywhere."
+            Rule::SecretLabel => {
+                "Metric labels are exported in ObsSnapshot JSON from every layer, so a \
+                 label is an exfiltration path: no secret type name (trust.toml \
+                 [secret] types) may appear on a counter_with / gauge_with / \
+                 histogram_with line. Label with ids, counts and durations only."
             }
-            Rule::TaintDebug => {
-                "A Secret-tier type must not derive Debug, impl Debug/Display, or \
-                 expose raw bytes (Vec<u8>/&[u8] returns) without justification: \
-                 `{:?}` on a key ends up in logs and flight-recorder labels. A manual \
-                 redacting impl is fine — mark it `// taint: redacted — <reason>`; \
-                 byte accessors need `// taint: source|sink — <reason>`."
-            }
-            Rule::TaintAnnotation => {
-                "Every crypto boundary crossing (a fn whose name contains a boundary \
-                 verb — encrypt, decrypt, seal, wrap, unwrap_key, derive — and whose \
-                 signature touches tiered types or raw bytes) must carry a `// taint: \
-                 source|sink — <reason>` annotation, and the annotation must agree \
-                 with the signature: a source produces sensitive data (so it must not \
-                 be declared on a fn returning only ciphertext), a sink consumes it \
-                 (so it must not return Secret/Plaintext)."
+            Rule::SecretDebug => {
+                "A secret type (trust.toml [secret] types) must not derive Debug or \
+                 implement Display: `{:?}` on a key ends up in logs and flight-recorder \
+                 labels. Write a Debug impl that prints a placeholder. A derive whose \
+                 fields all redact themselves (a key store of SecretKeys) is admitted \
+                 with `// lint: redacted — <reason>`."
             }
         }
     }
@@ -1021,7 +1002,7 @@ mod tests {
             Violation {
                 file: PathBuf::from("a.rs"),
                 line: 3,
-                rule: Rule::TaintDsp,
+                rule: Rule::CrateGraph,
                 message: "bad \"quote\"".to_owned(),
             },
             Violation {
@@ -1032,7 +1013,7 @@ mod tests {
             },
         ];
         let json = violations_to_json(&v);
-        assert!(json.contains("\"rule\": \"taint-dsp\""));
+        assert!(json.contains("\"rule\": \"crate-graph\""));
         assert!(json.contains("\"line\": 3"));
         assert!(json.contains("bad \\\"quote\\\""));
         assert!(json.starts_with('[') && json.trim_end().ends_with(']'));

@@ -1,7 +1,7 @@
 #![forbid(unsafe_code)]
 //! Workspace driver for the `sdds-lint` rules: walks the first-party crates,
-//! applies the token rules that match each file's path, runs the item-level
-//! trust-boundary analysis over the whole workspace, prints violations in
+//! applies the token rules that match each file's path, checks the crate
+//! graph of their manifests against `trust.toml`, prints violations in
 //! `file:line: [rule] message` form, and exits non-zero if any were found.
 //!
 //! Usage (from anywhere in the workspace):
@@ -9,13 +9,13 @@
 //! ```text
 //! cargo run -p sdds-lint                      # scan, human-readable report
 //! cargo run -p sdds-lint -- --json out.json   # also write machine-readable JSON
-//! cargo run -p sdds-lint -- --explain taint-dsp
+//! cargo run -p sdds-lint -- --explain crate-graph
 //! ```
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use sdds_lint::taint::{analyze, check_trust_sync, SourceFile, TrustConfig};
+use sdds_lint::trust::{check_crate_graph, check_secret_tokens, check_trust_sync, TrustConfig};
 use sdds_lint::{
     check_doc_sync, check_metric_sync, harness_sections, metric_families, scan_file,
     violations_to_json, FileRules, Rule, Violation,
@@ -29,6 +29,7 @@ const CRATES: &[&str] = &[
     "crates/crypto",
     "crates/xml",
     "crates/xpath",
+    "crates/wire",
     "crates/dsp",
     "crates/proxy",
     "crates/bench",
@@ -92,11 +93,19 @@ fn rules_for(crate_dir: &str, path: &Path) -> FileRules {
     }
 }
 
+fn read(path: &Path) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))
+}
+
 fn run() -> Result<Vec<Violation>, String> {
     let root = workspace_root();
+    let config = TrustConfig::parse(&read(&root.join("crates/lint/trust.toml"))?)?;
     let mut violations = Vec::new();
-    let mut sources: Vec<SourceFile> = Vec::new();
+    let mut manifests = Vec::new();
+    let mut scanned = 0;
     for crate_dir in CRATES {
+        let manifest = Path::new(crate_dir).join("Cargo.toml");
+        manifests.push((manifest.clone(), read(&root.join(&manifest))?));
         let src = root.join(crate_dir).join("src");
         if !src.is_dir() {
             return Err(format!("missing source directory: {}", src.display()));
@@ -104,27 +113,17 @@ fn run() -> Result<Vec<Violation>, String> {
         let mut files = Vec::new();
         rust_sources(&src, &mut files).map_err(|e| format!("walking {}: {e}", src.display()))?;
         for file in files {
-            let contents = std::fs::read_to_string(&file)
-                .map_err(|e| format!("reading {}: {e}", file.display()))?;
+            let contents = read(&file)?;
             let shown = file.strip_prefix(&root).unwrap_or(&file);
             violations.extend(scan_file(shown, &contents, rules_for(crate_dir, &file)));
-            sources.push(SourceFile {
-                path: shown.to_string_lossy().replace('\\', "/"),
-                contents,
-            });
+            violations.extend(check_secret_tokens(&config, shown, &contents));
+            scanned += 1;
         }
     }
-
-    let config_path = root.join("crates/lint/trust.toml");
-    let config_text = std::fs::read_to_string(&config_path)
-        .map_err(|e| format!("reading {}: {e}", config_path.display()))?;
-    let config = TrustConfig::parse(&config_text)?;
-    violations.extend(analyze(&config, &sources));
-
+    violations.extend(check_crate_graph(&config, &manifests));
     violations.extend(doc_sync(&root, &config)?);
     eprintln!(
-        "sdds-lint: scanned {} files across {} crates, {} violation(s)",
-        sources.len(),
+        "sdds-lint: scanned {scanned} files across {} crates, {} violation(s)",
         CRATES.len(),
         violations.len()
     );
@@ -135,20 +134,15 @@ fn run() -> Result<Vec<Violation>, String> {
 /// (`fn eN_*(report: &mut Report)`) must be named in ARCHITECTURE.md's
 /// experiment table, every metric family
 /// declared in `crates/obs/src/families.rs` must appear in the book's metric
-/// table, and every type tiered in `trust.toml` must appear in the book's
-/// trust-boundary table.
+/// table, and every package and secret type named in `trust.toml` must
+/// appear in the book's trust-boundary tables.
 fn doc_sync(root: &Path, config: &TrustConfig) -> Result<Vec<Violation>, String> {
-    let harness_path = root.join("crates/bench/src/bin/harness.rs");
-    let harness_src = std::fs::read_to_string(&harness_path)
-        .map_err(|e| format!("reading {}: {e}", harness_path.display()))?;
+    let harness_src = read(&root.join("crates/bench/src/bin/harness.rs"))?;
     let book_path = Path::new("ARCHITECTURE.md");
-    let book = std::fs::read_to_string(root.join(book_path))
-        .map_err(|e| format!("reading {}: {e}", book_path.display()))?;
+    let book = read(&root.join(book_path))?;
     let mut violations = check_doc_sync(book_path, &book, &harness_sections(&harness_src));
 
-    let families_path = root.join("crates/obs/src/families.rs");
-    let families_src = std::fs::read_to_string(&families_path)
-        .map_err(|e| format!("reading {}: {e}", families_path.display()))?;
+    let families_src = read(&root.join("crates/obs/src/families.rs"))?;
     violations.extend(check_metric_sync(
         book_path,
         &book,

@@ -15,7 +15,7 @@ use sdds_core::rule::Subject;
 use sdds_crypto::SecretKey;
 
 /// The simulated PKI of one community.
-// taint: redacted — holds only a SecretKey, whose Debug prints a
+// lint: redacted — holds only a SecretKey, whose Debug prints a
 // placeholder instead of the bytes.
 #[derive(Debug, Clone)]
 pub struct SimulatedPki {

@@ -57,6 +57,12 @@ impl From<CoreError> for ProxyError {
     }
 }
 
+impl From<sdds_wire::WireError> for ProxyError {
+    fn from(e: sdds_wire::WireError) -> Self {
+        ProxyError::Core(e.into())
+    }
+}
+
 /// A user terminal hosting a smart card.
 pub struct Terminal {
     subject: Subject,

@@ -13,7 +13,8 @@
 //! holds the community key and sees the cleartext stream. What crosses the
 //! trust boundary is only the encrypted [`StreamItem`] — the untrusted DSP
 //! fan-out ([`sdds_dsp::FanOutDisseminator`]) never handles anything else,
-//! and the `sdds-lint` taint analyzer proves it stays that way.
+//! and the compiler keeps it that way: the DSP crate depends only on the
+//! key-free `sdds-wire` crate.
 
 use sdds_sync::sync::Arc;
 

@@ -20,13 +20,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> sdds-lint (concurrency + panic hygiene + taint)"
-# The taint pass statically proves no plaintext or key type reaches the DSP
-# or the obs export surface (see ARCHITECTURE.md, "Trust boundary"); the
-# token rules enforce the sdds-sync facade, ordering justifications, panic
-# and sleep hygiene, forbid(unsafe_code) and the book's doc-sync tables. The
-# machine-readable findings land next to the human report so CI logs and
-# tooling see the same thing.
+echo "==> sdds-lint (concurrency + panic hygiene + crate graph)"
+# The crate-graph check keeps the DSP and obs crates off every crate that
+# holds a key or cleartext, so the compiler keeps those types out of them
+# (see ARCHITECTURE.md, "Trust boundary"); the token rules keep secret types
+# out of metric labels and Debug/Display, and enforce the sdds-sync facade,
+# ordering justifications, panic and sleep hygiene, forbid(unsafe_code) and
+# the book's doc-sync tables. The machine-readable findings land next to the
+# human report so CI logs and tooling see the same thing.
 mkdir -p target
 if ! cargo run -q -p sdds-lint -- --json target/sdds-lint.json; then
     echo "sdds-lint findings (also at target/sdds-lint.json):" >&2

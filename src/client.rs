@@ -226,10 +226,10 @@ impl Publisher {
         if let Some(chunk_size) = self.chunk_size {
             builder = builder.chunk_size(chunk_size);
         }
-        let secure = builder.build(document);
+        let (secure, stats) = builder.build_with_stats(document);
         let receipt = PublishReceipt {
             chunks: secure.chunk_count(),
-            index_bytes: secure.encode_stats.index_bytes,
+            index_bytes: stats.index_bytes,
             revision: self.service.revision(doc_id).map_or(0, |r| r + 1),
         };
         self.service.put_document(secure);

@@ -1,7 +1,7 @@
 //! The workspace-wide error type of the `sdds` facade.
 //!
 //! Every crate of the workspace keeps its own focused error type
-//! (`CoreError`, `CardError`, `CryptoError`, `XmlError`, the XPath
+//! (`CoreError`, `WireError`, `CardError`, `CryptoError`, `XmlError`, the XPath
 //! `ParseError`, the proxy's `ProxyError`), but applications built on the
 //! facade see exactly one: [`SddsError`]. Conversions normalise to the most
 //! specific layer — a `CoreError::Crypto` arriving through three crates still
@@ -14,6 +14,7 @@ use sdds_card::CardError;
 use sdds_core::CoreError;
 use sdds_crypto::CryptoError;
 use sdds_proxy::ProxyError;
+use sdds_wire::WireError;
 use sdds_xml::XmlError;
 use sdds_xpath::ParseError;
 
@@ -140,18 +141,28 @@ impl From<CardError> for SddsError {
 impl From<CoreError> for SddsError {
     fn from(e: CoreError) -> Self {
         // Normalise to the most specific layer when the core just wrapped a
-        // lower-level failure, and surface the typed storage outcomes
-        // ("not stored" / "no blob" / "republished under you") as their own
-        // variants so callers can distinguish them from corrupt requests.
+        // lower-level failure.
         match e {
             CoreError::Crypto(inner) => SddsError::Crypto(inner),
             CoreError::Card(inner) => SddsError::Card(inner),
             CoreError::Xml(inner) => SddsError::Xml(inner),
-            CoreError::NotFound { doc_id } => SddsError::NotFound { doc_id },
-            CoreError::NoRulesForSubject { doc_id, subject } => {
+            CoreError::Wire(inner) => SddsError::from(inner),
+            other => SddsError::Core(other),
+        }
+    }
+}
+
+impl From<WireError> for SddsError {
+    fn from(e: WireError) -> Self {
+        // The typed storage outcomes ("not stored" / "no blob" /
+        // "republished under you") surface as their own variants so callers
+        // can distinguish them from corrupt requests.
+        match e {
+            WireError::NotFound { doc_id } => SddsError::NotFound { doc_id },
+            WireError::NoRulesForSubject { doc_id, subject } => {
                 SddsError::NoRulesForSubject { doc_id, subject }
             }
-            CoreError::StaleRevision {
+            WireError::StaleRevision {
                 doc_id,
                 pinned,
                 current,
@@ -160,7 +171,7 @@ impl From<CoreError> for SddsError {
                 pinned,
                 current,
             },
-            other => SddsError::Core(other),
+            other => SddsError::Core(CoreError::Wire(other)),
         }
     }
 }
@@ -205,12 +216,12 @@ mod tests {
 
     #[test]
     fn storage_outcomes_surface_as_their_own_variants() {
-        let e: SddsError = CoreError::NotFound {
+        let e: SddsError = WireError::NotFound {
             doc_id: "folder".into(),
         }
         .into();
         assert!(matches!(e, SddsError::NotFound { ref doc_id } if doc_id == "folder"));
-        let e: SddsError = CoreError::NoRulesForSubject {
+        let e: SddsError = WireError::NoRulesForSubject {
             doc_id: "folder".into(),
             subject: "stranger".into(),
         }
@@ -218,11 +229,11 @@ mod tests {
         assert!(matches!(e, SddsError::NoRulesForSubject { ref subject, .. }
             if subject == "stranger"));
         // ...including when the proxy layer transported them.
-        let e: SddsError = ProxyError::Core(CoreError::StaleRevision {
+        let e: SddsError = ProxyError::Core(CoreError::Wire(WireError::StaleRevision {
             doc_id: "folder".into(),
             pinned: 0,
             current: 1,
-        })
+        }))
         .into();
         assert!(matches!(
             e,

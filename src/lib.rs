@@ -82,5 +82,6 @@ pub use sdds_crypto as crypto;
 pub use sdds_dsp as dsp;
 pub use sdds_obs as obs;
 pub use sdds_proxy as proxy;
+pub use sdds_wire as wire;
 pub use sdds_xml as xml;
 pub use sdds_xpath as xpath;

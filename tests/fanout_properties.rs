@@ -10,8 +10,8 @@
 //! The publisher (`sdds::proxy::DisseminationChannel`, holds the key) and the
 //! DSP-side fan-out (`sdds::dsp::FanOutDisseminator`, ciphertext only) sit on
 //! opposite sides of the trust boundary; the split itself is enforced by the
-//! `sdds-lint` taint analyzer, and this test pins that the split loses no
-//! behaviour.
+//! crate graph (the DSP depends on no crate that holds a key or cleartext),
+//! and this test pins that the split loses no behaviour.
 //!
 //! Like `streaming_vs_oracle_properties.rs`, each property runs over
 //! `SDDS_PROP_CASES` seeded deterministic cases (default 64; CI 256).

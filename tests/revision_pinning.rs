@@ -126,9 +126,9 @@ fn scheduler_reports_carry_the_typed_failure_too() {
     let failed = &report.finished[0];
     assert!(matches!(
         failed.session.failure(),
-        Some(sdds_proxy::ProxyError::Core(
-            sdds_core::CoreError::StaleRevision { .. }
-        ))
+        Some(sdds_proxy::ProxyError::Core(sdds_core::CoreError::Wire(
+            sdds::wire::WireError::StaleRevision { .. }
+        )))
     ));
 }
 

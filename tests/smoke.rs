@@ -40,21 +40,18 @@ fn encrypted_round_trip_matches_oracle() {
     let rules = nurse_rules();
     let key = SecretKey::derive(b"smoke", "doc");
 
-    let secure = SecureDocumentBuilder::new("smoke-doc", key.clone())
+    let (secure, encode_stats) = SecureDocumentBuilder::new("smoke-doc", key.clone())
         .chunk_size(64)
         .encoder_config(EncoderConfig {
             min_index_bytes: 16,
             ..EncoderConfig::default()
         })
-        .build(&doc);
+        .build_with_stats(&doc);
     assert!(
         secure.chunk_count() > 1,
         "tiny doc should still span chunks"
     );
-    assert!(
-        secure.encode_stats.index_bytes > 0,
-        "skip index must be embedded"
-    );
+    assert!(encode_stats.index_bytes > 0, "skip index must be embedded");
 
     let config = EngineConfig::new(EvaluatorConfig::new(rules.clone(), "nurse"));
     let (view, stats) = evaluate_secure_document(&secure, &key, config).expect("engine runs");
