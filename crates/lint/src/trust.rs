@@ -373,6 +373,16 @@ label_calls = ["counter_with"]
     }
 
     #[test]
+    fn multiline_arrays_parse() {
+        let cfg = TrustConfig::parse(
+            "[crate-graph]\nuntrusted = [\n  \"a\", # server\n  \"b\",\n]\ntrusted = [\"c\"]\n[secret]\ntypes = [\"K\"]\nlabel_calls = [\n  \"counter_with\"\n]\n",
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(cfg.untrusted, ["a", "b"]);
+        assert_eq!(cfg.label_calls, ["counter_with"]);
+    }
+
+    #[test]
     fn toml_errors_are_reported() {
         let err = TrustConfig::parse("[secret]\ntypes = \"SecretKey\"\n").unwrap_err();
         assert!(err.contains("trust.toml:2"), "{err}");
