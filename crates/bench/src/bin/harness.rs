@@ -368,7 +368,7 @@ fn e7_dynamic_rules(report: &mut Report) {
     let mut evaluator = StreamingEvaluator::new(&config).unwrap();
     let mut view = Vec::new();
     for ev in &events[..events.len() / 2] {
-        evaluator.push(ev.clone(), &mut view);
+        evaluator.push(ev.as_event_ref(), &mut view);
     }
     let grant = sdds_core::rule::AccessRule::permit(999, "doctor", "//patient/weight")
         .expect("static rule parses");

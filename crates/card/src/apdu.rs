@@ -5,6 +5,13 @@
 //! terminal and the smart card"). The encoding below follows the short-APDU
 //! format (Lc/Le ≤ 255 bytes), which caps each exchange and therefore drives
 //! the number of round-trips counted by the channel model.
+//!
+//! A short APDU's data field fits a fixed buffer, like a card's APDU buffer:
+//! [`ApduData`] holds it inline, so framing a command or a response — and
+//! splitting a payload into fragments with [`fragments`] — allocates nothing.
+
+use std::fmt;
+use std::ops::Deref;
 
 use crate::error::CardError;
 
@@ -57,6 +64,67 @@ impl StatusWord {
     }
 }
 
+/// The data field of a short APDU: at most [`MAX_SHORT_APDU_DATA`] bytes,
+/// held inline. Dereferences to the bytes it holds.
+#[derive(Clone, Copy)]
+pub struct ApduData {
+    len: u8,
+    bytes: [u8; MAX_SHORT_APDU_DATA],
+}
+
+impl ApduData {
+    /// No data.
+    pub const EMPTY: ApduData = ApduData {
+        len: 0,
+        bytes: [0; MAX_SHORT_APDU_DATA],
+    };
+
+    /// Copies `data`, which must fit a short APDU.
+    pub fn new(data: &[u8]) -> Result<Self, CardError> {
+        if data.len() > MAX_SHORT_APDU_DATA {
+            return Err(CardError::ApduTooLong {
+                len: data.len(),
+                max: MAX_SHORT_APDU_DATA,
+            });
+        }
+        let mut out = ApduData::EMPTY;
+        out.bytes[..data.len()].copy_from_slice(data);
+        out.len = data.len() as u8;
+        Ok(out)
+    }
+
+    /// Appends as much of `data` as still fits and returns how much did.
+    fn fill(&mut self, data: &[u8]) -> usize {
+        let at = usize::from(self.len);
+        let take = data.len().min(MAX_SHORT_APDU_DATA - at);
+        self.bytes[at..at + take].copy_from_slice(&data[..take]);
+        self.len += take as u8;
+        take
+    }
+}
+
+impl Deref for ApduData {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
+}
+
+impl PartialEq for ApduData {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for ApduData {}
+
+impl fmt::Debug for ApduData {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// A command APDU.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Apdu {
@@ -69,7 +137,7 @@ pub struct Apdu {
     /// Parameter 2.
     pub p2: u8,
     /// Command payload (Lc field drives its length).
-    pub data: Vec<u8>,
+    pub data: ApduData,
     /// Maximum number of response bytes expected (Le), `0` meaning "up to 256".
     pub le: u8,
 }
@@ -78,34 +146,26 @@ pub struct Apdu {
 pub const MAX_SHORT_APDU_DATA: usize = 255;
 
 impl Apdu {
-    /// Creates a command with a payload.
-    pub fn new(ins: u8, p1: u8, p2: u8, data: Vec<u8>) -> Result<Self, CardError> {
-        if data.len() > MAX_SHORT_APDU_DATA {
-            return Err(CardError::ApduTooLong {
-                len: data.len(),
-                max: MAX_SHORT_APDU_DATA,
-            });
-        }
-        Ok(Apdu {
+    /// Creates a command with a payload, which must fit a short APDU.
+    pub fn new(ins: u8, p1: u8, p2: u8, data: impl AsRef<[u8]>) -> Result<Self, CardError> {
+        Ok(Apdu::with_data(ins, p1, p2, ApduData::new(data.as_ref())?))
+    }
+
+    /// Creates a command carrying `data` (e.g. one of [`fragments`]).
+    pub fn with_data(ins: u8, p1: u8, p2: u8, data: ApduData) -> Self {
+        Apdu {
             cla: CLA_SDDS,
             ins,
             p1,
             p2,
             data,
             le: 0,
-        })
+        }
     }
 
     /// Creates a command with no payload.
     pub fn simple(ins: u8, p1: u8, p2: u8) -> Self {
-        Apdu {
-            cla: CLA_SDDS,
-            ins,
-            p1,
-            p2,
-            data: Vec::new(),
-            le: 0,
-        }
+        Apdu::with_data(ins, p1, p2, ApduData::EMPTY)
     }
 
     /// Serialised length on the wire: header (4) + Lc (1 if data) + data + Le (1).
@@ -149,7 +209,7 @@ impl Apdu {
                 ins,
                 p1,
                 p2,
-                data: Vec::new(),
+                data: ApduData::EMPTY,
                 le: bytes[4],
             });
         }
@@ -164,7 +224,7 @@ impl Apdu {
             ins,
             p1,
             p2,
-            data: bytes[5..5 + lc].to_vec(),
+            data: ApduData::new(&bytes[5..5 + lc])?,
             le: bytes[5 + lc],
         })
     }
@@ -174,29 +234,36 @@ impl Apdu {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ApduResponse {
     /// Response payload.
-    pub data: Vec<u8>,
+    pub data: ApduData,
     /// Status word.
     pub status: StatusWord,
 }
 
 impl ApduResponse {
-    /// Success with data.
-    pub fn ok(data: Vec<u8>) -> Self {
-        ApduResponse {
-            data,
-            status: StatusWord::OK,
+    /// Success with data. Data longer than a short APDU cannot be sent:
+    /// the response is then [`StatusWord::WRONG_LENGTH`] with no data.
+    pub fn ok(data: &[u8]) -> Self {
+        match ApduData::new(data) {
+            Ok(data) => ApduResponse {
+                data,
+                status: StatusWord::OK,
+            },
+            Err(_) => ApduResponse::error(StatusWord::WRONG_LENGTH),
         }
     }
 
     /// Success with no data.
     pub fn ok_empty() -> Self {
-        ApduResponse::ok(Vec::new())
+        ApduResponse {
+            data: ApduData::EMPTY,
+            status: StatusWord::OK,
+        }
     }
 
     /// Error with a status word and no data.
     pub fn error(status: StatusWord) -> Self {
         ApduResponse {
-            data: Vec::new(),
+            data: ApduData::EMPTY,
             status,
         }
     }
@@ -223,20 +290,33 @@ impl ApduResponse {
         }
         let (data, sw) = bytes.split_at(bytes.len() - 2);
         Ok(ApduResponse {
-            data: data.to_vec(),
+            data: ApduData::new(data)?,
             status: StatusWord(u16::from_be_bytes([sw[0], sw[1]])),
         })
     }
 }
 
-/// Splits a payload into APDU-sized fragments, preserving order. The terminal
-/// proxy uses this to stream arbitrarily large encrypted chunks through the
-/// 255-byte APDU window.
-pub fn fragment_payload(payload: &[u8]) -> Vec<&[u8]> {
-    if payload.is_empty() {
-        return vec![&[]];
-    }
-    payload.chunks(MAX_SHORT_APDU_DATA).collect()
+/// Splits the payload made of `parts`, concatenated, into APDU-sized
+/// fragments, preserving order and without building the concatenation. The
+/// terminal proxy uses this to stream arbitrarily large encrypted chunks
+/// through the 255-byte APDU window. Each fragment comes with `more`, set on
+/// every fragment but the last; an empty payload is one empty fragment.
+pub fn fragments<'a>(parts: &'a [&'a [u8]]) -> impl Iterator<Item = (ApduData, bool)> + 'a {
+    let total: usize = parts.iter().map(|p| p.len()).sum();
+    let count = total.div_ceil(MAX_SHORT_APDU_DATA).max(1);
+    // Position in the payload: the current part and the offset in it.
+    let (mut part, mut offset) = (0, 0);
+    (0..count).map(move |i| {
+        let mut data = ApduData::EMPTY;
+        while usize::from(data.len) < MAX_SHORT_APDU_DATA && part < parts.len() {
+            offset += data.fill(&parts[part][offset..]);
+            if offset == parts[part].len() {
+                part += 1;
+                offset = 0;
+            }
+        }
+        (data, i + 1 < count)
+    })
 }
 
 #[cfg(test)]
@@ -245,7 +325,7 @@ mod tests {
 
     #[test]
     fn encode_decode_roundtrip_with_and_without_data() {
-        let cmd = Apdu::new(ins::PUSH_CHUNK, 1, 2, vec![9, 8, 7]).unwrap();
+        let cmd = Apdu::new(ins::PUSH_CHUNK, 1, 2, [9, 8, 7]).unwrap();
         let bytes = cmd.encode();
         assert_eq!(bytes.len(), cmd.wire_len());
         assert_eq!(Apdu::decode(&bytes).unwrap(), cmd);
@@ -274,7 +354,7 @@ mod tests {
 
     #[test]
     fn response_roundtrip_and_status() {
-        let r = ApduResponse::ok(vec![1, 2, 3]);
+        let r = ApduResponse::ok(&[1, 2, 3]);
         assert!(r.status.is_ok());
         let back = ApduResponse::decode(&r.encode()).unwrap();
         assert_eq!(back, r);
@@ -283,16 +363,32 @@ mod tests {
         assert!(!e.status.is_ok());
         assert_eq!(ApduResponse::decode(&e.encode()).unwrap(), e);
         assert!(ApduResponse::decode(&[0x90]).is_err());
+        // Response data beyond a short APDU is a length error, not data.
+        let long = ApduResponse::ok(&[0u8; 256]);
+        assert_eq!(long.status, StatusWord::WRONG_LENGTH);
+        assert!(long.data.is_empty());
     }
 
     #[test]
     fn fragmentation_respects_max_size_and_order() {
         let payload: Vec<u8> = (0..600u32).map(|i| (i % 256) as u8).collect();
-        let frags = fragment_payload(&payload);
-        assert_eq!(frags.len(), 3);
-        assert!(frags.iter().all(|f| f.len() <= MAX_SHORT_APDU_DATA));
-        let reassembled: Vec<u8> = frags.concat();
-        assert_eq!(reassembled, payload);
-        assert_eq!(fragment_payload(&[]).len(), 1);
+        // One part, or the same bytes split into parts at odd places.
+        for parts in [
+            vec![&payload[..]],
+            vec![&payload[..4], &payload[4..36], &payload[36..]],
+            vec![&payload[..255], &[], &payload[255..510], &payload[510..]],
+        ] {
+            let frags: Vec<(ApduData, bool)> = fragments(&parts).collect();
+            assert_eq!(frags.len(), 3);
+            assert!(frags.iter().all(|(f, _)| f.len() <= MAX_SHORT_APDU_DATA));
+            let more: Vec<bool> = frags.iter().map(|(_, more)| *more).collect();
+            assert_eq!(more, vec![true, true, false]);
+            let reassembled: Vec<u8> = frags.iter().flat_map(|(f, _)| f.iter().copied()).collect();
+            assert_eq!(reassembled, payload);
+        }
+        let empty: Vec<(ApduData, bool)> = fragments(&[]).collect();
+        assert_eq!(empty, vec![(ApduData::EMPTY, false)]);
+        // A payload of exactly one APDU is one fragment.
+        assert_eq!(fragments(&[&payload[..255]]).count(), 1);
     }
 }

@@ -11,7 +11,7 @@
 
 use sdds_crypto::KeyRing;
 
-use crate::apdu::{Apdu, ApduResponse, StatusWord};
+use crate::apdu::{Apdu, ApduData, ApduResponse, StatusWord};
 use crate::cost::{CostLedger, CostModel};
 use crate::error::CardError;
 use crate::resources::{EepromBudget, RamBudget};
@@ -174,7 +174,7 @@ impl<A: Applet> CardRuntime<A> {
     }
 
     /// Performs an exchange and turns non-success status words into errors.
-    pub fn exchange_expect_ok(&mut self, command: &Apdu) -> Result<Vec<u8>, CardError> {
+    pub fn exchange_expect_ok(&mut self, command: &Apdu) -> Result<ApduData, CardError> {
         let response = self.exchange(command);
         if response.status.is_ok() {
             Ok(response.data)
@@ -232,7 +232,7 @@ mod tests {
                     self.stored.extend_from_slice(&command.data);
                     ApduResponse::ok_empty()
                 }
-                ins::GET_OUTPUT => ApduResponse::ok(self.stored.clone()),
+                ins::GET_OUTPUT => ApduResponse::ok(&self.stored),
                 _ => ApduResponse::error(StatusWord::INS_NOT_SUPPORTED),
             }
         }
@@ -254,7 +254,7 @@ mod tests {
     #[test]
     fn runtime_meters_every_exchange() {
         let mut rt = CardRuntime::new(CardProfile::egate(), EchoApplet { stored: vec![] });
-        let cmd = Apdu::new(ins::PUSH_CHUNK, 0, 0, vec![1, 2, 3, 4]).unwrap();
+        let cmd = Apdu::new(ins::PUSH_CHUNK, 0, 0, [1, 2, 3, 4]).unwrap();
         let resp = rt.exchange(&cmd);
         assert!(resp.status.is_ok());
         let meter = &rt.card().ledger_ref().channel;
@@ -265,7 +265,7 @@ mod tests {
         let out = rt
             .exchange_expect_ok(&Apdu::simple(ins::GET_OUTPUT, 0, 0))
             .unwrap();
-        assert_eq!(out, vec![1, 2, 3, 4]);
+        assert_eq!(&out[..], &[1, 2, 3, 4]);
         assert_eq!(rt.card().ledger_ref().channel.apdu_exchanges, 2);
     }
 
@@ -284,7 +284,7 @@ mod tests {
         // The e-gate has 1 KiB of RAM; pushing five 255-byte chunks overruns it.
         let chunk = vec![0u8; 255];
         for i in 0..4 {
-            let resp = rt.exchange(&Apdu::new(ins::PUSH_CHUNK, i, 0, chunk.clone()).unwrap());
+            let resp = rt.exchange(&Apdu::new(ins::PUSH_CHUNK, i, 0, &chunk).unwrap());
             assert!(resp.status.is_ok(), "chunk {i} should fit");
         }
         let resp = rt.exchange(&Apdu::new(ins::PUSH_CHUNK, 9, 0, chunk).unwrap());

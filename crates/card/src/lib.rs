@@ -27,7 +27,7 @@ pub mod cost;
 pub mod error;
 pub mod resources;
 
-pub use apdu::{Apdu, ApduResponse, StatusWord};
+pub use apdu::{Apdu, ApduData, ApduResponse, StatusWord};
 pub use card::{Applet, CardProfile, CardRuntime, SmartCard};
 pub use channel::{BatchedChannel, ChannelMeter, ChannelModel};
 pub use cost::{CostLedger, CostModel, LatencyBreakdown};

@@ -22,12 +22,46 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use sdds_xml::{Attribute, Event};
+use sdds_xml::{writer, AttrsRef, Event, EventRef};
 
 use crate::conflict::{resolve_signs, AccessPolicy, Decision};
 use crate::error::CoreError;
 use crate::rule::Sign;
-use crate::runtime::{EngineOutput, InstanceId, NodeAnnotation};
+use crate::runtime::{InstanceId, NodeAnnotation};
+
+/// Where the assembler delivers the authorized view.
+///
+/// The assembler hands over most events borrowed, as they come out of the
+/// decrypted window; a sink copies what it keeps. An event that waited
+/// behind a pending decision is already owned, and is handed over by move.
+pub trait ViewSink {
+    /// Delivers one authorized event, borrowed.
+    fn deliver(&mut self, event: EventRef<'_>);
+
+    /// Delivers one authorized event the assembler owns.
+    fn deliver_owned(&mut self, event: Event) {
+        self.deliver(event.as_event_ref());
+    }
+}
+
+/// Collects the view as owned events: each borrowed event is copied once.
+impl ViewSink for Vec<Event> {
+    fn deliver(&mut self, event: EventRef<'_>) {
+        self.push(event.to_event());
+    }
+
+    fn deliver_owned(&mut self, event: Event) {
+        self.push(event);
+    }
+}
+
+/// Renders the view as compact XML text, appended in place: what
+/// [`writer::to_string`] makes of the events, with no event copied.
+impl ViewSink for String {
+    fn deliver(&mut self, event: EventRef<'_>) {
+        writer::write_event(self, event);
+    }
+}
 
 /// One element currently open in the rendered view.
 #[derive(Debug, Clone)]
@@ -40,7 +74,8 @@ struct RenderFrame {
     emitted: bool,
 }
 
-/// A queued annotated event awaiting rendering.
+/// A queued annotated event awaiting rendering: the one place the
+/// assembler owns a copy of an event.
 #[derive(Debug, Clone)]
 struct QueuedEvent {
     event: Event,
@@ -80,7 +115,7 @@ pub struct AssemblerStats {
     pub forced_resolutions: usize,
 }
 
-/// Builds the authorized view from engine outputs.
+/// Builds the authorized view from the engine's annotated events.
 #[derive(Debug)]
 pub struct ViewAssembler {
     policy: AccessPolicy,
@@ -93,6 +128,8 @@ pub struct ViewAssembler {
     queued_ram: usize,
     /// Σ `RenderFrame::ram_bytes` over `stack`, kept current the same way.
     stack_ram: usize,
+    /// Events delivered to a sink so far.
+    events_delivered: usize,
     stats: AssemblerStats,
     pending_high_water: Option<usize>,
 }
@@ -109,6 +146,7 @@ impl ViewAssembler {
             stack: Vec::new(),
             queued_ram: 0,
             stack_ram: 0,
+            events_delivered: 0,
             stats: AssemblerStats::default(),
             pending_high_water: None,
         }
@@ -136,6 +174,11 @@ impl ViewAssembler {
     /// Counters.
     pub fn stats(&self) -> AssemblerStats {
         self.stats
+    }
+
+    /// Events delivered to a sink so far.
+    pub fn events_delivered(&self) -> usize {
+        self.events_delivered
     }
 
     /// Number of events currently buffered behind an undecided node.
@@ -176,47 +219,63 @@ impl ViewAssembler {
         self.truths.get(id.0 as usize).copied().flatten()
     }
 
-    /// Feeds one engine output and appends the events it makes renderable
-    /// to `out`. While nothing is pending, an annotated event is rendered in
-    /// one hop; it is buffered only behind (or as) a blocked decision.
-    pub fn push(&mut self, output: EngineOutput, out: &mut Vec<Event>) {
-        match output {
-            EngineOutput::Resolved {
-                instance,
-                satisfied,
-            } => {
-                let idx = instance.0 as usize;
-                if idx >= self.truths.len() {
-                    self.truths.resize(idx + 1, None);
-                }
-                if self.truths[idx].is_none() {
-                    self.truths[idx] = Some(satisfied);
-                }
-                self.drain(out);
-            }
-            EngineOutput::Annotated { event, annotation } if self.queue.is_empty() => {
-                // The event counts as pending while it is decided, exactly as
-                // if it had passed through the buffer.
-                self.stats.peak_pending_events = self.stats.peak_pending_events.max(1);
-                match &event {
-                    Event::Open { .. } => {
-                        let (decided, forced) = self.decide_pending(annotation.as_ref(), 1);
-                        self.stats.forced_resolutions += usize::from(forced);
-                        match decided {
-                            Some((decision, in_scope)) => {
-                                self.render_open(event, decision, in_scope, out);
+    /// Records the resolution of a pending instance and delivers the events
+    /// it unblocks to `out`.
+    pub fn resolve(&mut self, instance: InstanceId, satisfied: bool, out: &mut impl ViewSink) {
+        let idx = instance.0 as usize;
+        if idx >= self.truths.len() {
+            self.truths.resize(idx + 1, None);
+        }
+        if self.truths[idx].is_none() {
+            self.truths[idx] = Some(satisfied);
+        }
+        self.drain(out);
+        self.stats.peak_ram_bytes = self.stats.peak_ram_bytes.max(self.ram_bytes());
+    }
+
+    /// Feeds one event with its annotation (`Some` for an `open` event) and
+    /// delivers the events it makes renderable to `out`. While nothing is
+    /// pending, the event is rendered in one hop, borrowed; it is copied
+    /// only to be buffered behind (or as) a blocked decision.
+    pub fn push(
+        &mut self,
+        event: EventRef<'_>,
+        annotation: Option<&NodeAnnotation>,
+        out: &mut impl ViewSink,
+    ) {
+        if self.queue.is_empty() {
+            // The event counts as pending while it is decided, exactly as
+            // if it had passed through the buffer.
+            self.stats.peak_pending_events = self.stats.peak_pending_events.max(1);
+            match event {
+                EventRef::Open { name, .. } => {
+                    let (decided, forced) = self.decide_pending(annotation, 1);
+                    self.stats.forced_resolutions += usize::from(forced);
+                    match decided {
+                        Some((decision, in_scope)) => {
+                            if self.open_frame(name, decision, in_scope, out) {
+                                self.deliver(event, out);
                             }
-                            None => self.enqueue(QueuedEvent { event, annotation }),
                         }
+                        None => self.enqueue(QueuedEvent {
+                            event: event.to_event(),
+                            annotation: annotation.cloned(),
+                        }),
                     }
-                    Event::Text(_) => self.render_text(event, out),
-                    Event::Close(_) => self.render_close(out),
                 }
+                EventRef::Text(_) => {
+                    if self.text_delivered() {
+                        self.deliver(event, out);
+                    }
+                }
+                EventRef::Close(_) => self.render_close(out),
             }
-            EngineOutput::Annotated { event, annotation } => {
-                self.enqueue(QueuedEvent { event, annotation });
-                self.drain(out);
-            }
+        } else {
+            self.enqueue(QueuedEvent {
+                event: event.to_event(),
+                annotation: annotation.cloned(),
+            });
+            self.drain(out);
         }
         self.stats.peak_ram_bytes = self.stats.peak_ram_bytes.max(self.ram_bytes());
     }
@@ -268,43 +327,46 @@ impl ViewAssembler {
 
     /// Renders queued events in order until one blocks on an unresolved
     /// decision or the queue empties.
-    fn drain(&mut self, out: &mut Vec<Event>) {
-        while let Some(front) = self.queue.front() {
-            match &front.event {
-                Event::Open { .. } => {
+    fn drain(&mut self, out: &mut impl ViewSink) {
+        loop {
+            let decided = match self.queue.front() {
+                None => break,
+                Some(QueuedEvent {
+                    event: Event::Open { .. },
+                    annotation,
+                }) => {
                     let (decided, forced) =
-                        self.decide_pending(front.annotation.as_ref(), self.queue.len());
+                        self.decide_pending(annotation.as_ref(), self.queue.len());
                     self.stats.forced_resolutions += usize::from(forced);
-                    match decided {
-                        Some((decision, in_scope)) => {
-                            let QueuedEvent { event, .. } =
-                                // lint: infallible — the surrounding match is
-                                // on `self.queue.front()`, so the queue is
-                                // non-empty here.
-                                self.dequeue().expect("front checked above");
-                            self.render_open(event, decision, in_scope, out);
-                        }
-                        None => break, // blocked on a pending predicate
+                    if decided.is_none() {
+                        break; // blocked on a pending predicate
+                    }
+                    decided
+                }
+                Some(_) => None,
+            };
+            // lint: infallible — the match above saw the queue's front.
+            let QueuedEvent { event, .. } = self.dequeue().expect("front checked above");
+            match (&event, decided) {
+                (Event::Open { name, .. }, Some((decision, in_scope))) => {
+                    if self.open_frame(name, decision, in_scope, out) {
+                        self.deliver_owned(event, out);
                     }
                 }
-                Event::Text(_) => {
-                    let QueuedEvent { event, .. } =
-                        // lint: infallible — same `front()` match as above.
-                        self.dequeue().expect("front checked above");
-                    self.render_text(event, out);
+                (Event::Text(_), _) => {
+                    if self.text_delivered() {
+                        self.deliver_owned(event, out);
+                    }
                 }
-                Event::Close(_) => {
-                    self.dequeue();
-                    self.render_close(out);
-                }
+                _ => self.render_close(out),
             }
         }
     }
 
     /// Computes the decision and query scope of a node, or `None` when an
     /// instance it depends on is unresolved. The annotation is borrowed from
-    /// the queue front (cloning it per node dominated the per-event cost for
-    /// large rule sets).
+    /// the engine or the queue front (cloning it per node dominated the
+    /// per-event cost for large rule sets).
     ///
     /// With `force` set, unresolved instances are completed conservatively
     /// instead of blocking: a permit that might apply is dropped, a denial
@@ -323,8 +385,8 @@ impl ViewAssembler {
         let in_scope = if parent_scope {
             true
         } else {
-            match annotation.and_then(|a| a.query.as_ref()) {
-                Some(matches) => match matches.evaluate(&truth) {
+            match annotation.and_then(NodeAnnotation::query) {
+                Some(matches) => match matches.evaluate(truth) {
                     Some(matched) => matched,
                     None if force => false,
                     None => return None,
@@ -336,8 +398,8 @@ impl ViewAssembler {
         // Rules applying directly to the node: only which signs apply
         // matters to the decision.
         let (mut has_deny, mut has_permit) = (false, false);
-        for m in annotation.map(|a| a.direct.as_slice()).unwrap_or(&[]) {
-            let applies = match m.matches.evaluate(&truth) {
+        for (m, matches) in annotation.into_iter().flat_map(NodeAnnotation::direct) {
+            let applies = match matches.evaluate(truth) {
                 Some(applies) => applies,
                 None if force => m.sign == Sign::Deny,
                 None => return None,
@@ -354,30 +416,24 @@ impl ViewAssembler {
         Some((decision, in_scope))
     }
 
-    fn render_open(
+    /// Pushes the render frame of an opened element and returns whether the
+    /// element is delivered; if so, the scaffolding it needs went out first.
+    fn open_frame(
         &mut self,
-        event: Event,
+        name: &Arc<str>,
         decision: Decision,
         in_scope: bool,
-        out: &mut Vec<Event>,
-    ) {
-        let Event::Open { name, attrs } = event else {
-            // lint: infallible — both callers matched `Event::Open` first.
-            unreachable!("render_open called with a non-open event")
-        };
+        out: &mut impl ViewSink,
+    ) -> bool {
         let delivered = decision.is_permit() && in_scope;
         if delivered {
             self.stats.nodes_delivered += 1;
             self.emit_scaffolding(out);
-            out.push(Event::Open {
-                name: Arc::clone(&name),
-                attrs,
-            });
         } else {
             self.stats.nodes_withheld += 1;
         }
         let frame = RenderFrame {
-            name,
+            name: Arc::clone(name),
             decision,
             in_scope,
             delivered,
@@ -385,34 +441,45 @@ impl ViewAssembler {
         };
         self.stack_ram += frame.ram_bytes();
         self.stack.push(frame);
+        delivered
     }
 
-    fn render_text(&mut self, event: Event, out: &mut Vec<Event>) {
-        if self.stack.last().is_some_and(|f| f.delivered) {
-            out.push(event);
-        }
+    /// Whether text in the current element is delivered.
+    fn text_delivered(&self) -> bool {
+        self.stack.last().is_some_and(|f| f.delivered)
     }
 
-    fn render_close(&mut self, out: &mut Vec<Event>) {
+    fn render_close(&mut self, out: &mut impl ViewSink) {
         if let Some(frame) = self.stack.pop() {
             self.stack_ram -= frame.ram_bytes();
             if frame.emitted {
-                out.push(Event::Close(frame.name));
+                self.deliver(EventRef::Close(&frame.name), out);
             }
         }
     }
 
     /// Emits the opening tags of ancestors that are needed for well-formedness
     /// but were not authorized themselves. Scaffolding tags carry no attribute.
-    fn emit_scaffolding(&mut self, out: &mut Vec<Event>) {
+    fn emit_scaffolding(&mut self, out: &mut impl ViewSink) {
         for frame in self.stack.iter_mut().filter(|f| !f.emitted) {
-            out.push(Event::Open {
-                name: Arc::clone(&frame.name),
-                attrs: Vec::<Attribute>::new(),
+            out.deliver(EventRef::Open {
+                name: &frame.name,
+                attrs: AttrsRef::EMPTY,
             });
             frame.emitted = true;
             self.stats.scaffolding_nodes += 1;
+            self.events_delivered += 1;
         }
+    }
+
+    fn deliver(&mut self, event: EventRef<'_>, out: &mut impl ViewSink) {
+        out.deliver(event);
+        self.events_delivered += 1;
+    }
+
+    fn deliver_owned(&mut self, event: Event, out: &mut impl ViewSink) {
+        out.deliver_owned(event);
+        self.events_delivered += 1;
     }
 }
 
@@ -423,6 +490,34 @@ mod tests {
     use crate::rule::{RuleId, Sign};
     use crate::runtime::{EngineRule, RuleEngine};
     use sdds_xml::{writer, Parser};
+
+    /// Delivers to two sinks at once.
+    impl ViewSink for (&mut Vec<Event>, &mut String) {
+        fn deliver(&mut self, event: EventRef<'_>) {
+            self.0.deliver(event);
+            self.1.deliver(event);
+        }
+
+        fn deliver_owned(&mut self, event: Event) {
+            self.1.deliver(event.as_event_ref());
+            self.0.deliver_owned(event);
+        }
+    }
+
+    /// Runs one event through the engine and the assembler.
+    fn feed(
+        engine: &mut RuleEngine,
+        assembler: &mut ViewAssembler,
+        event: &Event,
+        out: &mut impl ViewSink,
+    ) {
+        let mut resolved = Vec::new();
+        let annotation = engine.process(event.as_event_ref(), &mut resolved);
+        for r in resolved {
+            assembler.resolve(r.instance, r.satisfied, out);
+        }
+        assembler.push(event.as_event_ref(), annotation, out);
+    }
 
     fn evaluate(
         rules: &[(&str, Sign)],
@@ -452,16 +547,19 @@ mod tests {
         let mut engine = RuleEngine::new(compiled, query.map(|q| compile_str(q).unwrap()));
         let mut assembler =
             ViewAssembler::new(policy, query.is_some()).with_pending_high_water(pending_high_water);
-        let mut events = Vec::new();
+        let (mut events, mut text) = (Vec::new(), String::new());
         for event in Parser::parse_all(doc).unwrap() {
-            let mut outputs = Vec::new();
-            engine.process(event, &mut outputs);
-            for out in outputs {
-                assembler.push(out, &mut events);
-            }
+            feed(
+                &mut engine,
+                &mut assembler,
+                &event,
+                &mut (&mut events, &mut text),
+            );
         }
         let stats = assembler.finish().unwrap();
-        (writer::to_string(&events), stats)
+        // Both sinks see the same view: owned events and rendered text.
+        assert_eq!(text, writer::to_string(&events));
+        (text, stats)
     }
 
     #[test]
@@ -685,13 +783,9 @@ mod tests {
         let mut engine = RuleEngine::new(compiled, None);
         let mut assembler = ViewAssembler::new(AccessPolicy::paper(), false);
         // Open <r><b><d> but never close: the d decision stays pending.
-        let mut ready = Vec::new();
+        let mut ready: Vec<Event> = Vec::new();
         for event in [Event::open("r"), Event::open("b"), Event::open("d")] {
-            let mut outputs = Vec::new();
-            engine.process(event, &mut outputs);
-            for out in outputs {
-                assembler.push(out, &mut ready);
-            }
+            feed(&mut engine, &mut assembler, &event, &mut ready);
         }
         assert!(!assembler.is_drained());
         assert!(assembler.current_context().is_none());
@@ -707,13 +801,9 @@ mod tests {
         }];
         let mut engine = RuleEngine::new(compiled, None);
         let mut assembler = ViewAssembler::new(AccessPolicy::paper(), false);
-        let mut ready = Vec::new();
+        let mut ready: Vec<Event> = Vec::new();
         for event in [Event::open("a"), Event::open("b")] {
-            let mut outputs = Vec::new();
-            engine.process(event, &mut outputs);
-            for out in outputs {
-                assembler.push(out, &mut ready);
-            }
+            feed(&mut engine, &mut assembler, &event, &mut ready);
         }
         let (decision, in_scope) = assembler.current_context().unwrap();
         assert_eq!(decision, Decision::Permit);

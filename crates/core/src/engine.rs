@@ -18,9 +18,10 @@
 use sdds_card::apdu::{ins, Apdu, ApduResponse, StatusWord};
 use sdds_card::{Applet, CardError, CostLedger, SmartCard};
 use sdds_crypto::{Aes128, KeyId, PolyAesKey, SecretKey};
-use sdds_xml::{writer, Event, TagDict};
+use sdds_xml::{Event, TagDict};
 use sdds_xpath::tagset::PathSignature;
 
+use crate::assembler::ViewSink;
 use crate::conflict::Decision;
 use crate::error::CoreError;
 use crate::evaluator::{EvaluatorConfig, EvaluatorStats, StreamingEvaluator};
@@ -32,7 +33,6 @@ use crate::secdoc::{
 };
 use crate::session::{KeyProvisioning, ProtectedRules};
 use crate::skipindex::decode::{ReadResult, TokenEvent, TokenReader};
-use crate::skipindex::encode::SubtreeSummary;
 use sdds_wire::WireError;
 
 /// Configuration of a secure evaluation session.
@@ -122,6 +122,9 @@ pub struct SecureEvaluationSession {
     next_chunk: u32,
     last_supplied_chunk: Option<u32>,
     done: bool,
+    /// Skip decisions checked against the allocating oracle.
+    #[cfg(test)]
+    skip_checks: usize,
 }
 
 impl std::fmt::Debug for SecureEvaluationSession {
@@ -160,6 +163,8 @@ impl SecureEvaluationSession {
             next_chunk: 0,
             last_supplied_chunk: None,
             done: false,
+            #[cfg(test)]
+            skip_checks: 0,
         })
     }
 
@@ -289,6 +294,23 @@ impl SecureEvaluationSession {
         ciphertext: &[u8],
         tag: &ChunkTag,
     ) -> Result<usize, CoreError> {
+        let mut output = std::mem::take(&mut self.output);
+        let supplied = self.supply_chunk_into(index, ciphertext, tag, &mut output);
+        self.output = output;
+        supplied.map(|_| self.output.len())
+    }
+
+    /// [`SecureEvaluationSession::supply_chunk`], delivering the authorized
+    /// events the chunk releases to `out` instead of the session's output
+    /// channel, borrowed from the decrypted window where they were decoded.
+    /// Returns how many events it delivered.
+    pub fn supply_chunk_into(
+        &mut self,
+        index: u32,
+        ciphertext: &[u8],
+        tag: &ChunkTag,
+        out: &mut impl ViewSink,
+    ) -> Result<usize, CoreError> {
         if self.done {
             return Err(CoreError::BadState {
                 message: "session already finished".into(),
@@ -334,7 +356,7 @@ impl SecureEvaluationSession {
             if (self.dict_buf.len() as u64) < self.header.tokens_start {
                 self.next_chunk += 1;
                 self.sample_ram()?;
-                return Ok(self.output.len());
+                return Ok(0);
             }
             let dict_bytes = &self.dict_buf[..self.header.tokens_start as usize];
             let (dict, _) = TagDict::decode(dict_bytes).ok_or_else(|| CoreError::BadDocument {
@@ -356,9 +378,19 @@ impl SecureEvaluationSession {
         }
 
         // 3. Pump the reader.
-        self.pump()?;
+        let before = self.events_out();
+        self.pump(out)?;
         self.sample_ram()?;
-        Ok(self.output.len())
+        Ok(self.events_out() - before)
+    }
+
+    /// Authorized events delivered so far.
+    fn events_out(&self) -> usize {
+        match (&self.evaluator, &self.stats.evaluator) {
+            (Some(evaluator), _) => evaluator.events_out(),
+            (None, Some(stats)) => stats.events_out,
+            (None, None) => 0,
+        }
     }
 
     /// Builds, for every installed rule and for the query, the tag-set
@@ -377,9 +409,9 @@ impl SecureEvaluationSession {
     }
 
     /// Runs the reader until it needs the next chunk or the document ends,
-    /// moving every decoded event through the evaluator and appending the
-    /// authorized ones to `self.output`.
-    fn pump(&mut self) -> Result<(), CoreError> {
+    /// moving every decoded event through the evaluator and delivering the
+    /// authorized ones to `out`.
+    fn pump(&mut self, out: &mut impl ViewSink) -> Result<(), CoreError> {
         loop {
             let result = self
                 .reader
@@ -394,15 +426,21 @@ impl SecureEvaluationSession {
                         message: "event received after the evaluator finished".into(),
                     })?;
                     self.stats.ledger.record_events(1);
-                    evaluator.push(event, &mut self.output);
+                    evaluator.push(event, out);
                     self.sample_ram()?;
                 }
-                ReadResult::Token(TokenEvent::Summary(summary)) => {
-                    if self.config.use_skip_index && self.can_skip(&summary) {
+                ReadResult::Token(TokenEvent::Summary { content_len }) => {
+                    let skip = self.config.use_skip_index && self.can_skip();
+                    #[cfg(test)]
+                    if self.config.use_skip_index {
+                        assert_eq!(skip, self.can_skip_oracle(), "skip decision drifted");
+                        self.skip_checks += 1;
+                    }
+                    if skip {
                         // lint: infallible — same guard as the `pump` entry.
                         let reader = self.reader.as_mut().expect("reader present");
-                        reader.skip(summary.content_len)?;
-                        self.stats.ledger.record_skip(summary.content_len as usize);
+                        reader.skip(content_len)?;
+                        self.stats.ledger.record_skip(content_len as usize);
                         self.stats.skipped_subtrees += 1;
                     }
                 }
@@ -437,14 +475,16 @@ impl SecureEvaluationSession {
         Ok(())
     }
 
-    /// Skip decision for a summarised subtree (§2.3: "detect rules and queries
-    /// that cannot apply inside a given subtree, with the expected benefit to
-    /// skip this subtree if it turns out to be forbidden or irrelevant wrt the
-    /// query").
-    fn can_skip(&self, summary: &SubtreeSummary) -> bool {
-        let Some(evaluator) = self.evaluator.as_ref() else {
+    /// Skip decision for the subtree of the reader's last summary (§2.3:
+    /// "detect rules and queries that cannot apply inside a given subtree,
+    /// with the expected benefit to skip this subtree if it turns out to be
+    /// forbidden or irrelevant wrt the query"). It walks the engine's active
+    /// positions in place and allocates nothing.
+    fn can_skip(&self) -> bool {
+        let (Some(evaluator), Some(reader)) = (&self.evaluator, &self.reader) else {
             return false;
         };
+        let tags = reader.summary_tags();
         // Any pending decision or unresolved predicate could be influenced by
         // the content of the subtree: stay conservative and read it.
         if evaluator.has_pending() {
@@ -453,16 +493,12 @@ impl SecureEvaluationSession {
         let Some((decision, in_scope)) = evaluator.current_context() else {
             return false;
         };
+        let engine = evaluator.engine();
         // Could the query newly select nodes inside the subtree?
-        let query_may_match_inside = match &self.query_signature {
-            Some(signature) => evaluator
-                .active_query_positions()
-                .iter()
-                .any(|&p| signature.satisfiable_in(p, &summary.tags)),
-            None => false,
-        };
-        let scope_inside = in_scope || query_may_match_inside;
-        if !scope_inside {
+        let query_may_match_inside = self.query_signature.as_ref().is_some_and(|signature| {
+            engine.any_query_position(|position| signature.satisfiable_in(position, tags))
+        });
+        if !(in_scope || query_may_match_inside) {
             // Nothing inside can belong to the query result.
             return true;
         }
@@ -473,8 +509,45 @@ impl SecureEvaluationSession {
         debug_assert_eq!(decision, Decision::Deny);
         // Denied context: content inside becomes deliverable only if a positive
         // rule reaches its final state inside the subtree.
-        let positions = evaluator.active_rule_positions();
-        let positive_reachable = self
+        !engine.any_rule_position(|rule, position| {
+            self.rule_signatures
+                .get(rule)
+                .is_some_and(|(sign, signature)| {
+                    *sign == Sign::Permit && signature.satisfiable_in(position, tags)
+                })
+        })
+    }
+
+    /// [`Self::can_skip`] over the engine's positions collected into vectors
+    /// first: the form the in-place walk is checked against.
+    #[cfg(test)]
+    fn can_skip_oracle(&self) -> bool {
+        let (Some(evaluator), Some(reader)) = (&self.evaluator, &self.reader) else {
+            return false;
+        };
+        let tags = reader.summary_tags();
+        if evaluator.has_pending() {
+            return false;
+        }
+        let Some((decision, in_scope)) = evaluator.current_context() else {
+            return false;
+        };
+        let query_may_match_inside = match &self.query_signature {
+            Some(signature) => evaluator
+                .engine()
+                .active_query_positions()
+                .iter()
+                .any(|&p| signature.satisfiable_in(p, tags)),
+            None => false,
+        };
+        if !(in_scope || query_may_match_inside) {
+            return true;
+        }
+        if decision.is_permit() {
+            return false;
+        }
+        let positions = evaluator.engine().active_positions();
+        !self
             .rule_signatures
             .iter()
             .zip(positions.iter())
@@ -482,9 +555,8 @@ impl SecureEvaluationSession {
             .any(|((_, signature), rule_positions)| {
                 rule_positions
                     .iter()
-                    .any(|&p| signature.satisfiable_in(p, &summary.tags))
-            });
-        !positive_reachable
+                    .any(|&p| signature.satisfiable_in(p, tags))
+            })
     }
 }
 
@@ -566,13 +638,12 @@ pub struct AccessControlApplet {
     session: Option<SecureEvaluationSession>,
     /// Reassembly buffer for fragmented `PUT_RULES` payloads.
     rules_buf: Vec<u8>,
-    /// Reassembly buffer for fragmented `PUSH_CHUNK` payloads.
+    /// Reassembly buffer for fragmented `PUSH_CHUNK` payloads, emptied and
+    /// reused for every chunk.
     chunk_buf: Vec<u8>,
-    /// The last `PUSH_CHUNK`'s authorized events, alternated with the
-    /// session's output buffer and emptied once serialised.
-    events: Vec<Event>,
-    /// Serialised authorized output awaiting `GET_OUTPUT`.
-    output_text: Vec<u8>,
+    /// Authorized output awaiting `GET_OUTPUT`: each `PUSH_CHUNK` renders
+    /// the events it releases straight into it, as compact XML.
+    output_text: String,
     /// Cursor into `output_text`.
     output_pos: usize,
 }
@@ -598,8 +669,7 @@ impl AccessControlApplet {
             session: None,
             rules_buf: Vec::new(),
             chunk_buf: Vec::new(),
-            events: Vec::new(),
-            output_text: Vec::new(),
+            output_text: String::new(),
             output_pos: 0,
         }
     }
@@ -743,7 +813,7 @@ impl AccessControlApplet {
             SessionRequest::NeedChunk(i) => i,
             SessionRequest::Done => u32::MAX,
         };
-        ApduResponse::ok(value.to_le_bytes().to_vec())
+        ApduResponse::ok(&value.to_le_bytes())
     }
 
     fn handle_push_chunk(&mut self, card: &mut SmartCard, command: &Apdu) -> ApduResponse {
@@ -762,57 +832,74 @@ impl AccessControlApplet {
         if command.p1 == 1 {
             return ApduResponse::ok_empty();
         }
-        let payload = std::mem::take(&mut self.chunk_buf);
-        if payload.len() < PUSH_CHUNK_PREFIX {
-            return ApduResponse::error(StatusWord::WRONG_LENGTH);
+        let response = Self::supply_payload(session, card, &self.chunk_buf, &mut self.output_text);
+        self.chunk_buf.clear();
+        match response {
+            Ok(()) => {
+                let available = (self.output_text.len() - self.output_pos) as u32;
+                ApduResponse::ok(&available.to_le_bytes())
+            }
+            Err(status) => ApduResponse::error(status),
         }
-        // lint: infallible — `payload.len() >= PUSH_CHUNK_PREFIX` is checked
-        // above, so both fixed-width slices convert exactly.
-        let index = u32::from_le_bytes(payload[..4].try_into().expect("4 bytes"));
-        let tag = ChunkTag::from_bytes(payload[4..PUSH_CHUNK_PREFIX].try_into().expect("tag")); // lint: infallible — see above
+    }
+
+    /// Supplies one reassembled `PUSH_CHUNK` payload — chunk index (4), tag
+    /// (32), ciphertext — to the session, which renders the events it
+    /// releases onto `output`. On failure `output` is left as it was.
+    fn supply_payload(
+        session: &mut SecureEvaluationSession,
+        card: &mut SmartCard,
+        payload: &[u8],
+        output: &mut String,
+    ) -> Result<(), StatusWord> {
+        let (Some(index), Some(tag)) = (payload.get(..4), payload.get(4..PUSH_CHUNK_PREFIX)) else {
+            return Err(StatusWord::WRONG_LENGTH);
+        };
+        // lint: infallible — both slices were taken at their exact widths.
+        let index = u32::from_le_bytes(index.try_into().expect("4 bytes"));
+        let tag = ChunkTag::from_bytes(tag.try_into().expect("tag")); // lint: infallible — see above
         let ciphertext = &payload[PUSH_CHUNK_PREFIX..];
-        match session.supply_chunk(index, ciphertext, &tag) {
-            Ok(_) => {
-                session.swap_output(&mut self.events);
+        let rendered = output.len();
+        match session.supply_chunk_into(index, ciphertext, &tag, output) {
+            Ok(delivered) => {
                 // Mirror the session ledger into the card ledger so that card
                 // level reports include on-card crypto work.
                 card.ledger().record_decrypt(ciphertext.len());
                 card.ledger().record_hash(ciphertext.len());
-                card.ledger().record_events(self.events.len());
-                if !self.events.is_empty() {
-                    let text = writer::to_string(&self.events);
-                    self.output_text.extend_from_slice(text.as_bytes());
-                    self.events.clear();
-                }
-                let available = (self.output_text.len() - self.output_pos) as u32;
-                ApduResponse::ok(available.to_le_bytes().to_vec())
+                card.ledger().record_events(delivered);
+                Ok(())
             }
-            Err(e) => ApduResponse::error(Self::status_for(&e)),
+            Err(e) => {
+                output.truncate(rendered);
+                Err(Self::status_for(&e))
+            }
         }
     }
 
     fn handle_get_output(&mut self) -> ApduResponse {
-        let available = &self.output_text[self.output_pos..];
+        let available = &self.output_text.as_bytes()[self.output_pos..];
         let take = available.len().min(250);
-        // Copies at most 250 output bytes into the APDU window, which owns its data.
-        let data = available[..take].to_vec();
         self.output_pos += take;
-        ApduResponse::ok(data)
+        ApduResponse::ok(&available[..take])
     }
 
     fn handle_close_session(&mut self) -> ApduResponse {
         match self.session.take() {
             Some(session) => {
-                let stats = session.stats().clone();
-                let mut data = Vec::with_capacity(20);
-                data.extend_from_slice(&(stats.ledger.bytes_decrypted as u32).to_le_bytes());
-                data.extend_from_slice(&(stats.ledger.bytes_skipped as u32).to_le_bytes());
-                data.extend_from_slice(&(stats.skipped_subtrees as u32).to_le_bytes());
-                data.extend_from_slice(&(stats.chunks_fetched as u32).to_le_bytes());
-                data.extend_from_slice(&(stats.peak_ram_bytes as u32).to_le_bytes());
+                let stats = session.stats();
+                let mut data = [0u8; 20];
+                for (field, value) in data.chunks_exact_mut(4).zip([
+                    stats.ledger.bytes_decrypted,
+                    stats.ledger.bytes_skipped,
+                    stats.skipped_subtrees,
+                    stats.chunks_fetched,
+                    stats.peak_ram_bytes,
+                ]) {
+                    field.copy_from_slice(&(value as u32).to_le_bytes());
+                }
                 self.output_text.clear();
                 self.output_pos = 0;
-                ApduResponse::ok(data)
+                ApduResponse::ok(&data)
             }
             None => ApduResponse::error(StatusWord::CONDITIONS_NOT_SATISFIED),
         }
@@ -1255,7 +1342,7 @@ mod tests {
     mod applet {
         use super::*;
         use crate::session::TrustedServer;
-        use sdds_card::apdu::fragment_payload;
+        use sdds_card::apdu::fragments;
         use sdds_card::{CardProfile, CardRuntime};
 
         /// Terminal-side driver for the applet (a miniature proxy used by the
@@ -1274,11 +1361,9 @@ mod tests {
                 .exchange_expect_ok(&Apdu::new(ins::PUT_KEY, 0, 0, rules_key.encode()).unwrap())
                 .unwrap();
             let protected = server.protected_rules_for(subject).encode();
-            let fragments = fragment_payload(&protected);
-            for (i, frag) in fragments.iter().enumerate() {
-                let more = u8::from(i + 1 < fragments.len());
+            for (frag, more) in fragments(&[&protected]) {
                 runtime
-                    .exchange_expect_ok(&Apdu::new(ins::PUT_RULES, more, 0, frag.to_vec()).unwrap())
+                    .exchange_expect_ok(&Apdu::with_data(ins::PUT_RULES, u8::from(more), 0, frag))
                     .unwrap();
             }
         }
@@ -1291,15 +1376,10 @@ mod tests {
             chunk: &[u8],
             tag: &ChunkTag,
         ) -> StatusWord {
-            let mut payload = index.to_le_bytes().to_vec();
-            payload.extend_from_slice(tag.as_bytes());
-            payload.extend_from_slice(chunk);
-            let fragments = fragment_payload(&payload);
             let mut status = StatusWord::OK;
-            for (i, frag) in fragments.iter().enumerate() {
-                let more = u8::from(i + 1 < fragments.len());
+            for (frag, more) in fragments(&[&index.to_le_bytes(), tag.as_bytes(), chunk]) {
                 status = runtime
-                    .exchange(&Apdu::new(ins::PUSH_CHUNK, more, 0, frag.to_vec()).unwrap())
+                    .exchange(&Apdu::with_data(ins::PUSH_CHUNK, u8::from(more), 0, frag))
                     .status;
             }
             status
@@ -1472,12 +1552,9 @@ mod tests {
                 .unwrap();
             // Rules sealed by the other community do not verify.
             let foreign = other.protected_rules_for(&subject).encode();
-            let fragments = fragment_payload(&foreign);
             let mut last = ApduResponse::ok_empty();
-            for (i, frag) in fragments.iter().enumerate() {
-                let more = u8::from(i + 1 < fragments.len());
-                last =
-                    runtime.exchange(&Apdu::new(ins::PUT_RULES, more, 0, frag.to_vec()).unwrap());
+            for (frag, more) in fragments(&[&foreign]) {
+                last = runtime.exchange(&Apdu::with_data(ins::PUT_RULES, u8::from(more), 0, frag));
             }
             assert_eq!(last.status, StatusWord::SECURITY_NOT_SATISFIED);
         }
@@ -1540,5 +1617,102 @@ mod tests {
             let (chunk, tag) = secure.sealed_chunk(0).unwrap();
             assert_eq!(push_chunk(&mut runtime, 0, &chunk, &tag), StatusWord::OK);
         }
+    }
+}
+
+/// Seeded property: the skip decision that walks the engine's positions in
+/// place decides every summary exactly as the oracle that first collects
+/// them into vectors.
+///
+/// A lost skip leaves the view correct and only makes it slower, so the
+/// oracle tests of the view cannot see one; this property compares the
+/// decisions themselves. The session asserts the agreement at every summary
+/// in test builds; here the four medical subjects run with and without a
+/// query, over documents, chunk sizes and index granularities drawn per
+/// case. Runs `SDDS_PROP_CASES` cases (default 64); a failure names its
+/// case, which reproduces exactly.
+#[cfg(test)]
+mod skip_props {
+    use sdds_crypto::SecretKey;
+    use sdds_xml::generator::{self, GeneratorConfig, HospitalProfile};
+
+    use super::{run_local, EngineConfig, SecureEvaluationSession};
+    use crate::evaluator::ram_props::{cases, rules, Rng, QUERIES, SUBJECTS};
+    use crate::evaluator::EvaluatorConfig;
+    use crate::query::Query;
+    use crate::rule::RuleSet;
+    use crate::secdoc::SecureDocumentBuilder;
+    use crate::skipindex::encode::EncoderConfig;
+
+    /// The benchmark's medical policy: no predicate is pending, so every
+    /// skip decision reaches the walk over the rule positions.
+    fn plain_rules() -> RuleSet {
+        RuleSet::parse(
+            "+, doctor, //patient\n\
+             -, doctor, //patient/ssn\n\
+             +, secretary, //patient/name\n\
+             +, secretary, //patient/address\n\
+             +, researcher, //diagnosis\n\
+             +, auditor, //acts/act[@type = \"surgery\"]/report",
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn in_place_skip_decisions_match_the_position_vectors() {
+        let key = SecretKey::derive(b"skip-props", "documents");
+        let (mut checks, mut skips) = (0, 0);
+        for case in 0..cases() {
+            let mut rng = Rng(case.wrapping_mul(0x9E37) ^ 0x5EC7);
+            let doc = generator::hospital(
+                &HospitalProfile {
+                    patients: 1 + rng.below(6) as usize,
+                    ..HospitalProfile::default()
+                },
+                &GeneratorConfig {
+                    seed: rng.next(),
+                    ..GeneratorConfig::default()
+                },
+            );
+            let chunk_size = [64, 128, 256][rng.below(3) as usize];
+            let min_index_bytes = [16, 32, 64][rng.below(3) as usize];
+            let secure = SecureDocumentBuilder::new("folder", key.clone())
+                .chunk_size(chunk_size)
+                .encoder_config(EncoderConfig {
+                    min_index_bytes,
+                    ..EncoderConfig::default()
+                })
+                .build(&doc);
+            let policy = if rng.below(2) == 0 {
+                plain_rules()
+            } else {
+                rules()
+            };
+            let query = QUERIES[rng.below(QUERIES.len() as u64) as usize];
+            for subject in SUBJECTS {
+                for query in [None, Some(query)] {
+                    let ctx = format!(
+                        "case {case}: {subject}, query {query:?}, chunks of {chunk_size} B, \
+                         index from {min_index_bytes} B"
+                    );
+                    let mut evaluator = EvaluatorConfig::new(policy.clone(), subject);
+                    if let Some(q) = query {
+                        evaluator = evaluator.with_query(Query::parse(q).unwrap());
+                    }
+                    let mut session = SecureEvaluationSession::open(
+                        secure.header.clone(),
+                        key.clone(),
+                        EngineConfig::new(evaluator),
+                    )
+                    .unwrap();
+                    run_local(&secure, &mut session).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    checks += session.skip_checks;
+                    skips += session.stats().skipped_subtrees;
+                }
+            }
+        }
+        // Both outcomes were decided, many times.
+        assert!(skips > 0, "no subtree was skipped");
+        assert!(checks > skips, "no summarised subtree was read");
     }
 }

@@ -7,14 +7,14 @@
 //! dissemination filtering on a trusted gateway) and embedded by
 //! [`crate::engine`] inside the SOE for encrypted documents.
 
-use sdds_xml::Event;
+use sdds_xml::{Event, EventRef};
 
-use crate::assembler::{AssemblerStats, ViewAssembler};
+use crate::assembler::{AssemblerStats, ViewAssembler, ViewSink};
 use crate::conflict::{AccessPolicy, Decision};
 use crate::error::CoreError;
 use crate::query::Query;
 use crate::rule::{RuleSet, Subject};
-use crate::runtime::{EngineOutput, EngineRule, EngineStats, RuleEngine};
+use crate::runtime::{EngineRule, EngineStats, Resolution, RuleEngine};
 
 /// Configuration of a streaming evaluation session.
 #[derive(Debug, Clone)]
@@ -122,12 +122,11 @@ impl EvaluatorStats {
 pub struct StreamingEvaluator {
     engine: RuleEngine,
     assembler: ViewAssembler,
-    /// Engine outputs of the current event, handed to the assembler in
-    /// order; reused across events.
-    engine_out: Vec<EngineOutput>,
+    /// Instance resolutions of the current event, handed to the assembler
+    /// before the event itself; reused across events.
+    resolved: Vec<Resolution>,
     subject: Subject,
     events_in: usize,
-    events_out: usize,
 }
 
 impl StreamingEvaluator {
@@ -145,10 +144,9 @@ impl StreamingEvaluator {
             engine: RuleEngine::new(compiled, query),
             assembler: ViewAssembler::new(config.policy, has_query)
                 .with_pending_high_water(config.pending_high_water),
-            engine_out: Vec::new(),
+            resolved: Vec::new(),
             subject: config.subject.clone(),
             events_in: 0,
-            events_out: 0,
         })
     }
 
@@ -180,16 +178,24 @@ impl StreamingEvaluator {
         self.engine.remove_rule(id)
     }
 
-    /// Feeds one event and moves the authorized events that became ready
-    /// onto the end of `out`.
-    pub fn push(&mut self, event: Event, out: &mut Vec<Event>) {
+    /// Feeds one event, borrowed, and delivers the authorized events that
+    /// became ready to `out`.
+    pub fn push(&mut self, event: EventRef<'_>, out: &mut impl ViewSink) {
         self.events_in += 1;
-        self.engine.process(event, &mut self.engine_out);
-        let before = out.len();
-        for output in self.engine_out.drain(..) {
-            self.assembler.push(output, out);
+        let annotation = self.engine.process(event, &mut self.resolved);
+        for Resolution {
+            instance,
+            satisfied,
+        } in self.resolved.drain(..)
+        {
+            self.assembler.resolve(instance, satisfied, out);
         }
-        self.events_out += out.len() - before;
+        self.assembler.push(event, annotation, out);
+    }
+
+    /// Authorized events delivered so far.
+    pub fn events_out(&self) -> usize {
+        self.assembler.events_delivered()
     }
 
     /// Effective decision and query scope of the innermost open element when
@@ -198,14 +204,9 @@ impl StreamingEvaluator {
         self.assembler.current_context()
     }
 
-    /// Active navigational positions per rule (skip-index satisfiability).
-    pub fn active_rule_positions(&self) -> Vec<Vec<usize>> {
-        self.engine.active_positions()
-    }
-
-    /// Active navigational positions of the query automaton.
-    pub fn active_query_positions(&self) -> Vec<usize> {
-        self.engine.active_query_positions()
+    /// The rule engine, for the skip logic's walk over its active positions.
+    pub(crate) fn engine(&self) -> &RuleEngine {
+        &self.engine
     }
 
     /// True while at least one predicate instance is unresolved.
@@ -230,11 +231,12 @@ impl StreamingEvaluator {
     /// [`StreamingEvaluator::push`]; this fails if a decision is still
     /// blocked (truncated input).
     pub fn finish(self) -> Result<EvaluatorStats, CoreError> {
+        let events_out = self.events_out();
         Ok(EvaluatorStats {
             engine: self.engine.stats(),
             assembler: self.assembler.finish()?,
             events_in: self.events_in,
-            events_out: self.events_out,
+            events_out,
         })
     }
 
@@ -247,7 +249,7 @@ impl StreamingEvaluator {
         let mut evaluator = StreamingEvaluator::new(config)?;
         let mut out = Vec::new();
         for event in events {
-            evaluator.push(event.clone(), &mut out);
+            evaluator.push(event.as_event_ref(), &mut out);
         }
         let stats = evaluator.finish()?;
         Ok((out, stats))
@@ -378,7 +380,7 @@ mod tests {
         let mut produced_early = false;
         let mut out = Vec::new();
         for (i, ev) in events.iter().enumerate() {
-            eval.push(ev.clone(), &mut out);
+            eval.push(ev.as_event_ref(), &mut out);
             if i < events.len() / 2 && !out.is_empty() {
                 produced_early = true;
             }
@@ -526,7 +528,7 @@ mod tests {
 /// `SDDS_PROP_CASES` cases (default 64); a failure names its case, which
 /// reproduces exactly.
 #[cfg(test)]
-mod ram_props {
+pub(crate) mod ram_props {
     use sdds_crypto::SecretKey;
     use sdds_xml::generator::{self, GeneratorConfig, HospitalProfile};
 
@@ -540,7 +542,7 @@ mod ram_props {
     use crate::secdoc::SecureDocumentBuilder;
 
     /// Cases per property: `SDDS_PROP_CASES` when set and parseable, else 64.
-    fn cases() -> u64 {
+    pub(crate) fn cases() -> u64 {
         std::env::var("SDDS_PROP_CASES")
             .ok()
             .and_then(|v| v.parse().ok())
@@ -548,10 +550,10 @@ mod ram_props {
     }
 
     /// SplitMix64: a small deterministic generator for the case parameters.
-    struct Rng(u64);
+    pub(crate) struct Rng(pub(crate) u64);
 
     impl Rng {
-        fn next(&mut self) -> u64 {
+        pub(crate) fn next(&mut self) -> u64 {
             self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -559,17 +561,17 @@ mod ram_props {
             z ^ (z >> 31)
         }
 
-        fn below(&mut self, n: u64) -> u64 {
+        pub(crate) fn below(&mut self, n: u64) -> u64 {
             self.next() % n
         }
     }
 
-    const SUBJECTS: [&str; 4] = ["doctor", "secretary", "researcher", "auditor"];
+    pub(crate) const SUBJECTS: [&str; 4] = ["doctor", "secretary", "researcher", "auditor"];
 
     /// The medical policy of the benchmarks, plus predicates that make decisions
     /// pend (evidence after the node), resolve through child text (watchers that
     /// buffer text) and through the node's own text.
-    fn rules() -> RuleSet {
+    pub(crate) fn rules() -> RuleSet {
         RuleSet::parse(
             "+, doctor, //patient\n\
              -, doctor, //patient/ssn\n\
@@ -597,7 +599,7 @@ mod ram_props {
         AccessRule::permit(id, subject, object).unwrap()
     }
 
-    const QUERIES: [&str; 3] = ["//patient[acts/act]", "//acts/act", "//diagnosis"];
+    pub(crate) const QUERIES: [&str; 3] = ["//patient[acts/act]", "//acts/act", "//diagnosis"];
 
     #[test]
     fn running_ram_counters_equal_a_full_recount_after_every_event() {
@@ -635,8 +637,8 @@ mod ram_props {
             let events = doc.to_events();
             let add_at = rng.below(events.len() as u64) as usize;
             let remove_at = rng.below(events.len() as u64) as usize;
-            let (mut outputs, mut view) = (Vec::new(), Vec::new());
-            for (i, event) in events.into_iter().enumerate() {
+            let (mut resolved, mut view) = (Vec::new(), Vec::<sdds_xml::Event>::new());
+            for (i, event) in events.iter().enumerate() {
                 if i == add_at {
                     let rule = extra_rule(subject, 100 + case as u32);
                     engine
@@ -652,20 +654,27 @@ mod ram_props {
                         "{ctx}: remove"
                     );
                 }
-                engine.process(event, &mut outputs);
+                let event = event.as_event_ref();
+                let annotation = engine.process(event, &mut resolved);
+                for r in resolved.drain(..) {
+                    assembler.resolve(r.instance, r.satisfied, &mut view);
+                    assert_eq!(
+                        assembler.ram_bytes(),
+                        assembler.recount_ram_bytes(),
+                        "{ctx}: assembler after a resolution at event {i}"
+                    );
+                }
+                assembler.push(event, annotation, &mut view);
+                assert_eq!(
+                    assembler.ram_bytes(),
+                    assembler.recount_ram_bytes(),
+                    "{ctx}: assembler after event {i}"
+                );
                 assert_eq!(
                     engine.ram_bytes(),
                     engine.recount_ram_bytes(),
                     "{ctx}: engine after event {i}"
                 );
-                for output in outputs.drain(..) {
-                    assembler.push(output, &mut view);
-                    assert_eq!(
-                        assembler.ram_bytes(),
-                        assembler.recount_ram_bytes(),
-                        "{ctx}: assembler after event {i}"
-                    );
-                }
             }
             assembler.finish().unwrap();
 

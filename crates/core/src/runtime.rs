@@ -44,7 +44,7 @@
 
 use std::collections::HashMap;
 
-use sdds_xml::{Attribute, Event};
+use sdds_xml::{AttrsRef, EventRef};
 use sdds_xpath::Axis;
 
 use crate::automaton::{CompiledPath, ValueCondition};
@@ -56,39 +56,174 @@ use crate::rule::{AccessRule, RuleId, Sign};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InstanceId(pub u32);
 
-/// The alternatives under which a rule (or the query) matches a node: each
-/// alternative is a conjunction of pending instances that must all resolve to
-/// `true`; the match applies if **any** alternative holds. An empty
-/// conjunction means the match holds unconditionally.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MatchAlternatives {
-    /// The alternatives.
-    pub alternatives: Vec<Vec<InstanceId>>,
+/// A predicate instance that resolved while the engine processed an event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Resolution {
+    /// The instance.
+    pub instance: InstanceId,
+    /// Whether the predicate is satisfied.
+    pub satisfied: bool,
 }
 
-impl MatchAlternatives {
-    /// Adds one alternative (a conjunction of instance ids).
-    pub fn add(&mut self, conjunction: Vec<InstanceId>) {
-        // An unconditional alternative makes every other alternative redundant.
-        if conjunction.is_empty() {
-            self.alternatives.clear();
-            self.alternatives.push(conjunction);
-        } else if !self.is_unconditional() {
-            self.alternatives.push(conjunction);
+/// Owner of an alternative in a [`NodeAnnotation`]: an engine rule index,
+/// or the query.
+const QUERY_OWNER: u32 = u32::MAX;
+
+/// One conditional alternative of a match: a conjunction of pending
+/// instances, stored as a range of the annotation's instance ids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Alternative {
+    owner: u32,
+    start: u32,
+    end: u32,
+}
+
+/// A rule that reached its navigational final state on a node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DirectMatch {
+    /// The rule.
+    pub rule: RuleId,
+    /// Its sign.
+    pub sign: Sign,
+    /// Index of the rule in the engine, the owner of its alternatives.
+    index: u32,
+    unconditional: bool,
+}
+
+/// Per-node annotation produced by the engine for `open` events: the rules
+/// (and the query) whose navigational path ends on the node, each with the
+/// alternatives under which the match holds.
+///
+/// The annotation is flat — a few vectors the engine clears and refills for
+/// every open tag — so annotating a node allocates nothing once they have
+/// grown.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct NodeAnnotation {
+    /// Rules matching the node, in engine order.
+    direct: Vec<DirectMatch>,
+    /// `Some(unconditional)` when the query's navigational path ends here.
+    query: Option<bool>,
+    /// Conditional alternatives of the direct matches and the query.
+    alternatives: Vec<Alternative>,
+    /// Instance ids of the alternatives.
+    ids: Vec<InstanceId>,
+}
+
+impl NodeAnnotation {
+    fn clear(&mut self) {
+        self.direct.clear();
+        self.query = None;
+        self.alternatives.clear();
+        self.ids.clear();
+    }
+
+    /// Rules whose navigational path ends on this node, in engine order,
+    /// each with the conditions under which it applies.
+    pub fn direct(&self) -> impl Iterator<Item = (DirectMatch, MatchAlternatives<'_>)> + '_ {
+        self.direct.iter().map(move |&m| {
+            let alternatives = MatchAlternatives {
+                annotation: self,
+                owner: m.index,
+                unconditional: m.unconditional,
+            };
+            (m, alternatives)
+        })
+    }
+
+    /// Query match on this node, if a query is installed and its
+    /// navigational path ends here.
+    pub fn query(&self) -> Option<MatchAlternatives<'_>> {
+        self.query.map(|unconditional| MatchAlternatives {
+            annotation: self,
+            owner: QUERY_OWNER,
+            unconditional,
+        })
+    }
+
+    /// Records that engine rule `index` matches under the conjunction `ids`
+    /// (an empty conjunction holds unconditionally and makes every other
+    /// alternative of the match redundant).
+    fn add_rule(&mut self, index: usize, rule: &EngineRule, ids: &[InstanceId]) {
+        let owner = index as u32;
+        let at = match self.direct.iter().position(|m| m.index == owner) {
+            Some(at) => at,
+            None => {
+                self.direct.push(DirectMatch {
+                    rule: rule.id,
+                    sign: rule.sign,
+                    index: owner,
+                    unconditional: false,
+                });
+                self.direct.len() - 1
+            }
+        };
+        let unconditional = self.direct[at].unconditional;
+        self.direct[at].unconditional |= ids.is_empty();
+        if !unconditional {
+            self.push_alternative(owner, ids);
         }
     }
 
+    /// [`NodeAnnotation::add_rule`] for the query.
+    fn add_query(&mut self, ids: &[InstanceId]) {
+        let unconditional = self.query.unwrap_or(false);
+        self.query = Some(unconditional || ids.is_empty());
+        if !unconditional {
+            self.push_alternative(QUERY_OWNER, ids);
+        }
+    }
+
+    fn push_alternative(&mut self, owner: u32, ids: &[InstanceId]) {
+        if ids.is_empty() {
+            return;
+        }
+        let start = self.ids.len() as u32;
+        self.ids.extend_from_slice(ids);
+        self.alternatives.push(Alternative {
+            owner,
+            start,
+            end: self.ids.len() as u32,
+        });
+    }
+}
+
+/// The alternatives under which a rule (or the query) matches a node: each
+/// alternative is a conjunction of pending instances that must all resolve
+/// to `true`; the match applies if **any** alternative holds. An
+/// unconditional match holds whatever the instances resolve to.
+#[derive(Debug, Clone, Copy)]
+pub struct MatchAlternatives<'a> {
+    annotation: &'a NodeAnnotation,
+    owner: u32,
+    unconditional: bool,
+}
+
+impl<'a> MatchAlternatives<'a> {
     /// True if the match holds whatever the pending instances resolve to.
     pub fn is_unconditional(&self) -> bool {
-        self.alternatives.iter().any(Vec::is_empty)
+        self.unconditional
+    }
+
+    /// The conditional alternatives (none when the match is unconditional).
+    pub fn alternatives(&self) -> impl Iterator<Item = &'a [InstanceId]> + 'a {
+        let (annotation, owner) = (self.annotation, self.owner);
+        let conditional = !self.unconditional;
+        annotation
+            .alternatives
+            .iter()
+            .filter(move |alt| conditional && alt.owner == owner)
+            .map(move |alt| &annotation.ids[alt.start as usize..alt.end as usize])
     }
 
     /// Evaluates the match against the currently known instance truths.
     /// Returns `Some(true)` / `Some(false)` when determined, `None` while at
     /// least one relevant instance is still unresolved.
-    pub fn evaluate(&self, truth: &dyn Fn(InstanceId) -> Option<bool>) -> Option<bool> {
+    pub fn evaluate(&self, truth: impl Fn(InstanceId) -> Option<bool>) -> Option<bool> {
+        if self.unconditional {
+            return Some(true);
+        }
         let mut any_unknown = false;
-        for alt in &self.alternatives {
+        for alt in self.alternatives() {
             let mut all_true = true;
             let mut unknown = false;
             for &id in alt {
@@ -117,59 +252,22 @@ impl MatchAlternatives {
             Some(false)
         }
     }
-
-    /// All instance ids mentioned by the alternatives.
-    pub fn instance_ids(&self) -> impl Iterator<Item = InstanceId> + '_ {
-        self.alternatives.iter().flatten().copied()
-    }
-}
-
-/// A rule that reached its navigational final state on a node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DirectMatch {
-    /// The rule.
-    pub rule: RuleId,
-    /// Its sign.
-    pub sign: Sign,
-    /// Conditions under which the match actually applies.
-    pub matches: MatchAlternatives,
-}
-
-/// Per-node annotation produced by the engine for `open` events.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NodeAnnotation {
-    /// Rules whose navigational path ends on this node.
-    pub direct: Vec<DirectMatch>,
-    /// Query match on this node, if a query is installed and its navigational
-    /// path ends here.
-    pub query: Option<MatchAlternatives>,
-}
-
-/// Output of the engine for one input event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EngineOutput {
-    /// The input event, annotated for `open` events.
-    Annotated {
-        /// The event.
-        event: Event,
-        /// Node annotation (`Some` for `Open`, `None` otherwise).
-        annotation: Option<NodeAnnotation>,
-    },
-    /// A pending predicate instance was resolved.
-    Resolved {
-        /// The instance.
-        instance: InstanceId,
-        /// Whether the predicate is satisfied.
-        satisfied: bool,
-    },
 }
 
 /// An active navigational state: the runs of a frame sit on the trie node the
 /// element owning the frame moved them to.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Run {
     node: NodeId,
-    deps: Vec<InstanceId>,
+    /// Range of the frame's `deps` holding the instances the run depends on.
+    deps_start: u32,
+    deps_end: u32,
+}
+
+impl Run {
+    fn deps(self) -> std::ops::Range<usize> {
+        self.deps_start as usize..self.deps_end as usize
+    }
 }
 
 /// An active state of a predicate path instance (`position` steps of the
@@ -180,12 +278,16 @@ struct PredRun {
     position: u32,
 }
 
-/// Direct-text accumulator for a value condition (`[. = "v"]`, `[c = "v"]`).
-#[derive(Debug, Clone)]
+/// Direct-text watcher for a value condition (`[. = "v"]`, `[c = "v"]`).
+/// The condition is the instance's predicate program's; the text is the
+/// frame's `watched_text`, which every watcher of the frame sees whole
+/// while it is unresolved (all of them exist from the element's open on).
+#[derive(Debug, Clone, Copy)]
 struct Watcher {
     instance: InstanceId,
-    condition: Option<ValueCondition>,
-    buffer: String,
+    /// Text bytes buffered while the instance was unresolved (the secure-RAM
+    /// charge of the watcher's buffer).
+    buffered: usize,
     saw_text: bool,
 }
 
@@ -224,8 +326,12 @@ impl BucketEntry {
 #[derive(Debug, Default)]
 struct Frame {
     runs: Vec<Run>,
+    /// Instance dependencies of the runs, each run a range of it.
+    deps: Vec<InstanceId>,
     pred_runs: Vec<PredRun>,
     watchers: Vec<Watcher>,
+    /// The element's direct text, buffered while a watcher is unresolved.
+    watched_text: String,
     owned_instances: Vec<InstanceId>,
     /// Buckets this frame registered entries into; popped on close.
     touched: Vec<u32>,
@@ -235,8 +341,10 @@ impl Frame {
     /// Empties the frame for reuse, keeping the capacity of its vectors.
     fn clear(&mut self) {
         self.runs.clear();
+        self.deps.clear();
         self.pred_runs.clear();
         self.watchers.clear();
+        self.watched_text.clear();
         self.owned_instances.clear();
         self.touched.clear();
     }
@@ -247,14 +355,10 @@ impl Frame {
         4 + self
             .runs
             .iter()
-            .map(|r| 8 + 4 * r.deps.len())
+            .map(|r| 8 + 4 * r.deps().len())
             .sum::<usize>()
             + self.pred_runs.len() * 6
-            + self
-                .watchers
-                .iter()
-                .map(|w| 8 + w.buffer.len())
-                .sum::<usize>()
+            + self.watchers.iter().map(|w| 8 + w.buffered).sum::<usize>()
             + self.owned_instances.len() * 4
             + self.touched.len() * 2
     }
@@ -326,6 +430,10 @@ pub struct RuleEngine {
     /// Reusable per-event scratch (candidate snapshot).
     scratch: Vec<BucketEntry>,
     root_scratch: Vec<EdgeId>,
+    /// Per-open memo of the instance spawned for each deferred predicate.
+    memo: Vec<(PredId, InstanceId)>,
+    /// Annotation of the last open tag, refilled at every open.
+    annotation: NodeAnnotation,
     /// Unresolved pending instances (incremental — the instance pool is
     /// append-only, so scanning it per event would be quadratic in stream
     /// length).
@@ -356,6 +464,8 @@ impl RuleEngine {
             wild_bucket: Vec::new(),
             scratch: Vec::new(),
             root_scratch: Vec::new(),
+            memo: Vec::new(),
+            annotation: NodeAnnotation::default(),
             unresolved_instances: 0,
             bucket_entries: 0,
             frames_ram: Frame::default().ram_bytes(),
@@ -389,11 +499,44 @@ impl RuleEngine {
         self.frames.len() - 1
     }
 
+    /// True if `may_progress(rule, position)` holds for some active
+    /// navigational position of some installed rule (`rule` is its index in
+    /// [`RuleEngine::rules`]), the implicit initial position 0 of every rule
+    /// included. The skip-index logic asks this of an upcoming subtree; the
+    /// walk allocates nothing.
+    pub fn any_rule_position(&self, mut may_progress: impl FnMut(usize, usize) -> bool) -> bool {
+        (0..self.rules.len()).any(|rule| may_progress(rule, 0))
+            || self.any_active_position(|target, position| match target {
+                Target::Rule(rule) => may_progress(rule, position),
+                Target::Query => false,
+            })
+    }
+
+    /// [`RuleEngine::any_rule_position`] for the query automaton: false
+    /// when no query is installed.
+    pub fn any_query_position(&self, mut may_progress: impl FnMut(usize) -> bool) -> bool {
+        self.query.is_some()
+            && (may_progress(0)
+                || self.any_active_position(|target, position| {
+                    target == Target::Query && may_progress(position)
+                }))
+    }
+
+    fn any_active_position(&self, mut f: impl FnMut(Target, usize) -> bool) -> bool {
+        self.frames.iter().flat_map(|frame| &frame.runs).any(|run| {
+            self.table
+                .node(run.node)
+                .positions
+                .iter()
+                .any(|&(target, position)| f(target, position as usize))
+        })
+    }
+
     /// Positions (numbers of matched navigational steps) currently active for
-    /// each installed rule, including the implicit initial position 0. The
-    /// skip-index logic uses these to ask whether a rule could still progress
-    /// inside an upcoming subtree.
-    pub fn active_positions(&self) -> Vec<Vec<usize>> {
+    /// each installed rule, including the implicit initial position 0: the
+    /// allocating form [`RuleEngine::any_rule_position`] is checked against.
+    #[cfg(test)]
+    pub(crate) fn active_positions(&self) -> Vec<Vec<usize>> {
         let mut positions = vec![vec![0usize]; self.rules.len()];
         for frame in &self.frames {
             for run in &frame.runs {
@@ -409,8 +552,10 @@ impl RuleEngine {
         positions
     }
 
-    /// Active positions of the query automaton (empty when no query is set).
-    pub fn active_query_positions(&self) -> Vec<usize> {
+    /// Active positions of the query automaton (empty when no query is set):
+    /// the oracle of [`RuleEngine::any_query_position`].
+    #[cfg(test)]
+    pub(crate) fn active_query_positions(&self) -> Vec<usize> {
         if self.query.is_none() {
             return Vec::new();
         }
@@ -512,7 +657,7 @@ impl RuleEngine {
                             .iter()
                             .map(|&(t, p)| (self.target_key(t), p))
                             .collect();
-                        (keys, run.deps.clone())
+                        (keys, frame.deps[run.deps()].to_vec())
                     })
                     .collect()
             })
@@ -552,12 +697,23 @@ impl RuleEngine {
         // surviving pair locates it.
         for (frame, old_runs) in self.frames.iter_mut().zip(snapshot) {
             frame.runs.clear();
+            frame.deps.clear();
             for (keys, deps) in old_runs {
                 let Some(&node) = keys.iter().find_map(|k| key_map.get(k)) else {
                     continue; // every rule of this prefix was removed
                 };
-                if !frame.runs.iter().any(|r| r.node == node && r.deps == deps) {
-                    frame.runs.push(Run { node, deps });
+                let duplicate = frame
+                    .runs
+                    .iter()
+                    .any(|r| r.node == node && frame.deps[r.deps()] == deps[..]);
+                if !duplicate {
+                    let deps_start = frame.deps.len() as u32;
+                    frame.deps.extend_from_slice(&deps);
+                    frame.runs.push(Run {
+                        node,
+                        deps_start,
+                        deps_end: frame.deps.len() as u32,
+                    });
                 }
             }
         }
@@ -585,34 +741,35 @@ impl RuleEngine {
         self.frames_ram = self.frames.iter().map(Frame::ram_bytes).sum();
     }
 
-    /// Processes one event, appending the engine outputs it triggers to
-    /// `outputs`: the instance resolutions it causes, then the event itself,
-    /// moved into [`EngineOutput::Annotated`].
-    pub fn process(&mut self, event: Event, outputs: &mut Vec<EngineOutput>) {
+    /// Processes one event, appending the instance resolutions it triggers
+    /// to `resolved`. For an `open` event, returns the node's annotation,
+    /// which stays valid until the next call.
+    pub fn process(
+        &mut self,
+        event: EventRef<'_>,
+        resolved: &mut Vec<Resolution>,
+    ) -> Option<&NodeAnnotation> {
         self.stats.events += 1;
-        let annotation = match &event {
-            Event::Open { name, attrs } => Some(self.process_open(name, attrs, outputs)),
-            Event::Text(text) => {
-                self.process_text(text, outputs);
-                None
+        let annotated = match event {
+            EventRef::Open { name, attrs } => {
+                self.process_open(name, attrs, resolved);
+                true
             }
-            Event::Close(_) => {
-                self.process_close(outputs);
-                None
+            EventRef::Text(text) => {
+                self.process_text(text, resolved);
+                false
+            }
+            EventRef::Close(_) => {
+                self.process_close(resolved);
+                false
             }
         };
-        outputs.push(EngineOutput::Annotated { event, annotation });
         self.stats.peak_ram_bytes = self.stats.peak_ram_bytes.max(self.ram_bytes());
+        annotated.then_some(&self.annotation)
     }
 
-    /// Steps the automata on an `open` event and returns the node's
-    /// annotation.
-    fn process_open(
-        &mut self,
-        name: &str,
-        attrs: &[Attribute],
-        outputs: &mut Vec<EngineOutput>,
-    ) -> NodeAnnotation {
+    /// Steps the automata on an `open` event and fills `self.annotation`.
+    fn process_open(&mut self, name: &str, attrs: AttrsRef<'_>, resolved: &mut Vec<Resolution>) {
         let depth = self.frames.len(); // depth of the element being opened
         let sym = self.table.symbols().lookup(name);
 
@@ -630,29 +787,31 @@ impl RuleEngine {
         scratch.extend_from_slice(&self.wild_bucket);
 
         let mut new_frame = self.spare_frames.pop().unwrap_or_default();
-        let mut direct: Vec<(usize, MatchAlternatives)> = Vec::new();
-        let mut query_match: Option<MatchAlternatives> = None;
-        let mut memo: Vec<(PredId, InstanceId)> = Vec::new();
+        self.annotation.clear();
+        self.memo.clear();
 
         {
             let RuleEngine {
+                ref rules,
                 ref table,
                 ref frames,
                 ref mut instances,
                 ref mut unresolved_instances,
                 ref mut stats,
+                ref mut memo,
+                ref mut annotation,
                 ..
             } = *self;
             let mut scope = OpenScope {
+                rules,
                 table,
                 instances,
                 unresolved: unresolved_instances,
                 stats,
-                outputs,
+                resolved,
                 new_frame: &mut new_frame,
-                memo: &mut memo,
-                direct: &mut direct,
-                query_match: &mut query_match,
+                memo,
+                annotation,
                 depth,
                 attrs,
             };
@@ -667,7 +826,8 @@ impl RuleEngine {
                         run,
                         edge,
                     } => {
-                        let deps = &frames[run_depth as usize].runs[run as usize].deps;
+                        let frame = &frames[run_depth as usize];
+                        let deps = &frame.deps[frame.runs[run as usize].deps()];
                         scope.fire_edge(edge, run_depth as usize, deps);
                     }
                     BucketEntry::Pred {
@@ -682,20 +842,9 @@ impl RuleEngine {
         }
         self.scratch = scratch;
         self.root_scratch = root_scratch;
+        self.annotation.direct.sort_unstable_by_key(|m| m.index);
 
-        // Assemble the annotation and push + register the frame.
-        let mut annotation = NodeAnnotation {
-            direct: Vec::with_capacity(direct.len()),
-            query: query_match,
-        };
-        direct.sort_unstable_by_key(|(i, _)| *i);
-        for (i, matches) in direct {
-            annotation.direct.push(DirectMatch {
-                rule: self.rules[i].id,
-                sign: self.rules[i].sign,
-                matches,
-            });
-        }
+        // Push + register the frame.
         self.frames.push(new_frame);
         // lint: infallible — pushed on the preceding line.
         let frame = self.frames.last_mut().expect("frame just pushed");
@@ -709,40 +858,48 @@ impl RuleEngine {
             &mut self.bucket_entries,
         );
         self.frames_ram += frame.ram_bytes();
-        annotation
     }
 
-    fn process_text(&mut self, text: &str, outputs: &mut Vec<EngineOutput>) {
+    fn process_text(&mut self, text: &str, resolved: &mut Vec<Resolution>) {
         // Feed the watchers of the element directly containing this text.
         let depth = self.frames.len() - 1;
-        let mut resolved_now: Vec<(InstanceId, bool)> = Vec::new();
-        if depth >= 1 {
-            let frame = &mut self.frames[depth];
-            for w in &mut frame.watchers {
-                if self.instances[w.instance.0 as usize].resolved.is_some() {
-                    continue;
-                }
-                w.buffer.push_str(text);
-                self.frames_ram += text.len();
-                w.saw_text = true;
-                if w.condition.is_none() && !text.trim().is_empty() {
-                    // Existence of direct text is enough.
-                    resolved_now.push((w.instance, true));
-                }
-            }
+        if depth == 0 {
+            return;
         }
-        for (id, value) in resolved_now {
-            resolve_instance(
-                &mut self.instances,
-                &mut self.unresolved_instances,
-                outputs,
-                id,
-                value,
-            );
+        let frame = &mut self.frames[depth];
+        let mut watched = false;
+        for w in &mut frame.watchers {
+            if self.instances[w.instance.0 as usize].resolved.is_some() {
+                continue;
+            }
+            watched = true;
+            w.buffered += text.len();
+            self.frames_ram += text.len();
+            w.saw_text = true;
+        }
+        if !watched {
+            return;
+        }
+        frame.watched_text.push_str(text);
+        if text.trim().is_empty() {
+            return;
+        }
+        // Existence of direct text is enough for a watcher with no condition.
+        for w in &frame.watchers {
+            let slot = self.instances[w.instance.0 as usize];
+            if slot.resolved.is_none() && self.table.pred(slot.pred).condition.is_none() {
+                resolve_instance(
+                    &mut self.instances,
+                    &mut self.unresolved_instances,
+                    resolved,
+                    w.instance,
+                    true,
+                );
+            }
         }
     }
 
-    fn process_close(&mut self, outputs: &mut Vec<EngineOutput>) {
+    fn process_close(&mut self, resolved: &mut Vec<Resolution>) {
         let depth = (self.frames.len() - 1) as u32;
         // lint: infallible — the tokenizer only emits balanced events, so
         // every close has a matching open frame.
@@ -763,15 +920,16 @@ impl RuleEngine {
         }
         // Evaluate the direct-text watchers anchored on the closing element.
         for w in &frame.watchers {
-            if self.instances[w.instance.0 as usize].resolved.is_some() {
+            let slot = self.instances[w.instance.0 as usize];
+            if slot.resolved.is_some() {
                 continue;
             }
-            if let Some(condition) = &w.condition {
-                if w.saw_text && condition.holds(&w.buffer) {
+            if let Some(condition) = &self.table.pred(slot.pred).condition {
+                if w.saw_text && condition.holds(&frame.watched_text) {
                     resolve_instance(
                         &mut self.instances,
                         &mut self.unresolved_instances,
-                        outputs,
+                        resolved,
                         w.instance,
                         true,
                     );
@@ -786,7 +944,7 @@ impl RuleEngine {
             resolve_instance(
                 &mut self.instances,
                 &mut self.unresolved_instances,
-                outputs,
+                resolved,
                 *id,
                 false,
             );
@@ -797,24 +955,24 @@ impl RuleEngine {
 }
 
 /// Mutable context of one `open` event (split borrows of the engine).
-struct OpenScope<'a> {
+struct OpenScope<'a, 'e> {
+    rules: &'a [EngineRule],
     table: &'a DispatchTable,
     instances: &'a mut Vec<InstanceSlot>,
     unresolved: &'a mut usize,
     stats: &'a mut EngineStats,
-    outputs: &'a mut Vec<EngineOutput>,
+    resolved: &'a mut Vec<Resolution>,
     new_frame: &'a mut Frame,
     /// Per-event memo: one pending instance per deferred predicate, shared by
     /// every run/rule reaching this element through it (the predicate is
     /// anchored on the element, not on the path that led here).
     memo: &'a mut Vec<(PredId, InstanceId)>,
-    direct: &'a mut Vec<(usize, MatchAlternatives)>,
-    query_match: &'a mut Option<MatchAlternatives>,
+    annotation: &'a mut NodeAnnotation,
     depth: usize,
-    attrs: &'a [Attribute],
+    attrs: AttrsRef<'e>,
 }
 
-impl OpenScope<'_> {
+impl OpenScope<'_, '_> {
     /// Fires one navigational transition from a run at `run_depth` (the bucket
     /// guarantees the name test already matched).
     fn fire_edge(&mut self, edge_id: EdgeId, run_depth: usize, deps: &[InstanceId]) {
@@ -835,36 +993,31 @@ impl OpenScope<'_> {
         }) {
             return;
         }
-        let mut new_deps = deps.to_vec();
+        // The run's dependencies, then one instance per deferred predicate,
+        // appended to the new frame's dependency arena.
+        let start = self.new_frame.deps.len();
+        self.new_frame.deps.extend_from_slice(deps);
         for &pid in &edge.deferred {
-            new_deps.push(self.instance_for(pid));
+            let id = self.instance_for(pid);
+            self.new_frame.deps.push(id);
         }
+        let end = self.new_frame.deps.len();
+        let new_deps = &self.new_frame.deps[start..end];
         for &target in &edge.accepts {
             match target {
-                Target::Rule(i) => {
-                    let matches = match self.direct.iter_mut().find(|(r, _)| *r == i) {
-                        Some((_, m)) => m,
-                        None => {
-                            self.direct.push((i, MatchAlternatives::default()));
-                            // lint: infallible — pushed on the line above.
-                            &mut self.direct.last_mut().expect("just pushed").1
-                        }
-                    };
-                    matches.add(new_deps.clone());
-                }
-                Target::Query => {
-                    self.query_match
-                        .get_or_insert_with(MatchAlternatives::default)
-                        .add(new_deps.clone());
-                }
+                Target::Rule(i) => self.annotation.add_rule(i, &self.rules[i], new_deps),
+                Target::Query => self.annotation.add_query(new_deps),
             }
         }
         if let Some(node) = edge.to {
             self.stats.run_activations += 1;
             self.new_frame.runs.push(Run {
                 node,
-                deps: new_deps,
+                deps_start: start as u32,
+                deps_end: end as u32,
             });
+        } else {
+            self.new_frame.deps.truncate(start);
         }
     }
 
@@ -881,12 +1034,10 @@ impl OpenScope<'_> {
             resolved: None,
             pred: pid,
         });
-        let program = self.table.pred(pid);
-        if program.is_self_text() {
+        if self.table.pred(pid).is_self_text() {
             self.new_frame.watchers.push(Watcher {
                 instance: id,
-                condition: program.condition.clone(),
-                buffer: String::new(),
+                buffered: 0,
                 saw_text: false,
             });
         } else {
@@ -925,7 +1076,7 @@ impl OpenScope<'_> {
                     resolve_instance(
                         self.instances,
                         self.unresolved,
-                        self.outputs,
+                        self.resolved,
                         pr.instance,
                         true,
                     );
@@ -935,7 +1086,7 @@ impl OpenScope<'_> {
                 resolve_instance(
                     self.instances,
                     self.unresolved,
-                    self.outputs,
+                    self.resolved,
                     pr.instance,
                     true,
                 );
@@ -943,8 +1094,7 @@ impl OpenScope<'_> {
                 // A value condition on the element's direct text: watch it.
                 self.new_frame.watchers.push(Watcher {
                     instance: pr.instance,
-                    condition: program.condition.clone(),
-                    buffer: String::new(),
+                    buffered: 0,
                     saw_text: false,
                 });
             }
@@ -960,9 +1110,9 @@ impl OpenScope<'_> {
 /// `[@name]` / `[@name = "v"]` against an open tag's attributes: the attribute
 /// must exist and, when a condition is given, satisfy it. Shared by the
 /// immediate edge checks and the final step of attribute predicate paths.
-fn attr_holds(attrs: &[Attribute], name: &str, condition: Option<&ValueCondition>) -> bool {
-    match attrs.iter().find(|a| *a.name == *name) {
-        Some(attr) => condition.map(|c| c.holds(&attr.value)).unwrap_or(true),
+fn attr_holds(attrs: AttrsRef<'_>, name: &str, condition: Option<&ValueCondition>) -> bool {
+    match attrs.find(name) {
+        Some(value) => condition.map(|c| c.holds(value)).unwrap_or(true),
         None => false,
     }
 }
@@ -970,7 +1120,7 @@ fn attr_holds(attrs: &[Attribute], name: &str, condition: Option<&ValueCondition
 fn resolve_instance(
     instances: &mut [InstanceSlot],
     unresolved: &mut usize,
-    outputs: &mut Vec<EngineOutput>,
+    resolved: &mut Vec<Resolution>,
     id: InstanceId,
     satisfied: bool,
 ) {
@@ -978,7 +1128,7 @@ fn resolve_instance(
     if slot.resolved.is_none() {
         slot.resolved = Some(satisfied);
         *unresolved -= 1;
-        outputs.push(EngineOutput::Resolved {
+        resolved.push(Resolution {
             instance: id,
             satisfied,
         });
@@ -1042,7 +1192,7 @@ fn register_frame(
 mod tests {
     use super::*;
     use crate::automaton::compile_str;
-    use sdds_xml::Parser;
+    use sdds_xml::{Event, Parser};
 
     fn engine_for(rules: &[(&str, Sign)], query: Option<&str>) -> RuleEngine {
         let compiled: Vec<EngineRule> = rules
@@ -1057,47 +1207,71 @@ mod tests {
         RuleEngine::new(compiled, query.map(|q| compile_str(q).unwrap()))
     }
 
-    fn run(engine: &mut RuleEngine, doc: &str) -> Vec<EngineOutput> {
+    /// What the engine reported for one event: the resolutions it
+    /// triggered, then the annotation of an open tag.
+    #[derive(Debug, Clone)]
+    enum Out {
+        Resolved(u32, bool),
+        Open(String, NodeAnnotation),
+    }
+
+    fn step(engine: &mut RuleEngine, event: &Event, out: &mut Vec<Out>) {
+        let mut resolved = Vec::new();
+        let annotation = engine.process(event.as_event_ref(), &mut resolved).cloned();
+        out.extend(
+            resolved
+                .into_iter()
+                .map(|r| Out::Resolved(r.instance.0, r.satisfied)),
+        );
+        if let Some(annotation) = annotation {
+            out.push(Out::Open(event.name().unwrap().to_owned(), annotation));
+        }
+    }
+
+    fn run(engine: &mut RuleEngine, doc: &str) -> Vec<Out> {
         let mut out = Vec::new();
         for event in Parser::parse_all(doc).unwrap() {
-            engine.process(event, &mut out);
+            step(engine, &event, &mut out);
         }
         out
     }
 
     /// Collects, for each element (in document order), the rules that matched
     /// unconditionally on it.
-    fn unconditional_matches(outputs: &[EngineOutput]) -> Vec<(String, Vec<u32>)> {
-        let mut out = Vec::new();
-        for o in outputs {
-            if let EngineOutput::Annotated {
-                event: Event::Open { name, .. },
-                annotation: Some(ann),
-            } = o
-            {
-                let rules: Vec<u32> = ann
-                    .direct
-                    .iter()
-                    .filter(|d| d.matches.is_unconditional())
-                    .map(|d| d.rule.0)
-                    .collect();
-                out.push((name.to_string(), rules));
-            }
-        }
-        out
-    }
-
-    fn resolutions(outputs: &[EngineOutput]) -> Vec<(u32, bool)> {
+    fn unconditional_matches(outputs: &[Out]) -> Vec<(String, Vec<u32>)> {
         outputs
             .iter()
             .filter_map(|o| match o {
-                EngineOutput::Resolved {
-                    instance,
-                    satisfied,
-                } => Some((instance.0, *satisfied)),
-                _ => None,
+                Out::Open(name, ann) => Some((
+                    name.clone(),
+                    ann.direct()
+                        .filter(|(_, m)| m.is_unconditional())
+                        .map(|(d, _)| d.rule.0)
+                        .collect(),
+                )),
+                Out::Resolved(..) => None,
             })
             .collect()
+    }
+
+    fn resolutions(outputs: &[Out]) -> Vec<(u32, bool)> {
+        outputs
+            .iter()
+            .filter_map(|o| match o {
+                Out::Resolved(instance, satisfied) => Some((*instance, *satisfied)),
+                Out::Open(..) => None,
+            })
+            .collect()
+    }
+
+    fn annotation_of(outputs: &[Out], element: &str) -> NodeAnnotation {
+        outputs
+            .iter()
+            .find_map(|o| match o {
+                Out::Open(name, ann) if name == element => Some(ann.clone()),
+                _ => None,
+            })
+            .unwrap()
     }
 
     #[test]
@@ -1162,20 +1336,12 @@ mod tests {
         assert_eq!(e.stats().instances_created, 1);
         assert_eq!(resolutions(&out), vec![(0, true)]);
         // And the conditional match on d references that instance.
-        let d_annotation = out
-            .iter()
-            .find_map(|o| match o {
-                EngineOutput::Annotated {
-                    event: Event::Open { name, .. },
-                    annotation: Some(ann),
-                } if &**name == "d" => Some(ann.clone()),
-                _ => None,
-            })
-            .unwrap();
-        assert_eq!(d_annotation.direct.len(), 1);
+        let d_annotation = annotation_of(&out, "d");
+        assert_eq!(d_annotation.direct().count(), 1);
+        let (_, matches) = d_annotation.direct().next().unwrap();
         assert_eq!(
-            d_annotation.direct[0].matches.alternatives,
-            vec![vec![InstanceId(0)]]
+            matches.alternatives().collect::<Vec<_>>(),
+            vec![&[InstanceId(0)][..]]
         );
     }
 
@@ -1220,16 +1386,12 @@ mod tests {
         let out = run(&mut e, "<a><b/><c/></a>");
         let mut saw_query = false;
         for o in &out {
-            if let EngineOutput::Annotated {
-                event: Event::Open { name, .. },
-                annotation: Some(ann),
-            } = o
-            {
-                if &**name == "c" {
-                    assert!(ann.query.as_ref().unwrap().is_unconditional());
+            if let Out::Open(name, ann) = o {
+                if name == "c" {
+                    assert!(ann.query().unwrap().is_unconditional());
                     saw_query = true;
                 } else {
-                    assert!(ann.query.is_none());
+                    assert!(ann.query().is_none());
                 }
             }
         }
@@ -1241,15 +1403,15 @@ mod tests {
     fn active_positions_reflect_partial_matches() {
         let mut e = engine_for(&[("/a/b/c", Sign::Permit)], None);
         let events = Parser::parse_all("<a><b><c/></b></a>").unwrap();
-        e.process(events[0].clone(), &mut Vec::new()); // <a>
+        e.process(events[0].as_event_ref(), &mut Vec::new()); // <a>
         assert_eq!(e.active_positions(), vec![vec![0, 1]]);
-        e.process(events[1].clone(), &mut Vec::new()); // <b>
+        e.process(events[1].as_event_ref(), &mut Vec::new()); // <b>
         assert_eq!(e.active_positions(), vec![vec![0, 1, 2]]);
-        e.process(events[2].clone(), &mut Vec::new()); // <c>
-        e.process(events[3].clone(), &mut Vec::new()); // </c>
-        e.process(events[4].clone(), &mut Vec::new()); // </b>
+        e.process(events[2].as_event_ref(), &mut Vec::new()); // <c>
+        e.process(events[3].as_event_ref(), &mut Vec::new()); // </c>
+        e.process(events[4].as_event_ref(), &mut Vec::new()); // </b>
         assert_eq!(e.active_positions(), vec![vec![0, 1]]);
-        e.process(events[5].clone(), &mut Vec::new()); // </a>
+        e.process(events[5].as_event_ref(), &mut Vec::new()); // </a>
         assert_eq!(e.active_positions(), vec![vec![0]]);
         assert_eq!(e.depth(), 0);
     }
@@ -1265,25 +1427,41 @@ mod tests {
 
     #[test]
     fn match_alternatives_evaluation() {
-        let mut m = MatchAlternatives::default();
-        m.add(vec![InstanceId(0), InstanceId(1)]);
-        m.add(vec![InstanceId(2)]);
+        let rule = EngineRule {
+            id: RuleId(0),
+            sign: Sign::Permit,
+            path: compile_str("//a").unwrap(),
+        };
+        let mut ann = NodeAnnotation::default();
+        ann.add_rule(0, &rule, &[InstanceId(0), InstanceId(1)]);
+        ann.add_rule(0, &rule, &[InstanceId(2)]);
         let truth = |known: Vec<(u32, bool)>| {
             move |id: InstanceId| known.iter().find(|(i, _)| *i == id.0).map(|(_, v)| *v)
         };
-        assert_eq!(m.evaluate(&truth(vec![])), None);
-        assert_eq!(m.evaluate(&truth(vec![(0, true), (1, true)])), Some(true));
-        assert_eq!(m.evaluate(&truth(vec![(2, true)])), Some(true));
-        assert_eq!(
-            m.evaluate(&truth(vec![(0, false), (2, false)])),
-            Some(false)
-        );
-        assert_eq!(m.evaluate(&truth(vec![(0, false)])), None);
+        let m = ann.direct().next().unwrap().1;
+        assert_eq!(m.evaluate(truth(vec![])), None);
+        assert_eq!(m.evaluate(truth(vec![(0, true), (1, true)])), Some(true));
+        assert_eq!(m.evaluate(truth(vec![(2, true)])), Some(true));
+        assert_eq!(m.evaluate(truth(vec![(0, false), (2, false)])), Some(false));
+        assert_eq!(m.evaluate(truth(vec![(0, false)])), None);
         // Unconditional alternative short-circuits everything.
-        m.add(vec![]);
+        ann.add_rule(0, &rule, &[]);
+        let m = ann.direct().next().unwrap().1;
         assert!(m.is_unconditional());
-        assert_eq!(m.evaluate(&truth(vec![])), Some(true));
-        assert_eq!(m.instance_ids().count(), 0);
+        assert_eq!(m.evaluate(truth(vec![])), Some(true));
+        assert_eq!(m.alternatives().count(), 0);
+        // The query's alternatives are its own.
+        assert!(ann.query().is_none());
+        ann.add_query(&[InstanceId(3)]);
+        let q = ann.query().unwrap();
+        assert!(!q.is_unconditional());
+        assert_eq!(
+            q.alternatives().collect::<Vec<_>>(),
+            vec![&[InstanceId(3)][..]]
+        );
+        // Clearing keeps nothing.
+        ann.clear();
+        assert_eq!(ann, NodeAnnotation::default());
     }
 
     #[test]
@@ -1294,12 +1472,12 @@ mod tests {
         let events = Parser::parse_all(&deep).unwrap();
         let mut max_seen = 0usize;
         for ev in &events[..10] {
-            e.process(ev.clone(), &mut Vec::new());
+            e.process(ev.as_event_ref(), &mut Vec::new());
             max_seen = max_seen.max(e.ram_bytes());
         }
         let at_peak = e.ram_bytes();
         for ev in &events[10..] {
-            e.process(ev.clone(), &mut Vec::new());
+            e.process(ev.as_event_ref(), &mut Vec::new());
         }
         assert!(e.ram_bytes() < at_peak);
         assert!(e.stats().peak_ram_bytes >= max_seen);
@@ -1320,17 +1498,8 @@ mod tests {
             &mut e,
             "<hospital><patient><name>x</name></patient></hospital>",
         );
-        let name_ann = out
-            .iter()
-            .find_map(|o| match o {
-                EngineOutput::Annotated {
-                    event: Event::Open { name, .. },
-                    annotation: Some(ann),
-                } if &**name == "name" => Some(ann.clone()),
-                _ => None,
-            })
-            .unwrap();
-        let rule_ids: Vec<u32> = name_ann.direct.iter().map(|d| d.rule.0).collect();
+        let name_ann = annotation_of(&out, "name");
+        let rule_ids: Vec<u32> = name_ann.direct().map(|(d, _)| d.rule.0).collect();
         assert_eq!(rule_ids, vec![0, 1, 2]);
     }
 
@@ -1354,9 +1523,9 @@ mod tests {
         let mut e = engine_for(&[("//a", Sign::Permit)], None);
         let events = Parser::parse_all("<r><b/><b/></r>").unwrap();
         let mut out = Vec::new();
-        e.process(events[0].clone(), &mut out); // <r>
-        e.process(events[1].clone(), &mut out); // <b/> — not matched yet
-        e.process(events[2].clone(), &mut out);
+        step(&mut e, &events[0], &mut out); // <r>
+        step(&mut e, &events[1], &mut out); // <b/> — not matched yet
+        step(&mut e, &events[2], &mut out);
         e.add_rule(EngineRule {
             id: RuleId(7),
             sign: Sign::Deny,
@@ -1372,7 +1541,7 @@ mod tests {
             })
             .is_err());
         for ev in &events[3..] {
-            e.process(ev.clone(), &mut out);
+            step(&mut e, ev, &mut out);
         }
         let matches = unconditional_matches(&out);
         assert_eq!(
@@ -1393,13 +1562,13 @@ mod tests {
         let mut out = Vec::new();
         // Process through the first <y/> (events: <r>, <x>, <y>, </y>).
         for ev in &events[..4] {
-            e.process(ev.clone(), &mut out);
+            step(&mut e, ev, &mut out);
         }
         // Remove //x/y while <x> is still open; rule 1 (//y) keeps matching.
         assert!(e.remove_rule(RuleId(0)));
         assert!(!e.remove_rule(RuleId(0)), "already removed");
         for ev in &events[4..] {
-            e.process(ev.clone(), &mut out);
+            step(&mut e, ev, &mut out);
         }
         let matches = unconditional_matches(&out);
         assert_eq!(
@@ -1420,8 +1589,8 @@ mod tests {
         let mut e = engine_for(&[("//a//c", Sign::Permit)], None);
         let events = Parser::parse_all("<a><b><c/></b></a>").unwrap();
         let mut out = Vec::new();
-        e.process(events[0].clone(), &mut out); // <a>
-        e.process(events[1].clone(), &mut out); // <b>
+        step(&mut e, &events[0], &mut out); // <a>
+        step(&mut e, &events[1], &mut out); // <b>
         e.add_rule(EngineRule {
             id: RuleId(9),
             sign: Sign::Deny,
@@ -1429,7 +1598,7 @@ mod tests {
         })
         .unwrap();
         for ev in &events[2..] {
-            e.process(ev.clone(), &mut out);
+            step(&mut e, ev, &mut out);
         }
         let matches = unconditional_matches(&out);
         assert_eq!(matches[2], ("c".into(), vec![0]));

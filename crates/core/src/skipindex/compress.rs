@@ -54,7 +54,7 @@ pub fn varint_len(value: u64) -> usize {
 }
 
 /// An ordered reference list of tags against which a nested bitmap is encoded.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TagReference {
     /// Tag ids, ascending.
     pub tags: Vec<TagId>,
@@ -97,15 +97,21 @@ impl TagReference {
         out
     }
 
-    /// Decodes a bitmap produced by [`TagReference::encode_subset`].
-    pub fn decode_subset(&self, bitmap: &[u8]) -> TagSet {
-        let mut set = TagSet::new();
-        for (i, tag) in self.tags.iter().enumerate() {
-            if bitmap.get(i / 8).is_some_and(|b| b & (1 << (i % 8)) != 0) {
-                set.insert(*tag);
+    /// Decodes a bitmap produced by [`TagReference::encode_subset`] into
+    /// `set`, replacing its contents and keeping its allocation. Bits past
+    /// the end of the reference are ignored.
+    pub fn decode_into(&self, bitmap: &[u8], set: &mut TagSet) {
+        set.clear();
+        for (byte_index, &byte) in bitmap.iter().enumerate() {
+            let mut rest = byte;
+            while rest != 0 {
+                let i = byte_index * 8 + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                if let Some(&tag) = self.tags.get(i) {
+                    set.insert(tag);
+                }
             }
         }
-        set
     }
 
     /// Number of bitmap bytes needed against this reference.
@@ -162,7 +168,12 @@ mod tests {
         let set: TagSet = [TagId(0), TagId(7), TagId(19)].into_iter().collect();
         let bitmap = reference.encode_subset(&set);
         assert_eq!(bitmap.len(), 3);
-        assert_eq!(reference.decode_subset(&bitmap), set);
+        let mut decoded = TagSet::new();
+        reference.decode_into(&bitmap, &mut decoded);
+        assert_eq!(decoded, set);
+        // Decoding again replaces the set's contents.
+        reference.decode_into(&[0x02], &mut decoded);
+        assert_eq!(decoded, [TagId(1)].into_iter().collect());
     }
 
     #[test]
@@ -179,7 +190,9 @@ mod tests {
         let child_set: TagSet = [TagId(17), TagId(99)].into_iter().collect();
         let bitmap = parent_ref.encode_subset(&child_set);
         assert_eq!(bitmap.len(), 1);
-        assert_eq!(parent_ref.decode_subset(&bitmap), child_set);
+        let mut decoded = TagSet::new();
+        parent_ref.decode_into(&bitmap, &mut decoded);
+        assert_eq!(decoded, child_set);
     }
 
     #[test]
@@ -189,6 +202,9 @@ mod tests {
         assert_eq!(reference.bitmap_len(), 0);
         let bitmap = reference.encode_subset(&TagSet::new());
         assert!(bitmap.is_empty());
-        assert!(reference.decode_subset(&bitmap).is_empty());
+        let mut decoded: TagSet = [TagId(4)].into_iter().collect();
+        // Bits past the end of the reference decode to nothing.
+        reference.decode_into(&[0xFF], &mut decoded);
+        assert!(decoded.is_empty());
     }
 }

@@ -9,42 +9,38 @@
 
 use std::sync::Arc;
 
-use sdds_xml::{Attribute, Event, TagDict, TagId};
+use sdds_xml::{AttrSpan, AttrsRef, Event, EventRef, TagDict, TagId, TagSet};
 
 use super::compress::{read_varint, TagReference};
-use super::encode::{token, SubtreeSummary};
+use super::encode::token;
 use crate::error::CoreError;
 
-/// A decoded item of the token stream.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokenEvent {
-    /// A document event (open / value / close).
-    Event(Event),
-    /// A subtree summary describing the content of the element that was just
-    /// opened. The caller decides whether to [`TokenReader::skip`] it.
-    Summary(SubtreeSummary),
+/// A decoded item of the token stream, borrowed from the reader.
+#[derive(Debug, Clone, Copy)]
+pub enum TokenEvent<'r> {
+    /// A document event (open / value / close): names shared from the
+    /// dictionary, text and attribute values borrowed from the window.
+    Event(EventRef<'r>),
+    /// A subtree summary of the element that was just opened. Its tag set
+    /// is [`TokenReader::summary_tags`] until the next summary; the caller
+    /// decides whether to [`TokenReader::skip`] the content.
+    Summary {
+        /// Byte length of the element's encoded content (children tokens
+        /// only, excluding the closing token).
+        content_len: u64,
+    },
 }
 
 /// Outcome of a [`TokenReader::next_token`] call.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ReadResult {
+#[derive(Debug, Clone, Copy)]
+pub enum ReadResult<'r> {
     /// A token was decoded.
-    Token(TokenEvent),
+    Token(TokenEvent<'r>),
     /// The window does not contain a complete token; more plaintext must be
     /// supplied starting at [`TokenReader::needed_offset`].
     NeedData,
     /// The whole stream has been consumed.
     End,
-}
-
-/// Decision taken for a summarised subtree (returned by the engine's skip
-/// logic and consumed by its statistics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SkipDecision {
-    /// The subtree content must be read and evaluated.
-    Read,
-    /// The subtree cannot contribute to the authorized view: skip it.
-    Skip,
 }
 
 /// Incremental reader of the binary token stream.
@@ -53,6 +49,11 @@ pub enum SkipDecision {
 /// the next byte to decode. Decoding a token or skipping a subtree only moves
 /// the cursor: the consumed bytes are dropped once per [`TokenReader::supply`]
 /// (or [`TokenReader::supply_with`]), never per token.
+///
+/// Decoding allocates nothing in the steady state: events borrow from the
+/// window and the dictionary, an open tag's attributes are recorded as spans
+/// in one reused vector, and a summary's tag set is decoded into one reused
+/// [`TagSet`].
 #[derive(Debug)]
 pub struct TokenReader {
     dict: TagDict,
@@ -66,11 +67,17 @@ pub struct TokenReader {
     /// Absolute offset of the next byte to decode; never past the window end.
     cursor: u64,
     depth: usize,
-    /// Names of the open elements, shared with the events that opened them.
-    open_names: Vec<Arc<str>>,
+    /// Tags of the open elements; a close borrows its name from the dictionary.
+    open_tags: Vec<TagId>,
+    /// Attributes of the last open tag, as spans over `window`.
+    attr_spans: Vec<AttrSpan>,
+    /// Tag set of the last summary.
+    summary_tags: TagSet,
     /// Reference tag sets of enclosing summaries: `(depth, reference)`. Only
     /// recursive bitmaps push here; the others are all against the dictionary.
     ref_stack: Vec<(usize, TagReference)>,
+    /// References popped off `ref_stack`, kept for the next summaries.
+    spare_refs: Vec<TagReference>,
     /// Set when the last decoded token was an OPEN, in which case a SUMMARY
     /// may follow and would describe that element.
     last_open_depth: Option<usize>,
@@ -90,8 +97,11 @@ impl TokenReader {
             window: Vec::new(),
             cursor: start_offset,
             depth: 0,
-            open_names: Vec::new(),
+            open_tags: Vec::new(),
+            attr_spans: Vec::new(),
+            summary_tags: TagSet::new(),
             ref_stack: Vec::new(),
+            spare_refs: Vec::new(),
             last_open_depth: None,
         }
     }
@@ -99,6 +109,12 @@ impl TokenReader {
     /// The tag dictionary.
     pub fn dict(&self) -> &TagDict {
         &self.dict
+    }
+
+    /// Set of element tags occurring strictly below the element of the last
+    /// [`TokenEvent::Summary`].
+    pub fn summary_tags(&self) -> &TagSet {
+        &self.summary_tags
     }
 
     /// Absolute offset of the next byte the reader needs.
@@ -168,7 +184,7 @@ impl TokenReader {
     }
 
     /// Skips `content_len` bytes of subtree content (the caller obtained the
-    /// length from the corresponding [`SubtreeSummary`]). The length is
+    /// length from the corresponding [`TokenEvent::Summary`]). The length is
     /// untrusted: one that runs past the end of the stream is an error.
     pub fn skip(&mut self, content_len: u64) -> Result<(), CoreError> {
         self.cursor = self
@@ -195,24 +211,8 @@ impl TokenReader {
         (self.cursor - self.window_start) as usize
     }
 
-    fn current_reference(&self) -> &TagReference {
-        self.ref_stack
-            .last()
-            .map_or(&self.full_reference, |(_, r)| r)
-    }
-
-    fn tag_name(&self, id: u64) -> Result<Arc<str>, CoreError> {
-        u16::try_from(id)
-            .ok()
-            .and_then(|id| self.dict.name(TagId(id)))
-            .map(Arc::clone)
-            .ok_or_else(|| CoreError::BadDocument {
-                message: format!("unknown tag id {id}"),
-            })
-    }
-
     /// Decodes the next token, if the window holds a complete one.
-    pub fn next_token(&mut self) -> Result<ReadResult, CoreError> {
+    pub fn next_token(&mut self) -> Result<ReadResult<'_>, CoreError> {
         if self.at_end() {
             return Ok(ReadResult::End);
         }
@@ -231,10 +231,7 @@ impl TokenReader {
                     return Ok(ReadResult::NeedData);
                 };
                 pos += used;
-                // The count is untrusted: reserve no more attributes than the
-                // window's remaining bytes can hold (two varints each).
-                let fit = (self.window.len() - pos) as u64 / 2;
-                let mut attrs = Vec::with_capacity(attr_count.min(fit) as usize);
+                self.attr_spans.clear();
                 for _ in 0..attr_count {
                     let Some((name_id, used)) = read_varint(&self.window, pos) else {
                         return Ok(ReadResult::NeedData);
@@ -247,18 +244,20 @@ impl TokenReader {
                     let Some(value) = window_slice(&self.window, pos, value_len) else {
                         return Ok(ReadResult::NeedData);
                     };
-                    let value = String::from_utf8_lossy(value).into_owned();
-                    pos += value_len as usize;
-                    attrs.push(Attribute::new(self.tag_name(name_id)?, value));
+                    utf8(value, "attribute value")?;
+                    let value = pos..pos + value.len();
+                    pos = value.end;
+                    let name = Arc::clone(tag_name(&self.dict, name_id)?.1);
+                    self.attr_spans.push(AttrSpan { name, value });
                 }
-                let name = self.tag_name(tag)?;
-                self.consume(pos - start);
+                let (id, name) = tag_name(&self.dict, tag)?;
+                self.cursor += (pos - start) as u64;
                 self.depth += 1;
-                self.open_names.push(Arc::clone(&name));
+                self.open_tags.push(id);
                 self.last_open_depth = Some(self.depth);
-                Ok(ReadResult::Token(TokenEvent::Event(Event::Open {
+                Ok(ReadResult::Token(TokenEvent::Event(EventRef::Open {
                     name,
-                    attrs,
+                    attrs: AttrsRef::spans(&self.attr_spans, &self.window),
                 })))
             }
             token::TEXT => {
@@ -270,30 +269,25 @@ impl TokenReader {
                 let Some(text) = window_slice(&self.window, pos, len) else {
                     return Ok(ReadResult::NeedData);
                 };
-                let text = String::from_utf8_lossy(text).into_owned();
-                pos += len as usize;
-                self.consume(pos - start);
+                let text = utf8(text, "text")?;
+                self.cursor += (pos + text.len() - start) as u64;
                 self.last_open_depth = None;
-                Ok(ReadResult::Token(TokenEvent::Event(Event::Text(text))))
+                Ok(ReadResult::Token(TokenEvent::Event(EventRef::Text(text))))
             }
             token::CLOSE => {
-                self.consume(1);
-                let name = self
-                    .open_names
-                    .pop()
-                    .ok_or_else(|| CoreError::BadDocument {
-                        message: "close token without a matching open".into(),
-                    })?;
-                while self
-                    .ref_stack
-                    .last()
-                    .is_some_and(|(depth, _)| *depth >= self.depth)
+                let id = self.open_tags.pop().ok_or_else(|| CoreError::BadDocument {
+                    message: "close token without a matching open".into(),
+                })?;
+                self.cursor += 1;
+                while let Some((_, reference)) =
+                    self.ref_stack.pop_if(|(depth, _)| *depth >= self.depth)
                 {
-                    self.ref_stack.pop();
+                    self.spare_refs.push(reference);
                 }
                 self.depth -= 1;
                 self.last_open_depth = None;
-                Ok(ReadResult::Token(TokenEvent::Event(Event::Close(name))))
+                let (_, name) = tag_name(&self.dict, u64::from(id.0))?;
+                Ok(ReadResult::Token(TokenEvent::Event(EventRef::Close(name))))
             }
             token::SUMMARY => {
                 let Some(open_depth) = self.last_open_depth else {
@@ -313,20 +307,22 @@ impl TokenReader {
                 let Some(bitmap) = window_slice(&self.window, pos, bitmap_len) else {
                     return Ok(ReadResult::NeedData);
                 };
-                let tags = self.current_reference().decode_subset(bitmap);
-                pos += bitmap_len as usize;
-                self.consume(pos - start);
+                let reference = self
+                    .ref_stack
+                    .last()
+                    .map_or(&self.full_reference, |(_, r)| r);
+                reference.decode_into(bitmap, &mut self.summary_tags);
+                self.cursor += (pos + bitmap.len() - start) as u64;
                 // Nested summaries are encoded against this subtree's tag set
                 // (recursive compression) or the full dictionary.
                 if self.recursive_bitmaps {
-                    self.ref_stack
-                        .push((open_depth, TagReference::from_set(&tags)));
+                    let mut reference = self.spare_refs.pop().unwrap_or_default();
+                    reference.tags.clear();
+                    reference.tags.extend(self.summary_tags.iter());
+                    self.ref_stack.push((open_depth, reference));
                 }
                 self.last_open_depth = None;
-                Ok(ReadResult::Token(TokenEvent::Summary(SubtreeSummary {
-                    content_len,
-                    tags,
-                })))
+                Ok(ReadResult::Token(TokenEvent::Summary { content_len }))
             }
             other => Err(CoreError::BadDocument {
                 message: format!(
@@ -336,10 +332,24 @@ impl TokenReader {
             }),
         }
     }
+}
 
-    fn consume(&mut self, bytes: usize) {
-        self.cursor += bytes as u64;
-    }
+/// The dictionary entry of an untrusted tag id.
+fn tag_name(dict: &TagDict, id: u64) -> Result<(TagId, &Arc<str>), CoreError> {
+    u16::try_from(id)
+        .ok()
+        .and_then(|id| Some((TagId(id), dict.name(TagId(id))?)))
+        .ok_or_else(|| CoreError::BadDocument {
+            message: format!("unknown tag id {id}"),
+        })
+}
+
+/// `bytes` as text. A text or attribute value that is not UTF-8 is a bad
+/// document: events carry plain `&str`, never a lossy copy.
+fn utf8<'a>(bytes: &'a [u8], what: &str) -> Result<&'a str, CoreError> {
+    std::str::from_utf8(bytes).map_err(|_| CoreError::BadDocument {
+        message: format!("{what} is not UTF-8"),
+    })
 }
 
 /// The `len` bytes of `window` from `pos`, if the window holds them all.
@@ -365,8 +375,8 @@ pub fn decode_all(plaintext: &[u8], recursive_bitmaps: bool) -> Result<Vec<Event
     let mut events = Vec::new();
     loop {
         match reader.next_token()? {
-            ReadResult::Token(TokenEvent::Event(e)) => events.push(e),
-            ReadResult::Token(TokenEvent::Summary(_)) => {}
+            ReadResult::Token(TokenEvent::Event(e)) => events.push(e.to_event()),
+            ReadResult::Token(TokenEvent::Summary { .. }) => {}
             ReadResult::NeedData => {
                 return Err(CoreError::BadDocument {
                     message: "truncated token stream".into(),
@@ -384,7 +394,7 @@ mod tests {
     use crate::skipindex::compress::write_varint;
     use crate::skipindex::encode::{DocumentEncoder, EncoderConfig};
     use sdds_xml::generator::{self, GeneratorConfig, HospitalProfile};
-    use sdds_xml::Document;
+    use sdds_xml::{Attribute, Document};
 
     fn encode(doc: &Document, config: EncoderConfig) -> (Vec<u8>, TagDict) {
         let enc = DocumentEncoder::new(config).encode(doc);
@@ -463,11 +473,11 @@ mod tests {
             let mut peak_window = 0;
             loop {
                 match reader.next_token().unwrap() {
-                    ReadResult::Token(TokenEvent::Event(e)) => events.push(e),
-                    ReadResult::Token(TokenEvent::Summary(s)) => {
+                    ReadResult::Token(TokenEvent::Event(e)) => events.push(e.to_event()),
+                    ReadResult::Token(TokenEvent::Summary { content_len }) => {
                         if matches!(events.last(), Some(Event::Open { name, .. }) if &**name == "patient")
                         {
-                            reader.skip(s.content_len).unwrap();
+                            reader.skip(content_len).unwrap();
                             skips += 1;
                         }
                     }
@@ -527,15 +537,15 @@ mod tests {
         loop {
             match reader.next_token().unwrap() {
                 ReadResult::Token(TokenEvent::Event(e)) => {
-                    if let Event::Open { name, .. } = &e {
+                    if let EventRef::Open { name, .. } = e {
                         seen.push(name.to_string());
                     }
                 }
-                ReadResult::Token(TokenEvent::Summary(s)) => {
+                ReadResult::Token(TokenEvent::Summary { content_len }) => {
                     // Summaries for patient elements: skip them all.
                     if *seen.last().unwrap() == "patient" {
-                        skipped_bytes += s.content_len;
-                        reader.skip(s.content_len).unwrap();
+                        skipped_bytes += content_len;
+                        reader.skip(content_len).unwrap();
                     }
                 }
                 ReadResult::NeedData => panic!("whole stream was supplied"),
@@ -587,7 +597,9 @@ mod tests {
         let mut summaries = Vec::new();
         loop {
             match reader.next_token().unwrap() {
-                ReadResult::Token(TokenEvent::Summary(s)) => summaries.push(s),
+                ReadResult::Token(TokenEvent::Summary { .. }) => {
+                    summaries.push(reader.summary_tags().clone())
+                }
                 ReadResult::Token(_) => {}
                 ReadResult::NeedData => panic!("fully supplied"),
                 ReadResult::End => break,
@@ -595,9 +607,9 @@ mod tests {
         }
         assert!(!summaries.is_empty());
         let outer = &summaries[0];
-        assert!(outer.tags.contains(x_id));
-        assert!(outer.tags.contains(y_id));
-        assert!(!outer.tags.contains(r_id));
+        assert!(outer.contains(x_id));
+        assert!(outer.contains(y_id));
+        assert!(!outer.contains(r_id));
     }
 
     #[test]
@@ -665,11 +677,91 @@ mod tests {
             );
             reader.supply(0, &plaintext).unwrap();
             assert!(matches!(reader.next_token(), Ok(ReadResult::Token(_))));
-            let Ok(ReadResult::Token(TokenEvent::Summary(summary))) = reader.next_token() else {
+            let Ok(ReadResult::Token(TokenEvent::Summary { content_len })) = reader.next_token()
+            else {
                 panic!("a summary follows the open");
             };
-            let err = reader.skip(summary.content_len).unwrap_err();
+            let err = reader.skip(content_len).unwrap_err();
             assert!(matches!(err, CoreError::BadDocument { .. }), "{err:?}");
         }
+    }
+
+    #[test]
+    fn text_and_attribute_values_that_are_not_utf8_are_bad_documents() {
+        // 0xFF never occurs in UTF-8: a TEXT token or an attribute value
+        // holding it fails, where a lossy decode would have replaced it.
+        let dict = TagDict::from_names(["a", "k"]);
+        let stream = |body: &[u8]| {
+            let mut plaintext = dict.encode();
+            plaintext.extend_from_slice(body);
+            plaintext
+        };
+        let text = stream(&[token::OPEN, 0, 0, token::TEXT, 2, 0xFF, 0xFF, token::CLOSE]);
+        let value = stream(&[token::OPEN, 0, 1, 1, 2, b'x', 0xFF, token::CLOSE]);
+        for plaintext in [text, value] {
+            let err = decode_all(&plaintext, true).unwrap_err();
+            assert!(
+                matches!(&err, CoreError::BadDocument { message } if message.contains("UTF-8")),
+                "{err:?}"
+            );
+        }
+        // The same tokens with valid bytes decode.
+        let good = stream(&[
+            token::OPEN,
+            0,
+            1,
+            1,
+            1,
+            b'x',
+            token::TEXT,
+            1,
+            b'y',
+            token::CLOSE,
+        ]);
+        assert_eq!(
+            decode_all(&good, true).unwrap(),
+            vec![
+                Event::open_with("a", vec![Attribute::new("k", "x")]),
+                Event::text("y"),
+                Event::close("a"),
+            ]
+        );
+    }
+
+    #[test]
+    fn decoding_summaries_reuses_the_tag_set_and_references() {
+        // After one pass over a document, a second reader's summary tag set
+        // and reference stack hold their capacity: nested summaries pop and
+        // push references without building new ones.
+        let doc = generator::hospital(
+            &HospitalProfile {
+                patients: 3,
+                ..HospitalProfile::default()
+            },
+            &GeneratorConfig::default(),
+        );
+        let enc = DocumentEncoder::new(EncoderConfig {
+            min_index_bytes: 16,
+            ..EncoderConfig::default()
+        })
+        .encode(&doc);
+        let plaintext = enc.plaintext();
+        let (dict, dict_len) = TagDict::decode(&plaintext).unwrap();
+        let mut reader = TokenReader::new(dict, dict_len as u64, plaintext.len() as u64, true);
+        reader.supply(0, &plaintext).unwrap();
+        // One reference per nesting level of summaries, however many
+        // summaries the document holds.
+        let max_depth = sdds_xml::event::max_depth(&doc.to_events());
+        let mut summaries = 0;
+        while let ReadResult::Token(token) = reader.next_token().unwrap() {
+            if let TokenEvent::Summary { .. } = token {
+                summaries += 1;
+                assert!(reader.ref_stack.len() + reader.spare_refs.len() <= max_depth);
+            }
+        }
+        assert!(summaries > 10, "{summaries} summaries");
+        assert_eq!(reader.depth(), 0);
+        assert!(reader.ref_stack.is_empty());
+        assert!(!reader.spare_refs.is_empty());
     }
 }

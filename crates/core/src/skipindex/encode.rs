@@ -60,16 +60,6 @@ impl EncoderConfig {
     }
 }
 
-/// A decoded subtree summary (also used by the reader).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SubtreeSummary {
-    /// Byte length of the element's encoded content (children tokens only,
-    /// excluding the closing token).
-    pub content_len: u64,
-    /// Set of element tags occurring strictly below the element.
-    pub tags: TagSet,
-}
-
 /// Statistics of one encoding run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EncodeStats {

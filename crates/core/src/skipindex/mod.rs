@@ -22,5 +22,5 @@ pub mod compress;
 pub mod decode;
 pub mod encode;
 
-pub use decode::{SkipDecision, TokenEvent, TokenReader};
-pub use encode::{DocumentEncoder, EncodedDocument, EncoderConfig, SubtreeSummary};
+pub use decode::{TokenEvent, TokenReader};
+pub use encode::{DocumentEncoder, EncodedDocument, EncoderConfig};

@@ -39,6 +39,8 @@ pub struct ErrorObs {
     pub not_found: Counter,
     /// `NoRulesForSubject` (unprovisioned subject).
     pub no_rules: Counter,
+    /// `ChunkOutOfRange` (a chunk index past the end of the document).
+    pub chunk_out_of_range: Counter,
 }
 
 impl ErrorObs {
@@ -48,6 +50,8 @@ impl ErrorObs {
                 .counter_with(families::ERRORS, Some(families::ERROR_STALE_REVISION)),
             not_found: registry.counter_with(families::ERRORS, Some(families::ERROR_NOT_FOUND)),
             no_rules: registry.counter_with(families::ERRORS, Some(families::ERROR_NO_RULES)),
+            chunk_out_of_range: registry
+                .counter_with(families::ERRORS, Some(families::ERROR_CHUNK_OUT_OF_RANGE)),
         }
     }
 }
@@ -231,7 +235,10 @@ impl ServeObs {
             }
             Some(WireError::NotFound { .. }) => self.errors.not_found.inc(),
             Some(WireError::NoRulesForSubject { .. }) => self.errors.no_rules.inc(),
-            _ => {}
+            Some(WireError::ChunkOutOfRange { .. }) => self.errors.chunk_out_of_range.inc(),
+            // Serving never decodes a header: the DSP stores the encoded
+            // bytes it was given.
+            Some(WireError::BadHeader(_)) | None => {}
         }
     }
 }

@@ -47,3 +47,5 @@ pub const ERROR_STALE_REVISION: &str = "error=stale_revision";
 pub const ERROR_NOT_FOUND: &str = "error=not_found";
 /// `ERRORS` label for a subject with no rule blob on the document.
 pub const ERROR_NO_RULES: &str = "error=no_rules_for_subject";
+/// `ERRORS` label for a chunk index past the end of the document.
+pub const ERROR_CHUNK_OUT_OF_RANGE: &str = "error=chunk_out_of_range";

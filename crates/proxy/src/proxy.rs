@@ -12,7 +12,7 @@
 //! Applications normally reach this type through the top-level `sdds::Client`
 //! facade rather than directly.
 
-use sdds_card::apdu::{fragment_payload, ins, Apdu};
+use sdds_card::apdu::{fragments, ins, Apdu};
 use sdds_card::{CardProfile, CardRuntime, CostLedger, CostModel, LatencyBreakdown};
 use sdds_core::engine::{AccessControlApplet, SessionStats, PUSH_CHUNK_PREFIX};
 use sdds_core::rule::Subject;
@@ -138,23 +138,21 @@ impl Terminal {
     /// Installs (or refreshes) the protected rules of this subject, fetched as
     /// an opaque blob (typically from the DSP).
     pub fn install_rules(&mut self, protected_blob: &[u8]) -> Result<(), ProxyError> {
-        let fragments = fragment_payload(protected_blob);
-        for (i, frag) in fragments.iter().enumerate() {
-            let more = u8::from(i + 1 < fragments.len());
-            self.runtime
-                .exchange_expect_ok(&Apdu::new(ins::PUT_RULES, more, 0, frag.to_vec())?)?;
+        for (frag, more) in fragments(&[protected_blob]) {
+            self.runtime.exchange_expect_ok(&Apdu::with_data(
+                ins::PUT_RULES,
+                u8::from(more),
+                0,
+                frag,
+            ))?;
         }
         Ok(())
     }
 
     /// Registers a query for the next evaluation sessions.
     pub fn set_query(&mut self, query: &str) -> Result<(), ProxyError> {
-        self.runtime.exchange_expect_ok(&Apdu::new(
-            ins::PUT_QUERY,
-            0,
-            0,
-            query.as_bytes().to_vec(),
-        )?)?;
+        self.runtime
+            .exchange_expect_ok(&Apdu::new(ins::PUT_QUERY, 0, 0, query)?)?;
         Ok(())
     }
 
@@ -210,22 +208,17 @@ impl Terminal {
         chunk: &[u8],
         tag: &ChunkTag,
     ) -> Result<usize, ProxyError> {
-        let mut payload = Vec::with_capacity(PUSH_CHUNK_PREFIX + chunk.len());
-        payload.extend_from_slice(&index.to_le_bytes());
-        payload.extend_from_slice(tag.as_bytes());
-        payload.extend_from_slice(chunk);
-        let fragments = fragment_payload(&payload);
-        for (i, frag) in fragments.iter().enumerate() {
-            let more = u8::from(i + 1 < fragments.len());
-            self.runtime.exchange_expect_ok(&Apdu::new(
+        // Payload: chunk index (4), tag, ciphertext — cut into APDU
+        // fragments as it is framed, never assembled in one buffer.
+        for (frag, more) in fragments(&[&index.to_le_bytes(), tag.as_bytes(), chunk]) {
+            self.runtime.exchange_expect_ok(&Apdu::with_data(
                 ins::PUSH_CHUNK,
-                more,
+                u8::from(more),
                 0,
-                // An APDU command owns its data: one copy of at most 255 bytes per fragment.
-                frag.to_vec(),
-            )?)?;
+                frag,
+            ))?;
         }
-        Ok(payload.len())
+        Ok(PUSH_CHUNK_PREFIX + chunk.len())
     }
 
     pub(crate) fn collect_output(&mut self) -> Result<String, ProxyError> {

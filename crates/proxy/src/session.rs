@@ -323,12 +323,8 @@ impl Terminal {
     /// Opens an evaluation session on the card for an encoded header.
     pub(crate) fn open_card_session(&mut self, header: &[u8]) -> Result<(), ProxyError> {
         let policy = u8::from(self.open_policy());
-        self.runtime_mut().exchange_expect_ok(&Apdu::new(
-            ins::OPEN_SESSION,
-            0,
-            policy,
-            header.to_vec(),
-        )?)?;
+        self.runtime_mut()
+            .exchange_expect_ok(&Apdu::new(ins::OPEN_SESSION, 0, policy, header)?)?;
         Ok(())
     }
 

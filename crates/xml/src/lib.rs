@@ -33,7 +33,7 @@ pub mod tree;
 pub mod writer;
 
 pub use error::XmlError;
-pub use event::{Attribute, Event, EventKind};
+pub use event::{AttrRef, AttrSpan, Attribute, AttrsRef, Event, EventKind, EventRef};
 pub use parser::Parser;
 pub use symbols::{Symbol, SymbolTable};
 pub use tags::{TagDict, TagId, TagSet};

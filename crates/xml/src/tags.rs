@@ -215,9 +215,14 @@ impl TagSet {
     /// Iterates over the ids present in the set, in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = TagId> + '_ {
         self.bits.iter().enumerate().flat_map(|(word, &w)| {
-            (0..64)
-                .filter(move |bit| w & (1 << bit) != 0)
-                .map(move |bit| TagId((word * 64 + bit) as u16))
+            let mut rest = w;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    TagId((word * 64 + bit) as u16)
+                })
+            })
         })
     }
 

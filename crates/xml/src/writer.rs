@@ -4,35 +4,60 @@
 //! document from the event stream delivered by the smart card (§2.1: "delivers
 //! the authorized subpart matching the query").
 
-use crate::event::Event;
+use crate::event::{Event, EventRef};
 
-/// Escapes character data for element content.
-pub fn escape_text(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for ch in text.chars() {
-        match ch {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            _ => out.push(ch),
-        }
-    }
-    out
+/// Appends `text` to `out`, escaped for element content.
+pub fn push_escaped_text(out: &mut String, text: &str) {
+    push_escaped(out, text, false);
 }
 
-/// Escapes character data for attribute values (double-quoted).
-pub fn escape_attr(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for ch in text.chars() {
-        match ch {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(ch),
+/// Appends `value` to `out`, escaped for a double-quoted attribute value.
+pub fn push_escaped_attr(out: &mut String, value: &str) {
+    push_escaped(out, value, true);
+}
+
+/// Copies `text` in runs between the characters that need an entity; every
+/// such character is ASCII, so each run ends on a character boundary.
+fn push_escaped(out: &mut String, text: &str, quote: bool) {
+    let mut run = 0;
+    for (i, byte) in text.bytes().enumerate() {
+        let entity = match byte {
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'&' => "&amp;",
+            b'"' if quote => "&quot;",
+            _ => continue,
+        };
+        out.push_str(&text[run..i]);
+        out.push_str(entity);
+        run = i + 1;
+    }
+    out.push_str(&text[run..]);
+}
+
+/// Appends the compact XML of one event to `out`: what [`to_string`]
+/// produces for it, with no intermediate `String`.
+pub fn write_event(out: &mut String, event: EventRef<'_>) {
+    match event {
+        EventRef::Open { name, attrs } => {
+            out.push('<');
+            out.push_str(name);
+            for a in attrs.iter() {
+                out.push(' ');
+                out.push_str(a.name);
+                out.push_str("=\"");
+                push_escaped_attr(out, a.value);
+                out.push('"');
+            }
+            out.push('>');
+        }
+        EventRef::Text(text) => push_escaped_text(out, text),
+        EventRef::Close(name) => {
+            out.push_str("</");
+            out.push_str(name);
+            out.push('>');
         }
     }
-    out
 }
 
 /// An XML writer accumulating output in a `String`.
@@ -74,40 +99,28 @@ impl Writer {
 
     /// Writes a single event.
     pub fn write(&mut self, event: &Event) {
+        let event = event.as_event_ref();
         match event {
-            Event::Open { name, attrs } => {
+            EventRef::Open { .. } => {
                 self.newline_and_indent();
-                self.out.push('<');
-                self.out.push_str(name);
-                for a in attrs {
-                    self.out.push(' ');
-                    self.out.push_str(&a.name);
-                    self.out.push_str("=\"");
-                    self.out.push_str(&escape_attr(&a.value));
-                    self.out.push('"');
-                }
-                self.out.push('>');
                 self.depth += 1;
                 self.last_was_open = true;
                 self.last_was_text = false;
             }
-            Event::Text(t) => {
-                self.out.push_str(&escape_text(t));
+            EventRef::Text(_) => {
                 self.last_was_open = false;
                 self.last_was_text = true;
             }
-            Event::Close(name) => {
+            EventRef::Close(_) => {
                 self.depth = self.depth.saturating_sub(1);
                 if !self.last_was_open && !self.last_was_text {
                     self.newline_and_indent();
                 }
-                self.out.push_str("</");
-                self.out.push_str(name);
-                self.out.push('>');
                 self.last_was_open = false;
                 self.last_was_text = false;
             }
         }
+        write_event(&mut self.out, event);
     }
 
     /// Writes a whole event stream.
@@ -173,6 +186,29 @@ mod tests {
         let reparsed = Parser::parse_all(&text).unwrap();
         assert_eq!(reparsed[0].attrs()[0].value, "x<&\"y");
         assert_eq!(reparsed[1].as_text(), Some("1 < 2 && \"q\""));
+    }
+
+    #[test]
+    fn escaping_appends_in_place() {
+        let mut out = String::from("<a>");
+        push_escaped_text(&mut out, "x<y & \"z\"");
+        assert_eq!(out, "<a>x&lt;y &amp; \"z\"");
+        out.clear();
+        push_escaped_attr(&mut out, "é\"<>&");
+        assert_eq!(out, "é&quot;&lt;&gt;&amp;");
+        out.clear();
+        push_escaped_text(&mut out, "plain");
+        assert_eq!(out, "plain");
+    }
+
+    #[test]
+    fn write_event_appends_what_to_string_produces() {
+        let events = Parser::parse_all("<a k=\"v&amp;\"><b>x &lt; y</b><c/></a>").unwrap();
+        let mut out = String::new();
+        for event in &events {
+            write_event(&mut out, event.as_event_ref());
+        }
+        assert_eq!(out, to_string(&events));
     }
 
     #[test]

@@ -14,7 +14,13 @@
 //!   `CardSession::run`): marginal allocations per input event at or under
 //!   a budget. The marginal is the count difference between two document
 //!   sizes divided by the difference in events, so per-session setup
-//!   cancels out.
+//!   cancels out;
+//! - summary decoding (`TokenReader::next_token`): no allocation per
+//!   subtree summary, measured the same way over the summaries of two
+//!   documents.
+//!
+//! A lost skip would cut the allocations of a restrictive subject while
+//! making it slower, so the secretary's skip counters are pinned too.
 //!
 //! The counters are process-wide, so this file holds exactly one `#[test]`:
 //! no other test of this binary can run while a count is taken. Every count
@@ -24,8 +30,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use sdds::core::engine::SessionStats;
+use sdds::core::skipindex::decode::ReadResult;
+use sdds::core::skipindex::{DocumentEncoder, EncoderConfig, TokenEvent, TokenReader};
 use sdds::{Client, Publisher, RuleSet, SessionScheduler};
 use sdds_xml::generator::{Corpus, GeneratorConfig};
+use sdds_xml::TagDict;
 
 /// Counts every allocation and reallocation, then defers to `System`.
 struct CountingAlloc;
@@ -78,9 +88,10 @@ fn counted<T>(what: &str, mut f: impl FnMut() -> T) -> (T, u64) {
 
 /// Marginal allocations per input event allowed on each SOE path: the
 /// measured value plus at most 5%. See ARCHITECTURE.md, "Hot path".
-const DOCTOR_STREAM_BUDGET: f64 = 0.75;
-const SECRETARY_STREAM_BUDGET: f64 = 1.85;
-const DOCTOR_CARD_BUDGET: f64 = 1.50;
+const DOCTOR_STREAM_BUDGET: f64 = 0.45;
+const SECRETARY_STREAM_BUDGET: f64 = 0.06;
+const DOCTOR_CARD_BUDGET: f64 = 0.00078;
+const SECRETARY_CARD_BUDGET: f64 = 0.0039;
 
 /// Document sizes (hospital elements) the marginals are taken between.
 const SMALL: usize = 1000;
@@ -107,17 +118,47 @@ fn publisher(elements: usize, shards: usize, replicas: usize) -> Publisher {
 }
 
 /// `(allocations, input events)` of one whole `ViewStream` pull, open
-/// included.
-fn stream_view(client: &Client) -> (u64, usize) {
-    let (events_in, allocations) = counted("stream view", || {
+/// included, and the session's statistics.
+fn stream_view(client: &Client) -> ((u64, usize), SessionStats) {
+    let (stats, allocations) = counted("stream view", || {
         let mut stream = client.open_stream(DOC).expect("open stream");
         for event in &mut stream {
             event.expect("authorized event");
         }
-        let stats = stream.stats().expect("exhausted stream has stats");
-        stats.evaluator.expect("evaluator stats").events_in
+        stream.stats().expect("exhausted stream has stats").clone()
     });
-    (allocations, events_in)
+    let events_in = stats.evaluator.as_ref().expect("evaluator stats").events_in;
+    ((allocations, events_in), stats)
+}
+
+/// `(allocations, summaries)` of decoding every token of an `elements`-sized
+/// hospital document, reader set-up included.
+fn decode_summaries(elements: usize) -> (u64, usize) {
+    let doc = Corpus::Hospital.generate(elements, &GeneratorConfig::default());
+    let encoded = DocumentEncoder::new(EncoderConfig::default()).encode(&doc);
+    let plaintext = encoded.plaintext();
+    let (summaries, allocations) = counted("summary decoding", || {
+        let (dict, dict_len) = TagDict::decode(&plaintext).expect("dictionary");
+        let mut reader = TokenReader::new(dict, dict_len as u64, plaintext.len() as u64, true);
+        reader.supply(0, &plaintext).expect("supply");
+        let mut summaries = 0;
+        while let ReadResult::Token(token) = reader.next_token().expect("token") {
+            summaries += usize::from(matches!(token, TokenEvent::Summary { .. }));
+        }
+        summaries
+    });
+    assert_eq!(summaries, encoded.stats.summaries);
+    (allocations, summaries)
+}
+
+/// The secretary's skip counters on the `elements`-sized document: bytes
+/// skipped, subtrees skipped, chunks never fetched.
+fn skips(stats: &SessionStats) -> (usize, usize, usize) {
+    (
+        stats.ledger.bytes_skipped,
+        stats.skipped_subtrees,
+        stats.chunks_skipped,
+    )
 }
 
 /// Allocations of one whole card-path pull, connect included (what
@@ -139,11 +180,11 @@ fn card_view(client: &Client) -> u64 {
 fn marginal(path: &str, small: (u64, usize), large: (u64, usize), budget: f64) -> Option<String> {
     let per_event = (large.0 as f64 - small.0 as f64) / (large.1 - small.1) as f64;
     println!(
-        "{path}: {} -> {} allocations over {} -> {} events, {per_event:.3} per event (budget {budget})",
+        "{path}: {} -> {} allocations over {} -> {} events, {per_event:.4} per event (budget {budget})",
         small.0, large.0, small.1, large.1
     );
     (per_event > budget)
-        .then(|| format!("{path}: {per_event:.3} allocations per event, budget {budget}"))
+        .then(|| format!("{path}: {per_event:.4} allocations per event, budget {budget}"))
 }
 
 #[test]
@@ -221,8 +262,34 @@ fn hot_paths_stay_within_their_allocation_budgets() {
         fine.saturating_sub(coarse)
     );
 
+    // Summary decoding: no allocation per summary.
+    let (small_decode, large_decode) = (decode_summaries(SMALL), decode_summaries(LARGE));
+    println!(
+        "summary decoding: {} -> {} allocations over {} -> {} summaries",
+        small_decode.0, large_decode.0, small_decode.1, large_decode.1
+    );
+    assert!(large_decode.1 > small_decode.1);
+    assert_eq!(
+        large_decode.0,
+        small_decode.0,
+        "decoding {} more summaries allocates",
+        large_decode.1 - small_decode.1
+    );
+
     // SOE event path: marginal allocations per input event.
-    let doctor = (stream_view(&doctor_small), stream_view(&doctor_large));
+    let doctor = (stream_view(&doctor_small).0, stream_view(&doctor_large).0);
+    let (secretary_small_view, secretary_small_stats) = stream_view(&secretary_small);
+    let (secretary_large_view, secretary_large_stats) = stream_view(&secretary_large);
+    assert_eq!(
+        skips(&secretary_small_stats),
+        (23_229, 93, 1),
+        "secretary skips, small"
+    );
+    assert_eq!(
+        skips(&secretary_large_stats),
+        (93_512, 375, 11),
+        "secretary skips, large"
+    );
     let over_budget: Vec<String> = [
         marginal(
             "doctor ViewStream",
@@ -232,8 +299,8 @@ fn hot_paths_stay_within_their_allocation_budgets() {
         ),
         marginal(
             "secretary ViewStream",
-            stream_view(&secretary_small),
-            stream_view(&secretary_large),
+            secretary_small_view,
+            secretary_large_view,
             SECRETARY_STREAM_BUDGET,
         ),
         marginal(
@@ -241,6 +308,12 @@ fn hot_paths_stay_within_their_allocation_budgets() {
             (card_view(&doctor_small), doctor.0 .1),
             (card_view(&doctor_large), doctor.1 .1),
             DOCTOR_CARD_BUDGET,
+        ),
+        marginal(
+            "secretary card",
+            (card_view(&secretary_small), secretary_small_view.1),
+            (card_view(&secretary_large), secretary_large_view.1),
+            SECRETARY_CARD_BUDGET,
         ),
     ]
     .into_iter()

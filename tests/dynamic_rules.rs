@@ -45,7 +45,7 @@ fn view_with_change_at(k: usize, churn: impl Fn(&mut StreamingEvaluator)) -> Str
         if i == k {
             churn(&mut evaluator);
         }
-        evaluator.push(ev, &mut out);
+        evaluator.push(ev.as_event_ref(), &mut out);
     }
     evaluator.finish().unwrap();
     writer::to_string(&out)

@@ -115,6 +115,31 @@ fn missing_document_counts_not_found() {
     );
 }
 
+#[test]
+fn chunk_past_the_end_counts_chunk_out_of_range() {
+    let publisher = publisher();
+    publisher.publish("folders", &hospital(2)).unwrap();
+    let service = publisher.service();
+    let (header, revision) = service.fetch_header_pinned("folders").unwrap();
+    // The last chunk is served; the index one past it is a typed error.
+    let last = header.chunk_count - 1;
+    assert!(service
+        .fetch_chunk_pinned("folders", last, revision)
+        .is_ok());
+    let past = service.fetch_chunk_pinned("folders", header.chunk_count, revision);
+    assert!(
+        matches!(past, Err(sdds::wire::WireError::ChunkOutOfRange { .. })),
+        "{past:?}"
+    );
+
+    let snapshot = service.obs_snapshot();
+    assert_eq!(
+        snapshot.counter_with(families::ERRORS, families::ERROR_CHUNK_OUT_OF_RANGE),
+        1
+    );
+    assert_eq!(snapshot.counter(families::ERRORS), 1, "no other error");
+}
+
 /// The `dsp.serve.*` byte-accounting counters of `snapshot`, each summed
 /// over its `shard=` labels, as a [`ServerStats`].
 fn serve_counters(snapshot: &ObsSnapshot) -> ServerStats {
