@@ -15,6 +15,8 @@
 //!   the demonstrator architecture (Figure 3): key provisioning, rule refresh,
 //!   query registration, session management, chunk push and output retrieval.
 
+use std::sync::Arc;
+
 use sdds_card::apdu::{ins, Apdu, ApduResponse, StatusWord};
 use sdds_card::{Applet, CardError, CostLedger, SmartCard};
 use sdds_crypto::{Aes128, KeyId, PolyAesKey, SecretKey};
@@ -628,10 +630,11 @@ pub struct AccessControlApplet {
     subject: Subject,
     /// Transport key personalised at issuance (simulated PKI).
     transport_key: SecretKey,
-    /// Rules installed via `PUT_RULES`.
-    rules: Option<RuleSet>,
-    /// Query registered via `PUT_QUERY`.
-    query: Option<Query>,
+    /// Rules installed via `PUT_RULES`, shared with every session opened
+    /// over them.
+    rules: Option<Arc<RuleSet>>,
+    /// Query registered via `PUT_QUERY`, shared the same way.
+    query: Option<Arc<Query>>,
     /// Whether to use the skip index.
     use_skip_index: bool,
     /// Active session.
@@ -732,7 +735,7 @@ impl AccessControlApplet {
             Ok(k) => k.clone(),
             Err(_) => return ApduResponse::error(StatusWord::NOT_FOUND),
         };
-        let minimum = self.rules.as_ref().map(RuleSet::version);
+        let minimum = self.rules.as_ref().map(|rules| rules.version());
         match protected.open(&rules_key, minimum) {
             Ok(rules) => {
                 // Rules live in EEPROM (persistent across sessions).
@@ -742,7 +745,7 @@ impl AccessControlApplet {
                 if card.eeprom().store(rules.storage_bytes()).is_err() {
                     return ApduResponse::error(StatusWord::MEMORY_FAILURE);
                 }
-                self.rules = Some(rules);
+                self.rules = Some(Arc::new(rules));
                 ApduResponse::ok_empty()
             }
             Err(e) => ApduResponse::error(Self::status_for(&e)),
@@ -755,7 +758,7 @@ impl AccessControlApplet {
             .and_then(|text| Query::parse(text).map_err(|_| ()))
         {
             Ok(query) => {
-                self.query = Some(query);
+                self.query = Some(Arc::new(query));
                 ApduResponse::ok_empty()
             }
             Err(()) => ApduResponse::error(StatusWord::NOT_FOUND),
@@ -763,7 +766,7 @@ impl AccessControlApplet {
     }
 
     fn handle_open_session(&mut self, card: &mut SmartCard, command: &Apdu) -> ApduResponse {
-        let Some(rules) = self.rules.clone() else {
+        let Some(rules) = self.rules.as_ref().map(Arc::clone) else {
             return ApduResponse::error(StatusWord::CONDITIONS_NOT_SATISFIED);
         };
         let header = match DocumentHeader::decode(&command.data) {
@@ -787,7 +790,7 @@ impl AccessControlApplet {
             evaluator_config = evaluator_config.with_policy(crate::conflict::AccessPolicy::open());
         }
         if let Some(query) = &self.query {
-            evaluator_config = evaluator_config.with_query(query.clone());
+            evaluator_config = evaluator_config.with_query(Arc::clone(query));
         }
         let mut config =
             EngineConfig::new(evaluator_config).with_ram_budget(card.profile().ram_bytes);

@@ -92,8 +92,11 @@ mod tests {
 
     #[test]
     fn conversions_and_display() {
-        let e: CoreError = sdds_crypto::CryptoError::BadPadding.into();
-        assert!(e.to_string().contains("padding"));
+        let e: CoreError = sdds_crypto::CryptoError::IntegrityFailure {
+            context: "wrapped key".into(),
+        }
+        .into();
+        assert!(e.to_string().contains("wrapped key"));
         let e: CoreError = sdds_card::CardError::RamExceeded {
             requested: 1,
             in_use: 2,

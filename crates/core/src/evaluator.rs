@@ -7,6 +7,8 @@
 //! dissemination filtering on a trusted gateway) and embedded by
 //! [`crate::engine`] inside the SOE for encrypted documents.
 
+use std::sync::Arc;
+
 use sdds_xml::{Event, EventRef};
 
 use crate::assembler::{AssemblerStats, ViewAssembler, ViewSink};
@@ -16,16 +18,18 @@ use crate::query::Query;
 use crate::rule::{RuleSet, Subject};
 use crate::runtime::{EngineRule, EngineStats, Resolution, RuleEngine};
 
-/// Configuration of a streaming evaluation session.
+/// Configuration of a streaming evaluation session. The rules and the query
+/// are shared, not owned: a card opens every session over the same
+/// installed rule set and registered query without copying either.
 #[derive(Debug, Clone)]
 pub struct EvaluatorConfig {
     /// The rules granted to the subject of the session.
-    pub rules: RuleSet,
+    pub rules: Arc<RuleSet>,
     /// The subject the session runs for (rules of other subjects in
     /// [`EvaluatorConfig::rules`] are ignored).
     pub subject: Subject,
     /// Optional query restricting the delivered view.
-    pub query: Option<Query>,
+    pub query: Option<Arc<Query>>,
     /// Conflict-resolution policy.
     pub policy: AccessPolicy,
     /// Optional cap on the assembler's pending-decision buffer, in events.
@@ -37,9 +41,9 @@ pub struct EvaluatorConfig {
 
 impl EvaluatorConfig {
     /// Creates a configuration for `subject` with the paper's default policy.
-    pub fn new(rules: RuleSet, subject: impl Into<String>) -> Self {
+    pub fn new(rules: impl Into<Arc<RuleSet>>, subject: impl Into<String>) -> Self {
         EvaluatorConfig {
-            rules,
+            rules: rules.into(),
             subject: Subject::new(subject),
             query: None,
             policy: AccessPolicy::paper(),
@@ -48,8 +52,8 @@ impl EvaluatorConfig {
     }
 
     /// Sets the query.
-    pub fn with_query(mut self, query: Query) -> Self {
-        self.query = Some(query);
+    pub fn with_query(mut self, query: impl Into<Arc<Query>>) -> Self {
+        self.query = Some(query.into());
         self
     }
 

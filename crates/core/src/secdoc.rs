@@ -18,9 +18,10 @@
 //!   subkey, binding the chunk to its document, nonce, chunk count and
 //!   position — so the SOE detects tampering with any subset of chunks it
 //!   consumes, chunk by chunk,
-//! * a small plaintext **header** (format version 3) carries the
-//!   identifiers and the geometry; the header itself is covered by an HMAC
-//!   under the `doc-mac` subkey.
+//! * a small plaintext **header** (format version 4) carries the
+//!   identifiers and the geometry; the header itself is covered by a
+//!   two-lane Poly1305-then-AES tag under key parts drawn from the `doc-mac`
+//!   subkey.
 //!
 //! The types themselves ([`DocumentHeader`], [`ChunkTag`], [`SecureDocument`])
 //! live in the key-free `sdds-wire` crate and are re-exported here: the DSP
@@ -30,10 +31,9 @@
 
 use std::sync::Arc;
 
-use sdds_crypto::hmac::{hmac_sha256, verify_mac, HmacKey};
 use sdds_crypto::modes::{chunk_iv, ctr_apply};
 use sdds_crypto::siphash::siphash24;
-use sdds_crypto::{Aes128, CryptoError, KeyDeriver, PolyAesKey, SecretKey};
+use sdds_crypto::{verify_mac, Aes128, CryptoError, KeyDeriver, PolyAesKey, SecretKey};
 use sdds_xml::Document;
 
 use crate::error::CoreError;
@@ -46,12 +46,17 @@ pub use sdds_wire::{ChunkTag, DocumentHeader, SecureDocument, TAG_LEN};
 /// e-gate's 1 KiB of applet RAM.
 pub const DEFAULT_CHUNK_SIZE: usize = 512;
 
+/// The MAC of `header`: the two-lane Poly1305-then-AES tag of
+/// [`DocumentHeader::mac_input`] under key parts drawn from the `doc-mac`
+/// subkey.
+fn header_mac(header: &DocumentHeader, keys: &KeyDeriver) -> [u8; 32] {
+    PolyAesKey::from_key(keys.subkey("doc-mac").as_bytes()).tag(&header.mac_input())
+}
+
 /// Verifies the authenticity of `header` under the document key, scheduled
 /// for derivation with [`SecretKey::deriver`].
 pub fn verify_header(header: &DocumentHeader, keys: &KeyDeriver) -> Result<(), CoreError> {
-    let mac_key = keys.subkey("doc-mac");
-    let expected = hmac_sha256(mac_key.as_bytes(), &header.mac_input());
-    if verify_mac(&expected, &header.mac) {
+    if verify_mac(&header_mac(header, keys), &header.mac) {
         Ok(())
     } else {
         Err(CryptoError::IntegrityFailure {
@@ -121,13 +126,7 @@ pub fn document_cipher(keys: &KeyDeriver) -> Aes128 {
 /// polynomial keys `r1`, `r2` and AES keys `k1`, `k2`. A session derives
 /// one subkey for them, however many parts there are.
 fn tag_key_parts(keys: &KeyDeriver) -> [[u8; 16]; 4] {
-    let aes = Aes128::new(keys.subkey("doc-int").as_bytes());
-    std::array::from_fn(|part| {
-        let mut block = [0u8; 16];
-        block[0] = part as u8;
-        aes.encrypt_block(&mut block);
-        block
-    })
+    Aes128::new(keys.subkey("doc-int").as_bytes()).key_parts(0)
 }
 
 /// Schedules the chunk-tag key of a document from `tag_key_parts`: the
@@ -180,13 +179,13 @@ impl SecureDocumentBuilder {
     }
 
     /// The nonce of a build: SipHash-2-4 of the plaintext, under a PRF key
-    /// that an HMAC (keyed by the `doc-nonce` subkey) derives from the id
-    /// and the chunk size. It is fresh for every new content, so no two
-    /// different plaintexts are ever encrypted under one keystream, and it
-    /// needs no entropy source: the same content under the same key
-    /// rebuilds byte for byte.
+    /// that a Poly1305-then-AES tag (under key parts drawn from the
+    /// `doc-nonce` subkey) derives from the id and the chunk size. It is
+    /// fresh for every new content, so no two different plaintexts are ever
+    /// encrypted under one keystream, and it needs no entropy source: the
+    /// same content under the same key rebuilds byte for byte.
     fn synthetic_nonce(&self, keys: &KeyDeriver, plaintext: &[u8]) -> [u8; 8] {
-        let seed_key = HmacKey::new(keys.subkey("doc-nonce").as_bytes());
+        let seed_key = PolyAesKey::from_key(keys.subkey("doc-nonce").as_bytes());
         let mut seed = seed_key.start();
         seed.update(&(self.doc_id.len() as u32).to_le_bytes());
         seed.update(self.doc_id.as_bytes());
@@ -233,8 +232,7 @@ impl SecureDocumentBuilder {
             recursive_bitmaps: self.encoder.recursive_bitmaps,
             mac: [0u8; 32],
         };
-        let mac_key = keys.subkey("doc-mac");
-        header.mac = hmac_sha256(mac_key.as_bytes(), &header.mac_input());
+        header.mac = header_mac(&header, &keys);
         let integrity = integrity_key(&keys);
         let tags = chunks
             .iter()

@@ -17,72 +17,51 @@
 
 use std::sync::Arc;
 
-use sdds_crypto::hmac::{hmac_sha256, verify_mac, HmacKey};
-use sdds_crypto::modes::{cbc_decrypt, cbc_encrypt};
-use sdds_crypto::{Aes128, CryptoError, SecretKey};
+use sdds_crypto::siv::SIV_TAG_LEN;
+use sdds_crypto::{SecretKey, SivKey};
 
 use crate::error::CoreError;
 use crate::rule::{RuleSet, Subject};
 
-/// An encrypted, authenticated, versioned rule set.
+/// An encrypted, authenticated, versioned rule set: the serialised rule set
+/// sealed with SIV ([`SivKey`]) under the rule-protection key, with the
+/// version as associated data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProtectedRules {
     /// Version carried outside the ciphertext so the SOE can reject stale
-    /// updates before paying for decryption; it is also bound inside the MAC.
+    /// updates before paying for decryption; it is also bound inside the tag.
     pub version: u64,
-    /// AES-128-CBC ciphertext of the serialised rule set.
+    /// CTR ciphertext of the serialised rule set, as long as it.
     pub ciphertext: Vec<u8>,
-    /// IV of the CBC encryption.
-    pub iv: [u8; 16],
-    /// HMAC over version, IV and ciphertext.
-    pub mac: [u8; 32],
+    /// SIV tag over version and rule set; its first 16 bytes are the IV.
+    pub tag: [u8; SIV_TAG_LEN],
 }
 
-/// Domain label of the synthetic rule-blob IV, which is computed under the
-/// same `rules-mac` key as the blob's MAC.
-const RULES_IV_LABEL: &[u8] = b"sdds rules-iv";
+/// Bytes of an encoded [`ProtectedRules`] before its ciphertext.
+const RULES_PREFIX: usize = 8 + SIV_TAG_LEN;
 
 impl ProtectedRules {
-    /// The blob's MAC: HMAC over version, IV and ciphertext.
-    fn mac(mac_key: &HmacKey, version: u64, iv: &[u8; 16], ciphertext: &[u8]) -> [u8; 32] {
-        let mut inner = mac_key.start();
-        inner.update(&version.to_le_bytes());
-        inner.update(iv);
-        inner.update(ciphertext);
-        mac_key.finish(inner)
-    }
-
     /// Seals `rules` under `key` (the rule-protection key of the community).
-    // Cleartext rules leave here only as an encrypted, MACed
+    /// Sealing is deterministic: the IV is synthetic, so two subjects'
+    /// subsets of one version get two IVs, and resealing one subset repeats
+    /// its blob byte for byte.
+    // Cleartext rules leave here only as an encrypted, tagged
     // blob the DSP can store but not read.
     pub fn seal(rules: &RuleSet, key: &SecretKey) -> Self {
-        let payload = rules.encode();
-        let keys = key.deriver();
-        let enc_key = keys.subkey("rules-enc");
-        let mac_key = HmacKey::new(keys.subkey("rules-mac").as_bytes());
-        // A synthetic IV: a PRF of version and payload. Every subject's subset
-        // of one policy version is sealed under one key, so an IV of the
-        // version alone would repeat across subjects; this one repeats only
-        // for the same payload, and keeps sealing deterministic.
-        let mut iv_input = mac_key.start();
-        iv_input.update(RULES_IV_LABEL);
-        iv_input.update(&rules.version().to_le_bytes());
-        iv_input.update(&payload);
-        let mut iv = [0u8; 16];
-        iv.copy_from_slice(&mac_key.finish(iv_input)[..16]);
-        let cipher = Aes128::new(enc_key.as_bytes());
-        let ciphertext = cbc_encrypt(&cipher, &iv, &payload);
-        let mac = Self::mac(&mac_key, rules.version(), &iv, &ciphertext);
+        let version = rules.version();
+        let mut ciphertext = rules.encode();
+        let tag = SivKey::new(key).seal_in_place(&version.to_le_bytes(), &mut ciphertext);
         ProtectedRules {
-            version: rules.version(),
+            version,
             ciphertext,
-            iv,
-            mac,
+            tag,
         }
     }
 
     /// Opens a protected rule set, verifying authenticity and (optionally)
     /// that it is **not older** than `minimum_version` (rollback protection).
+    /// A blob that fails its tag is never decoded: the error is
+    /// [`sdds_crypto::CryptoError::IntegrityFailure`].
     pub fn open(
         &self,
         key: &SecretKey,
@@ -98,58 +77,45 @@ impl ProtectedRules {
                 });
             }
         }
-        let keys = key.deriver();
-        let mac_key = HmacKey::new(keys.subkey("rules-mac").as_bytes());
-        let expected = Self::mac(&mac_key, self.version, &self.iv, &self.ciphertext);
-        if !verify_mac(&expected, &self.mac) {
-            return Err(CryptoError::IntegrityFailure {
-                context: "protected rule set".into(),
-            }
-            .into());
-        }
-        let enc_key = keys.subkey("rules-enc");
-        let cipher = Aes128::new(enc_key.as_bytes()).decryptor();
-        let payload = cbc_decrypt(&cipher, &self.iv, &self.ciphertext)?;
+        let mut payload = self.ciphertext.clone();
+        SivKey::new(key).open_in_place(
+            &self.version.to_le_bytes(),
+            &self.tag,
+            &mut payload,
+            "protected rule set",
+        )?;
         let mut rules = RuleSet::decode(&payload)?;
         rules.set_version(self.version);
         Ok(rules)
     }
 
     /// Serialises the protected rule set (what the DSP stores / the terminal
-    /// forwards to the card).
+    /// forwards to the card): `version(8) ‖ tag(32) ‖ ciphertext`.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + 16 + 32 + 4 + self.ciphertext.len());
+        let mut out = Vec::with_capacity(RULES_PREFIX + self.ciphertext.len());
         out.extend_from_slice(&self.version.to_le_bytes());
-        out.extend_from_slice(&self.iv);
-        out.extend_from_slice(&self.mac);
-        out.extend_from_slice(&(self.ciphertext.len() as u32).to_le_bytes());
+        out.extend_from_slice(&self.tag);
         out.extend_from_slice(&self.ciphertext);
         out
     }
 
-    /// Parses a serialised protected rule set.
+    /// Parses a serialised protected rule set: everything after the tag is
+    /// ciphertext.
     pub fn decode(bytes: &[u8]) -> Result<Self, CoreError> {
-        let bad = |m: &str| CoreError::BadDocument {
-            message: format!("protected rules: {m}"),
+        let (Some(version), Some(tag), Some(ciphertext)) = (
+            bytes.get(..8),
+            bytes.get(8..RULES_PREFIX),
+            bytes.get(RULES_PREFIX..),
+        ) else {
+            return Err(CoreError::BadDocument {
+                message: "protected rules: truncated".into(),
+            });
         };
-        if bytes.len() < 8 + 16 + 32 + 4 {
-            return Err(bad("truncated"));
-        }
-        // lint: infallible — the minimum-length check above covers every
-        // fixed-width slice here.
-        let version = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
-        let iv: [u8; 16] = bytes[8..24].try_into().expect("16 bytes"); // lint: infallible — see above
-        let mac: [u8; 32] = bytes[24..56].try_into().expect("32 bytes"); // lint: infallible — see above
-        let len = u32::from_le_bytes(bytes[56..60].try_into().expect("4 bytes")) as usize; // lint: infallible — see above
-        let ciphertext = bytes
-            .get(60..60 + len)
-            .ok_or_else(|| bad("truncated body"))?
-            .to_vec();
         Ok(ProtectedRules {
-            version,
-            ciphertext,
-            iv,
-            mac,
+            // lint: infallible — both slices were taken at their exact widths.
+            version: u64::from_le_bytes(version.try_into().expect("8 bytes")),
+            tag: tag.try_into().expect("tag"), // lint: infallible — see above
+            ciphertext: ciphertext.to_vec(),
         })
     }
 }
@@ -163,113 +129,77 @@ impl From<&ProtectedRules> for Arc<[u8]> {
     }
 }
 
-/// A document key wrapped for a specific card.
+/// A document key wrapped for a specific card: the key sealed with SIV
+/// ([`SivKey`]) under the card's transport key, with the key id as
+/// associated data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyProvisioning {
     /// Identifier the key will have in the card's key ring.
     pub key_id: u32,
-    /// Wrapped (encrypted) key material.
-    pub wrapped: Vec<u8>,
-    /// IV of the wrapping.
-    pub iv: [u8; 16],
-    /// HMAC over key id, IV and wrapped material.
-    pub mac: [u8; 32],
+    /// Wrapped (CTR-encrypted) key material.
+    pub wrapped: [u8; 16],
+    /// SIV tag over key id and key; its first 16 bytes are the IV.
+    pub tag: [u8; SIV_TAG_LEN],
 }
 
-impl KeyProvisioning {
-    fn mac_input(key_id: u32, iv: &[u8; 16], wrapped: &[u8]) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(4 + 16 + wrapped.len());
-        buf.extend_from_slice(&key_id.to_le_bytes());
-        buf.extend_from_slice(iv);
-        buf.extend_from_slice(wrapped);
-        buf
-    }
+/// Length of an encoded [`KeyProvisioning`].
+const KEY_WRAP_LEN: usize = 4 + SIV_TAG_LEN + 16;
 
+impl KeyProvisioning {
     /// Wraps `key` for a card holding `transport_key`.
-    // The document key crosses to the card only AES-wrapped
-    // and MACed under the per-card transport key.
+    // The document key crosses to the card only sealed under
+    // the per-card transport key.
     pub fn wrap(key_id: u32, key: &SecretKey, transport_key: &SecretKey) -> Self {
-        let keys = transport_key.deriver();
-        let enc_key = keys.subkey("kw-enc");
-        let mac_key = keys.subkey("kw-mac");
-        let iv_material = hmac_sha256(mac_key.as_bytes(), &key_id.to_le_bytes());
-        let mut iv = [0u8; 16];
-        iv.copy_from_slice(&iv_material[..16]);
-        let cipher = Aes128::new(enc_key.as_bytes());
-        let wrapped = cbc_encrypt(&cipher, &iv, key.as_bytes());
-        let mac = hmac_sha256(mac_key.as_bytes(), &Self::mac_input(key_id, &iv, &wrapped));
+        let mut wrapped = *key.as_bytes();
+        let tag = SivKey::new(transport_key).seal_in_place(&key_id.to_le_bytes(), &mut wrapped);
         KeyProvisioning {
             key_id,
             wrapped,
-            iv,
-            mac,
+            tag,
         }
     }
 
     /// Serialises the provisioning message (forwarded verbatim by the
-    /// untrusted terminal in a `PUT_KEY` APDU).
+    /// untrusted terminal in a `PUT_KEY` APDU): `key_id(4) ‖ tag(32) ‖
+    /// wrapped(16)`.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + 16 + 32 + 2 + self.wrapped.len());
+        let mut out = Vec::with_capacity(KEY_WRAP_LEN);
         out.extend_from_slice(&self.key_id.to_le_bytes());
-        out.extend_from_slice(&self.iv);
-        out.extend_from_slice(&self.mac);
-        out.extend_from_slice(&(self.wrapped.len() as u16).to_le_bytes());
+        out.extend_from_slice(&self.tag);
         out.extend_from_slice(&self.wrapped);
         out
     }
 
-    /// Parses a provisioning message.
+    /// Parses a provisioning message, which has exactly one length.
     pub fn decode(bytes: &[u8]) -> Result<Self, CoreError> {
-        let bad = |m: &str| CoreError::BadDocument {
-            message: format!("key provisioning: {m}"),
-        };
-        if bytes.len() < 4 + 16 + 32 + 2 {
-            return Err(bad("truncated"));
+        if bytes.len() != KEY_WRAP_LEN {
+            return Err(CoreError::BadDocument {
+                message: format!(
+                    "key provisioning: {} bytes, expected {KEY_WRAP_LEN}",
+                    bytes.len()
+                ),
+            });
         }
-        // lint: infallible — the minimum-length check above covers every
-        // fixed-width slice here.
-        let key_id = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes"));
-        let iv: [u8; 16] = bytes[4..20].try_into().expect("16 bytes"); // lint: infallible — see above
-        let mac: [u8; 32] = bytes[20..52].try_into().expect("32 bytes"); // lint: infallible — see above
-        let len = u16::from_le_bytes(bytes[52..54].try_into().expect("2 bytes")) as usize; // lint: infallible — see above
-        let wrapped = bytes
-            .get(54..54 + len)
-            .ok_or_else(|| bad("truncated body"))?
-            .to_vec();
         Ok(KeyProvisioning {
-            key_id,
-            wrapped,
-            iv,
-            mac,
+            // lint: infallible — the length check above fixes every slice width.
+            key_id: u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")),
+            tag: bytes[4..4 + SIV_TAG_LEN].try_into().expect("tag"), // lint: infallible — see above
+            wrapped: bytes[4 + SIV_TAG_LEN..].try_into().expect("16 bytes"), // lint: infallible — see above
         })
     }
 
-    /// Unwraps the key on the card side.
+    /// Unwraps the key on the card side. A wrap that fails its tag fails
+    /// with [`sdds_crypto::CryptoError::IntegrityFailure`].
     // Recovers the cleartext key inside the SOE after the
-    // MAC check; the result never leaves the card.
+    // tag check; the result never leaves the card.
     pub fn unwrap_key(&self, transport_key: &SecretKey) -> Result<SecretKey, CoreError> {
-        let keys = transport_key.deriver();
-        let mac_key = keys.subkey("kw-mac");
-        let expected = hmac_sha256(
-            mac_key.as_bytes(),
-            &Self::mac_input(self.key_id, &self.iv, &self.wrapped),
-        );
-        if !verify_mac(&expected, &self.mac) {
-            return Err(CryptoError::IntegrityFailure {
-                context: "wrapped key".into(),
-            }
-            .into());
-        }
-        let enc_key = keys.subkey("kw-enc");
-        let cipher = Aes128::new(enc_key.as_bytes()).decryptor();
-        let material = cbc_decrypt(&cipher, &self.iv, &self.wrapped)?;
-        if material.len() != 16 {
-            return Err(CoreError::BadDocument {
-                message: "wrapped key has a bad length".into(),
-            });
-        }
-        let mut bytes = [0u8; 16];
-        bytes.copy_from_slice(&material);
+        let mut bytes = self.wrapped;
+        SivKey::new(transport_key).open_in_place(
+            &self.key_id.to_le_bytes(),
+            &self.tag,
+            &mut bytes,
+            "wrapped key",
+        )?;
         Ok(SecretKey::from_bytes(bytes))
     }
 }
@@ -346,9 +276,18 @@ impl TrustedServer {
 mod tests {
     use super::*;
     use crate::rule::Sign;
+    use sdds_crypto::CryptoError;
 
     fn rules() -> RuleSet {
         RuleSet::parse("+, doctor, //patient\n-, doctor, //ssn\n+, nurse, //patient/name").unwrap()
+    }
+
+    /// True for the one error a forged blob or key wrap may end in.
+    fn is_integrity_failure<T>(result: &Result<T, CoreError>) -> bool {
+        matches!(
+            result,
+            Err(CoreError::Crypto(CryptoError::IntegrityFailure { .. }))
+        )
     }
 
     #[test]
@@ -373,12 +312,69 @@ mod tests {
         let sealed = ProtectedRules::seal(&rules(), &key);
         let mut tampered = sealed.clone();
         tampered.ciphertext[4] ^= 1;
-        assert!(tampered.open(&key, None).is_err());
+        assert!(is_integrity_failure(&tampered.open(&key, None)));
         let mut tampered = sealed.clone();
         tampered.version += 1;
-        assert!(tampered.open(&key, None).is_err());
+        assert!(is_integrity_failure(&tampered.open(&key, None)));
         let other = SecretKey::derive(b"other", "rules");
-        assert!(sealed.open(&other, None).is_err());
+        assert!(is_integrity_failure(&sealed.open(&other, None)));
+    }
+
+    #[test]
+    fn every_prefix_and_bit_flip_of_a_rule_blob_opens_or_fails_typed() {
+        let key = SecretKey::derive(b"secret", "rules");
+        let mut set = rules();
+        set.set_version(9);
+        let valid = ProtectedRules::seal(&set, &key).encode();
+        let open = |bytes: &[u8]| ProtectedRules::decode(bytes)?.open(&key, None);
+        assert_eq!(open(&valid).unwrap(), set);
+        for len in 0..valid.len() {
+            let opened = open(&valid[..len]);
+            if len < RULES_PREFIX {
+                assert!(
+                    matches!(opened, Err(CoreError::BadDocument { .. })),
+                    "prefix {len}: {opened:?}"
+                );
+            } else {
+                assert!(is_integrity_failure(&opened), "prefix {len}: {opened:?}");
+            }
+        }
+        // Version, tag and ciphertext are all sealed: every flip fails the
+        // tag, never the rule-set decoder.
+        for bit in 0..valid.len() * 8 {
+            let mut flipped = valid.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let opened = open(&flipped);
+            assert!(is_integrity_failure(&opened), "bit {bit}: {opened:?}");
+        }
+    }
+
+    #[test]
+    fn every_prefix_and_bit_flip_of_a_key_wrap_opens_or_fails_typed() {
+        let transport = SecretKey::derive(b"pki-sim", "card-42");
+        let doc_key = SecretKey::derive(b"secret", "documents");
+        let valid = KeyProvisioning::wrap(3, &doc_key, &transport).encode();
+        let unwrap = |bytes: &[u8]| KeyProvisioning::decode(bytes)?.unwrap_key(&transport);
+        assert_eq!(unwrap(&valid).unwrap(), doc_key);
+        let mut longer = valid.clone();
+        longer.push(0);
+        for input in (0..valid.len())
+            .map(|len| &valid[..len])
+            .chain([&longer[..]])
+        {
+            let unwrapped = unwrap(input);
+            assert!(
+                matches!(unwrapped, Err(CoreError::BadDocument { .. })),
+                "{} bytes: {unwrapped:?}",
+                input.len()
+            );
+        }
+        for bit in 0..valid.len() * 8 {
+            let mut flipped = valid.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let unwrapped = unwrap(&flipped);
+            assert!(is_integrity_failure(&unwrapped), "bit {bit}: {unwrapped:?}");
+        }
     }
 
     #[test]
@@ -405,7 +401,12 @@ mod tests {
         let doctor = server.protected_rules_for(&Subject::new("doctor"));
         let nurse = server.protected_rules_for(&Subject::new("nurse"));
         assert_eq!(doctor.version, nurse.version);
-        assert_ne!(doctor.iv, nurse.iv, "one key, one version, two payloads");
+        // The SIV IV is the first half of the tag.
+        assert_ne!(
+            doctor.tag[..16],
+            nurse.tag[..16],
+            "one key, one version, two payloads"
+        );
         let again = server.protected_rules_for(&Subject::new("doctor"));
         assert_eq!(again.encode(), doctor.encode());
     }
@@ -420,9 +421,12 @@ mod tests {
         assert_eq!(unwrapped, doc_key);
         let mut tampered = wrapped.clone();
         tampered.wrapped[0] ^= 1;
-        assert!(tampered.unwrap_key(&transport).is_err());
+        assert!(is_integrity_failure(&tampered.unwrap_key(&transport)));
+        let mut tampered = wrapped.clone();
+        tampered.key_id = 8;
+        assert!(is_integrity_failure(&tampered.unwrap_key(&transport)));
         let wrong = SecretKey::derive(b"pki-sim", "card-43");
-        assert!(wrapped.unwrap_key(&wrong).is_err());
+        assert!(is_integrity_failure(&wrapped.unwrap_key(&wrong)));
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //!
 //! Each round is computed on four 32-bit column words with the classic
 //! T-tables: `Te` folds `SubBytes`, `ShiftRows` and `MixColumns` of the
-//! encryption round into four lookups per column, and `Td` does the same for
-//! decryption through the *equivalent inverse cipher* (FIPS-197 §5.3.5), whose
-//! middle round keys carry `InvMixColumns`. The tables are derived once, at
-//! first use, from the S-box (itself generated from the multiplicative
-//! inverse in GF(2^8)) rather than typed in as constants.
+//! encryption round into four lookups per column. The tables are derived
+//! once, at first use, from the S-box (itself generated from the
+//! multiplicative inverse in GF(2^8)) rather than typed in as constants.
+//!
+//! Only the forward cipher exists: every mode in this crate (CTR, the
+//! Poly1305-then-AES tags, key derivation and SIV) encrypts, and none
+//! decrypts a block.
 //!
 //! The SOE's cost model charges decryption per byte, so the E-series
 //! experiments do not depend on this constant factor; the wall-clock
@@ -68,66 +70,40 @@ fn build_sbox() -> [u8; 256] {
     sbox
 }
 
-fn build_inv_sbox(sbox: &[u8; 256]) -> [u8; 256] {
-    let mut inv = [0u8; 256];
-    for (i, &v) in sbox.iter().enumerate() {
-        inv[v as usize] = i as u8;
-    }
-    inv
-}
-
-/// S-boxes and round tables shared by every cipher instance.
+/// The S-box and round tables shared by every cipher instance.
 ///
 /// `te[k][x]` is the `MixColumns` column of `S[x]` placed in row 0, rotated
-/// right by `8k` bits for row `k`; `td[k][x]` is the `InvMixColumns` column of
-/// `S⁻¹[x]`, rotated the same way.
+/// right by `8k` bits for row `k`.
 struct Tables {
     sbox: [u8; 256],
-    inv_sbox: [u8; 256],
     te: [[u32; 256]; 4],
-    td: [[u32; 256]; 4],
 }
 
 impl Tables {
     fn build() -> Self {
         let sbox = build_sbox();
-        let inv_sbox = build_inv_sbox(&sbox);
         let mut te = [[0u32; 256]; 4];
-        let mut td = [[0u32; 256]; 4];
         for x in 0..256 {
             let s = sbox[x];
             let e = u32::from_be_bytes([gf_mul(s, 2), s, s, gf_mul(s, 3)]);
-            let i = inv_sbox[x];
-            let d = u32::from_be_bytes([gf_mul(i, 14), gf_mul(i, 9), gf_mul(i, 13), gf_mul(i, 11)]);
-            for k in 0..4 {
-                te[k][x] = e.rotate_right(8 * k as u32);
-                td[k][x] = d.rotate_right(8 * k as u32);
+            for (k, row) in te.iter_mut().enumerate() {
+                row[x] = e.rotate_right(8 * k as u32);
             }
         }
-        Tables {
-            sbox,
-            inv_sbox,
-            te,
-            td,
-        }
+        Tables { sbox, te }
     }
 
-    /// One full round over the column words: `t` is `te` or `td`, and
-    /// `(a, b, c)` select the source columns of rows 1–3 (the forward or
-    /// inverse `ShiftRows`).
+    /// One full round over the column words. `ShiftRows` takes row `r` of
+    /// output column `c` from column `c + r`.
     #[inline(always)]
-    fn round(
-        t: &[[u32; 256]; 4],
-        s: [u32; 4],
-        rk: &RoundKey,
-        (a, b, c): (usize, usize, usize),
-    ) -> [u32; 4] {
+    fn round(&self, s: [u32; 4], rk: &RoundKey) -> [u32; 4] {
+        let t = &self.te;
         let mut out = [0u32; 4];
         for (col, o) in out.iter_mut().enumerate() {
             *o = t[0][(s[col] >> 24) as usize]
-                ^ t[1][((s[(col + a) % 4] >> 16) & 0xff) as usize]
-                ^ t[2][((s[(col + b) % 4] >> 8) & 0xff) as usize]
-                ^ t[3][(s[(col + c) % 4] & 0xff) as usize]
+                ^ t[1][((s[(col + 1) % 4] >> 16) & 0xff) as usize]
+                ^ t[2][((s[(col + 2) % 4] >> 8) & 0xff) as usize]
+                ^ t[3][(s[(col + 3) % 4] & 0xff) as usize]
                 ^ rk[col];
         }
         out
@@ -135,19 +111,15 @@ impl Tables {
 
     /// The last round: S-box bytes only (no column mixing).
     #[inline(always)]
-    fn last_round(
-        sbox: &[u8; 256],
-        s: [u32; 4],
-        rk: &RoundKey,
-        (a, b, c): (usize, usize, usize),
-    ) -> [u32; 4] {
+    fn last_round(&self, s: [u32; 4], rk: &RoundKey) -> [u32; 4] {
+        let sbox = &self.sbox;
         let mut out = [0u32; 4];
         for (col, o) in out.iter_mut().enumerate() {
             *o = u32::from_be_bytes([
                 sbox[(s[col] >> 24) as usize],
-                sbox[((s[(col + a) % 4] >> 16) & 0xff) as usize],
-                sbox[((s[(col + b) % 4] >> 8) & 0xff) as usize],
-                sbox[(s[(col + c) % 4] & 0xff) as usize],
+                sbox[((s[(col + 1) % 4] >> 16) & 0xff) as usize],
+                sbox[((s[(col + 2) % 4] >> 8) & 0xff) as usize],
+                sbox[(s[(col + 3) % 4] & 0xff) as usize],
             ]) ^ rk[col];
         }
         out
@@ -163,22 +135,7 @@ impl Tables {
             self.sbox[b[3] as usize],
         ])
     }
-
-    /// `InvMixColumns` of one column word: `td` applied to `S[x]` cancels the
-    /// inverse S-box folded into the table.
-    fn inv_mix_word(&self, w: u32) -> u32 {
-        let b = w.to_be_bytes();
-        self.td[0][self.sbox[b[0] as usize] as usize]
-            ^ self.td[1][self.sbox[b[1] as usize] as usize]
-            ^ self.td[2][self.sbox[b[2] as usize] as usize]
-            ^ self.td[3][self.sbox[b[3] as usize] as usize]
-    }
 }
-
-/// Forward `ShiftRows`: row `r` of output column `c` comes from column `c + r`.
-const SHIFT: (usize, usize, usize) = (1, 2, 3);
-/// Inverse `ShiftRows`: row `r` of output column `c` comes from column `c - r`.
-const INV_SHIFT: (usize, usize, usize) = (3, 2, 1);
 
 fn tables() -> &'static Tables {
     static TABLES: OnceLock<Tables> = OnceLock::new();
@@ -199,9 +156,7 @@ fn store(s: [u32; 4], block: &mut [u8; BLOCK_SIZE]) {
     }
 }
 
-/// An AES-128 cipher with an expanded encryption key schedule. CTR mode,
-/// CBC encryption and the tag PRFs only ever encrypt; CBC decryption asks
-/// for the inverse schedule with [`Aes128::decryptor`].
+/// An AES-128 cipher with an expanded encryption key schedule.
 #[derive(Clone)]
 pub struct Aes128 {
     /// Encryption round keys, round 0 first.
@@ -209,25 +164,10 @@ pub struct Aes128 {
     tables: &'static Tables,
 }
 
-/// The decryption direction of an AES-128 key: the equivalent inverse
-/// cipher's round keys, built by [`Aes128::decryptor`].
-#[derive(Clone)]
-pub struct Aes128Dec {
-    /// Equivalent-inverse-cipher round keys, in decryption order.
-    dec: [RoundKey; ROUNDS + 1],
-    tables: &'static Tables,
-}
-
 impl std::fmt::Debug for Aes128 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // Never print key material.
         f.write_str("Aes128 {{ <key schedule redacted> }}")
-    }
-}
-
-impl std::fmt::Debug for Aes128Dec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Aes128Dec {{ <key schedule redacted> }}")
     }
 }
 
@@ -250,22 +190,6 @@ impl Aes128 {
         Aes128 { enc, tables }
     }
 
-    /// Builds the decryption schedule of this key.
-    pub fn decryptor(&self) -> Aes128Dec {
-        let tables = self.tables;
-        // Decryption walks the rounds backwards; the middle round keys get
-        // `InvMixColumns` so each inverse round is a plain `td` round.
-        let dec = std::array::from_fn(|r| {
-            let key = self.enc[ROUNDS - r];
-            if r == 0 || r == ROUNDS {
-                key
-            } else {
-                key.map(|word| tables.inv_mix_word(word))
-            }
-        });
-        Aes128Dec { dec, tables }
-    }
-
     /// Encrypts one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; BLOCK_SIZE]) {
         let t = self.tables;
@@ -274,27 +198,23 @@ impl Aes128 {
             *w ^= k;
         }
         for rk in &self.enc[1..ROUNDS] {
-            s = Tables::round(&t.te, s, rk, SHIFT);
+            s = t.round(s, rk);
         }
-        s = Tables::last_round(&t.sbox, s, &self.enc[ROUNDS], SHIFT);
+        s = t.last_round(s, &self.enc[ROUNDS]);
         store(s, block);
     }
-}
 
-impl Aes128Dec {
-    /// Decrypts one 16-byte block in place.
-    // Card side only: restores the cleartext block inside the SOE.
-    pub fn decrypt_block(&self, block: &mut [u8; BLOCK_SIZE]) {
-        let t = self.tables;
-        let mut s = load(block);
-        for (w, k) in s.iter_mut().zip(&self.dec[0]) {
-            *w ^= k;
-        }
-        for rk in &self.dec[1..ROUNDS] {
-            s = Tables::round(&t.td, s, rk, INV_SHIFT);
-        }
-        s = Tables::last_round(&t.inv_sbox, s, &self.dec[ROUNDS], INV_SHIFT);
-        store(s, block);
+    /// `N` secrets drawn from this key: the encryptions of the blocks
+    /// `first`, `first + 1`, …, each block all zero but for its index in
+    /// byte 0. Disjoint index ranges give independent secrets, so one key
+    /// can feed several constructions without a derivation step between.
+    pub fn key_parts<const N: usize>(&self, first: u8) -> [[u8; BLOCK_SIZE]; N] {
+        std::array::from_fn(|part| {
+            let mut block = [0u8; BLOCK_SIZE];
+            block[0] = first + part as u8;
+            self.encrypt_block(&mut block);
+            block
+        })
     }
 }
 
@@ -357,15 +277,6 @@ mod reference {
         }
     }
 
-    fn inv_shift_rows(state: &mut [u8; 16]) {
-        let s = *state;
-        for r in 1..4 {
-            for c in 0..4 {
-                state[4 * ((c + r) % 4) + r] = s[4 * c + r];
-            }
-        }
-    }
-
     fn mix_columns(state: &mut [u8; 16], m: [u8; 4]) {
         for c in 0..4 {
             let col = [
@@ -395,21 +306,6 @@ mod reference {
         shift_rows(block);
         add_round_key(block, &rk[ROUNDS]);
     }
-
-    pub fn decrypt_block(key: &[u8; KEY_SIZE], block: &mut [u8; BLOCK_SIZE]) {
-        let rk = round_keys(key);
-        let inv_sbox = &tables().inv_sbox;
-        add_round_key(block, &rk[ROUNDS]);
-        for round in rk.iter().take(ROUNDS).skip(1).rev() {
-            inv_shift_rows(block);
-            sub_bytes(block, inv_sbox);
-            add_round_key(block, round);
-            mix_columns(block, [14, 11, 13, 9]);
-        }
-        inv_shift_rows(block);
-        sub_bytes(block, inv_sbox);
-        add_round_key(block, &rk[0]);
-    }
 }
 
 #[cfg(test)]
@@ -431,17 +327,8 @@ mod tests {
             0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb, 0xdc, 0x11, 0x85, 0x97, 0x19, 0x6a,
             0x0b, 0x32,
         ];
-        let cipher = Aes128::new(&key);
-        cipher.encrypt_block(&mut block);
+        Aes128::new(&key).encrypt_block(&mut block);
         assert_eq!(block, expected);
-        cipher.decryptor().decrypt_block(&mut block);
-        assert_eq!(
-            block,
-            [
-                0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d, 0x31, 0x31, 0x98, 0xa2, 0xe0, 0x37,
-                0x07, 0x34
-            ]
-        );
     }
 
     #[test]
@@ -465,29 +352,9 @@ mod tests {
     }
 
     #[test]
-    fn fips197_appendix_c1_inverse_cipher() {
-        // FIPS-197 Appendix C.1, decrypt direction: the ciphertext maps back
-        // to the plaintext under the same key.
-        let key: [u8; 16] = [
-            0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d,
-            0x0e, 0x0f,
-        ];
-        let mut block: [u8; 16] = [
-            0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
-            0xc5, 0x5a,
-        ];
-        let expected: [u8; 16] = [
-            0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd,
-            0xee, 0xff,
-        ];
-        Aes128::new(&key).decryptor().decrypt_block(&mut block);
-        assert_eq!(block, expected);
-    }
-
-    #[test]
     fn table_driven_rounds_match_the_byte_oriented_reference() {
-        // Seeded differential test: 2048 random key/block pairs through both
-        // directions of the production cipher and the FIPS-197 reference.
+        // Seeded differential test: 2048 random key/block pairs through the
+        // production cipher and the FIPS-197 reference.
         let mut state = 0x5DD5_2005_u64;
         let mut next = || {
             // SplitMix64.
@@ -506,35 +373,27 @@ mod tests {
         for case in 0..2048 {
             let key = random_block();
             let plain = random_block();
-            let cipher = Aes128::new(&key);
-            let decryptor = cipher.decryptor();
-
             let mut fast = plain;
-            cipher.encrypt_block(&mut fast);
+            Aes128::new(&key).encrypt_block(&mut fast);
             let mut slow = plain;
             reference::encrypt_block(&key, &mut slow);
             assert_eq!(fast, slow, "encrypt diverged at case {case}");
-
-            let mut fast_back = plain;
-            decryptor.decrypt_block(&mut fast_back);
-            let mut slow_back = plain;
-            reference::decrypt_block(&key, &mut slow_back);
-            assert_eq!(fast_back, slow_back, "decrypt diverged at case {case}");
         }
     }
 
     #[test]
-    fn encrypt_decrypt_roundtrip_many_blocks() {
-        let cipher = Aes128::new(&[7u8; 16]);
-        let decryptor = cipher.decryptor();
-        for i in 0..64u8 {
-            let mut block = [i; 16];
-            let original = block;
+    fn key_parts_are_the_encryptions_of_their_indices() {
+        let cipher = Aes128::new(&[9u8; 16]);
+        let parts: [[u8; 16]; 3] = cipher.key_parts(4);
+        for (i, part) in parts.iter().enumerate() {
+            let mut block = [0u8; 16];
+            block[0] = 4 + i as u8;
             cipher.encrypt_block(&mut block);
-            assert_ne!(block, original);
-            decryptor.decrypt_block(&mut block);
-            assert_eq!(block, original);
+            assert_eq!(*part, block);
         }
+        // A range starting later continues the same sequence.
+        let later: [[u8; 16]; 2] = cipher.key_parts(5);
+        assert_eq!(later, [parts[1], parts[2]]);
     }
 
     #[test]
@@ -550,11 +409,9 @@ mod tests {
 
     #[test]
     fn debug_does_not_leak_key_material() {
-        let c = Aes128::new(&[0xAB; 16]);
-        for dbg in [format!("{c:?}"), format!("{:?}", c.decryptor())] {
-            assert!(dbg.contains("redacted"));
-            assert!(!dbg.contains("171")); // 0xAB
-        }
+        let dbg = format!("{:?}", Aes128::new(&[0xAB; 16]));
+        assert!(dbg.contains("redacted"));
+        assert!(!dbg.contains("171")); // 0xAB
     }
 
     #[test]

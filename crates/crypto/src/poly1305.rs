@@ -11,7 +11,9 @@
 //! A lane follows RFC 8439 in its clamping of `r`, its block encoding and
 //! its final reduction, but stops before the final `+ s`: it returns
 //! `P_r(m) mod 2^128`, the bare hash. The bare hash is not a MAC by itself;
-//! [`PolyAesKey`] hides each lane's hash under its own AES key.
+//! [`PolyAesKey`] hides each lane's hash under its own AES key. The same
+//! keyed function is the PRF of key derivation ([`crate::KeyDeriver`]) and
+//! of SIV ([`crate::siv`]); tags are compared with [`verify_mac`].
 
 use crate::aes::Aes128;
 
@@ -208,6 +210,13 @@ impl PolyAesKey {
         }
     }
 
+    /// Schedules the key whose parts `r1`, `r2`, `k1`, `k2` are AES under
+    /// `key` of the blocks 0 to 3 ([`Aes128::key_parts`]).
+    pub fn from_key(key: &[u8; 16]) -> Self {
+        let [r1, r2, k1, k2] = Aes128::new(key).key_parts(0);
+        PolyAesKey::new([&r1, &r2], [&k1, &k2])
+    }
+
     /// Starts a tag: both lanes at zero, ready to absorb the message in
     /// parts.
     pub fn start(&self) -> Poly1305<'_, 2> {
@@ -224,6 +233,26 @@ impl PolyAesKey {
         }
         tag
     }
+
+    /// The tag of `message` in one call.
+    pub fn tag(&self, message: &[u8]) -> [u8; 32] {
+        let mut poly = self.start();
+        poly.update(message);
+        self.finish(poly)
+    }
+}
+
+/// Compares two tags in constant time: the time depends on the lengths
+/// only, never on where the bytes differ.
+pub fn verify_mac(expected: &[u8], actual: &[u8]) -> bool {
+    if expected.len() != actual.len() {
+        return false;
+    }
+    let mut diff = 0u8;
+    for (a, b) in expected.iter().zip(actual.iter()) {
+        diff |= a ^ b;
+    }
+    diff == 0
 }
 
 #[cfg(test)]
@@ -535,5 +564,24 @@ mod tests {
         poly.update(message);
         assert_ne!(swapped.finish(poly), tag);
         assert_eq!(format!("{key:?}"), "PolyAesKey(<redacted>)");
+        assert_eq!(key.tag(message), tag);
+        // `from_key` draws the four parts from AES under one key.
+        let master = [5u8; 16];
+        let [r1, r2, k1, k2] = Aes128::new(&master).key_parts(0);
+        let drawn = PolyAesKey::new([&r1, &r2], [&k1, &k2]);
+        assert_eq!(
+            PolyAesKey::from_key(&master).tag(message),
+            drawn.tag(message)
+        );
+    }
+
+    #[test]
+    fn verify_mac_checks_equality_and_length() {
+        let mac = PolyAesKey::from_key(&[1; 16]).tag(b"m");
+        assert!(verify_mac(&mac, &mac));
+        let mut bad = mac;
+        bad[0] ^= 1;
+        assert!(!verify_mac(&mac, &bad));
+        assert!(!verify_mac(&mac, &mac[..31]));
     }
 }

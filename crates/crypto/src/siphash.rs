@@ -2,9 +2,9 @@
 //! with a 64-bit output.
 //!
 //! The publisher derives each document's nonce by running it over the whole
-//! plaintext at every build, where it costs a fraction of HMAC-SHA256 per
-//! byte. Nothing on the SOE side uses it: chunk tags are two-lane
-//! Poly1305-then-AES (see [`crate::poly1305`]).
+//! plaintext at every build, where it costs about a quarter of the two-lane
+//! Poly1305 per byte. Nothing on the SOE side uses it: chunk tags are
+//! two-lane Poly1305-then-AES (see [`crate::poly1305`]).
 
 /// One SipRound over the state `v`.
 fn round(v: &mut [u64; 4]) {

@@ -18,16 +18,18 @@ use std::sync::Arc;
 /// Size of a [`ChunkTag`] in bytes.
 pub const TAG_LEN: usize = 32;
 
-/// Version byte of the header encoding (3: the chunk tags are two-lane
-/// Poly1305-then-AES; 2 had HMAC-SHA256 tags, 1 a hash-tree root).
-const FORMAT_VERSION: u8 = 3;
+/// Version byte of the header encoding (4: the header MAC, like the chunk
+/// tags, is two-lane Poly1305-then-AES, and every key comes from the AES
+/// key derivation; 3 had an HMAC-SHA256 header MAC and HMAC-derived keys,
+/// 2 HMAC-SHA256 chunk tags, 1 a hash-tree root).
+const FORMAT_VERSION: u8 = 4;
 
 /// Why a document header failed to decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HeaderFault {
     /// The input does not start with `SDDS`.
     BadMagic,
-    /// The version byte is not the format version (3).
+    /// The version byte is not the format version (4).
     UnsupportedVersion(u8),
     /// The input ends before the last field.
     Truncated,
@@ -124,8 +126,8 @@ pub struct DocumentHeader {
     pub tokens_start: u64,
     /// Whether nested summaries use recursive bitmap compression.
     pub recursive_bitmaps: bool,
-    /// HMAC over [`DocumentHeader::mac_input`], keyed by the document MAC
-    /// key.
+    /// Two-lane Poly1305-then-AES tag of [`DocumentHeader::mac_input`],
+    /// under key parts drawn from the document MAC key.
     pub mac: [u8; 32],
 }
 
@@ -359,7 +361,8 @@ mod tests {
             check(&flipped);
         }
         // A flipped version byte is rejected whatever it becomes: version 1
-        // (a hash-tree root) and version 2 (HMAC chunk tags) included.
+        // (a hash-tree root), 2 (HMAC chunk tags) and 3 (an HMAC header MAC)
+        // included.
         for version in (0..=u8::MAX).filter(|&v| v != FORMAT_VERSION) {
             let mut old = valid.clone();
             old[4] = version;

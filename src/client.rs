@@ -268,19 +268,24 @@ impl Publisher {
         &mut self.server
     }
 
-    /// Re-seals and re-uploads the protected rule blobs of every known
-    /// subject for every stored document (called automatically by
-    /// [`Publisher::grant`]; call it directly after editing the policy
-    /// through [`Publisher::server_mut`]).
+    /// Re-seals the protected rule blob of every known subject, once per
+    /// subject, and stores it for every stored document (called
+    /// automatically by [`Publisher::grant`]; call it directly after editing
+    /// the policy through [`Publisher::server_mut`]). A subject's blob does
+    /// not depend on the document, so every document shares one copy.
     pub fn sync_rules(&self) -> Result<(), SddsError> {
-        let subjects = self.served_subjects();
+        let blobs: Vec<(Subject, Arc<[u8]>)> = self
+            .served_subjects()
+            .into_iter()
+            .map(|subject| {
+                let blob = Arc::from(&self.server.protected_rules_for(&subject));
+                (subject, blob)
+            })
+            .collect();
         for doc_id in self.service.store().document_ids() {
-            for subject in &subjects {
-                self.service.put_rules(
-                    &doc_id,
-                    subject.name(),
-                    &self.server.protected_rules_for(subject),
-                )?;
+            for (subject, blob) in &blobs {
+                self.service
+                    .put_rules(&doc_id, subject.name(), Arc::clone(blob))?;
             }
         }
         Ok(())
@@ -303,9 +308,9 @@ impl Publisher {
         if Arc::ptr_eq(service, &self.service) && !newly_known {
             return Ok(());
         }
-        let protected = self.server.protected_rules_for(subject);
+        let blob: Arc<[u8]> = Arc::from(&self.server.protected_rules_for(subject));
         for doc_id in service.store().document_ids() {
-            service.put_rules(&doc_id, subject.name(), &protected)?;
+            service.put_rules(&doc_id, subject.name(), Arc::clone(&blob))?;
         }
         Ok(())
     }
@@ -618,6 +623,46 @@ mod tests {
         assert!(view.contains("<name>"));
         // And the stored document was never touched.
         assert_eq!(publisher.service().revision("folders"), Some(0));
+    }
+
+    #[test]
+    fn a_grant_seals_each_subjects_blob_once_for_every_document() {
+        let mut publisher = Publisher::new(b"hospital-2005", rules());
+        let doc = hospital();
+        let doc_ids = ["folders", "archive", "ward"];
+        for doc_id in doc_ids {
+            publisher.publish(doc_id, &doc).unwrap();
+        }
+        // A provisioned subject outside the policy is served too.
+        Client::builder("nurse").provision(&publisher).unwrap();
+        publisher
+            .grant("nurse", Sign::Permit, "//patient/name")
+            .unwrap();
+        let server = publisher.server();
+        let version = server.rules().version();
+        for subject in ["doctor", "secretary", "nurse"].map(Subject::new) {
+            let expected = server.protected_rules_for(&subject).encode();
+            let mut subset = server.rules().subset_for(&subject);
+            subset.set_version(version);
+            let served: Vec<Arc<[u8]>> = doc_ids
+                .iter()
+                .map(|doc_id| {
+                    publisher
+                        .service()
+                        .fetch_rules(doc_id, subject.name())
+                        .unwrap()
+                })
+                .collect();
+            for blob in &served {
+                assert_eq!(blob[..], expected[..], "{}", subject.name());
+                assert!(Arc::ptr_eq(blob, &served[0]), "sealed once, shared");
+                let opened = ProtectedRules::decode(blob)
+                    .unwrap()
+                    .open(&server.rules_key(), Some(version))
+                    .unwrap();
+                assert_eq!(opened, subset);
+            }
+        }
     }
 
     #[test]

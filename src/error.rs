@@ -193,7 +193,7 @@ mod tests {
 
     #[test]
     fn conversions_normalise_to_the_most_specific_layer() {
-        let e: SddsError = CoreError::Crypto(CryptoError::BadPadding).into();
+        let e: SddsError = CoreError::Crypto(CryptoError::UnknownKey { key_id: 1 }).into();
         assert!(matches!(e, SddsError::Crypto(_)));
         let e: SddsError = ProxyError::Core(CoreError::Card(CardError::Refused {
             status: 0x6982,
@@ -251,7 +251,7 @@ mod tests {
     #[test]
     fn sources_are_exposed_for_error_chains() {
         use std::error::Error;
-        let e: SddsError = CryptoError::BadPadding.into();
+        let e: SddsError = CryptoError::UnknownKey { key_id: 1 }.into();
         assert!(e.source().is_some());
         let e = SddsError::Protocol("oops".into());
         assert!(e.source().is_none());
