@@ -25,7 +25,8 @@
 //!   ([`KeyDeriver`], a [`PolyAesKey`] PRF under the master) and the key
 //!   ring stored in the SOE's secure stable memory,
 //! * [`siphash`] — SipHash-2-4, the keyed PRF that derives a document's
-//!   nonce from its plaintext at build time, on the publisher only.
+//!   nonce from its plaintext at build time, on the publisher only,
+//! * [`sha256`] — SHA-256 (FIPS 180-4), standalone: nothing above uses it.
 //!
 //! **Security note.** These implementations favour clarity and portability and
 //! are not hardened against side channels; they are a faithful functional
@@ -45,6 +46,7 @@ pub mod error;
 pub mod keys;
 pub mod modes;
 pub mod poly1305;
+pub mod sha256;
 pub mod siphash;
 pub mod siv;
 

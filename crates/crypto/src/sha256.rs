@@ -1,4 +1,8 @@
 //! SHA-256 (FIPS 180-4).
+//!
+//! Nothing in the SOE, the control plane or the publisher hashes with it:
+//! the card's primitives are all built on AES. It stays, with its
+//! known-answer tests, until a later change removes it (see ROADMAP).
 
 /// Size of a SHA-256 digest in bytes.
 pub const DIGEST_SIZE: usize = 32;
@@ -21,7 +25,7 @@ const H0: [u32; 8] = [
 ];
 
 /// Incremental SHA-256 hasher. Its whole state is plain data, so a
-/// midstate is saved and resumed by copying it (see `hmac::HmacKey`).
+/// midstate is saved and resumed by copying it.
 #[derive(Clone, Copy)]
 pub struct Sha256 {
     state: [u32; 8],
