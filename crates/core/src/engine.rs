@@ -8,8 +8,8 @@
 //!   *next chunk it actually needs* (which is how skipping translates into
 //!   fewer transferred and decrypted bytes), feeds the streaming evaluator and
 //!   exposes the authorized events. It is transport-agnostic: tests and
-//!   benches drive it with [`run_local`], the demonstrator drives it through
-//!   APDUs.
+//!   benches drive it with [`run_local`], the terminal proxy drives it
+//!   through APDUs or in process.
 //! * [`AccessControlApplet`] — the APDU front-end implementing
 //!   [`sdds_card::Applet`], i.e. what is actually "installed on the card" in
 //!   the demonstrator architecture (Figure 3): key provisioning, rule refresh,
@@ -195,32 +195,44 @@ impl SecureEvaluationSession {
     }
 
     /// Takes the authorized events produced so far. A driver that drains
-    /// the session after every [`SecureEvaluationSession::supply_chunk`]
-    /// should prefer [`SecureEvaluationSession::swap_output`], which keeps
-    /// the buffers.
+    /// the session after every chunk should prefer
+    /// [`SecureEvaluationSession::exchange_chunk`], which keeps the buffers.
     pub fn take_output(&mut self) -> Vec<Event> {
         std::mem::take(&mut self.output)
     }
 
-    /// Hands the authorized events produced so far over in `buffer`, and
-    /// keeps `buffer`'s old allocation (emptied) for the next chunk's
-    /// events: a driver that alternates one buffer with the session's never
-    /// regrows either.
-    pub fn swap_output(&mut self, buffer: &mut Vec<Event>) {
-        buffer.clear();
-        std::mem::swap(&mut self.output, buffer);
-    }
-
     /// Accounts one chunk transfer on the session ledger (`wire_bytes` served
     /// to the SOE, `produced_bytes` of authorized output shipped back) — the
-    /// channel-side counterpart of [`SecureEvaluationSession::supply_chunk`]
-    /// used by drivers outside this crate (e.g. the facade's `ViewStream`),
-    /// mirroring what [`run_local`] records.
+    /// channel-side counterpart of [`SecureEvaluationSession::supply_chunk`].
     pub fn record_exchange(&mut self, wire_bytes: usize, produced_bytes: usize) {
         self.stats
             .ledger
             .channel
             .record_exchange(wire_bytes, produced_bytes);
+    }
+
+    /// Serves one chunk request as one channel exchange: supplies the chunk
+    /// and its tag, hands the events it released over in `buffer` and
+    /// accounts the exchange on the session ledger. Returns its `(wire,
+    /// produced)` bytes: the chunk and its tag in, the serialized events out.
+    ///
+    /// `buffer`'s old allocation (emptied) is kept for the next chunk's
+    /// events: a driver that alternates one buffer with the session's never
+    /// regrows either.
+    pub fn exchange_chunk(
+        &mut self,
+        index: u32,
+        ciphertext: &[u8],
+        tag: &ChunkTag,
+        buffer: &mut Vec<Event>,
+    ) -> Result<(usize, usize), CoreError> {
+        self.supply_chunk(index, ciphertext, tag)?;
+        buffer.clear();
+        std::mem::swap(&mut self.output, buffer);
+        let wire = ciphertext.len() + tag.encoded_len();
+        let produced = buffer.iter().map(Event::serialized_len).sum();
+        self.record_exchange(wire, produced);
+        Ok((wire, produced))
     }
 
     /// Finishes the session and returns the final statistics.
@@ -571,27 +583,15 @@ pub fn run_local(
 ) -> Result<Vec<Event>, CoreError> {
     let mut output = Vec::new();
     let mut produced = Vec::new();
-    loop {
-        match session.next_request() {
-            SessionRequest::Done => break,
-            SessionRequest::NeedChunk(index) => {
-                let (chunk, tag) = document.sealed_chunk(index as usize).ok_or_else(|| {
-                    CoreError::BadDocument {
-                        message: format!("chunk {index} out of range"),
-                    }
+    while let SessionRequest::NeedChunk(index) = session.next_request() {
+        let (chunk, tag) =
+            document
+                .sealed_chunk(index as usize)
+                .ok_or_else(|| CoreError::BadDocument {
+                    message: format!("chunk {index} out of range"),
                 })?;
-                let wire = chunk.len() + tag.encoded_len();
-                session.supply_chunk(index, &chunk, &tag)?;
-                session.swap_output(&mut produced);
-                let produced_len: usize = produced.iter().map(Event::serialized_len).sum();
-                session
-                    .stats
-                    .ledger
-                    .channel
-                    .record_exchange(wire, produced_len);
-                output.append(&mut produced);
-            }
-        }
+        session.exchange_chunk(index, &chunk, &tag, &mut produced)?;
+        output.append(&mut produced);
     }
     Ok(output)
 }

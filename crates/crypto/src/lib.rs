@@ -25,8 +25,7 @@
 //!   ([`KeyDeriver`], a [`PolyAesKey`] PRF under the master) and the key
 //!   ring stored in the SOE's secure stable memory,
 //! * [`siphash`] — SipHash-2-4, the keyed PRF that derives a document's
-//!   nonce from its plaintext at build time, on the publisher only,
-//! * [`sha256`] — SHA-256 (FIPS 180-4), standalone: nothing above uses it.
+//!   nonce from its plaintext at build time, on the publisher only.
 //!
 //! **Security note.** These implementations favour clarity and portability and
 //! are not hardened against side channels; they are a faithful functional
@@ -46,7 +45,6 @@ pub mod error;
 pub mod keys;
 pub mod modes;
 pub mod poly1305;
-pub mod sha256;
 pub mod siphash;
 pub mod siv;
 

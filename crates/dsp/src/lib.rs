@@ -33,7 +33,7 @@ pub mod store;
 pub use dissemination::StreamItem;
 pub use obs::{DspObs, ErrorObs, SchedulerObs, ServeObs, ServerStats, SessionObs, ShardObs};
 pub use service::{
-    DspService, FanOutDisseminator, HotPolicy, Schedulable, ScheduleReport, ServiceModel,
-    SessionScheduler, ShardedStore, StepOutcome,
+    DspService, FanOutDisseminator, Schedulable, ScheduleReport, ServiceModel, SessionScheduler,
+    ShardedStore, StepOutcome,
 };
 pub use store::{DocumentRecord, DspStore};

@@ -40,9 +40,9 @@
 //!   not serialize either.
 //! * **hot-document replication** — the E10 hot-document scenario (256
 //!   clients, one document): a pinned ([`DspService::pin_replicas`], or the
-//!   facade's `Publisher::builder().replicate(n)`) or threshold-hot
-//!   ([`HotPolicy`]) document is served from clones on several shards, with
-//!   revision-tagged invalidation on republish (see [`shard`]).
+//!   facade's `Publisher::builder().replicate(n)`) document is served from
+//!   clones on several shards, with revision-tagged invalidation on
+//!   republish (see [`shard`]).
 //! * **scheduler workers / quantum** — the terminal-side multiplexing of E5
 //!   run K-wide; the quantum bounds how long one card can monopolise the
 //!   service between turns of the others (fair round-robin per card).
@@ -71,7 +71,7 @@ pub mod shard;
 
 pub use fanout::{FanOutDisseminator, SubscriberId};
 pub use scheduler::{FinishedSession, Schedulable, ScheduleReport, SessionScheduler, StepOutcome};
-pub use shard::{HotPolicy, ShardedStore};
+pub use shard::ShardedStore;
 
 use std::time::Duration;
 
@@ -191,13 +191,6 @@ impl DspService {
     /// Replaces the service-time model.
     pub fn with_model(mut self, model: ServiceModel) -> Self {
         self.model = model;
-        self
-    }
-
-    /// Enables threshold-driven hot-document replication (see
-    /// [`ShardedStore::with_hot_policy`]).
-    pub fn with_hot_policy(mut self, policy: HotPolicy) -> Self {
-        self.store = self.store.with_hot_policy(policy);
         self
     }
 

@@ -19,8 +19,8 @@
 //! queues on one shard's serial capacity, whatever the shard count. The store
 //! therefore keeps a replica directory: a document that is pinned
 //! ([`ShardedStore::pin_replicas`], reachable through the facade's
-//! `Publisher::builder().replicate(n)`) — or whose serve count crosses the
-//! [`HotPolicy`] threshold — gets read-only clones on further shards, and
+//! `Publisher::builder().replicate(n)`) gets read-only clones on further
+//! shards, and
 //! reads spread over the copies deterministically (chunk index / subject hash
 //! picks the copy, so per-shard accounting is interleaving independent).
 //! Republishing **invalidates the clones before the new revision lands** and
@@ -134,20 +134,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Replication policy for documents that become hot organically: once a
-/// document's serve count **reaches** `threshold` (clamped to at least 1),
-/// it is cloned so `replicas` shards serve it (clamped to the shard count).
-/// Disabled by default; see [`ShardedStore::with_hot_policy`]. Explicitly
-/// pinned documents ([`ShardedStore::pin_replicas`]) ignore the threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HotPolicy {
-    /// Serves (since upload) at which a document is considered hot (`0`
-    /// behaves like `1`: the first serve replicates).
-    pub threshold: usize,
-    /// Total shards that should serve a hot document (home copy included).
-    pub replicas: usize,
-}
-
 /// Replica directory entry of one document.
 #[derive(Debug)]
 struct ReplicaEntry {
@@ -156,11 +142,9 @@ struct ReplicaEntry {
     /// here: republishing physically removes the clones before the new
     /// revision lands, and pinned fetches check the served record itself.
     shards: Vec<usize>,
-    /// Replication degree requested by a publisher pin (`None`: threshold
-    /// driven only). Pinned documents re-replicate after every republish.
-    pinned: Option<usize>,
-    /// Serves since upload — drives the [`HotPolicy`] threshold.
-    serves: AtomicUsize,
+    /// Replication degree requested by the publisher pin; the document
+    /// re-replicates to it after every republish.
+    pinned: usize,
 }
 
 /// One shard: a plain store and read-only clones of hot documents homed on
@@ -186,7 +170,6 @@ pub struct ShardedStore {
     /// path checks this before touching the directory lock, so a store with
     /// no replication shares no routing state between shards at all.
     replicated: AtomicUsize,
-    hot: Option<HotPolicy>,
     /// Serving telemetry: the per-shard byte accounting the capacity model
     /// reads (counted on detached bundles too), plus latency spans, routing
     /// and error counters, which only live bundles record.
@@ -205,7 +188,6 @@ impl ShardedStore {
             shards: (0..count).map(|_| RwLock::new(Shard::default())).collect(),
             directory: RwLock::new(HashMap::new()),
             replicated: AtomicUsize::new(0),
-            hot: None,
             obs: ServeObs::detached(count),
         }
     }
@@ -221,19 +203,6 @@ impl ShardedStore {
     /// The serving telemetry handles.
     pub fn obs(&self) -> &ServeObs {
         &self.obs
-    }
-
-    /// Enables threshold-driven replication: once a document's serve count
-    /// since upload reaches `policy.threshold` (at least 1), it is cloned so
-    /// `policy.replicas` shards serve it.
-    pub fn with_hot_policy(mut self, policy: HotPolicy) -> Self {
-        self.hot = Some(policy);
-        self
-    }
-
-    /// The configured hot-document policy, if any.
-    pub fn hot_policy(&self) -> Option<HotPolicy> {
-        self.hot
     }
 
     /// Number of shards.
@@ -315,7 +284,6 @@ impl ShardedStore {
                 if self.obs.live {
                     self.obs.shard(routed).replica_routes.inc();
                 }
-                self.note_serve(doc_id);
                 return (served, routed);
             }
         }
@@ -330,60 +298,14 @@ impl ShardedStore {
         };
         let served = serve(record, self.obs.shard(home));
         drop(shard);
-        self.note_serve(doc_id);
         (served, home)
-    }
-
-    /// Counts one serve towards the hot threshold and replicates on the
-    /// exact crossing (the `fetch_add` ticket makes the trigger fire once).
-    fn note_serve(&self, doc_id: &str) {
-        let Some(policy) = self.hot else { return };
-        // A threshold of 0 means "replicate as eagerly as possible": the
-        // trigger fires on the exact crossing ticket, so the effective
-        // threshold is at least the first serve.
-        let threshold = policy.threshold.max(1);
-        let crossed = {
-            let directory = self.directory.read_np();
-            match directory.get(doc_id) {
-                Some(entry) => {
-                    let serves = entry.serves.fetch_add(1, Ordering::Relaxed) + 1;
-                    serves == threshold && entry.shards.len() == 1
-                }
-                None => {
-                    drop(directory);
-                    let mut directory = self.directory.write_np();
-                    let entry = directory.entry(doc_id.to_owned()).or_insert(ReplicaEntry {
-                        shards: vec![self.shard_of(doc_id)],
-                        pinned: None,
-                        serves: AtomicUsize::new(0),
-                    });
-                    let serves = entry.serves.fetch_add(1, Ordering::Relaxed) + 1;
-                    serves == threshold && entry.shards.len() == 1
-                }
-            }
-        };
-        if crossed {
-            let mut directory = self.directory.write_np();
-            // Re-validate under the write lock: between the crossing and
-            // here, a pin may have installed its own (authoritative) layout,
-            // or a republish may have reset the serve count — in either case
-            // the route is no longer this trigger's to change.
-            let still_eligible = directory.get(doc_id).is_some_and(|entry| {
-                entry.shards.len() == 1
-                    && entry.pinned.is_none()
-                    && entry.serves.load(Ordering::Relaxed) >= threshold
-            });
-            if still_eligible {
-                self.replicate_locked(&mut directory, doc_id, policy.replicas);
-            }
-        }
     }
 
     /// Clones `doc_id` so `copies` shards serve it (clamped to `[1,
     /// shard_count]`), with the replica directory write lock held: one deep
     /// clone of the home record, shared by every copy behind an `Arc`,
-    /// installed on the following shards (wrapping), then the new route is
-    /// published. No-op for unknown documents.
+    /// installed on the following shards (wrapping), then the new route and
+    /// the pin degree are published. No-op for unknown documents.
     ///
     /// Holding the directory lock across the installation is deliberate: it
     /// serializes replication against republish invalidation, which is what
@@ -417,13 +339,13 @@ impl ShardedStore {
         }
         let entry = directory.entry(doc_id.to_owned()).or_insert(ReplicaEntry {
             shards: vec![home],
-            pinned: None,
-            serves: AtomicUsize::new(0),
+            pinned: copies,
         });
         if entry.shards.len() <= 1 && shards.len() > 1 {
             self.replicated.fetch_add(1, Ordering::Relaxed);
         }
         entry.shards = shards;
+        entry.pinned = copies;
     }
 
     /// Removes every clone of `doc_id` and routes readers back to the home
@@ -442,8 +364,7 @@ impl ShardedStore {
             self.replicated.fetch_sub(1, Ordering::Relaxed);
         }
         entry.shards.truncate(1);
-        entry.serves.store(0, Ordering::Relaxed);
-        entry.pinned
+        Some(entry.pinned)
     }
 
     /// Pins `doc_id` to `copies` serving shards (clamped to `[1,
@@ -458,9 +379,6 @@ impl ShardedStore {
         let mut directory = self.directory.write_np();
         self.invalidate_locked(&mut directory, doc_id);
         self.replicate_locked(&mut directory, doc_id, copies);
-        if let Some(entry) = directory.get_mut(doc_id) {
-            entry.pinned = Some(copies);
-        }
         Ok(())
     }
 
@@ -487,9 +405,6 @@ impl ShardedStore {
             .put_document_with(document, clear_rules_on_replace);
         if let Some(copies) = pinned {
             self.replicate_locked(&mut directory, &doc_id, copies);
-            if let Some(entry) = directory.get_mut(&doc_id) {
-                entry.pinned = Some(copies);
-            }
         }
     }
 
@@ -951,60 +866,5 @@ mod tests {
             .filter(|s| s.rule_blobs_served > 0)
             .count();
         assert!(serving_shards > 1, "got {serving_shards} serving shard(s)");
-    }
-
-    #[test]
-    fn hot_threshold_replicates_automatically() {
-        let store = ShardedStore::new(4).with_hot_policy(HotPolicy {
-            threshold: 5,
-            replicas: 3,
-        });
-        assert_eq!(
-            store.hot_policy(),
-            Some(HotPolicy {
-                threshold: 5,
-                replicas: 3
-            })
-        );
-        store.put_document(document("warm"));
-        for _ in 0..4 {
-            store.fetch_header("warm", None, 0).unwrap();
-        }
-        assert_eq!(store.replica_shards("warm").len(), 1, "below threshold");
-        store.fetch_header("warm", None, 0).unwrap();
-        assert_eq!(
-            store.replica_shards("warm").len(),
-            3,
-            "crossing the threshold replicates"
-        );
-        // Republishing resets the count and drops the (unpinned) clones.
-        store.put_document(document("warm"));
-        assert_eq!(store.replica_shards("warm").len(), 1);
-    }
-
-    #[test]
-    fn zero_threshold_replicates_on_the_first_serve() {
-        let store = ShardedStore::new(4).with_hot_policy(HotPolicy {
-            threshold: 0,
-            replicas: 2,
-        });
-        store.put_document(document("eager"));
-        store.fetch_header("eager", None, 0).unwrap();
-        assert_eq!(store.replica_shards("eager").len(), 2);
-    }
-
-    #[test]
-    fn explicit_pins_are_not_downgraded_by_the_hot_threshold() {
-        let store = ShardedStore::new(8).with_hot_policy(HotPolicy {
-            threshold: 3,
-            replicas: 2,
-        });
-        store.put_document(document("pinned"));
-        store.pin_replicas("pinned", 6).unwrap();
-        // Serving far past the threshold must leave the wider pin in place.
-        for _ in 0..10 {
-            store.fetch_header("pinned", None, 0).unwrap();
-        }
-        assert_eq!(store.replica_shards("pinned").len(), 6);
     }
 }

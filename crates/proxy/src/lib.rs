@@ -11,12 +11,16 @@
 //!   push scenario (E6): it holds the channel key, encrypts each stream item
 //!   once, and hands the untrusted DSP fan-out nothing but ciphertext,
 //! * [`proxy`] — the [`proxy::Terminal`]: card issuance, key/rule/query
-//!   provisioning over APDUs, and push-mode local evaluation,
-//! * [`session`] — the [`session::CardSession`] stepped pull flow against the
-//!   shared multi-client [`sdds_dsp::DspService`]
-//!   ([`proxy::Terminal::connect_shared`]), schedulable by the service's
-//!   round-robin session scheduler. This is the **only** pull-mode serving
-//!   path of the workspace — the single-tenant loop it replaced is gone.
+//!   provisioning over APDUs, push-mode local evaluation, and the card's
+//!   [`session::SoeTransport`],
+//! * [`host`] — the [`host::HostSoe`], the same SOE run in process: the
+//!   other [`session::SoeTransport`],
+//! * [`session`] — the [`session::PullSession`] stepped pull flow against the
+//!   shared multi-client [`sdds_dsp::DspService`], generic over the
+//!   transport and schedulable by the service's round-robin session
+//!   scheduler. [`session::CardSession`] is its card form
+//!   ([`proxy::Terminal::connect_shared`]). This is the **only** pull loop
+//!   of the workspace.
 //!
 //! Applications are expected to use the top-level `sdds::Client` /
 //! `sdds::Publisher` facade (root crate), which wires a PKI, a card profile
@@ -25,12 +29,14 @@
 
 #![forbid(unsafe_code)]
 
+pub mod host;
 pub mod pki;
 pub mod proxy;
 pub mod publish;
 pub mod session;
 
+pub use host::HostSoe;
 pub use pki::SimulatedPki;
 pub use proxy::{ProxyError, Terminal};
 pub use publish::DisseminationChannel;
-pub use session::CardSession;
+pub use session::{CardSession, PullSession, SoeTransport};

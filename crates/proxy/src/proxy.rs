@@ -5,21 +5,29 @@
 //! architecture through an XML API independent of the underlying protocols
 //! (JDBC, APDU)" (§3). [`Terminal`] is that proxy: it speaks the DSP request
 //! API on one side and APDUs on the other, and never sees any key or
-//! plaintext beyond what the card delivers. Pull-mode evaluation goes through
-//! [`Terminal::connect_shared`] and the stepped [`crate::CardSession`]
-//! against the shared `DspService` (the only serving path of the workspace);
-//! push-mode items are evaluated in place with [`Terminal::evaluate_local`].
-//! Applications normally reach this type through the top-level `sdds::Client`
-//! facade rather than directly.
+//! plaintext beyond what the card delivers. It is the card's
+//! [`SoeTransport`]: pull-mode evaluation goes through
+//! [`Terminal::connect_shared`] and the stepped [`CardSession`] against the
+//! shared `DspService` (the only serving path of the workspace); push-mode
+//! items are evaluated in place with [`Terminal::evaluate_local`], through
+//! the same transport operations. Applications normally reach this type
+//! through the top-level `sdds::Client` facade rather than directly.
+
+use sdds_sync::sync::Arc;
 
 use sdds_card::apdu::{fragments, ins, Apdu};
-use sdds_card::{CardProfile, CardRuntime, CostLedger, CostModel, LatencyBreakdown};
+use sdds_card::{
+    BatchedChannel, CardProfile, CardRuntime, CostLedger, CostModel, LatencyBreakdown,
+};
 use sdds_core::engine::{AccessControlApplet, SessionStats, PUSH_CHUNK_PREFIX};
 use sdds_core::rule::Subject;
-use sdds_core::secdoc::{ChunkTag, SecureDocument};
+use sdds_core::secdoc::{ChunkTag, DocumentHeader, SecureDocument};
 use sdds_core::session::{KeyProvisioning, TrustedServer};
 use sdds_core::CoreError;
 use sdds_crypto::SecretKey;
+use sdds_dsp::{DspService, SessionObs};
+
+use crate::session::{CardSession, PullSession, SoeTransport};
 
 /// Errors surfaced by the proxy to applications.
 #[derive(Debug)]
@@ -70,6 +78,9 @@ pub struct Terminal {
     /// When true, sessions are opened with the open-world policy (only
     /// negative rules filter content) instead of the paper's closed world.
     open_policy: bool,
+    /// The card exchanges of each session step, coalesced into shared APDU
+    /// batches.
+    pub(crate) batched: BatchedChannel,
 }
 
 impl std::fmt::Debug for Terminal {
@@ -94,6 +105,7 @@ impl Terminal {
             subject,
             runtime: CardRuntime::new(profile, applet),
             open_policy: false,
+            batched: BatchedChannel::new(profile.cost.channel),
         }
     }
 
@@ -101,16 +113,6 @@ impl Terminal {
     /// scenarios where only prohibitions filter the stream).
     pub fn set_open_policy(&mut self, open: bool) {
         self.open_policy = open;
-    }
-
-    /// Whether sessions open with the open-world policy.
-    pub(crate) fn open_policy(&self) -> bool {
-        self.open_policy
-    }
-
-    /// The card runtime (used by the stepped shared-DSP session).
-    pub(crate) fn runtime_mut(&mut self) -> &mut CardRuntime<AccessControlApplet> {
-        &mut self.runtime
     }
 
     /// Cost model of the hosted card's hardware profile.
@@ -168,71 +170,50 @@ impl Terminal {
     }
 
     /// Evaluates a locally available secure document (push-mode: the item was
-    /// broadcast to the terminal, e.g. by a dissemination channel).
+    /// broadcast to the terminal, e.g. by a dissemination channel, and the
+    /// card already holds its rules).
     pub fn evaluate_local(&mut self, document: &SecureDocument) -> Result<String, ProxyError> {
+        let obs = SessionObs::default();
+        self.open_card_session(&document.header.encode())?;
+        while let Some(index) = self.next_request()? {
+            let (chunk, tag) = document
+                .sealed_chunk(index as usize)
+                .ok_or_else(|| ProxyError::Protocol(format!("chunk {index} out of range")))?;
+            self.push_chunk(index, &chunk, &tag, &obs)?;
+        }
+        let view = self.finish(&obs)?;
+        // One item is one batch; closing it also keeps the queue from
+        // growing across the items a terminal evaluates.
+        self.end_step();
+        Ok(view)
+    }
+
+    /// Connects this terminal to the shared multi-client DSP service for one
+    /// document pull. The returned [`CardSession`] can be driven directly
+    /// ([`CardSession::run_to_completion`]) or submitted to a
+    /// [`sdds_dsp::service::SessionScheduler`] together with the sessions of
+    /// other cards.
+    ///
+    /// The terminal must already hold its keys (see
+    /// [`Terminal::install_key`]); the protected rules are fetched from the
+    /// service at session start.
+    pub fn connect_shared(
+        self,
+        service: Arc<DspService>,
+        doc_id: impl Into<String>,
+    ) -> CardSession {
+        PullSession::new(self, service, doc_id.into())
+    }
+
+    /// Opens an evaluation session on the card for an encoded header.
+    fn open_card_session(&mut self, header: &[u8]) -> Result<(), ProxyError> {
         self.runtime.exchange_expect_ok(&Apdu::new(
             ins::OPEN_SESSION,
             0,
             u8::from(self.open_policy),
-            document.header.encode(),
+            header,
         )?)?;
-        loop {
-            let next = self
-                .runtime
-                .exchange_expect_ok(&Apdu::simple(ins::NEXT_REQUEST, 0, 0))?;
-            if next.len() != 4 {
-                return Err(ProxyError::Protocol("bad NEXT_REQUEST response".into()));
-            }
-            // lint: infallible — the length is checked to be exactly 4 above.
-            let index = u32::from_le_bytes(next[..4].try_into().expect("4 bytes"));
-            if index == u32::MAX {
-                break;
-            }
-            let (chunk, tag) = document
-                .sealed_chunk(index as usize)
-                .ok_or_else(|| ProxyError::Protocol(format!("chunk {index} out of range")))?;
-            self.push_chunk(index, &chunk, &tag)?;
-        }
-        let view = self.collect_output()?;
-        self.runtime
-            .exchange_expect_ok(&Apdu::simple(ins::CLOSE_SESSION, 0, 0))?;
-        Ok(view)
-    }
-
-    /// Pushes one chunk with its tag to the card; returns the payload size
-    /// shipped, which the batched-channel accounting of the shared session
-    /// queues per logical request.
-    pub(crate) fn push_chunk(
-        &mut self,
-        index: u32,
-        chunk: &[u8],
-        tag: &ChunkTag,
-    ) -> Result<usize, ProxyError> {
-        // Payload: chunk index (4), tag, ciphertext — cut into APDU
-        // fragments as it is framed, never assembled in one buffer.
-        for (frag, more) in fragments(&[&index.to_le_bytes(), tag.as_bytes(), chunk]) {
-            self.runtime.exchange_expect_ok(&Apdu::with_data(
-                ins::PUSH_CHUNK,
-                u8::from(more),
-                0,
-                frag,
-            ))?;
-        }
-        Ok(PUSH_CHUNK_PREFIX + chunk.len())
-    }
-
-    pub(crate) fn collect_output(&mut self) -> Result<String, ProxyError> {
-        let mut bytes = Vec::new();
-        loop {
-            let part = self
-                .runtime
-                .exchange_expect_ok(&Apdu::simple(ins::GET_OUTPUT, 0, 0))?;
-            if part.is_empty() {
-                break;
-            }
-            bytes.extend_from_slice(&part);
-        }
-        String::from_utf8(bytes).map_err(|_| ProxyError::Protocol("non UTF-8 output".into()))
+        Ok(())
     }
 
     /// Card-side cost counters (channel bytes, APDU count, crypto work).
@@ -253,6 +234,101 @@ impl Terminal {
     /// Peak secure RAM used on the card so far.
     pub fn card_peak_ram(&self) -> usize {
         self.runtime.card().ram_ref().peak()
+    }
+}
+
+/// The card's SOE operations, as APDU exchanges. Each request's exchanges
+/// are queued on the step's batch and counted on the session's telemetry.
+impl SoeTransport for Terminal {
+    type Output = String;
+
+    fn subject(&self) -> &Subject {
+        &self.subject
+    }
+
+    fn open(
+        &mut self,
+        header: DocumentHeader,
+        rules: &[u8],
+        obs: &SessionObs,
+    ) -> Result<(), ProxyError> {
+        self.install_rules(rules)?;
+        let header_bytes = header.encode();
+        self.open_card_session(&header_bytes)?;
+        // The provisioning exchanges ride the first step's batch too, so the
+        // simulated latency covers the whole session, not just the chunks
+        // (responses are bare status words, 2 bytes each).
+        self.batched.queue(rules.len(), 2);
+        self.batched.queue(header_bytes.len(), 2);
+        obs.record_exchange(rules.len(), 2);
+        obs.record_exchange(header_bytes.len(), 2);
+        Ok(())
+    }
+
+    fn next_request(&mut self) -> Result<Option<u32>, ProxyError> {
+        let next = self
+            .runtime
+            .exchange_expect_ok(&Apdu::simple(ins::NEXT_REQUEST, 0, 0))?;
+        let index: [u8; 4] = next[..]
+            .try_into()
+            .map_err(|_| ProxyError::Protocol("bad NEXT_REQUEST response".into()))?;
+        let index = u32::from_le_bytes(index);
+        Ok((index != u32::MAX).then_some(index))
+    }
+
+    fn push_chunk(
+        &mut self,
+        index: u32,
+        chunk: &[u8],
+        tag: &ChunkTag,
+        obs: &SessionObs,
+    ) -> Result<(), ProxyError> {
+        // Payload: chunk index (4), tag, ciphertext — cut into APDU
+        // fragments as it is framed, never assembled in one buffer.
+        for (frag, more) in fragments(&[&index.to_le_bytes(), tag.as_bytes(), chunk]) {
+            self.runtime.exchange_expect_ok(&Apdu::with_data(
+                ins::PUSH_CHUNK,
+                u8::from(more),
+                0,
+                frag,
+            ))?;
+        }
+        // The whole request rides the step's batch: the 5-byte NEXT_REQUEST
+        // command and chunk payload out, the 4-byte index answer and a
+        // status word back.
+        let pushed = PUSH_CHUNK_PREFIX + chunk.len();
+        self.batched.queue(pushed + 5, 6);
+        obs.record_exchange(pushed + 5, 6);
+        Ok(())
+    }
+
+    fn finish(&mut self, obs: &SessionObs) -> Result<String, ProxyError> {
+        let mut bytes = Vec::new();
+        loop {
+            let part = self
+                .runtime
+                .exchange_expect_ok(&Apdu::simple(ins::GET_OUTPUT, 0, 0))?;
+            if part.is_empty() {
+                break;
+            }
+            bytes.extend_from_slice(&part);
+        }
+        let view = String::from_utf8(bytes)
+            .map_err(|_| ProxyError::Protocol("non UTF-8 output".into()))?;
+        self.runtime
+            .exchange_expect_ok(&Apdu::simple(ins::CLOSE_SESSION, 0, 0))?;
+        // The authorized view ships back over GET_OUTPUT responses, followed
+        // by one bare CLOSE_SESSION exchange: the final batch carries them so
+        // the simulated latency really covers the whole session.
+        self.batched.queue(5, view.len() + 2);
+        self.batched.queue(5, 2);
+        obs.record_exchange(5, view.len() + 2);
+        obs.record_exchange(5, 2);
+        Ok(view)
+    }
+
+    fn end_step(&mut self) {
+        self.batched.flush();
     }
 }
 

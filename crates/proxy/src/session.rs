@@ -1,108 +1,145 @@
-//! Steppable pull session against the shared multi-client DSP service — the
-//! one pull-mode flow of the workspace.
+//! Steppable pull sessions against the shared multi-client DSP service: one
+//! step loop for both SOE transports.
 //!
-//! A whole pull session run in one blocking call is fine for one card but
-//! hostile to multiplexing: a scheduler cannot interleave K cards if each one
-//! insists on finishing its document first. [`CardSession`] is the Figure-1
-//! flow cut into scheduler-sized steps: each [`Schedulable::step`] serves at
-//! most `quantum` chunk requests, so the
-//! [`sdds_dsp::service::SessionScheduler`] can round-robin many cards over
-//! the shared, `Sync` [`DspService`] — and a single-user caller simply drives
-//! the same session to completion with [`CardSession::run`] (or lets the
-//! `sdds::Client` facade do it).
+//! A pull is the Figure-1 flow: pin the header's upload revision, fetch the
+//! subject's protected rule blob at that revision, then loop *next request →
+//! fetch chunk → supply*. [`PullSession`] is that flow cut into
+//! scheduler-sized steps, generic over the [`SoeTransport`] that reaches the
+//! SOE. It is the only code that calls the DSP's fetches:
 //!
-//! Two deliberate design points:
+//! * [`CardSession`] (`PullSession<Terminal>`) reaches the card applet over
+//!   APDUs. Each [`Schedulable::step`] serves at most `quantum` chunk
+//!   requests, so the [`sdds_dsp::service::SessionScheduler`] can
+//!   round-robin many cards over the shared, `Sync` [`DspService`], and a
+//!   single-user caller drives the same session to completion with
+//!   [`CardSession::run`]. The exchanges of one step ride one
+//!   [`sdds_card::BatchedChannel`] batch, so the per-APDU latency is charged
+//!   once per coalesced batch rather than once per fragment;
+//! * `PullSession<HostSoe>` runs the same SOE in process
+//!   ([`crate::HostSoe`]); the facade's `ViewStream` steps it one request at
+//!   a time and yields the events each request released.
 //!
-//! * the subject's protected rules are fetched **from the DSP** at session
-//!   start (the paper stores them there precisely so any terminal can serve
-//!   any card), so the rule-blob serving counters of the sharded store see
-//!   realistic traffic;
-//! * the chunk pushes of one step are also accounted on a
-//!   [`BatchedChannel`]: the per-APDU latency is charged once per coalesced
-//!   batch rather than once per fragment, which is what makes the simulated
-//!   per-session latency of E10 reflect batched fan-out serving.
+//! The subject's protected rules are fetched **from the DSP** at session
+//! start (the paper stores them there precisely so any terminal can serve
+//! any card), so the rule-blob serving counters of the sharded store see
+//! realistic traffic. Every fetch carries the session's route salt, so the
+//! sessions of one replicated document spread over its copies.
 
 use sdds_sync::sync::Arc;
 use std::time::Duration;
 
-use sdds_card::apdu::{ins, Apdu};
 use sdds_card::{BatchedChannel, CostModel};
+use sdds_core::rule::Subject;
 use sdds_core::secdoc::{ChunkTag, DocumentHeader};
 use sdds_dsp::service::{Schedulable, StepOutcome};
 use sdds_dsp::{DspService, SessionObs};
 
 use crate::proxy::{ProxyError, Terminal};
 
-/// Progress of a [`CardSession`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SessionPhase {
-    /// Rules and header not fetched yet.
-    NotStarted,
-    /// Mid-document: the card keeps requesting chunks.
-    Streaming,
-    /// The view has been collected and the card session closed.
-    Done,
-    /// A step failed; the error is kept for the report.
-    Failed,
+/// The SOE side of a pull: the operations the card applet (over APDUs) and
+/// the in-process host SOE share. Each operation accounts the exchanges it
+/// makes on the session's telemetry cells. Sessions move between scheduler
+/// workers, so transports are `Send`.
+pub trait SoeTransport: Send {
+    /// What a finished session leaves behind (the card's view, the host's
+    /// statistics).
+    type Output: Send;
+
+    /// The subject whose rule blob the session fetches.
+    fn subject(&self) -> &Subject;
+
+    /// Authenticates and installs the subject's protected rule blob, then
+    /// opens an evaluation session over `header`.
+    fn open(
+        &mut self,
+        header: DocumentHeader,
+        rules: &[u8],
+        obs: &SessionObs,
+    ) -> Result<(), ProxyError>;
+
+    /// The chunk the SOE needs next; `None` once the document is processed.
+    fn next_request(&mut self) -> Result<Option<u32>, ProxyError>;
+
+    /// Supplies one chunk with its tag.
+    fn push_chunk(
+        &mut self,
+        index: u32,
+        chunk: &[u8],
+        tag: &ChunkTag,
+        obs: &SessionObs,
+    ) -> Result<(), ProxyError>;
+
+    /// Ends the SOE session once the document is processed.
+    fn finish(&mut self, obs: &SessionObs) -> Result<Self::Output, ProxyError>;
+
+    /// Closes the exchanges of one step (the card coalesces them into one
+    /// batch).
+    fn end_step(&mut self) {}
 }
 
-/// One card pulling one document from the shared DSP service, in steps.
+/// One SOE pulling one document from the shared DSP service, in steps: the
+/// first step opens, each later step serves up to `quantum` requests, and
+/// the step that finds the document processed finishes.
 ///
 /// The session **pins the document revision** it sees at start: every
-/// subsequent chunk request carries that revision, so a republish in the
-/// middle of the pull surfaces as the typed
-/// `CoreError::StaleRevision` (through [`CardSession::run`] /
-/// [`CardSession::failure`]) instead of chunks of the new upload failing
+/// subsequent request carries that revision, so a republish in the middle
+/// of the pull surfaces as the typed `CoreError::StaleRevision` (through
+/// [`PullSession::failure`]) instead of chunks of the new upload failing
 /// their tag check against the old header.
-pub struct CardSession {
-    terminal: Terminal,
+pub struct PullSession<T: SoeTransport> {
+    transport: T,
     service: Arc<DspService>,
     doc_id: String,
-    phase: SessionPhase,
-    batched: BatchedChannel,
-    /// Upload revision pinned at session start (`None` before the first
-    /// step).
-    revision: Option<u64>,
-    view: Option<String>,
-    error: Option<String>,
-    /// The typed error behind `error` (the scheduler transports only the
-    /// message; direct drivers want the real thing).
-    failure: Option<ProxyError>,
     /// Per-session route salt drawn from the service at connect time:
     /// identical requests from different sessions spread over a hot
     /// document's replicas (see `DspService::next_session_salt`).
     route_salt: u64,
-    /// Card-session telemetry cells shared with the service's registry
-    /// (APDU round-trips and wire bytes, counted per coalesced batch).
+    /// Upload revision pinned at session start (`None` before the first
+    /// step).
+    revision: Option<u64>,
+    /// What the transport left once the session finished.
+    output: Option<T::Output>,
+    /// Message of the error the session failed with; a failed session
+    /// keeps reporting it.
+    error: Option<String>,
+    /// The typed error behind `error` (the scheduler transports only the
+    /// message; direct drivers want the real thing).
+    failure: Option<ProxyError>,
+    /// Session telemetry cells shared with the service's registry (SOE
+    /// exchanges, wire bytes, events delivered).
     obs: SessionObs,
 }
 
-impl std::fmt::Debug for CardSession {
+/// A card pulling one document over APDUs.
+pub type CardSession = PullSession<Terminal>;
+
+impl<T: SoeTransport> std::fmt::Debug for PullSession<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CardSession")
-            .field("subject", self.terminal.subject())
+        f.debug_struct("PullSession")
+            .field("subject", self.transport.subject())
             .field("doc_id", &self.doc_id)
-            .field("phase", &self.phase)
+            .field("revision", &self.revision)
+            .field("done", &self.output.is_some())
+            .field("error", &self.error)
             .finish_non_exhaustive()
     }
 }
 
-impl CardSession {
-    pub(crate) fn new(terminal: Terminal, service: Arc<DspService>, doc_id: String) -> Self {
-        let channel = terminal.cost_model().channel;
+impl<T: SoeTransport> PullSession<T> {
+    /// A session of `transport` pulling `doc_id` from `service`; nothing is
+    /// fetched before the first step.
+    pub fn new(transport: T, service: Arc<DspService>, doc_id: String) -> Self {
         let route_salt = service.next_session_salt();
         let obs = service.obs().session();
-        CardSession {
-            terminal,
+        PullSession {
+            transport,
             service,
             doc_id,
-            phase: SessionPhase::NotStarted,
-            batched: BatchedChannel::new(channel),
+            route_salt,
             revision: None,
-            view: None,
+            output: None,
             error: None,
             failure: None,
-            route_salt,
             obs,
         }
     }
@@ -131,24 +168,113 @@ impl CardSession {
         self.failure.as_ref()
     }
 
-    /// The terminal (card ledger, session stats) backing this session.
-    pub fn terminal(&self) -> &Terminal {
-        &self.terminal
-    }
-
-    /// The authorized view, once the session is done.
-    pub fn view(&self) -> Option<&str> {
-        self.view.as_deref()
-    }
-
     /// Error message if the session failed.
     pub fn error(&self) -> Option<&str> {
         self.error.as_deref()
     }
 
-    /// Batched channel accounting of this session's chunk pushes.
+    /// Mutable access to the SOE transport (e.g. to drain the events a host
+    /// SOE released).
+    pub fn transport_mut(&mut self) -> &mut T {
+        &mut self.transport
+    }
+
+    /// What the transport left once the session finished.
+    pub fn output(&self) -> Option<&T::Output> {
+        self.output.as_ref()
+    }
+
+    /// The session's telemetry cells.
+    pub fn obs(&self) -> &SessionObs {
+        &self.obs
+    }
+
+    /// [`Schedulable::step`] with the typed error instead of its message.
+    pub fn advance(&mut self, quantum: usize) -> Result<StepOutcome, ProxyError> {
+        Schedulable::step(self, quantum)
+            .map_err(|message| self.failure.take().unwrap_or(ProxyError::Protocol(message)))
+    }
+
+    /// Pins the revision, fetches the subject's rule blob at it and opens
+    /// the SOE session.
+    fn open(&mut self) -> Result<(), ProxyError> {
+        // The header fetch pins the upload revision for the whole session:
+        // every later request carries it, so a mid-pull republish becomes a
+        // typed `StaleRevision`, never a tag mismatch.
+        let (header, revision) = self
+            .service
+            .fetch_header_pinned_salted(&self.doc_id, self.route_salt)?;
+        self.revision = Some(revision);
+        // Protected rules travel through the untrusted DSP as an opaque blob;
+        // the SOE authenticates them itself.
+        let rules = self.service.fetch_rules_pinned_salted(
+            &self.doc_id,
+            self.transport.subject().name(),
+            revision,
+            self.route_salt,
+        )?;
+        self.transport.open(header, &rules, &self.obs)
+    }
+
+    /// Opens on the first call; afterwards serves up to `quantum` requests
+    /// and finishes when the SOE needs nothing more.
+    fn serve(&mut self, quantum: usize) -> Result<StepOutcome, ProxyError> {
+        let Some(revision) = self.revision else {
+            self.open()?;
+            return Ok(StepOutcome::Pending);
+        };
+        for _ in 0..quantum {
+            let Some(index) = self.transport.next_request()? else {
+                self.output = Some(self.transport.finish(&self.obs)?);
+                return Ok(StepOutcome::Complete);
+            };
+            let (chunk, tag) = self.service.fetch_chunk_pinned_salted(
+                &self.doc_id,
+                index,
+                revision,
+                self.route_salt,
+            )?;
+            self.transport.push_chunk(index, &chunk, &tag, &self.obs)?;
+        }
+        Ok(StepOutcome::Pending)
+    }
+}
+
+impl<T: SoeTransport> Schedulable for PullSession<T> {
+    fn step(&mut self, quantum: usize) -> Result<StepOutcome, String> {
+        if let Some(message) = &self.error {
+            return Err(message.clone());
+        }
+        if self.output.is_some() {
+            return Ok(StepOutcome::Complete);
+        }
+        let result = self.serve(quantum);
+        // Close the step's exchanges whatever happened: latency accounting
+        // must not leak a partial batch into the next step.
+        self.transport.end_step();
+        result.map_err(|e| {
+            let message = format!("session `{}`: {e}", self.doc_id);
+            self.error = Some(message.clone());
+            self.failure = Some(e);
+            message
+        })
+    }
+}
+
+impl CardSession {
+    /// The terminal (card ledger, session stats) backing this session.
+    pub fn terminal(&self) -> &Terminal {
+        &self.transport
+    }
+
+    /// The authorized view, once the session is done.
+    pub fn view(&self) -> Option<&str> {
+        self.output.as_deref()
+    }
+
+    /// Batched channel accounting of this session's card exchanges.
     pub fn batched_channel(&self) -> &BatchedChannel {
-        &self.batched
+        &self.transport.batched
     }
 
     /// Simulated end-to-end latency of this session under `model`, with the
@@ -156,26 +282,21 @@ impl CardSession {
     /// from the card ledger, transfer time from the coalesced batches (which
     /// include the session-start rules blob and header shipment).
     pub fn simulated_latency(&self, model: &CostModel) -> Duration {
-        let breakdown = self.terminal.card_ledger().breakdown(model);
-        breakdown.decryption + breakdown.integrity + breakdown.evaluation + self.batched.elapsed()
+        let breakdown = self.transport.card_ledger().breakdown(model);
+        breakdown.decryption
+            + breakdown.integrity
+            + breakdown.evaluation
+            + self.transport.batched.elapsed()
     }
 
     /// Runs the session to completion in place (no scheduler), returning the
     /// view. The session — and through it the terminal with its cost ledger
     /// and the batched-channel accounting — stays available afterwards.
     pub fn run(&mut self) -> Result<&str, ProxyError> {
-        loop {
-            match Schedulable::step(self, usize::MAX) {
-                Ok(StepOutcome::Pending) => continue,
-                Ok(StepOutcome::Complete) => break,
-                Err(message) => {
-                    return Err(self.failure.take().unwrap_or(ProxyError::Protocol(message)))
-                }
-            }
-        }
-        // lint: infallible — the loop above only breaks on `Complete`, and
-        // the completing step stores the view before reporting `Complete`.
-        Ok(self.view.as_deref().expect("complete session has a view"))
+        while self.advance(usize::MAX)? == StepOutcome::Pending {}
+        // lint: infallible — `advance` returned `Complete`, and the
+        // completing step stores the view before reporting it.
+        Ok(self.view().expect("complete session has a view"))
     }
 
     /// Runs the session to completion in one call (no scheduler), consuming
@@ -183,170 +304,7 @@ impl CardSession {
     pub fn run_to_completion(mut self) -> Result<String, ProxyError> {
         self.run()?;
         // lint: infallible — `run` returned `Ok`, so the view is stored.
-        Ok(self.view.expect("complete session has a view"))
-    }
-
-    fn start(&mut self) -> Result<(), ProxyError> {
-        // The header fetch pins the upload revision for the whole session:
-        // every later request carries it, so a mid-pull republish becomes a
-        // typed `StaleRevision`, never a tag mismatch.
-        let pinned = self
-            .service
-            .fetch_header_pinned_salted(&self.doc_id, self.route_salt)?;
-        let header: DocumentHeader = pinned.0;
-        let revision = pinned.1;
-        self.revision = Some(revision);
-        // Protected rules travel through the untrusted DSP as an opaque blob;
-        // the card authenticates them itself on PUT_RULES.
-        let blob = self.service.fetch_rules_pinned_salted(
-            &self.doc_id,
-            self.terminal.subject().name(),
-            revision,
-            self.route_salt,
-        )?;
-        self.terminal.install_rules(&blob)?;
-        let header_bytes = header.encode();
-        self.terminal.open_card_session(&header_bytes)?;
-        // The provisioning exchanges ride the first step's batch too, so the
-        // simulated latency covers the whole session, not just the chunks
-        // (responses are bare status words, 2 bytes each).
-        self.batched.queue(blob.len(), 2);
-        self.batched.queue(header_bytes.len(), 2);
-        self.obs.record_exchange(blob.len(), 2);
-        self.obs.record_exchange(header_bytes.len(), 2);
-        self.phase = SessionPhase::Streaming;
-        Ok(())
-    }
-
-    /// Serves up to `quantum` chunk requests; true when the document ended.
-    fn stream(&mut self, quantum: usize) -> Result<bool, ProxyError> {
-        for _ in 0..quantum {
-            let Some(index) = self.terminal.next_chunk_request()? else {
-                return Ok(true);
-            };
-            // lint: infallible — `start` pins the revision before entering
-            // the `Streaming` phase that calls `stream`.
-            let revision = self.revision.expect("streaming session pinned at start");
-            let served = self.service.fetch_chunk_pinned_salted(
-                &self.doc_id,
-                index,
-                revision,
-                self.route_salt,
-            )?;
-            let chunk: Arc<[u8]> = served.0;
-            let tag: ChunkTag = served.1;
-            let pushed = self.terminal.push_chunk(index, &chunk, &tag)?;
-            // The whole request rides the step's batch: the 5-byte
-            // NEXT_REQUEST command and chunk payload out, the 4-byte index
-            // answer and a status word back.
-            self.batched.queue(pushed + 5, 6);
-            self.obs.record_exchange(pushed + 5, 6);
-        }
-        Ok(false)
-    }
-
-    fn finish(&mut self) -> Result<(), ProxyError> {
-        let view = self.terminal.collect_output()?;
-        self.terminal.close_card_session()?;
-        // The authorized view ships back over GET_OUTPUT responses, followed
-        // by one bare CLOSE_SESSION exchange: the final batch carries them so
-        // the simulated latency really covers the whole session.
-        self.batched.queue(5, view.len() + 2);
-        self.batched.queue(5, 2);
-        self.obs.record_exchange(5, view.len() + 2);
-        self.obs.record_exchange(5, 2);
-        self.view = Some(view);
-        self.phase = SessionPhase::Done;
-        Ok(())
-    }
-
-    fn advance(&mut self, quantum: usize) -> Result<StepOutcome, ProxyError> {
-        if self.phase == SessionPhase::NotStarted {
-            self.start()?;
-            return Ok(StepOutcome::Pending);
-        }
-        if self.stream(quantum)? {
-            self.finish()?;
-            return Ok(StepOutcome::Complete);
-        }
-        Ok(StepOutcome::Pending)
-    }
-}
-
-impl Schedulable for CardSession {
-    fn step(&mut self, quantum: usize) -> Result<StepOutcome, String> {
-        if self.phase == SessionPhase::Done {
-            return Ok(StepOutcome::Complete);
-        }
-        if self.phase == SessionPhase::Failed {
-            return Err(self.error.clone().unwrap_or_else(|| "failed".into()));
-        }
-        let result = self.advance(quantum);
-        // Close the step's batch whatever happened: latency accounting must
-        // not leak a partial batch into the next step.
-        self.batched.flush();
-        match result {
-            Ok(outcome) => Ok(outcome),
-            Err(e) => {
-                let message = format!("session `{}`: {e}", self.doc_id);
-                self.phase = SessionPhase::Failed;
-                self.error = Some(message.clone());
-                self.failure = Some(e);
-                Err(message)
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Terminal plumbing the stepped session needs.
-// ---------------------------------------------------------------------------
-
-impl Terminal {
-    /// Connects this terminal to the shared multi-client DSP service for one
-    /// document pull. The returned [`CardSession`] can be driven directly
-    /// ([`CardSession::run_to_completion`]) or submitted to a
-    /// [`sdds_dsp::service::SessionScheduler`] together with the sessions of
-    /// other cards.
-    ///
-    /// The terminal must already hold its keys (see
-    /// [`Terminal::install_key`]); the protected rules are fetched from the
-    /// service at session start.
-    pub fn connect_shared(
-        self,
-        service: Arc<DspService>,
-        doc_id: impl Into<String>,
-    ) -> CardSession {
-        CardSession::new(self, service, doc_id.into())
-    }
-
-    /// Opens an evaluation session on the card for an encoded header.
-    pub(crate) fn open_card_session(&mut self, header: &[u8]) -> Result<(), ProxyError> {
-        let policy = u8::from(self.open_policy());
-        self.runtime_mut()
-            .exchange_expect_ok(&Apdu::new(ins::OPEN_SESSION, 0, policy, header)?)?;
-        Ok(())
-    }
-
-    /// Asks the card which chunk it wants next; `None` when the document is
-    /// fully processed.
-    pub(crate) fn next_chunk_request(&mut self) -> Result<Option<u32>, ProxyError> {
-        let next = self
-            .runtime_mut()
-            .exchange_expect_ok(&Apdu::simple(ins::NEXT_REQUEST, 0, 0))?;
-        if next.len() != 4 {
-            return Err(ProxyError::Protocol("bad NEXT_REQUEST response".into()));
-        }
-        // lint: infallible — the length is checked to be exactly 4 above.
-        let index = u32::from_le_bytes(next[..4].try_into().expect("4 bytes"));
-        Ok((index != u32::MAX).then_some(index))
-    }
-
-    /// Closes the card-side session.
-    pub(crate) fn close_card_session(&mut self) -> Result<(), ProxyError> {
-        self.runtime_mut()
-            .exchange_expect_ok(&Apdu::simple(ins::CLOSE_SESSION, 0, 0))?;
-        Ok(())
+        Ok(self.output.expect("complete session has a view"))
     }
 }
 

@@ -41,7 +41,7 @@ SDDS_PROP_CASES=256 cargo test -q
 echo "==> cargo test -q --release -p sdds-crypto -p sdds-core"
 # The cipher, MAC and SOE arithmetic also run optimised: release builds
 # wrap integer overflow silently where debug builds panic, so the
-# known-answer and differential tests (AES, CTR, SHA-256, Poly1305's limb
+# known-answer and differential tests (AES, CTR, Poly1305's limb
 # arithmetic against a slow mod 2^130 - 5 reference, and the KDF and SIV
 # pins) must pass in both profiles.
 cargo test -q --release -p sdds-crypto -p sdds-core

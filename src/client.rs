@@ -22,16 +22,15 @@ use sdds_sync::sync::{Arc, Mutex, MutexExt};
 use std::collections::BTreeSet;
 
 use sdds_card::CardProfile;
-use sdds_core::engine::{EngineConfig, SecureEvaluationSession, DEFAULT_DOC_KEY_ID, RULES_KEY_ID};
-use sdds_core::evaluator::EvaluatorConfig;
+use sdds_core::engine::{DEFAULT_DOC_KEY_ID, RULES_KEY_ID};
 use sdds_core::rule::{RuleSet, Sign, Subject};
 use sdds_core::secdoc::SecureDocumentBuilder;
-use sdds_core::session::{KeyProvisioning, ProtectedRules, TrustedServer};
-use sdds_core::{AccessPolicy, Query};
+use sdds_core::session::{KeyProvisioning, TrustedServer};
+use sdds_core::Query;
 use sdds_crypto::SecretKey;
 use sdds_dsp::{DspService, ServerStats};
 use sdds_obs::ObsSnapshot;
-use sdds_proxy::{CardSession, SimulatedPki, Terminal};
+use sdds_proxy::{CardSession, HostSoe, PullSession, SimulatedPki, Terminal};
 use sdds_xml::Document;
 
 use crate::error::SddsError;
@@ -504,37 +503,28 @@ impl Client {
     /// authorized [`sdds_xml::Event`]s of `doc_id`, fetching encrypted chunks
     /// from the service on demand (skipped subtrees are never transferred).
     ///
-    /// The SOE runs in-process here — same engine, same keys, same protected
-    /// rules (fetched from the DSP and authenticated like the card does),
-    /// same RAM budget — so the stream is byte-identical to the card path,
-    /// without APDU framing. Use it when the application wants events as they
-    /// decrypt instead of one final `String`.
+    /// The SOE runs in-process here ([`HostSoe`]) — same engine, same keys,
+    /// same protected rules (fetched from the DSP and authenticated like the
+    /// card does), same RAM budget, same pull session as the card path — so
+    /// the stream is byte-identical to the card path, without APDU framing.
+    /// Use it when the application wants events as they decrypt instead of
+    /// one final `String`. An unknown document or an unprovisioned subject
+    /// fails here, at open.
     pub fn open_stream(&self, doc_id: &str) -> Result<ViewStream, SddsError> {
-        let doc_key = self.doc_key.unwrap_key(&self.transport_key)?;
-        let rules_key = self.rules_key.unwrap_key(&self.transport_key)?;
-        // The header fetch pins the upload revision; every later fetch of
-        // this stream carries it, so a mid-stream republish is a typed
-        // `SddsError::StaleRevision`, never a tag mismatch.
-        let (header, revision) = self.service.fetch_header_pinned(doc_id)?;
-        let blob = self
-            .service
-            .fetch_rules_pinned(doc_id, self.subject.name(), revision)?;
-        let rules = ProtectedRules::decode(&blob)?.open(&rules_key, None)?;
-
-        let mut evaluator = EvaluatorConfig::new(rules, self.subject.name());
-        if self.open_policy {
-            evaluator = evaluator.with_policy(AccessPolicy::open());
-        }
-        if let Some(query) = &self.query {
-            evaluator = evaluator.with_query(Query::parse(query)?);
-        }
-        let config = EngineConfig::new(evaluator).with_ram_budget(self.profile.ram_bytes);
-        let session = SecureEvaluationSession::open(header, doc_key, config)?;
-        Ok(ViewStream::new(
+        let query = self.query.as_deref().map(Query::parse).transpose()?;
+        let soe = HostSoe::new(
+            self.subject.clone(),
+            &self.transport_key,
+            &self.doc_key,
+            &self.rules_key,
+            self.profile,
+            query,
+            self.open_policy,
+        )?;
+        ViewStream::open(PullSession::new(
+            soe,
             Arc::clone(&self.service),
             doc_id.to_owned(),
-            revision,
-            session,
         ))
     }
 }
@@ -543,6 +533,8 @@ impl Client {
 mod tests {
     use super::*;
     use sdds_core::baseline::authorized_view_oracle;
+    use sdds_core::session::ProtectedRules;
+    use sdds_core::AccessPolicy;
     use sdds_xml::writer;
 
     fn rules() -> RuleSet {

@@ -5,18 +5,14 @@
 //! `String`, which is convenient but forces the application to wait for the
 //! last chunk before seeing the first element. [`ViewStream`] is the same
 //! session cut the other way: an `Iterator` over the authorized
-//! [`Event`]s, pulling encrypted chunks from the shared [`DspService`] **on
-//! demand of the SOE** — so subtrees the skip index proves forbidden or
-//! irrelevant are never transferred, and the application's memory stays
-//! bounded by what it keeps, not by the document.
+//! [`Event`]s, pulling encrypted chunks from the shared
+//! [`crate::DspService`] **on demand of the SOE** — so subtrees the skip
+//! index proves forbidden or irrelevant are never transferred, and the
+//! application's memory stays bounded by what it keeps, not by the
+//! document.
 
-use std::collections::VecDeque;
-
-use sdds_sync::sync::Arc;
-
-use sdds_core::engine::{SecureEvaluationSession, SessionRequest, SessionStats};
-use sdds_core::secdoc::ChunkTag;
-use sdds_dsp::{DspService, SessionObs};
+use sdds_core::engine::SessionStats;
+use sdds_proxy::{HostSoe, PullSession};
 use sdds_xml::{writer, Event};
 
 use crate::error::SddsError;
@@ -24,75 +20,51 @@ use crate::error::SddsError;
 /// An incremental pull session: iterates over the authorized events of one
 /// document, fetching chunks from the service as the SOE requests them.
 ///
-/// The stream **pins the upload revision** it saw at open: every chunk fetch
-/// carries it, so a republish between two `next()` calls yields the typed
-/// [`SddsError::StaleRevision`] — never a chunk of the new upload failing
-/// its tag check against the old header.
+/// The stream is a [`PullSession`] over the in-process [`HostSoe`], stepped
+/// one request at a time: the same pinned, salted step loop a
+/// [`crate::CardSession`] runs. It **pins the upload revision** it saw at
+/// open: every chunk fetch carries it, so a republish between two `next()`
+/// calls yields the typed [`SddsError::StaleRevision`] — never a chunk of
+/// the new upload failing its tag check against the old header.
 ///
 /// Yields `Result<Event, SddsError>`; after the first error the stream is
 /// poisoned and yields nothing further. Once exhausted, the session
 /// statistics (transfer, decryption, skipping, peak RAM) are available
 /// through [`ViewStream::stats`].
+#[derive(Debug)]
 pub struct ViewStream {
-    service: Arc<DspService>,
-    doc_id: String,
-    /// Upload revision pinned when the stream was opened.
-    revision: u64,
-    /// `None` once the stream ended — normally (stats recorded) or on error
-    /// (the error was yielded, the stream is poisoned).
-    session: Option<SecureEvaluationSession>,
-    /// The events of the last served request, as the session handed them
-    /// over; yielded from the front. Once drained, its allocation goes back
-    /// to the session for the next chunk's events.
-    buffer: VecDeque<Event>,
-    stats: Option<SessionStats>,
-    /// Session telemetry cells shared with the service's registry (chunk
-    /// round-trips, wire bytes, events yielded to the application).
-    obs: SessionObs,
-}
-
-impl std::fmt::Debug for ViewStream {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ViewStream")
-            .field("doc_id", &self.doc_id)
-            .field("buffered", &self.buffer.len())
-            .field("done", &self.session.is_none())
-            .finish_non_exhaustive()
-    }
+    session: PullSession<HostSoe>,
 }
 
 impl ViewStream {
-    pub(crate) fn new(
-        service: Arc<DspService>,
-        doc_id: String,
-        revision: u64,
-        session: SecureEvaluationSession,
-    ) -> Self {
-        let obs = service.obs().session();
-        ViewStream {
-            service,
-            doc_id,
-            revision,
-            session: Some(session),
-            buffer: VecDeque::new(),
-            stats: None,
-            obs,
-        }
+    /// Runs the session's opening step (header pin, rule blob, SOE open), so
+    /// an unknown document or an unprovisioned subject fails here.
+    pub(crate) fn open(mut session: PullSession<HostSoe>) -> Result<Self, SddsError> {
+        session.advance(1)?;
+        Ok(ViewStream { session })
     }
 
     /// Document this stream pulls.
     pub fn doc_id(&self) -> &str {
-        &self.doc_id
+        self.session.doc_id()
     }
 
     /// Upload revision this stream pinned at open.
     pub fn revision(&self) -> u64 {
-        self.revision
+        let pinned = self.session.revision();
+        // lint: infallible — `open` pinned a revision or failed.
+        pinned.expect("an open stream pinned a revision")
+    }
+
+    /// Route salt this stream carries on every fetch (distinct per stream
+    /// on one service, so replicated documents spread their load).
+    pub fn route_salt(&self) -> u64 {
+        self.session.route_salt()
     }
 
     /// Final session statistics, available once the stream is exhausted.
     pub fn stats(&self) -> Option<&SessionStats> {
-        self.stats.as_ref()
+        self.session.output()
     }
 
     /// Drains the stream and renders the remaining authorized events as XML
@@ -105,50 +77,6 @@ impl ViewStream {
         }
         Ok(writer::to_string(&events))
     }
-
-    /// Serves exactly one SOE request (one chunk fetch + supply). `Ok(true)`
-    /// when the document is fully processed.
-    fn advance(&mut self) -> Result<bool, SddsError> {
-        let session: &mut SecureEvaluationSession = self
-            .session
-            .as_mut()
-            // lint: infallible — `advance` is only called while `next` holds
-            // an open session.
-            .expect("advance requires a session");
-        match session.next_request() {
-            SessionRequest::Done => {
-                let ended: SecureEvaluationSession = self
-                    .session
-                    .take()
-                    // lint: infallible — checked as `Some` at the top of
-                    // `advance`.
-                    .expect("session present");
-                let (rest, stats) = ended.finish()?;
-                self.buffer = rest.into();
-                self.stats = Some(stats);
-                Ok(true)
-            }
-            SessionRequest::NeedChunk(index) => {
-                let served = self
-                    .service
-                    .fetch_chunk_pinned(&self.doc_id, index, self.revision)?;
-                let chunk: Arc<[u8]> = served.0;
-                let tag: ChunkTag = served.1;
-                session.supply_chunk(index, &chunk, &tag)?;
-                // `buffer` is drained here; converting an empty deque to a
-                // `Vec` and back keeps its allocation without moving a byte.
-                let mut produced: Vec<Event> = std::mem::take(&mut self.buffer).into();
-                session.swap_output(&mut produced);
-                // Account the transfer like the terminal-side channel would.
-                let wire = chunk.len() + tag.encoded_len();
-                let produced_len: usize = produced.iter().map(Event::serialized_len).sum();
-                session.record_exchange(wire, produced_len);
-                self.obs.record_exchange(wire, produced_len);
-                self.buffer = produced.into();
-                Ok(false)
-            }
-        }
-    }
 }
 
 impl Iterator for ViewStream {
@@ -156,18 +84,16 @@ impl Iterator for ViewStream {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            if let Some(event) = self.buffer.pop_front() {
-                self.obs.event_delivered();
+            if let Some(event) = self.session.transport_mut().pop_event() {
+                self.session.obs().event_delivered();
                 return Some(Ok(event));
             }
             // Stream over (normally or poisoned): nothing further to yield.
-            self.session.as_ref()?;
-            match self.advance() {
-                Ok(_) => continue,
-                Err(e) => {
-                    self.session = None;
-                    return Some(Err(e));
-                }
+            if self.session.output().is_some() || self.session.error().is_some() {
+                return None;
+            }
+            if let Err(e) = self.session.advance(1) {
+                return Some(Err(e.into()));
             }
         }
     }
@@ -175,23 +101,23 @@ impl Iterator for ViewStream {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::client::{Client, Publisher};
+    use crate::client::{Client, Publisher, PublisherBuilder};
     use sdds_core::rule::RuleSet;
+    use sdds_sync::sync::Arc;
     use sdds_xml::generator::{self, GeneratorConfig, HospitalProfile};
 
     fn publisher() -> Publisher {
+        publish(Publisher::builder(b"hospital-2005"))
+    }
+
+    fn publish(builder: PublisherBuilder) -> Publisher {
         let rules = RuleSet::parse(
             "+, doctor, //patient\n-, doctor, //patient/ssn\n+, secretary, //patient/name",
         )
         .unwrap();
         // Small chunks so the secretary's skips span whole chunks (the E2
         // granularity effect), which the stats assertions below rely on.
-        let publisher = Publisher::builder(b"hospital-2005")
-            .rules(rules)
-            .chunk_size(128)
-            .build()
-            .unwrap();
+        let publisher = builder.rules(rules).chunk_size(128).build().unwrap();
         let doc = generator::hospital(
             &HospitalProfile {
                 patients: 4,
@@ -250,5 +176,47 @@ mod tests {
             .provision(&Publisher::new(b"other-community", RuleSet::new()))
             .unwrap();
         assert!(stranger.open_stream("folders").is_err());
+    }
+
+    #[test]
+    fn streams_draw_distinct_salts_and_spread_replica_serving() {
+        let publisher = publish(Publisher::builder(b"hospital-2005").shards(8).replicate(4));
+        let service = publisher.service();
+        let copies = service.replica_shards("folders");
+        assert_eq!(copies.len(), 4);
+        let client = Client::builder("doctor").provision(&publisher).unwrap();
+        service.reset_stats();
+
+        let streams: Vec<_> = (0..16)
+            .map(|_| client.open_stream("folders").unwrap())
+            .collect();
+        let mut salts: Vec<u64> = streams.iter().map(|s| s.route_salt()).collect();
+        salts.sort_unstable();
+        salts.dedup();
+        assert_eq!(salts.len(), 16, "salts must be distinct per stream");
+        for stream in streams {
+            stream.collect_view().unwrap();
+        }
+
+        // Header requests = requests − chunks − rule blobs, per shard. With
+        // unsalted routing all 16 header fetches hit the home copy and all
+        // 16 rule fetches of the one subject hit the same copy.
+        let stats = service.shard_stats();
+        let serving = |served: &dyn Fn(&sdds_dsp::ServerStats) -> bool| {
+            copies
+                .iter()
+                .filter(|&&shard| served(&stats[shard]))
+                .count()
+        };
+        let header_shards = serving(&|s| s.requests > s.chunks_served + s.rule_blobs_served);
+        let rule_shards = serving(&|s| s.rule_blobs_served > 0);
+        assert!(
+            header_shards > 1,
+            "identical header requests must spread over replicas, got {header_shards} shard(s)"
+        );
+        assert!(
+            rule_shards > 1,
+            "one subject's rule fetches must spread over replicas, got {rule_shards} shard(s)"
+        );
     }
 }

@@ -182,8 +182,9 @@ fn service_stats_equal_the_serve_counters_in_the_snapshot() {
     let client = Client::builder("doctor").provision(&publisher).unwrap();
     let service = client.service();
 
-    // Header, rules and chunk fetches: a pinned in-process view, a salted
-    // card session, and one direct rule fetch.
+    // Header, rules and chunk fetches: two salted card sessions (one
+    // behind `authorized_view`, one driven directly), and one direct rule
+    // fetch.
     client.authorized_view("folders").unwrap();
     client.connect("folders").unwrap().run().unwrap();
     service.fetch_rules("folders", "doctor").unwrap();
