@@ -14,7 +14,7 @@ use sdds_crypto::KeyRing;
 use crate::apdu::{Apdu, ApduData, ApduResponse, StatusWord};
 use crate::cost::{CostLedger, CostModel};
 use crate::error::CardError;
-use crate::resources::{EepromBudget, RamBudget};
+use crate::resources::EepromBudget;
 
 /// Hardware profile of a card.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,7 +67,6 @@ impl CardProfile {
 #[derive(Debug)]
 pub struct SmartCard {
     profile: CardProfile,
-    ram: RamBudget,
     eeprom: EepromBudget,
     keys: KeyRing,
     ledger: CostLedger,
@@ -77,7 +76,6 @@ impl SmartCard {
     /// Powers up a card with the given profile.
     pub fn new(profile: CardProfile) -> Self {
         SmartCard {
-            ram: RamBudget::new(profile.ram_bytes),
             eeprom: EepromBudget::new(profile.eeprom_bytes),
             keys: KeyRing::new(),
             ledger: CostLedger::new(),
@@ -88,16 +86,6 @@ impl SmartCard {
     /// The hardware profile.
     pub fn profile(&self) -> &CardProfile {
         &self.profile
-    }
-
-    /// Secure working memory budget.
-    pub fn ram(&mut self) -> &mut RamBudget {
-        &mut self.ram
-    }
-
-    /// Read-only view of the RAM budget.
-    pub fn ram_ref(&self) -> &RamBudget {
-        &self.ram
     }
 
     /// Secure stable storage budget.
@@ -125,11 +113,9 @@ impl SmartCard {
         &self.ledger
     }
 
-    /// Resets the per-session counters (RAM accounting and ledger), keeping
-    /// persistent state (keys, EEPROM contents).
+    /// Resets the per-session cost counters, keeping persistent state
+    /// (keys, EEPROM contents).
     pub fn reset_session(&mut self) {
-        self.ram.reset();
-        self.ram.reset_peak();
         self.ledger = CostLedger::new();
     }
 }
@@ -217,18 +203,15 @@ mod tests {
     use super::*;
     use crate::apdu::ins;
 
-    /// A toy applet that stores bytes in RAM and echoes them back.
+    /// A toy applet that stores bytes and echoes them back.
     struct EchoApplet {
         stored: Vec<u8>,
     }
 
     impl Applet for EchoApplet {
-        fn process(&mut self, card: &mut SmartCard, command: &Apdu) -> ApduResponse {
+        fn process(&mut self, _card: &mut SmartCard, command: &Apdu) -> ApduResponse {
             match command.ins {
                 ins::PUSH_CHUNK => {
-                    if card.ram().allocate(command.data.len()).is_err() {
-                        return ApduResponse::error(StatusWord::MEMORY_FAILURE);
-                    }
                     self.stored.extend_from_slice(&command.data);
                     ApduResponse::ok_empty()
                 }
@@ -279,30 +262,14 @@ mod tests {
     }
 
     #[test]
-    fn ram_exhaustion_surfaces_as_memory_failure() {
-        let mut rt = CardRuntime::new(CardProfile::egate(), EchoApplet { stored: vec![] });
-        // The e-gate has 1 KiB of RAM; pushing five 255-byte chunks overruns it.
-        let chunk = vec![0u8; 255];
-        for i in 0..4 {
-            let resp = rt.exchange(&Apdu::new(ins::PUSH_CHUNK, i, 0, &chunk).unwrap());
-            assert!(resp.status.is_ok(), "chunk {i} should fit");
-        }
-        let resp = rt.exchange(&Apdu::new(ins::PUSH_CHUNK, 9, 0, chunk).unwrap());
-        assert_eq!(resp.status, StatusWord::MEMORY_FAILURE);
-        assert!(rt.card().ram_ref().peak() <= 1024);
-    }
-
-    #[test]
     fn reset_session_clears_counters_but_keeps_keys() {
         use sdds_crypto::{KeyId, SecretKey};
         let mut card = SmartCard::new(CardProfile::egate());
         card.keys()
             .install(KeyId(1), SecretKey::from_bytes([1; 16]))
             .unwrap();
-        card.ram().allocate(100).unwrap();
         card.ledger().record_decrypt(10);
         card.reset_session();
-        assert_eq!(card.ram_ref().in_use(), 0);
         assert_eq!(card.ledger_ref().bytes_decrypted, 0);
         assert!(card.keys_ref().contains(KeyId(1)));
         assert_eq!(card.profile().name, "axalto-egate");

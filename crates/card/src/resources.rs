@@ -1,94 +1,14 @@
-//! Secure working-memory (RAM) and stable-storage (EEPROM) budgets.
+//! Secure stable-storage (EEPROM) budget.
 //!
 //! The e-gate card of the demo offers "only 1 KB of RAM available for on-board
-//! applications" (§3). The streaming evaluator was designed around that
-//! constraint: its working set is bounded by the document depth and the number
-//! of active rule states, never by the document size. [`RamBudget`] enforces
-//! the constraint at run time — the engine *accounts every structure it keeps*
-//! and any overrun is a hard error — and records the peak usage reported by
-//! experiment E4.
+//! applications" (§3) and a few tens of KB of EEPROM. The RAM constraint is
+//! enforced where the working set is built: `sdds-core`'s evaluation session
+//! counts its secure-RAM footprint after every event and fails a session that
+//! exceeds its budget (`EngineConfig::ram_budget`, reported as
+//! `SessionStats::peak_ram_bytes`, experiment E4). [`EepromBudget`] accounts
+//! what the applet stores persistently: its installed rules.
 
 use crate::error::CardError;
-
-/// A byte budget with high-water-mark tracking.
-#[derive(Debug, Clone)]
-pub struct RamBudget {
-    budget: usize,
-    in_use: usize,
-    peak: usize,
-}
-
-impl RamBudget {
-    /// Creates a budget of `budget` bytes.
-    pub fn new(budget: usize) -> Self {
-        RamBudget {
-            budget,
-            in_use: 0,
-            peak: 0,
-        }
-    }
-
-    /// Total budget in bytes.
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
-    /// Bytes currently accounted.
-    pub fn in_use(&self) -> usize {
-        self.in_use
-    }
-
-    /// Highest number of bytes ever accounted simultaneously.
-    pub fn peak(&self) -> usize {
-        self.peak
-    }
-
-    /// Bytes still available.
-    pub fn available(&self) -> usize {
-        self.budget.saturating_sub(self.in_use)
-    }
-
-    /// Accounts an allocation of `bytes`.
-    pub fn allocate(&mut self, bytes: usize) -> Result<(), CardError> {
-        if self.in_use + bytes > self.budget {
-            return Err(CardError::RamExceeded {
-                requested: bytes,
-                in_use: self.in_use,
-                budget: self.budget,
-            });
-        }
-        self.in_use += bytes;
-        self.peak = self.peak.max(self.in_use);
-        Ok(())
-    }
-
-    /// Releases `bytes` previously allocated.
-    pub fn release(&mut self, bytes: usize) {
-        debug_assert!(bytes <= self.in_use, "releasing more RAM than allocated");
-        self.in_use = self.in_use.saturating_sub(bytes);
-    }
-
-    /// Adjusts the accounting of a structure whose size changed from
-    /// `old_bytes` to `new_bytes`.
-    pub fn resize(&mut self, old_bytes: usize, new_bytes: usize) -> Result<(), CardError> {
-        if new_bytes >= old_bytes {
-            self.allocate(new_bytes - old_bytes)
-        } else {
-            self.release(old_bytes - new_bytes);
-            Ok(())
-        }
-    }
-
-    /// Releases everything (end of session) without touching the peak.
-    pub fn reset(&mut self) {
-        self.in_use = 0;
-    }
-
-    /// Resets the peak tracker (start of a new measurement).
-    pub fn reset_peak(&mut self) {
-        self.peak = self.in_use;
-    }
-}
 
 /// Secure stable storage budget (keys, persistent rules, applet state).
 #[derive(Debug, Clone)]
@@ -132,66 +52,9 @@ impl EepromBudget {
     }
 }
 
-/// Types whose secure-RAM footprint can be accounted against a [`RamBudget`].
-///
-/// Implementations report the number of bytes the structure would occupy in
-/// the card's working memory. The estimate deliberately counts the *logical*
-/// payload (stack entries, state sets, buffers), not Rust allocator overhead,
-/// mirroring how the C prototype of the paper accounted its static buffers.
-pub trait RamFootprint {
-    /// Bytes of secure working memory used by `self`.
-    fn ram_bytes(&self) -> usize;
-}
-
-impl RamFootprint for Vec<u8> {
-    fn ram_bytes(&self) -> usize {
-        self.len()
-    }
-}
-
-impl RamFootprint for String {
-    fn ram_bytes(&self) -> usize {
-        self.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ram_budget_tracks_allocations_and_peak() {
-        let mut ram = RamBudget::new(1024);
-        assert_eq!(ram.budget(), 1024);
-        ram.allocate(400).unwrap();
-        ram.allocate(400).unwrap();
-        assert_eq!(ram.in_use(), 800);
-        assert_eq!(ram.available(), 224);
-        ram.release(300);
-        assert_eq!(ram.in_use(), 500);
-        assert_eq!(ram.peak(), 800);
-        // Exceeding the budget is an error and leaves the accounting unchanged.
-        let err = ram.allocate(600).unwrap_err();
-        assert!(matches!(err, CardError::RamExceeded { requested: 600, .. }));
-        assert_eq!(ram.in_use(), 500);
-        ram.reset();
-        assert_eq!(ram.in_use(), 0);
-        assert_eq!(ram.peak(), 800);
-        ram.reset_peak();
-        assert_eq!(ram.peak(), 0);
-    }
-
-    #[test]
-    fn ram_budget_resize_moves_both_ways() {
-        let mut ram = RamBudget::new(100);
-        ram.allocate(40).unwrap();
-        ram.resize(40, 70).unwrap();
-        assert_eq!(ram.in_use(), 70);
-        ram.resize(70, 10).unwrap();
-        assert_eq!(ram.in_use(), 10);
-        assert!(ram.resize(10, 200).is_err());
-        assert_eq!(ram.in_use(), 10);
-    }
 
     #[test]
     fn eeprom_budget_enforced() {
@@ -203,11 +66,5 @@ mod tests {
         assert_eq!(rom.in_use(), 54);
         rom.store(10).unwrap();
         assert_eq!(rom.budget(), 64);
-    }
-
-    #[test]
-    fn footprint_of_basic_types() {
-        assert_eq!(vec![0u8; 10].ram_bytes(), 10);
-        assert_eq!("hello".to_owned().ram_bytes(), 5);
     }
 }

@@ -1,16 +1,20 @@
 //! The SOE engine: fetch → integrity-check → decrypt → parse → evaluate,
 //! under the card's constraints.
 //!
-//! Two layers are provided:
+//! Three layers are provided:
 //!
 //! * [`SecureEvaluationSession`] — the incremental state machine that consumes
 //!   encrypted chunks one at a time, drives the [`TokenReader`], asks for the
 //!   *next chunk it actually needs* (which is how skipping translates into
 //!   fewer transferred and decrypted bytes), feeds the streaming evaluator and
 //!   exposes the authorized events. It is transport-agnostic: tests and
-//!   benches drive it with [`run_local`], the terminal proxy drives it
-//!   through APDUs or in process.
-//! * [`AccessControlApplet`] — the APDU front-end implementing
+//!   benches drive it with [`run_local`].
+//! * [`Soe`] — the card-resident state of one subject around that session:
+//!   the unwrapped keys, the authenticated rules (never older than the
+//!   installed ones), the query, the policy and the RAM budget. It is the one
+//!   SOE of the workspace: the card and the terminal's in-process SOE both
+//!   drive one.
+//! * [`AccessControlApplet`] — the APDU codec of a [`Soe`], implementing
 //!   [`sdds_card::Applet`], i.e. what is actually "installed on the card" in
 //!   the demonstrator architecture (Figure 3): key provisioning, rule refresh,
 //!   query registration, session management, chunk push and output retrieval.
@@ -19,12 +23,12 @@ use std::sync::Arc;
 
 use sdds_card::apdu::{ins, Apdu, ApduResponse, StatusWord};
 use sdds_card::{Applet, CardError, CostLedger, SmartCard};
-use sdds_crypto::{Aes128, KeyId, PolyAesKey, SecretKey};
+use sdds_crypto::{Aes128, CryptoError, PolyAesKey, SecretKey};
 use sdds_xml::{Event, TagDict};
 use sdds_xpath::tagset::PathSignature;
 
 use crate::assembler::ViewSink;
-use crate::conflict::Decision;
+use crate::conflict::{AccessPolicy, Decision};
 use crate::error::CoreError;
 use crate::evaluator::{EvaluatorConfig, EvaluatorStats, StreamingEvaluator};
 use crate::query::Query;
@@ -611,34 +615,195 @@ pub fn evaluate_secure_document(
 }
 
 // ---------------------------------------------------------------------------
+// The SOE
+// ---------------------------------------------------------------------------
+
+/// Identifier of the document key in a key provisioning message.
+pub const DEFAULT_DOC_KEY_ID: u32 = 1;
+/// Identifier of the rule-protection key in a key provisioning message.
+pub const RULES_KEY_ID: u32 = 2;
+/// The card-resident state of one subject's SOE (Figure 3: "Access rights
+/// evaluator", "Integrity control", "Decryption" and "Keys" inside the smart
+/// card): the unwrapped keys, the installed rules, the query, the policy,
+/// the RAM budget and the open evaluation session.
+///
+/// Both transports drive one: the [`AccessControlApplet`] decodes APDUs
+/// into these calls, and the terminal proxy's in-process SOE calls them
+/// directly.
+pub struct Soe {
+    subject: Subject,
+    /// Transport key personalised at issuance (simulated PKI).
+    transport_key: SecretKey,
+    doc_key: Option<SecretKey>,
+    rules_key: Option<SecretKey>,
+    /// The installed rules, shared with every session opened over them.
+    rules: Option<Arc<RuleSet>>,
+    /// The registered query, shared the same way.
+    query: Option<Arc<Query>>,
+    policy: AccessPolicy,
+    ram_budget: usize,
+    session: Option<SecureEvaluationSession>,
+}
+
+impl std::fmt::Debug for Soe {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Soe")
+            .field("subject", &self.subject)
+            .field("has_session", &self.session.is_some())
+            .finish_non_exhaustive()
+    }
+}
+
+impl Soe {
+    /// An SOE personalised for `subject`, holding no key, no rules and no
+    /// query yet, whose sessions run under `ram_budget` bytes of secure RAM
+    /// and the paper's policy.
+    pub fn new(subject: Subject, transport_key: SecretKey, ram_budget: usize) -> Self {
+        Soe {
+            subject,
+            transport_key,
+            doc_key: None,
+            rules_key: None,
+            rules: None,
+            query: None,
+            policy: AccessPolicy::paper(),
+            ram_budget,
+            session: None,
+        }
+    }
+
+    /// The subject the SOE was issued to.
+    pub fn subject(&self) -> &Subject {
+        &self.subject
+    }
+
+    /// The installed rules, if any.
+    pub fn rules(&self) -> Option<&RuleSet> {
+        self.rules.as_deref()
+    }
+
+    /// The open session, if any.
+    pub fn session(&self) -> Option<&SecureEvaluationSession> {
+        self.session.as_ref()
+    }
+
+    /// Unwraps a provisioned key under the transport key and keeps it as
+    /// the document key ([`DEFAULT_DOC_KEY_ID`]) or the rule-protection key
+    /// ([`RULES_KEY_ID`]); any other id is an unknown key.
+    pub fn install_key(&mut self, provisioning: &KeyProvisioning) -> Result<(), CoreError> {
+        let key = provisioning.unwrap_key(&self.transport_key)?;
+        let slot = match provisioning.key_id {
+            DEFAULT_DOC_KEY_ID => &mut self.doc_key,
+            RULES_KEY_ID => &mut self.rules_key,
+            key_id => return Err(CryptoError::UnknownKey { key_id }.into()),
+        };
+        *slot = Some(key);
+        Ok(())
+    }
+
+    /// Authenticates an encoded protected rule blob under the rule key and
+    /// installs it. A blob older than the installed rules is refused
+    /// (rollback protection).
+    pub fn install_rules(&mut self, blob: &[u8]) -> Result<&RuleSet, CoreError> {
+        let protected = ProtectedRules::decode(blob)?;
+        let key = self.rules_key.as_ref().ok_or(CryptoError::UnknownKey {
+            key_id: RULES_KEY_ID,
+        })?;
+        let minimum = self.rules.as_ref().map(|rules| rules.version());
+        let rules = protected.open(key, minimum)?;
+        Ok(self.rules.insert(Arc::new(rules)))
+    }
+
+    /// Registers the query later sessions intersect their view with.
+    pub fn set_query(&mut self, query: Query) {
+        self.query = Some(Arc::new(query));
+    }
+
+    /// Selects the conflict-resolution policy of later sessions.
+    pub fn set_policy(&mut self, policy: AccessPolicy) {
+        self.policy = policy;
+    }
+
+    /// Opens an evaluation session over `header` with the installed rules,
+    /// the query, the policy and the RAM budget. A failed open keeps the
+    /// previous session.
+    pub fn open(&mut self, header: DocumentHeader) -> Result<(), CoreError> {
+        let rules = self.rules.clone().ok_or_else(|| CoreError::BadState {
+            message: "no rules installed".into(),
+        })?;
+        let key = self.doc_key.clone().ok_or(CryptoError::UnknownKey {
+            key_id: DEFAULT_DOC_KEY_ID,
+        })?;
+        let mut evaluator =
+            EvaluatorConfig::new(rules, self.subject.name()).with_policy(self.policy);
+        if let Some(query) = &self.query {
+            evaluator = evaluator.with_query(Arc::clone(query));
+        }
+        let config = EngineConfig::new(evaluator).with_ram_budget(self.ram_budget);
+        self.session = Some(SecureEvaluationSession::open(header, key, config)?);
+        Ok(())
+    }
+
+    /// What the open session needs next.
+    pub fn next_request(&self) -> Result<SessionRequest, CoreError> {
+        Ok(self.session.as_ref().ok_or_else(not_open)?.next_request())
+    }
+
+    /// Supplies one chunk with its tag to the open session, delivering the
+    /// events it releases to `out` (see
+    /// [`SecureEvaluationSession::supply_chunk_into`]).
+    pub fn push_chunk(
+        &mut self,
+        index: u32,
+        ciphertext: &[u8],
+        tag: &ChunkTag,
+        out: &mut impl ViewSink,
+    ) -> Result<usize, CoreError> {
+        let session = self.session.as_mut().ok_or_else(not_open)?;
+        session.supply_chunk_into(index, ciphertext, tag, out)
+    }
+
+    /// Serves one chunk request as one accounted channel exchange (see
+    /// [`SecureEvaluationSession::exchange_chunk`]).
+    pub fn exchange_chunk(
+        &mut self,
+        index: u32,
+        ciphertext: &[u8],
+        tag: &ChunkTag,
+        buffer: &mut Vec<Event>,
+    ) -> Result<(usize, usize), CoreError> {
+        let session = self.session.as_mut().ok_or_else(not_open)?;
+        session.exchange_chunk(index, ciphertext, tag, buffer)
+    }
+
+    /// Ends the open session, processed or not, and returns its remaining
+    /// events and final statistics once the document was fully processed.
+    pub fn finish(&mut self) -> Result<(Vec<Event>, SessionStats), CoreError> {
+        self.session.take().ok_or_else(not_open)?.finish()
+    }
+}
+
+fn not_open() -> CoreError {
+    CoreError::BadState {
+        message: "no open SOE session".into(),
+    }
+}
+
+// ---------------------------------------------------------------------------
 // APDU applet
 // ---------------------------------------------------------------------------
 
-/// Identifier under which the document key is expected in the card key ring
-/// when `P1` of `OPEN_SESSION` does not say otherwise.
-pub const DEFAULT_DOC_KEY_ID: u32 = 1;
-/// Identifier of the rule-protection key in the card key ring.
-pub const RULES_KEY_ID: u32 = 2;
 /// Bytes before the ciphertext in a `PUSH_CHUNK` payload: the chunk index
 /// (4, little-endian) and the chunk's tag.
 pub const PUSH_CHUNK_PREFIX: usize = 4 + TAG_LEN;
 
-/// The on-card access-control applet (Figure 3: "Access rights evaluator",
-/// "Integrity control", "Decryption", "Keys" inside the smart card).
+/// The on-card access-control applet: the APDU codec of a [`Soe`]. It
+/// reassembles fragmented payloads, renders the released events into the
+/// output buffer `GET_OUTPUT` pages through, maps SOE errors to status words,
+/// charges the installed rules to the card's EEPROM and mirrors the SOE's
+/// crypto work into the card ledger.
 pub struct AccessControlApplet {
-    /// Subject the card was issued to.
-    subject: Subject,
-    /// Transport key personalised at issuance (simulated PKI).
-    transport_key: SecretKey,
-    /// Rules installed via `PUT_RULES`, shared with every session opened
-    /// over them.
-    rules: Option<Arc<RuleSet>>,
-    /// Query registered via `PUT_QUERY`, shared the same way.
-    query: Option<Arc<Query>>,
-    /// Whether to use the skip index.
-    use_skip_index: bool,
-    /// Active session.
-    session: Option<SecureEvaluationSession>,
+    soe: Soe,
     /// Reassembly buffer for fragmented `PUT_RULES` payloads.
     rules_buf: Vec<u8>,
     /// Reassembly buffer for fragmented `PUSH_CHUNK` payloads, emptied and
@@ -654,22 +819,17 @@ pub struct AccessControlApplet {
 impl std::fmt::Debug for AccessControlApplet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AccessControlApplet")
-            .field("subject", &self.subject)
-            .field("has_session", &self.session.is_some())
+            .field("soe", &self.soe)
             .finish_non_exhaustive()
     }
 }
 
 impl AccessControlApplet {
-    /// Creates an applet personalised for `subject`.
-    pub fn new(subject: impl Into<String>, transport_key: SecretKey) -> Self {
+    /// Creates an applet personalised for `subject`, whose sessions run
+    /// under `ram_budget` bytes of secure RAM.
+    pub fn new(subject: impl Into<String>, transport_key: SecretKey, ram_budget: usize) -> Self {
         AccessControlApplet {
-            subject: Subject::new(subject),
-            transport_key,
-            rules: None,
-            query: None,
-            use_skip_index: true,
-            session: None,
+            soe: Soe::new(Subject::new(subject), transport_key, ram_budget),
             rules_buf: Vec::new(),
             chunk_buf: Vec::new(),
             output_text: String::new(),
@@ -677,18 +837,14 @@ impl AccessControlApplet {
         }
     }
 
-    /// Disables the skip index for subsequent sessions (baseline runs).
-    pub fn set_use_skip_index(&mut self, enabled: bool) {
-        self.use_skip_index = enabled;
-    }
-
     /// Statistics of the active session, if any.
     pub fn session_stats(&self) -> Option<&SessionStats> {
-        self.session.as_ref().map(SecureEvaluationSession::stats)
+        self.soe.session().map(SecureEvaluationSession::stats)
     }
 
     fn status_for(error: &CoreError) -> StatusWord {
         match error {
+            CoreError::Crypto(CryptoError::UnknownKey { .. }) => StatusWord::NOT_FOUND,
             CoreError::Crypto(_) => StatusWord::SECURITY_NOT_SATISFIED,
             CoreError::Card(CardError::RamExceeded { .. })
             | CoreError::Card(CardError::EepromExceeded { .. }) => StatusWord::MEMORY_FAILURE,
@@ -701,23 +857,18 @@ impl AccessControlApplet {
         }
     }
 
-    fn handle_put_key(&mut self, card: &mut SmartCard, command: &Apdu) -> ApduResponse {
-        match KeyProvisioning::decode(&command.data) {
-            Ok(provisioning) => match provisioning.unwrap_key(&self.transport_key) {
-                Ok(key) => {
-                    if card
-                        .keys()
-                        .install(KeyId(provisioning.key_id), key)
-                        .is_err()
-                    {
-                        return ApduResponse::error(StatusWord::MEMORY_FAILURE);
-                    }
-                    ApduResponse::ok_empty()
-                }
-                Err(_) => ApduResponse::error(StatusWord::SECURITY_NOT_SATISFIED),
-            },
-            Err(_) => ApduResponse::error(StatusWord::WRONG_LENGTH),
+    fn respond(result: Result<(), CoreError>) -> ApduResponse {
+        match result {
+            Ok(()) => ApduResponse::ok_empty(),
+            Err(e) => ApduResponse::error(Self::status_for(&e)),
         }
+    }
+
+    fn handle_put_key(&mut self, command: &Apdu) -> ApduResponse {
+        Self::respond(
+            KeyProvisioning::decode(&command.data)
+                .and_then(|provisioning| self.soe.install_key(&provisioning)),
+        )
     }
 
     fn handle_put_rules(&mut self, card: &mut SmartCard, command: &Apdu) -> ApduResponse {
@@ -727,29 +878,15 @@ impl AccessControlApplet {
             return ApduResponse::ok_empty();
         }
         let payload = std::mem::take(&mut self.rules_buf);
-        let protected = match ProtectedRules::decode(&payload) {
-            Ok(p) => p,
-            Err(_) => return ApduResponse::error(StatusWord::WRONG_LENGTH),
-        };
-        let rules_key = match card.keys_ref().get(KeyId(RULES_KEY_ID)) {
-            Ok(k) => k.clone(),
-            Err(_) => return ApduResponse::error(StatusWord::NOT_FOUND),
-        };
-        let minimum = self.rules.as_ref().map(|rules| rules.version());
-        match protected.open(&rules_key, minimum) {
-            Ok(rules) => {
-                // Rules live in EEPROM (persistent across sessions).
-                if let Some(previous) = &self.rules {
-                    card.eeprom().free(previous.storage_bytes());
-                }
-                if card.eeprom().store(rules.storage_bytes()).is_err() {
-                    return ApduResponse::error(StatusWord::MEMORY_FAILURE);
-                }
-                self.rules = Some(Arc::new(rules));
-                ApduResponse::ok_empty()
-            }
-            Err(e) => ApduResponse::error(Self::status_for(&e)),
-        }
+        let previous = self.soe.rules().map_or(0, RuleSet::storage_bytes);
+        let installed = self.soe.install_rules(&payload).and_then(|rules| {
+            // Rules live in EEPROM (persistent across sessions).
+            card.eeprom().free(previous);
+            card.eeprom()
+                .store(rules.storage_bytes())
+                .map_err(CoreError::from)
+        });
+        Self::respond(installed)
     }
 
     fn handle_put_query(&mut self, command: &Apdu) -> ApduResponse {
@@ -758,7 +895,7 @@ impl AccessControlApplet {
             .and_then(|text| Query::parse(text).map_err(|_| ()))
         {
             Ok(query) => {
-                self.query = Some(Arc::new(query));
+                self.soe.set_query(query);
                 ApduResponse::ok_empty()
             }
             Err(()) => ApduResponse::error(StatusWord::NOT_FOUND),
@@ -766,61 +903,38 @@ impl AccessControlApplet {
     }
 
     fn handle_open_session(&mut self, card: &mut SmartCard, command: &Apdu) -> ApduResponse {
-        let Some(rules) = self.rules.as_ref().map(Arc::clone) else {
-            return ApduResponse::error(StatusWord::CONDITIONS_NOT_SATISFIED);
-        };
         let header = match DocumentHeader::decode(&command.data) {
             Ok(h) => h,
             Err(_) => return ApduResponse::error(StatusWord::WRONG_LENGTH),
         };
-        let key_id = if command.p1 == 0 {
-            DEFAULT_DOC_KEY_ID
-        } else {
-            u32::from(command.p1)
-        };
-        let key = match card.keys_ref().get(KeyId(key_id)) {
-            Ok(k) => k.clone(),
-            Err(_) => return ApduResponse::error(StatusWord::NOT_FOUND),
-        };
-        let mut evaluator_config = EvaluatorConfig::new(rules, self.subject.name());
         // P2 selects the conflict-resolution default: 0 = closed world (the
         // paper's policy), 1 = open world (used by dissemination scenarios
         // where only negative rules carve content out).
-        if command.p2 == 1 {
-            evaluator_config = evaluator_config.with_policy(crate::conflict::AccessPolicy::open());
+        self.soe.set_policy(if command.p2 == 1 {
+            AccessPolicy::open()
+        } else {
+            AccessPolicy::paper()
+        });
+        let opened = self.soe.open(header);
+        if opened.is_ok() {
+            card.reset_session();
+            self.output_text.clear();
+            self.output_pos = 0;
+            self.chunk_buf.clear();
         }
-        if let Some(query) = &self.query {
-            evaluator_config = evaluator_config.with_query(Arc::clone(query));
-        }
-        let mut config =
-            EngineConfig::new(evaluator_config).with_ram_budget(card.profile().ram_bytes);
-        config.use_skip_index = self.use_skip_index;
-        match SecureEvaluationSession::open(header, key, config) {
-            Ok(session) => {
-                card.reset_session();
-                self.session = Some(session);
-                self.output_text.clear();
-                self.output_pos = 0;
-                self.chunk_buf.clear();
-                ApduResponse::ok_empty()
-            }
+        Self::respond(opened)
+    }
+
+    fn handle_next_request(&mut self) -> ApduResponse {
+        match self.soe.next_request() {
+            Ok(SessionRequest::NeedChunk(i)) => ApduResponse::ok(&i.to_le_bytes()),
+            Ok(SessionRequest::Done) => ApduResponse::ok(&u32::MAX.to_le_bytes()),
             Err(e) => ApduResponse::error(Self::status_for(&e)),
         }
     }
 
-    fn handle_next_request(&mut self) -> ApduResponse {
-        let Some(session) = &self.session else {
-            return ApduResponse::error(StatusWord::CONDITIONS_NOT_SATISFIED);
-        };
-        let value = match session.next_request() {
-            SessionRequest::NeedChunk(i) => i,
-            SessionRequest::Done => u32::MAX,
-        };
-        ApduResponse::ok(&value.to_le_bytes())
-    }
-
     fn handle_push_chunk(&mut self, card: &mut SmartCard, command: &Apdu) -> ApduResponse {
-        let Some(session) = self.session.as_mut() else {
+        let Some(session) = self.soe.session() else {
             return ApduResponse::error(StatusWord::CONDITIONS_NOT_SATISFIED);
         };
         // Payload layout: chunk index (4), tag (32), ciphertext — at most one
@@ -835,7 +949,8 @@ impl AccessControlApplet {
         if command.p1 == 1 {
             return ApduResponse::ok_empty();
         }
-        let response = Self::supply_payload(session, card, &self.chunk_buf, &mut self.output_text);
+        let response =
+            Self::supply_payload(&mut self.soe, card, &self.chunk_buf, &mut self.output_text);
         self.chunk_buf.clear();
         match response {
             Ok(()) => {
@@ -847,10 +962,10 @@ impl AccessControlApplet {
     }
 
     /// Supplies one reassembled `PUSH_CHUNK` payload — chunk index (4), tag
-    /// (32), ciphertext — to the session, which renders the events it
-    /// releases onto `output`. On failure `output` is left as it was.
+    /// (32), ciphertext — to the SOE, which renders the events it releases
+    /// onto `output`. On failure `output` is left as it was.
     fn supply_payload(
-        session: &mut SecureEvaluationSession,
+        soe: &mut Soe,
         card: &mut SmartCard,
         payload: &[u8],
         output: &mut String,
@@ -863,7 +978,7 @@ impl AccessControlApplet {
         let tag = ChunkTag::from_bytes(tag.try_into().expect("tag")); // lint: infallible — see above
         let ciphertext = &payload[PUSH_CHUNK_PREFIX..];
         let rendered = output.len();
-        match session.supply_chunk_into(index, ciphertext, &tag, output) {
+        match soe.push_chunk(index, ciphertext, &tag, output) {
             Ok(delivered) => {
                 // Mirror the session ledger into the card ledger so that card
                 // level reports include on-card crypto work.
@@ -886,33 +1001,34 @@ impl AccessControlApplet {
         ApduResponse::ok(&available[..take])
     }
 
+    /// Closes the session, processed or not (a terminal may abort one), and
+    /// answers with its statistics.
     fn handle_close_session(&mut self) -> ApduResponse {
-        match self.session.take() {
-            Some(session) => {
-                let stats = session.stats();
-                let mut data = [0u8; 20];
-                for (field, value) in data.chunks_exact_mut(4).zip([
-                    stats.ledger.bytes_decrypted,
-                    stats.ledger.bytes_skipped,
-                    stats.skipped_subtrees,
-                    stats.chunks_fetched,
-                    stats.peak_ram_bytes,
-                ]) {
-                    field.copy_from_slice(&(value as u32).to_le_bytes());
-                }
-                self.output_text.clear();
-                self.output_pos = 0;
-                ApduResponse::ok(&data)
-            }
-            None => ApduResponse::error(StatusWord::CONDITIONS_NOT_SATISFIED),
+        let Some(stats) = self.session_stats() else {
+            return ApduResponse::error(StatusWord::CONDITIONS_NOT_SATISFIED);
+        };
+        let mut data = [0u8; 20];
+        for (field, value) in data.chunks_exact_mut(4).zip([
+            stats.ledger.bytes_decrypted,
+            stats.ledger.bytes_skipped,
+            stats.skipped_subtrees,
+            stats.chunks_fetched,
+            stats.peak_ram_bytes,
+        ]) {
+            field.copy_from_slice(&(value as u32).to_le_bytes());
         }
+        // An unprocessed session fails `finish`; it ends all the same.
+        let _ = self.soe.finish();
+        self.output_text.clear();
+        self.output_pos = 0;
+        ApduResponse::ok(&data)
     }
 }
 
 impl Applet for AccessControlApplet {
     fn process(&mut self, card: &mut SmartCard, command: &Apdu) -> ApduResponse {
         match command.ins {
-            ins::PUT_KEY => self.handle_put_key(card, command),
+            ins::PUT_KEY => self.handle_put_key(command),
             ins::PUT_RULES => self.handle_put_rules(card, command),
             ins::PUT_QUERY => self.handle_put_query(command),
             ins::OPEN_SESSION => self.handle_open_session(card, command),
@@ -1348,6 +1464,18 @@ mod tests {
         use sdds_card::apdu::fragments;
         use sdds_card::{CardProfile, CardRuntime};
 
+        /// A card of `profile` carrying the applet `server` issued to
+        /// `subject`.
+        fn card(
+            server: &TrustedServer,
+            subject: &Subject,
+            profile: CardProfile,
+        ) -> CardRuntime<AccessControlApplet> {
+            let transport_key = server.transport_key_for(subject);
+            let applet = AccessControlApplet::new(subject.name(), transport_key, profile.ram_bytes);
+            CardRuntime::new(profile, applet)
+        }
+
         /// Terminal-side driver for the applet (a miniature proxy used by the
         /// tests; the full proxy lives in `sdds-proxy`).
         fn provision(
@@ -1394,8 +1522,7 @@ mod tests {
             secure: &SecureDocument,
         ) -> CardRuntime<AccessControlApplet> {
             let subject = Subject::new("doctor");
-            let applet = AccessControlApplet::new("doctor", server.transport_key_for(&subject));
-            let mut runtime = CardRuntime::new(CardProfile::unconstrained(), applet);
+            let mut runtime = card(server, &subject, CardProfile::unconstrained());
             provision(&mut runtime, server, &subject);
             runtime
                 .exchange_expect_ok(
@@ -1446,7 +1573,7 @@ mod tests {
                 assert_eq!(push_chunk(runtime, index, &chunk, &tag), StatusWord::OK);
                 // The applet serialised what the chunk released; the
                 // session keeps no second copy of it.
-                let session = runtime.applet().session.as_ref().unwrap();
+                let session = runtime.applet().soe.session().unwrap();
                 assert!(
                     session.output.is_empty(),
                     "undelivered events after chunk {index}"
@@ -1474,11 +1601,9 @@ mod tests {
             let subject = Subject::new("secretary");
             let doc = hospital_doc(3);
             let secure = SecureDocumentBuilder::new("folder", server.document_key()).build(&doc);
-
-            let applet = AccessControlApplet::new("secretary", server.transport_key_for(&subject));
             // The modern profile gives the session enough applet RAM for a
             // 512-byte chunk plus the evaluator working set.
-            let mut runtime = CardRuntime::new(CardProfile::modern_secure_element(), applet);
+            let mut runtime = card(&server, &subject, CardProfile::modern_secure_element());
             provision(&mut runtime, &server, &subject);
             let view = run_document(&mut runtime, &secure);
 
@@ -1506,8 +1631,7 @@ mod tests {
             let subject = Subject::new("doctor");
             let doc = hospital_doc(4);
             let secure = SecureDocumentBuilder::new("folder", server.document_key()).build(&doc);
-            let applet = AccessControlApplet::new("doctor", server.transport_key_for(&subject));
-            let mut runtime = CardRuntime::new(CardProfile::unconstrained(), applet);
+            let mut runtime = card(&server, &subject, CardProfile::unconstrained());
             provision(&mut runtime, &server, &subject);
             let view = run_document(&mut runtime, &secure);
             let expected = authorized_view_oracle(
@@ -1527,8 +1651,7 @@ mod tests {
             let subject = Subject::new("doctor");
             let doc = hospital_doc(1);
             let secure = SecureDocumentBuilder::new("folder", server.document_key()).build(&doc);
-            let applet = AccessControlApplet::new("doctor", server.transport_key_for(&subject));
-            let mut runtime = CardRuntime::new(CardProfile::modern_secure_element(), applet);
+            let mut runtime = card(&server, &subject, CardProfile::modern_secure_element());
             // No rules installed yet.
             let resp = runtime
                 .exchange(&Apdu::new(ins::OPEN_SESSION, 0, 0, secure.header.encode()).unwrap());
@@ -1546,8 +1669,7 @@ mod tests {
             let server = TrustedServer::new(b"community", medical_rules());
             let other = TrustedServer::new(b"other-community", medical_rules());
             let subject = Subject::new("doctor");
-            let applet = AccessControlApplet::new("doctor", server.transport_key_for(&subject));
-            let mut runtime = CardRuntime::new(CardProfile::modern_secure_element(), applet);
+            let mut runtime = card(&server, &subject, CardProfile::modern_secure_element());
             // Provision legitimate keys.
             let rules_key = server.provision_rules_key(&subject, RULES_KEY_ID);
             runtime

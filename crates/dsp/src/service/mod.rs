@@ -188,17 +188,6 @@ impl DspService {
         self.obs.recorder().dump_json()
     }
 
-    /// Replaces the service-time model.
-    pub fn with_model(mut self, model: ServiceModel) -> Self {
-        self.model = model;
-        self
-    }
-
-    /// The capacity model.
-    pub fn model(&self) -> &ServiceModel {
-        &self.model
-    }
-
     /// The sharded store (shard layout, document inventory).
     pub fn store(&self) -> &ShardedStore {
         &self.store

@@ -1,24 +1,21 @@
 //! The SOE run in process: [`HostSoe`], the second [`SoeTransport`].
 //!
-//! The card applet and the host SOE run the same engine
-//! ([`SecureEvaluationSession`]) with the same keys, the same protected
-//! rules (fetched from the DSP and authenticated as the card does) and the
-//! same RAM budget. The host skips the APDU framing and hands each request's
-//! authorized events to the application as they decrypt, instead of one
-//! final view. The facade's `ViewStream` drives it through a
+//! The card applet and the host SOE drive one [`Soe`]: the same keys, the
+//! same protected rules (fetched from the DSP and authenticated as the card
+//! does) and the same RAM budget. The host skips the APDU framing and hands
+//! each request's authorized events to the application as they decrypt,
+//! instead of one final view. The facade's `ViewStream` drives it through a
 //! [`crate::PullSession`].
 
 use std::collections::VecDeque;
 
 use sdds_card::CardProfile;
 use sdds_core::conflict::AccessPolicy;
-use sdds_core::engine::{EngineConfig, SecureEvaluationSession, SessionRequest, SessionStats};
-use sdds_core::evaluator::EvaluatorConfig;
+use sdds_core::engine::{SessionRequest, SessionStats, Soe};
 use sdds_core::query::Query;
 use sdds_core::rule::Subject;
 use sdds_core::secdoc::{ChunkTag, DocumentHeader};
-use sdds_core::session::{KeyProvisioning, ProtectedRules};
-use sdds_core::CoreError;
+use sdds_core::session::KeyProvisioning;
 use sdds_crypto::SecretKey;
 use sdds_dsp::SessionObs;
 use sdds_xml::Event;
@@ -26,17 +23,9 @@ use sdds_xml::Event;
 use crate::proxy::ProxyError;
 use crate::session::SoeTransport;
 
-/// An in-process SOE for one pull: the card's keys, unwrapped, and its
-/// evaluation settings; after open, the evaluation session and the events
-/// its last request released.
+/// An in-process SOE for one pull, and the events its last request released.
 pub struct HostSoe {
-    subject: Subject,
-    doc_key: SecretKey,
-    rules_key: SecretKey,
-    ram_budget: usize,
-    query: Option<Query>,
-    open_policy: bool,
-    session: Option<SecureEvaluationSession>,
+    soe: Soe,
     /// Authorized events not yet taken, yielded from the front. Once
     /// drained, its allocation goes back to the session for the next
     /// chunk's events.
@@ -46,14 +35,14 @@ pub struct HostSoe {
 impl std::fmt::Debug for HostSoe {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HostSoe")
-            .field("subject", &self.subject)
+            .field("soe", &self.soe)
             .field("buffered", &self.events.len())
-            .finish_non_exhaustive()
+            .finish()
     }
 }
 
 impl HostSoe {
-    /// Unwraps the document and rule keys provisioned for a card holding
+    /// Installs the document and rule keys provisioned for a card holding
     /// `transport_key`, for a session of `subject` under the RAM budget of
     /// `profile`, optionally intersected with `query` and under the
     /// open-world policy.
@@ -66,14 +55,17 @@ impl HostSoe {
         query: Option<Query>,
         open_policy: bool,
     ) -> Result<Self, ProxyError> {
+        let mut soe = Soe::new(subject, transport_key.clone(), profile.ram_bytes);
+        soe.install_key(doc_key)?;
+        soe.install_key(rules_key)?;
+        if let Some(query) = query {
+            soe.set_query(query);
+        }
+        if open_policy {
+            soe.set_policy(AccessPolicy::open());
+        }
         Ok(HostSoe {
-            subject,
-            doc_key: doc_key.unwrap_key(transport_key)?,
-            rules_key: rules_key.unwrap_key(transport_key)?,
-            ram_budget: profile.ram_bytes,
-            query,
-            open_policy,
-            session: None,
+            soe,
             events: VecDeque::new(),
         })
     }
@@ -82,23 +74,13 @@ impl HostSoe {
     pub fn pop_event(&mut self) -> Option<Event> {
         self.events.pop_front()
     }
-
-    fn session(&mut self) -> Result<&mut SecureEvaluationSession, CoreError> {
-        self.session.as_mut().ok_or_else(not_open)
-    }
-}
-
-fn not_open() -> CoreError {
-    CoreError::BadState {
-        message: "no open host SOE session".into(),
-    }
 }
 
 impl SoeTransport for HostSoe {
     type Output = SessionStats;
 
     fn subject(&self) -> &Subject {
-        &self.subject
+        self.soe.subject()
     }
 
     fn open(
@@ -107,25 +89,12 @@ impl SoeTransport for HostSoe {
         rules: &[u8],
         _obs: &SessionObs,
     ) -> Result<(), ProxyError> {
-        let rules = ProtectedRules::decode(rules)?.open(&self.rules_key, None)?;
-        let mut evaluator = EvaluatorConfig::new(rules, self.subject.name());
-        if self.open_policy {
-            evaluator = evaluator.with_policy(AccessPolicy::open());
-        }
-        if let Some(query) = self.query.take() {
-            evaluator = evaluator.with_query(query);
-        }
-        let config = EngineConfig::new(evaluator).with_ram_budget(self.ram_budget);
-        self.session = Some(SecureEvaluationSession::open(
-            header,
-            self.doc_key.clone(),
-            config,
-        )?);
-        Ok(())
+        self.soe.install_rules(rules)?;
+        Ok(self.soe.open(header)?)
     }
 
     fn next_request(&mut self) -> Result<Option<u32>, ProxyError> {
-        Ok(match self.session()?.next_request() {
+        Ok(match self.soe.next_request()? {
             SessionRequest::NeedChunk(index) => Some(index),
             SessionRequest::Done => None,
         })
@@ -141,9 +110,7 @@ impl SoeTransport for HostSoe {
         // `events` is drained here; converting an empty deque to a `Vec`
         // and back keeps its allocation without moving a byte.
         let mut produced: Vec<Event> = std::mem::take(&mut self.events).into();
-        let exchanged = self
-            .session()?
-            .exchange_chunk(index, chunk, tag, &mut produced);
+        let exchanged = self.soe.exchange_chunk(index, chunk, tag, &mut produced);
         self.events = produced.into();
         let (wire, produced_bytes) = exchanged?;
         obs.record_exchange(wire, produced_bytes);
@@ -151,7 +118,7 @@ impl SoeTransport for HostSoe {
     }
 
     fn finish(&mut self, _obs: &SessionObs) -> Result<SessionStats, ProxyError> {
-        let (rest, stats) = self.session.take().ok_or_else(not_open)?.finish()?;
+        let (rest, stats) = self.soe.finish()?;
         self.events = rest.into();
         Ok(stats)
     }

@@ -14,7 +14,8 @@
 //!   provisioning over APDUs, push-mode local evaluation, and the card's
 //!   [`session::SoeTransport`],
 //! * [`host`] — the [`host::HostSoe`], the same SOE run in process: the
-//!   other [`session::SoeTransport`],
+//!   other [`session::SoeTransport`]. Both transports drive one
+//!   `sdds_core::engine::Soe`, the card through its APDU applet,
 //! * [`session`] — the [`session::PullSession`] stepped pull flow against the
 //!   shared multi-client [`sdds_dsp::DspService`], generic over the
 //!   transport and schedulable by the service's round-robin session

@@ -15,16 +15,16 @@
 
 use sdds_sync::sync::Arc;
 
-use sdds_card::apdu::{fragments, ins, Apdu};
+use sdds_card::apdu::{fragments, ins, Apdu, StatusWord};
 use sdds_card::{
-    BatchedChannel, CardProfile, CardRuntime, CostLedger, CostModel, LatencyBreakdown,
+    BatchedChannel, CardError, CardProfile, CardRuntime, CostLedger, CostModel, LatencyBreakdown,
 };
-use sdds_core::engine::{AccessControlApplet, SessionStats, PUSH_CHUNK_PREFIX};
+use sdds_core::engine::{AccessControlApplet, PUSH_CHUNK_PREFIX};
 use sdds_core::rule::Subject;
 use sdds_core::secdoc::{ChunkTag, DocumentHeader, SecureDocument};
-use sdds_core::session::{KeyProvisioning, TrustedServer};
+use sdds_core::session::KeyProvisioning;
 use sdds_core::CoreError;
-use sdds_crypto::SecretKey;
+use sdds_crypto::{CryptoError, SecretKey};
 use sdds_dsp::{DspService, SessionObs};
 
 use crate::session::{CardSession, PullSession, SoeTransport};
@@ -34,7 +34,7 @@ use crate::session::{CardSession, PullSession, SoeTransport};
 #[non_exhaustive]
 pub enum ProxyError {
     /// The card refused a command or a budget was exceeded.
-    Card(sdds_card::CardError),
+    Card(CardError),
     /// A core-level failure (bad document, crypto, ...).
     Core(CoreError),
     /// The proxy and the card disagree on the protocol state.
@@ -53,9 +53,19 @@ impl std::fmt::Display for ProxyError {
 
 impl std::error::Error for ProxyError {}
 
-impl From<sdds_card::CardError> for ProxyError {
-    fn from(e: sdds_card::CardError) -> Self {
-        ProxyError::Card(e)
+/// A card refusal keeps its status word, except `SECURITY_NOT_SATISFIED`:
+/// the applet answers it to exactly the SOE's failed integrity checks, which
+/// read as the same cryptographic error the in-process SOE reports.
+impl From<CardError> for ProxyError {
+    fn from(e: CardError) -> Self {
+        match e {
+            CardError::Refused { status, reason }
+                if status == StatusWord::SECURITY_NOT_SATISFIED.0 =>
+            {
+                CoreError::Crypto(CryptoError::IntegrityFailure { context: reason }).into()
+            }
+            other => ProxyError::Card(other),
+        }
     }
 }
 
@@ -81,6 +91,8 @@ pub struct Terminal {
     /// The card exchanges of each session step, coalesced into shared APDU
     /// batches.
     pub(crate) batched: BatchedChannel,
+    /// Peak secure RAM the card's last session reported at `CLOSE_SESSION`.
+    soe_peak_ram: usize,
 }
 
 impl std::fmt::Debug for Terminal {
@@ -100,12 +112,13 @@ impl Terminal {
         profile: CardProfile,
     ) -> Self {
         let subject = Subject::new(subject);
-        let applet = AccessControlApplet::new(subject.name(), transport_key);
+        let applet = AccessControlApplet::new(subject.name(), transport_key, profile.ram_bytes);
         Terminal {
             subject,
             runtime: CardRuntime::new(profile, applet),
             open_policy: false,
             batched: BatchedChannel::new(profile.cost.channel),
+            soe_peak_ram: 0,
         }
     }
 
@@ -123,11 +136,6 @@ impl Terminal {
     /// The subject this terminal's card belongs to.
     pub fn subject(&self) -> &Subject {
         &self.subject
-    }
-
-    /// Disables the skip index on the card (baseline runs).
-    pub fn set_use_skip_index(&mut self, enabled: bool) {
-        self.runtime.applet_mut().set_use_skip_index(enabled);
     }
 
     /// Installs a wrapped key on the card.
@@ -155,17 +163,6 @@ impl Terminal {
     pub fn set_query(&mut self, query: &str) -> Result<(), ProxyError> {
         self.runtime
             .exchange_expect_ok(&Apdu::new(ins::PUT_QUERY, 0, 0, query)?)?;
-        Ok(())
-    }
-
-    /// Convenience provisioning path against a [`TrustedServer`]: installs the
-    /// document key, the rules key and the subject's protected rules.
-    pub fn provision_from(&mut self, server: &TrustedServer) -> Result<(), ProxyError> {
-        use sdds_core::engine::{DEFAULT_DOC_KEY_ID, RULES_KEY_ID};
-        let subject = self.subject.clone();
-        self.install_key(&server.provision_document_key(&subject, DEFAULT_DOC_KEY_ID))?;
-        self.install_key(&server.provision_rules_key(&subject, RULES_KEY_ID))?;
-        self.install_rules(&server.protected_rules_for(&subject).encode())?;
         Ok(())
     }
 
@@ -221,19 +218,15 @@ impl Terminal {
         self.runtime.card().ledger_ref()
     }
 
-    /// Statistics of the card's current or last session, if any.
-    pub fn session_stats(&self) -> Option<&SessionStats> {
-        self.runtime.applet().session_stats()
+    /// Peak secure RAM of the card's last closed session, as its
+    /// `CLOSE_SESSION` response reports it (0 before the first).
+    pub fn soe_peak_ram(&self) -> usize {
+        self.soe_peak_ram
     }
 
     /// Simulated latency of everything exchanged so far under `model`.
     pub fn latency(&self, model: &CostModel) -> LatencyBreakdown {
         self.runtime.card().ledger_ref().breakdown(model)
-    }
-
-    /// Peak secure RAM used on the card so far.
-    pub fn card_peak_ram(&self) -> usize {
-        self.runtime.card().ram_ref().peak()
     }
 }
 
@@ -315,8 +308,14 @@ impl SoeTransport for Terminal {
         }
         let view = String::from_utf8(bytes)
             .map_err(|_| ProxyError::Protocol("non UTF-8 output".into()))?;
-        self.runtime
+        let closed = self
+            .runtime
             .exchange_expect_ok(&Apdu::simple(ins::CLOSE_SESSION, 0, 0))?;
+        let peak: [u8; 4] = closed
+            .get(16..20)
+            .and_then(|peak| peak.try_into().ok())
+            .ok_or_else(|| ProxyError::Protocol("bad CLOSE_SESSION response".into()))?;
+        self.soe_peak_ram = u32::from_le_bytes(peak) as usize;
         // The authorized view ships back over GET_OUTPUT responses, followed
         // by one bare CLOSE_SESSION exchange: the final batch carries them so
         // the simulated latency really covers the whole session.
@@ -335,11 +334,16 @@ impl SoeTransport for Terminal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::HostSoe;
     use crate::pki::SimulatedPki;
     use sdds_core::baseline::authorized_view_oracle;
     use sdds_core::conflict::AccessPolicy;
+    use sdds_core::engine::{DEFAULT_DOC_KEY_ID, RULES_KEY_ID};
     use sdds_core::rule::RuleSet;
     use sdds_core::secdoc::SecureDocumentBuilder;
+    use sdds_core::secdoc::TAG_LEN;
+    use sdds_core::session::TrustedServer;
+    use sdds_dsp::service::StepOutcome;
     use sdds_dsp::DspService;
     use sdds_xml::generator::{self, GeneratorConfig, HospitalProfile};
     use sdds_xml::writer;
@@ -377,7 +381,6 @@ mod tests {
     }
 
     fn keyed_terminal(server: &TrustedServer, pki: &SimulatedPki, subject: &str) -> Terminal {
-        use sdds_core::engine::{DEFAULT_DOC_KEY_ID, RULES_KEY_ID};
         let subj = Subject::new(subject);
         let mut terminal = Terminal::issue_card(
             subject,
@@ -414,9 +417,26 @@ mod tests {
         assert!(service.stats().chunks_served > 0);
         let terminal = session.terminal();
         assert!(terminal.card_ledger().channel.apdu_exchanges > 5);
-        assert!(terminal.card_peak_ram() <= CardProfile::modern_secure_element().ram_bytes);
         let latency = terminal.latency(&CostModel::egate());
         assert!(latency.total().as_secs_f64() > 0.0);
+        // The card reports the peak of the same SOE the host runs in process.
+        let subject = Subject::new("doctor");
+        let profile = CardProfile::modern_secure_element();
+        let host = HostSoe::new(
+            subject.clone(),
+            &pki.card_transport_key(&subject),
+            &server.provision_document_key(&subject, DEFAULT_DOC_KEY_ID),
+            &server.provision_rules_key(&subject, RULES_KEY_ID),
+            profile,
+            None,
+            false,
+        )
+        .unwrap();
+        let mut pull = PullSession::new(host, service, "folder".into());
+        while pull.advance(usize::MAX).unwrap() == StepOutcome::Pending {}
+        let peak = pull.output().unwrap().peak_ram_bytes;
+        assert!(peak > 0 && peak <= profile.ram_bytes);
+        assert_eq!(terminal.soe_peak_ram(), peak);
     }
 
     #[test]
@@ -463,7 +483,15 @@ mod tests {
             foreign_pki.card_transport_key(&subject),
             CardProfile::modern_secure_element(),
         );
-        assert!(terminal.provision_from(&server).is_err());
+        assert!(terminal
+            .install_key(&server.provision_document_key(&subject, DEFAULT_DOC_KEY_ID))
+            .is_err());
+        assert!(terminal
+            .install_key(&server.provision_rules_key(&subject, RULES_KEY_ID))
+            .is_err());
+        assert!(terminal
+            .install_rules(&server.protected_rules_for(&subject).encode())
+            .is_err());
         assert!(terminal
             .connect_shared(service, "folder")
             .run_to_completion()
@@ -471,22 +499,33 @@ mod tests {
     }
 
     #[test]
-    fn skip_index_toggle_changes_cost_not_result() {
-        let (server, service, _) = setup();
+    fn secretary_card_view_skips_part_of_the_folder() {
+        let (server, service, doc) = setup();
+        // Chunks small enough for the secretary's skips to span whole ones.
+        let secure = SecureDocumentBuilder::new("annex", server.document_key())
+            .chunk_size(128)
+            .build(&doc);
+        let subject = Subject::new("secretary");
+        let blob = server.protected_rules_for(&subject);
+        service.put_document(secure.clone());
+        service.put_rules("annex", "secretary", &blob).unwrap();
+        service.reset_stats();
         let pki = SimulatedPki::new(b"hospital-2005");
-        let run = |use_index: bool| {
-            let mut terminal = keyed_terminal(&server, &pki, "secretary");
-            terminal.set_use_skip_index(use_index);
-            service.reset_stats();
-            let view = terminal
-                .connect_shared(Arc::clone(&service), "folder")
-                .run_to_completion()
-                .unwrap();
-            (view, service.stats().bytes_served)
-        };
-        let (with_view, with_bytes) = run(true);
-        let (without_view, without_bytes) = run(false);
-        assert_eq!(with_view, without_view);
-        assert!(with_bytes <= without_bytes);
+        let view = keyed_terminal(&server, &pki, "secretary")
+            .connect_shared(Arc::clone(&service), "annex")
+            .run_to_completion()
+            .unwrap();
+        let expected =
+            authorized_view_oracle(&doc, &rules(), &subject, None, &AccessPolicy::paper());
+        assert_eq!(view, writer::to_string(&expected));
+        // The DSP served less than the header, the rule blob and every chunk
+        // with its tag.
+        let folder = secure.header.encode().len()
+            + blob.encode().len()
+            + (0..secure.chunk_count())
+                .map(|i| secure.chunk(i).unwrap().len() + TAG_LEN)
+                .sum::<usize>();
+        let served = service.stats().bytes_served;
+        assert!(served < folder, "served {served} of {folder} bytes");
     }
 }

@@ -10,6 +10,8 @@
 //!   four-shard service with salted routes;
 //! - the session scheduler (`SessionScheduler::run`): no allocation per
 //!   step — the same session stepped 4× as often allocates no more;
+//! - one whole session (a scheduled card session, a doctor and a secretary
+//!   `ViewStream`) on the smaller document: its total allocations;
 //! - the SOE event path (`ViewStream::next`, `RuleEngine::process*`,
 //!   `CardSession::run`): marginal allocations per input event at or under
 //!   a budget. The marginal is the count difference between two document
@@ -92,6 +94,16 @@ const DOCTOR_STREAM_BUDGET: f64 = 0.45;
 const SECRETARY_STREAM_BUDGET: f64 = 0.06;
 const DOCTOR_CARD_BUDGET: f64 = 0.00078;
 const SECRETARY_CARD_BUDGET: f64 = 0.0039;
+
+/// Allocations allowed for one whole session on the `SMALL` document, set
+/// up and torn down included: the measured value plus at most 5%, so a
+/// change that adds per-session allocations shows even where the marginals
+/// cancel it out. The card session's scheduler threads allocate 2 more when
+/// the test harness captures their output (205, against 203 with
+/// `--nocapture`).
+const CARD_SESSION_BUDGET: u64 = 213;
+const DOCTOR_STREAM_SESSION_BUDGET: u64 = 1350;
+const SECRETARY_STREAM_SESSION_BUDGET: u64 = 148;
 
 /// Document sizes (hospital elements) the marginals are taken between.
 const SMALL: usize = 1000;
@@ -256,6 +268,10 @@ fn hot_paths_stay_within_their_allocation_budgets() {
     );
     assert!(fine_steps > coarse_steps, "quantum 1 must take more steps");
     assert!(
+        coarse <= CARD_SESSION_BUDGET,
+        "a scheduled card session allocates {coarse}, budget {CARD_SESSION_BUDGET}"
+    );
+    assert!(
         fine <= coarse,
         "{} extra steps cost {} extra allocations",
         fine_steps - coarse_steps,
@@ -290,6 +306,19 @@ fn hot_paths_stay_within_their_allocation_budgets() {
         (93_512, 375, 11),
         "secretary skips, large"
     );
+    for (path, session, budget) in [
+        ("doctor", doctor.0 .0, DOCTOR_STREAM_SESSION_BUDGET),
+        (
+            "secretary",
+            secretary_small_view.0,
+            SECRETARY_STREAM_SESSION_BUDGET,
+        ),
+    ] {
+        assert!(
+            session <= budget,
+            "a {path} ViewStream session allocates {session}, budget {budget}"
+        );
+    }
     let over_budget: Vec<String> = [
         marginal(
             "doctor ViewStream",

@@ -5,14 +5,16 @@
 use std::time::Duration;
 
 use sdds::apps::dissem::DisseminationApp;
+use sdds::{Client, DspService, Publisher, SddsError, Subject};
 use sdds_card::{CardProfile, CostModel};
+use sdds_core::baseline::authorized_view_oracle;
 use sdds_core::conflict::AccessPolicy;
 use sdds_core::engine::{
     evaluate_secure_document, EngineConfig, SecureEvaluationSession, SessionRequest,
 };
 use sdds_core::evaluator::EvaluatorConfig;
 use sdds_core::rule::RuleSet;
-use sdds_core::secdoc::SecureDocumentBuilder;
+use sdds_core::secdoc::{ChunkTag, SecureDocument, SecureDocumentBuilder};
 use sdds_core::skipindex::encode::EncoderConfig;
 use sdds_core::CoreError;
 use sdds_crypto::SecretKey;
@@ -181,4 +183,97 @@ fn latency_breakdown_is_dominated_by_transfer_then_decryption_on_egate() {
     // On a modern secure element the same work is at least 10x faster.
     let modern = stats.ledger.breakdown(&CostModel::modern_secure_element());
     assert!(breakdown.total().as_secs_f64() / modern.total().as_secs_f64() > 10.0);
+}
+
+/// Where a tampered DSP copy of the folder differs from the published one.
+#[derive(Debug, Clone, Copy)]
+enum Tamper {
+    Chunk,
+    Tag,
+    Header,
+    RuleBlob,
+}
+
+/// Replaces the DSP's copy of `doc_id` (or the doctor's rule blob on it)
+/// with one that differs from the published bytes in one bit.
+fn tamper(service: &DspService, doc_id: &str, what: Tamper) {
+    let (mut header, revision) = service.fetch_header_pinned(doc_id).unwrap();
+    if let Tamper::RuleBlob = what {
+        let mut blob = service.fetch_rules(doc_id, "doctor").unwrap().to_vec();
+        *blob.last_mut().unwrap() ^= 0x01;
+        service.put_rules(doc_id, "doctor", blob).unwrap();
+        return;
+    }
+    let (mut chunks, mut tags): (Vec<_>, Vec<_>) = (0..header.chunk_count)
+        .map(|i| service.fetch_chunk_pinned(doc_id, i, revision).unwrap())
+        .unzip();
+    // A chunk in the middle, so the doctor's stream yields events first.
+    let middle = chunks.len() / 2;
+    match what {
+        Tamper::Chunk => {
+            let mut chunk = chunks[middle].to_vec();
+            chunk[0] ^= 0x01;
+            chunks[middle] = chunk.into();
+        }
+        Tamper::Tag => {
+            let mut tag = *tags[middle].as_bytes();
+            tag[0] ^= 0x01;
+            tags[middle] = ChunkTag::from_bytes(tag);
+        }
+        Tamper::Header => header.nonce[0] ^= 0x01,
+        Tamper::RuleBlob => unreachable!("handled above"),
+    }
+    service.put_document(SecureDocument::new(header, chunks, tags));
+}
+
+#[test]
+fn a_tampered_dsp_copy_fails_the_card_and_the_stream_alike() {
+    let rules = RuleSet::parse("+, doctor, //patient\n-, doctor, //patient/ssn").unwrap();
+    let doc = Corpus::Hospital.generate(400, &GeneratorConfig::default());
+    let oracle = authorized_view_oracle(
+        &doc,
+        &rules,
+        &Subject::new("doctor"),
+        None,
+        &AccessPolicy::paper(),
+    );
+    for what in [Tamper::Chunk, Tamper::Tag, Tamper::Header, Tamper::RuleBlob] {
+        let publisher = Publisher::builder(b"hospital-2005")
+            .rules(rules.clone())
+            .chunk_size(128)
+            .build()
+            .unwrap();
+        publisher.publish("folder", &doc).unwrap();
+        let client = Client::builder("doctor").provision(&publisher).unwrap();
+        tamper(publisher.service(), "folder", what);
+
+        let card = client.authorized_view("folder").unwrap_err();
+        let mut streamed = Vec::new();
+        let stream = match client.open_stream("folder") {
+            Ok(mut stream) => stream.find_map(|event| event.map(|e| streamed.push(e)).err()),
+            Err(e) => Some(e),
+        };
+        let stream =
+            stream.unwrap_or_else(|| panic!("{what:?}: the stream ended without an error"));
+        assert!(
+            matches!(card, SddsError::Crypto(_)),
+            "{what:?}: card path ended in {card:?}"
+        );
+        assert_eq!(
+            std::mem::discriminant(&card),
+            std::mem::discriminant(&stream),
+            "{what:?}: card {card:?}, stream {stream:?}"
+        );
+        assert!(
+            streamed.len() < oracle.len() && streamed[..] == oracle[..streamed.len()],
+            "{what:?}: the stream yielded {} events that are not a prefix of the view",
+            streamed.len()
+        );
+        if let Tamper::Chunk | Tamper::Tag = what {
+            assert!(
+                !streamed.is_empty(),
+                "{what:?}: no event before the tampered chunk"
+            );
+        }
+    }
 }
