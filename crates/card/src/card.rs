@@ -9,8 +9,6 @@
 //! model of the paper, where the terminal is untrusted and only the SOE is
 //! tamper-resistant.
 
-use sdds_crypto::KeyRing;
-
 use crate::apdu::{Apdu, ApduData, ApduResponse, StatusWord};
 use crate::cost::{CostLedger, CostModel};
 use crate::error::CardError;
@@ -63,12 +61,12 @@ impl CardProfile {
     }
 }
 
-/// The emulated card: resources, key storage and cost counters.
+/// The emulated card: its profile, EEPROM budget and cost counters. The
+/// keys live in the applet that unwrapped them.
 #[derive(Debug)]
 pub struct SmartCard {
     profile: CardProfile,
     eeprom: EepromBudget,
-    keys: KeyRing,
     ledger: CostLedger,
 }
 
@@ -77,7 +75,6 @@ impl SmartCard {
     pub fn new(profile: CardProfile) -> Self {
         SmartCard {
             eeprom: EepromBudget::new(profile.eeprom_bytes),
-            keys: KeyRing::new(),
             ledger: CostLedger::new(),
             profile,
         }
@@ -93,16 +90,6 @@ impl SmartCard {
         &mut self.eeprom
     }
 
-    /// Key ring stored in secure stable memory.
-    pub fn keys(&mut self) -> &mut KeyRing {
-        &mut self.keys
-    }
-
-    /// Read-only key ring.
-    pub fn keys_ref(&self) -> &KeyRing {
-        &self.keys
-    }
-
     /// Cost counters of the current session.
     pub fn ledger(&mut self) -> &mut CostLedger {
         &mut self.ledger
@@ -113,8 +100,8 @@ impl SmartCard {
         &self.ledger
     }
 
-    /// Resets the per-session cost counters, keeping persistent state
-    /// (keys, EEPROM contents).
+    /// Resets the per-session cost counters, keeping persistent state (the
+    /// EEPROM contents).
     pub fn reset_session(&mut self) {
         self.ledger = CostLedger::new();
     }
@@ -263,15 +250,14 @@ mod tests {
 
     #[test]
     fn reset_session_clears_counters_but_keeps_keys() {
-        use sdds_crypto::{KeyId, SecretKey};
+        // What an applet keeps across sessions — its keys and rules — is
+        // charged to the EEPROM, which a reset leaves as it was.
         let mut card = SmartCard::new(CardProfile::egate());
-        card.keys()
-            .install(KeyId(1), SecretKey::from_bytes([1; 16]))
-            .unwrap();
+        card.eeprom().store(48).unwrap();
         card.ledger().record_decrypt(10);
         card.reset_session();
         assert_eq!(card.ledger_ref().bytes_decrypted, 0);
-        assert!(card.keys_ref().contains(KeyId(1)));
+        assert_eq!(card.eeprom().in_use(), 48);
         assert_eq!(card.profile().name, "axalto-egate");
     }
 }

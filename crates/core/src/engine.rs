@@ -11,9 +11,9 @@
 //!   benches drive it with [`run_local`].
 //! * [`Soe`] — the card-resident state of one subject around that session:
 //!   the unwrapped keys, the authenticated rules (never older than the
-//!   installed ones), the query, the policy and the RAM budget. It is the one
-//!   SOE of the workspace: the card and the terminal's in-process SOE both
-//!   drive one.
+//!   installed ones), the query and the policy; each session runs under the
+//!   RAM budget of the hardware it is opened on. It is the one SOE of the
+//!   workspace: the card and the terminal's in-process SOE both drive one.
 //! * [`AccessControlApplet`] — the APDU codec of a [`Soe`], implementing
 //!   [`sdds_card::Applet`], i.e. what is actually "installed on the card" in
 //!   the demonstrator architecture (Figure 3): key provisioning, rule refresh,
@@ -624,8 +624,9 @@ pub const DEFAULT_DOC_KEY_ID: u32 = 1;
 pub const RULES_KEY_ID: u32 = 2;
 /// The card-resident state of one subject's SOE (Figure 3: "Access rights
 /// evaluator", "Integrity control", "Decryption" and "Keys" inside the smart
-/// card): the unwrapped keys, the installed rules, the query, the policy,
-/// the RAM budget and the open evaluation session.
+/// card): the unwrapped keys, the installed rules, the query, the policy
+/// and the open evaluation session. Each session runs under the RAM budget
+/// of the hardware it is opened on.
 ///
 /// Both transports drive one: the [`AccessControlApplet`] decodes APDUs
 /// into these calls, and the terminal proxy's in-process SOE calls them
@@ -641,7 +642,6 @@ pub struct Soe {
     /// The registered query, shared the same way.
     query: Option<Arc<Query>>,
     policy: AccessPolicy,
-    ram_budget: usize,
     session: Option<SecureEvaluationSession>,
 }
 
@@ -656,9 +656,8 @@ impl std::fmt::Debug for Soe {
 
 impl Soe {
     /// An SOE personalised for `subject`, holding no key, no rules and no
-    /// query yet, whose sessions run under `ram_budget` bytes of secure RAM
-    /// and the paper's policy.
-    pub fn new(subject: Subject, transport_key: SecretKey, ram_budget: usize) -> Self {
+    /// query yet, whose sessions run under the paper's policy.
+    pub fn new(subject: Subject, transport_key: SecretKey) -> Self {
         Soe {
             subject,
             transport_key,
@@ -667,7 +666,6 @@ impl Soe {
             rules: None,
             query: None,
             policy: AccessPolicy::paper(),
-            ram_budget,
             session: None,
         }
     }
@@ -701,17 +699,22 @@ impl Soe {
         Ok(())
     }
 
-    /// Authenticates an encoded protected rule blob under the rule key and
-    /// installs it. A blob older than the installed rules is refused
-    /// (rollback protection).
-    pub fn install_rules(&mut self, blob: &[u8]) -> Result<&RuleSet, CoreError> {
+    /// Authenticates an encoded protected rule blob under the rule key,
+    /// without installing it. A blob older than the installed rules is
+    /// refused (rollback protection).
+    pub fn open_rules(&self, blob: &[u8]) -> Result<RuleSet, CoreError> {
         let protected = ProtectedRules::decode(blob)?;
         let key = self.rules_key.as_ref().ok_or(CryptoError::UnknownKey {
             key_id: RULES_KEY_ID,
         })?;
         let minimum = self.rules.as_ref().map(|rules| rules.version());
-        let rules = protected.open(key, minimum)?;
-        Ok(self.rules.insert(Arc::new(rules)))
+        protected.open(key, minimum)
+    }
+
+    /// Installs rules [`Soe::open_rules`] authenticated; their version is
+    /// the floor of the next blob.
+    pub fn install_rules(&mut self, rules: RuleSet) {
+        self.rules = Some(Arc::new(rules));
     }
 
     /// Registers the query later sessions intersect their view with.
@@ -725,9 +728,9 @@ impl Soe {
     }
 
     /// Opens an evaluation session over `header` with the installed rules,
-    /// the query, the policy and the RAM budget. A failed open keeps the
-    /// previous session.
-    pub fn open(&mut self, header: DocumentHeader) -> Result<(), CoreError> {
+    /// the query and the policy, under `ram_budget` bytes of secure RAM. A
+    /// failed open keeps the previous session.
+    pub fn open(&mut self, header: DocumentHeader, ram_budget: usize) -> Result<(), CoreError> {
         let rules = self.rules.clone().ok_or_else(|| CoreError::BadState {
             message: "no rules installed".into(),
         })?;
@@ -739,7 +742,7 @@ impl Soe {
         if let Some(query) = &self.query {
             evaluator = evaluator.with_query(Arc::clone(query));
         }
-        let config = EngineConfig::new(evaluator).with_ram_budget(self.ram_budget);
+        let config = EngineConfig::new(evaluator).with_ram_budget(ram_budget);
         self.session = Some(SecureEvaluationSession::open(header, key, config)?);
         Ok(())
     }
@@ -825,21 +828,16 @@ impl std::fmt::Debug for AccessControlApplet {
 }
 
 impl AccessControlApplet {
-    /// Creates an applet personalised for `subject`, whose sessions run
-    /// under `ram_budget` bytes of secure RAM.
-    pub fn new(subject: impl Into<String>, transport_key: SecretKey, ram_budget: usize) -> Self {
+    /// Creates an applet personalised for `subject`. Its sessions run under
+    /// the RAM budget of the card it is installed on.
+    pub fn new(subject: impl Into<String>, transport_key: SecretKey) -> Self {
         AccessControlApplet {
-            soe: Soe::new(Subject::new(subject), transport_key, ram_budget),
+            soe: Soe::new(Subject::new(subject), transport_key),
             rules_buf: Vec::new(),
             chunk_buf: Vec::new(),
             output_text: String::new(),
             output_pos: 0,
         }
-    }
-
-    /// Statistics of the active session, if any.
-    pub fn session_stats(&self) -> Option<&SessionStats> {
-        self.soe.session().map(SecureEvaluationSession::stats)
     }
 
     fn status_for(error: &CoreError) -> StatusWord {
@@ -855,6 +853,19 @@ impl AccessControlApplet {
             CoreError::BadState { .. } | CoreError::Wire(_) => StatusWord::CONDITIONS_NOT_SATISFIED,
             CoreError::UnsupportedRule { .. } | CoreError::Parse(_) => StatusWord::NOT_FOUND,
         }
+    }
+
+    /// The SOE error a refusal status stands for, where it names one:
+    /// `status_for` answers `SECURITY_NOT_SATISFIED` to exactly the failed
+    /// integrity checks, so a terminal reports them as the in-process SOE
+    /// does. Any other status stays the card's refusal.
+    pub fn error_for(status: StatusWord) -> Option<CoreError> {
+        (status == StatusWord::SECURITY_NOT_SATISFIED).then(|| {
+            CryptoError::IntegrityFailure {
+                context: "data sent to the card's SOE".into(),
+            }
+            .into()
+        })
     }
 
     fn respond(result: Result<(), CoreError>) -> ApduResponse {
@@ -878,15 +889,23 @@ impl AccessControlApplet {
             return ApduResponse::ok_empty();
         }
         let payload = std::mem::take(&mut self.rules_buf);
+        let rules = match self.soe.open_rules(&payload) {
+            Ok(rules) => rules,
+            Err(e) => return ApduResponse::error(Self::status_for(&e)),
+        };
+        // Rules live in EEPROM (persistent across sessions): new rules take
+        // the place of the installed ones only once they are charged.
         let previous = self.soe.rules().map_or(0, RuleSet::storage_bytes);
-        let installed = self.soe.install_rules(&payload).and_then(|rules| {
-            // Rules live in EEPROM (persistent across sessions).
-            card.eeprom().free(previous);
-            card.eeprom()
-                .store(rules.storage_bytes())
-                .map_err(CoreError::from)
-        });
-        Self::respond(installed)
+        let eeprom = card.eeprom();
+        eeprom.free(previous);
+        if let Err(e) = eeprom.store(rules.storage_bytes()) {
+            // The installed rules stay in force, and so does their charge:
+            // it fitted until now.
+            let _ = eeprom.store(previous);
+            return ApduResponse::error(Self::status_for(&e.into()));
+        }
+        self.soe.install_rules(rules);
+        ApduResponse::ok_empty()
     }
 
     fn handle_put_query(&mut self, command: &Apdu) -> ApduResponse {
@@ -915,7 +934,7 @@ impl AccessControlApplet {
         } else {
             AccessPolicy::paper()
         });
-        let opened = self.soe.open(header);
+        let opened = self.soe.open(header, card.profile().ram_bytes);
         if opened.is_ok() {
             card.reset_session();
             self.output_text.clear();
@@ -1004,7 +1023,7 @@ impl AccessControlApplet {
     /// Closes the session, processed or not (a terminal may abort one), and
     /// answers with its statistics.
     fn handle_close_session(&mut self) -> ApduResponse {
-        let Some(stats) = self.session_stats() else {
+        let Some(stats) = self.soe.session().map(SecureEvaluationSession::stats) else {
             return ApduResponse::error(StatusWord::CONDITIONS_NOT_SATISFIED);
         };
         let mut data = [0u8; 20];
@@ -1472,7 +1491,7 @@ mod tests {
             profile: CardProfile,
         ) -> CardRuntime<AccessControlApplet> {
             let transport_key = server.transport_key_for(subject);
-            let applet = AccessControlApplet::new(subject.name(), transport_key, profile.ram_bytes);
+            let applet = AccessControlApplet::new(subject.name(), transport_key);
             CardRuntime::new(profile, applet)
         }
 
@@ -1662,6 +1681,80 @@ mod tests {
             // NEXT_REQUEST without a session.
             let resp = runtime.exchange(&Apdu::simple(ins::NEXT_REQUEST, 0, 0));
             assert_eq!(resp.status, StatusWord::CONDITIONS_NOT_SATISFIED);
+        }
+
+        #[test]
+        fn rules_that_overflow_the_eeprom_are_refused_and_the_installed_ones_stay() {
+            let mut server = TrustedServer::new(b"community", medical_rules());
+            let subject = Subject::new("doctor");
+            let installed = server.protected_rules_for(&subject);
+            let installed_bytes = installed
+                .open(&server.rules_key(), None)
+                .unwrap()
+                .storage_bytes();
+            // The card's EEPROM holds exactly the installed rules.
+            let profile = CardProfile {
+                eeprom_bytes: installed_bytes,
+                ..CardProfile::unconstrained()
+            };
+            let mut runtime = card(&server, &subject, profile);
+            provision(&mut runtime, &server, &subject);
+            assert_eq!(runtime.card_mut().eeprom().in_use(), installed_bytes);
+            // A newer rule set that hides the names no longer fits.
+            for object in ["//patient/name", "//patient/address", "//patient/phone"] {
+                server
+                    .rules_mut()
+                    .push(Sign::Deny, "doctor", object)
+                    .unwrap();
+            }
+            let put_rules = |runtime: &mut CardRuntime<AccessControlApplet>, blob: &[u8]| {
+                let mut last = ApduResponse::ok_empty();
+                for (frag, more) in fragments(&[blob]) {
+                    last =
+                        runtime.exchange(&Apdu::with_data(ins::PUT_RULES, u8::from(more), 0, frag));
+                }
+                last.status
+            };
+            let newer = server.protected_rules_for(&subject).encode();
+            assert_eq!(put_rules(&mut runtime, &newer), StatusWord::MEMORY_FAILURE);
+            // The installed rules keep their charge and their version floor,
+            // and the next session runs under them.
+            assert_eq!(runtime.card_mut().eeprom().in_use(), installed_bytes);
+            assert_eq!(put_rules(&mut runtime, &installed.encode()), StatusWord::OK);
+            assert_eq!(runtime.card_mut().eeprom().in_use(), installed_bytes);
+            let doc = hospital_doc(2);
+            let secure = SecureDocumentBuilder::new("folder", server.document_key()).build(&doc);
+            let view = run_document(&mut runtime, &secure);
+            let expected = authorized_view_oracle(
+                &doc,
+                &medical_rules(),
+                &subject,
+                None,
+                &AccessPolicy::paper(),
+            );
+            assert_eq!(view, writer::to_string(&expected));
+            assert!(view.contains("<name>"));
+        }
+
+        #[test]
+        fn only_a_failed_integrity_check_reads_back_as_an_soe_error() {
+            let integrity = CoreError::from(CryptoError::IntegrityFailure {
+                context: "chunk 3".into(),
+            });
+            let status = AccessControlApplet::status_for(&integrity);
+            assert!(matches!(
+                AccessControlApplet::error_for(status),
+                Some(CoreError::Crypto(CryptoError::IntegrityFailure { .. }))
+            ));
+            for other in [
+                CoreError::from(CryptoError::UnknownKey { key_id: 1 }),
+                CoreError::BadState {
+                    message: "no rules".into(),
+                },
+            ] {
+                let status = AccessControlApplet::status_for(&other);
+                assert!(AccessControlApplet::error_for(status).is_none(), "{other}");
+            }
         }
 
         #[test]

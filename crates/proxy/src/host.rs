@@ -26,6 +26,8 @@ use crate::session::SoeTransport;
 /// An in-process SOE for one pull, and the events its last request released.
 pub struct HostSoe {
     soe: Soe,
+    /// Secure RAM of the card profile the SOE stands in for.
+    ram_budget: usize,
     /// Authorized events not yet taken, yielded from the front. Once
     /// drained, its allocation goes back to the session for the next
     /// chunk's events.
@@ -55,7 +57,7 @@ impl HostSoe {
         query: Option<Query>,
         open_policy: bool,
     ) -> Result<Self, ProxyError> {
-        let mut soe = Soe::new(subject, transport_key.clone(), profile.ram_bytes);
+        let mut soe = Soe::new(subject, transport_key.clone());
         soe.install_key(doc_key)?;
         soe.install_key(rules_key)?;
         if let Some(query) = query {
@@ -66,6 +68,7 @@ impl HostSoe {
         }
         Ok(HostSoe {
             soe,
+            ram_budget: profile.ram_bytes,
             events: VecDeque::new(),
         })
     }
@@ -89,8 +92,9 @@ impl SoeTransport for HostSoe {
         rules: &[u8],
         _obs: &SessionObs,
     ) -> Result<(), ProxyError> {
-        self.soe.install_rules(rules)?;
-        Ok(self.soe.open(header)?)
+        let rules = self.soe.open_rules(rules)?;
+        self.soe.install_rules(rules);
+        Ok(self.soe.open(header, self.ram_budget)?)
     }
 
     fn next_request(&mut self) -> Result<Option<u32>, ProxyError> {

@@ -15,7 +15,7 @@
 
 use sdds_sync::sync::Arc;
 
-use sdds_card::apdu::{fragments, ins, Apdu, StatusWord};
+use sdds_card::apdu::{fragments, ins, Apdu, ApduData, StatusWord};
 use sdds_card::{
     BatchedChannel, CardError, CardProfile, CardRuntime, CostLedger, CostModel, LatencyBreakdown,
 };
@@ -24,7 +24,7 @@ use sdds_core::rule::Subject;
 use sdds_core::secdoc::{ChunkTag, DocumentHeader, SecureDocument};
 use sdds_core::session::KeyProvisioning;
 use sdds_core::CoreError;
-use sdds_crypto::{CryptoError, SecretKey};
+use sdds_crypto::SecretKey;
 use sdds_dsp::{DspService, SessionObs};
 
 use crate::session::{CardSession, PullSession, SoeTransport};
@@ -53,19 +53,9 @@ impl std::fmt::Display for ProxyError {
 
 impl std::error::Error for ProxyError {}
 
-/// A card refusal keeps its status word, except `SECURITY_NOT_SATISFIED`:
-/// the applet answers it to exactly the SOE's failed integrity checks, which
-/// read as the same cryptographic error the in-process SOE reports.
 impl From<CardError> for ProxyError {
     fn from(e: CardError) -> Self {
-        match e {
-            CardError::Refused { status, reason }
-                if status == StatusWord::SECURITY_NOT_SATISFIED.0 =>
-            {
-                CoreError::Crypto(CryptoError::IntegrityFailure { context: reason }).into()
-            }
-            other => ProxyError::Card(other),
-        }
+        ProxyError::Card(e)
     }
 }
 
@@ -112,7 +102,7 @@ impl Terminal {
         profile: CardProfile,
     ) -> Self {
         let subject = Subject::new(subject);
-        let applet = AccessControlApplet::new(subject.name(), transport_key, profile.ram_bytes);
+        let applet = AccessControlApplet::new(subject.name(), transport_key);
         Terminal {
             subject,
             runtime: CardRuntime::new(profile, applet),
@@ -140,8 +130,7 @@ impl Terminal {
 
     /// Installs a wrapped key on the card.
     pub fn install_key(&mut self, provisioning: &KeyProvisioning) -> Result<(), ProxyError> {
-        self.runtime
-            .exchange_expect_ok(&Apdu::new(ins::PUT_KEY, 0, 0, provisioning.encode())?)?;
+        self.exchange(&Apdu::new(ins::PUT_KEY, 0, 0, provisioning.encode())?)?;
         Ok(())
     }
 
@@ -149,20 +138,14 @@ impl Terminal {
     /// an opaque blob (typically from the DSP).
     pub fn install_rules(&mut self, protected_blob: &[u8]) -> Result<(), ProxyError> {
         for (frag, more) in fragments(&[protected_blob]) {
-            self.runtime.exchange_expect_ok(&Apdu::with_data(
-                ins::PUT_RULES,
-                u8::from(more),
-                0,
-                frag,
-            ))?;
+            self.exchange(&Apdu::with_data(ins::PUT_RULES, u8::from(more), 0, frag))?;
         }
         Ok(())
     }
 
     /// Registers a query for the next evaluation sessions.
     pub fn set_query(&mut self, query: &str) -> Result<(), ProxyError> {
-        self.runtime
-            .exchange_expect_ok(&Apdu::new(ins::PUT_QUERY, 0, 0, query)?)?;
+        self.exchange(&Apdu::new(ins::PUT_QUERY, 0, 0, query)?)?;
         Ok(())
     }
 
@@ -202,9 +185,26 @@ impl Terminal {
         PullSession::new(self, service, doc_id.into())
     }
 
+    /// One APDU exchange with the card. A refusal reads as the SOE error
+    /// its status word stands for ([`AccessControlApplet::error_for`]),
+    /// and otherwise as the card's refusal.
+    fn exchange(&mut self, command: &Apdu) -> Result<ApduData, ProxyError> {
+        self.runtime
+            .exchange_expect_ok(command)
+            .map_err(|e| match e {
+                CardError::Refused { status, .. } => {
+                    match AccessControlApplet::error_for(StatusWord(status)) {
+                        Some(soe) => ProxyError::Core(soe),
+                        None => ProxyError::Card(e),
+                    }
+                }
+                other => ProxyError::Card(other),
+            })
+    }
+
     /// Opens an evaluation session on the card for an encoded header.
     fn open_card_session(&mut self, header: &[u8]) -> Result<(), ProxyError> {
-        self.runtime.exchange_expect_ok(&Apdu::new(
+        self.exchange(&Apdu::new(
             ins::OPEN_SESSION,
             0,
             u8::from(self.open_policy),
@@ -259,9 +259,7 @@ impl SoeTransport for Terminal {
     }
 
     fn next_request(&mut self) -> Result<Option<u32>, ProxyError> {
-        let next = self
-            .runtime
-            .exchange_expect_ok(&Apdu::simple(ins::NEXT_REQUEST, 0, 0))?;
+        let next = self.exchange(&Apdu::simple(ins::NEXT_REQUEST, 0, 0))?;
         let index: [u8; 4] = next[..]
             .try_into()
             .map_err(|_| ProxyError::Protocol("bad NEXT_REQUEST response".into()))?;
@@ -279,12 +277,7 @@ impl SoeTransport for Terminal {
         // Payload: chunk index (4), tag, ciphertext — cut into APDU
         // fragments as it is framed, never assembled in one buffer.
         for (frag, more) in fragments(&[&index.to_le_bytes(), tag.as_bytes(), chunk]) {
-            self.runtime.exchange_expect_ok(&Apdu::with_data(
-                ins::PUSH_CHUNK,
-                u8::from(more),
-                0,
-                frag,
-            ))?;
+            self.exchange(&Apdu::with_data(ins::PUSH_CHUNK, u8::from(more), 0, frag))?;
         }
         // The whole request rides the step's batch: the 5-byte NEXT_REQUEST
         // command and chunk payload out, the 4-byte index answer and a
@@ -298,9 +291,7 @@ impl SoeTransport for Terminal {
     fn finish(&mut self, obs: &SessionObs) -> Result<String, ProxyError> {
         let mut bytes = Vec::new();
         loop {
-            let part = self
-                .runtime
-                .exchange_expect_ok(&Apdu::simple(ins::GET_OUTPUT, 0, 0))?;
+            let part = self.exchange(&Apdu::simple(ins::GET_OUTPUT, 0, 0))?;
             if part.is_empty() {
                 break;
             }
@@ -308,9 +299,7 @@ impl SoeTransport for Terminal {
         }
         let view = String::from_utf8(bytes)
             .map_err(|_| ProxyError::Protocol("non UTF-8 output".into()))?;
-        let closed = self
-            .runtime
-            .exchange_expect_ok(&Apdu::simple(ins::CLOSE_SESSION, 0, 0))?;
+        let closed = self.exchange(&Apdu::simple(ins::CLOSE_SESSION, 0, 0))?;
         let peak: [u8; 4] = closed
             .get(16..20)
             .and_then(|peak| peak.try_into().ok())
