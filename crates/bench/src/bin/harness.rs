@@ -273,7 +273,7 @@ fn e6_dissemination(report: &mut Report) {
         rules,
         CardProfile::modern_secure_element(),
     );
-    let (dissem, wall_ms) = timed(|| app.consume_in_process("child", policy).unwrap());
+    let (dissem, wall_ms) = timed(|| app.consume_with_card("child", policy).unwrap());
     println!(
         "items: {} delivered / {} blocked; worst per-item latency {:.1} ms; total {:.2} s; skipped {} B; wall {wall_ms:.1} ms",
         dissem.items_delivered,

@@ -803,8 +803,8 @@ pub const PUSH_CHUNK_PREFIX: usize = 4 + TAG_LEN;
 /// The on-card access-control applet: the APDU codec of a [`Soe`]. It
 /// reassembles fragmented payloads, renders the released events into the
 /// output buffer `GET_OUTPUT` pages through, maps SOE errors to status words,
-/// charges the installed rules to the card's EEPROM and mirrors the SOE's
-/// crypto work into the card ledger.
+/// charges the installed rules to the card's EEPROM and, at `CLOSE_SESSION`,
+/// records the session's own counters on the card ledger.
 pub struct AccessControlApplet {
     soe: Soe,
     /// Reassembly buffer for fragmented `PUT_RULES` payloads.
@@ -952,7 +952,7 @@ impl AccessControlApplet {
         }
     }
 
-    fn handle_push_chunk(&mut self, card: &mut SmartCard, command: &Apdu) -> ApduResponse {
+    fn handle_push_chunk(&mut self, command: &Apdu) -> ApduResponse {
         let Some(session) = self.soe.session() else {
             return ApduResponse::error(StatusWord::CONDITIONS_NOT_SATISFIED);
         };
@@ -968,8 +968,7 @@ impl AccessControlApplet {
         if command.p1 == 1 {
             return ApduResponse::ok_empty();
         }
-        let response =
-            Self::supply_payload(&mut self.soe, card, &self.chunk_buf, &mut self.output_text);
+        let response = Self::supply_payload(&mut self.soe, &self.chunk_buf, &mut self.output_text);
         self.chunk_buf.clear();
         match response {
             Ok(()) => {
@@ -985,7 +984,6 @@ impl AccessControlApplet {
     /// onto `output`. On failure `output` is left as it was.
     fn supply_payload(
         soe: &mut Soe,
-        card: &mut SmartCard,
         payload: &[u8],
         output: &mut String,
     ) -> Result<(), StatusWord> {
@@ -997,20 +995,12 @@ impl AccessControlApplet {
         let tag = ChunkTag::from_bytes(tag.try_into().expect("tag")); // lint: infallible — see above
         let ciphertext = &payload[PUSH_CHUNK_PREFIX..];
         let rendered = output.len();
-        match soe.push_chunk(index, ciphertext, &tag, output) {
-            Ok(delivered) => {
-                // Mirror the session ledger into the card ledger so that card
-                // level reports include on-card crypto work.
-                card.ledger().record_decrypt(ciphertext.len());
-                card.ledger().record_hash(ciphertext.len());
-                card.ledger().record_events(delivered);
-                Ok(())
-            }
-            Err(e) => {
+        soe.push_chunk(index, ciphertext, &tag, output)
+            .map(|_| ())
+            .map_err(|e| {
                 output.truncate(rendered);
-                Err(Self::status_for(&e))
-            }
-        }
+                Self::status_for(&e)
+            })
     }
 
     fn handle_get_output(&mut self) -> ApduResponse {
@@ -1020,12 +1010,17 @@ impl AccessControlApplet {
         ApduResponse::ok(&available[..take])
     }
 
-    /// Closes the session, processed or not (a terminal may abort one), and
-    /// answers with its statistics.
-    fn handle_close_session(&mut self) -> ApduResponse {
+    /// Closes the session, processed or not (a terminal may abort one),
+    /// records its counters on the card ledger and answers with its
+    /// statistics.
+    fn handle_close_session(&mut self, card: &mut SmartCard) -> ApduResponse {
         let Some(stats) = self.soe.session().map(SecureEvaluationSession::stats) else {
             return ApduResponse::error(StatusWord::CONDITIONS_NOT_SATISFIED);
         };
+        // The session's decrypted, hashed, processed and skipped counts; its
+        // channel meter is empty here, since the card runtime meters the
+        // APDUs themselves.
+        card.ledger().merge(&stats.ledger);
         let mut data = [0u8; 20];
         for (field, value) in data.chunks_exact_mut(4).zip([
             stats.ledger.bytes_decrypted,
@@ -1052,9 +1047,9 @@ impl Applet for AccessControlApplet {
             ins::PUT_QUERY => self.handle_put_query(command),
             ins::OPEN_SESSION => self.handle_open_session(card, command),
             ins::NEXT_REQUEST => self.handle_next_request(),
-            ins::PUSH_CHUNK => self.handle_push_chunk(card, command),
+            ins::PUSH_CHUNK => self.handle_push_chunk(command),
             ins::GET_OUTPUT => self.handle_get_output(),
-            ins::CLOSE_SESSION => self.handle_close_session(),
+            ins::CLOSE_SESSION => self.handle_close_session(card),
             _ => ApduResponse::error(StatusWord::INS_NOT_SUPPORTED),
         }
     }

@@ -1,20 +1,11 @@
-//! Key material and the key ring held in the SOE's secure stable storage.
+//! Key material: symmetric secrets and their deterministic derivation.
 //!
 //! "Access control policies as well as the key(s) required to decrypt the
 //! document can be either permanently hosted by the SOE, refreshed or
-//! downloaded via a secure channel" (§2.1). The [`KeyRing`] models the small
-//! secure stable memory of the card dedicated to secrets: a bounded set of
-//! named symmetric keys, from which per-document and per-purpose keys are
-//! derived deterministically.
+//! downloaded via a secure channel" (§2.1). Per-document and per-purpose
+//! keys are derived deterministically from community secrets.
 
-use std::collections::BTreeMap;
-
-use crate::error::CryptoError;
 use crate::poly1305::PolyAesKey;
-
-/// Identifier of a key inside a [`KeyRing`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct KeyId(pub u32);
 
 /// A 128-bit symmetric secret.
 #[derive(Clone, PartialEq, Eq)]
@@ -107,76 +98,6 @@ impl KeyDeriver {
         SecretKey {
             bytes: self.derive(label.as_bytes()),
         }
-    }
-}
-
-/// The bounded key store of the SOE.
-// lint: redacted — the derived impl shows key ids and capacity only;
-// SecretKey's own Debug redacts the bytes.
-#[derive(Debug, Default)]
-pub struct KeyRing {
-    keys: BTreeMap<KeyId, SecretKey>,
-    capacity: Option<usize>,
-}
-
-impl KeyRing {
-    /// Creates an unbounded key ring (used by servers and test fixtures).
-    pub fn new() -> Self {
-        KeyRing::default()
-    }
-
-    /// Creates a key ring bounded to `capacity` keys, mimicking the card's
-    /// limited secure stable memory.
-    pub fn with_capacity(capacity: usize) -> Self {
-        KeyRing {
-            keys: BTreeMap::new(),
-            capacity: Some(capacity),
-        }
-    }
-
-    /// Installs or replaces a key. Returns an error if the ring is full and
-    /// the key id is new.
-    pub fn install(&mut self, id: KeyId, key: SecretKey) -> Result<(), CryptoError> {
-        if let Some(cap) = self.capacity {
-            if !self.keys.contains_key(&id) && self.keys.len() >= cap {
-                return Err(CryptoError::UnknownKey { key_id: id.0 });
-            }
-        }
-        self.keys.insert(id, key);
-        Ok(())
-    }
-
-    /// Removes a key (e.g. when a user is revoked from a community).
-    pub fn revoke(&mut self, id: KeyId) -> bool {
-        self.keys.remove(&id).is_some()
-    }
-
-    /// Fetches a key.
-    pub fn get(&self, id: KeyId) -> Result<&SecretKey, CryptoError> {
-        self.keys
-            .get(&id)
-            .ok_or(CryptoError::UnknownKey { key_id: id.0 })
-    }
-
-    /// True if the key is present.
-    pub fn contains(&self, id: KeyId) -> bool {
-        self.keys.contains_key(&id)
-    }
-
-    /// Number of installed keys.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// True if no key is installed.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// Bytes of secure stable storage consumed by the ring (16 bytes per key
-    /// plus a 4-byte id), used by the card's EEPROM budget accounting.
-    pub fn storage_bytes(&self) -> usize {
-        self.keys.len() * (16 + 4)
     }
 }
 
@@ -277,42 +198,5 @@ mod tests {
         let k = SecretKey::from_bytes([0xEE; 16]);
         assert!(!format!("{k:?}").contains("238"));
         assert!(format!("{k:?}").contains("redacted"));
-    }
-
-    #[test]
-    fn ring_install_get_revoke() {
-        let mut ring = KeyRing::new();
-        assert!(ring.is_empty());
-        ring.install(KeyId(1), SecretKey::from_bytes([1; 16]))
-            .unwrap();
-        ring.install(KeyId(2), SecretKey::from_bytes([2; 16]))
-            .unwrap();
-        assert_eq!(ring.len(), 2);
-        assert!(ring.contains(KeyId(1)));
-        assert_eq!(ring.get(KeyId(2)).unwrap().as_bytes()[0], 2);
-        assert!(matches!(
-            ring.get(KeyId(3)),
-            Err(CryptoError::UnknownKey { key_id: 3 })
-        ));
-        assert!(ring.revoke(KeyId(1)));
-        assert!(!ring.revoke(KeyId(1)));
-        assert_eq!(ring.len(), 1);
-        assert_eq!(ring.storage_bytes(), 20);
-    }
-
-    #[test]
-    fn bounded_ring_enforces_capacity() {
-        let mut ring = KeyRing::with_capacity(2);
-        ring.install(KeyId(1), SecretKey::from_bytes([1; 16]))
-            .unwrap();
-        ring.install(KeyId(2), SecretKey::from_bytes([2; 16]))
-            .unwrap();
-        assert!(ring
-            .install(KeyId(3), SecretKey::from_bytes([3; 16]))
-            .is_err());
-        // Replacing an existing key is always allowed.
-        ring.install(KeyId(2), SecretKey::from_bytes([9; 16]))
-            .unwrap();
-        assert_eq!(ring.get(KeyId(2)).unwrap().as_bytes()[0], 9);
     }
 }

@@ -50,6 +50,6 @@ pub mod siv;
 
 pub use aes::Aes128;
 pub use error::CryptoError;
-pub use keys::{KeyDeriver, KeyId, KeyRing, SecretKey};
+pub use keys::{KeyDeriver, SecretKey};
 pub use poly1305::{verify_mac, PolyAesKey};
 pub use siv::SivKey;

@@ -213,7 +213,10 @@ impl Terminal {
         Ok(())
     }
 
-    /// Card-side cost counters (channel bytes, APDU count, crypto work).
+    /// Card-side cost counters of the current or last session: the card
+    /// restarts them at `OPEN_SESSION`, meters every APDU, and adds the
+    /// SOE's own decrypted, hashed, processed and skipped counts at
+    /// `CLOSE_SESSION`.
     pub fn card_ledger(&self) -> &CostLedger {
         self.runtime.card().ledger_ref()
     }
@@ -224,7 +227,8 @@ impl Terminal {
         self.soe_peak_ram
     }
 
-    /// Simulated latency of everything exchanged so far under `model`.
+    /// Simulated latency of the card ledger ([`Terminal::card_ledger`])
+    /// under `model`.
     pub fn latency(&self, model: &CostModel) -> LatencyBreakdown {
         self.runtime.card().ledger_ref().breakdown(model)
     }
@@ -306,12 +310,13 @@ impl SoeTransport for Terminal {
             .ok_or_else(|| ProxyError::Protocol("bad CLOSE_SESSION response".into()))?;
         self.soe_peak_ram = u32::from_le_bytes(peak) as usize;
         // The authorized view ships back over GET_OUTPUT responses, followed
-        // by one bare CLOSE_SESSION exchange: the final batch carries them so
-        // the simulated latency really covers the whole session.
+        // by the CLOSE_SESSION exchange and its statistics: the final batch
+        // carries them so the simulated latency really covers the whole
+        // session.
         self.batched.queue(5, view.len() + 2);
-        self.batched.queue(5, 2);
+        self.batched.queue(5, closed.len() + 2);
         obs.record_exchange(5, view.len() + 2);
-        obs.record_exchange(5, 2);
+        obs.record_exchange(5, closed.len() + 2);
         Ok(view)
     }
 
@@ -426,6 +431,21 @@ mod tests {
         let peak = pull.output().unwrap().peak_ram_bytes;
         assert!(peak > 0 && peak <= profile.ram_bytes);
         assert_eq!(terminal.soe_peak_ram(), peak);
+    }
+
+    #[test]
+    fn the_batched_channel_meters_every_reply_of_a_pull() {
+        let (server, service, _) = setup();
+        let pki = SimulatedPki::new(b"hospital-2005");
+        let mut session =
+            keyed_terminal(&server, &pki, "doctor").connect_shared(Arc::clone(&service), "folder");
+        let view = session.run().unwrap().len();
+        // Status words for the rules and the header, the chunk index and its
+        // status per request, the view with its status, then CLOSE_SESSION's
+        // 20 bytes of statistics with theirs.
+        let chunks = service.stats().chunks_served;
+        let expected = 2 + 2 + 6 * chunks + (view + 2) + (20 + 2);
+        assert_eq!(session.batched_channel().meter().bytes_from_card, expected);
     }
 
     #[test]

@@ -44,7 +44,7 @@ fn main() -> Result<(), SddsError> {
     );
 
     let child = app.consume_with_card("child", AccessPolicy::open())?;
-    let trader = app.consume_in_process("trader", AccessPolicy::paper())?;
+    let trader = app.consume_with_card("trader", AccessPolicy::paper())?;
 
     for report in [&child, &trader] {
         println!(

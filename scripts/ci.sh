@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI check for the SDDS workspace: formatting, lints, tier-1 build + tests
-# (with the raised property-case count), compile checks for the examples,
+# (with the raised property-case count), a build and a run of each example,
 # the perfbench workspace's tests, and the bench-regression gate against
 # BENCH_baseline.json.
 #
@@ -66,6 +66,14 @@ SDDS_PROP_CASES=512 cargo test -q --test concurrent_reads
 
 echo "==> cargo build --release --examples"
 cargo build --release --examples
+
+echo "==> run the examples"
+# Each demo runs in a few milliseconds; a panic or an error in one of them
+# fails CI.
+for example in quickstart medical_folder selective_dissemination collaborative_community; do
+    echo "--> $example"
+    "target/release/examples/$example" >/dev/null
+done
 
 echo "==> cargo test -q --manifest-path perfbench/Cargo.toml"
 # perfbench/ is its own workspace over the public DSP API: building and

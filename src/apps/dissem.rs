@@ -7,16 +7,18 @@
 //! control on ratings) with a per-item latency that must stay compatible with
 //! the stream rate — experiment E6 measures exactly that.
 //!
-//! Push mode has no DSP in the loop, so subscriber cards are provisioned with
-//! their protected rules up front ([`crate::Client::terminal_with_rules`])
-//! and each broadcast item is evaluated locally on the card.
+//! Push mode has no DSP in the loop, so each subscriber's card is
+//! provisioned through [`crate::Client`] like a pull client (key wraps,
+//! unwrapped on the card) and holds its own sealed rule blob up front
+//! ([`crate::Client::terminal_with_rules`]). Every broadcast item then runs
+//! through that card's SOE over APDUs ([`sdds_proxy::Terminal::evaluate_local`]),
+//! which authenticates the rules, checks every chunk's tag and meters the
+//! item's work on the card ledger.
 
 use std::time::Duration;
 
 use sdds_card::{CardProfile, CostModel};
 use sdds_core::conflict::AccessPolicy;
-use sdds_core::engine::{evaluate_secure_document, EngineConfig};
-use sdds_core::evaluator::EvaluatorConfig;
 use sdds_core::rule::{RuleSet, Subject};
 use sdds_proxy::DisseminationChannel;
 use sdds_xml::Document;
@@ -33,12 +35,15 @@ pub struct SubscriberReport {
     pub items_delivered: usize,
     /// Items entirely filtered out by the subscriber's rules.
     pub items_blocked: usize,
-    /// Total simulated time spent by the card on the whole stream (e-gate cost
-    /// model), used against the real-time requirement.
+    /// Simulated time the subscriber's card spends on the whole stream under
+    /// the e-gate cost model: the sum of the per-item latencies.
     pub total_latency: Duration,
-    /// Worst per-item simulated latency.
+    /// Largest per-item latency: one item's transfer, integrity check,
+    /// decryption and evaluation on the card, as its ledger meters them
+    /// between `OPEN_SESSION` and `CLOSE_SESSION`.
     pub max_item_latency: Duration,
-    /// Bytes the subscriber's SOE skipped thanks to the index.
+    /// Bytes the subscriber's SOE skipped thanks to the index, summed over
+    /// the stream.
     pub bytes_skipped: usize,
 }
 
@@ -94,8 +99,8 @@ impl DisseminationApp {
         self.publisher.subjects()
     }
 
-    /// Runs the whole stream through the subscriber's card terminal (full
-    /// APDU path) and reports per-item outcomes. `policy` selects the default
+    /// Runs the whole stream through the subscriber's card (full APDU path)
+    /// and reports per-item outcomes. `policy` selects the default
     /// decision: parental-control subscribers use [`AccessPolicy::open`] (only
     /// their prohibitions filter the stream), subscription-based subscribers
     /// use the closed world of the paper.
@@ -118,50 +123,14 @@ impl DisseminationApp {
             bytes_skipped: 0,
         };
         let model = CostModel::egate();
-        let mut previous_total = Duration::ZERO;
         for item in self.channel.published() {
             let view = terminal.evaluate_local(&item.document)?;
-            let total = terminal.latency(&model).total();
-            let item_latency = total.saturating_sub(previous_total);
-            previous_total = total;
-            report.total_latency = total;
+            // Each item opens its own card session, which restarts the card
+            // ledger: after the item it holds that item's work alone.
+            let item_latency = terminal.latency(&model).total();
+            report.total_latency += item_latency;
             report.max_item_latency = report.max_item_latency.max(item_latency);
-            if view.is_empty() {
-                report.items_blocked += 1;
-            } else {
-                report.items_delivered += 1;
-            }
-        }
-        Ok(report)
-    }
-
-    /// Lighter-weight variant used by the bench harness: evaluates the stream with
-    /// the in-process engine (no APDU framing).
-    pub fn consume_in_process(
-        &self,
-        subscriber: &str,
-        policy: AccessPolicy,
-    ) -> Result<SubscriberReport, SddsError> {
-        let rules = self.publisher.rules().clone();
-        let mut report = SubscriberReport {
-            subscriber: subscriber.to_owned(),
-            items_delivered: 0,
-            items_blocked: 0,
-            total_latency: Duration::ZERO,
-            max_item_latency: Duration::ZERO,
-            bytes_skipped: 0,
-        };
-        let model = CostModel::egate();
-        for item in self.channel.published() {
-            let config = EngineConfig::new(
-                EvaluatorConfig::new(rules.clone(), subscriber).with_policy(policy),
-            );
-            let (view, stats) =
-                evaluate_secure_document(&item.document, self.channel.key(), config)?;
-            let latency = stats.ledger.breakdown(&model).total();
-            report.total_latency += latency;
-            report.max_item_latency = report.max_item_latency.max(latency);
-            report.bytes_skipped += stats.ledger.bytes_skipped;
+            report.bytes_skipped += terminal.card_ledger().bytes_skipped;
             if view.is_empty() {
                 report.items_blocked += 1;
             } else {
@@ -175,17 +144,22 @@ impl DisseminationApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdds_core::baseline::authorized_view_oracle;
     use sdds_xml::generator::{self, GeneratorConfig, StreamProfile};
+    use sdds_xml::writer;
 
-    fn app(items: usize) -> DisseminationApp {
-        let stream = generator::stream(
+    fn stream(items: usize) -> Document {
+        generator::stream(
             &StreamProfile {
                 items,
                 payload_len: 64,
                 ..StreamProfile::default()
             },
             &GeneratorConfig::default(),
-        );
+        )
+    }
+
+    fn app(stream: &Document) -> DisseminationApp {
         // Parental control for "kid" (open world: blocks items rated above 12)
         // and a channel subscription for "trader" (closed world: only the
         // finance channel is granted).
@@ -196,7 +170,7 @@ mod tests {
         .unwrap();
         DisseminationApp::new(
             b"broadcast-2005",
-            &stream,
+            stream,
             rules,
             CardProfile::modern_secure_element(),
         )
@@ -204,7 +178,7 @@ mod tests {
 
     #[test]
     fn parental_control_filters_in_the_subscribers_card() {
-        let app = app(8);
+        let app = app(&stream(8));
         assert_eq!(app.subscribers().len(), 2);
         assert_eq!(app.channel().published().len(), 8);
         let report = app.consume_with_card("kid", AccessPolicy::open()).unwrap();
@@ -213,13 +187,14 @@ mod tests {
         assert!(report.items_blocked > 0);
         assert!(report.total_latency > Duration::ZERO);
         assert!(report.max_item_latency <= report.total_latency);
+        assert!(report.bytes_skipped > 0, "blocked payloads are skipped");
     }
 
     #[test]
     fn channel_subscription_filters_by_attribute() {
-        let app = app(12);
+        let app = app(&stream(12));
         let report = app
-            .consume_in_process("trader", AccessPolicy::paper())
+            .consume_with_card("trader", AccessPolicy::paper())
             .unwrap();
         assert_eq!(report.items_delivered + report.items_blocked, 12);
         assert!(
@@ -232,11 +207,65 @@ mod tests {
     }
 
     #[test]
-    fn in_process_and_card_paths_agree_on_delivery_counts() {
-        let app = app(6);
-        let card = app.consume_with_card("kid", AccessPolicy::open()).unwrap();
-        let fast = app.consume_in_process("kid", AccessPolicy::open()).unwrap();
-        assert_eq!(card.items_delivered, fast.items_delivered);
-        assert_eq!(card.items_blocked, fast.items_blocked);
+    fn every_card_view_is_the_oracle_view_of_its_item() {
+        let stream = stream(6);
+        let app = app(&stream);
+        let root = stream.root().unwrap();
+        let items: Vec<Document> = stream
+            .element_children(root)
+            .map(|item| Document::from_events(&stream.subtree_events(item)).unwrap())
+            .collect();
+        for (subscriber, policy) in [
+            ("kid", AccessPolicy::open()),
+            ("trader", AccessPolicy::paper()),
+        ] {
+            // The card `consume_with_card` provisions, item by item.
+            let mut terminal = Client::builder(subscriber)
+                .card_profile(app.card_profile)
+                .open_policy(policy == AccessPolicy::open())
+                .provision(app.publisher())
+                .and_then(|client| client.terminal_with_rules())
+                .unwrap();
+            let views: Vec<String> = app
+                .channel()
+                .published()
+                .iter()
+                .map(|item| terminal.evaluate_local(&item.document).unwrap())
+                .collect();
+            let report = app.consume_with_card(subscriber, policy).unwrap();
+            assert_eq!(views.len(), items.len());
+            for (i, (view, item)) in views.iter().zip(&items).enumerate() {
+                let oracle = authorized_view_oracle(
+                    item,
+                    app.publisher().rules(),
+                    &Subject::new(subscriber),
+                    None,
+                    &policy,
+                );
+                assert_eq!(*view, writer::to_string(&oracle), "{subscriber}, item {i}");
+            }
+            let delivered = views.iter().filter(|view| !view.is_empty()).count();
+            assert_eq!(report.items_delivered, delivered, "{subscriber}");
+            assert_eq!(
+                report.items_blocked,
+                views.len() - delivered,
+                "{subscriber}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_stream_latency_is_the_sum_of_its_items() {
+        // Two identical items cost the card the same: the stream's total is
+        // twice the worst item, not the last item's ledger.
+        let item =
+            r#"<item channel="news"><title>t</title><rating>7</rating><payload>p</payload></item>"#;
+        let stream = Document::parse(&format!("<stream>{item}{item}</stream>")).unwrap();
+        let report = app(&stream)
+            .consume_with_card("kid", AccessPolicy::open())
+            .unwrap();
+        assert_eq!(report.items_delivered, 2);
+        assert!(report.max_item_latency > Duration::ZERO);
+        assert_eq!(report.total_latency, 2 * report.max_item_latency);
     }
 }

@@ -157,7 +157,7 @@ fn dissemination_meets_real_time_on_the_egate_model() {
         CardProfile::modern_secure_element(),
     );
     let report = app
-        .consume_in_process("child", AccessPolicy::open())
+        .consume_with_card("child", AccessPolicy::open())
         .unwrap();
     assert_eq!(report.items_delivered + report.items_blocked, 15);
     assert!(report.items_blocked > 0);
@@ -194,18 +194,19 @@ enum Tamper {
     RuleBlob,
 }
 
-/// Replaces the DSP's copy of `doc_id` (or the doctor's rule blob on it)
-/// with one that differs from the published bytes in one bit.
-fn tamper(service: &DspService, doc_id: &str, what: Tamper) {
-    let (mut header, revision) = service.fetch_header_pinned(doc_id).unwrap();
-    if let Tamper::RuleBlob = what {
-        let mut blob = service.fetch_rules(doc_id, "doctor").unwrap().to_vec();
-        *blob.last_mut().unwrap() ^= 0x01;
-        service.put_rules(doc_id, "doctor", blob).unwrap();
-        return;
-    }
-    let (mut chunks, mut tags): (Vec<_>, Vec<_>) = (0..header.chunk_count)
-        .map(|i| service.fetch_chunk_pinned(doc_id, i, revision).unwrap())
+/// `blob` with its last bit flipped.
+fn flipped(blob: &[u8]) -> Vec<u8> {
+    let mut blob = blob.to_vec();
+    *blob.last_mut().unwrap() ^= 0x01;
+    blob
+}
+
+/// `document` with one bit flipped in its header, or in the chunk or tag in
+/// the middle (a rule-blob tamper leaves the document as it is).
+fn tampered(document: &SecureDocument, what: Tamper) -> SecureDocument {
+    let mut header = document.header.clone();
+    let (mut chunks, mut tags): (Vec<_>, Vec<_>) = (0..document.chunk_count())
+        .map(|i| document.sealed_chunk(i).unwrap())
         .unzip();
     // A chunk in the middle, so the doctor's stream yields events first.
     let middle = chunks.len() / 2;
@@ -221,9 +222,25 @@ fn tamper(service: &DspService, doc_id: &str, what: Tamper) {
             tags[middle] = ChunkTag::from_bytes(tag);
         }
         Tamper::Header => header.nonce[0] ^= 0x01,
-        Tamper::RuleBlob => unreachable!("handled above"),
+        Tamper::RuleBlob => {}
     }
-    service.put_document(SecureDocument::new(header, chunks, tags));
+    SecureDocument::new(header, chunks, tags)
+}
+
+/// Replaces the DSP's copy of `doc_id` (or the doctor's rule blob on it)
+/// with one that differs from the published bytes in one bit.
+fn tamper(service: &DspService, doc_id: &str, what: Tamper) {
+    if let Tamper::RuleBlob = what {
+        let blob = service.fetch_rules(doc_id, "doctor").unwrap();
+        service.put_rules(doc_id, "doctor", flipped(&blob)).unwrap();
+        return;
+    }
+    let (header, revision) = service.fetch_header_pinned(doc_id).unwrap();
+    let (chunks, tags) = (0..header.chunk_count)
+        .map(|i| service.fetch_chunk_pinned(doc_id, i, revision).unwrap())
+        .unzip();
+    let copy = SecureDocument::new(header, chunks, tags);
+    service.put_document(tampered(&copy, what));
 }
 
 #[test]
@@ -275,5 +292,103 @@ fn a_tampered_dsp_copy_fails_the_card_and_the_stream_alike() {
                 "{what:?}: no event before the tampered chunk"
             );
         }
+    }
+}
+
+#[test]
+fn a_tampered_broadcast_item_or_rule_blob_fails_the_push_path_like_a_pull() {
+    let stream = generator::stream(
+        &StreamProfile {
+            items: 4,
+            payload_len: 96,
+            ..StreamProfile::default()
+        },
+        &GeneratorConfig::default(),
+    );
+    let rules = RuleSet::parse("-, child, //item[rating > 12]").unwrap();
+    let app = DisseminationApp::new(
+        b"broadcast",
+        &stream,
+        rules,
+        CardProfile::modern_secure_element(),
+    );
+    let subject = Subject::new("child");
+    let client = Client::builder("child")
+        .open_policy(true)
+        .provision(app.publisher())
+        .unwrap();
+    let blob = app
+        .publisher()
+        .server()
+        .protected_rules_for(&subject)
+        .encode();
+    let items: Vec<SecureDocument> = app
+        .channel()
+        .published()
+        .iter()
+        .map(|item| item.document.clone())
+        .collect();
+    // The steps of `DisseminationApp::consume_with_card`: a provisioned card
+    // takes the subscriber's rule blob, then evaluates every broadcast item.
+    let push = |blob: &[u8], items: &[SecureDocument]| -> Result<Vec<String>, SddsError> {
+        let mut terminal = client.terminal()?;
+        terminal.install_rules(blob)?;
+        items
+            .iter()
+            .map(|item| Ok(terminal.evaluate_local(item)?))
+            .collect()
+    };
+    let report = app
+        .consume_with_card("child", AccessPolicy::open())
+        .unwrap();
+    let views = push(&blob, &items).unwrap();
+    let delivered = views.iter().filter(|view| !view.is_empty()).count();
+    assert_eq!(delivered, report.items_delivered);
+    for what in [Tamper::Chunk, Tamper::Tag, Tamper::Header, Tamper::RuleBlob] {
+        let result = match what {
+            Tamper::RuleBlob => push(&flipped(&blob), &items),
+            // The second item, so the card has delivered the first.
+            _ => {
+                let mut items = items.clone();
+                items[1] = tampered(&items[1], what);
+                push(&blob, &items)
+            }
+        };
+        let err = result.expect_err("a tampered push must fail");
+        assert!(
+            matches!(err, SddsError::Crypto(_)),
+            "{what:?}: push path ended in {err:?}"
+        );
+    }
+}
+
+#[test]
+fn a_card_pull_ledger_counts_what_the_soe_processed() {
+    let rules = RuleSet::parse(
+        "+, doctor, //patient\n-, doctor, //patient/ssn\n+, secretary, //patient/name",
+    )
+    .unwrap();
+    let doc = Corpus::Hospital.generate(1_000, &GeneratorConfig::default());
+    let publisher = Publisher::builder(b"hospital-2005")
+        .rules(rules)
+        .chunk_size(128)
+        .build()
+        .unwrap();
+    publisher.publish("folder", &doc).unwrap();
+    for subject in ["doctor", "secretary"] {
+        let client = Client::builder(subject).provision(&publisher).unwrap();
+        let mut session = client.connect("folder").unwrap();
+        session.run().unwrap();
+        let card = session.terminal().card_ledger();
+        let mut stream = client.open_stream("folder").unwrap();
+        for event in &mut stream {
+            event.unwrap();
+        }
+        let soe = &stream.stats().unwrap().ledger;
+        assert_eq!(soe.bytes_skipped > 0, subject == "secretary", "{subject}");
+        assert_eq!(card.events_processed, soe.events_processed, "{subject}");
+        assert_eq!(card.bytes_skipped, soe.bytes_skipped, "{subject}");
+        assert_eq!(card.bytes_decrypted, soe.bytes_decrypted, "{subject}");
+        assert_eq!(card.bytes_hashed, soe.bytes_hashed, "{subject}");
     }
 }
