@@ -112,13 +112,18 @@ fn e2_skip_index(report: &mut Report) {
         "E2",
         "skip index: transferred/decrypted volume, with vs. without",
     );
+    // Without the index every byte is transferred and decrypted. With it,
+    // "transferred" counts the chunks fetched (whole chunks inside a skip
+    // never are) and "decrypted" the keystream bytes run over them (the
+    // skipped bytes of a fetched chunk never are).
     println!(
-        "{:>10} {:>10} {:>12} {:>12} {:>10} {:>12} {:>12} {:>18}",
+        "{:>10} {:>10} {:>12} {:>12} {:>16} {:>14} {:>8} {:>10} {:>18}",
         "elements",
         "subject",
         "plain (B)",
         "no-index (B)",
-        "index (B)",
+        "transferred (B)",
+        "decrypted (B)",
         "saving",
         "egate (s)",
         "wall idx/no (ms)"
@@ -136,11 +141,12 @@ fn e2_skip_index(report: &mut Report) {
             let saving = 1.0
                 - with.ledger.bytes_decrypted as f64 / without.ledger.bytes_decrypted.max(1) as f64;
             println!(
-                "{:>10} {:>10} {:>12} {:>12} {:>10} {:>11.0}% {:>12.1} {:>18}",
+                "{:>10} {:>10} {:>12} {:>12} {:>16} {:>14} {:>7.0}% {:>10.1} {:>18}",
                 elements,
                 subject,
                 secure.header.plaintext_len,
                 without.ledger.bytes_decrypted,
+                with.ledger.bytes_hashed,
                 with.ledger.bytes_decrypted,
                 saving * 100.0,
                 workloads::egate_seconds(&with),
@@ -150,6 +156,10 @@ fn e2_skip_index(report: &mut Report) {
             report.put(
                 format!("{prefix}.decrypted_bytes_no_index"),
                 without.ledger.bytes_decrypted as f64,
+            );
+            report.put(
+                format!("{prefix}.transferred_bytes_with_index"),
+                with.ledger.bytes_hashed as f64,
             );
             report.put(
                 format!("{prefix}.decrypted_bytes_with_index"),
@@ -391,8 +401,13 @@ fn e8_query_mix(report: &mut Report) {
     let doc = workloads::hospital(4_000);
     let secure = workloads::secure(&doc, 128, 32);
     println!(
-        "{:>34} {:>12} {:>12} {:>12} {:>10}",
-        "query (subject = doctor)", "fetched (B)", "skipped (B)", "egate (s)", "wall (ms)"
+        "{:>34} {:>12} {:>14} {:>12} {:>12} {:>10}",
+        "query (subject = doctor)",
+        "fetched (B)",
+        "decrypted (B)",
+        "skipped (B)",
+        "egate (s)",
+        "wall (ms)"
     );
     for (i, query) in [
         "//patient",
@@ -413,8 +428,9 @@ fn e8_query_mix(report: &mut Report) {
             )
         });
         println!(
-            "{:>34} {:>12} {:>12} {:>12.1} {:>10.1}",
+            "{:>34} {:>12} {:>14} {:>12} {:>12.1} {:>10.1}",
             query,
+            stats.ledger.bytes_hashed,
             stats.ledger.bytes_decrypted,
             stats.ledger.bytes_skipped,
             workloads::egate_seconds(&stats),

@@ -6,9 +6,11 @@
 //! * [`SecureEvaluationSession`] — the incremental state machine that consumes
 //!   encrypted chunks one at a time, drives the [`TokenReader`], asks for the
 //!   *next chunk it actually needs* (which is how skipping translates into
-//!   fewer transferred and decrypted bytes), feeds the streaming evaluator and
-//!   exposes the authorized events. It is transport-agnostic: tests and
-//!   benches drive it with [`run_local`].
+//!   fewer transferred bytes), feeds the streaming evaluator and exposes the
+//!   authorized events. The reader decrypts a verified chunk on demand, a
+//!   keystream block ahead of the token it decodes, so the skipped bytes of
+//!   a fetched chunk are never decrypted. It is transport-agnostic: tests
+//!   and benches drive it with [`run_local`].
 //! * [`Soe`] — the card-resident state of one subject around that session:
 //!   the unwrapped keys, the authenticated rules (never older than the
 //!   installed ones), the query and the policy; each session runs under the
@@ -34,8 +36,8 @@ use crate::evaluator::{EvaluatorConfig, EvaluatorStats, StreamingEvaluator};
 use crate::query::Query;
 use crate::rule::{RuleSet, Sign, Subject};
 use crate::secdoc::{
-    decrypt_chunk, document_cipher, integrity_key, verify_chunk, verify_header, ChunkTag,
-    DocumentHeader, SecureDocument, TAG_LEN,
+    decrypt_chunk, document_cipher, integrity_key, verify_chunk, verify_header, ChunkKeystream,
+    ChunkTag, DocumentHeader, SecureDocument, TAG_LEN,
 };
 use crate::session::{KeyProvisioning, ProtectedRules};
 use crate::skipindex::decode::{ReadResult, TokenEvent, TokenReader};
@@ -89,7 +91,9 @@ pub enum SessionRequest {
 /// Statistics of a finished (or running) session.
 #[derive(Debug, Clone, Default)]
 pub struct SessionStats {
-    /// Cost counters (bytes transferred, decrypted, hashed, skipped, events).
+    /// Cost counters: bytes transferred, hashed (every fetched byte),
+    /// decrypted (the keystream bytes actually run: the dictionary chunks
+    /// whole, then what the reader decoded), skipped, and events.
     pub ledger: CostLedger,
     /// Evaluator statistics (available after the document ends).
     pub evaluator: Option<EvaluatorStats>,
@@ -353,24 +357,21 @@ impl SecureEvaluationSession {
         //    of a chunk enters the session before its tag checks.
         verify_chunk(&self.integrity, &self.header, index, ciphertext, tag)?;
         self.stats.ledger.record_hash(ciphertext.len());
-        self.stats.ledger.record_decrypt(ciphertext.len());
         self.stats.chunks_fetched += 1;
         self.last_supplied_chunk = Some(index);
         let chunk_start = u64::from(index) * u64::from(self.header.chunk_size);
 
-        // 2. Decrypt in place where the plaintext is read: the reader's window,
-        //    or the dictionary buffer while the dictionary is incomplete.
-        let (cipher, header) = (&self.cipher, &self.header);
-        let decrypt = |window: &mut [u8]| {
-            window.copy_from_slice(ciphertext);
-            decrypt_chunk(cipher, header, index, window);
-        };
+        // 2. Hand the verified ciphertext to the reader, which deciphers it
+        //    on demand as it decodes (a skip leaves the rest ciphertext); the
+        //    chunks holding the dictionary are decrypted whole into its
+        //    buffer.
         if let Some(reader) = self.reader.as_mut() {
-            reader.supply_with(chunk_start, ciphertext.len(), decrypt)?;
+            reader.supply_ciphertext(chunk_start, ciphertext)?;
         } else {
             let at = self.dict_buf.len();
-            self.dict_buf.resize(at + ciphertext.len(), 0);
-            decrypt(&mut self.dict_buf[at..]);
+            self.dict_buf.extend_from_slice(ciphertext);
+            decrypt_chunk(&self.cipher, &self.header, index, &mut self.dict_buf[at..]);
+            self.stats.ledger.record_decrypt(ciphertext.len());
             if (self.dict_buf.len() as u64) < self.header.tokens_start {
                 self.next_chunk += 1;
                 self.sample_ram()?;
@@ -395,9 +396,14 @@ impl SecureEvaluationSession {
             self.reader = Some(reader);
         }
 
-        // 3. Pump the reader.
+        // 3. Pump the reader, then book the keystream bytes it ran, failed
+        //    or not.
         let before = self.events_out();
-        self.pump(out)?;
+        let pumped = self.pump(out);
+        if let Some(reader) = self.reader.as_mut() {
+            self.stats.ledger.record_decrypt(reader.take_revealed());
+        }
+        pumped?;
         self.sample_ram()?;
         Ok(self.events_out() - before)
     }
@@ -437,7 +443,7 @@ impl SecureEvaluationSession {
                 // lint: infallible — `pump` is only reached from `step`,
                 // which bails out earlier when the reader is finished.
                 .expect("pump requires a reader")
-                .next_token()?;
+                .next_token_with(&ChunkKeystream::new(&self.cipher, &self.header))?;
             match result {
                 ReadResult::Token(TokenEvent::Event(event)) => {
                     let evaluator = self.evaluator.as_mut().ok_or_else(|| CoreError::BadState {
@@ -1470,6 +1476,140 @@ mod tests {
         assert!(session.finish().is_err());
     }
 
+    // -- On-demand decryption ---------------------------------------------
+
+    /// What a traced read did: the chunks it fetched, the ranges its reader
+    /// deciphered and skipped (absolute offsets), and its statistics.
+    struct TracedRead {
+        fetched: Vec<u32>,
+        revealed: Vec<std::ops::Range<u64>>,
+        skipped: Vec<std::ops::Range<u64>>,
+        stats: SessionStats,
+    }
+
+    /// Reads `secure` to the end as `subject`, keeping the reader's trace.
+    fn traced_read(secure: &SecureDocument, key: SecretKey, subject: &str) -> TracedRead {
+        use crate::skipindex::decode::Trace;
+        let mut session =
+            SecureEvaluationSession::open(secure.header.clone(), key, config_for(subject)).unwrap();
+        let mut fetched = Vec::new();
+        while let SessionRequest::NeedChunk(index) = session.next_request() {
+            let (chunk, tag) = secure.sealed_chunk(index as usize).unwrap();
+            session.supply_chunk(index, &chunk, &tag).unwrap();
+            fetched.push(index);
+        }
+        let trace = session.reader.as_ref().unwrap().trace.clone();
+        let ranges = |kind: Trace| -> Vec<_> {
+            trace
+                .iter()
+                .filter(|(k, _)| *k == kind)
+                .map(|(_, range)| range.clone())
+                .collect()
+        };
+        let (revealed, skipped) = (ranges(Trace::Revealed), ranges(Trace::Skipped));
+        let (_, stats) = session.finish().unwrap();
+        TracedRead {
+            fetched,
+            revealed,
+            skipped,
+            stats,
+        }
+    }
+
+    /// The keystream blocks `range` touches: 16-byte blocks counted from
+    /// each chunk's start, a chunk's last block possibly short.
+    fn keystream_blocks(
+        range: &std::ops::Range<u64>,
+        chunk_size: u64,
+    ) -> Vec<std::ops::Range<u64>> {
+        let mut blocks = Vec::new();
+        let mut at = range.start;
+        while at < range.end {
+            let chunk_start = at / chunk_size * chunk_size;
+            let start = chunk_start + (at - chunk_start) / 16 * 16;
+            let end = (start + 16).min(chunk_start + chunk_size);
+            blocks.push(start..end);
+            at = end;
+        }
+        blocks
+    }
+
+    /// The chunks whose plaintext holds the tag dictionary: the SOE
+    /// decrypts them whole.
+    fn dictionary_chunks(secure: &SecureDocument) -> u32 {
+        let header = &secure.header;
+        header.tokens_start.div_ceil(u64::from(header.chunk_size)) as u32
+    }
+
+    /// A hospital folder with summaries from 16 bytes, so many subtrees are
+    /// skippable at every chunk size.
+    fn indexed_folder(
+        key: SecretKey,
+        chunk_size: usize,
+        recursive_bitmaps: bool,
+    ) -> SecureDocument {
+        SecureDocumentBuilder::new("folder", key)
+            .chunk_size(chunk_size)
+            .encoder_config(EncoderConfig {
+                min_index_bytes: 16,
+                recursive_bitmaps,
+                ..EncoderConfig::default()
+            })
+            .build(&hospital_doc(8))
+    }
+
+    #[test]
+    fn no_keystream_block_inside_a_skip_is_ever_computed() {
+        for chunk_size in [64usize, 100, 128, 250, 256, 512] {
+            for recursive_bitmaps in [true, false] {
+                let case = format!("chunk {chunk_size}, recursive {recursive_bitmaps}");
+                let secure = indexed_folder(key(), chunk_size, recursive_bitmaps);
+                let read = traced_read(&secure, key(), "secretary");
+                // Every deciphered byte is booked, and nothing else: the
+                // dictionary chunks whole, then what the reader revealed.
+                let eager: usize = (0..dictionary_chunks(&secure))
+                    .map(|i| secure.chunk(i as usize).unwrap().len())
+                    .sum();
+                let revealed: u64 = read.revealed.iter().map(|r| r.end - r.start).sum();
+                assert_eq!(
+                    read.stats.ledger.bytes_decrypted,
+                    eager + revealed as usize,
+                    "{case}"
+                );
+                let mut avoidable = 0;
+                for skip in &read.skipped {
+                    let inside = |block: &std::ops::Range<u64>| {
+                        skip.start <= block.start && block.end <= skip.end
+                    };
+                    for range in &read.revealed {
+                        for block in keystream_blocks(range, chunk_size as u64) {
+                            assert!(
+                                !inside(&block),
+                                "{case}: block {block:?} lies in the skip {skip:?}"
+                            );
+                        }
+                    }
+                    avoidable += keystream_blocks(skip, chunk_size as u64)
+                        .iter()
+                        .filter(|block| {
+                            inside(block)
+                                && read
+                                    .fetched
+                                    .contains(&((block.start / chunk_size as u64) as u32))
+                        })
+                        .count();
+                }
+                // The check had blocks to avoid: skipped bytes of fetched
+                // chunks stayed ciphertext.
+                assert!(avoidable > 0, "{case}");
+                assert!(
+                    read.stats.ledger.bytes_decrypted < read.stats.ledger.bytes_hashed,
+                    "{case}"
+                );
+            }
+        }
+    }
+
     // -- Applet level ------------------------------------------------------
 
     mod applet {
@@ -1607,6 +1747,64 @@ mod tests {
                 .exchange_expect_ok(&Apdu::simple(ins::CLOSE_SESSION, 0, 0))
                 .unwrap();
             String::from_utf8(text).unwrap()
+        }
+
+        #[test]
+        fn a_flipped_bit_the_soe_never_decrypts_still_fails_the_card_and_the_session() {
+            let server = TrustedServer::new(b"community", medical_rules());
+            let subject = Subject::new("secretary");
+            let secure = indexed_folder(server.document_key(), 128, true);
+            let read = traced_read(&secure, server.document_key(), "secretary");
+            // A byte of a fetched chunk past the dictionary that lies in a
+            // skip, in a keystream block the reader never computed.
+            let never_decrypted = |pos: &u64| {
+                let chunk = (pos / 128) as u32;
+                chunk >= dictionary_chunks(&secure)
+                    && read.fetched.contains(&chunk)
+                    && read
+                        .revealed
+                        .iter()
+                        .all(|r| keystream_blocks(r, 128).iter().all(|b| !b.contains(pos)))
+            };
+            let pos = read
+                .skipped
+                .iter()
+                .flat_map(|skip| skip.clone())
+                .find(never_decrypted)
+                .expect("a skipped byte of a fetched chunk");
+            let (index, at) = ((pos / 128) as usize, (pos % 128) as usize);
+            let mut chunks: Vec<_> = (0..secure.chunk_count())
+                .map(|i| secure.sealed_chunk(i).unwrap())
+                .collect();
+            let mut flipped = chunks[index].0.to_vec();
+            flipped[at] ^= 0x01;
+            chunks[index].0 = flipped.into();
+            let (chunks, tags) = chunks.into_iter().unzip();
+            let tampered = SecureDocument::new(secure.header.clone(), chunks, tags);
+
+            // The in-process session ...
+            let mut session = SecureEvaluationSession::open(
+                tampered.header.clone(),
+                server.document_key(),
+                config_for("secretary"),
+            )
+            .unwrap();
+            assert!(is_integrity_failure(&run_local(&tampered, &mut session)));
+            // ... and the card refuse the chunk when it arrives.
+            let mut runtime = card(&server, &subject, CardProfile::unconstrained());
+            provision(&mut runtime, &server, &subject);
+            runtime
+                .exchange_expect_ok(
+                    &Apdu::new(ins::OPEN_SESSION, 0, 0, tampered.header.encode()).unwrap(),
+                )
+                .unwrap();
+            card_at(&mut runtime, &tampered, |i| i as usize == index);
+            let (chunk, tag) = tampered.sealed_chunk(index).unwrap();
+            let status = push_chunk(&mut runtime, index as u32, &chunk, &tag);
+            assert!(matches!(
+                AccessControlApplet::error_for(status),
+                Some(CoreError::Crypto(CryptoError::IntegrityFailure { .. }))
+            ));
         }
 
         #[test]

@@ -8,7 +8,9 @@
 //! * the plaintext (tag dictionary + token stream) is split into fixed-size
 //!   **chunks**, each encrypted independently under AES-128-CTR from the
 //!   counter block `nonce ‖ index ‖ 0` — so the SOE can decrypt any chunk in
-//!   isolation, which is what makes skipping possible,
+//!   isolation, which is what makes skipping whole chunks possible, and any
+//!   keystream block of a chunk in isolation ([`ChunkKeystream`]), which
+//!   lets it leave the skipped bytes of a fetched chunk ciphertext,
 //! * the document **nonce** is synthetic: a keyed PRF of the id, the chunk
 //!   size and the whole plaintext. Two builds share a keystream only when
 //!   they encrypt the same bytes the same way, and then their ciphertexts
@@ -26,17 +28,19 @@
 //! The types themselves ([`DocumentHeader`], [`ChunkTag`], [`SecureDocument`])
 //! live in the key-free `sdds-wire` crate and are re-exported here: the DSP
 //! depends on that crate alone. This module holds the crypto over them — the
-//! builder, header and chunk verification, the chunk cipher — and is the only
-//! code that computes or inspects a tag.
+//! builder, header and chunk verification, the chunk cipher and its
+//! on-demand keystream — and is the only code that computes or inspects a
+//! tag or runs the chunk cipher.
 
 use std::sync::Arc;
 
-use sdds_crypto::modes::{chunk_iv, ctr_apply};
+use sdds_crypto::modes::{chunk_iv, ctr_apply, ctr_apply_at};
 use sdds_crypto::siphash::siphash24;
 use sdds_crypto::{verify_mac, Aes128, CryptoError, KeyDeriver, PolyAesKey, SecretKey};
 use sdds_xml::Document;
 
 use crate::error::CoreError;
+use crate::skipindex::decode::Keystream;
 use crate::skipindex::encode::{DocumentEncoder, EncodeStats, EncoderConfig};
 
 pub use sdds_wire::{ChunkTag, DocumentHeader, SecureDocument, TAG_LEN};
@@ -137,12 +141,67 @@ pub fn integrity_key(keys: &KeyDeriver) -> PolyAesKey {
     PolyAesKey::new([&r1, &r2], [&k1, &k2])
 }
 
-/// Decrypts one chunk in place under the document's chunk cipher (see
+/// Decrypts one whole chunk in place under the document's chunk cipher (see
 /// [`document_cipher`]) and header: `chunk` holds the ciphertext on entry
-/// and the plaintext on return. Called by the SOE only after the chunk's
-/// tag verified.
+/// and the plaintext on return. The SOE calls it, only after the chunk's
+/// tag verified, on the chunks that hold the tag dictionary; the token
+/// stream it deciphers on demand with a [`ChunkKeystream`] instead. The DOM
+/// baseline decrypts every chunk with it.
 pub fn decrypt_chunk(cipher: &Aes128, header: &DocumentHeader, index: u32, chunk: &mut [u8]) {
     ctr_apply(cipher, &chunk_iv(&header.nonce, index), chunk);
+}
+
+/// The keystream of a document's chunks, as one stream over the plaintext
+/// offsets: byte `o` is byte `o mod chunk_size` of chunk `o / chunk_size`,
+/// whose CTR counter starts at [`chunk_iv`]. It borrows the session's chunk
+/// cipher and deciphers any range of ciphertext in place, one keystream
+/// block at a time, so the token reader decrypts only the bytes it decodes
+/// (see [`Keystream`]). Only verified chunks ever reach it: the SOE supplies
+/// a chunk's ciphertext to the reader after its tag checks.
+#[derive(Clone, Copy)]
+pub struct ChunkKeystream<'k> {
+    cipher: &'k Aes128,
+    nonce: &'k [u8; 8],
+    chunk_size: u64,
+}
+
+impl<'k> ChunkKeystream<'k> {
+    /// The keystream of the document `header` describes, under its chunk
+    /// cipher (see [`document_cipher`]).
+    pub fn new(cipher: &'k Aes128, header: &'k DocumentHeader) -> Self {
+        ChunkKeystream {
+            cipher,
+            nonce: &header.nonce,
+            chunk_size: u64::from(header.chunk_size),
+        }
+    }
+}
+
+impl Keystream for ChunkKeystream<'_> {
+    fn reveal(&self, offset: u64, bytes: &mut [u8], min: usize) -> usize {
+        const BLOCK: usize = sdds_crypto::aes::BLOCK_SIZE;
+        let chunk_size = self.chunk_size as usize;
+        let mut chunk = (offset / self.chunk_size) as u32;
+        let mut in_chunk = (offset % self.chunk_size) as usize;
+        let mut done = 0;
+        while done < min {
+            // Through the block that holds byte `min - 1` (a chunk's last
+            // block may be short), and not past `bytes`.
+            let end = (in_chunk + (min - done))
+                .next_multiple_of(BLOCK)
+                .min(chunk_size);
+            let len = (end - in_chunk).min(bytes.len() - done);
+            ctr_apply_at(
+                self.cipher,
+                &chunk_iv(self.nonce, chunk),
+                in_chunk,
+                &mut bytes[done..done + len],
+            );
+            done += len;
+            (chunk, in_chunk) = (chunk.wrapping_add(1), 0);
+        }
+        done
+    }
 }
 
 /// Builder for [`SecureDocument`].

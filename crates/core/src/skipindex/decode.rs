@@ -1,12 +1,16 @@
 //! SOE-side streaming reader of the binary token stream.
 //!
 //! The reader is deliberately *incremental and push-fed*: the card never holds
-//! more than a small window of decrypted plaintext (the terminal pushes
-//! encrypted chunks one APDU at a time), and it must be able to **skip** a
-//! summarised subtree by simply advancing its cursor — the skipped bytes are
-//! then never requested, transferred, nor decrypted, which is precisely the
-//! benefit measured in experiment E2.
+//! more than a small window of the stream (the terminal pushes encrypted
+//! chunks one APDU at a time), and it must be able to **skip** a summarised
+//! subtree by simply advancing its cursor. The window holds **ciphertext**:
+//! the reader deciphers it on demand, one keystream block at a time just
+//! ahead of the token it decodes (see [`Keystream`]), so the skipped bytes of
+//! a fetched chunk are never decrypted, and those of chunks that lie wholly
+//! inside a skip are never even requested or transferred. Both savings are
+//! what experiment E2 measures.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use sdds_xml::{AttrSpan, AttrsRef, Event, EventRef, TagDict, TagId, TagSet};
@@ -43,17 +47,57 @@ pub enum ReadResult<'r> {
     End,
 }
 
+// How far past a byte the reader needs it may decipher without ever
+// touching a skipped byte. A skip starts right after a SUMMARY token (a
+// marker and two varints: at least 3 bytes), and a SUMMARY only directly
+// follows an OPEN token (a marker and two varints: at least 3 bytes). So no
+// skip starts within the first 3 bytes of any token, within 3 bytes after
+// an attribute value (the OPEN's end, then a SUMMARY), or within 6 bytes
+// after a TEXT token (an OPEN, then a SUMMARY). Deciphering those bytes
+// with the ones a token needs saves separate keystream calls for them.
+
+/// Bytes from a token's start that are never skipped.
+const SLACK_AT_TOKEN: usize = 3;
+/// Bytes after an attribute value that are never skipped.
+const SLACK_IN_OPEN: usize = 3;
+/// Bytes after a TEXT token that are never skipped.
+const SLACK_AFTER_TEXT: usize = 6;
+
+/// The keystream of a ciphered token stream, which the reader runs over its
+/// window on demand (the SOE's is `crate::secdoc::ChunkKeystream`).
+pub trait Keystream {
+    /// Deciphers in place a prefix of `bytes`, the stream's bytes from
+    /// absolute offset `offset` on: at least the first `min` of them
+    /// (`min <= bytes.len()`), and then on to the end of the keystream block
+    /// holding the last of those (never past `bytes`). Returns the length of
+    /// the prefix it deciphered; no byte past it is touched.
+    fn reveal(&self, offset: u64, bytes: &mut [u8], min: usize) -> usize;
+}
+
+/// The keystream of a stream supplied as plaintext: nothing to decipher.
+struct Cleartext;
+
+impl Keystream for Cleartext {
+    fn reveal(&self, _offset: u64, bytes: &mut [u8], _min: usize) -> usize {
+        bytes.len()
+    }
+}
+
 /// Incremental reader of the binary token stream.
 ///
-/// The window holds decrypted bytes from `window_start` on; `cursor` marks
-/// the next byte to decode. Decoding a token or skipping a subtree only moves
-/// the cursor: the consumed bytes are dropped once per [`TokenReader::supply`]
-/// (or [`TokenReader::supply_with`]), never per token.
+/// The window holds the stream from `window_start` on; `cursor` marks the
+/// next byte to decode, and the bytes below `plain_end` are plaintext, those
+/// from it on still ciphertext:
+/// `window_start ≤ cursor ≤ plain_end ≤ window_start + window.len()`.
+/// Decoding reads below `plain_end` only, raising it a keystream block at a
+/// time as a token needs the bytes; a skip moves the cursor, and the
+/// watermark with it, past ciphertext that is never deciphered. Consumed
+/// bytes are dropped once per supply, never per token.
 ///
 /// Decoding allocates nothing in the steady state: events borrow from the
 /// window and the dictionary, an open tag's attributes are recorded as spans
-/// in one reused vector, and a summary's tag set is decoded into one reused
-/// [`TagSet`].
+/// over one reused string of their checked values, and a summary's tag set is
+/// decoded into one reused [`TagSet`].
 #[derive(Debug)]
 pub struct TokenReader {
     dict: TagDict,
@@ -64,13 +108,20 @@ pub struct TokenReader {
     /// Absolute offset of `window[0]`; never past `cursor`.
     window_start: u64,
     window: Vec<u8>,
-    /// Absolute offset of the next byte to decode; never past the window end.
+    /// Absolute offset of the next byte to decode; never past `plain_end`.
     cursor: u64,
+    /// Absolute offset of the first byte still ciphertext; never past the
+    /// window end.
+    plain_end: u64,
+    /// Bytes deciphered since the last [`TokenReader::take_revealed`].
+    revealed: usize,
     depth: usize,
     /// Tags of the open elements; a close borrows its name from the dictionary.
     open_tags: Vec<TagId>,
-    /// Attributes of the last open tag, as spans over `window`.
+    /// Attributes of the last open tag, as spans over `attr_values`.
     attr_spans: Vec<AttrSpan>,
+    /// The checked values of the last open tag's attributes, end to end.
+    attr_values: String,
     /// Tag set of the last summary.
     summary_tags: TagSet,
     /// Reference tag sets of enclosing summaries: `(depth, reference)`. Only
@@ -81,6 +132,9 @@ pub struct TokenReader {
     /// Set when the last decoded token was an OPEN, in which case a SUMMARY
     /// may follow and would describe that element.
     last_open_depth: Option<usize>,
+    /// Every range deciphered and every range skipped, in stream order.
+    #[cfg(test)]
+    pub(crate) trace: Vec<(Trace, Range<u64>)>,
 }
 
 impl TokenReader {
@@ -96,13 +150,18 @@ impl TokenReader {
             window_start: start_offset,
             window: Vec::new(),
             cursor: start_offset,
+            plain_end: start_offset,
+            revealed: 0,
             depth: 0,
             open_tags: Vec::new(),
             attr_spans: Vec::new(),
+            attr_values: String::new(),
             summary_tags: TagSet::new(),
             ref_stack: Vec::new(),
             spare_refs: Vec::new(),
             last_open_depth: None,
+            #[cfg(test)]
+            trace: Vec::new(),
         }
     }
 
@@ -137,26 +196,28 @@ impl TokenReader {
         self.cursor >= self.stream_len
     }
 
-    /// Supplies plaintext bytes starting at absolute `offset`. Bytes the reader
-    /// has already consumed are ignored; a gap after the current window is an
-    /// error.
-    pub fn supply(&mut self, offset: u64, bytes: &[u8]) -> Result<(), CoreError> {
-        self.supply_with(offset, bytes.len(), |tail| tail.copy_from_slice(bytes))
+    /// Bytes deciphered (run through the keystream) since the last call.
+    pub fn take_revealed(&mut self) -> usize {
+        std::mem::take(&mut self.revealed)
     }
 
-    /// Supplies the `len` bytes starting at absolute `offset` by letting `fill`
-    /// write them straight into the window's tail, e.g. copy a chunk's
-    /// ciphertext there and decrypt it in place. `fill` is not called when
-    /// every byte is already supplied or consumed; otherwise the rules of
-    /// [`TokenReader::supply`] apply.
-    pub fn supply_with(
-        &mut self,
-        offset: u64,
-        len: usize,
-        fill: impl FnOnce(&mut [u8]),
-    ) -> Result<(), CoreError> {
+    /// Supplies plaintext bytes starting at absolute `offset`. Bytes the reader
+    /// has already consumed are ignored; a gap after the current window is an
+    /// error. The window must hold no ciphertext yet to decipher.
+    pub fn supply(&mut self, offset: u64, bytes: &[u8]) -> Result<(), CoreError> {
+        debug_assert_eq!(self.plain_end, self.needed_offset(), "ciphertext pending");
+        self.supply_ciphertext(offset, bytes)?;
+        self.plain_end = self.needed_offset();
+        Ok(())
+    }
+
+    /// Supplies ciphertext bytes starting at absolute `offset`, under the
+    /// rules of [`TokenReader::supply`]. They stay ciphertext in the window
+    /// until [`TokenReader::next_token_with`] deciphers them with the
+    /// stream's keystream, as far as a token needs them.
+    pub fn supply_ciphertext(&mut self, offset: u64, bytes: &[u8]) -> Result<(), CoreError> {
         let window_end = self.needed_offset();
-        if offset + len as u64 <= window_end {
+        if offset + bytes.len() as u64 <= window_end {
             return Ok(()); // entirely stale (e.g. a chunk that was skipped over)
         }
         if offset > window_end {
@@ -169,16 +230,14 @@ impl TokenReader {
         // Drop the consumed bytes: the one compaction per supply.
         self.window.drain(..self.rel());
         self.window_start = self.cursor;
-        let at = self.window.len();
-        self.window.resize(at + len, 0);
-        fill(&mut self.window[at..]);
         // Bytes of the piece before `window_end` are already known: behind the
         // cursor they wait for the next compaction, in the window they go now.
-        let known = (window_end - offset) as usize;
-        if at == 0 {
+        if self.window.is_empty() {
             self.window_start = offset;
+            self.window.extend_from_slice(bytes);
         } else {
-            self.window.drain(at..at + known);
+            self.window
+                .extend_from_slice(&bytes[(window_end - offset) as usize..]);
         }
         Ok(())
     }
@@ -197,10 +256,15 @@ impl TokenReader {
                     self.cursor
                 ),
             })?;
+        #[cfg(test)]
+        self.trace
+            .push((Trace::Skipped, self.cursor - content_len..self.cursor));
         if self.cursor >= self.needed_offset() {
             self.window.clear();
             self.window_start = self.cursor;
         }
+        // The skipped bytes are never deciphered.
+        self.plain_end = self.plain_end.max(self.cursor);
         // A skip consumes the content of the element that was just opened; the
         // next token is its CLOSE.
         self.last_open_depth = None;
@@ -211,44 +275,125 @@ impl TokenReader {
         (self.cursor - self.window_start) as usize
     }
 
-    /// Decodes the next token, if the window holds a complete one.
+    /// Window index of `plain_end`.
+    fn plain_rel(&self) -> usize {
+        (self.plain_end - self.window_start) as usize
+    }
+
+    /// Deciphers the window from `plain_end` through the keystream block
+    /// holding window byte `end - 1` (`end` within the window). Kept out of
+    /// line: the decoding fast path only compares against the watermark.
+    #[inline(never)]
+    fn reveal(&mut self, keystream: &impl Keystream, end: usize) {
+        let from = self.plain_rel();
+        let revealed = keystream.reveal(self.plain_end, &mut self.window[from..], end - from);
+        #[cfg(test)]
+        self.trace.push((
+            Trace::Revealed,
+            self.plain_end..self.plain_end + revealed as u64,
+        ));
+        self.plain_end += revealed as u64;
+        self.revealed += revealed;
+    }
+
+    /// The varint at window index `pos`, deciphered as far as it runs;
+    /// `None` when the window ends first.
+    #[inline(always)]
+    fn varint(&mut self, keystream: &impl Keystream, pos: usize) -> Option<(u64, usize)> {
+        loop {
+            let plain = self.plain_rel();
+            if let Some(varint) = read_varint(&self.window[..plain], pos) {
+                return Some(varint);
+            }
+            if plain == self.window.len() {
+                return None;
+            }
+            self.reveal(keystream, plain + 1);
+        }
+    }
+
+    /// The window range of the `len` bytes from index `pos`, deciphered
+    /// together with up to `slack` bytes after them that no skip can start
+    /// before (see [`SLACK_AFTER_TEXT`]); `None` when the window ends
+    /// first. `len` is read from untrusted bytes, so `pos + len` must not
+    /// overflow.
+    #[inline(always)]
+    fn span(
+        &mut self,
+        keystream: &impl Keystream,
+        pos: usize,
+        len: u64,
+        slack: usize,
+    ) -> Option<Range<usize>> {
+        let end = pos.checked_add(usize::try_from(len).ok()?)?;
+        if end > self.window.len() {
+            return None;
+        }
+        if end > self.plain_rel() {
+            self.reveal(keystream, (end + slack).min(self.window.len()));
+        }
+        Some(pos..end)
+    }
+
+    /// Decodes the next token of a stream supplied as plaintext (see
+    /// [`TokenReader::supply`]), if the window holds a complete one.
     pub fn next_token(&mut self) -> Result<ReadResult<'_>, CoreError> {
+        self.next_token_with(&Cleartext)
+    }
+
+    /// Decodes the next token, if the window holds a complete one,
+    /// deciphering with `keystream` the bytes the token needs that are still
+    /// ciphertext (with the few after them no skip can start in), to the end
+    /// of their keystream blocks.
+    pub fn next_token_with(
+        &mut self,
+        keystream: &impl Keystream,
+    ) -> Result<ReadResult<'_>, CoreError> {
         if self.at_end() {
             return Ok(ReadResult::End);
         }
         let start = self.rel();
-        let Some(&marker) = self.window.get(start) else {
+        if start >= self.window.len() {
             return Ok(ReadResult::NeedData);
-        };
-        match marker {
+        }
+        let head = (start + SLACK_AT_TOKEN).min(self.window.len());
+        if head > self.plain_rel() {
+            self.reveal(keystream, head);
+        }
+        match self.window[start] {
             token::OPEN => {
                 let mut pos = start + 1;
-                let Some((tag, used)) = read_varint(&self.window, pos) else {
+                let Some((tag, used)) = self.varint(keystream, pos) else {
                     return Ok(ReadResult::NeedData);
                 };
                 pos += used;
-                let Some((attr_count, used)) = read_varint(&self.window, pos) else {
+                let Some((attr_count, used)) = self.varint(keystream, pos) else {
                     return Ok(ReadResult::NeedData);
                 };
                 pos += used;
                 self.attr_spans.clear();
+                self.attr_values.clear();
                 for _ in 0..attr_count {
-                    let Some((name_id, used)) = read_varint(&self.window, pos) else {
+                    let Some((name_id, used)) = self.varint(keystream, pos) else {
                         return Ok(ReadResult::NeedData);
                     };
                     pos += used;
-                    let Some((value_len, used)) = read_varint(&self.window, pos) else {
+                    let Some((value_len, used)) = self.varint(keystream, pos) else {
                         return Ok(ReadResult::NeedData);
                     };
                     pos += used;
-                    let Some(value) = window_slice(&self.window, pos, value_len) else {
+                    let Some(value) = self.span(keystream, pos, value_len, SLACK_IN_OPEN) else {
                         return Ok(ReadResult::NeedData);
                     };
-                    utf8(value, "attribute value")?;
-                    let value = pos..pos + value.len();
                     pos = value.end;
+                    let from = self.attr_values.len();
+                    self.attr_values
+                        .push_str(utf8(&self.window[value], "attribute value")?);
                     let name = Arc::clone(tag_name(&self.dict, name_id)?.1);
-                    self.attr_spans.push(AttrSpan { name, value });
+                    self.attr_spans.push(AttrSpan {
+                        name,
+                        value: from..self.attr_values.len(),
+                    });
                 }
                 let (id, name) = tag_name(&self.dict, tag)?;
                 self.cursor += (pos - start) as u64;
@@ -257,19 +402,19 @@ impl TokenReader {
                 self.last_open_depth = Some(self.depth);
                 Ok(ReadResult::Token(TokenEvent::Event(EventRef::Open {
                     name,
-                    attrs: AttrsRef::spans(&self.attr_spans, &self.window),
+                    attrs: AttrsRef::spans(&self.attr_spans, &self.attr_values),
                 })))
             }
             token::TEXT => {
                 let mut pos = start + 1;
-                let Some((len, used)) = read_varint(&self.window, pos) else {
+                let Some((len, used)) = self.varint(keystream, pos) else {
                     return Ok(ReadResult::NeedData);
                 };
                 pos += used;
-                let Some(text) = window_slice(&self.window, pos, len) else {
+                let Some(text) = self.span(keystream, pos, len, SLACK_AFTER_TEXT) else {
                     return Ok(ReadResult::NeedData);
                 };
-                let text = utf8(text, "text")?;
+                let text = utf8(&self.window[text], "text")?;
                 self.cursor += (pos + text.len() - start) as u64;
                 self.last_open_depth = None;
                 Ok(ReadResult::Token(TokenEvent::Event(EventRef::Text(text))))
@@ -296,23 +441,23 @@ impl TokenReader {
                     });
                 };
                 let mut pos = start + 1;
-                let Some((content_len, used)) = read_varint(&self.window, pos) else {
+                let Some((content_len, used)) = self.varint(keystream, pos) else {
                     return Ok(ReadResult::NeedData);
                 };
                 pos += used;
-                let Some((bitmap_len, used)) = read_varint(&self.window, pos) else {
+                let Some((bitmap_len, used)) = self.varint(keystream, pos) else {
                     return Ok(ReadResult::NeedData);
                 };
                 pos += used;
-                let Some(bitmap) = window_slice(&self.window, pos, bitmap_len) else {
+                let Some(bitmap) = self.span(keystream, pos, bitmap_len, 0) else {
                     return Ok(ReadResult::NeedData);
                 };
+                self.cursor += (bitmap.end - start) as u64;
                 let reference = self
                     .ref_stack
                     .last()
                     .map_or(&self.full_reference, |(_, r)| r);
-                reference.decode_into(bitmap, &mut self.summary_tags);
-                self.cursor += (pos + bitmap.len() - start) as u64;
+                reference.decode_into(&self.window[bitmap], &mut self.summary_tags);
                 // Nested summaries are encoded against this subtree's tag set
                 // (recursive compression) or the full dictionary.
                 if self.recursive_bitmaps {
@@ -352,12 +497,6 @@ fn utf8<'a>(bytes: &'a [u8], what: &str) -> Result<&'a str, CoreError> {
     })
 }
 
-/// The `len` bytes of `window` from `pos`, if the window holds them all.
-/// `len` is read from untrusted bytes, so `pos + len` must not overflow.
-fn window_slice(window: &[u8], pos: usize, len: u64) -> Option<&[u8]> {
-    window.get(pos..)?.get(..usize::try_from(len).ok()?)
-}
-
 /// Convenience helper: decodes a full in-memory plaintext (dictionary +
 /// tokens) into events, honouring no skip. Used by tests and by the DOM
 /// baseline, which by definition reads everything.
@@ -386,6 +525,14 @@ pub fn decode_all(plaintext: &[u8], recursive_bitmaps: bool) -> Result<Vec<Event
         }
     }
     Ok(events)
+}
+
+/// What the reader did with a range of the stream.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Trace {
+    Revealed,
+    Skipped,
 }
 
 #[cfg(test)]

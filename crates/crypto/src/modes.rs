@@ -27,16 +27,42 @@ fn xor_block(dst: &mut [u8], mask: &[u8; BLOCK_SIZE]) {
 /// symmetric). The 16-byte `nonce` is the initial counter block; the counter
 /// occupies the last 4 bytes (big-endian) and is incremented per block,
 /// wrapping inside those 4 bytes, so it never carries into the bytes before
-/// them (see [`chunk_iv`]).
+/// them (see [`chunk_iv`]). This is [`ctr_apply_at`] from byte 0.
 pub fn ctr_apply(cipher: &Aes128, nonce: &[u8; BLOCK_SIZE], data: &mut [u8]) {
-    let mut counter_block = *nonce;
+    ctr_apply_at(cipher, nonce, 0, data);
+}
+
+/// [`ctr_apply`] on a piece of a CTR stream: `data` holds the stream's
+/// bytes from `byte_offset` on. CTR can start at any block (NIST SP
+/// 800-38A, §6.5), so the bytes before `byte_offset` are never touched nor
+/// their keystream computed, and applying the pieces of a stream in any
+/// order equals applying the whole stream at once. Only the keystream
+/// blocks `data` overlaps are computed: a piece that starts or ends
+/// mid-block uses the rest or the start of that block.
+pub fn ctr_apply_at(cipher: &Aes128, iv: &[u8; BLOCK_SIZE], byte_offset: usize, data: &mut [u8]) {
+    let mut counter_block = *iv;
     // lint: infallible — a 4-byte slice of a `[u8; BLOCK_SIZE]` block.
-    let mut counter = u32::from_be_bytes(counter_block[12..16].try_into().expect("4 bytes"));
-    for chunk in data.chunks_mut(BLOCK_SIZE) {
+    let base = u32::from_be_bytes(counter_block[12..16].try_into().expect("4 bytes"));
+    // The counter wraps in its 4 bytes, so the block index is taken mod 2^32.
+    let mut counter = base.wrapping_add((byte_offset / BLOCK_SIZE) as u32);
+    let mut keystream = |counter: u32| {
         counter_block[12..16].copy_from_slice(&counter.to_be_bytes());
-        let mut keystream = counter_block;
-        cipher.encrypt_block(&mut keystream);
-        xor_block(chunk, &keystream);
+        let mut block = counter_block;
+        cipher.encrypt_block(&mut block);
+        block
+    };
+    let mut data = data;
+    let lead = byte_offset % BLOCK_SIZE;
+    if lead != 0 && !data.is_empty() {
+        let (head, rest) = data.split_at_mut((BLOCK_SIZE - lead).min(data.len()));
+        for (d, m) in head.iter_mut().zip(&keystream(counter)[lead..]) {
+            *d ^= m;
+        }
+        data = rest;
+        counter = counter.wrapping_add(1);
+    }
+    for chunk in data.chunks_mut(BLOCK_SIZE) {
+        xor_block(chunk, &keystream(counter));
         counter = counter.wrapping_add(1);
     }
 }
@@ -107,6 +133,76 @@ mod tests {
         assert_eq!(ctr(&c, &counter, &expected), plain);
         // A stream that ends mid-block uses a keystream prefix.
         assert_eq!(ctr(&c, &counter, &plain[..37]), expected[..37]);
+    }
+
+    /// `data` encrypted piece by piece: the pieces end at `cuts` (sorted
+    /// byte offsets) and are applied last first, each at its own offset.
+    fn ctr_in_pieces(
+        cipher: &Aes128,
+        nonce: &[u8; BLOCK_SIZE],
+        data: &[u8],
+        cuts: &[usize],
+    ) -> Vec<u8> {
+        let mut out = data.to_vec();
+        let mut bounds = vec![0];
+        bounds.extend(cuts.iter().copied().filter(|&c| c < data.len()));
+        bounds.push(data.len());
+        for piece in bounds.windows(2).rev() {
+            ctr_apply_at(cipher, nonce, piece[0], &mut out[piece[0]..piece[1]]);
+        }
+        out
+    }
+
+    #[test]
+    fn sp800_38a_f5_in_pieces_split_mid_block() {
+        let (c, plain) = sp800_38a();
+        let counter: [u8; 16] = hex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff").try_into().unwrap();
+        let expected = ctr(&c, &counter, &plain);
+        for cuts in [
+            &[7][..],
+            &[16],
+            &[1, 2, 3],
+            &[15, 17, 40],
+            &[9, 25, 41, 57, 63],
+        ] {
+            assert_eq!(
+                ctr_in_pieces(&c, &counter, &plain, cuts),
+                expected,
+                "{cuts:?}"
+            );
+        }
+        // The second half of block 1 alone, as F.5.1 lists it.
+        let mut piece = plain[24..32].to_vec();
+        ctr_apply_at(&c, &counter, 24, &mut piece);
+        assert_eq!(piece, hex("8617187bb9fffdff"));
+    }
+
+    #[test]
+    fn ctr_pieces_at_arbitrary_offsets_equal_the_whole_chunk() {
+        // Chunk lengths that are and are not multiples of the block, cut at
+        // pseudo-random offsets (a fixed LCG: reproducible).
+        let c = cipher();
+        let nonce = chunk_iv(&[9; 8], 41);
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound
+        };
+        for len in [1usize, 15, 16, 17, 100, 250, 256, 512] {
+            let plain: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            let whole = ctr(&c, &nonce, &plain);
+            for _ in 0..16 {
+                let mut cuts: Vec<usize> = (0..next(6)).map(|_| next(len)).collect();
+                cuts.sort_unstable();
+                assert_eq!(
+                    ctr_in_pieces(&c, &nonce, &plain, &cuts),
+                    whole,
+                    "{len}: {cuts:?}"
+                );
+            }
+        }
     }
 
     #[test]

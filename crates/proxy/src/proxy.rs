@@ -83,6 +83,8 @@ pub struct Terminal {
     pub(crate) batched: BatchedChannel,
     /// Peak secure RAM the card's last session reported at `CLOSE_SESSION`.
     soe_peak_ram: usize,
+    /// True from a successful `OPEN_SESSION` to its `CLOSE_SESSION`.
+    session_open: bool,
 }
 
 impl std::fmt::Debug for Terminal {
@@ -109,6 +111,7 @@ impl Terminal {
             open_policy: false,
             batched: BatchedChannel::new(profile.cost.channel),
             soe_peak_ram: 0,
+            session_open: false,
         }
     }
 
@@ -154,18 +157,24 @@ impl Terminal {
     /// card already holds its rules).
     pub fn evaluate_local(&mut self, document: &SecureDocument) -> Result<String, ProxyError> {
         let obs = SessionObs::default();
-        self.open_card_session(&document.header.encode())?;
-        while let Some(index) = self.next_request()? {
-            let (chunk, tag) = document
-                .sealed_chunk(index as usize)
-                .ok_or_else(|| ProxyError::Protocol(format!("chunk {index} out of range")))?;
-            self.push_chunk(index, &chunk, &tag, &obs)?;
+        let mut run = || {
+            self.open_card_session(&document.header.encode())?;
+            while let Some(index) = self.next_request()? {
+                let (chunk, tag) = document
+                    .sealed_chunk(index as usize)
+                    .ok_or_else(|| ProxyError::Protocol(format!("chunk {index} out of range")))?;
+                self.push_chunk(index, &chunk, &tag, &obs)?;
+            }
+            self.finish(&obs)
+        };
+        let view = run();
+        if view.is_err() {
+            self.abort(&obs);
         }
-        let view = self.finish(&obs)?;
         // One item is one batch; closing it also keeps the queue from
         // growing across the items a terminal evaluates.
         self.end_step();
-        Ok(view)
+        view
     }
 
     /// Connects this terminal to the shared multi-client DSP service for one
@@ -210,6 +219,24 @@ impl Terminal {
             u8::from(self.open_policy),
             header,
         )?)?;
+        self.session_open = true;
+        Ok(())
+    }
+
+    /// Closes the card's session, processed or not: the card merges the
+    /// SOE's counters into its ledger and answers with the session's
+    /// statistics, of which the terminal keeps the peak RAM. The exchange
+    /// rides the step's batch, with its 20 bytes of statistics.
+    fn close_card_session(&mut self, obs: &SessionObs) -> Result<(), ProxyError> {
+        self.session_open = false;
+        let closed = self.exchange(&Apdu::simple(ins::CLOSE_SESSION, 0, 0))?;
+        let peak: [u8; 4] = closed
+            .get(16..20)
+            .and_then(|peak| peak.try_into().ok())
+            .ok_or_else(|| ProxyError::Protocol("bad CLOSE_SESSION response".into()))?;
+        self.soe_peak_ram = u32::from_le_bytes(peak) as usize;
+        self.batched.queue(5, closed.len() + 2);
+        obs.record_exchange(5, closed.len() + 2);
         Ok(())
     }
 
@@ -303,21 +330,22 @@ impl SoeTransport for Terminal {
         }
         let view = String::from_utf8(bytes)
             .map_err(|_| ProxyError::Protocol("non UTF-8 output".into()))?;
-        let closed = self.exchange(&Apdu::simple(ins::CLOSE_SESSION, 0, 0))?;
-        let peak: [u8; 4] = closed
-            .get(16..20)
-            .and_then(|peak| peak.try_into().ok())
-            .ok_or_else(|| ProxyError::Protocol("bad CLOSE_SESSION response".into()))?;
-        self.soe_peak_ram = u32::from_le_bytes(peak) as usize;
         // The authorized view ships back over GET_OUTPUT responses, followed
         // by the CLOSE_SESSION exchange and its statistics: the final batch
         // carries them so the simulated latency really covers the whole
         // session.
         self.batched.queue(5, view.len() + 2);
-        self.batched.queue(5, closed.len() + 2);
         obs.record_exchange(5, view.len() + 2);
-        obs.record_exchange(5, closed.len() + 2);
+        self.close_card_session(obs)?;
         Ok(view)
+    }
+
+    fn abort(&mut self, obs: &SessionObs) {
+        if self.session_open {
+            // The session already failed; a card that also refuses to
+            // close it adds nothing the caller can act on.
+            let _ = self.close_card_session(obs);
+        }
     }
 
     fn end_step(&mut self) {

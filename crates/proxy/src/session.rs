@@ -72,6 +72,11 @@ pub trait SoeTransport: Send {
     /// Ends the SOE session once the document is processed.
     fn finish(&mut self, obs: &SessionObs) -> Result<Self::Output, ProxyError>;
 
+    /// Ends a session that failed after it was opened, so what the SOE
+    /// did before the failure is still booked (the card merges its
+    /// counters into its ledger). Nothing happens when no session is open.
+    fn abort(&mut self, _obs: &SessionObs) {}
+
     /// Closes the exchanges of one step (the card coalesces them into one
     /// batch).
     fn end_step(&mut self) {}
@@ -249,6 +254,9 @@ impl<T: SoeTransport> Schedulable for PullSession<T> {
             return Ok(StepOutcome::Complete);
         }
         let result = self.serve(quantum);
+        if result.is_err() {
+            self.transport.abort(&self.obs);
+        }
         // Close the step's exchanges whatever happened: latency accounting
         // must not leak a partial batch into the next step.
         self.transport.end_step();

@@ -63,18 +63,18 @@ pub struct AttrRef<'a> {
     pub value: &'a str,
 }
 
-/// Where a decoder found one attribute: its name, and the byte range of its
-/// value in the decoder's buffer (see [`AttrsRef::spans`]).
+/// Where a decoder put one attribute: its name, and the byte range of its
+/// value in the decoder's string of values (see [`AttrsRef::spans`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttrSpan {
     /// Attribute name, shared from the decoder's dictionary.
     pub name: Arc<str>,
-    /// Byte range of the value in the buffer the span was recorded against.
+    /// Byte range of the value in the string the span was recorded against.
     pub value: Range<usize>,
 }
 
 /// The attributes of a borrowed `Open` event: the slice of an owned event,
-/// or spans recorded by a decoder over the bytes it decoded them from.
+/// or spans recorded by a decoder over one string of their values.
 #[derive(Debug, Clone, Copy)]
 pub struct AttrsRef<'a>(AttrsRepr<'a>);
 
@@ -83,7 +83,7 @@ enum AttrsRepr<'a> {
     Owned(&'a [Attribute]),
     Spans {
         spans: &'a [AttrSpan],
-        bytes: &'a [u8],
+        values: &'a str,
     },
 }
 
@@ -96,11 +96,12 @@ impl<'a> AttrsRef<'a> {
         AttrsRef(AttrsRepr::Owned(attrs))
     }
 
-    /// Attributes whose values are `bytes[span.value]`. The recorder must
-    /// have checked every such range as UTF-8 (a decoder rejects a value
-    /// that is not); a range that is not UTF-8 reads as the empty string.
-    pub fn spans(spans: &'a [AttrSpan], bytes: &'a [u8]) -> Self {
-        AttrsRef(AttrsRepr::Spans { spans, bytes })
+    /// Attributes whose values are `values[span.value]`: the decoder checks
+    /// each value as UTF-8 once, when it copies it into `values`, so an
+    /// access only slices. A range that is out of bounds or not on a
+    /// character boundary reads as the empty string.
+    pub fn spans(spans: &'a [AttrSpan], values: &'a str) -> Self {
+        AttrsRef(AttrsRepr::Spans { spans, values })
     }
 
     /// Number of attributes.
@@ -123,12 +124,9 @@ impl<'a> AttrsRef<'a> {
                 name: &a.name,
                 value: &a.value,
             }),
-            AttrsRepr::Spans { spans, bytes } => spans.get(i).map(|span| AttrRef {
+            AttrsRepr::Spans { spans, values } => spans.get(i).map(|span| AttrRef {
                 name: &span.name,
-                value: bytes
-                    .get(span.value.clone())
-                    .and_then(|value| std::str::from_utf8(value).ok())
-                    .unwrap_or_default(),
+                value: values.get(span.value.clone()).unwrap_or_default(),
             }),
         }
     }
@@ -463,7 +461,7 @@ mod tests {
 
     #[test]
     fn attribute_spans_read_values_from_their_buffer() {
-        let bytes = b"xx12yyz\xff";
+        let values = "xx12yyzé";
         let spans = vec![
             AttrSpan {
                 name: Arc::from("a"),
@@ -473,13 +471,13 @@ mod tests {
                 name: Arc::from("b"),
                 value: 4..7,
             },
-            // Not UTF-8: reads as empty rather than lossily.
+            // Half of `é`: reads as empty rather than lossily.
             AttrSpan {
                 name: Arc::from("c"),
                 value: 7..8,
             },
         ];
-        let attrs = AttrsRef::spans(&spans, bytes);
+        let attrs = AttrsRef::spans(&spans, values);
         assert_eq!(attrs.len(), 3);
         assert_eq!(attrs.find("a"), Some("12"));
         assert_eq!(attrs.find("b"), Some("yyz"));

@@ -392,3 +392,161 @@ fn a_card_pull_ledger_counts_what_the_soe_processed() {
         assert_eq!(card.bytes_hashed, soe.bytes_hashed, "{subject}");
     }
 }
+
+#[test]
+fn a_failed_card_pull_still_books_what_the_soe_did() {
+    // A doctor pull of a 400-element folder whose chunk 41 has one bit
+    // flipped at the DSP: the card verifies and reads chunks 0–40, then
+    // refuses chunk 41. The terminal closes the failed session, so the
+    // card ledger holds the SOE's counters, not just the metered APDUs.
+    let rules = RuleSet::parse("+, doctor, //patient\n-, doctor, //patient/ssn").unwrap();
+    let doc = Corpus::Hospital.generate(400, &GeneratorConfig::default());
+    let publisher = Publisher::builder(b"hospital-2005")
+        .rules(rules)
+        .chunk_size(128)
+        .build()
+        .unwrap();
+    publisher.publish("folder", &doc).unwrap();
+    let client = Client::builder("doctor").provision(&publisher).unwrap();
+    let service = publisher.service();
+    let (header, revision) = service.fetch_header_pinned("folder").unwrap();
+    let (mut chunks, tags): (Vec<_>, Vec<_>) = (0..header.chunk_count)
+        .map(|i| service.fetch_chunk_pinned("folder", i, revision).unwrap())
+        .unzip();
+    assert!(chunks.len() > 42, "{} chunks", chunks.len());
+    let mut bad = chunks[41].to_vec();
+    bad[0] ^= 0x01;
+    chunks[41] = bad.into();
+    service.put_document(SecureDocument::new(header, chunks, tags));
+
+    let mut session = client.connect("folder").unwrap();
+    let err = session.run().unwrap_err();
+    assert!(
+        matches!(SddsError::from(err), SddsError::Crypto(_)),
+        "the pull must end in an integrity failure"
+    );
+    let card = session.terminal().card_ledger();
+    assert_eq!(card.bytes_hashed, 41 * 128);
+    assert!(card.bytes_decrypted > 0);
+    assert!(card.bytes_decrypted <= card.bytes_hashed);
+    assert!(card.events_processed > 0);
+}
+
+/// The four subjects of the medical policy, each permitted a different
+/// share of the folder.
+fn four_subject_rules() -> RuleSet {
+    RuleSet::parse(
+        "+, doctor, //patient\n\
+         -, doctor, //patient/ssn\n\
+         +, secretary, //patient/name\n\
+         +, secretary, //patient/address\n\
+         +, researcher, //diagnosis\n\
+         +, auditor, //acts/act[@type = \"surgery\"]/report",
+    )
+    .unwrap()
+}
+
+#[test]
+fn on_demand_decryption_matches_the_oracle_at_every_chunk_size() {
+    // Chunk sizes that are and are not multiples of the 16-byte keystream
+    // block, with flat and recursive summary bitmaps: every subject's card
+    // and stream views equal the oracle's, the SOE never decrypts more than
+    // it verified, and a read without the skip index decrypts exactly the
+    // ciphertext.
+    let rules = four_subject_rules();
+    let doc = Corpus::Hospital.generate(600, &GeneratorConfig::default());
+    let subjects = ["doctor", "secretary", "researcher", "auditor"];
+    let publisher = Publisher::builder(b"hospital-2005")
+        .rules(rules.clone())
+        .build()
+        .unwrap();
+    publisher.publish("folder", &doc).unwrap();
+    let clients: Vec<Client> = subjects
+        .iter()
+        .map(|s| Client::builder(*s).provision(&publisher).unwrap())
+        .collect();
+    let key = publisher.server().document_key();
+    for chunk_size in [64usize, 100, 128, 250, 256, 512] {
+        for recursive_bitmaps in [true, false] {
+            let secure = SecureDocumentBuilder::new("folder", key.clone())
+                .chunk_size(chunk_size)
+                .encoder_config(EncoderConfig {
+                    min_index_bytes: 16,
+                    recursive_bitmaps,
+                    ..EncoderConfig::default()
+                })
+                .build(&doc);
+            publisher.service().put_document(secure.clone());
+            for (subject, client) in subjects.iter().zip(&clients) {
+                let case = format!("{subject}, chunk {chunk_size}, recursive {recursive_bitmaps}");
+                let oracle = writer::to_string(&authorized_view_oracle(
+                    &doc,
+                    &rules,
+                    &Subject::new(*subject),
+                    None,
+                    &AccessPolicy::paper(),
+                ));
+                let card = client.authorized_view("folder").unwrap();
+                let mut stream = client.open_stream("folder").unwrap();
+                let mut events = Vec::new();
+                for event in &mut stream {
+                    events.push(event.unwrap());
+                }
+                let ledger = &stream.stats().unwrap().ledger;
+                assert_eq!(card, oracle, "{case}: card view");
+                assert_eq!(writer::to_string(&events), card, "{case}: stream view");
+                assert!(ledger.bytes_decrypted <= ledger.bytes_hashed, "{case}");
+
+                let config = EngineConfig::new(EvaluatorConfig::new(rules.clone(), *subject))
+                    .without_skip_index();
+                let (view, full) = evaluate_secure_document(&secure, &key, config).unwrap();
+                assert_eq!(writer::to_string(&view), oracle, "{case}: full read");
+                assert_eq!(
+                    full.ledger.bytes_decrypted,
+                    secure.ciphertext_len(),
+                    "{case}"
+                );
+                assert_eq!(full.ledger.bytes_hashed, secure.ciphertext_len(), "{case}");
+            }
+        }
+    }
+}
+
+#[test]
+fn the_4000_element_pull_reads_pinned_byte_counts() {
+    // The per-view counters of the benchmark's hospital pull (4 000
+    // elements, 256-byte chunks), pinned so that any change to what the SOE
+    // fetches, decrypts or skips shows here first. The secretary skips
+    // whole chunks (never fetched) and the skipped bytes of fetched ones
+    // (never decrypted); the doctor reads everything.
+    let doc = Corpus::Hospital.generate(4_000, &GeneratorConfig::default());
+    let publisher = Publisher::builder(b"hospital-2005")
+        .rules(four_subject_rules())
+        .chunk_size(256)
+        .build()
+        .unwrap();
+    publisher.publish("hospital", &doc).unwrap();
+    let mut counts = Vec::new();
+    for subject in ["doctor", "secretary"] {
+        let client = Client::builder(subject).provision(&publisher).unwrap();
+        let mut stream = client.open_stream("hospital").unwrap();
+        for event in &mut stream {
+            event.unwrap();
+        }
+        let ledger = &stream.stats().unwrap().ledger;
+        counts.push((
+            subject,
+            ledger.bytes_hashed,
+            ledger.bytes_decrypted,
+            ledger.bytes_skipped,
+        ));
+    }
+    // (subject, hashed, decrypted, skipped)
+    assert_eq!(
+        counts,
+        vec![
+            ("doctor", 107_690, 107_690, 0),
+            ("secretary", 70_570, 17_017, 93_512),
+        ]
+    );
+}
