@@ -20,7 +20,7 @@ use sdds_core::conflict::AccessPolicy;
 use sdds_core::evaluator::{EvaluatorConfig, StreamingEvaluator};
 use sdds_core::rule::{RuleSet, Sign, Subject};
 use sdds_core::secdoc::SecureDocumentBuilder;
-use sdds_core::session::ProtectedRules;
+use sdds_core::session::TrustedServer;
 use sdds_core::skipindex::encode::{DocumentEncoder, EncoderConfig};
 use sdds_xml::generator::{self, Corpus, GeneratorConfig};
 use sdds_xml::stats::DocStats;
@@ -277,12 +277,7 @@ fn e6_dissemination(report: &mut Report) {
     );
     let stream = workloads::stream(30);
     let (rules, policy) = workloads::parental_rules();
-    let app = DisseminationApp::new(
-        b"bench",
-        &stream,
-        rules,
-        CardProfile::modern_secure_element(),
-    );
+    let app = DisseminationApp::new(b"bench", &stream, rules, CardProfile::egate());
     let (dissem, wall_ms) = timed(|| app.consume_with_card("child", policy).unwrap());
     println!(
         "items: {} delivered / {} blocked; worst per-item latency {:.1} ms; total {:.2} s; skipped {} B; wall {wall_ms:.1} ms",
@@ -343,14 +338,21 @@ fn e7_dynamic_rules(report: &mut Report) {
             }),
         ),
     ];
-    let mut rules = workloads::medical_rules();
-    let mut scheme = StaticEncryptionScheme::build(&doc, &rules, &policy);
+    let mut server = TrustedServer::new(b"bench", workloads::medical_rules());
+    let mut scheme = StaticEncryptionScheme::build(&doc, server.rules(), &policy);
     for (i, (label, change)) in changes.into_iter().enumerate() {
-        change(&mut rules);
-        let (cost, static_ms) = timed(|| scheme.apply_rule_change(&doc, &rules, &policy));
-        // The SOE approach only ships a new protected rule set to the subject.
-        let soe_cost = rules.encode().len() + 64;
-        let (_, soe_ms) = timed(|| ProtectedRules::seal(&rules, &workloads::bench_key()));
+        change(server.rules_mut());
+        let (cost, static_ms) = timed(|| scheme.apply_rule_change(&doc, server.rules(), &policy));
+        // The SOE approach re-seals one protected rule blob per subject, as
+        // `Publisher::grant` does; no document byte is touched.
+        let (soe_cost, soe_ms) = timed(|| {
+            server
+                .rules()
+                .subjects()
+                .iter()
+                .map(|subject| server.protected_rules_for(subject).encode().len())
+                .sum::<usize>()
+        });
         println!(
             "{:>28} {:>18} {:>14} {:>12} {:>22}",
             label,
@@ -370,27 +372,6 @@ fn e7_dynamic_rules(report: &mut Report) {
         scheme.class_count(),
         scheme.keys_held_by(&Subject::new("doctor"))
     );
-
-    // On-card side of a policy change: the combined dispatch automaton must
-    // rebuild (and remap the live runs) while a document is half-processed.
-    let events = doc.to_events();
-    let config = EvaluatorConfig::new(workloads::medical_rules(), "doctor");
-    let mut evaluator = StreamingEvaluator::new(&config).unwrap();
-    let mut view = Vec::new();
-    for ev in &events[..events.len() / 2] {
-        evaluator.push(ev.as_event_ref(), &mut view);
-    }
-    let grant = sdds_core::rule::AccessRule::permit(999, "doctor", "//patient/weight")
-        .expect("static rule parses");
-    let cycles = 100usize;
-    let start = Instant::now();
-    for _ in 0..cycles {
-        evaluator.add_rule(&grant).expect("rule compiles");
-        assert!(evaluator.remove_rule(sdds_core::rule::RuleId(999)));
-    }
-    let per_change_us = start.elapsed().as_secs_f64() * 1e6 / (cycles as f64 * 2.0);
-    println!("mid-stream rule change (rebuild + run remap): {per_change_us:.1} µs/change");
-    report.put("e7.midstream_rebuild_us", per_change_us.round().max(1.0));
 }
 
 fn e8_query_mix(report: &mut Report) {

@@ -181,11 +181,6 @@ impl ViewAssembler {
         self.events_delivered
     }
 
-    /// Number of events currently buffered behind an undecided node.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
     /// True when no decision is currently blocked on a pending predicate.
     pub fn is_drained(&self) -> bool {
         self.queue.is_empty()
@@ -544,7 +539,8 @@ mod tests {
                 path: compile_str(expr).unwrap(),
             })
             .collect();
-        let mut engine = RuleEngine::new(compiled, query.map(|q| compile_str(q).unwrap()));
+        let compiled_query = query.map(|q| compile_str(q).unwrap());
+        let mut engine = RuleEngine::new(compiled, compiled_query.as_ref());
         let mut assembler =
             ViewAssembler::new(policy, query.is_some()).with_pending_high_water(pending_high_water);
         let (mut events, mut text) = (Vec::new(), String::new());

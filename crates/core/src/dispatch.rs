@@ -25,10 +25,8 @@
 //!   [`PredProgram`]s; pending instances reference a program by [`PredId`]
 //!   instead of cloning the predicate steps per instance.
 //!
-//! The symbol table and the predicate arena are **append-only** across rule
-//! additions and removals: a rebuild after a policy change only reconstructs
-//! the (small) trie and re-registers the currently active states, which keeps
-//! dynamic rule updates (experiment E7) cheap.
+//! A table is built once per rule set and never changes: a policy change
+//! builds a new evaluator for the next session.
 
 use std::collections::HashMap;
 
@@ -117,8 +115,7 @@ pub struct DispatchNode {
     /// Outgoing transitions.
     pub edges: Vec<EdgeId>,
     /// The `(target, matched step count)` pairs this state represents. Used by
-    /// the skip-index satisfiability analysis and by run remapping on rule
-    /// updates.
+    /// the skip-index satisfiability analysis.
     pub positions: Vec<(Target, u32)>,
 }
 
@@ -151,6 +148,9 @@ impl PredProgram {
     }
 }
 
+/// Dedup index of the predicate arena while a table is built.
+type PredIndex = HashMap<CompiledPredicate, PredId>;
+
 /// The combined transition structure of all installed rules plus the query.
 #[derive(Debug, Clone, Default)]
 pub struct DispatchTable {
@@ -158,8 +158,6 @@ pub struct DispatchTable {
     nodes: Vec<DispatchNode>,
     edges: Vec<DispatchEdge>,
     preds: Vec<PredProgram>,
-    /// Dedup index for the predicate arena (append-only across rebuilds).
-    pred_index: HashMap<CompiledPredicate, PredId>,
     /// Initial transitions by symbol: the per-event entry point replacing the
     /// per-rule candidate loop of the baseline engine.
     root_named: HashMap<Symbol, Vec<EdgeId>>,
@@ -173,42 +171,31 @@ impl DispatchTable {
     where
         I: IntoIterator<Item = &'a CompiledPath>,
     {
-        let mut table = DispatchTable::default();
-        table.rebuild(rules, query);
+        let mut table = DispatchTable {
+            nodes: vec![DispatchNode::default()],
+            ..DispatchTable::default()
+        };
+        let mut pred_index = PredIndex::new();
+        for (i, path) in rules.into_iter().enumerate() {
+            table.add_path(&mut pred_index, Target::Rule(i), path);
+        }
+        if let Some(q) = query {
+            table.add_path(&mut pred_index, Target::Query, q);
+        }
+        for &e in &table.nodes[NodeId::ROOT.index()].edges {
+            match table.edges[e.index()].sym {
+                Some(s) => table.root_named.entry(s).or_default().push(e),
+                None => table.root_wild.push(e),
+            }
+        }
         table
     }
 
-    /// Rebuilds the trie for a new rule set, keeping the symbol table and the
-    /// predicate arena (both append-only) so that symbols and [`PredId`]s held
-    /// by live runtime state stay valid.
-    pub fn rebuild<'a, I>(&mut self, rules: I, query: Option<&CompiledPath>)
-    where
-        I: IntoIterator<Item = &'a CompiledPath>,
-    {
-        self.nodes.clear();
-        self.edges.clear();
-        self.root_named.clear();
-        self.root_wild.clear();
-        self.nodes.push(DispatchNode::default());
-        for (i, path) in rules.into_iter().enumerate() {
-            self.add_path(Target::Rule(i), path);
-        }
-        if let Some(q) = query {
-            self.add_path(Target::Query, q);
-        }
-        for &e in &self.nodes[NodeId::ROOT.index()].edges {
-            match self.edges[e.index()].sym {
-                Some(s) => self.root_named.entry(s).or_default().push(e),
-                None => self.root_wild.push(e),
-            }
-        }
-    }
-
-    fn add_path(&mut self, target: Target, path: &CompiledPath) {
+    fn add_path(&mut self, pred_index: &mut PredIndex, target: Target, path: &CompiledPath) {
         let mut node = NodeId::ROOT;
         let len = path.steps.len();
         for (pos, step) in path.steps.iter().enumerate() {
-            let edge = self.edge_for(node, step);
+            let edge = self.edge_for(pred_index, node, step);
             if pos + 1 == len {
                 self.edges[edge.index()].accepts.push(target);
             } else {
@@ -230,7 +217,12 @@ impl DispatchTable {
     }
 
     /// Finds an existing equivalent outgoing edge of `node` or creates one.
-    fn edge_for(&mut self, node: NodeId, step: &CompiledStep) -> EdgeId {
+    fn edge_for(
+        &mut self,
+        pred_index: &mut PredIndex,
+        node: NodeId,
+        step: &CompiledStep,
+    ) -> EdgeId {
         let sym = match &step.test {
             NodeTest::Name(n) => Some(self.symbols.intern(n)),
             NodeTest::Wildcard => None,
@@ -248,7 +240,11 @@ impl DispatchTable {
                 other => unreachable!("non-attribute immediate predicate {other:?}"),
             })
             .collect();
-        let deferred: Vec<PredId> = step.deferred.iter().map(|p| self.pred_id(p)).collect();
+        let deferred: Vec<PredId> = step
+            .deferred
+            .iter()
+            .map(|p| self.pred_id(pred_index, p))
+            .collect();
         for &e in &self.nodes[node.index()].edges {
             let edge = &self.edges[e.index()];
             if edge.axis == step.axis
@@ -273,9 +269,9 @@ impl DispatchTable {
     }
 
     /// Interns a deferred predicate into the arena, deduplicating structurally
-    /// equal predicates across steps, rules and rebuilds.
-    fn pred_id(&mut self, pred: &CompiledPredicate) -> PredId {
-        if let Some(&id) = self.pred_index.get(pred) {
+    /// equal predicates across steps and rules.
+    fn pred_id(&mut self, pred_index: &mut PredIndex, pred: &CompiledPredicate) -> PredId {
+        if let Some(&id) = pred_index.get(pred) {
             return id;
         }
         let program = match pred {
@@ -310,7 +306,7 @@ impl DispatchTable {
         };
         let id = PredId(self.preds.len() as u32);
         self.preds.push(program);
-        self.pred_index.insert(pred.clone(), id);
+        pred_index.insert(pred.clone(), id);
         id
     }
 
@@ -357,18 +353,6 @@ impl DispatchTable {
             .map(Vec::as_slice)
             .unwrap_or(&[]);
         named.iter().chain(self.root_wild.iter()).copied()
-    }
-
-    /// Maps every `(target, matched step count)` pair to its trie state; used
-    /// to remap live runs after a rebuild.
-    pub fn position_map(&self) -> HashMap<(Target, u32), NodeId> {
-        let mut map = HashMap::new();
-        for (i, node) in self.nodes.iter().enumerate() {
-            for &(target, pos) in &node.positions {
-                map.insert((target, pos), NodeId(i as u32));
-            }
-        }
-        map
     }
 }
 
@@ -445,34 +429,6 @@ mod tests {
             .find(|p| p.is_self_text())
             .unwrap();
         assert!(self_text.condition.is_some());
-    }
-
-    #[test]
-    fn rebuild_keeps_symbols_and_predicates_stable() {
-        let p1 = compile_str("//b[c]/d").unwrap();
-        let p2 = compile_str("//e[c]").unwrap();
-        let mut t = DispatchTable::build(std::slice::from_ref(&p1), None);
-        let b = t.symbols().lookup("b").unwrap();
-        assert_eq!(t.pred_count(), 1);
-        t.rebuild(&[p1.clone(), p2], None);
-        assert_eq!(t.symbols().lookup("b"), Some(b), "symbols are append-only");
-        assert_eq!(t.pred_count(), 1, "shared [c] program is reused");
-        t.rebuild(&[p1], None);
-        assert_eq!(t.pred_count(), 1, "arena never shrinks");
-        assert_eq!(t.symbols().lookup("b"), Some(b));
-    }
-
-    #[test]
-    fn position_map_covers_every_interior_state() {
-        let t = table_for(&["/a/b/c", "//a/b"]);
-        let map = t.position_map();
-        assert!(map.contains_key(&(Target::Rule(0), 1)));
-        assert!(map.contains_key(&(Target::Rule(0), 2)));
-        assert!(map.contains_key(&(Target::Rule(1), 1)));
-        assert!(
-            !map.contains_key(&(Target::Rule(1), 2)),
-            "final states are edges"
-        );
     }
 
     #[test]

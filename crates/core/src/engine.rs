@@ -1710,6 +1710,17 @@ mod tests {
             runtime: &mut CardRuntime<AccessControlApplet>,
             secure: &SecureDocument,
         ) -> String {
+            run_document_with(runtime, secure, |_| {})
+        }
+
+        /// [`run_document`], calling `after_first_chunk` on the card once the
+        /// session has taken its first `PUSH_CHUNK`.
+        fn run_document_with(
+            runtime: &mut CardRuntime<AccessControlApplet>,
+            secure: &SecureDocument,
+            mut after_first_chunk: impl FnMut(&mut CardRuntime<AccessControlApplet>),
+        ) -> String {
+            let mut pushed = 0;
             runtime
                 .exchange_expect_ok(
                     &Apdu::new(ins::OPEN_SESSION, 0, 0, secure.header.encode()).unwrap(),
@@ -1732,6 +1743,10 @@ mod tests {
                     session.output.is_empty(),
                     "undelivered events after chunk {index}"
                 );
+                pushed += 1;
+                if pushed == 1 {
+                    after_first_chunk(runtime);
+                }
             }
             let mut text = Vec::new();
             loop {
@@ -1927,6 +1942,55 @@ mod tests {
             );
             assert_eq!(view, writer::to_string(&expected));
             assert!(view.contains("<name>"));
+        }
+
+        #[test]
+        fn rules_put_mid_session_apply_from_the_next_session() {
+            let mut server = TrustedServer::new(b"community", medical_rules());
+            let subject = Subject::new("doctor");
+            let doc = hospital_doc(3);
+            let secure = SecureDocumentBuilder::new("folder", server.document_key())
+                .chunk_size(128)
+                .build(&doc);
+            assert!(secure.chunk_count() > 2);
+            let mut runtime = card(&server, &subject, CardProfile::unconstrained());
+            provision(&mut runtime, &server, &subject);
+            let old_rules = server.rules().clone();
+            server
+                .rules_mut()
+                .push(Sign::Deny, "doctor", "//patient/name")
+                .unwrap();
+            let newer = server.protected_rules_for(&subject).encode();
+            let oracle = |rules: &RuleSet| {
+                writer::to_string(&authorized_view_oracle(
+                    &doc,
+                    rules,
+                    &subject,
+                    None,
+                    &AccessPolicy::paper(),
+                ))
+            };
+            assert_ne!(oracle(&old_rules), oracle(server.rules()));
+
+            // A PUT_RULES between two PUSH_CHUNKs is accepted, but the open
+            // session keeps the rules it opened with.
+            let view = run_document_with(&mut runtime, &secure, |runtime| {
+                for (frag, more) in fragments(&[&newer]) {
+                    runtime
+                        .exchange_expect_ok(&Apdu::with_data(
+                            ins::PUT_RULES,
+                            u8::from(more),
+                            0,
+                            frag,
+                        ))
+                        .unwrap();
+                }
+            });
+            assert_eq!(view, oracle(&old_rules));
+            // The next session runs under the new rules.
+            let view = run_document(&mut runtime, &secure);
+            assert_eq!(view, oracle(server.rules()));
+            assert!(!view.contains("<name>"));
         }
 
         #[test]

@@ -79,8 +79,12 @@ impl EvaluatorConfig {
     /// resolution rather than panicking on tiny budgets.
     ///
     /// This is the automatic counterpart of
-    /// [`EvaluatorConfig::with_pending_high_water`]: the SOE picks the mark
-    /// from the hardware budget instead of the caller tuning it by hand.
+    /// [`EvaluatorConfig::with_pending_high_water`], for callers that take
+    /// the mark from a hardware budget instead of tuning it by hand. The SOE
+    /// does not call it: [`crate::engine::Soe::open`] leaves the pending
+    /// buffer uncapped and enforces its budget as
+    /// [`crate::engine::EngineConfig::ram_budget`], failing the session when
+    /// the working set exceeds it.
     pub fn with_ram_budget(self, bytes: usize) -> Self {
         self.with_pending_high_water(derive_pending_high_water(bytes))
     }
@@ -129,7 +133,6 @@ pub struct StreamingEvaluator {
     /// Instance resolutions of the current event, handed to the assembler
     /// before the event itself; reused across events.
     resolved: Vec<Resolution>,
-    subject: Subject,
     events_in: usize,
 }
 
@@ -142,44 +145,19 @@ impl StreamingEvaluator {
         for rule in config.rules.for_subject(&config.subject) {
             compiled.push(EngineRule::compile(rule)?);
         }
-        let query = config.query.as_ref().map(|q| q.compiled().clone());
-        let has_query = query.is_some();
+        let query = config.query.as_deref().map(Query::compiled);
         Ok(StreamingEvaluator {
             engine: RuleEngine::new(compiled, query),
-            assembler: ViewAssembler::new(config.policy, has_query)
+            assembler: ViewAssembler::new(config.policy, query.is_some())
                 .with_pending_high_water(config.pending_high_water),
             resolved: Vec::new(),
-            subject: config.subject.clone(),
             events_in: 0,
         })
     }
 
     /// Number of rules installed for the session's subject.
     pub fn rule_count(&self) -> usize {
-        self.engine.rules().len()
-    }
-
-    /// Installs an additional rule mid-stream (experiment E7: dynamic access
-    /// rights). Like at construction, a rule granted to a different subject is
-    /// ignored — a policy delta may carry every subject's rules, and this
-    /// session must only ever honour its own. The engine's combined dispatch
-    /// automaton is rebuilt incrementally; matches of the existing rules are
-    /// unaffected and the new rule applies from the current stream position
-    /// onwards (retroactivity over the currently open subtree is best-effort —
-    /// see [`crate::runtime::RuleEngine::add_rule`]; apply policy changes
-    /// between documents when exactness matters). Fails if the rule's id is
-    /// already installed.
-    pub fn add_rule(&mut self, rule: &crate::rule::AccessRule) -> Result<(), CoreError> {
-        if rule.subject != self.subject {
-            return Ok(());
-        }
-        self.engine
-            .add_rule(crate::runtime::EngineRule::compile(rule)?)
-    }
-
-    /// Removes a rule by id mid-stream; returns true if it was installed.
-    pub fn remove_rule(&mut self, id: crate::rule::RuleId) -> bool {
-        self.engine.remove_rule(id)
+        self.engine.rule_count()
     }
 
     /// Feeds one event, borrowed, and delivers the authorized events that
@@ -362,21 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn add_rule_honours_the_session_subject() {
-        let config = EvaluatorConfig::new(medical_rules(), "secretary");
-        let mut eval = StreamingEvaluator::new(&config).unwrap();
-        assert_eq!(eval.rule_count(), 3);
-        // A policy delta may carry every subject's rules: a doctor grant must
-        // not widen the secretary's session.
-        let doctor = crate::rule::AccessRule::permit(100, "doctor", "//patient/ssn").unwrap();
-        eval.add_rule(&doctor).unwrap();
-        assert_eq!(eval.rule_count(), 3);
-        let own = crate::rule::AccessRule::permit(101, "secretary", "//patient/phone").unwrap();
-        eval.add_rule(&own).unwrap();
-        assert_eq!(eval.rule_count(), 4);
-    }
-
-    #[test]
     fn push_streams_output_incrementally() {
         let config = EvaluatorConfig::new(medical_rules(), "doctor");
         let mut eval = StreamingEvaluator::new(&config).unwrap();
@@ -541,7 +504,7 @@ pub(crate) mod ram_props {
     use crate::engine::{evaluate_secure_document, EngineConfig};
     use crate::evaluator::EvaluatorConfig;
     use crate::query::Query;
-    use crate::rule::{AccessRule, RuleId, RuleSet, Subject};
+    use crate::rule::{RuleSet, Subject};
     use crate::runtime::{EngineRule, RuleEngine};
     use crate::secdoc::SecureDocumentBuilder;
 
@@ -593,16 +556,6 @@ pub(crate) mod ram_props {
         .unwrap()
     }
 
-    /// Rules added mid-stream, one per subject (fresh ids, so they never clash).
-    fn extra_rule(subject: &str, id: u32) -> AccessRule {
-        let object = match id % 3 {
-            0 => "//patient[acts]/name",
-            1 => "//act/report",
-            _ => "//item[. = \"x\"]",
-        };
-        AccessRule::permit(id, subject, object).unwrap()
-    }
-
     pub(crate) const QUERIES: [&str; 3] = ["//patient[acts/act]", "//acts/act", "//diagnosis"];
 
     #[test]
@@ -625,39 +578,17 @@ pub(crate) mod ram_props {
             let high_water = (rng.below(3) == 0).then(|| 1 + rng.below(8) as usize);
             let ctx = format!("case {case}: {subject}, query {query:?}, cap {high_water:?}");
 
-            // Engine and assembler, with a rule added and one removed mid-stream.
             let policy = rules();
             let compiled: Vec<EngineRule> = policy
                 .for_subject(&Subject::new(subject))
                 .map(|r| EngineRule::compile(r).unwrap())
                 .collect();
-            let removable: Vec<RuleId> = compiled.iter().map(|r| r.id).collect();
-            let mut engine = RuleEngine::new(
-                compiled,
-                query.map(|q| Query::parse(q).unwrap().compiled().clone()),
-            );
+            let parsed = query.map(|q| Query::parse(q).unwrap());
+            let mut engine = RuleEngine::new(compiled, parsed.as_ref().map(Query::compiled));
             let mut assembler = ViewAssembler::new(AccessPolicy::paper(), query.is_some())
                 .with_pending_high_water(high_water);
-            let events = doc.to_events();
-            let add_at = rng.below(events.len() as u64) as usize;
-            let remove_at = rng.below(events.len() as u64) as usize;
             let (mut resolved, mut view) = (Vec::new(), Vec::<sdds_xml::Event>::new());
-            for (i, event) in events.iter().enumerate() {
-                if i == add_at {
-                    let rule = extra_rule(subject, 100 + case as u32);
-                    engine
-                        .add_rule(EngineRule::compile(&rule).unwrap())
-                        .unwrap();
-                    assert_eq!(engine.ram_bytes(), engine.recount_ram_bytes(), "{ctx}: add");
-                }
-                if i == remove_at && !removable.is_empty() {
-                    engine.remove_rule(removable[rng.below(removable.len() as u64) as usize]);
-                    assert_eq!(
-                        engine.ram_bytes(),
-                        engine.recount_ram_bytes(),
-                        "{ctx}: remove"
-                    );
-                }
+            for (i, event) in doc.to_events().iter().enumerate() {
                 let event = event.as_event_ref();
                 let annotation = engine.process(event, &mut resolved);
                 for r in resolved.drain(..) {

@@ -31,18 +31,10 @@
 //!   [`MatchAlternatives`] with unresolved instances; the decision they imply
 //!   is deferred by the view assembler until the instances resolve.
 //!
-//! Rules can be added and removed mid-stream ([`RuleEngine::add_rule`] /
-//! [`RuleEngine::remove_rule`]): the dispatch trie is rebuilt (symbols and
-//! predicate programs are append-only, so live state stays valid) and the
-//! active runs are remapped onto the new trie, preserving the matches of every
-//! rule that survives the change.
-//!
 //! The engine does **not** decide anything by itself: it annotates the event
 //! stream with the rule/query matches of each node and emits instance
 //! resolutions; conflict resolution and view construction happen downstream in
 //! [`crate::assembler`], mirroring the sign-stack of the paper.
-
-use std::collections::HashMap;
 
 use sdds_xml::{AttrsRef, EventRef};
 use sdds_xpath::Axis;
@@ -143,14 +135,14 @@ impl NodeAnnotation {
     /// Records that engine rule `index` matches under the conjunction `ids`
     /// (an empty conjunction holds unconditionally and makes every other
     /// alternative of the match redundant).
-    fn add_rule(&mut self, index: usize, rule: &EngineRule, ids: &[InstanceId]) {
+    fn add_rule(&mut self, index: usize, (rule, sign): (RuleId, Sign), ids: &[InstanceId]) {
         let owner = index as u32;
         let at = match self.direct.iter().position(|m| m.index == owner) {
             Some(at) => at,
             None => {
                 self.direct.push(DirectMatch {
-                    rule: rule.id,
-                    sign: rule.sign,
+                    rule,
+                    sign,
                     index: owner,
                     unconditional: false,
                 });
@@ -397,27 +389,15 @@ pub struct EngineStats {
     pub run_activations: usize,
     /// Peak secure-RAM footprint of the engine structures, in bytes.
     pub peak_ram_bytes: usize,
-    /// Combined-automaton rebuilds triggered by rule updates.
-    pub dispatch_rebuilds: usize,
 }
-
-/// A rule-or-query key stable across rule vector reindexing, used to remap
-/// active runs when the dispatch trie is rebuilt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum TargetKey {
-    Rule(RuleId),
-    Query,
-}
-
-/// Trie-independent image of the active runs (per frame, per run: the stable
-/// `(target, position)` pairs of its node plus its instance dependencies).
-type RunSnapshot = Vec<Vec<(Vec<(TargetKey, u32)>, Vec<InstanceId>)>>;
 
 /// The streaming automata engine.
 #[derive(Debug)]
 pub struct RuleEngine {
-    rules: Vec<EngineRule>,
-    query: Option<CompiledPath>,
+    /// Id and sign of each installed rule, in engine order; their compiled
+    /// paths live in the dispatch table.
+    rules: Vec<(RuleId, Sign)>,
+    has_query: bool,
     table: DispatchTable,
     frames: Vec<Frame>,
     instances: Vec<InstanceSlot>,
@@ -450,12 +430,14 @@ pub struct RuleEngine {
 
 impl RuleEngine {
     /// Creates an engine for a set of compiled rules and an optional query.
-    pub fn new(rules: Vec<EngineRule>, query: Option<CompiledPath>) -> Self {
-        let table = DispatchTable::build(rules.iter().map(|r| &r.path), query.as_ref());
+    /// The rules are fixed for the engine's life: a policy change builds a
+    /// new engine for the next session.
+    pub fn new(rules: Vec<EngineRule>, query: Option<&CompiledPath>) -> Self {
+        let table = DispatchTable::build(rules.iter().map(|r| &r.path), query);
         let symbol_count = table.symbols().len();
         RuleEngine {
-            rules,
-            query,
+            rules: rules.iter().map(|r| (r.id, r.sign)).collect(),
+            has_query: query.is_some(),
             table,
             // frames[0] is the virtual document node.
             frames: vec![Frame::default()],
@@ -474,14 +456,9 @@ impl RuleEngine {
         }
     }
 
-    /// Installed rules.
-    pub fn rules(&self) -> &[EngineRule] {
-        &self.rules
-    }
-
-    /// Installed query automaton, if any.
-    pub fn query(&self) -> Option<&CompiledPath> {
-        self.query.as_ref()
+    /// Number of installed rules.
+    pub fn rule_count(&self) -> usize {
+        self.rules.len()
     }
 
     /// The combined dispatch structure (introspection / statistics).
@@ -501,9 +478,9 @@ impl RuleEngine {
 
     /// True if `may_progress(rule, position)` holds for some active
     /// navigational position of some installed rule (`rule` is its index in
-    /// [`RuleEngine::rules`]), the implicit initial position 0 of every rule
-    /// included. The skip-index logic asks this of an upcoming subtree; the
-    /// walk allocates nothing.
+    /// the rule vector the engine was built from), the implicit initial
+    /// position 0 of every rule included. The skip-index logic asks this of
+    /// an upcoming subtree; the walk allocates nothing.
     pub fn any_rule_position(&self, mut may_progress: impl FnMut(usize, usize) -> bool) -> bool {
         (0..self.rules.len()).any(|rule| may_progress(rule, 0))
             || self.any_active_position(|target, position| match target {
@@ -515,7 +492,7 @@ impl RuleEngine {
     /// [`RuleEngine::any_rule_position`] for the query automaton: false
     /// when no query is installed.
     pub fn any_query_position(&self, mut may_progress: impl FnMut(usize) -> bool) -> bool {
-        self.query.is_some()
+        self.has_query
             && (may_progress(0)
                 || self.any_active_position(|target, position| {
                     target == Target::Query && may_progress(position)
@@ -556,7 +533,7 @@ impl RuleEngine {
     /// the oracle of [`RuleEngine::any_query_position`].
     #[cfg(test)]
     pub(crate) fn active_query_positions(&self) -> Vec<usize> {
-        if self.query.is_none() {
+        if !self.has_query {
             return Vec::new();
         }
         let mut positions = vec![0usize];
@@ -595,150 +572,6 @@ impl RuleEngine {
         // shared program (the program itself lives with the compiled rules in
         // program memory); resolved instances boil down to one bit.
         frames + self.bucket_entries * 4 + self.unresolved_instances * 8 + self.instances.len() / 8
-    }
-
-    /// Installs an additional rule mid-stream. The combined automaton is
-    /// rebuilt (symbols and predicate programs are reused) and the active runs
-    /// of the existing rules are preserved; the new rule starts matching from
-    /// the current stream position.
-    ///
-    /// Retroactivity over the *currently open* subtree is best-effort: the
-    /// events that opened it are gone, so partial matches for the new rule
-    /// cannot be reconstructed in general (in particular, predicate evidence
-    /// seen before the addition is unrecoverable). Prefixes the new rule
-    /// shares with existing rules keep their live runs (and immediately serve
-    /// it); unshared prefixes begin matching at the next element opening.
-    /// Security-sensitive callers should apply policy changes between
-    /// documents — the paper's model — where this distinction vanishes.
-    ///
-    /// Fails on a duplicate rule id: run remapping across the rebuild is
-    /// keyed by rule id, so two rules sharing one id would corrupt the live
-    /// state of both.
-    pub fn add_rule(&mut self, rule: EngineRule) -> Result<(), crate::error::CoreError> {
-        if self.rules.iter().any(|r| r.id == rule.id) {
-            return Err(crate::error::CoreError::BadState {
-                message: format!("rule id {} is already installed", rule.id.0),
-            });
-        }
-        let snapshot = self.snapshot_runs();
-        self.rules.push(rule);
-        self.rebuild_dispatch(snapshot);
-        Ok(())
-    }
-
-    /// Removes a rule by id mid-stream; returns true if it was installed.
-    /// Pending instances spawned by the removed rule resolve normally (their
-    /// resolutions simply stop influencing any match).
-    pub fn remove_rule(&mut self, id: RuleId) -> bool {
-        let Some(pos) = self.rules.iter().position(|r| r.id == id) else {
-            return false;
-        };
-        let snapshot = self.snapshot_runs();
-        self.rules.remove(pos);
-        self.rebuild_dispatch(snapshot);
-        true
-    }
-
-    /// Captures, per frame, each active run as its stable `(target key,
-    /// position)` pairs plus its dependencies — the trie-independent view of
-    /// the run used for remapping.
-    fn snapshot_runs(&self) -> RunSnapshot {
-        self.frames
-            .iter()
-            .map(|frame| {
-                frame
-                    .runs
-                    .iter()
-                    .map(|run| {
-                        let keys = self
-                            .table
-                            .node(run.node)
-                            .positions
-                            .iter()
-                            .map(|&(t, p)| (self.target_key(t), p))
-                            .collect();
-                        (keys, frame.deps[run.deps()].to_vec())
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    fn target_key(&self, target: Target) -> TargetKey {
-        match target {
-            Target::Rule(i) => TargetKey::Rule(self.rules[i].id),
-            Target::Query => TargetKey::Query,
-        }
-    }
-
-    /// Rebuilds the dispatch trie for the current rule vector and remaps the
-    /// snapshotted runs onto it. Incremental in the sense that the symbol
-    /// table and predicate arena are reused and only the live runs (bounded by
-    /// depth × distinct prefixes) are re-registered.
-    fn rebuild_dispatch(&mut self, snapshot: RunSnapshot) {
-        self.stats.dispatch_rebuilds += 1;
-        self.table
-            .rebuild(self.rules.iter().map(|r| &r.path), self.query.as_ref());
-        let key_map: HashMap<(TargetKey, u32), NodeId> = self
-            .table
-            .position_map()
-            .into_iter()
-            .map(|((t, p), n)| {
-                let key = match t {
-                    Target::Rule(i) => TargetKey::Rule(self.rules[i].id),
-                    Target::Query => TargetKey::Query,
-                };
-                ((key, p), n)
-            })
-            .collect();
-
-        // Remap runs: every (target, position) pair of an old node maps to the
-        // same new node (nodes group prefix-equal paths), so the first
-        // surviving pair locates it.
-        for (frame, old_runs) in self.frames.iter_mut().zip(snapshot) {
-            frame.runs.clear();
-            frame.deps.clear();
-            for (keys, deps) in old_runs {
-                let Some(&node) = keys.iter().find_map(|k| key_map.get(k)) else {
-                    continue; // every rule of this prefix was removed
-                };
-                let duplicate = frame
-                    .runs
-                    .iter()
-                    .any(|r| r.node == node && frame.deps[r.deps()] == deps[..]);
-                if !duplicate {
-                    let deps_start = frame.deps.len() as u32;
-                    frame.deps.extend_from_slice(&deps);
-                    frame.runs.push(Run {
-                        node,
-                        deps_start,
-                        deps_end: frame.deps.len() as u32,
-                    });
-                }
-            }
-        }
-
-        // Re-register every live state in the (resized) buckets, in depth
-        // order so each bucket stays sorted by depth.
-        self.buckets.clear();
-        self.buckets
-            .resize_with(self.table.symbols().len(), Vec::new);
-        self.wild_bucket.clear();
-        self.bucket_entries = 0;
-        for depth in 0..self.frames.len() {
-            let frame = &mut self.frames[depth];
-            frame.touched.clear();
-            register_frame(
-                &self.table,
-                &self.instances,
-                frame,
-                depth as u32,
-                &mut self.buckets,
-                &mut self.wild_bucket,
-                &mut self.bucket_entries,
-            );
-        }
-        self.frames_ram = self.frames.iter().map(Frame::ram_bytes).sum();
     }
 
     /// Processes one event, appending the instance resolutions it triggers
@@ -956,7 +789,7 @@ impl RuleEngine {
 
 /// Mutable context of one `open` event (split borrows of the engine).
 struct OpenScope<'a, 'e> {
-    rules: &'a [EngineRule],
+    rules: &'a [(RuleId, Sign)],
     table: &'a DispatchTable,
     instances: &'a mut Vec<InstanceSlot>,
     unresolved: &'a mut usize,
@@ -1005,7 +838,7 @@ impl OpenScope<'_, '_> {
         let new_deps = &self.new_frame.deps[start..end];
         for &target in &edge.accepts {
             match target {
-                Target::Rule(i) => self.annotation.add_rule(i, &self.rules[i], new_deps),
+                Target::Rule(i) => self.annotation.add_rule(i, self.rules[i], new_deps),
                 Target::Query => self.annotation.add_query(new_deps),
             }
         }
@@ -1204,7 +1037,8 @@ mod tests {
                 path: compile_str(expr).unwrap(),
             })
             .collect();
-        RuleEngine::new(compiled, query.map(|q| compile_str(q).unwrap()))
+        let query = query.map(|q| compile_str(q).unwrap());
+        RuleEngine::new(compiled, query.as_ref())
     }
 
     /// What the engine reported for one event: the resolutions it
@@ -1427,14 +1261,10 @@ mod tests {
 
     #[test]
     fn match_alternatives_evaluation() {
-        let rule = EngineRule {
-            id: RuleId(0),
-            sign: Sign::Permit,
-            path: compile_str("//a").unwrap(),
-        };
+        let rule = (RuleId(0), Sign::Permit);
         let mut ann = NodeAnnotation::default();
-        ann.add_rule(0, &rule, &[InstanceId(0), InstanceId(1)]);
-        ann.add_rule(0, &rule, &[InstanceId(2)]);
+        ann.add_rule(0, rule, &[InstanceId(0), InstanceId(1)]);
+        ann.add_rule(0, rule, &[InstanceId(2)]);
         let truth = |known: Vec<(u32, bool)>| {
             move |id: InstanceId| known.iter().find(|(i, _)| *i == id.0).map(|(_, v)| *v)
         };
@@ -1445,7 +1275,7 @@ mod tests {
         assert_eq!(m.evaluate(truth(vec![(0, false), (2, false)])), Some(false));
         assert_eq!(m.evaluate(truth(vec![(0, false)])), None);
         // Unconditional alternative short-circuits everything.
-        ann.add_rule(0, &rule, &[]);
+        ann.add_rule(0, rule, &[]);
         let m = ann.direct().next().unwrap().1;
         assert!(m.is_unconditional());
         assert_eq!(m.evaluate(truth(vec![])), Some(true));
@@ -1516,91 +1346,5 @@ mod tests {
         let out = run(&mut e, "<h><patient><name>x</name></patient></h>");
         let matches = unconditional_matches(&out);
         assert_eq!(matches[2], ("name".into(), vec![0, 1]));
-    }
-
-    #[test]
-    fn add_rule_mid_stream_matches_remaining_elements() {
-        let mut e = engine_for(&[("//a", Sign::Permit)], None);
-        let events = Parser::parse_all("<r><b/><b/></r>").unwrap();
-        let mut out = Vec::new();
-        step(&mut e, &events[0], &mut out); // <r>
-        step(&mut e, &events[1], &mut out); // <b/> — not matched yet
-        step(&mut e, &events[2], &mut out);
-        e.add_rule(EngineRule {
-            id: RuleId(7),
-            sign: Sign::Deny,
-            path: compile_str("//b").unwrap(),
-        })
-        .unwrap();
-        // A duplicate id is rejected: the rebuild remap is keyed by rule id.
-        assert!(e
-            .add_rule(EngineRule {
-                id: RuleId(7),
-                sign: Sign::Permit,
-                path: compile_str("//c").unwrap(),
-            })
-            .is_err());
-        for ev in &events[3..] {
-            step(&mut e, ev, &mut out);
-        }
-        let matches = unconditional_matches(&out);
-        assert_eq!(
-            matches,
-            vec![
-                ("r".into(), vec![]),
-                ("b".into(), vec![]),  // before the grant
-                ("b".into(), vec![7]), // after the grant
-            ]
-        );
-        assert!(e.stats().dispatch_rebuilds >= 1);
-    }
-
-    #[test]
-    fn remove_rule_mid_stream_stops_matching_and_preserves_others() {
-        let mut e = engine_for(&[("//x/y", Sign::Permit), ("//y", Sign::Deny)], None);
-        let events = Parser::parse_all("<r><x><y/><y/></x></r>").unwrap();
-        let mut out = Vec::new();
-        // Process through the first <y/> (events: <r>, <x>, <y>, </y>).
-        for ev in &events[..4] {
-            step(&mut e, ev, &mut out);
-        }
-        // Remove //x/y while <x> is still open; rule 1 (//y) keeps matching.
-        assert!(e.remove_rule(RuleId(0)));
-        assert!(!e.remove_rule(RuleId(0)), "already removed");
-        for ev in &events[4..] {
-            step(&mut e, ev, &mut out);
-        }
-        let matches = unconditional_matches(&out);
-        assert_eq!(
-            matches,
-            vec![
-                ("r".into(), vec![]),
-                ("x".into(), vec![]),
-                ("y".into(), vec![0, 1]), // both rules before the removal
-                ("y".into(), vec![1]),    // only //y after
-            ]
-        );
-    }
-
-    #[test]
-    fn rebuild_preserves_active_descendant_runs() {
-        // A run deep inside the document must survive an unrelated rule
-        // addition: //a//c is two steps into its path when the rebuild hits.
-        let mut e = engine_for(&[("//a//c", Sign::Permit)], None);
-        let events = Parser::parse_all("<a><b><c/></b></a>").unwrap();
-        let mut out = Vec::new();
-        step(&mut e, &events[0], &mut out); // <a>
-        step(&mut e, &events[1], &mut out); // <b>
-        e.add_rule(EngineRule {
-            id: RuleId(9),
-            sign: Sign::Deny,
-            path: compile_str("//zzz").unwrap(),
-        })
-        .unwrap();
-        for ev in &events[2..] {
-            step(&mut e, ev, &mut out);
-        }
-        let matches = unconditional_matches(&out);
-        assert_eq!(matches[2], ("c".into(), vec![0]));
     }
 }

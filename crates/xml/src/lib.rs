@@ -14,7 +14,6 @@
 //! * [`generator`] — parameterised synthetic document generators reproducing the
 //!   structural profiles of the corpora used in the paper's evaluation,
 //! * [`stats`] — structural statistics of documents,
-//! * [`path`] — small helpers for element paths used throughout tests,
 //! * [`symbols`] — interned tag/attribute name symbols shared with the
 //!   evaluator's dispatch automaton (one hash lookup per token instead of one
 //!   string comparison per rule).
@@ -25,7 +24,6 @@ pub mod error;
 pub mod event;
 pub mod generator;
 pub mod parser;
-pub mod path;
 pub mod stats;
 pub mod symbols;
 pub mod tags;

@@ -7,8 +7,7 @@
 //! work into a single hash lookup followed by integer dispatch.
 //!
 //! The table is *append-only*: symbols are never removed or renumbered, so
-//! identifiers captured by compiled automata stay valid across rule updates.
-//! Names that never occur in any rule are not interned at all — the evaluator
+//! identifiers captured by compiled automata stay valid. Names that never occur in any rule are not interned at all — the evaluator
 //! calls [`SymbolTable::lookup`] on document tokens and treats `None` as "can
 //! only advance wildcard transitions", which keeps the table bounded by the
 //! rule vocabulary instead of the document vocabulary.

@@ -369,11 +369,6 @@ impl Document {
     pub fn to_xml(&self) -> String {
         crate::writer::to_string(&self.to_events())
     }
-
-    /// Serialises the document to indented XML text.
-    pub fn to_pretty_xml(&self) -> String {
-        crate::writer::to_pretty_string(&self.to_events())
-    }
 }
 
 #[cfg(test)]

@@ -225,12 +225,6 @@ impl Path {
         collect(self, &mut out);
         out
     }
-
-    /// The number of *navigational* steps (ignoring predicates); the paper's
-    /// automata have one navigational state per step.
-    pub fn navigational_len(&self) -> usize {
-        self.steps.len()
-    }
 }
 
 impl fmt::Display for Path {

@@ -31,12 +31,7 @@ fn main() -> Result<(), SddsError> {
          +, trader, //item[@channel = \"finance\"]",
     )?;
 
-    let app = DisseminationApp::new(
-        b"broadcast-2005",
-        &stream,
-        rules,
-        CardProfile::modern_secure_element(),
-    );
+    let app = DisseminationApp::new(b"broadcast-2005", &stream, rules, CardProfile::egate());
     println!(
         "publisher broadcast {} encrypted items ({} bytes in total)",
         app.channel().published().len(),

@@ -17,7 +17,7 @@
 
 use std::time::Duration;
 
-use sdds_card::{CardProfile, CostModel};
+use sdds_card::CardProfile;
 use sdds_core::conflict::AccessPolicy;
 use sdds_core::rule::{RuleSet, Subject};
 use sdds_proxy::DisseminationChannel;
@@ -36,7 +36,7 @@ pub struct SubscriberReport {
     /// Items entirely filtered out by the subscriber's rules.
     pub items_blocked: usize,
     /// Simulated time the subscriber's card spends on the whole stream under
-    /// the e-gate cost model: the sum of the per-item latencies.
+    /// its profile's cost model: the sum of the per-item latencies.
     pub total_latency: Duration,
     /// Largest per-item latency: one item's transfer, integrity check,
     /// decryption and evaluation on the card, as its ledger meters them
@@ -122,7 +122,7 @@ impl DisseminationApp {
             max_item_latency: Duration::ZERO,
             bytes_skipped: 0,
         };
-        let model = CostModel::egate();
+        let model = terminal.cost_model();
         for item in self.channel.published() {
             let view = terminal.evaluate_local(&item.document)?;
             // Each item opens its own card session, which restarts the card
@@ -202,7 +202,7 @@ mod tests {
             "non-finance items must be blocked"
         );
         // Real-time check: each item must be processed faster than a (slow)
-        // one-item-per-ten-seconds stream on the e-gate model.
+        // one-item-per-ten-seconds stream on the card's cost model.
         assert!(report.meets_real_time(Duration::from_secs(10)));
     }
 

@@ -150,12 +150,7 @@ fn dissemination_meets_real_time_on_the_egate_model() {
         &GeneratorConfig::default(),
     );
     let rules = RuleSet::parse("-, child, //item[rating > 12]").unwrap();
-    let app = DisseminationApp::new(
-        b"broadcast",
-        &stream,
-        rules,
-        CardProfile::modern_secure_element(),
-    );
+    let app = DisseminationApp::new(b"broadcast", &stream, rules, CardProfile::egate());
     let report = app
         .consume_with_card("child", AccessPolicy::open())
         .unwrap();
