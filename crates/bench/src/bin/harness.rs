@@ -17,7 +17,6 @@ use sdds_bench::workloads;
 use sdds_card::{CardProfile, CostModel};
 use sdds_core::baseline::{DomBaseline, StaticEncryptionScheme};
 use sdds_core::conflict::AccessPolicy;
-use sdds_core::evaluator::{EvaluatorConfig, StreamingEvaluator};
 use sdds_core::rule::{RuleSet, Sign, Subject};
 use sdds_core::secdoc::SecureDocumentBuilder;
 use sdds_core::session::TrustedServer;
@@ -84,16 +83,8 @@ fn e1_rules_scaling(report: &mut Report) {
         "#rules", "wall time (ms)", "events/s", "peak RAM (B)"
     );
     for n in [1usize, 2, 4, 8, 16, 32, 64] {
-        let rules = workloads::rule_pool(n);
-        let config = EvaluatorConfig::new(rules, "subject");
-        let mut best = f64::INFINITY;
-        let mut peak_ram = 0usize;
-        for _ in 0..E1_REPS {
-            let start = Instant::now();
-            let (_, stats) = StreamingEvaluator::evaluate_all(&config, &events).unwrap();
-            best = best.min(start.elapsed().as_secs_f64());
-            peak_ram = stats.peak_ram_bytes();
-        }
+        let (stats, best) = workloads::rule_pool_evaluation(&events, n, E1_REPS);
+        let peak_ram = stats.peak_ram_bytes();
         let events_per_s = events.len() as f64 / best;
         println!(
             "{:>8} {:>14.2} {:>16.0} {:>14}",
@@ -220,11 +211,7 @@ fn e4_ram_budget(report: &mut Report) {
     for depth in [4usize, 8, 16, 32, 64] {
         for n_rules in [4usize, 16, 64] {
             let doc = generator::deep_chain(depth, &GeneratorConfig::default());
-            let rules = workloads::rule_pool(n_rules);
-            let config = EvaluatorConfig::new(rules, "subject");
-            let events = doc.to_events();
-            let ((_, stats), wall_ms) =
-                timed(|| StreamingEvaluator::evaluate_all(&config, &events).unwrap());
+            let (stats, wall_s) = workloads::rule_pool_evaluation(&doc.to_events(), n_rules, 1);
             let peak = stats.peak_ram_bytes();
             println!(
                 "{:>8} {:>8} {:>16} {:>14} {:>10.3}",
@@ -232,7 +219,7 @@ fn e4_ram_budget(report: &mut Report) {
                 n_rules,
                 peak,
                 if peak <= budget { "yes" } else { "NO" },
-                wall_ms
+                wall_s * 1e3
             );
             report.put(
                 format!("e4.depth_{depth}.rules_{n_rules}.peak_ram_bytes"),

@@ -1,16 +1,18 @@
 //! Workloads of the E1–E9 experiments.
 
+use std::time::Instant;
+
 use sdds_card::CostModel;
 use sdds_core::conflict::AccessPolicy;
 use sdds_core::engine::{evaluate_secure_document, EngineConfig, SessionStats};
-use sdds_core::evaluator::EvaluatorConfig;
+use sdds_core::evaluator::{EvaluatorConfig, EvaluatorStats, StreamingEvaluator};
 use sdds_core::query::Query;
 use sdds_core::rule::{RuleSet, Sign};
 use sdds_core::secdoc::{SecureDocument, SecureDocumentBuilder};
 use sdds_core::skipindex::encode::EncoderConfig;
 use sdds_crypto::SecretKey;
 use sdds_xml::generator::{self, Corpus, GeneratorConfig};
-use sdds_xml::Document;
+use sdds_xml::{Document, Event};
 
 /// The community key used by every benchmark document.
 pub fn bench_key() -> SecretKey {
@@ -77,6 +79,30 @@ pub fn rule_pool(n: usize) -> RuleSet {
             .expect("pool rule parses");
     }
     rules
+}
+
+/// E1's and E4's workload: evaluates `events` in the clear, `reps` times,
+/// for the subject of [`rule_pool`]`(n_rules)`. Returns the statistics of
+/// the last run, which every run repeats exactly, and the fastest run's wall
+/// time in seconds.
+pub fn rule_pool_evaluation(
+    events: &[Event],
+    n_rules: usize,
+    reps: usize,
+) -> (EvaluatorStats, f64) {
+    let config = EvaluatorConfig::new(rule_pool(n_rules), "subject");
+    let mut best = f64::INFINITY;
+    let mut last = EvaluatorStats::default();
+    for _ in 0..reps.max(1) {
+        let start = Instant::now();
+        let (_, stats) = StreamingEvaluator::evaluate_all(&config, events)
+            // lint: infallible — bench inputs are static and valid by construction;
+            // a panic here is a harness bug, not a recoverable condition.
+            .expect("clear-text evaluation succeeds");
+        best = best.min(start.elapsed().as_secs_f64());
+        last = stats;
+    }
+    (last, best)
 }
 
 /// Runs the full secure pipeline for one subject and returns its statistics.
@@ -431,4 +457,53 @@ pub fn hot_document_observed(
     let snapshot = publisher.service().obs_snapshot();
     let flight = publisher.service().flight_recorder_json();
     (outcome, snapshot, flight)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// E1's and E4's peak secure RAM, pinned exactly: every byte the
+    /// evaluator charges per frame, pending event or run shows up here.
+    /// The inputs are the harness's: the 4 000-element hospital document
+    /// for E1, deep chains for E4, each under `rule_pool(n)`.
+    #[test]
+    fn e1_and_e4_peak_ram_is_pinned() {
+        let peak = |events: &[Event], n_rules: usize| {
+            rule_pool_evaluation(events, n_rules, 1).0.peak_ram_bytes()
+        };
+
+        let events = hospital(4_000).to_events();
+        let e1: Vec<(usize, usize)> = [1, 2, 4, 8, 16, 32, 64]
+            .into_iter()
+            .map(|n| (n, peak(&events, n)))
+            .collect();
+        assert_eq!(
+            e1,
+            [
+                (1, 104),
+                (2, 110),
+                (4, 126),
+                (8, 2753),
+                (16, 2793),
+                (32, 2793),
+                (64, 2793)
+            ],
+            "e1.rules_N.peak_ram_bytes"
+        );
+
+        let mut e4 = Vec::new();
+        for depth in [4, 8, 16, 32, 64] {
+            let events = generator::deep_chain(depth, &GeneratorConfig::default()).to_events();
+            for n_rules in [4, 16, 64] {
+                e4.push((depth, n_rules, peak(&events, n_rules)));
+            }
+        }
+        let expected: Vec<(usize, usize, usize)> =
+            [(4, 44), (8, 84), (16, 171), (32, 347), (64, 699)]
+                .into_iter()
+                .flat_map(|(depth, bytes)| [4, 16, 64].map(|n_rules| (depth, n_rules, bytes)))
+                .collect();
+        assert_eq!(e4, expected, "e4.depth_D.rules_N.peak_ram_bytes");
+    }
 }

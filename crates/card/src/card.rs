@@ -9,7 +9,7 @@
 //! model of the paper, where the terminal is untrusted and only the SOE is
 //! tamper-resistant.
 
-use crate::apdu::{Apdu, ApduData, ApduResponse, StatusWord};
+use crate::apdu::{Apdu, ApduData, ApduResponse};
 use crate::cost::{CostLedger, CostModel};
 use crate::error::CardError;
 use crate::resources::EepromBudget;
@@ -136,9 +136,6 @@ impl<A: Applet> CardRuntime<A> {
     /// Performs one APDU exchange: the command payload and the response
     /// payload are both charged to the channel meter.
     pub fn exchange(&mut self, command: &Apdu) -> ApduResponse {
-        if command.data.len() > self.card.profile.cost.channel.max_apdu_data {
-            return ApduResponse::error(StatusWord::WRONG_LENGTH);
-        }
         let to_card = command.wire_len();
         let response = self.applet.process(&mut self.card, command);
         let from_card = response.wire_len();
@@ -178,17 +175,12 @@ impl<A: Applet> CardRuntime<A> {
     pub fn applet(&self) -> &A {
         &self.applet
     }
-
-    /// Mutable access to the applet.
-    pub fn applet_mut(&mut self) -> &mut A {
-        &mut self.applet
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apdu::ins;
+    use crate::apdu::{ins, StatusWord};
 
     /// A toy applet that stores bytes and echoes them back.
     struct EchoApplet {

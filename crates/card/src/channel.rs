@@ -9,6 +9,8 @@
 
 use std::time::Duration;
 
+use crate::apdu::MAX_SHORT_APDU_DATA;
+
 /// Static parameters of a channel.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelModel {
@@ -16,8 +18,6 @@ pub struct ChannelModel {
     pub bytes_per_second: f64,
     /// Fixed latency charged per APDU exchange (command + response pair).
     pub per_apdu_latency: Duration,
-    /// Maximum data payload per APDU.
-    pub max_apdu_data: usize,
 }
 
 impl ChannelModel {
@@ -26,7 +26,6 @@ impl ChannelModel {
         ChannelModel {
             bytes_per_second: 2048.0,
             per_apdu_latency: Duration::from_millis(2),
-            max_apdu_data: 255,
         }
     }
 
@@ -37,16 +36,6 @@ impl ChannelModel {
         ChannelModel {
             bytes_per_second: 1_000_000.0,
             per_apdu_latency: Duration::from_micros(100),
-            max_apdu_data: 255,
-        }
-    }
-
-    /// An idealised infinite channel (costs nothing), isolating on-card costs.
-    pub fn infinite() -> Self {
-        ChannelModel {
-            bytes_per_second: f64::INFINITY,
-            per_apdu_latency: Duration::ZERO,
-            max_apdu_data: 255,
         }
     }
 
@@ -60,12 +49,13 @@ impl ChannelModel {
         wire + self.per_apdu_latency * apdus as u32
     }
 
-    /// Number of APDUs needed to move `bytes` of payload in one direction.
+    /// Number of short APDUs needed to move `bytes` of payload in one
+    /// direction.
     pub fn apdus_for(&self, bytes: usize) -> usize {
         if bytes == 0 {
             1
         } else {
-            bytes.div_ceil(self.max_apdu_data)
+            bytes.div_ceil(MAX_SHORT_APDU_DATA)
         }
     }
 }
@@ -118,7 +108,7 @@ impl ChannelMeter {
 ///
 /// The per-request accounting of [`ChannelMeter`] charges every logical
 /// exchange its own APDU round-trip, even when the payload is far below
-/// [`ChannelModel::max_apdu_data`] — the dominant cost of serving many small
+/// [`MAX_SHORT_APDU_DATA`] — the dominant cost of serving many small
 /// chunk requests on a high-latency link. A `BatchedChannel` instead queues
 /// the pending transfers and, on [`BatchedChannel::flush`], packs the queued
 /// bytes of each direction into as few APDUs as the payload cap allows,
@@ -187,7 +177,7 @@ impl BatchedChannel {
                 .apdus_for(to_card)
                 .max(self.model.apdus_for(from_card));
         }
-        // One exchange carries up to `max_apdu_data` each way, so the batch
+        // One exchange carries up to `MAX_SHORT_APDU_DATA` each way, so the batch
         // needs as many exchanges as its larger direction.
         let apdus = self
             .model
@@ -240,12 +230,6 @@ mod tests {
         // 10 APDUs add 20 ms.
         let t = m.transfer_time(0, 10);
         assert_eq!(t, Duration::from_millis(20));
-    }
-
-    #[test]
-    fn infinite_channel_costs_nothing() {
-        let m = ChannelModel::infinite();
-        assert_eq!(m.transfer_time(1 << 20, 1000), Duration::ZERO);
     }
 
     #[test]
@@ -331,6 +315,5 @@ mod tests {
         // Batching never changes what is transferred, only the round-trips.
         assert_eq!(batched.meter().total_bytes(), per_request.total_bytes());
         assert!(batched.meter().apdu_exchanges <= per_request.apdu_exchanges);
-        assert_eq!(batched.model().max_apdu_data, 255);
     }
 }

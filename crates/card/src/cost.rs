@@ -49,17 +49,6 @@ impl CostModel {
             events_per_second: 500_000.0,
         }
     }
-
-    /// An idealised profile where only the channel costs anything — used to
-    /// isolate the transfer-volume benefit of the skip index.
-    pub fn channel_only() -> Self {
-        CostModel {
-            channel: ChannelModel::egate(),
-            decrypt_bytes_per_second: f64::INFINITY,
-            hash_bytes_per_second: f64::INFINITY,
-            events_per_second: f64::INFINITY,
-        }
-    }
 }
 
 fn time_at_rate(amount: f64, rate: f64) -> Duration {
@@ -194,18 +183,6 @@ mod tests {
         assert!(b.total() > Duration::from_secs(3));
         assert!(b.transfer_share() > 0.2 && b.transfer_share() < 0.3);
         assert!(b.summary_ms().contains("total"));
-    }
-
-    #[test]
-    fn channel_only_model_ignores_cpu_costs() {
-        let mut ledger = CostLedger::new();
-        ledger.record_decrypt(1 << 20);
-        ledger.record_events(1 << 20);
-        ledger.record_hash(1 << 20);
-        let b = ledger.breakdown(&CostModel::channel_only());
-        assert_eq!(b.decryption, Duration::ZERO);
-        assert_eq!(b.evaluation, Duration::ZERO);
-        assert_eq!(b.integrity, Duration::ZERO);
     }
 
     #[test]

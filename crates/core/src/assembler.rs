@@ -1,4 +1,4 @@
-//! Construction of the authorized view (sign stack + pending-decision buffer).
+//! Construction of the authorized view (render stack + pending-decision buffer).
 //!
 //! The [`ViewAssembler`] consumes the annotated event stream produced by
 //! [`crate::runtime::RuleEngine`] and builds the authorized view delivered to
@@ -109,10 +109,6 @@ pub struct AssemblerStats {
     pub peak_pending_events: usize,
     /// Peak secure-RAM footprint of the assembler structures, in bytes.
     pub peak_ram_bytes: usize,
-    /// Nodes whose decision was forced conservatively because the pending
-    /// buffer hit its high-water mark (see
-    /// [`ViewAssembler::with_pending_high_water`]).
-    pub forced_resolutions: usize,
 }
 
 /// Builds the authorized view from the engine's annotated events.
@@ -131,7 +127,6 @@ pub struct ViewAssembler {
     /// Events delivered to a sink so far.
     events_delivered: usize,
     stats: AssemblerStats,
-    pending_high_water: Option<usize>,
 }
 
 impl ViewAssembler {
@@ -148,27 +143,7 @@ impl ViewAssembler {
             stack_ram: 0,
             events_delivered: 0,
             stats: AssemblerStats::default(),
-            pending_high_water: None,
         }
-    }
-
-    /// Caps the pending-decision buffer at `events` queued events.
-    ///
-    /// Pendency is the one component of the secure-RAM footprint that scales
-    /// with the *data* rather than with depth or rule count: a predicate rule
-    /// whose condition arrives late buffers the whole intervening subtree
-    /// (the E1 cost step at 8+ rules). With a high-water mark set, a node
-    /// whose decision is still blocked once the buffer exceeds the mark is
-    /// resolved **eagerly and conservatively**: unresolved instances count as
-    /// *not satisfied* for permits and as *satisfied* for denials, and an
-    /// unresolved query match counts as out of scope. The forced view is
-    /// therefore always a subset of the exact one — content may be withheld,
-    /// but nothing is ever delivered that exact evaluation would deny — and
-    /// the buffer (hence the assembler's secure RAM) stays bounded. Forced
-    /// nodes are counted in [`AssemblerStats::forced_resolutions`].
-    pub fn with_pending_high_water(mut self, events: Option<usize>) -> Self {
-        self.pending_high_water = events;
-        self
     }
 
     /// Counters.
@@ -243,21 +218,17 @@ impl ViewAssembler {
             // if it had passed through the buffer.
             self.stats.peak_pending_events = self.stats.peak_pending_events.max(1);
             match event {
-                EventRef::Open { name, .. } => {
-                    let (decided, forced) = self.decide_pending(annotation, 1);
-                    self.stats.forced_resolutions += usize::from(forced);
-                    match decided {
-                        Some((decision, in_scope)) => {
-                            if self.open_frame(name, decision, in_scope, out) {
-                                self.deliver(event, out);
-                            }
+                EventRef::Open { name, .. } => match self.decide(annotation) {
+                    Some((decision, in_scope)) => {
+                        if self.open_frame(name, decision, in_scope, out) {
+                            self.deliver(event, out);
                         }
-                        None => self.enqueue(QueuedEvent {
-                            event: event.to_event(),
-                            annotation: annotation.cloned(),
-                        }),
                     }
-                }
+                    None => self.enqueue(QueuedEvent {
+                        event: event.to_event(),
+                        annotation: annotation.cloned(),
+                    }),
+                },
                 EventRef::Text(_) => {
                     if self.text_delivered() {
                         self.deliver(event, out);
@@ -302,24 +273,6 @@ impl ViewAssembler {
         Some(queued)
     }
 
-    /// Decides a node that heads `queued` buffered events (itself included):
-    /// `None` while it is blocked on a pending predicate. With a pending
-    /// high-water mark set, a blocked node is forced once the buffer exceeds
-    /// the mark, and the second field says so.
-    fn decide_pending(
-        &self,
-        annotation: Option<&NodeAnnotation>,
-        queued: usize,
-    ) -> (Option<(Decision, bool)>, bool) {
-        let decided = self.decide(annotation, false);
-        if decided.is_some() || self.pending_high_water.is_none_or(|mark| queued <= mark) {
-            return (decided, false);
-        }
-        let forced = self.decide(annotation, true);
-        debug_assert!(forced.is_some(), "forced decisions always resolve");
-        (forced, true)
-    }
-
     /// Renders queued events in order until one blocks on an unresolved
     /// decision or the queue empties.
     fn drain(&mut self, out: &mut impl ViewSink) {
@@ -329,15 +282,10 @@ impl ViewAssembler {
                 Some(QueuedEvent {
                     event: Event::Open { .. },
                     annotation,
-                }) => {
-                    let (decided, forced) =
-                        self.decide_pending(annotation.as_ref(), self.queue.len());
-                    self.stats.forced_resolutions += usize::from(forced);
-                    if decided.is_none() {
-                        break; // blocked on a pending predicate
-                    }
-                    decided
-                }
+                }) => match self.decide(annotation.as_ref()) {
+                    None => break, // blocked on a pending predicate
+                    decided => decided,
+                },
                 Some(_) => None,
             };
             // lint: infallible — the match above saw the queue's front.
@@ -362,12 +310,7 @@ impl ViewAssembler {
     /// instance it depends on is unresolved. The annotation is borrowed from
     /// the engine or the queue front (cloning it per node dominated the
     /// per-event cost for large rule sets).
-    ///
-    /// With `force` set, unresolved instances are completed conservatively
-    /// instead of blocking: a permit that might apply is dropped, a denial
-    /// that might apply is applied, a query that might match is treated as
-    /// not matching — the node's subtree can only shrink, never leak.
-    fn decide(&self, annotation: Option<&NodeAnnotation>, force: bool) -> Option<(Decision, bool)> {
+    fn decide(&self, annotation: Option<&NodeAnnotation>) -> Option<(Decision, bool)> {
         let truth = |id: InstanceId| self.truth(id);
 
         // Query scope: a node is in scope if an ancestor is, or if the query
@@ -381,11 +324,7 @@ impl ViewAssembler {
             true
         } else {
             match annotation.and_then(NodeAnnotation::query) {
-                Some(matches) => match matches.evaluate(truth) {
-                    Some(matched) => matched,
-                    None if force => false,
-                    None => return None,
-                },
+                Some(matches) => matches.evaluate(truth)?,
                 None => false,
             }
         };
@@ -394,12 +333,7 @@ impl ViewAssembler {
         // matters to the decision.
         let (mut has_deny, mut has_permit) = (false, false);
         for (m, matches) in annotation.into_iter().flat_map(NodeAnnotation::direct) {
-            let applies = match matches.evaluate(truth) {
-                Some(applies) => applies,
-                None if force => m.sign == Sign::Deny,
-                None => return None,
-            };
-            if applies {
+            if matches.evaluate(truth)? {
                 match m.sign {
                     Sign::Deny => has_deny = true,
                     Sign::Permit => has_permit = true,
@@ -520,16 +454,6 @@ mod tests {
         policy: AccessPolicy,
         doc: &str,
     ) -> (String, AssemblerStats) {
-        evaluate_capped(rules, query, policy, doc, None)
-    }
-
-    fn evaluate_capped(
-        rules: &[(&str, Sign)],
-        query: Option<&str>,
-        policy: AccessPolicy,
-        doc: &str,
-        pending_high_water: Option<usize>,
-    ) -> (String, AssemblerStats) {
         let compiled: Vec<EngineRule> = rules
             .iter()
             .enumerate()
@@ -541,8 +465,7 @@ mod tests {
             .collect();
         let compiled_query = query.map(|q| compile_str(q).unwrap());
         let mut engine = RuleEngine::new(compiled, compiled_query.as_ref());
-        let mut assembler =
-            ViewAssembler::new(policy, query.is_some()).with_pending_high_water(pending_high_water);
+        let mut assembler = ViewAssembler::new(policy, query.is_some());
         let (mut events, mut text) = (Vec::new(), String::new());
         for event in Parser::parse_all(doc).unwrap() {
             feed(
@@ -707,66 +630,6 @@ mod tests {
         let (view, stats) = evaluate(rules, None, AccessPolicy::paper(), doc);
         assert_eq!(view, "<r></r>");
         assert!(stats.peak_pending_events >= 8);
-    }
-
-    #[test]
-    fn pending_high_water_bounds_the_buffer_conservatively() {
-        // A pending *permit* on a large subtree: exact evaluation buffers the
-        // subtree and delivers it once the flag arrives.
-        let rules: &[(&str, Sign)] = &[("//b[flag]/d", Sign::Permit)];
-        let doc = "<r><b><d><x>1</x><x>2</x><x>3</x><x>4</x></d><flag/></b></r>";
-        let (exact, exact_stats) = evaluate(rules, None, AccessPolicy::paper(), doc);
-        assert_eq!(
-            exact,
-            "<r><b><d><x>1</x><x>2</x><x>3</x><x>4</x></d></b></r>"
-        );
-        assert_eq!(exact_stats.forced_resolutions, 0);
-        assert!(exact_stats.peak_pending_events >= 10);
-
-        // Capped at 3 queued events: the d decision is forced (permit with an
-        // unresolved instance drops), the buffer stays bounded, nothing is
-        // delivered that the exact view would deny.
-        let (capped, capped_stats) =
-            evaluate_capped(rules, None, AccessPolicy::paper(), doc, Some(3));
-        assert_eq!(capped, "");
-        assert!(capped_stats.forced_resolutions >= 1);
-        assert!(
-            capped_stats.peak_pending_events <= 4,
-            "peak {} should respect the mark",
-            capped_stats.peak_pending_events
-        );
-
-        // A pending *denial* forces to "denied": still conservative.
-        let deny_rules: &[(&str, Sign)] = &[("/r", Sign::Permit), ("//b[flag]", Sign::Deny)];
-        let (capped_deny, s) =
-            evaluate_capped(deny_rules, None, AccessPolicy::paper(), doc, Some(3));
-        assert_eq!(capped_deny, "<r></r>");
-        assert!(s.forced_resolutions >= 1);
-
-        // A generous mark never triggers: the exact view is preserved.
-        let (roomy, roomy_stats) =
-            evaluate_capped(rules, None, AccessPolicy::paper(), doc, Some(100));
-        assert_eq!(roomy, exact);
-        assert_eq!(roomy_stats.forced_resolutions, 0);
-    }
-
-    #[test]
-    fn pending_high_water_forces_unresolved_query_matches_out_of_scope() {
-        // The query //b[flag] cannot be decided for b until flag arrives; the
-        // cap forces b out of scope, so nothing is delivered.
-        let rules: &[(&str, Sign)] = &[("/r", Sign::Permit)];
-        let doc = "<r><b><x>1</x><x>2</x><x>3</x><flag/></b></r>";
-        let (exact, _) = evaluate(rules, Some("//b[flag]"), AccessPolicy::paper(), doc);
-        assert_eq!(exact, "<r><b><x>1</x><x>2</x><x>3</x><flag></flag></b></r>");
-        let (capped, stats) = evaluate_capped(
-            rules,
-            Some("//b[flag]"),
-            AccessPolicy::paper(),
-            doc,
-            Some(2),
-        );
-        assert_eq!(capped, "");
-        assert!(stats.forced_resolutions >= 1);
     }
 
     #[test]

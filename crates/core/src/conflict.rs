@@ -31,30 +31,26 @@ impl Decision {
     }
 }
 
-/// Global policy knobs of the access-control head.
+/// Global policy of the access-control head. Only the default varies,
+/// closed or open: conflicts always resolve by the paper's two principles,
+/// Denial-Takes-Precedence and Most-Specific-Object-Takes-Precedence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessPolicy {
     /// Decision applied when no rule (direct or propagated) concerns a node.
     /// The paper's model is closed by default (`Deny`).
     pub default_decision: Decision,
-    /// If `true` (the paper's semantics), a prohibition that applies directly
-    /// to a node wins over a permission that applies directly to the same
-    /// node. The `false` variant (permission takes precedence) is provided for
-    /// the ablation of experiment E1 only.
-    pub denial_takes_precedence: bool,
 }
 
 impl Default for AccessPolicy {
     fn default() -> Self {
         AccessPolicy {
             default_decision: Decision::Deny,
-            denial_takes_precedence: true,
         }
     }
 }
 
 impl AccessPolicy {
-    /// The paper's policy: closed world, denial takes precedence.
+    /// The paper's policy: closed world.
     pub fn paper() -> Self {
         AccessPolicy::default()
     }
@@ -64,7 +60,6 @@ impl AccessPolicy {
     pub fn open() -> Self {
         AccessPolicy {
             default_decision: Decision::Permit,
-            ..AccessPolicy::default()
         }
     }
 }
@@ -102,62 +97,11 @@ pub fn resolve_signs(
     inherited: Option<Decision>,
 ) -> Decision {
     match (has_deny, has_permit) {
-        (true, true) => {
-            // Conflict at equal specificity.
-            if policy.denial_takes_precedence {
-                Decision::Deny
-            } else {
-                Decision::Permit
-            }
-        }
-        (true, false) => Decision::Deny,
+        // Denial takes precedence, also over a permission at equal
+        // specificity.
+        (true, _) => Decision::Deny,
         (false, true) => Decision::Permit,
         (false, false) => inherited.unwrap_or(policy.default_decision),
-    }
-}
-
-/// A stack of decisions mirroring the element nesting — the paper's *sign
-/// stack*: "propagation of rules as well as conflicts are managed with a sign
-/// stack which keeps on the top the current sign that is propagated if no
-/// other rule applies" (§2.3).
-#[derive(Debug, Clone, Default)]
-pub struct SignStack {
-    stack: Vec<Decision>,
-}
-
-impl SignStack {
-    /// Creates an empty stack.
-    pub fn new() -> Self {
-        SignStack::default()
-    }
-
-    /// Decision currently propagated (top of stack), if any element is open.
-    pub fn current(&self) -> Option<Decision> {
-        self.stack.last().copied()
-    }
-
-    /// Pushes the decision of a newly opened element, computed from its direct
-    /// rules and the propagated decision, and returns it.
-    pub fn push(&mut self, policy: &AccessPolicy, direct: &[DirectRule]) -> Decision {
-        let decision = resolve(policy, direct, self.current());
-        self.stack.push(decision);
-        decision
-    }
-
-    /// Pops the decision of a closing element.
-    pub fn pop(&mut self) -> Option<Decision> {
-        self.stack.pop()
-    }
-
-    /// Current depth of the stack.
-    pub fn depth(&self) -> usize {
-        self.stack.len()
-    }
-
-    /// Bytes of secure working memory used by the stack (one byte per level in
-    /// the card implementation).
-    pub fn ram_bytes(&self) -> usize {
-        self.stack.len()
     }
 }
 
@@ -183,7 +127,6 @@ mod tests {
     fn default_policy_is_closed_world_denial_precedence() {
         let p = AccessPolicy::paper();
         assert_eq!(p.default_decision, Decision::Deny);
-        assert!(p.denial_takes_precedence);
         assert_eq!(AccessPolicy::open().default_decision, Decision::Permit);
         assert!(!Decision::Deny.is_permit());
         assert!(Decision::Permit.is_permit());
@@ -196,14 +139,6 @@ mod tests {
         assert_eq!(
             resolve(&p, &[deny(1), permit(0)], Some(Decision::Permit)),
             Decision::Deny
-        );
-        let lenient = AccessPolicy {
-            denial_takes_precedence: false,
-            ..AccessPolicy::paper()
-        };
-        assert_eq!(
-            resolve(&lenient, &[permit(0), deny(1)], None),
-            Decision::Permit
         );
     }
 
@@ -230,14 +165,7 @@ mod tests {
 
     #[test]
     fn sign_flags_resolve_like_the_matching_slice() {
-        let policies = [
-            AccessPolicy::paper(),
-            AccessPolicy {
-                denial_takes_precedence: false,
-                ..AccessPolicy::paper()
-            },
-            AccessPolicy::open(),
-        ];
+        let policies = [AccessPolicy::paper(), AccessPolicy::open()];
         for policy in &policies {
             for inherited in [None, Some(Decision::Permit), Some(Decision::Deny)] {
                 for has_deny in [false, true] {
@@ -258,31 +186,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sign_stack_propagates_and_backtracks() {
-        let p = AccessPolicy::paper();
-        let mut stack = SignStack::new();
-        assert_eq!(stack.current(), None);
-        // <root> with a direct permit
-        assert_eq!(stack.push(&p, &[permit(0)]), Decision::Permit);
-        // <child> with no direct rule inherits permit
-        assert_eq!(stack.push(&p, &[]), Decision::Permit);
-        // <grandchild> with a direct deny
-        assert_eq!(stack.push(&p, &[deny(1)]), Decision::Deny);
-        // <greatgrandchild> inherits the deny
-        assert_eq!(stack.push(&p, &[]), Decision::Deny);
-        assert_eq!(stack.depth(), 4);
-        assert_eq!(stack.ram_bytes(), 4);
-        assert_eq!(stack.pop(), Some(Decision::Deny));
-        assert_eq!(stack.pop(), Some(Decision::Deny));
-        // Back under <child>, the propagated decision is permit again.
-        assert_eq!(stack.current(), Some(Decision::Permit));
-        assert_eq!(stack.push(&p, &[]), Decision::Permit);
-        stack.pop();
-        stack.pop();
-        stack.pop();
-        assert_eq!(stack.pop(), None);
     }
 }

@@ -39,7 +39,7 @@ use crate::secdoc::{
     decrypt_chunk, document_cipher, integrity_key, verify_chunk, verify_header, ChunkKeystream,
     ChunkTag, DocumentHeader, SecureDocument, TAG_LEN,
 };
-use crate::session::{KeyProvisioning, ProtectedRules};
+use crate::session::{KeyProvisioning, ProtectedRules, RULES_PREFIX};
 use crate::skipindex::decode::{ReadResult, TokenEvent, TokenReader};
 use sdds_wire::WireError;
 
@@ -889,6 +889,14 @@ impl AccessControlApplet {
     }
 
     fn handle_put_rules(&mut self, card: &mut SmartCard, command: &Apdu) -> ApduResponse {
+        // A blob's ciphertext is as long as the encoded rule set, which must
+        // fit the EEPROM: no longer blob can ever be installed, so the
+        // reassembly buffer stays bounded whatever the terminal sends.
+        let limit = RULES_PREFIX + card.profile().eeprom_bytes;
+        if self.rules_buf.len() + command.data.len() > limit {
+            self.rules_buf.clear();
+            return ApduResponse::error(StatusWord::MEMORY_FAILURE);
+        }
         self.rules_buf.extend_from_slice(&command.data);
         if command.p1 == 1 {
             // More fragments follow.
@@ -1615,7 +1623,7 @@ mod tests {
     mod applet {
         use super::*;
         use crate::session::TrustedServer;
-        use sdds_card::apdu::fragments;
+        use sdds_card::apdu::{fragments, MAX_SHORT_APDU_DATA};
         use sdds_card::{CardProfile, CardRuntime};
 
         /// A card of `profile` carrying the applet `server` issued to
@@ -1942,6 +1950,54 @@ mod tests {
             );
             assert_eq!(view, writer::to_string(&expected));
             assert!(view.contains("<name>"));
+        }
+
+        #[test]
+        fn put_rules_reassembly_is_bounded_by_the_eeprom() {
+            let mut server = TrustedServer::new(b"community", medical_rules());
+            let subject = Subject::new("doctor");
+            let profile = CardProfile {
+                eeprom_bytes: 4 * 1024,
+                ..CardProfile::unconstrained()
+            };
+            let limit = RULES_PREFIX + profile.eeprom_bytes;
+            let mut runtime = card(&server, &subject, profile);
+            provision(&mut runtime, &server, &subject);
+            let installed_bytes = runtime.card_mut().eeprom().in_use();
+            let installed_version = runtime.applet().soe.rules().unwrap().version();
+            // Fragments up to the longest blob the EEPROM could hold are
+            // accepted...
+            let blob = vec![0u8; limit];
+            for frag in blob.chunks(MAX_SHORT_APDU_DATA) {
+                let resp = runtime.exchange(&Apdu::new(ins::PUT_RULES, 1, 0, frag).unwrap());
+                assert_eq!(resp.status, StatusWord::OK);
+            }
+            // ...and the first byte beyond is refused, not buffered.
+            let over = runtime.exchange(&Apdu::new(ins::PUT_RULES, 1, 0, vec![0]).unwrap());
+            assert_eq!(over.status, StatusWord::MEMORY_FAILURE);
+            assert!(runtime.applet().rules_buf.is_empty());
+            // The installed rules keep their version floor and their charge.
+            assert_eq!(
+                runtime.applet().soe.rules().unwrap().version(),
+                installed_version
+            );
+            assert_eq!(runtime.card_mut().eeprom().in_use(), installed_bytes);
+            // A well-formed PUT_RULES afterwards installs.
+            server
+                .rules_mut()
+                .push(Sign::Deny, "doctor", "//patient/name")
+                .unwrap();
+            let newer = server.protected_rules_for(&subject);
+            for (frag, more) in fragments(&[&newer.encode()]) {
+                runtime
+                    .exchange_expect_ok(&Apdu::with_data(ins::PUT_RULES, u8::from(more), 0, frag))
+                    .unwrap();
+            }
+            assert_eq!(
+                runtime.applet().soe.rules().unwrap().version(),
+                newer.version
+            );
+            assert_eq!(runtime.card_mut().eeprom().in_use(), newer.ciphertext.len());
         }
 
         #[test]

@@ -32,11 +32,6 @@ pub struct EvaluatorConfig {
     pub query: Option<Arc<Query>>,
     /// Conflict-resolution policy.
     pub policy: AccessPolicy,
-    /// Optional cap on the assembler's pending-decision buffer, in events.
-    /// `None` (the default) buffers without limit, which is exact; with a cap,
-    /// decisions still blocked at the mark are resolved conservatively (see
-    /// [`crate::assembler::ViewAssembler::with_pending_high_water`]).
-    pub pending_high_water: Option<usize>,
 }
 
 impl EvaluatorConfig {
@@ -47,7 +42,6 @@ impl EvaluatorConfig {
             subject: Subject::new(subject),
             query: None,
             policy: AccessPolicy::paper(),
-            pending_high_water: None,
         }
     }
 
@@ -62,45 +56,6 @@ impl EvaluatorConfig {
         self.policy = policy;
         self
     }
-
-    /// Caps the pending buffer at `events` queued events (eager conservative
-    /// resolution on overflow).
-    pub fn with_pending_high_water(mut self, events: usize) -> Self {
-        self.pending_high_water = Some(events);
-        self
-    }
-
-    /// Derives the pending high-water mark from a secure-RAM budget in
-    /// `bytes` (e.g. the card profile's RAM size): half the budget is left to
-    /// the engine working set (token stack, automaton states, render stack),
-    /// the other half bounds the pending-decision buffer at
-    /// [`PENDING_EVENT_ESTIMATE_BYTES`] per queued event. The mark is never
-    /// below one event, so pendency degrades to immediate conservative
-    /// resolution rather than panicking on tiny budgets.
-    ///
-    /// This is the automatic counterpart of
-    /// [`EvaluatorConfig::with_pending_high_water`], for callers that take
-    /// the mark from a hardware budget instead of tuning it by hand. The SOE
-    /// does not call it: [`crate::engine::Soe::open`] leaves the pending
-    /// buffer uncapped and enforces its budget as
-    /// [`crate::engine::EngineConfig::ram_budget`], failing the session when
-    /// the working set exceeds it.
-    pub fn with_ram_budget(self, bytes: usize) -> Self {
-        self.with_pending_high_water(derive_pending_high_water(bytes))
-    }
-}
-
-/// Estimated secure-RAM cost of one queued pending event: ~16 B of queue
-/// bookkeeping plus the serialized payload of a typical small element event
-/// (see `ViewAssembler::ram_bytes`, which charges `serialized_len() + 16` per
-/// queued event).
-pub const PENDING_EVENT_ESTIMATE_BYTES: usize = 64;
-
-/// The [`EvaluatorConfig::with_ram_budget`] derivation, exposed for tests and
-/// for callers that want the mark without building a config: half of `bytes`
-/// divided by the per-event estimate, floored at one event.
-pub fn derive_pending_high_water(bytes: usize) -> usize {
-    ((bytes / 2) / PENDING_EVENT_ESTIMATE_BYTES).max(1)
 }
 
 /// Combined statistics of an evaluation session.
@@ -148,8 +103,7 @@ impl StreamingEvaluator {
         let query = config.query.as_deref().map(Query::compiled);
         Ok(StreamingEvaluator {
             engine: RuleEngine::new(compiled, query),
-            assembler: ViewAssembler::new(config.policy, query.is_some())
-                .with_pending_high_water(config.pending_high_water),
+            assembler: ViewAssembler::new(config.policy, query.is_some()),
             resolved: Vec::new(),
             events_in: 0,
         })
@@ -385,83 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn pending_high_water_flows_through_the_evaluator() {
-        // A pending permit whose condition arrives only at the end of a long
-        // subtree: exact evaluation buffers everything, the capped one stays
-        // bounded and under-delivers conservatively.
-        let mut rules = RuleSet::new();
-        rules
-            .push(crate::rule::Sign::Permit, "user", "//b[flag]")
-            .unwrap();
-        let mut doc = String::from("<r><b>");
-        for i in 0..50 {
-            doc.push_str(&format!("<x>{i}</x>"));
-        }
-        doc.push_str("<flag/></b></r>");
-        let events = Parser::parse_all(&doc).unwrap();
-
-        let exact_config = EvaluatorConfig::new(rules.clone(), "user");
-        let (exact, exact_stats) =
-            StreamingEvaluator::evaluate_all(&exact_config, &events).unwrap();
-        assert!(writer::to_string(&exact).contains("<x>0</x>"));
-        assert!(exact_stats.assembler.peak_pending_events > 50);
-        assert_eq!(exact_stats.assembler.forced_resolutions, 0);
-
-        let capped_config = EvaluatorConfig::new(rules, "user").with_pending_high_water(8);
-        let (capped, capped_stats) =
-            StreamingEvaluator::evaluate_all(&capped_config, &events).unwrap();
-        assert!(capped.is_empty(), "forced permit drops the subtree");
-        assert!(capped_stats.assembler.forced_resolutions >= 1);
-        assert!(capped_stats.assembler.peak_pending_events <= 9);
-        assert!(
-            capped_stats.peak_ram_bytes() < exact_stats.peak_ram_bytes() / 4,
-            "capping pendency must cap the assembler's RAM (capped {}, exact {})",
-            capped_stats.peak_ram_bytes(),
-            exact_stats.peak_ram_bytes()
-        );
-    }
-
-    #[test]
-    fn ram_budget_derives_the_pending_high_water_mark() {
-        // The derivation contract: half the budget, 64 estimated bytes per
-        // queued event, floored at one event. Pinned on the two card profiles
-        // and the degenerate budgets.
-        assert_eq!(derive_pending_high_water(1024), 8); // e-gate: 1 KiB
-        assert_eq!(derive_pending_high_water(8 * 1024), 64); // modern SE: 8 KiB
-        assert_eq!(derive_pending_high_water(0), 1);
-        assert_eq!(derive_pending_high_water(127), 1);
-        assert_eq!(
-            derive_pending_high_water(2 * PENDING_EVENT_ESTIMATE_BYTES),
-            1
-        );
-        assert_eq!(
-            derive_pending_high_water(4 * PENDING_EVENT_ESTIMATE_BYTES),
-            2
-        );
-
-        // The builder wires the derived mark into the config.
-        let config = EvaluatorConfig::new(RuleSet::new(), "user").with_ram_budget(1024);
-        assert_eq!(config.pending_high_water, Some(8));
-
-        // And the derived mark really bounds the pending buffer: same
-        // workload as the manual-mark test above, budget-driven this time.
-        let mut rules = RuleSet::new();
-        rules
-            .push(crate::rule::Sign::Permit, "user", "//b[flag]")
-            .unwrap();
-        let mut doc = String::from("<r><b>");
-        for i in 0..50 {
-            doc.push_str(&format!("<x>{i}</x>"));
-        }
-        doc.push_str("<flag/></b></r>");
-        let events = Parser::parse_all(&doc).unwrap();
-        let config = EvaluatorConfig::new(rules, "user").with_ram_budget(1024);
-        let (_, stats) = StreamingEvaluator::evaluate_all(&config, &events).unwrap();
-        assert!(stats.assembler.peak_pending_events <= 9);
-        assert!(stats.assembler.forced_resolutions >= 1);
-    }
-
-    #[test]
     fn unparseable_rule_surfaces_at_construction() {
         let mut rules = RuleSet::new();
         rules
@@ -575,8 +452,7 @@ pub(crate) mod ram_props {
             );
             let subject = SUBJECTS[rng.below(4) as usize];
             let query = (rng.below(3) == 0).then(|| QUERIES[rng.below(3) as usize]);
-            let high_water = (rng.below(3) == 0).then(|| 1 + rng.below(8) as usize);
-            let ctx = format!("case {case}: {subject}, query {query:?}, cap {high_water:?}");
+            let ctx = format!("case {case}: {subject}, query {query:?}");
 
             let policy = rules();
             let compiled: Vec<EngineRule> = policy
@@ -585,8 +461,7 @@ pub(crate) mod ram_props {
                 .collect();
             let parsed = query.map(|q| Query::parse(q).unwrap());
             let mut engine = RuleEngine::new(compiled, parsed.as_ref().map(Query::compiled));
-            let mut assembler = ViewAssembler::new(AccessPolicy::paper(), query.is_some())
-                .with_pending_high_water(high_water);
+            let mut assembler = ViewAssembler::new(AccessPolicy::paper(), query.is_some());
             let (mut resolved, mut view) = (Vec::new(), Vec::<sdds_xml::Event>::new());
             for (i, event) in doc.to_events().iter().enumerate() {
                 let event = event.as_event_ref();
@@ -622,9 +497,6 @@ pub(crate) mod ram_props {
             let mut evaluator = EvaluatorConfig::new(policy, subject);
             if let Some(q) = query {
                 evaluator = evaluator.with_query(Query::parse(q).unwrap());
-            }
-            if let Some(mark) = high_water {
-                evaluator = evaluator.with_pending_high_water(mark);
             }
             let (_, stats) = evaluate_secure_document(&secure, &key, EngineConfig::new(evaluator))
                 .unwrap_or_else(|e| panic!("{ctx}, chunks of {chunk_size} B: {e}"));

@@ -38,7 +38,7 @@ pub struct ProtectedRules {
 }
 
 /// Bytes of an encoded [`ProtectedRules`] before its ciphertext.
-const RULES_PREFIX: usize = 8 + SIV_TAG_LEN;
+pub(crate) const RULES_PREFIX: usize = 8 + SIV_TAG_LEN;
 
 impl ProtectedRules {
     /// Seals `rules` under `key` (the rule-protection key of the community).

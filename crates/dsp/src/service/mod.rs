@@ -103,14 +103,6 @@ impl ServiceModel {
         }
     }
 
-    /// An idealised service that costs nothing (isolates card-side costs).
-    pub fn infinite() -> Self {
-        ServiceModel {
-            per_request_overhead: Duration::ZERO,
-            serve_bytes_per_second: f64::INFINITY,
-        }
-    }
-
     /// Simulated serial time one shard needs to serve `stats` worth of
     /// traffic (saturating at [`Duration::MAX`]).
     pub fn service_time(&self, stats: &ServerStats) -> Duration {
@@ -391,10 +383,6 @@ mod tests {
         };
         let t = model.service_time(&stats);
         assert!((t.as_secs_f64() - 1.0001).abs() < 1e-6);
-        assert_eq!(
-            ServiceModel::infinite().service_time(&stats),
-            Duration::ZERO
-        );
     }
 
     #[test]
