@@ -12,7 +12,6 @@
 
 use std::time::Instant;
 
-use sdds::apps::dissem::DisseminationApp;
 use sdds_bench::workloads;
 use sdds_card::{CardProfile, CostModel};
 use sdds_core::baseline::{DomBaseline, StaticEncryptionScheme};
@@ -262,10 +261,7 @@ fn e6_dissemination(report: &mut Report) {
         "E6",
         "push-mode selective dissemination throughput (parental control)",
     );
-    let stream = workloads::stream(30);
-    let (rules, policy) = workloads::parental_rules();
-    let app = DisseminationApp::new(b"bench", &stream, rules, CardProfile::egate());
-    let (dissem, wall_ms) = timed(|| app.consume_with_card("child", policy).unwrap());
+    let (dissem, wall_ms) = timed(workloads::dissemination);
     println!(
         "items: {} delivered / {} blocked; worst per-item latency {:.1} ms; total {:.2} s; skipped {} B; wall {wall_ms:.1} ms",
         dissem.items_delivered,

@@ -2,7 +2,8 @@
 
 use std::time::Instant;
 
-use sdds_card::CostModel;
+use sdds::apps::dissem::{DisseminationApp, SubscriberReport};
+use sdds_card::{CardProfile, CostModel};
 use sdds_core::conflict::AccessPolicy;
 use sdds_core::engine::{evaluate_secure_document, EngineConfig, SessionStats};
 use sdds_core::evaluator::{EvaluatorConfig, EvaluatorStats, StreamingEvaluator};
@@ -137,26 +138,26 @@ pub fn egate_seconds(stats: &SessionStats) -> f64 {
         .as_secs_f64()
 }
 
-/// A dissemination stream of `items` items.
-pub fn stream(items: usize) -> Document {
-    generator::stream(
+/// E6's workload: a 30-item stream broadcast to a parental-control
+/// subscriber, `child`, who may not see items rated above 12, and consumed
+/// item by item on an e-gate card.
+pub fn dissemination() -> SubscriberReport {
+    let stream = generator::stream(
         &generator::StreamProfile {
-            items,
+            items: 30,
             payload_len: 128,
             ..generator::StreamProfile::default()
         },
         &GeneratorConfig::default(),
-    )
-}
-
-/// Parental-control rules of the dissemination subscriber.
-pub fn parental_rules() -> (RuleSet, AccessPolicy) {
-    (
+    );
+    // lint: infallible — bench inputs are static and valid by construction;
+    // a panic here is a harness bug, not a recoverable condition.
+    let rules = RuleSet::parse("-, child, //item[rating > 12]").expect("parses");
+    let app = DisseminationApp::new(b"bench", &stream, rules, CardProfile::egate());
+    app.consume_with_card("child", AccessPolicy::open())
         // lint: infallible — bench inputs are static and valid by construction;
         // a panic here is a harness bug, not a recoverable condition.
-        RuleSet::parse("-, child, //item[rating > 12]").expect("parses"),
-        AccessPolicy::open(),
-    )
+        .expect("the subscriber's card consumes the stream")
 }
 
 // ---------------------------------------------------------------------------
@@ -461,6 +462,8 @@ pub fn hot_document_observed(
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
 
     /// E1's and E4's peak secure RAM, pinned exactly: every byte the
@@ -505,5 +508,26 @@ mod tests {
                 .flat_map(|(depth, bytes)| [4, 16, 64].map(|n_rules| (depth, n_rules, bytes)))
                 .collect();
         assert_eq!(e4, expected, "e4.depth_D.rules_N.peak_ram_bytes");
+    }
+
+    /// E6's subscriber report, pinned exactly: the per-item latencies come
+    /// from the e-gate cost model over the card ledger, so one more byte
+    /// moved or one more event processed on the card shows up here.
+    #[test]
+    fn e6_report_is_pinned() {
+        let report = dissemination();
+        assert_eq!(report.subscriber, "child");
+        assert_eq!(
+            (report.items_delivered, report.items_blocked),
+            (18, 12),
+            "e6.items_delivered, e6.items_blocked"
+        );
+        assert_eq!(
+            report.max_item_latency,
+            Duration::from_nanos(478_469_062),
+            "e6.max_item_latency_ms"
+        );
+        assert_eq!(report.total_latency, Duration::from_nanos(12_194_160_780));
+        assert_eq!(report.bytes_skipped, 2_244);
     }
 }

@@ -113,8 +113,9 @@ impl ChannelMeter {
 /// the pending transfers and, on [`BatchedChannel::flush`], packs the queued
 /// bytes of each direction into as few APDUs as the payload cap allows,
 /// charging one [`ChannelModel::per_apdu_latency`] per *batch APDU* instead of
-/// one per request. The multi-client DSP service uses this for its fan-out
-/// serving loop: all chunk pushes of one scheduler quantum ride one batch.
+/// one per request. The multi-client DSP service uses this for its
+/// scheduled serving loop: all chunk pushes of one scheduler quantum ride
+/// one batch.
 ///
 /// Byte counters are identical to per-request accounting (batching never
 /// changes *what* is transferred, only how many round-trips carry it); the

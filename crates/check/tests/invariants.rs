@@ -88,7 +88,7 @@ fn replication_invalidates_before_publish() {
 
             thread::scope(|scope| {
                 scope.spawn(|| {
-                    store.put_document_with(v1.clone(), false);
+                    store.put_document(v1.clone());
                 });
                 // Reader: header and chunk must agree, whichever replica —
                 // old, invalidated, or new — ends up serving the request.
@@ -311,7 +311,7 @@ fn pinned_fetches_are_never_torn() {
                 // the republish lands inside the pinned session.
                 let (header, revision) = store.fetch_header("doc", None, 0).expect("doc is stored");
                 scope.spawn(|| {
-                    store.put_document_with(v1.clone(), false);
+                    store.put_document(v1.clone());
                 });
                 match store.fetch_chunk("doc", 0, Some(revision), 0) {
                     Ok((chunk, tag)) => {

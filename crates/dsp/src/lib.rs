@@ -7,33 +7,27 @@
 //! verifies everything). This crate provides:
 //!
 //! * [`store`] — the encrypted document / protected rule store with versioning,
-//! * [`dissemination`] — the broadcast unit of experiment E6: already
-//!   encrypted [`StreamItem`]s (produced by the trusted, proxy-side
-//!   `sdds_proxy::DisseminationChannel`, which keeps the key and the
-//!   cleartext stream out of this crate) are broadcast to subscribers over
-//!   unsecured channels, and each subscriber's SOE filters what its user may
-//!   see,
 //! * [`service`] — the pull-mode front-end terminal proxies call
 //!   ([`DspService`], with byte accounting of everything served) and the
 //!   concurrent multi-client layer of experiment E10: the
 //!   FNV-sharded store ([`service::ShardedStore`]), the fair round-robin
-//!   [`service::SessionScheduler`] multiplexing many card sessions, the
-//!   [`service::FanOutDisseminator`] (one ciphertext per item shared across
-//!   M subscriber mailboxes), and the [`service::ServiceModel`] capacity math (see the
-//!   module docs for the architecture diagram and the knob → paper-experiment
-//!   mapping).
+//!   [`service::SessionScheduler`] multiplexing many card sessions, and the
+//!   [`service::ServiceModel`] capacity math (see the module docs for the
+//!   architecture diagram and the knob → paper-experiment mapping).
+//!
+//! The DSP serves pulls only. Push dissemination (experiment E6) broadcasts
+//! each encrypted item "through unsecured channels" (§3) straight to the
+//! subscribers' cards, so no server sits on that path.
 
 #![forbid(unsafe_code)]
 
-pub mod dissemination;
 pub mod obs;
 pub mod service;
 pub mod store;
 
-pub use dissemination::StreamItem;
 pub use obs::{DspObs, ErrorObs, SchedulerObs, ServeObs, ServerStats, SessionObs, ShardObs};
 pub use service::{
-    DspService, FanOutDisseminator, Schedulable, ScheduleReport, ServiceModel, SessionScheduler,
-    ShardedStore, StepOutcome,
+    DspService, Schedulable, ScheduleReport, ServiceModel, SessionScheduler, ShardedStore,
+    StepOutcome,
 };
 pub use store::{DocumentRecord, DspStore};

@@ -25,9 +25,6 @@
 //!                  ┌────┴───┐ ┌────┴───┐ ┌────┴───┐  each quantum's pushes)
 //!                  │ card 0 │ │ card 1 │ │ card K │
 //!                  └────────┘ └────────┘ └────────┘
-//!
-//!  push side:  FanOutDisseminator ──Arc<StreamItem>──▶ M subscriber
-//!              (ONE encryption per item)                mailboxes
 //! ```
 //!
 //! Mapping to the paper's evaluation:
@@ -49,11 +46,6 @@
 //! * **the card crate's `BatchedChannel`** — the E5 latency breakdown's
 //!   `per_apdu_latency`, charged once per coalesced batch instead of once per
 //!   chunk request.
-//! * **[`FanOutDisseminator`]** — E6 dissemination at M subscribers: the
-//!   proxy-side publisher (`sdds_proxy::DisseminationChannel`) encrypts each
-//!   item once and the DSP fans the shared ciphertext out to M mailboxes —
-//!   one encryption per item regardless of M (pinned by the fan-out property
-//!   test).
 //!
 //! Capacity is reported on the same *simulated* clock the rest of the
 //! workspace uses (cost models, not wall time — see the card crate's `cost`): the
@@ -65,11 +57,9 @@
 //! All of it is deterministic — byte counts times model rates — which is what
 //! lets CI gate the E10 keys on any hardware.
 
-pub mod fanout;
 pub mod scheduler;
 pub mod shard;
 
-pub use fanout::{FanOutDisseminator, SubscriberId};
 pub use scheduler::{FinishedSession, Schedulable, ScheduleReport, SessionScheduler, StepOutcome};
 pub use shard::ShardedStore;
 
@@ -193,13 +183,6 @@ impl DspService {
     /// Uploads (or replaces) a document, keeping stored rule blobs.
     pub fn put_document(&self, document: SecureDocument) {
         self.store.put_document(document);
-    }
-
-    /// Uploads (or replaces) a document, choosing whether stored rule blobs
-    /// survive the replacement.
-    pub fn put_document_with(&self, document: SecureDocument, clear_rules_on_replace: bool) {
-        self.store
-            .put_document_with(document, clear_rules_on_replace);
     }
 
     /// Stores the protected rule blob of `subject` for `doc_id`: opaque

@@ -384,25 +384,19 @@ impl ShardedStore {
 
     /// Uploads (or replaces) a document on its shard, keeping stored rule
     /// blobs (see [`DspStore::put_document`]).
-    pub fn put_document(&self, document: SecureDocument) {
-        self.put_document_with(document, false);
-    }
-
-    /// Uploads (or replaces) a document, choosing whether stored rule blobs
-    /// survive the replacement (see [`DspStore::put_document_with`]).
     ///
     /// Replicas are invalidated **before** the new revision lands (readers
     /// route back to the home shard for the duration), and pinned documents
     /// re-replicate the new revision afterwards — so no clone ever serves a
     /// revision the home shard has abandoned.
-    pub fn put_document_with(&self, document: SecureDocument, clear_rules_on_replace: bool) {
+    pub fn put_document(&self, document: SecureDocument) {
         let doc_id = document.header.doc_id.clone();
         let mut directory = self.directory.write_np();
         let pinned = self.invalidate_locked(&mut directory, &doc_id);
         self.shards[self.shard_of(&doc_id)]
             .write_np()
             .store
-            .put_document_with(document, clear_rules_on_replace);
+            .put_document(document);
         if let Some(copies) = pinned {
             self.replicate_locked(&mut directory, &doc_id, copies);
         }

@@ -31,31 +31,16 @@ impl DspStore {
         DspStore::default()
     }
 
-    /// Uploads (or replaces) a document, keeping any stored rule blobs.
-    ///
-    /// Keeping the blobs is only sound when the replacement has the same
-    /// schema as the original (a content refresh): protected rules reference
-    /// the document's tag vocabulary, so a replace that changes the schema
-    /// must use [`DspStore::put_document_with`] with
-    /// `clear_rules_on_replace = true` or the stale blobs of the previous
-    /// schema keep being served.
+    /// Uploads (or replaces) a document, keeping any stored rule blobs and
+    /// bumping the revision on every replacement. A subject's blob does not
+    /// depend on the document it is stored beside: the publisher re-seals and
+    /// re-uploads every blob whenever the rules change.
     pub fn put_document(&mut self, document: SecureDocument) {
-        self.put_document_with(document, false);
-    }
-
-    /// Uploads (or replaces) a document, choosing what happens to the
-    /// protected rule blobs already stored for it. The revision is bumped on
-    /// every replacement either way, so a subscriber can detect that its
-    /// cached rules may predate the current document.
-    pub fn put_document_with(&mut self, document: SecureDocument, clear_rules_on_replace: bool) {
         let id = document.header.doc_id.clone();
         match self.documents.get_mut(&id) {
             Some(record) => {
                 record.document = document;
                 record.revision += 1;
-                if clear_rules_on_replace {
-                    record.rules.clear();
-                }
             }
             None => {
                 self.documents.insert(
@@ -153,30 +138,16 @@ mod tests {
     }
 
     #[test]
-    fn replace_semantics_pin_rule_blob_survival_and_clearing() {
+    fn replace_keeps_rule_blobs_and_bumps_the_revision() {
         let key = SecretKey::derive(b"s", "rules");
         let sealed = ProtectedRules::seal(&RuleSet::parse("+, doctor, //patient").unwrap(), &key);
-
-        // Default replace: a content refresh keeps the stored blobs and bumps
-        // the revision.
         let mut store = DspStore::new();
         store.put_document(document("a"));
         store.put_rules("a", "doctor", &sealed).unwrap();
         store.put_document(document("a"));
         let record = store.get("a").unwrap();
         assert_eq!(record.revision, 1);
-        assert_eq!(record.rules.len(), 1, "refresh keeps the rule blobs");
-
-        // Schema-changing replace: the caller opts into clearing, so no stale
-        // blob of the previous schema can be served afterwards.
-        store.put_document_with(document("a"), true);
-        let record = store.get("a").unwrap();
-        assert_eq!(record.revision, 2, "revision bumps on every replacement");
-        assert!(record.rules.is_empty(), "stale rule blobs are dropped");
-
-        // First upload through the explicit path behaves like a plain insert.
-        store.put_document_with(document("b"), true);
-        assert_eq!(store.get("b").unwrap().revision, 0);
+        assert_eq!(record.rules.len(), 1, "a replacement keeps the rule blobs");
     }
 
     #[test]

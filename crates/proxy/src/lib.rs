@@ -8,8 +8,8 @@
 //! * [`pki`] — the simulated PKI of the demo (footnote 2: "we will not use a
 //!   PKI infrastructure but rather simulate it"),
 //! * [`publish`] — the [`publish::DisseminationChannel`] publisher of the
-//!   push scenario (E6): it holds the channel key, encrypts each stream item
-//!   once, and hands the untrusted DSP fan-out nothing but ciphertext,
+//!   push scenario (E6): it holds the channel key and encrypts each stream
+//!   item once; every subscriber's card filters that one ciphertext,
 //! * [`proxy`] — the [`proxy::Terminal`]: card issuance, key/rule/query
 //!   provisioning over APDUs, push-mode local evaluation, and the card's
 //!   [`session::SoeTransport`],

@@ -10,18 +10,14 @@
 //! compatible with the real-time requirement of the scenario.
 //!
 //! This module lives on the **trusted** side of the architecture: the channel
-//! holds the community key and sees the cleartext stream. What crosses the
-//! trust boundary is only the encrypted [`StreamItem`] — the untrusted DSP
-//! fan-out ([`sdds_dsp::FanOutDisseminator`]) never handles anything else,
-//! and the compiler keeps it that way: the DSP crate depends only on the
-//! key-free `sdds-wire` crate.
+//! holds the community key and sees the cleartext stream. What leaves it is
+//! only the encrypted [`SecureDocument`], one per item however many
+//! subscribers receive it, and each subscriber's card opens that one
+//! ciphertext. No server sits on the push path.
 
-use sdds_sync::sync::Arc;
-
-use sdds_core::secdoc::SecureDocumentBuilder;
+use sdds_core::secdoc::{SecureDocument, SecureDocumentBuilder};
 use sdds_core::skipindex::encode::EncoderConfig;
 use sdds_crypto::SecretKey;
-use sdds_dsp::StreamItem;
 use sdds_xml::{Document, NodeId};
 
 /// A push channel: publisher side.
@@ -31,11 +27,8 @@ pub struct DisseminationChannel {
     key: SecretKey,
     chunk_size: usize,
     encoder: EncoderConfig,
-    next_sequence: u64,
-    /// Published history, reference counted so fan-out mailboxes can share
-    /// the very allocation the publisher keeps (one ciphertext in memory per
-    /// item, however many subscribers hold it).
-    published: Vec<Arc<StreamItem>>,
+    /// Published history, one ciphertext per item.
+    published: Vec<SecureDocument>,
 }
 
 impl DisseminationChannel {
@@ -51,7 +44,6 @@ impl DisseminationChannel {
                 min_index_bytes: 32,
                 ..EncoderConfig::default()
             },
-            next_sequence: 0,
             published: Vec::new(),
         }
     }
@@ -67,27 +59,20 @@ impl DisseminationChannel {
     }
 
     /// Publishes one item. `item_root` must be an element of `catalog` (an
-    /// item is re-packaged as a standalone single-item document).
-    pub fn publish(&mut self, catalog: &Document, item_root: NodeId) -> Arc<StreamItem> {
+    /// item is re-packaged as a standalone single-item document). The item's
+    /// id, `{name}#{sequence}`, is covered by the header MAC.
+    pub fn publish(&mut self, catalog: &Document, item_root: NodeId) -> &SecureDocument {
         let events = catalog.subtree_events(item_root);
         // lint: infallible — `subtree_events` of a parsed document always
         // yields a balanced, single-rooted event stream.
         let item_doc = Document::from_events(&events).expect("subtree is well formed");
-        let sequence = self.next_sequence;
-        self.next_sequence += 1;
-        let doc_id = format!("{}#{}", self.name, sequence);
+        let doc_id = format!("{}#{}", self.name, self.published.len());
         let secure = SecureDocumentBuilder::new(doc_id, self.key.clone())
             .chunk_size(self.chunk_size)
             .encoder_config(self.encoder)
             .build(&item_doc);
-        let plaintext_len = item_doc.to_xml().len();
-        let item = Arc::new(StreamItem {
-            sequence,
-            document: secure,
-            plaintext_len,
-        });
-        self.published.push(Arc::clone(&item));
-        item
+        self.published.push(secure);
+        &self.published[self.published.len() - 1]
     }
 
     /// Publishes every element child of the root of `stream_doc` (convenience
@@ -104,16 +89,13 @@ impl DisseminationChannel {
     }
 
     /// Items published so far (what a late subscriber would replay).
-    pub fn published(&self) -> &[Arc<StreamItem>] {
+    pub fn published(&self) -> &[SecureDocument] {
         &self.published
     }
 
     /// Total ciphertext bytes broadcast.
     pub fn broadcast_bytes(&self) -> usize {
-        self.published
-            .iter()
-            .map(|i| i.document.ciphertext_len())
-            .sum()
+        self.published.iter().map(|i| i.ciphertext_len()).sum()
     }
 }
 
@@ -153,8 +135,7 @@ mod tests {
             let config = EngineConfig::new(
                 EvaluatorConfig::new(rules.clone(), "child").with_policy(AccessPolicy::open()),
             );
-            let (view, stats) =
-                evaluate_secure_document(&item.document, channel.key(), config).unwrap();
+            let (view, stats) = evaluate_secure_document(item, channel.key(), config).unwrap();
             let text = writer::to_string(&view);
             if text.is_empty() {
                 blocked += 1;
@@ -183,13 +164,11 @@ mod tests {
             &GeneratorConfig::default(),
         );
         channel.publish_all(&stream);
-        let seqs: Vec<u64> = channel.published().iter().map(|i| i.sequence).collect();
-        assert_eq!(seqs, vec![0, 1, 2]);
-        assert!(channel.published()[0].plaintext_len > 0);
-        assert!(channel.published()[0]
-            .document
-            .header
-            .doc_id
-            .starts_with("c#"));
+        let ids: Vec<&str> = channel
+            .published()
+            .iter()
+            .map(|i| i.header.doc_id.as_str())
+            .collect();
+        assert_eq!(ids, ["c#0", "c#1", "c#2"]);
     }
 }

@@ -79,13 +79,6 @@ impl CollaborativeWorkspace {
         self.publisher.grant(member, sign, object)
     }
 
-    /// Provisions a facade client for `member`.
-    pub fn client_for(&self, member: &str) -> Result<Client, SddsError> {
-        Client::builder(member)
-            .card_profile(self.card_profile)
-            .provision(&self.publisher)
-    }
-
     /// One member accesses the shared document (optionally through a query).
     pub fn access(&self, member: &str, query: Option<&str>) -> Result<MemberAccess, SddsError> {
         let mut builder = Client::builder(member).card_profile(self.card_profile);

@@ -124,7 +124,7 @@ impl DisseminationApp {
         };
         let model = terminal.cost_model();
         for item in self.channel.published() {
-            let view = terminal.evaluate_local(&item.document)?;
+            let view = terminal.evaluate_local(item)?;
             // Each item opens its own card session, which restarts the card
             // ledger: after the item it holds that item's work alone.
             let item_latency = terminal.latency(&model).total();
@@ -230,7 +230,7 @@ mod tests {
                 .channel()
                 .published()
                 .iter()
-                .map(|item| terminal.evaluate_local(&item.document).unwrap())
+                .map(|item| terminal.evaluate_local(item).unwrap())
                 .collect();
             let report = app.consume_with_card(subscriber, policy).unwrap();
             assert_eq!(views.len(), items.len());

@@ -148,15 +148,14 @@ fn missing_documents_and_rules_are_typed_not_found() {
         .service(std::sync::Arc::clone(publisher.service()))
         .provision(&Publisher::new(b"other-community", RuleSet::new()))
         .unwrap();
-    // (`provision` against `other-community` uploaded the blob to *this*
-    // service — remove the document's blobs by republishing with cleared
-    // rules to simulate an unprovisioned subject.)
-    publisher.service().put_document_with(
-        sdds_core::secdoc::SecureDocumentBuilder::new("folders", publisher.server().document_key())
+    // (`provision` against `other-community` uploaded the blob to every
+    // document *this* service stored at the time, so ask for one uploaded
+    // afterwards.)
+    publisher.service().put_document(
+        sdds_core::secdoc::SecureDocumentBuilder::new("later", publisher.server().document_key())
             .build(&hospital(4)),
-        true,
     );
-    let err = stranger.authorized_view("folders").unwrap_err();
+    let err = stranger.authorized_view("later").unwrap_err();
     assert!(
         matches!(
             err,

@@ -317,12 +317,7 @@ fn a_tampered_broadcast_item_or_rule_blob_fails_the_push_path_like_a_pull() {
         .server()
         .protected_rules_for(&subject)
         .encode();
-    let items: Vec<SecureDocument> = app
-        .channel()
-        .published()
-        .iter()
-        .map(|item| item.document.clone())
-        .collect();
+    let items: Vec<SecureDocument> = app.channel().published().to_vec();
     // The steps of `DisseminationApp::consume_with_card`: a provisioned card
     // takes the subscriber's rule blob, then evaluates every broadcast item.
     let push = |blob: &[u8], items: &[SecureDocument]| -> Result<Vec<String>, SddsError> {
