@@ -1,14 +1,15 @@
-//! Prints, for every experiment E1–E9 of EXPERIMENTS.md plus the E10
-//! multi-client scaling experiment, the table or series the paper's
-//! evaluation corresponds to.
+//! Prints, for every experiment E1–E10 of ARCHITECTURE.md's table "Paper
+//! experiments → harness sections → checked keys", the table or series the
+//! paper's evaluation corresponds to.
 //!
 //! Run with: `cargo run -p sdds-bench --bin harness --release`
 //!
 //! With `--json <path>` the harness additionally writes every metric as a flat
 //! JSON object (`{"schema": "...", "metrics": {"e1.rules_64.events_per_s":
-//! ...}}`), one metric per line. `scripts/bench_gate.sh` diffs that file
-//! against the committed `BENCH_baseline.json` to catch performance
-//! regressions in CI.
+//! ...}}`), one metric per line. Two checks read these keys: this binary's
+//! test pins every deterministic key exactly, and `scripts/bench_gate.sh`
+//! compares the wall-clock keys, those of the committed
+//! `BENCH_baseline.json`, at ±15%.
 
 use std::time::Instant;
 
@@ -107,7 +108,7 @@ fn e2_skip_index(report: &mut Report) {
     // never are) and "decrypted" the keystream bytes run over them (the
     // skipped bytes of a fetched chunk never are).
     println!(
-        "{:>10} {:>10} {:>12} {:>12} {:>16} {:>14} {:>8} {:>10} {:>18}",
+        "{:>10} {:>10} {:>12} {:>12} {:>16} {:>14} {:>8} {:>10} {:>10}",
         "elements",
         "subject",
         "plain (B)",
@@ -116,36 +117,33 @@ fn e2_skip_index(report: &mut Report) {
         "decrypted (B)",
         "saving",
         "egate (s)",
-        "wall idx/no (ms)"
+        "wall (ms)"
     );
     for elements in [1_000usize, 4_000, 12_000] {
         let doc = workloads::hospital(elements);
         let secure = workloads::secure(&doc, 128, 32);
+        let no_index = secure.ciphertext_len();
         for subject in ["doctor", "secretary"] {
             let (with, with_ms) = timed(|| {
-                workloads::run_secure(&secure, &workloads::medical_rules(), subject, None, true)
+                workloads::run_secure(&secure, &workloads::medical_rules(), subject, None)
             });
-            let (without, without_ms) = timed(|| {
-                workloads::run_secure(&secure, &workloads::medical_rules(), subject, None, false)
-            });
-            let saving = 1.0
-                - with.ledger.bytes_decrypted as f64 / without.ledger.bytes_decrypted.max(1) as f64;
+            let saving = 1.0 - with.ledger.bytes_decrypted as f64 / no_index.max(1) as f64;
             println!(
-                "{:>10} {:>10} {:>12} {:>12} {:>16} {:>14} {:>7.0}% {:>10.1} {:>18}",
+                "{:>10} {:>10} {:>12} {:>12} {:>16} {:>14} {:>7.0}% {:>10.1} {:>10.1}",
                 elements,
                 subject,
                 secure.header.plaintext_len,
-                without.ledger.bytes_decrypted,
+                no_index,
                 with.ledger.bytes_hashed,
                 with.ledger.bytes_decrypted,
                 saving * 100.0,
                 workloads::egate_seconds(&with),
-                format!("{with_ms:.1}/{without_ms:.1}"),
+                with_ms,
             );
             let prefix = format!("e2.n{elements}.{subject}");
             report.put(
                 format!("{prefix}.decrypted_bytes_no_index"),
-                without.ledger.bytes_decrypted as f64,
+                no_index as f64,
             );
             report.put(
                 format!("{prefix}.transferred_bytes_with_index"),
@@ -175,7 +173,6 @@ fn e3_index_overhead(report: &mut Report) {
             let encoder = DocumentEncoder::new(EncoderConfig {
                 min_index_bytes: 32,
                 recursive_bitmaps: recursive,
-                ..EncoderConfig::default()
             });
             let (enc, encode_ms) = timed(|| encoder.encode(&doc));
             println!(
@@ -239,8 +236,7 @@ fn e5_latency_breakdown(report: &mut Report) {
             Corpus::Hospital => workloads::medical_rules(),
             _ => RuleSet::parse("+, secretary, //name\n+, secretary, //title").unwrap(),
         };
-        let (stats, wall_ms) =
-            timed(|| workloads::run_secure(&secure, &rules, "secretary", None, true));
+        let (stats, wall_ms) = timed(|| workloads::run_secure(&secure, &rules, "secretary", None));
         let breakdown = stats.ledger.breakdown(&CostModel::egate());
         println!("{:>10}: {}", corpus.name(), breakdown.summary_ms());
         let modern = stats.ledger.breakdown(&CostModel::modern_secure_element());
@@ -383,13 +379,7 @@ fn e8_query_mix(report: &mut Report) {
     .enumerate()
     {
         let (stats, wall_ms) = timed(|| {
-            workloads::run_secure(
-                &secure,
-                &workloads::medical_rules(),
-                "doctor",
-                Some(query),
-                true,
-            )
+            workloads::run_secure(&secure, &workloads::medical_rules(), "doctor", Some(query))
         });
         println!(
             "{:>34} {:>12} {:>14} {:>12} {:>12.1} {:>10.1}",
@@ -430,13 +420,7 @@ fn e9_streaming_vs_dom(report: &mut Report) {
         let mut soe = None;
         for _ in 0..E1_REPS {
             let start = Instant::now();
-            soe = Some(workloads::run_secure(
-                &secure,
-                &rules,
-                "secretary",
-                None,
-                true,
-            ));
+            soe = Some(workloads::run_secure(&secure, &rules, "secretary", None));
             soe_elapsed = soe_elapsed.min(start.elapsed().as_secs_f64());
         }
         let soe = soe.expect("E1_REPS >= 1");
@@ -485,7 +469,7 @@ const E9_SERVE_EVENTS: usize = 200_000;
 /// Measures the DSP's raw chunk-serve throughput: each event hands out the
 /// stored ciphertext as a refcount bump (`Arc<[u8]>`) plus its 32-byte
 /// `Copy` tag, so the per-event cost must stay flat no matter how large the
-/// chunks are. The bench gate pins this as
+/// chunks are. The bench gate checks this as
 /// `e9.zero_copy.serve_events_per_s`.
 fn e9_zero_copy_serve(report: &mut Report) {
     use sdds_dsp::ShardedStore;
@@ -630,6 +614,20 @@ fn e10_multi_client(report: &mut Report) {
     );
 }
 
+/// The experiment sections, in the order `main` runs them.
+const SECTIONS: [fn(&mut Report); 10] = [
+    e1_rules_scaling,
+    e2_skip_index,
+    e3_index_overhead,
+    e4_ram_budget,
+    e5_latency_breakdown,
+    e6_dissemination,
+    e7_dynamic_rules,
+    e8_query_mix,
+    e9_streaming_vs_dom,
+    e10_multi_client,
+];
+
 /// Runs the telemetry pass behind `--obs`: an E10 hot-document slice whose
 /// shard serving, scheduler and card-session telemetry come off the
 /// service's own bundle. Returns the JSON report: the metric snapshot and the
@@ -682,16 +680,9 @@ fn main() {
     let start = Instant::now();
     if !obs_only {
         let mut report = Report::default();
-        e1_rules_scaling(&mut report);
-        e2_skip_index(&mut report);
-        e3_index_overhead(&mut report);
-        e4_ram_budget(&mut report);
-        e5_latency_breakdown(&mut report);
-        e6_dissemination(&mut report);
-        e7_dynamic_rules(&mut report);
-        e8_query_mix(&mut report);
-        e9_streaming_vs_dom(&mut report);
-        e10_multi_client(&mut report);
+        for section in SECTIONS {
+            section(&mut report);
+        }
         println!(
             "\nharness completed in {:.1} s",
             start.elapsed().as_secs_f64()
@@ -710,5 +701,177 @@ fn main() {
             std::process::exit(1);
         });
         println!("telemetry snapshot written to {path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The committed baseline of the wall-clock keys, which
+    /// `scripts/bench_gate.sh` compares at ±15%.
+    const BASELINE: &str = include_str!(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_baseline.json"
+    ));
+
+    /// Every other key the harness prints, at its exact value. These are
+    /// byte counts, peak-RAM figures and cost-model outputs: the same on any
+    /// machine and in any build profile. A change that moves one updates it
+    /// here and lists old → new in CHANGES.md.
+    const PINS: &[(&str, f64)] = &[
+        ("e1.rules_1.peak_ram_bytes", 104.0),
+        ("e1.rules_2.peak_ram_bytes", 110.0),
+        ("e1.rules_4.peak_ram_bytes", 126.0),
+        ("e1.rules_8.peak_ram_bytes", 2_753.0),
+        ("e1.rules_16.peak_ram_bytes", 2_793.0),
+        ("e1.rules_32.peak_ram_bytes", 2_793.0),
+        ("e1.rules_64.peak_ram_bytes", 2_793.0),
+        ("e2.n1000.doctor.decrypted_bytes_no_index", 27_266.0),
+        ("e2.n1000.doctor.transferred_bytes_with_index", 27_266.0),
+        ("e2.n1000.doctor.decrypted_bytes_with_index", 27_266.0),
+        ("e2.n1000.doctor.saving_pct", 0.0),
+        ("e2.n1000.secretary.decrypted_bytes_no_index", 27_266.0),
+        ("e2.n1000.secretary.transferred_bytes_with_index", 13_954.0),
+        ("e2.n1000.secretary.decrypted_bytes_with_index", 4_420.0),
+        ("e2.n1000.secretary.saving_pct", 84.0),
+        ("e2.n4000.doctor.decrypted_bytes_no_index", 109_218.0),
+        ("e2.n4000.doctor.transferred_bytes_with_index", 109_218.0),
+        ("e2.n4000.doctor.decrypted_bytes_with_index", 109_218.0),
+        ("e2.n4000.doctor.saving_pct", 0.0),
+        ("e2.n4000.secretary.decrypted_bytes_no_index", 109_218.0),
+        ("e2.n4000.secretary.transferred_bytes_with_index", 55_714.0),
+        ("e2.n4000.secretary.decrypted_bytes_with_index", 17_253.0),
+        ("e2.n4000.secretary.saving_pct", 84.0),
+        ("e2.n12000.doctor.decrypted_bytes_no_index", 327_267.0),
+        ("e2.n12000.doctor.transferred_bytes_with_index", 327_267.0),
+        ("e2.n12000.doctor.decrypted_bytes_with_index", 327_267.0),
+        ("e2.n12000.doctor.saving_pct", 0.0),
+        ("e2.n12000.secretary.decrypted_bytes_no_index", 327_267.0),
+        (
+            "e2.n12000.secretary.transferred_bytes_with_index",
+            165_987.0,
+        ),
+        ("e2.n12000.secretary.decrypted_bytes_with_index", 51_522.0),
+        ("e2.n12000.secretary.saving_pct", 84.0),
+        ("e3.hospital.recursive.index_bytes", 8_316.0),
+        ("e3.hospital.flat.index_bytes", 11_517.0),
+        ("e3.community.recursive.index_bytes", 9_478.0),
+        ("e3.community.flat.index_bytes", 13_394.0),
+        ("e3.catalog.recursive.index_bytes", 6_406.0),
+        ("e3.catalog.flat.index_bytes", 6_406.0),
+        ("e3.stream.recursive.index_bytes", 11_234.0),
+        ("e3.stream.flat.index_bytes", 11_234.0),
+        ("e4.depth_4.rules_4.peak_ram_bytes", 44.0),
+        ("e4.depth_4.rules_16.peak_ram_bytes", 44.0),
+        ("e4.depth_4.rules_64.peak_ram_bytes", 44.0),
+        ("e4.depth_8.rules_4.peak_ram_bytes", 84.0),
+        ("e4.depth_8.rules_16.peak_ram_bytes", 84.0),
+        ("e4.depth_8.rules_64.peak_ram_bytes", 84.0),
+        ("e4.depth_16.rules_4.peak_ram_bytes", 171.0),
+        ("e4.depth_16.rules_16.peak_ram_bytes", 171.0),
+        ("e4.depth_16.rules_64.peak_ram_bytes", 171.0),
+        ("e4.depth_32.rules_4.peak_ram_bytes", 347.0),
+        ("e4.depth_32.rules_16.peak_ram_bytes", 347.0),
+        ("e4.depth_32.rules_64.peak_ram_bytes", 347.0),
+        ("e4.depth_64.rules_4.peak_ram_bytes", 699.0),
+        ("e4.depth_64.rules_16.peak_ram_bytes", 699.0),
+        ("e4.depth_64.rules_64.peak_ram_bytes", 699.0),
+        ("e5.hospital.egate_total_ms", 20_618.0),
+        ("e5.community.egate_total_ms", 24_503.0),
+        ("e5.catalog.egate_total_ms", 40_677.0),
+        ("e6.items_delivered", 18.0),
+        ("e6.items_blocked", 12.0),
+        ("e6.max_item_latency_ms", 478.0),
+        ("e7.change_0.bytes_reencrypted", 1_483.0),
+        ("e7.change_0.soe_cost_bytes", 489.0),
+        ("e7.change_1.bytes_reencrypted", 2_949.0),
+        ("e7.change_1.soe_cost_bytes", 524.0),
+        ("e7.change_2.bytes_reencrypted", 50_665.0),
+        ("e7.change_2.soe_cost_bytes", 549.0),
+        ("e8.query_0.decrypted_bytes", 109_218.0),
+        ("e8.query_1.decrypted_bytes", 16_122.0),
+        ("e8.query_2.decrypted_bytes", 47_520.0),
+        ("e8.query_3.decrypted_bytes", 4_302.0),
+        ("e9.n500.soe_peak_ram_bytes", 76.0),
+        ("e9.n500.dom_footprint_bytes", 38_079.0),
+        ("e9.n2000.soe_peak_ram_bytes", 76.0),
+        ("e9.n2000.dom_footprint_bytes", 157_145.0),
+        ("e9.n8000.soe_peak_ram_bytes", 76.0),
+        ("e9.n8000.dom_footprint_bytes", 633_226.0),
+        ("e10.clients_1.shards_1.events_per_s", 20_763.0),
+        ("e10.clients_1.shards_1.p50_ms", 4.24),
+        ("e10.clients_1.shards_1.p99_ms", 4.24),
+        ("e10.clients_1.shards_16.events_per_s", 20_763.0),
+        ("e10.clients_1.shards_16.p50_ms", 4.24),
+        ("e10.clients_1.shards_16.p99_ms", 4.24),
+        ("e10.clients_8.shards_1.events_per_s", 84_103.0),
+        ("e10.clients_8.shards_1.p50_ms", 2.35),
+        ("e10.clients_8.shards_1.p99_ms", 4.24),
+        ("e10.clients_8.shards_16.events_per_s", 88_951.0),
+        ("e10.clients_8.shards_16.p50_ms", 2.35),
+        ("e10.clients_8.shards_16.p99_ms", 4.24),
+        ("e10.clients_64.shards_1.events_per_s", 81_998.0),
+        ("e10.clients_64.shards_1.p50_ms", 2.35),
+        ("e10.clients_64.shards_1.p99_ms", 4.24),
+        ("e10.clients_64.shards_16.events_per_s", 689_501.0),
+        ("e10.clients_64.shards_16.p50_ms", 2.35),
+        ("e10.clients_64.shards_16.p99_ms", 4.24),
+        ("e10.clients_256.shards_1.events_per_s", 81_212.0),
+        ("e10.clients_256.shards_1.p50_ms", 2.35),
+        ("e10.clients_256.shards_1.p99_ms", 4.24),
+        ("e10.clients_256.shards_16.events_per_s", 1_155_586.0),
+        ("e10.clients_256.shards_16.p50_ms", 2.35),
+        ("e10.clients_256.shards_16.p99_ms", 4.24),
+        ("e10.clients_64.scaling_16v1", 8.4),
+        ("e10.clients_256.scaling_16v1", 14.2),
+        ("e10.hot.clients_256.replicas_1.events_per_s", 124_281.0),
+        ("e10.hot.clients_256.replicas_1.p99_ms", 20.17),
+        ("e10.hot.clients_256.replicas_16.events_per_s", 1_965_367.0),
+        ("e10.hot.clients_256.replicas_16.p99_ms", 20.17),
+        ("e10.hot.clients_256.replication_gain", 15.8),
+    ];
+
+    /// The keys of `BENCH_baseline.json` (one `"key": value` per line).
+    fn wall_keys() -> Vec<&'static str> {
+        BASELINE
+            .lines()
+            .filter_map(|line| line.trim().strip_prefix('"')?.split_once("\":"))
+            .map(|(key, _)| key)
+            .filter(|key| key.contains('.'))
+            .collect()
+    }
+
+    #[test]
+    fn every_figure_is_pinned_or_a_wall_clock_key() {
+        let mut report = Report::default();
+        for section in SECTIONS {
+            section(&mut report);
+        }
+        let wall = wall_keys();
+        let mut drift = Vec::new();
+        for (key, value) in &report.metrics {
+            let pin = PINS.iter().find(|(k, _)| k == key).map(|&(_, v)| v);
+            match (pin, wall.contains(&key.as_str())) {
+                (Some(_), true) => drift.push(format!("{key}: pinned and a wall-clock key")),
+                (Some(pin), false) if *value != pin => {
+                    drift.push(format!("{key}: pinned {pin}, printed {value}"))
+                }
+                (None, false) => drift.push(format!(
+                    "{key}: printed {value}, neither pinned nor in BENCH_baseline.json"
+                )),
+                _ => {}
+            }
+        }
+        for (key, _) in PINS {
+            if !report.metrics.iter().any(|(k, _)| k == key) {
+                drift.push(format!("{key}: pinned but not printed"));
+            }
+        }
+        assert!(
+            drift.is_empty(),
+            "harness figures drifted:\n{}",
+            drift.join("\n")
+        );
     }
 }

@@ -112,7 +112,6 @@ pub fn run_secure(
     rules: &RuleSet,
     subject: &str,
     query: Option<&str>,
-    use_skip_index: bool,
 ) -> SessionStats {
     let mut evaluator = EvaluatorConfig::new(rules.clone(), subject);
     if let Some(q) = query {
@@ -120,9 +119,7 @@ pub fn run_secure(
         // a panic here is a harness bug, not a recoverable condition.
         evaluator = evaluator.with_query(Query::parse(q).expect("query parses"));
     }
-    let mut config = EngineConfig::new(evaluator);
-    config.use_skip_index = use_skip_index;
-    let (_, stats) = evaluate_secure_document(document, &bench_key(), config)
+    let (_, stats) = evaluate_secure_document(document, &bench_key(), EngineConfig::new(evaluator))
         // lint: infallible — bench inputs are static and valid by construction;
         // a panic here is a harness bug, not a recoverable condition.
         .expect("secure evaluation succeeds");
@@ -465,50 +462,6 @@ mod tests {
     use std::time::Duration;
 
     use super::*;
-
-    /// E1's and E4's peak secure RAM, pinned exactly: every byte the
-    /// evaluator charges per frame, pending event or run shows up here.
-    /// The inputs are the harness's: the 4 000-element hospital document
-    /// for E1, deep chains for E4, each under `rule_pool(n)`.
-    #[test]
-    fn e1_and_e4_peak_ram_is_pinned() {
-        let peak = |events: &[Event], n_rules: usize| {
-            rule_pool_evaluation(events, n_rules, 1).0.peak_ram_bytes()
-        };
-
-        let events = hospital(4_000).to_events();
-        let e1: Vec<(usize, usize)> = [1, 2, 4, 8, 16, 32, 64]
-            .into_iter()
-            .map(|n| (n, peak(&events, n)))
-            .collect();
-        assert_eq!(
-            e1,
-            [
-                (1, 104),
-                (2, 110),
-                (4, 126),
-                (8, 2753),
-                (16, 2793),
-                (32, 2793),
-                (64, 2793)
-            ],
-            "e1.rules_N.peak_ram_bytes"
-        );
-
-        let mut e4 = Vec::new();
-        for depth in [4, 8, 16, 32, 64] {
-            let events = generator::deep_chain(depth, &GeneratorConfig::default()).to_events();
-            for n_rules in [4, 16, 64] {
-                e4.push((depth, n_rules, peak(&events, n_rules)));
-            }
-        }
-        let expected: Vec<(usize, usize, usize)> =
-            [(4, 44), (8, 84), (16, 171), (32, 347), (64, 699)]
-                .into_iter()
-                .flat_map(|(depth, bytes)| [4, 16, 64].map(|n_rules| (depth, n_rules, bytes)))
-                .collect();
-        assert_eq!(e4, expected, "e4.depth_D.rules_N.peak_ram_bytes");
-    }
 
     /// E6's subscriber report, pinned exactly: the per-item latencies come
     /// from the e-gate cost model over the card ledger, so one more byte

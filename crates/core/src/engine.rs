@@ -48,28 +48,18 @@ use sdds_wire::WireError;
 pub struct EngineConfig {
     /// Evaluator configuration (rules, subject, query, policy).
     pub evaluator: EvaluatorConfig,
-    /// Honour subtree summaries and skip irrelevant subtrees. Disabling this
-    /// is the *no skip index* baseline of experiment E2.
-    pub use_skip_index: bool,
     /// Secure working-memory budget enforced on the session (`None` in the
     /// unconstrained test profile). The e-gate applet budget is 1024 bytes.
     pub ram_budget: Option<usize>,
 }
 
 impl EngineConfig {
-    /// Creates a configuration with the skip index enabled and no RAM budget.
+    /// Creates a configuration with no RAM budget.
     pub fn new(evaluator: EvaluatorConfig) -> Self {
         EngineConfig {
             evaluator,
-            use_skip_index: true,
             ram_budget: None,
         }
-    }
-
-    /// Disables the skip index.
-    pub fn without_skip_index(mut self) -> Self {
-        self.use_skip_index = false;
-        self
     }
 
     /// Sets the RAM budget.
@@ -454,9 +444,9 @@ impl SecureEvaluationSession {
                     self.sample_ram()?;
                 }
                 ReadResult::Token(TokenEvent::Summary { content_len }) => {
-                    let skip = self.config.use_skip_index && self.can_skip();
+                    let skip = self.can_skip();
                     #[cfg(test)]
-                    if self.config.use_skip_index {
+                    {
                         assert_eq!(skip, self.can_skip_oracle(), "skip decision drifted");
                         self.skip_checks += 1;
                     }
@@ -1143,30 +1133,33 @@ mod tests {
 
         // The secretary sees only names and addresses: most of each patient
         // subtree (acts, reports, prescriptions) is skippable.
-        let (with_index, with_stats) =
+        let (view, stats) =
             evaluate_secure_document(&secure, &key(), config_for("secretary")).unwrap();
-        let (without_index, without_stats) = evaluate_secure_document(
-            &secure,
-            &key(),
-            config_for("secretary").without_skip_index(),
-        )
-        .unwrap();
+        let expected = authorized_view_oracle(
+            &doc,
+            &medical_rules(),
+            &Subject::new("secretary"),
+            None,
+            &AccessPolicy::paper(),
+        );
 
         assert_eq!(
-            writer::to_string(&with_index),
-            writer::to_string(&without_index),
+            writer::to_string(&view),
+            writer::to_string(&expected),
             "skipping must not change the authorized view"
         );
-        assert!(with_stats.skipped_subtrees > 0);
-        assert!(with_stats.ledger.bytes_skipped > 0);
+        assert!(stats.skipped_subtrees > 0);
+        assert!(stats.ledger.bytes_skipped > 0);
+        // A read without the index fetches every chunk and decrypts the
+        // whole ciphertext.
         assert!(
-            with_stats.ledger.bytes_decrypted < without_stats.ledger.bytes_decrypted,
-            "with index {} should decrypt less than without {}",
-            with_stats.ledger.bytes_decrypted,
-            without_stats.ledger.bytes_decrypted
+            stats.ledger.bytes_decrypted < secure.ciphertext_len(),
+            "with index {} should decrypt less than the ciphertext {}",
+            stats.ledger.bytes_decrypted,
+            secure.ciphertext_len()
         );
-        assert!(with_stats.chunks_fetched < without_stats.chunks_fetched);
-        assert!(with_stats.chunks_skipped > 0);
+        assert!(stats.chunks_fetched < secure.chunk_count());
+        assert!(stats.chunks_skipped > 0);
     }
 
     #[test]
@@ -1561,7 +1554,6 @@ mod tests {
             .encoder_config(EncoderConfig {
                 min_index_bytes: 16,
                 recursive_bitmaps,
-                ..EncoderConfig::default()
             })
             .build(&hospital_doc(8))
     }

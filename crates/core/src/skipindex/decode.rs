@@ -558,7 +558,11 @@ mod tests {
 
     #[test]
     fn roundtrip_generated_documents_with_and_without_index() {
-        for config in [EncoderConfig::default(), EncoderConfig::without_index()] {
+        let no_index = EncoderConfig {
+            min_index_bytes: usize::MAX,
+            ..EncoderConfig::default()
+        };
+        for config in [EncoderConfig::default(), no_index] {
             let doc = generator::hospital(&HospitalProfile::default(), &GeneratorConfig::default());
             let (plaintext, _) = encode(&doc, config);
             let events = decode_all(&plaintext, config.recursive_bitmaps).unwrap();

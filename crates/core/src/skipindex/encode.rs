@@ -29,11 +29,9 @@ pub mod token {
 /// Indexing policy of the encoder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EncoderConfig {
-    /// Emit subtree summaries at all. Disabling them produces the *no-index*
-    /// baseline of experiment E2.
-    pub index_enabled: bool,
     /// Only summarise elements whose encoded content is at least this long —
     /// skipping a smaller subtree saves less than the summary costs.
+    /// `usize::MAX` encodes a document with no skip index.
     pub min_index_bytes: usize,
     /// Encode nested bitmaps against the enclosing summary's tag set
     /// (the paper's recursive compression). Disabling it is the E3 ablation.
@@ -43,19 +41,8 @@ pub struct EncoderConfig {
 impl Default for EncoderConfig {
     fn default() -> Self {
         EncoderConfig {
-            index_enabled: true,
             min_index_bytes: 64,
             recursive_bitmaps: true,
-        }
-    }
-}
-
-impl EncoderConfig {
-    /// Configuration with the skip index disabled.
-    pub fn without_index() -> Self {
-        EncoderConfig {
-            index_enabled: false,
-            ..EncoderConfig::default()
         }
     }
 }
@@ -201,7 +188,7 @@ impl DocumentEncoder {
                 })
                 .sum::<usize>();
         let close_len = 1;
-        let indexed = self.config.index_enabled && content_len >= self.config.min_index_bytes;
+        let indexed = content_len >= self.config.min_index_bytes;
         infos.insert(
             node,
             ElementInfo {
@@ -319,7 +306,13 @@ mod tests {
             enc.index_overhead()
         );
 
-        let no_index = encode(&doc, EncoderConfig::without_index());
+        let no_index = encode(
+            &doc,
+            EncoderConfig {
+                min_index_bytes: usize::MAX,
+                ..EncoderConfig::default()
+            },
+        );
         assert_eq!(no_index.stats.summaries, 0);
         assert!(no_index.tokens.len() < enc.tokens.len());
     }

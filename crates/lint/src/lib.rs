@@ -735,7 +735,7 @@ pub fn missing_from_book<'a>(
 /// Checks the doc-sync contract: every experiment section in `benches`
 /// (e.g. `e10_multi_client`, see [`harness_sections`]) must appear in the
 /// text of the architecture book, whose experiment table is the map from
-/// paper experiments to harness sections and gated baseline keys.
+/// paper experiments to harness sections and checked keys.
 pub fn check_doc_sync(book_path: &Path, book: &str, benches: &[String]) -> Vec<Violation> {
     let names = benches.iter().map(String::as_str);
     missing_from_book(book_path, book, names, |bench| {

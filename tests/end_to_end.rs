@@ -128,7 +128,9 @@ fn dynamic_policy_changes_need_no_reencryption_but_static_baseline_does() {
 fn dom_baseline_agrees_with_the_card_but_fetches_everything() {
     let doc = Corpus::Hospital.generate(1_000, &GeneratorConfig::default());
     // 128-byte chunks so that the skip granularity is fine enough for the
-    // comparison (see EXPERIMENTS.md, E2 chunk-size ablation).
+    // comparison (see ARCHITECTURE.md's experiment table, E2, and
+    // `chunk_size_trades_skip_precision_for_proof_overhead` in
+    // tests/secure_pipeline.rs).
     let publisher = Publisher::builder(b"hospital")
         .rules(medical_rules())
         .chunk_size(128)

@@ -117,14 +117,13 @@ fn streaming_matches_oracle() {
 }
 
 /// Encrypt → skip-index → decrypt → evaluate gives the same view as
-/// evaluating the plaintext, for any rules, with and without the index.
+/// evaluating the plaintext, for any rules.
 #[test]
 fn secure_pipeline_matches_plaintext_evaluation() {
     for case in 0..cases() {
         let mut rng = SmallRng::seed_from_u64(0xE2 ^ case.wrapping_mul(0x9E37_79B9));
         let doc = random_document(&mut rng);
         let rules = random_rules(&mut rng);
-        let use_index = rng.gen_bool(0.5);
         // The random generator always creates a root; fail loudly rather
         // than silently shrink coverage if that ever changes.
         assert!(
@@ -135,8 +134,7 @@ fn secure_pipeline_matches_plaintext_evaluation() {
         let secure = SecureDocumentBuilder::new("prop-doc", key.clone())
             .chunk_size(128)
             .build(&doc);
-        let mut config = EngineConfig::new(EvaluatorConfig::new(rules.clone(), "user"));
-        config.use_skip_index = use_index;
+        let config = EngineConfig::new(EvaluatorConfig::new(rules.clone(), "user"));
         let (view, _) = evaluate_secure_document(&secure, &key, config).unwrap();
         let oracle = authorized_view_oracle(
             &doc,
@@ -148,7 +146,7 @@ fn secure_pipeline_matches_plaintext_evaluation() {
         assert_eq!(
             writer::to_string(&view),
             writer::to_string(&oracle),
-            "case {case}: secure pipeline (use_index={use_index}) diverges from oracle"
+            "case {case}: secure pipeline diverges from oracle"
         );
     }
 }
