@@ -66,12 +66,15 @@ impl ViewSink for String {
 /// One element currently open in the rendered view.
 #[derive(Debug, Clone)]
 struct RenderFrame {
-    /// Shared with the element's `Open` event and its scaffolding copy.
-    name: Arc<str>,
+    /// The element's name while its open tag is withheld, shared with its
+    /// `Open` event: a later scaffolding copy renders it. `None` once the
+    /// tag is out; the close tag takes its name from the `Close` event.
+    withheld_name: Option<Arc<str>>,
+    /// Length of the element's name, for the secure-RAM charge.
+    name_len: usize,
     decision: Decision,
     in_scope: bool,
     delivered: bool,
-    emitted: bool,
 }
 
 /// A queued annotated event awaiting rendering: the one place the
@@ -92,7 +95,7 @@ impl QueuedEvent {
 impl RenderFrame {
     /// Secure-RAM charge of one render-stack entry.
     fn ram_bytes(&self) -> usize {
-        self.name.len() + 4
+        self.name_len + 4
     }
 }
 
@@ -234,7 +237,7 @@ impl ViewAssembler {
                         self.deliver(event, out);
                     }
                 }
-                EventRef::Close(_) => self.render_close(out),
+                EventRef::Close(name) => self.render_close(name, out),
             }
         } else {
             self.enqueue(QueuedEvent {
@@ -301,7 +304,9 @@ impl ViewAssembler {
                         self.deliver_owned(event, out);
                     }
                 }
-                _ => self.render_close(out),
+                (Event::Close(name), _) => self.render_close(name, out),
+                // An undecided open stopped the loop above.
+                (Event::Open { .. }, None) => {}
             }
         }
     }
@@ -362,11 +367,11 @@ impl ViewAssembler {
             self.stats.nodes_withheld += 1;
         }
         let frame = RenderFrame {
-            name: Arc::clone(name),
+            withheld_name: (!delivered).then(|| Arc::clone(name)),
+            name_len: name.len(),
             decision,
             in_scope,
             delivered,
-            emitted: delivered,
         };
         self.stack_ram += frame.ram_bytes();
         self.stack.push(frame);
@@ -378,11 +383,15 @@ impl ViewAssembler {
         self.stack.last().is_some_and(|f| f.delivered)
     }
 
-    fn render_close(&mut self, out: &mut impl ViewSink) {
+    /// Pops the innermost render frame and renders its close tag if its
+    /// open tag went out. `name` is the `Close` event's: both event
+    /// producers close the element they opened last, so it is the frame's.
+    fn render_close(&mut self, name: &Arc<str>, out: &mut impl ViewSink) {
         if let Some(frame) = self.stack.pop() {
+            debug_assert_eq!(name.len(), frame.name_len, "close of another element");
             self.stack_ram -= frame.ram_bytes();
-            if frame.emitted {
-                self.deliver(EventRef::Close(&frame.name), out);
+            if frame.withheld_name.is_none() {
+                self.deliver(EventRef::Close(name), out);
             }
         }
     }
@@ -390,14 +399,15 @@ impl ViewAssembler {
     /// Emits the opening tags of ancestors that are needed for well-formedness
     /// but were not authorized themselves. Scaffolding tags carry no attribute.
     fn emit_scaffolding(&mut self, out: &mut impl ViewSink) {
-        for frame in self.stack.iter_mut().filter(|f| !f.emitted) {
-            out.deliver(EventRef::Open {
-                name: &frame.name,
-                attrs: AttrsRef::EMPTY,
-            });
-            frame.emitted = true;
-            self.stats.scaffolding_nodes += 1;
-            self.events_delivered += 1;
+        for frame in &mut self.stack {
+            if let Some(name) = frame.withheld_name.take() {
+                out.deliver(EventRef::Open {
+                    name: &name,
+                    attrs: AttrsRef::EMPTY,
+                });
+                self.stats.scaffolding_nodes += 1;
+                self.events_delivered += 1;
+            }
         }
     }
 
@@ -479,6 +489,57 @@ mod tests {
         // Both sinks see the same view: owned events and rendered text.
         assert_eq!(text, writer::to_string(&events));
         (text, stats)
+    }
+
+    /// The view of `doc` computed on the tree by the oracle, for a subject
+    /// holding `rules`, under the paper's policy.
+    fn oracle(rules: &[(&str, Sign)], doc: &str) -> String {
+        use crate::baseline::authorized_view_oracle;
+        use crate::rule::{RuleSet, Subject};
+
+        let lines: Vec<String> = rules
+            .iter()
+            .map(|(expr, sign)| {
+                let sign = if *sign == Sign::Permit { '+' } else { '-' };
+                format!("{sign}, u, {expr}")
+            })
+            .collect();
+        let rules = RuleSet::parse(&lines.join("\n")).unwrap();
+        let doc = sdds_xml::Document::parse(doc).unwrap();
+        writer::to_string(&authorized_view_oracle(
+            &doc,
+            &rules,
+            &Subject::new("u"),
+            None,
+            &AccessPolicy::paper(),
+        ))
+    }
+
+    /// Close tags take their names from the `Close` events and scaffolding
+    /// from the withheld frames, on both paths: rendered as events arrive,
+    /// and drained from the pending queue once a predicate resolves.
+    #[test]
+    fn close_and_scaffolding_names_match_the_oracle_on_both_paths() {
+        // Direct: nothing pends; the denied a, b, c and d become scaffolding
+        // for the e three levels below a, and the denied siblings vanish.
+        let rules: &[(&str, Sign)] = &[("//e", Sign::Permit)];
+        let doc = "<a k=\"1\"><b><c><d><e>keep</e><g>drop</g></d></c><h/></b><e>too</e></a>";
+        let (view, stats) = evaluate(rules, None, AccessPolicy::paper(), doc);
+        assert_eq!(view, oracle(rules, doc));
+        assert_eq!(view, "<a><b><c><d><e>keep</e></d></c></b><e>too</e></a>");
+        assert_eq!(stats.scaffolding_nodes, 4);
+        assert_eq!(stats.peak_pending_events, 1, "the direct path");
+
+        // Pending: the [c] evidence comes after e, so e, its text and the
+        // closes of e and d are queued; resolving [c] drains them behind the
+        // scaffolding of r, b and d. The second b never gets its c.
+        let rules: &[(&str, Sign)] = &[("//b[c]//e", Sign::Permit)];
+        let doc = "<r><b><d><e>keep</e></d><c/></b><b><d><e>drop</e></d></b></r>";
+        let (view, stats) = evaluate(rules, None, AccessPolicy::paper(), doc);
+        assert_eq!(view, oracle(rules, doc));
+        assert_eq!(view, "<r><b><d><e>keep</e></d></b></r>");
+        assert_eq!(stats.scaffolding_nodes, 3);
+        assert_eq!(stats.peak_pending_events, 4, "the pending path");
     }
 
     #[test]

@@ -399,7 +399,11 @@ pub struct RuleEngine {
     rules: Vec<(RuleId, Sign)>,
     has_query: bool,
     table: DispatchTable,
+    /// The token stack, kept in place: `frames[..live]` are the open frames
+    /// (`frames[0]` is the virtual document node); every frame past `live`
+    /// is cleared and reused, in place, by the next open at its depth.
     frames: Vec<Frame>,
+    live: usize,
     instances: Vec<InstanceSlot>,
     /// Per-symbol buckets of active states (indexed by symbol), plus the
     /// wildcard bucket. Entries are appended when a frame registers its runs
@@ -423,8 +427,6 @@ pub struct RuleEngine {
     /// Σ `Frame::ram_bytes` over the token stack, kept current as frames
     /// open, watchers buffer text and frames close.
     frames_ram: usize,
-    /// Closed frames, cleared and kept for the next opens.
-    spare_frames: Vec<Frame>,
     stats: EngineStats,
 }
 
@@ -439,8 +441,8 @@ impl RuleEngine {
             rules: rules.iter().map(|r| (r.id, r.sign)).collect(),
             has_query: query.is_some(),
             table,
-            // frames[0] is the virtual document node.
             frames: vec![Frame::default()],
+            live: 1,
             instances: Vec::new(),
             buckets: vec![Vec::new(); symbol_count],
             wild_bucket: Vec::new(),
@@ -451,7 +453,6 @@ impl RuleEngine {
             unresolved_instances: 0,
             bucket_entries: 0,
             frames_ram: Frame::default().ram_bytes(),
-            spare_frames: Vec::new(),
             stats: EngineStats::default(),
         }
     }
@@ -473,7 +474,12 @@ impl RuleEngine {
 
     /// Current element depth (0 before the root opens).
     pub fn depth(&self) -> usize {
-        self.frames.len() - 1
+        self.live - 1
+    }
+
+    /// The open frames of the token stack.
+    fn open_frames(&self) -> &[Frame] {
+        &self.frames[..self.live]
     }
 
     /// True if `may_progress(rule, position)` holds for some active
@@ -500,13 +506,16 @@ impl RuleEngine {
     }
 
     fn any_active_position(&self, mut f: impl FnMut(Target, usize) -> bool) -> bool {
-        self.frames.iter().flat_map(|frame| &frame.runs).any(|run| {
-            self.table
-                .node(run.node)
-                .positions
-                .iter()
-                .any(|&(target, position)| f(target, position as usize))
-        })
+        self.open_frames()
+            .iter()
+            .flat_map(|frame| &frame.runs)
+            .any(|run| {
+                self.table
+                    .node(run.node)
+                    .positions
+                    .iter()
+                    .any(|&(target, position)| f(target, position as usize))
+            })
     }
 
     /// Positions (numbers of matched navigational steps) currently active for
@@ -515,7 +524,7 @@ impl RuleEngine {
     #[cfg(test)]
     pub(crate) fn active_positions(&self) -> Vec<Vec<usize>> {
         let mut positions = vec![vec![0usize]; self.rules.len()];
-        for frame in &self.frames {
+        for frame in self.open_frames() {
             for run in &frame.runs {
                 for &(target, pos) in &self.table.node(run.node).positions {
                     if let Target::Rule(i) = target {
@@ -537,7 +546,7 @@ impl RuleEngine {
             return Vec::new();
         }
         let mut positions = vec![0usize];
-        for frame in &self.frames {
+        for frame in self.open_frames() {
             for run in &frame.runs {
                 for &(target, pos) in &self.table.node(run.node).positions {
                     if target == Target::Query && !positions.contains(&(pos as usize)) {
@@ -564,7 +573,7 @@ impl RuleEngine {
     /// oracle the running counter is tested against.
     #[cfg(test)]
     pub(crate) fn recount_ram_bytes(&self) -> usize {
-        self.ram_with_frames(self.frames.iter().map(Frame::ram_bytes).sum())
+        self.ram_with_frames(self.open_frames().iter().map(Frame::ram_bytes).sum())
     }
 
     fn ram_with_frames(&self, frames: usize) -> usize {
@@ -603,7 +612,10 @@ impl RuleEngine {
 
     /// Steps the automata on an `open` event and fills `self.annotation`.
     fn process_open(&mut self, name: &str, attrs: AttrsRef<'_>, resolved: &mut Vec<Resolution>) {
-        let depth = self.frames.len(); // depth of the element being opened
+        let depth = self.live; // depth of the element being opened
+        if self.frames.len() == depth {
+            self.frames.push(Frame::default());
+        }
         let sym = self.table.symbols().lookup(name);
 
         // Snapshot the candidates: initial transitions for this symbol plus
@@ -619,7 +631,6 @@ impl RuleEngine {
         }
         scratch.extend_from_slice(&self.wild_bucket);
 
-        let mut new_frame = self.spare_frames.pop().unwrap_or_default();
         self.annotation.clear();
         self.memo.clear();
 
@@ -627,7 +638,7 @@ impl RuleEngine {
             let RuleEngine {
                 ref rules,
                 ref table,
-                ref frames,
+                ref mut frames,
                 ref mut instances,
                 ref mut unresolved_instances,
                 ref mut stats,
@@ -635,6 +646,9 @@ impl RuleEngine {
                 ref mut annotation,
                 ..
             } = *self;
+            // The open frames are the bucket walk's; the cleared one at
+            // `depth` becomes the new element's.
+            let (frames, rest) = frames.split_at_mut(depth);
             let mut scope = OpenScope {
                 rules,
                 table,
@@ -642,7 +656,7 @@ impl RuleEngine {
                 unresolved: unresolved_instances,
                 stats,
                 resolved,
-                new_frame: &mut new_frame,
+                new_frame: &mut rest[0],
                 memo,
                 annotation,
                 depth,
@@ -677,10 +691,9 @@ impl RuleEngine {
         self.root_scratch = root_scratch;
         self.annotation.direct.sort_unstable_by_key(|m| m.index);
 
-        // Push + register the frame.
-        self.frames.push(new_frame);
-        // lint: infallible — pushed on the preceding line.
-        let frame = self.frames.last_mut().expect("frame just pushed");
+        // Open + register the frame.
+        self.live += 1;
+        let frame = &mut self.frames[depth];
         register_frame(
             &self.table,
             &self.instances,
@@ -695,7 +708,7 @@ impl RuleEngine {
 
     fn process_text(&mut self, text: &str, resolved: &mut Vec<Resolution>) {
         // Feed the watchers of the element directly containing this text.
-        let depth = self.frames.len() - 1;
+        let depth = self.live - 1;
         if depth == 0 {
             return;
         }
@@ -733,10 +746,12 @@ impl RuleEngine {
     }
 
     fn process_close(&mut self, resolved: &mut Vec<Resolution>) {
-        let depth = (self.frames.len() - 1) as u32;
-        // lint: infallible — the tokenizer only emits balanced events, so
-        // every close has a matching open frame.
-        let mut frame = self.frames.pop().expect("close without a matching open");
+        // The tokenizer only emits balanced events, so every close has a
+        // matching open frame above the document node.
+        assert!(self.live > 1, "close without a matching open");
+        self.live -= 1;
+        let depth = self.live;
+        let frame = &mut self.frames[depth];
         self.frames_ram -= frame.ram_bytes();
         // Unregister the frame's bucket entries (always the bucket suffix:
         // registrations only ever target the innermost open element).
@@ -746,7 +761,7 @@ impl RuleEngine {
             } else {
                 &mut self.buckets[b as usize]
             };
-            while bucket.last().is_some_and(|e| e.depth() == depth) {
+            while bucket.last().is_some_and(|e| e.depth() as usize == depth) {
                 bucket.pop();
                 self.bucket_entries -= 1;
             }
@@ -783,7 +798,6 @@ impl RuleEngine {
             );
         }
         frame.clear();
-        self.spare_frames.push(frame);
     }
 }
 
@@ -1346,5 +1360,93 @@ mod tests {
         let out = run(&mut e, "<h><patient><name>x</name></patient></h>");
         let matches = unconditional_matches(&out);
         assert_eq!(matches[2], ("name".into(), vec![0, 1]));
+    }
+
+    fn is_clear(frame: &Frame) -> bool {
+        frame.runs.is_empty()
+            && frame.deps.is_empty()
+            && frame.pred_runs.is_empty()
+            && frame.watchers.is_empty()
+            && frame.watched_text.is_empty()
+            && frame.owned_instances.is_empty()
+            && frame.touched.is_empty()
+    }
+
+    /// The token stack reuses each depth's frame in place: a sibling that
+    /// activates nothing opens on a clear frame after one that held runs,
+    /// owned instances, predicate runs and watchers, every frame past the
+    /// live count is clear, and the stack never grows past the deepest
+    /// element, across two documents.
+    #[test]
+    fn token_stack_reuses_its_frames_in_place() {
+        use crate::baseline::authorized_view_oracle;
+        use crate::conflict::AccessPolicy;
+        use crate::evaluator::{ram_props, EvaluatorConfig, StreamingEvaluator};
+        use crate::rule::Subject;
+        use sdds_xml::{writer, Document};
+
+        // `act` (depth 3) opens a run towards `report` and owns the `[date]`
+        // instance of `//act[date]/physician`; `dosage` watches its text for
+        // `[dosage = "100 mg"]`. Each `note` sibling matches nothing.
+        let docs = [
+            "<folder><acts><act type=\"surgery\"><date>1</date><physician>p</physician>\
+             <report>r</report></act><note>n</note></acts><prescription>\
+             <dosage>100 mg</dosage><note>m</note><drug>x</drug></prescription></folder>",
+            "<folder><prescription><dosage>250 mg</dosage><drug>y</drug></prescription>\
+             <acts><note>o</note><act type=\"visit\"><physician>q</physician></act></acts>\
+             </folder>",
+        ]
+        .map(|xml| Document::parse(xml).unwrap());
+        let rules = ram_props::rules();
+        let subject = Subject::new("auditor");
+        let mut evaluator =
+            StreamingEvaluator::new(&EvaluatorConfig::new(rules.clone(), "auditor")).unwrap();
+        let (mut view, mut expected) = (Vec::new(), Vec::new());
+        let (mut held_runs, mut held_owned, mut held_watchers) = (false, false, false);
+        let mut deepest = 0;
+        for doc in &docs {
+            for event in doc.to_events() {
+                evaluator.push(event.as_event_ref(), &mut view);
+                let engine = evaluator.engine();
+                deepest = deepest.max(engine.depth());
+                assert_eq!(
+                    engine.frames.len(),
+                    deepest + 1,
+                    "one frame per depth reached"
+                );
+                assert!(engine.frames[engine.live..].iter().all(is_clear));
+                if let Event::Open { name, .. } = &event {
+                    let frame = &engine.frames[engine.depth()];
+                    match &**name {
+                        "note" => assert!(is_clear(frame), "a note reuses a clear frame"),
+                        "act" => {
+                            held_runs |= !frame.runs.is_empty() && !frame.pred_runs.is_empty();
+                            held_owned |= !frame.owned_instances.is_empty();
+                        }
+                        "dosage" => held_watchers |= !frame.watchers.is_empty(),
+                        _ => {}
+                    }
+                }
+            }
+            expected.extend(authorized_view_oracle(
+                doc,
+                &rules,
+                &subject,
+                None,
+                &AccessPolicy::paper(),
+            ));
+        }
+        assert!(
+            held_runs && held_owned && held_watchers,
+            "the depth-3 frames held state"
+        );
+        assert_eq!(
+            evaluator.engine().frames.len(),
+            5,
+            "maximum depth 4, plus the document"
+        );
+        assert_eq!(writer::to_string(&view), writer::to_string(&expected));
+        assert!(!view.is_empty());
+        evaluator.finish().unwrap();
     }
 }

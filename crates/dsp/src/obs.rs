@@ -322,8 +322,14 @@ impl SessionObs {
     /// Counts one authorized event handed to the application. No-op on a
     /// detached bundle.
     pub fn event_delivered(&self) {
+        self.add_events_delivered(1);
+    }
+
+    /// Counts `n` authorized events handed to the application in one add.
+    /// No-op on a detached bundle.
+    pub fn add_events_delivered(&self, n: u64) {
         if self.live {
-            self.events_delivered.inc();
+            self.events_delivered.add(n);
         }
     }
 }

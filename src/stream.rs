@@ -31,9 +31,15 @@ use crate::error::SddsError;
 /// poisoned and yields nothing further. Once exhausted, the session
 /// statistics (transfer, decryption, skipping, peak RAM) are available
 /// through [`ViewStream::stats`].
+///
+/// The session's `events_delivered` counter is brought up to date once per
+/// chunk, not once per event: before each step, when the stream ends or
+/// fails, and when it is dropped.
 #[derive(Debug)]
 pub struct ViewStream {
     session: PullSession<HostSoe>,
+    /// Events yielded since the counter was last brought up to date.
+    uncounted: u64,
 }
 
 impl ViewStream {
@@ -41,7 +47,10 @@ impl ViewStream {
     /// an unknown document or an unprovisioned subject fails here.
     pub(crate) fn open(mut session: PullSession<HostSoe>) -> Result<Self, SddsError> {
         session.advance(1)?;
-        Ok(ViewStream { session })
+        Ok(ViewStream {
+            session,
+            uncounted: 0,
+        })
     }
 
     /// Document this stream pulls.
@@ -67,6 +76,15 @@ impl ViewStream {
         self.session.output()
     }
 
+    /// Adds the events yielded since the last flush to the session's
+    /// `events_delivered` counter.
+    fn count_delivered(&mut self) {
+        if self.uncounted > 0 {
+            self.session.obs().add_events_delivered(self.uncounted);
+            self.uncounted = 0;
+        }
+    }
+
     /// Drains the stream and renders the remaining authorized events as XML
     /// text — the same bytes [`crate::Client::authorized_view`] returns for
     /// an untouched stream.
@@ -85,9 +103,10 @@ impl Iterator for ViewStream {
     fn next(&mut self) -> Option<Self::Item> {
         loop {
             if let Some(event) = self.session.transport_mut().pop_event() {
-                self.session.obs().event_delivered();
+                self.uncounted += 1;
                 return Some(Ok(event));
             }
+            self.count_delivered();
             // Stream over (normally or poisoned): nothing further to yield.
             if self.session.output().is_some() || self.session.error().is_some() {
                 return None;
@@ -96,6 +115,12 @@ impl Iterator for ViewStream {
                 return Some(Err(e.into()));
             }
         }
+    }
+}
+
+impl Drop for ViewStream {
+    fn drop(&mut self) {
+        self.count_delivered();
     }
 }
 

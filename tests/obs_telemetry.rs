@@ -217,3 +217,55 @@ fn service_stats_equal_the_serve_counters_in_the_snapshot() {
         ServerStats::default()
     );
 }
+
+/// `ViewStream` adds its events to `session.events_delivered` once per
+/// chunk, so the counter is exact whenever a stream stops yielding: once it
+/// is drained, once it is dropped early, and once it has failed.
+#[test]
+fn events_delivered_is_exact_once_a_stream_stops() {
+    let publisher = publisher();
+    publisher.publish("folders", &hospital(4)).unwrap();
+    let client = Client::builder("doctor").provision(&publisher).unwrap();
+    let delivered = || client.obs_snapshot().counter(families::SESSION_EVENTS);
+
+    // Drained: every event counts, before the stream is dropped.
+    let before = delivered();
+    let mut stream = client.open_stream("folders").unwrap();
+    let events = stream.by_ref().map(Result::unwrap).count() as u64;
+    assert!(events > 2);
+    assert!(stream.stats().is_some(), "the stream is exhausted");
+    assert_eq!(delivered() - before, events, "a drained stream");
+    drop(stream);
+    assert_eq!(delivered() - before, events, "dropping a drained stream");
+
+    // Dropped after k events, in the middle of a chunk.
+    let k = events / 2;
+    let before = delivered();
+    let mut stream = client.open_stream("folders").unwrap();
+    for _ in 0..k {
+        stream.next().unwrap().unwrap();
+    }
+    drop(stream);
+    assert_eq!(delivered() - before, k, "a stream dropped after {k} events");
+
+    // Failed: the events yielded before the StaleRevision all count.
+    let before = delivered();
+    let mut stream = client.open_stream("folders").unwrap();
+    stream.next().unwrap().unwrap();
+    publisher.publish("folders", &hospital(5)).unwrap();
+    let mut yielded = 1;
+    let failure = loop {
+        match stream.next().expect("the stream fails before it ends") {
+            Ok(_) => yielded += 1,
+            Err(e) => break e,
+        }
+    };
+    assert!(
+        matches!(failure, SddsError::StaleRevision { .. }),
+        "{failure:?}"
+    );
+    assert!(stream.next().is_none(), "a failed stream is poisoned");
+    assert_eq!(delivered() - before, yielded, "a failed stream");
+    drop(stream);
+    assert_eq!(delivered() - before, yielded, "dropping a failed stream");
+}
