@@ -50,6 +50,10 @@ pub use sdds_wire::{ChunkTag, DocumentHeader, SecureDocument, TAG_LEN};
 /// e-gate's 1 KiB of applet RAM.
 pub const DEFAULT_CHUNK_SIZE: usize = 512;
 
+/// The chunk sizes [`SecureDocumentBuilder::chunk_size`] accepts: at least
+/// 64 bytes, and no more than the header's 32-bit `chunk_size` field holds.
+pub const CHUNK_SIZES: std::ops::RangeInclusive<usize> = 64..=u32::MAX as usize;
+
 /// The MAC of `header`: the two-lane Poly1305-then-AES tag of
 /// [`DocumentHeader::mac_input`] under key parts drawn from the `doc-mac`
 /// subkey.
@@ -225,8 +229,14 @@ impl SecureDocumentBuilder {
     }
 
     /// Sets the plaintext chunk size.
+    ///
+    /// # Panics
+    /// Panics if `size` is outside [`CHUNK_SIZES`].
     pub fn chunk_size(mut self, size: usize) -> Self {
-        assert!(size >= 64, "chunks below 64 bytes are not supported");
+        assert!(
+            CHUNK_SIZES.contains(&size),
+            "chunk size {size} is not supported: outside {CHUNK_SIZES:?}"
+        );
         self.chunk_size = size;
         self
     }
@@ -275,9 +285,11 @@ impl SecureDocumentBuilder {
             chunks.push(Arc::from(&[][..]));
         } else {
             for (index, chunk) in plaintext.chunks(self.chunk_size).enumerate() {
-                let mut chunk = chunk.to_vec();
-                ctr_apply(&cipher, &chunk_iv(&nonce, index as u32), &mut chunk);
-                chunks.push(chunk.into());
+                let mut chunk: Arc<[u8]> = Arc::from(chunk);
+                // lint: infallible — a fresh `Arc` has no other owner.
+                let bytes = Arc::get_mut(&mut chunk).expect("fresh Arc is unique");
+                ctr_apply(&cipher, &chunk_iv(&nonce, index as u32), bytes);
+                chunks.push(chunk);
             }
         }
 

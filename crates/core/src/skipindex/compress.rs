@@ -68,37 +68,8 @@ impl TagReference {
         }
     }
 
-    /// Reference covering exactly the members of `set`.
-    pub fn from_set(set: &TagSet) -> Self {
-        TagReference {
-            tags: set.iter().collect(),
-        }
-    }
-
-    /// Number of referenced tags (bits of a bitmap encoded against it).
-    pub fn len(&self) -> usize {
-        self.tags.len()
-    }
-
-    /// True if the reference is empty.
-    pub fn is_empty(&self) -> bool {
-        self.tags.is_empty()
-    }
-
-    /// Encodes `set` (which must be a subset of the reference) as a bitmap of
-    /// `ceil(len/8)` bytes, one bit per reference entry.
-    pub fn encode_subset(&self, set: &TagSet) -> Vec<u8> {
-        let mut out = vec![0u8; self.tags.len().div_ceil(8)];
-        for (i, tag) in self.tags.iter().enumerate() {
-            if set.contains(*tag) {
-                out[i / 8] |= 1 << (i % 8);
-            }
-        }
-        out
-    }
-
-    /// Decodes a bitmap produced by [`TagReference::encode_subset`] into
-    /// `set`, replacing its contents and keeping its allocation. Bits past
+    /// Decodes a bitmap into `set`, replacing its contents and keeping its
+    /// allocation: bit `i` stands for the `i`-th referenced tag. Bits past
     /// the end of the reference are ignored.
     pub fn decode_into(&self, bitmap: &[u8], set: &mut TagSet) {
         set.clear();
@@ -113,10 +84,39 @@ impl TagReference {
             }
         }
     }
+}
+
+/// The encoding side of a reference, which the encoder writes straight from
+/// its tag-set words instead; the tests round-trip bitmaps through it.
+#[cfg(test)]
+impl TagReference {
+    /// Reference covering exactly the members of `set`.
+    fn from_set(set: &TagSet) -> Self {
+        TagReference {
+            tags: set.iter().collect(),
+        }
+    }
+
+    /// Number of referenced tags (bits of a bitmap encoded against it).
+    fn len(&self) -> usize {
+        self.tags.len()
+    }
 
     /// Number of bitmap bytes needed against this reference.
-    pub fn bitmap_len(&self) -> usize {
+    fn bitmap_len(&self) -> usize {
         self.tags.len().div_ceil(8)
+    }
+
+    /// Encodes `set` (which must be a subset of the reference) as a bitmap of
+    /// `ceil(len/8)` bytes, one bit per reference entry.
+    fn encode_subset(&self, set: &TagSet) -> Vec<u8> {
+        let mut out = vec![0u8; self.bitmap_len()];
+        for (i, tag) in self.tags.iter().enumerate() {
+            if set.contains(*tag) {
+                out[i / 8] |= 1 << (i % 8);
+            }
+        }
+        out
     }
 }
 
@@ -198,7 +198,7 @@ mod tests {
     #[test]
     fn empty_reference_and_empty_set() {
         let reference = TagReference::from_set(&TagSet::new());
-        assert!(reference.is_empty());
+        assert_eq!(reference.len(), 0);
         assert_eq!(reference.bitmap_len(), 0);
         let bitmap = reference.encode_subset(&TagSet::new());
         assert!(bitmap.is_empty());

@@ -9,10 +9,33 @@
 //! an element's opening token is followed by a *subtree summary* carrying the
 //! byte length of its content and the (recursively compressed) set of tags
 //! occurring below it.
+//!
+//! A summary's content length counts the nested summaries, so it is known
+//! only once the whole subtree is laid out. The encoder therefore measures
+//! before it writes, in four passes over the tree:
+//!
+//! 1. **intern** (document order): the dictionary assigns ids, elements
+//!    before their attribute names; each node's tag and own token length go
+//!    into per-node slots, and the attribute-name ids into one flat array;
+//! 2. **analyse** (bottom-up): the tags strictly below each element, as
+//!    words of one flat arena, and the policy's decision, taken on the
+//!    content length without summaries;
+//! 3. **measure**: the exact content length of each element, nested
+//!    summaries included. A summary's bitmap length is known top-down: the
+//!    tag count of its nearest summarised ancestor (recursive bitmaps) or of
+//!    the dictionary;
+//! 4. **emit** (document order): every token is written once, bitmaps
+//!    straight from the arena words, into one buffer reserved to the
+//!    measured length.
+//!
+//! The passes index plain arrays by node, with no name lookup after
+//! interning, so the encoder's allocations do not grow with the element
+//! count: a fixed handful of arrays, plus what the dictionary needs for its
+//! names.
 
-use sdds_xml::{Document, NodeData, NodeId, TagDict, TagSet};
+use sdds_xml::{Document, NodeData, NodeId, TagDict, TagId};
 
-use super::compress::{varint_len, write_varint, TagReference};
+use super::compress::{varint_len, write_varint};
 
 /// Token type markers of the binary stream.
 pub mod token {
@@ -90,16 +113,6 @@ impl EncodedDocument {
     }
 }
 
-/// Per-element information computed by the bottom-up analysis pass.
-struct ElementInfo {
-    /// Tags strictly below the element.
-    descendant_tags: TagSet,
-    /// Approximate content size (without summaries), used by the policy.
-    base_content_len: usize,
-    /// Whether a summary will be emitted for this element.
-    indexed: bool,
-}
-
 /// The document encoder.
 #[derive(Debug)]
 pub struct DocumentEncoder {
@@ -114,162 +127,263 @@ impl DocumentEncoder {
 
     /// Encodes `doc`.
     pub fn encode(&self, doc: &Document) -> EncodedDocument {
-        let mut dict = TagDict::new();
-        // Deterministic id assignment: document order, elements then their
-        // attribute names.
-        for node in doc.all_nodes() {
-            if let NodeData::Element { name, attrs } = doc.data(node) {
-                dict.intern(name);
-                for a in attrs {
-                    dict.intern(&a.name);
-                }
-            }
-        }
-
-        let mut stats = EncodeStats {
-            dict_bytes: dict.encoded_len(),
-            ..EncodeStats::default()
-        };
+        let mut run = Run::new(self.config, doc);
+        let mut stats = EncodeStats::default();
         let mut tokens = Vec::new();
         if let Some(root) = doc.root() {
-            let mut infos = std::collections::HashMap::new();
-            self.analyse(doc, root, &dict, &mut infos);
-            let root_ref = TagReference::full(dict.len());
-            self.encode_node(doc, root, &dict, &infos, &root_ref, &mut tokens, &mut stats);
+            run.intern(root);
+            run.words = run.dict.len().div_ceil(64);
+            run.tag_sets = vec![0; doc.len() * run.words];
+            run.analyse(root);
+            let total = run.measure(root, run.dict.len());
+            tokens.reserve_exact(total);
+            let mut attr_cursor = 0;
+            run.emit(root, None, &mut attr_cursor, &mut tokens, &mut stats);
+            debug_assert_eq!(tokens.len(), total, "measured length");
         }
+        stats.dict_bytes = run.dict.encoded_len();
         stats.token_bytes = tokens.len();
         EncodedDocument {
-            dict,
+            dict: run.dict,
             tokens,
             stats,
         }
     }
+}
 
-    /// Bottom-up pass: descendant tag sets and base content sizes.
-    fn analyse(
-        &self,
-        doc: &Document,
-        node: NodeId,
-        dict: &TagDict,
-        infos: &mut std::collections::HashMap<NodeId, ElementInfo>,
-    ) -> (TagSet, usize) {
-        let NodeData::Element { name, attrs } = doc.data(node) else {
-            // Text node: its encoded length.
-            let len = match doc.data(node) {
-                NodeData::Text(t) => 1 + varint_len(t.len() as u64) + t.len(),
-                // lint: infallible — the let-else above only falls through
-                // for non-element nodes.
-                NodeData::Element { .. } => unreachable!(),
-            };
-            return (TagSet::new(), len);
+/// What the passes know of one node, at `NodeId::index()`.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Element tag (unused for a text node).
+    tag: TagId,
+    /// Encoded length of the OPEN token of an element, of the whole TEXT
+    /// token of a text node.
+    head_len: usize,
+    /// Encoded length of an element's content (children tokens, nested
+    /// summaries included, the CLOSE token excluded).
+    content_len: usize,
+    /// Whether the element gets a summary.
+    indexed: bool,
+}
+
+/// The state of one [`DocumentEncoder::encode`] call.
+struct Run<'d> {
+    config: EncoderConfig,
+    doc: &'d Document,
+    dict: TagDict,
+    slots: Vec<Slot>,
+    /// Attribute-name tags of every element, in document order.
+    attr_tags: Vec<TagId>,
+    /// `u64` words per tag set.
+    words: usize,
+    /// Tags strictly below each element, `words` words at
+    /// `NodeId::index() * words`.
+    tag_sets: Vec<u64>,
+}
+
+impl<'d> Run<'d> {
+    fn new(config: EncoderConfig, doc: &'d Document) -> Self {
+        let slot = Slot {
+            tag: TagId(0),
+            head_len: 0,
+            content_len: 0,
+            indexed: false,
         };
-        let mut descendant_tags = TagSet::with_capacity(dict.len());
-        let mut content_len = 0usize;
-        for child in doc.children(node) {
-            let (child_tags, child_len) = self.analyse(doc, *child, dict, infos);
-            content_len += child_len;
-            descendant_tags.union_with(&child_tags);
-            if let Some(child_name) = doc.element_name(*child) {
-                if let Some(id) = dict.get(child_name) {
-                    descendant_tags.insert(id);
+        Run {
+            config,
+            doc,
+            dict: TagDict::new(),
+            slots: vec![slot; doc.len()],
+            attr_tags: Vec::with_capacity(doc.attribute_count()),
+            words: 0,
+            tag_sets: Vec::new(),
+        }
+    }
+
+    fn tag_set(&self, node: NodeId) -> &[u64] {
+        let start = node.index() * self.words;
+        &self.tag_sets[start..start + self.words]
+    }
+
+    /// Dictionary pass, in document order (elements, then their attribute
+    /// names, which fixes the ids): every name's tag and every node's own
+    /// token length.
+    fn intern(&mut self, node: NodeId) {
+        let slot = &mut self.slots[node.index()];
+        match self.doc.data(node) {
+            NodeData::Text(t) => slot.head_len = 1 + varint_len(t.len() as u64) + t.len(),
+            NodeData::Element { name, attrs } => {
+                slot.tag = self.dict.intern(name);
+                let mut head_len =
+                    1 + varint_len(u64::from(slot.tag.0)) + varint_len(attrs.len() as u64);
+                for a in attrs {
+                    let tag = self.dict.intern(&a.name);
+                    self.attr_tags.push(tag);
+                    head_len += varint_len(u64::from(tag.0))
+                        + varint_len(a.value.len() as u64)
+                        + a.value.len();
+                }
+                slot.head_len = head_len;
+                for &child in self.doc.children(node) {
+                    self.intern(child);
                 }
             }
         }
-        // Encoded length of this element's own open/close tokens.
-        let open_len = 1
-            + varint_len(dict.get(name).map(|t| t.0 as u64).unwrap_or(0))
-            + varint_len(attrs.len() as u64)
-            + attrs
-                .iter()
-                .map(|a| {
-                    varint_len(dict.get(&a.name).map(|t| t.0 as u64).unwrap_or(0))
-                        + varint_len(a.value.len() as u64)
-                        + a.value.len()
-                })
-                .sum::<usize>();
-        let close_len = 1;
-        let indexed = content_len >= self.config.min_index_bytes;
-        infos.insert(
-            node,
-            ElementInfo {
-                descendant_tags: descendant_tags.clone(),
-                base_content_len: content_len,
-                indexed,
-            },
-        );
-        (descendant_tags, open_len + content_len + close_len)
     }
 
-    /// Top-down pass: emit tokens, computing exact content lengths (with
-    /// nested summaries included) by encoding children into a scratch buffer.
-    #[allow(clippy::too_many_arguments)]
-    fn encode_node(
+    /// Bottom-up pass: the tags below each element, and which elements the
+    /// policy summarises (judged on their content without summaries).
+    /// Returns the node's encoded length without summaries.
+    fn analyse(&mut self, node: NodeId) -> usize {
+        let i = node.index();
+        if matches!(self.doc.data(node), NodeData::Text(_)) {
+            return self.slots[i].head_len;
+        }
+        let mut content_len = 0;
+        for &child in self.doc.children(node) {
+            content_len += self.analyse(child);
+            if matches!(self.doc.data(child), NodeData::Element { .. }) {
+                let c = child.index();
+                for w in 0..self.words {
+                    self.tag_sets[i * self.words + w] |= self.tag_sets[c * self.words + w];
+                }
+                let tag = self.slots[c].tag.index();
+                self.tag_sets[i * self.words + tag / 64] |= 1 << (tag % 64);
+            }
+        }
+        let slot = &mut self.slots[i];
+        slot.indexed = content_len >= self.config.min_index_bytes;
+        slot.head_len + content_len + 1
+    }
+
+    /// Length pass: the exact content length of each element, nested
+    /// summaries included. `reference_bits` is the bit count of the node's
+    /// bitmap, should it get a summary: the tag count of its nearest
+    /// summarised ancestor's set, or of the dictionary. Returns the node's
+    /// exact encoded length.
+    fn measure(&mut self, node: NodeId, reference_bits: usize) -> usize {
+        let slot = self.slots[node.index()];
+        if matches!(self.doc.data(node), NodeData::Text(_)) {
+            return slot.head_len;
+        }
+        let child_bits = match (slot.indexed, self.config.recursive_bitmaps) {
+            (true, true) => self
+                .tag_set(node)
+                .iter()
+                .map(|w| w.count_ones() as usize)
+                .sum(),
+            (true, false) => self.dict.len(),
+            (false, _) => reference_bits,
+        };
+        let content_len = self
+            .doc
+            .children(node)
+            .iter()
+            .map(|&child| self.measure(child, child_bits))
+            .sum();
+        self.slots[node.index()].content_len = content_len;
+        let summary_len = if slot.indexed {
+            let bitmap_len = reference_bits.div_ceil(8);
+            1 + varint_len(content_len as u64) + varint_len(bitmap_len as u64) + bitmap_len
+        } else {
+            0
+        };
+        slot.head_len + summary_len + content_len + 1
+    }
+
+    /// Emission pass, in document order: every token written once, into
+    /// `out`. `reference` is the nearest summarised ancestor, whose tag set
+    /// the node's bitmap is encoded against (`None`: the whole dictionary);
+    /// `attr_cursor` walks `attr_tags`.
+    fn emit(
         &self,
-        doc: &Document,
         node: NodeId,
-        dict: &TagDict,
-        infos: &std::collections::HashMap<NodeId, ElementInfo>,
-        enclosing_ref: &TagReference,
+        reference: Option<NodeId>,
+        attr_cursor: &mut usize,
         out: &mut Vec<u8>,
         stats: &mut EncodeStats,
     ) {
-        match doc.data(node) {
+        let slot = &self.slots[node.index()];
+        let (name, attrs) = match self.doc.data(node) {
             NodeData::Text(t) => {
                 out.push(token::TEXT);
                 write_varint(out, t.len() as u64);
                 out.extend_from_slice(t.as_bytes());
+                return;
             }
-            NodeData::Element { name, attrs } => {
-                // OPEN token.
-                out.push(token::OPEN);
-                // lint: infallible — the dictionary pass interned every
-                // element and attribute name before encoding starts.
-                write_varint(out, dict.get(name).expect("interned").0 as u64);
-                write_varint(out, attrs.len() as u64);
-                for a in attrs {
-                    // lint: infallible — interned by the dictionary pass.
-                    write_varint(out, dict.get(&a.name).expect("interned").0 as u64);
-                    write_varint(out, a.value.len() as u64);
-                    out.extend_from_slice(a.value.as_bytes());
-                }
+            NodeData::Element { name, attrs } => (name, attrs),
+        };
+        debug_assert_eq!(self.dict.get(name), Some(slot.tag));
+        out.push(token::OPEN);
+        write_varint(out, u64::from(slot.tag.0));
+        write_varint(out, attrs.len() as u64);
+        for a in attrs {
+            write_varint(out, u64::from(self.attr_tags[*attr_cursor].0));
+            *attr_cursor += 1;
+            write_varint(out, a.value.len() as u64);
+            out.extend_from_slice(a.value.as_bytes());
+        }
 
-                // lint: infallible — the analysis pass visited every node.
-                let info = infos.get(&node).expect("analysed");
-                // Encode children into a scratch buffer so that the exact
-                // content length is known before the summary is written.
-                let child_ref = if info.indexed && self.config.recursive_bitmaps {
-                    TagReference::from_set(&info.descendant_tags)
-                } else if info.indexed {
-                    TagReference::full(dict.len())
-                } else {
-                    enclosing_ref.clone()
-                };
-                let mut content = Vec::with_capacity(info.base_content_len);
-                for child in doc.children(node) {
-                    self.encode_node(doc, *child, dict, infos, &child_ref, &mut content, stats);
-                }
+        let mut child_reference = reference;
+        if slot.indexed {
+            let before = out.len();
+            out.push(token::SUMMARY);
+            write_varint(out, slot.content_len as u64);
+            let set = self.tag_set(node);
+            match reference {
+                Some(ancestor) => write_subset(out, self.tag_set(ancestor), set),
+                None => write_bitmap(out, set, self.dict.len()),
+            }
+            stats.summaries += 1;
+            stats.index_bytes += out.len() - before;
+            child_reference = self.config.recursive_bitmaps.then_some(node);
+        }
+        for &child in self.doc.children(node) {
+            self.emit(child, child_reference, attr_cursor, out, stats);
+        }
+        out.push(token::CLOSE);
+    }
+}
 
-                if info.indexed {
-                    let bitmap = enclosing_ref.encode_subset(&info.descendant_tags);
-                    out.push(token::SUMMARY);
-                    let before = out.len();
-                    write_varint(out, content.len() as u64);
-                    write_varint(out, bitmap.len() as u64);
-                    out.extend_from_slice(&bitmap);
-                    stats.summaries += 1;
-                    stats.index_bytes += 1 + (out.len() - before);
-                }
-                out.extend_from_slice(&content);
-                out.push(token::CLOSE);
+/// Writes the bitmap length and the bitmap of `set` against the whole
+/// dictionary of `dict_len` tags: bit `i` for tag `i`.
+fn write_bitmap(out: &mut Vec<u8>, set: &[u64], dict_len: usize) {
+    let len = dict_len.div_ceil(8);
+    write_varint(out, len as u64);
+    out.extend((0..len).map(|b| (set[b / 8] >> (b % 8 * 8)) as u8));
+}
+
+/// Writes the bitmap length and the bitmap of `set` against `reference`, a
+/// superset of it: bit `i` for the `i`-th tag of `reference` in ascending
+/// order (the paper's recursive compression).
+fn write_subset(out: &mut Vec<u8>, reference: &[u64], set: &[u64]) {
+    let bits: u32 = reference.iter().map(|w| w.count_ones()).sum();
+    write_varint(out, u64::from(bits.div_ceil(8)));
+    let (mut byte, mut bit) = (0u8, 0u32);
+    for (&reference_word, &set_word) in reference.iter().zip(set) {
+        let mut rest = reference_word;
+        while rest != 0 {
+            let lowest = rest & rest.wrapping_neg();
+            if set_word & lowest != 0 {
+                byte |= 1 << bit;
+            }
+            rest ^= lowest;
+            bit += 1;
+            if bit == 8 {
+                out.push(byte);
+                (byte, bit) = (0, 0);
             }
         }
+    }
+    if bit > 0 {
+        out.push(byte);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdds_xml::generator::{self, GeneratorConfig, HospitalProfile};
+    use sdds_xml::generator::{self, Corpus, GeneratorConfig, HospitalProfile};
     use sdds_xml::Document;
 
     fn encode(doc: &Document, config: EncoderConfig) -> EncodedDocument {
@@ -374,6 +488,102 @@ mod tests {
         );
         assert!(fine.stats.summaries > coarse.stats.summaries);
         assert!(fine.stats.index_bytes > coarse.stats.index_bytes);
+    }
+
+    /// `(corpus, recursive_bitmaps, token bytes, summaries, index bytes,
+    /// FNV-1a of the plaintext)` of each corpus at 4 000 elements under the
+    /// default generator and threshold.
+    const PINNED: [(Corpus, bool, usize, usize, usize, u64); 8] = [
+        (
+            Corpus::Hospital,
+            true,
+            107_551,
+            1_501,
+            6_788,
+            0x0b79_932e_2b16_bb3f,
+        ),
+        (
+            Corpus::Hospital,
+            false,
+            110_059,
+            1_501,
+            9_296,
+            0xdd81_61ae_a8fb_fa37,
+        ),
+        (
+            Corpus::Community,
+            true,
+            105_940,
+            834,
+            4_276,
+            0x159c_a37a_922c_1d38,
+        ),
+        (
+            Corpus::Community,
+            false,
+            107_372,
+            834,
+            5_708,
+            0xba54_05c2_fceb_ec9c,
+        ),
+        (
+            Corpus::Catalog,
+            true,
+            94_898,
+            801,
+            3_206,
+            0x3bbe_aa88_54e3_dbcb,
+        ),
+        (
+            Corpus::Catalog,
+            false,
+            94_898,
+            801,
+            3_206,
+            0xcd3b_040d_0762_2ce3,
+        ),
+        (
+            Corpus::Stream,
+            true,
+            310_077,
+            1_601,
+            8_006,
+            0x682a_5ce6_ddb7_8cb9,
+        ),
+        (
+            Corpus::Stream,
+            false,
+            310_077,
+            1_601,
+            8_006,
+            0xbd64_7ac2_f1d7_3e99,
+        ),
+    ];
+
+    /// 64-bit FNV-1a digest.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+            (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn encoded_bytes_are_pinned() {
+        for (corpus, recursive_bitmaps, token_bytes, summaries, index_bytes, digest) in PINNED {
+            let doc = corpus.generate(4000, &GeneratorConfig::default());
+            let enc = encode(
+                &doc,
+                EncoderConfig {
+                    recursive_bitmaps,
+                    ..EncoderConfig::default()
+                },
+            );
+            let what = format!("{corpus:?}, recursive bitmaps {recursive_bitmaps}");
+            assert_eq!(enc.stats.token_bytes, token_bytes, "{what}: token bytes");
+            assert_eq!(enc.stats.summaries, summaries, "{what}: summaries");
+            assert_eq!(enc.stats.index_bytes, index_bytes, "{what}: index bytes");
+            assert_eq!(fnv1a(&enc.plaintext()), digest, "{what}: plaintext digest");
+        }
     }
 
     #[test]

@@ -199,6 +199,17 @@ impl Document {
         self.nodes.is_empty()
     }
 
+    /// Number of attributes over all elements.
+    pub fn attribute_count(&self) -> usize {
+        self.nodes
+            .iter()
+            .map(|n| match &n.data {
+                NodeData::Element { attrs, .. } => attrs.len(),
+                NodeData::Text(_) => 0,
+            })
+            .sum()
+    }
+
     /// Payload of `id`.
     pub fn data(&self, id: NodeId) -> &NodeData {
         &self.nodes[id.index()].data

@@ -24,7 +24,7 @@ use std::collections::BTreeSet;
 use sdds_card::CardProfile;
 use sdds_core::engine::{DEFAULT_DOC_KEY_ID, RULES_KEY_ID};
 use sdds_core::rule::{RuleSet, Sign, Subject};
-use sdds_core::secdoc::SecureDocumentBuilder;
+use sdds_core::secdoc::{SecureDocumentBuilder, CHUNK_SIZES};
 use sdds_core::session::{KeyProvisioning, TrustedServer};
 use sdds_core::Query;
 use sdds_crypto::SecretKey;
@@ -84,7 +84,9 @@ impl PublisherBuilder {
     }
 
     /// Chunk size of published documents (default: the secure-document
-    /// builder's default).
+    /// builder's default). A size outside
+    /// [`sdds_core::secdoc::CHUNK_SIZES`] is rejected by
+    /// [`PublisherBuilder::build`] with [`SddsError::Config`].
     pub fn chunk_size(mut self, bytes: usize) -> Self {
         self.chunk_size = Some(bytes);
         self
@@ -93,7 +95,8 @@ impl PublisherBuilder {
     /// Builds the publisher over a fresh service.
     ///
     /// Fails with [`SddsError::Config`] on impossible configurations
-    /// (`.shards(0)`, `.replicate(0)`) — the lower-level `ShardedStore::new`
+    /// (`.shards(0)`, `.replicate(0)`, a chunk size outside
+    /// [`sdds_core::secdoc::CHUNK_SIZES`]) — the lower-level `ShardedStore::new`
     /// documents a silent clamp for the same input, but an application that
     /// explicitly asked for zero shards almost certainly mis-computed its
     /// deployment size, and the facade says so at build time.
@@ -107,6 +110,12 @@ impl PublisherBuilder {
             return Err(SddsError::Config(
                 "replicate(0) would serve documents from no shard; use 1 for a single copy".into(),
             ));
+        }
+        if let Some(size) = self.chunk_size.filter(|size| !CHUNK_SIZES.contains(size)) {
+            return Err(SddsError::Config(format!(
+                "chunk size {size} is outside {CHUNK_SIZES:?} (the smallest chunk the \
+                 secure format supports, and the header's 32-bit field)"
+            )));
         }
         let pki = SimulatedPki::new(&self.community_secret);
         Ok(Publisher {

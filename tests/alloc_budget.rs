@@ -19,7 +19,9 @@
 //!   cancels out;
 //! - summary decoding (`TokenReader::next_token`): no allocation per
 //!   subtree summary, measured the same way over the summaries of two
-//!   documents.
+//!   documents;
+//! - skip-index encoding (`DocumentEncoder::encode`): no allocation per
+//!   element — the two documents encode with the same count.
 //!
 //! A lost skip would cut the allocations of a restrictive subject while
 //! making it slower, so the secretary's skip counters are pinned too.
@@ -163,6 +165,15 @@ fn decode_summaries(elements: usize) -> (u64, usize) {
     (allocations, summaries)
 }
 
+/// Allocations of encoding an `elements`-sized hospital document, and the
+/// document's element count.
+fn encode_document(elements: usize) -> (u64, usize) {
+    let doc = Corpus::Hospital.generate(elements, &GeneratorConfig::default());
+    let encoder = DocumentEncoder::new(EncoderConfig::default());
+    let (_, allocations) = counted("encoding", || encoder.encode(&doc));
+    (allocations, doc.all_elements().len())
+}
+
 /// The secretary's skip counters on the `elements`-sized document: bytes
 /// skipped, subtrees skipped, chunks never fetched.
 fn skips(stats: &SessionStats) -> (usize, usize, usize) {
@@ -290,6 +301,20 @@ fn hot_paths_stay_within_their_allocation_budgets() {
         small_decode.0,
         "decoding {} more summaries allocates",
         large_decode.1 - small_decode.1
+    );
+
+    // Skip-index encoding: no allocation per element.
+    let (small_encode, large_encode) = (encode_document(SMALL), encode_document(LARGE));
+    println!(
+        "encoding: {} -> {} allocations over {} -> {} elements",
+        small_encode.0, large_encode.0, small_encode.1, large_encode.1
+    );
+    assert!(large_encode.1 > small_encode.1);
+    assert_eq!(
+        large_encode.0,
+        small_encode.0,
+        "encoding {} more elements allocates",
+        large_encode.1 - small_encode.1
     );
 
     // SOE event path: marginal allocations per input event.

@@ -187,6 +187,39 @@ fn zero_shards_is_a_build_time_config_error_at_the_facade() {
 }
 
 #[test]
+fn out_of_range_chunk_sizes_are_build_time_config_errors_at_the_facade() {
+    // Below 64 bytes the secure-document builder would panic on every
+    // publish; above `u32::MAX` the header's 32-bit field would truncate it.
+    let mut sizes = vec![0, 32, 63];
+    if let Ok(too_large) = usize::try_from(u64::from(u32::MAX) + 1) {
+        sizes.push(too_large);
+    }
+    for size in sizes {
+        let err = Publisher::builder(b"hospital-2005")
+            .rules(rules())
+            .chunk_size(size)
+            .build()
+            .expect_err("an out-of-range chunk size must be rejected at build time");
+        assert!(matches!(err, SddsError::Config(_)), "{size}: got {err:?}");
+        assert!(err.to_string().contains("chunk size"), "{size}: {err}");
+    }
+
+    // The bounds themselves publish and read back.
+    let doc = Document::parse("<folder><patient><name>Ann</name></patient></folder>").unwrap();
+    for size in [64, 65] {
+        let publisher = Publisher::builder(b"hospital-2005")
+            .rules(rules())
+            .chunk_size(size)
+            .build()
+            .expect("an in-range chunk size builds");
+        publisher.publish("folder", &doc).expect("publish");
+        let client = Client::builder("doctor").provision(&publisher).unwrap();
+        let view = client.authorized_view("folder").unwrap();
+        assert!(view.contains("<name>Ann</name>"), "{size}: {view}");
+    }
+}
+
+#[test]
 fn replicated_documents_serve_byte_identical_views() {
     // Replication is a serving-layout knob: it must never change content.
     let plain = Publisher::builder(b"hospital-2005")
