@@ -258,22 +258,21 @@ impl<'d> Run<'d> {
 
     /// Length pass: the exact content length of each element, nested
     /// summaries included. `reference_bits` is the bit count of the node's
-    /// bitmap, should it get a summary: the tag count of its nearest
-    /// summarised ancestor's set, or of the dictionary. Returns the node's
-    /// exact encoded length.
+    /// bitmap, should it get a summary: with recursive bitmaps the tag count
+    /// of its nearest summarised ancestor's set, else (or with no such
+    /// ancestor) of the dictionary. Returns the node's exact encoded length.
     fn measure(&mut self, node: NodeId, reference_bits: usize) -> usize {
         let slot = self.slots[node.index()];
         if matches!(self.doc.data(node), NodeData::Text(_)) {
             return slot.head_len;
         }
-        let child_bits = match (slot.indexed, self.config.recursive_bitmaps) {
-            (true, true) => self
-                .tag_set(node)
+        let child_bits = if slot.indexed && self.config.recursive_bitmaps {
+            self.tag_set(node)
                 .iter()
                 .map(|w| w.count_ones() as usize)
-                .sum(),
-            (true, false) => self.dict.len(),
-            (false, _) => reference_bits,
+                .sum()
+        } else {
+            reference_bits
         };
         let content_len = self
             .doc

@@ -204,7 +204,7 @@ fn out_of_range_chunk_sizes_are_build_time_config_errors_at_the_facade() {
         assert!(err.to_string().contains("chunk size"), "{size}: {err}");
     }
 
-    // The bounds themselves publish and read back.
+    // The smallest supported size, and one past it, publish and read back.
     let doc = Document::parse("<folder><patient><name>Ann</name></patient></folder>").unwrap();
     for size in [64, 65] {
         let publisher = Publisher::builder(b"hospital-2005")
